@@ -158,6 +158,39 @@ fn bench_alloc_churn(h: &mut BenchHarness, label: &str, heap_config: HeapConfig)
     );
 }
 
+/// Allocation behind a wall of survivors: 16 k long-lived objects fill the
+/// space with a 64-object working set spread evenly between them, and every
+/// iteration frees and re-allocates the working set — the shape a javac or
+/// jack trace leaves behind once contamination has pinned most of the heap.
+/// The space is exactly full, so the rover wraps once per iteration and each
+/// search has to get past the 256 survivors between one hole and the next.
+fn bench_alloc_churn_behind_live(h: &mut BenchHarness, policy: AllocPolicy) {
+    const LIVE: usize = 16 * 1024;
+    const CHURN: usize = 64;
+    let mut config = HeapConfig::default().with_alloc_policy(policy);
+    config.object_space_bytes = LIVE * config.instance_bytes(2) + CHURN * config.instance_bytes(6);
+    let mut heap = Heap::new(config);
+    let mut working_set = Vec::with_capacity(CHURN);
+    for i in 0..LIVE {
+        if i % (LIVE / CHURN) == 0 {
+            working_set.push(heap.allocate(class(), 6).expect("fits"));
+        }
+        heap.allocate(class(), 2).expect("fits");
+    }
+    assert_eq!(heap.free_bytes(), 0);
+    let label = format!("allocs/{}/churn_behind_16k_live", policy.label());
+    h.bench(label, 2_000, || {
+        for &handle in &working_set {
+            heap.free(handle).expect("live");
+        }
+        // Re-allocated under the same handles so the handle table stays flat.
+        for &handle in &working_set {
+            heap.allocate_at(handle, class(), 6).expect("a hole fits");
+        }
+        heap.live_count()
+    });
+}
+
 /// Recycle-list miss: every probe scans the whole list and finds nothing
 /// that fits (1024 one-field corpses, four-field requests).
 fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
@@ -301,6 +334,9 @@ fn main() {
             policy.label(),
             HeapConfig::spacious().with_alloc_policy(policy),
         );
+    }
+    for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
+        bench_alloc_churn_behind_live(&mut harness, policy);
     }
     bench_recycle_miss(&mut harness, "first_fit", recycle);
     bench_recycle_miss(&mut harness, "segregated", recycle_seg);

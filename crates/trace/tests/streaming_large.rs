@@ -7,7 +7,7 @@
 //! debug builds (interpreting size 100 unoptimized takes minutes); CI runs
 //! it with `cargo test --release -p cg-trace --test streaming_large`.
 
-use cg_heap::{AllocPolicy, HandleRepr, HeapConfig};
+use cg_heap::{HandleRepr, HeapConfig};
 use cg_trace::footer::{canonical_collector, cg_section, CG_SECTION};
 use cg_trace::{
     read_trace_from_path, record_streaming, replay, replay_path, rewrite_trace, RewriteOptions,
@@ -21,11 +21,9 @@ use cg_workloads::{Size, Workload};
 fn million_event_javac_trace_streams_with_bounded_memory() {
     let workload = Workload::by_name("javac").expect("javac exists");
     // The passive recording collector never frees, so size 100 needs a
-    // heap it cannot exhaust; segregated fit keeps the shadow heap's
-    // allocation search O(size classes) at this scale.
+    // heap it cannot exhaust.
     let mut heap = HeapConfig::with_object_space(128 * 1024 * 1024, HandleRepr::CgWide);
     heap.handle_space_bytes = 256 * 1024 * 1024;
-    heap = heap.with_alloc_policy(AllocPolicy::SegregatedFit);
     let config = VmConfig {
         heap,
         ..VmConfig::default()
