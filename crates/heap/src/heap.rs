@@ -4,6 +4,7 @@ use crate::error::HeapError;
 use crate::freelist::{BlockAddr, ObjectSpace};
 use crate::layout::HeapConfig;
 use crate::object::Object;
+use crate::slots::SlotTable;
 use crate::value::{ClassId, Handle, Value};
 
 /// Cumulative heap activity counters.
@@ -55,7 +56,7 @@ struct Slot {
 pub struct Heap {
     config: HeapConfig,
     space: ObjectSpace,
-    slots: Vec<Option<Slot>>,
+    slots: SlotTable<Slot>,
     live: usize,
     stats: HeapStats,
     alloc_attempts: u64,
@@ -67,7 +68,7 @@ impl Heap {
         Self {
             config,
             space: ObjectSpace::with_policy(config.object_space_bytes, config.alloc_policy),
-            slots: Vec::new(),
+            slots: SlotTable::new(),
             live: 0,
             stats: HeapStats::default(),
             alloc_attempts: 0,
@@ -110,11 +111,9 @@ impl Heap {
     }
 
     /// Whether `handle` names a live object.
+    #[inline]
     pub fn is_live(&self, handle: Handle) -> bool {
-        self.slots
-            .get(handle.index_usize())
-            .map(|s| s.is_some())
-            .unwrap_or(false)
+        self.slots.get(handle.index_usize()).is_some()
     }
 
     /// Allocates an instance of `class` with `field_count` reference/primitive
@@ -182,10 +181,9 @@ impl Heap {
     fn allocate_object(&mut self, object: Object) -> Result<Handle, HeapError> {
         let addr = self.reserve_space(&object)?;
         let size = object.size_bytes();
-        let handle = Handle::from_index(self.slots.len() as u32);
-        self.slots.push(Some(Slot { object, addr }));
+        let index = self.slots.push(Slot { object, addr });
         self.commit_allocation(size);
-        Ok(handle)
+        Ok(Handle::from_index(index as u32))
     }
 
     /// Allocates an instance of `class` under a caller-chosen handle — the
@@ -235,17 +233,16 @@ impl Heap {
         // (`validate_event_handles` on both the single-heap and sharded
         // paths) bound every event-named handle by the configured capacity
         // before it reaches the heap, so a hostile index near `u32::MAX`
-        // never gets far enough to inflate the slot table.  Handles may be
-        // sparse — capacity bounds the *live count*, not the index space.
-        if self.slots.len() <= index {
-            self.slots.resize(index + 1, None);
-        }
-        if self.slots[index].is_some() {
+        // never gets far enough to inflate the slot table's page
+        // directory.  Handles may be sparse — capacity bounds the *live
+        // count*, not the index space.
+        self.slots.mint_through(index);
+        if self.slots.get(index).is_some() {
             return Err(HeapError::HandleInUse(handle));
         }
         let addr = self.reserve_space(&object)?;
         let size = object.size_bytes();
-        self.slots[index] = Some(Slot { object, addr });
+        self.slots.insert(index, Slot { object, addr });
         self.commit_allocation(size);
         Ok(())
     }
@@ -258,8 +255,7 @@ impl Heap {
     pub fn free(&mut self, handle: Handle) -> Result<usize, HeapError> {
         let slot = self
             .slots
-            .get_mut(handle.index_usize())
-            .and_then(Option::take)
+            .take(handle.index_usize())
             .ok_or(HeapError::DeadHandle(handle))?;
         self.space.free(slot.addr);
         self.live -= 1;
@@ -288,7 +284,6 @@ impl Heap {
         let slot = self
             .slots
             .get_mut(handle.index_usize())
-            .and_then(Option::as_mut)
             .ok_or(HeapError::DeadHandle(handle))?;
         if slot.object.is_array() || slot.object.slot_count() < field_count {
             return Err(HeapError::RecycleSizeMismatch {
@@ -311,7 +306,6 @@ impl Heap {
     pub fn get(&self, handle: Handle) -> Result<&Object, HeapError> {
         self.slots
             .get(handle.index_usize())
-            .and_then(Option::as_ref)
             .map(|s| &s.object)
             .ok_or(HeapError::DeadHandle(handle))
     }
@@ -324,7 +318,6 @@ impl Heap {
     pub fn get_mut(&mut self, handle: Handle) -> Result<&mut Object, HeapError> {
         self.slots
             .get_mut(handle.index_usize())
-            .and_then(Option::as_mut)
             .map(|s| &mut s.object)
             .ok_or(HeapError::DeadHandle(handle))
     }
@@ -463,10 +456,7 @@ impl Heap {
 
     /// Iterates over all currently live handles.
     pub fn live_handles(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| Handle::from_index(i as u32)))
+        self.slots.occupied().map(|i| Handle::from_index(i as u32))
     }
 }
 
@@ -773,25 +763,63 @@ mod tests {
 
         /// Heap accounting (live count, bytes in use) always matches the
         /// set of objects the test believes are live, across random
-        /// allocate/free/write workloads.
+        /// allocate/free/write workloads — and the paged handle table
+        /// answers every question the way the flat `Vec<Option<_>>` it
+        /// replaced (`flat`, the object sizes by handle index) would,
+        /// including placed allocations into pages already released.
         #[test]
         fn accounting_matches_model() {
             for seed in 0..64u64 {
                 let mut rng = TestRng::new(seed);
-                let steps = rng.gen_range(10, 150);
+                // Every eighth seed runs long enough to mint, empty and
+                // release several pages of the handle table.
+                let steps = if seed % 8 == 0 {
+                    4000
+                } else {
+                    rng.gen_range(10, 150)
+                };
                 let mut h = Heap::new(HeapConfig::with_object_space(1 << 16, HandleRepr::CgWide));
                 let mut live: Vec<(Handle, usize)> = Vec::new();
+                let mut flat: Vec<Option<usize>> = Vec::new();
                 for _ in 0..steps {
                     let roll: f64 = rng.gen_f64();
-                    if live.is_empty() || roll < 0.55 {
+                    if live.is_empty() || roll < 0.5 {
                         let fields = rng.gen_range(0, 6);
                         if let Ok(handle) = h.allocate(ClassId::new(0), fields) {
-                            live.push((handle, h.get(handle).unwrap().size_bytes()));
+                            let size = h.get(handle).unwrap().size_bytes();
+                            assert_eq!(handle.index_usize(), flat.len(), "seed {seed}");
+                            flat.push(Some(size));
+                            live.push((handle, size));
                         }
-                    } else if roll < 0.8 {
-                        let idx = rng.gen_range(0, live.len());
-                        let (handle, _) = live.swap_remove(idx);
-                        h.free(handle).unwrap();
+                    } else if roll < 0.55 {
+                        // A placed allocation anywhere up to a few pages past
+                        // the front: vacant or not, released page or not.
+                        let index = rng.gen_range(0, flat.len() + 600);
+                        let handle = Handle::from_index(index as u32);
+                        if flat.len() <= index {
+                            flat.resize(index + 1, None);
+                        }
+                        match h.allocate_at(handle, ClassId::new(0), 1) {
+                            Ok(()) => {
+                                assert_eq!(flat[index], None, "seed {seed}");
+                                let size = h.get(handle).unwrap().size_bytes();
+                                flat[index] = Some(size);
+                                live.push((handle, size));
+                            }
+                            Err(HeapError::HandleInUse(_)) => {
+                                assert!(flat[index].is_some(), "seed {seed}")
+                            }
+                            Err(e) => assert!(
+                                matches!(e, HeapError::OutOfObjectSpace { .. }),
+                                "seed {seed}: {e}"
+                            ),
+                        }
+                    } else if roll < 0.85 {
+                        // Mostly the oldest objects, so whole pages die.
+                        let idx = rng.gen_range(0, live.len().min(8));
+                        let (handle, size) = live.remove(idx);
+                        assert_eq!(h.free(handle), Ok(size), "seed {seed}");
+                        flat[handle.index_usize()] = None;
                     } else {
                         // Random reference store between live objects.
                         let src = live[rng.gen_range(0, live.len())].0;
@@ -803,14 +831,28 @@ mod tests {
                         }
                     }
                     h.object_space().check_invariants();
+                    let probe = Handle::from_index(rng.gen_range(0, flat.len() + 300) as u32);
+                    let expected = flat.get(probe.index_usize()).copied().flatten();
+                    assert_eq!(h.is_live(probe), expected.is_some(), "seed {seed}");
+                    assert_eq!(h.get(probe).ok().map(Object::size_bytes), expected);
+                    assert_eq!(h.handles_minted(), flat.len(), "seed {seed}");
                 }
                 assert_eq!(h.live_count(), live.len(), "seed {seed}");
                 let expected_bytes: usize = live.iter().map(|&(_, s)| s).sum();
                 assert_eq!(h.bytes_in_use(), expected_bytes, "seed {seed}");
-                // Every live handle resolves; references point at live objects only
-                // if the referent was not freed (the heap does not chase pointers).
-                for &(handle, _) in &live {
-                    assert!(h.get(handle).is_ok(), "seed {seed}");
+                let occupied: Vec<Handle> = (0..flat.len())
+                    .filter(|&i| flat[i].is_some())
+                    .map(|i| Handle::from_index(i as u32))
+                    .collect();
+                assert_eq!(
+                    h.live_handles().collect::<Vec<_>>(),
+                    occupied,
+                    "seed {seed}"
+                );
+                // A dead handle stays dead through a double free.
+                if let Some(dead) = (0..flat.len()).find(|&i| flat[i].is_none()) {
+                    let dead = Handle::from_index(dead as u32);
+                    assert_eq!(h.free(dead), Err(HeapError::DeadHandle(dead)));
                 }
             }
         }

@@ -50,6 +50,7 @@ pub mod freelist;
 pub mod heap;
 pub mod layout;
 pub mod object;
+mod slots;
 pub mod value;
 
 pub use error::HeapError;

@@ -362,6 +362,56 @@ fn stream_exceeding_max_events_trips_the_limit_mid_flight() {
     join.join().expect("server thread");
 }
 
+/// `golden()`'s bytes with the first chunk's event count — a varint in the
+/// chunk framing, outside every CRC — rewritten to `count`.
+fn golden_with_first_event_count(count: u64) -> Vec<u8> {
+    let bytes = std::fs::read(golden()).expect("read golden");
+    let varint_len = |at: usize| 1 + bytes[at..].iter().take_while(|b| **b & 0x80 != 0).count();
+    // magic(4) version(2) header_len(varint) header crc(4) kind(1) count(varint)
+    assert_eq!(varint_len(6), 1, "the golden's header is under 128 bytes");
+    let count_at = 6 + 1 + usize::from(bytes[6]) + 4 + 1;
+    let mut hostile = bytes[..count_at].to_vec();
+    let mut rest = count;
+    while rest >= 0x80 {
+        hostile.push(rest as u8 | 0x80);
+        rest >>= 7;
+    }
+    hostile.push(rest as u8);
+    hostile.extend_from_slice(&bytes[count_at + varint_len(count_at)..]);
+    hostile
+}
+
+/// A trace whose first chunk claims 2^50 events used to make the reader
+/// size a vector for them and abort the whole daemon.  Both routes must
+/// answer with a structured `ERROR` and leave the daemon serving.
+#[test]
+fn hostile_chunk_event_count_is_an_error_frame_and_the_daemon_keeps_serving() {
+    let (handle, join) = test_server("hostile-count");
+    let addr = handle.addr().to_string();
+    let hostile = golden_with_first_event_count(1 << 50);
+    let timeout = Some(Duration::from_secs(60));
+
+    let path = std::env::temp_dir().join(format!("cgtd-hostile-{}.cgt", std::process::id()));
+    std::fs::write(&path, &hostile).expect("write hostile trace");
+    let uploaded = proto::submit_path(&addr, "hostile", &path, timeout);
+    let _ = std::fs::remove_file(&path);
+    let streamed = proto::stream_events(&addr, "hostile", &mut &hostile[..], timeout, |_| {});
+    for (route, result) in [("upload", uploaded), ("stream", streamed)] {
+        match result {
+            Err(proto::ClientError::Server {
+                class: ErrorClass::Corrupt,
+                message,
+            }) => assert!(message.contains("chunk 0"), "{route}: {message}"),
+            other => panic!("{route}: expected a Corrupt ERROR, got {other:?}"),
+        }
+    }
+    assert_eq!(handle.metrics().sessions_active(), 0, "slots freed");
+
+    assert_recovered(&addr);
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
 /// A torn session must not poison the *next* session on a fresh
 /// connection even when both race the same single worker.
 #[test]

@@ -12,11 +12,15 @@
 //! * a match is three bytes: a little-endian `u16` backward distance
 //!   (1–65535) and a length byte encoding lengths 4–259.
 //!
-//! The encoder is greedy with a 64 KiB window and a single-probe hash of
-//! the next four bytes; the decoder copies byte-by-byte so overlapping
-//! matches (distance < length) replicate runs, as in every LZ77 family
-//! codec.  Compression is deterministic, which the golden-trace CI gate
-//! relies on (byte-identical re-encodes).
+//! The encoder is greedy with a 64 KiB window: it hashes the next four
+//! bytes and walks that slot's chain of earlier positions, up to
+//! [`MAX_CHAIN`] candidates deep, keeping the longest match.  The decoder
+//! expands into a caller-owned buffer with block copies — eight literals at
+//! a time under an all-literal control byte, one `copy_within` for a match
+//! that does not overlap itself — and replicates the period of an
+//! overlapping match (distance < length), as every LZ77 family codec must.
+//! Compression is deterministic, which the golden-trace CI gate relies on
+//! (byte-identical re-encodes).
 //!
 //! Chunks store the codec id, so `.cgt` readers stay compatible if a chunk
 //! was written raw (the writer falls back to raw whenever compression does
@@ -132,65 +136,111 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
     out
 }
 
+/// An upper bound on what a token stream of `stored_len` bytes can expand
+/// to: no token does better than a maximal match, 3 stored bytes for
+/// [`MAX_MATCH`] output bytes (a literal is one for one, and control bytes
+/// only lower the ratio).
+///
+/// Chunk framing declares both lengths outside any checksum, so readers
+/// reject a declared raw length above this bound before sizing a buffer
+/// for it.
+pub fn max_expansion(stored_len: usize) -> usize {
+    stored_len.saturating_mul(MAX_MATCH) / 3
+}
+
 /// Decompresses a token stream produced by [`compress`] into exactly
 /// `expected_len` bytes.
 ///
+/// # Errors
+///
+/// As [`decompress_into`].
+pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
+    let mut out = Vec::new();
+    decompress_into(src, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// Decompresses a token stream produced by [`compress`] into `out`, which
+/// is overwritten and ends up exactly `expected_len` bytes long (its
+/// capacity is reused from call to call).
+///
+/// `out` is sized to `expected_len` up front: a caller holding a length it
+/// has not produced itself bounds it by [`max_expansion`] first.
+///
+/// # Errors
+///
 /// Returns a descriptive error on any malformed input (bad distance,
 /// truncated token, wrong output size) instead of panicking — corrupt
-/// chunks must surface as clean trace errors.
-pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
-    let mut out = Vec::with_capacity(expected_len);
-    let mut pos = 0;
+/// chunks must surface as clean trace errors.  `out`'s contents are then
+/// unspecified.
+pub fn decompress_into(src: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<(), String> {
+    const OVERRUN: &str = "decompressed output exceeds declared size";
+    // No clear first: success overwrites every byte, failure leaves them
+    // unspecified, so only growth needs filling.
+    out.resize(expected_len, 0);
+    let out = out.as_mut_slice();
+    // `pos` reads `src`; `len` counts the bytes of `out` decoded so far.
+    let (mut pos, mut len) = (0, 0);
     while pos < src.len() {
         let control = src[pos];
         pos += 1;
+        if control == 0 {
+            // Eight literals in one copy when both sides have the room;
+            // otherwise the token loop below handles (or rejects) the tail.
+            if let (Some(from), Some(to)) = (src.get(pos..pos + 8), out.get_mut(len..len + 8)) {
+                to.copy_from_slice(from);
+                pos += 8;
+                len += 8;
+                continue;
+            }
+        }
         for bit in 0..8 {
             if pos >= src.len() {
                 break;
             }
             if control & (1 << bit) == 0 {
-                out.push(src[pos]);
+                *out.get_mut(len).ok_or(OVERRUN)? = src[pos];
                 pos += 1;
+                len += 1;
             } else {
-                if pos + 3 > src.len() {
+                let Some(&[lo, hi, extra]) = src.get(pos..pos + 3) else {
                     return Err("truncated match token".to_string());
-                }
-                let dist = u16::from_le_bytes([src[pos], src[pos + 1]]) as usize;
-                let len = src[pos + 2] as usize + MIN_MATCH;
+                };
+                let dist = u16::from_le_bytes([lo, hi]) as usize;
+                let run = extra as usize + MIN_MATCH;
                 pos += 3;
-                if dist == 0 || dist > out.len() {
-                    return Err(format!(
-                        "match distance {dist} exceeds {} decoded bytes",
-                        out.len()
-                    ));
+                if dist == 0 || dist > len {
+                    return Err(format!("match distance {dist} exceeds {len} decoded bytes"));
                 }
-                if out.len() + len > expected_len {
-                    return Err("decompressed output exceeds declared size".to_string());
+                if len + run > expected_len {
+                    return Err(OVERRUN.to_string());
                 }
-                let start = out.len() - dist;
-                // Byte-by-byte: overlapping matches replicate runs.
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                // The `dist` bytes before `len` repeat for `run` bytes.
+                // Each copy takes all of the period decoded so far, so the
+                // source never overlaps the destination and an overlapping
+                // match (dist < run) doubles its way through the run.
+                let start = len - dist;
+                let end = len + run;
+                while len < end {
+                    let n = (end - len).min(len - start);
+                    out.copy_within(start..start + n, len);
+                    len += n;
                 }
-            }
-            if out.len() > expected_len {
-                return Err("decompressed output exceeds declared size".to_string());
             }
         }
     }
-    if out.len() != expected_len {
+    if len != expected_len {
         return Err(format!(
-            "decompressed to {} bytes, expected {expected_len}",
-            out.len()
+            "decompressed to {len} bytes, expected {expected_len}"
         ));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cg_testutil::TestRng;
 
     fn round_trip(data: &[u8]) {
         let packed = compress(data);
@@ -264,6 +314,166 @@ mod tests {
         // A match before any literal has an invalid distance.
         let bogus = vec![0b0000_0001, 5, 0, 0];
         assert!(decompress(&bogus, 9).unwrap_err().contains("distance"));
+    }
+
+    /// The decoder this module shipped before block copies: one byte per
+    /// push, a fresh vector per call.  Kept as the reference model the
+    /// block-copy decoder is driven against.
+    fn decompress_bytewise(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < src.len() {
+            let control = src[pos];
+            pos += 1;
+            for bit in 0..8 {
+                if pos >= src.len() {
+                    break;
+                }
+                if control & (1 << bit) == 0 {
+                    out.push(src[pos]);
+                    pos += 1;
+                } else {
+                    if pos + 3 > src.len() {
+                        return Err("truncated match token".to_string());
+                    }
+                    let dist = u16::from_le_bytes([src[pos], src[pos + 1]]) as usize;
+                    let len = src[pos + 2] as usize + MIN_MATCH;
+                    pos += 3;
+                    if dist == 0 || dist > out.len() {
+                        return Err(format!(
+                            "match distance {dist} exceeds {} decoded bytes",
+                            out.len()
+                        ));
+                    }
+                    if out.len() + len > expected_len {
+                        return Err("decompressed output exceeds declared size".to_string());
+                    }
+                    let start = out.len() - dist;
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
+                }
+                if out.len() > expected_len {
+                    return Err("decompressed output exceeds declared size".to_string());
+                }
+            }
+        }
+        if out.len() != expected_len {
+            return Err(format!(
+                "decompressed to {} bytes, expected {expected_len}",
+                out.len()
+            ));
+        }
+        Ok(out)
+    }
+
+    /// Same `Ok` bytes or same `Err` text from both decoders, with the
+    /// block-copy one reusing a dirty buffer.
+    fn assert_decoders_agree(src: &[u8], expected_len: usize, scratch: &mut Vec<u8>) {
+        let reference = decompress_bytewise(src, expected_len);
+        let fast = decompress_into(src, expected_len, scratch).map(|()| scratch.clone());
+        assert_eq!(
+            fast, reference,
+            "stream {src:02x?}, expecting {expected_len}"
+        );
+    }
+
+    /// Inputs that exercise each copy shape: incompressible bytes (all
+    /// literals, the eight-at-once path), long runs and short periods
+    /// (overlapping matches of every small distance), and repeated phrases
+    /// at a distance (non-overlapping matches).
+    fn corpus(rng: &mut TestRng) -> Vec<Vec<u8>> {
+        let mut inputs: Vec<Vec<u8>> = vec![Vec::new(), vec![1], vec![1; 8], vec![1; 9]];
+        for round in 0..24 {
+            let len = rng.gen_range(1, 3000);
+            let noise: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let period = 1 + round % 12;
+            let runs: Vec<u8> = (0..len).map(|i| noise[i % period]).collect();
+            let mut phrases = Vec::new();
+            while phrases.len() < len {
+                let at = rng.gen_range(0, len);
+                let n = rng.gen_range(1, 300).min(len - at);
+                if rng.gen_bool(0.5) {
+                    phrases.extend_from_slice(&noise[at..at + n]);
+                } else {
+                    phrases.extend(std::iter::repeat_n(noise[at], n));
+                }
+            }
+            inputs.extend([noise, runs, phrases]);
+        }
+        inputs
+    }
+
+    #[test]
+    fn block_copy_decoder_agrees_with_the_bytewise_one() {
+        let mut rng = TestRng::new(31);
+        let mut scratch = vec![0xAA; 17];
+        for data in corpus(&mut rng) {
+            let packed = compress(&data);
+            assert_eq!(decompress(&packed, data.len()).as_deref(), Ok(&data[..]));
+            assert!(data.len() <= max_expansion(packed.len()));
+            // Every truncation of the valid stream, against the true length
+            // and against lengths one either side of what the prefix holds.
+            for cut in 0..=packed.len() {
+                assert_decoders_agree(&packed[..cut], data.len(), &mut scratch);
+            }
+            for wrong in [data.len().saturating_sub(1), data.len() + 1, 0] {
+                assert_decoders_agree(&packed, wrong, &mut scratch);
+            }
+            // Damaged streams: the two must fail (or succeed) identically.
+            for _ in 0..32 {
+                if packed.is_empty() {
+                    break;
+                }
+                let mut bad = packed.clone();
+                let at = rng.gen_range(0, bad.len());
+                bad[at] ^= 1 << rng.gen_range(0, 8);
+                assert_decoders_agree(&bad, data.len(), &mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_overlapping_matches_replicate_their_period() {
+        let mut scratch = Vec::new();
+        for dist in 1..=9usize {
+            for run in [MIN_MATCH, 7, 8, 9, 64, MAX_MATCH] {
+                // `dist` literal tokens, then one match token reaching back
+                // over all of them, eight tokens to a control byte.
+                let seed: Vec<u8> = (1..=dist as u8).collect();
+                let mut src = Vec::new();
+                let mut control_at = 0;
+                let tokens = seed.iter().map(Some).chain([None]);
+                for (token, literal) in tokens.enumerate() {
+                    if token % 8 == 0 {
+                        control_at = src.len();
+                        src.push(0);
+                    }
+                    match literal {
+                        Some(&byte) => src.push(byte),
+                        None => {
+                            src[control_at] |= 1 << (token % 8);
+                            src.extend_from_slice(&(dist as u16).to_le_bytes());
+                            src.push((run - MIN_MATCH) as u8);
+                        }
+                    }
+                }
+                assert_decoders_agree(&src, dist + run, &mut scratch);
+                let expected: Vec<u8> = (0..dist + run).map(|i| seed[i % dist]).collect();
+                assert_eq!(scratch, expected, "dist {dist}, run {run}");
+            }
+        }
+    }
+
+    #[test]
+    fn max_expansion_bounds_every_token_mix() {
+        assert_eq!(max_expansion(0), 0);
+        // One control byte and one literal.
+        assert!(max_expansion(2) >= 1);
+        // One control byte and one maximal match is the densest stream.
+        assert!(max_expansion(4) >= MAX_MATCH);
+        assert_eq!(max_expansion(usize::MAX), usize::MAX / 3);
     }
 
     #[test]

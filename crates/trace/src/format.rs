@@ -370,6 +370,7 @@ fn put_frame(buf: &mut Vec<u8>, frame: &FrameInfo) {
     wire::put_varint(buf, frame.method.index() as u64);
 }
 
+#[inline(always)]
 fn read_frame(r: &mut SliceReader<'_>) -> Result<FrameInfo, WireError> {
     Ok(FrameInfo {
         id: FrameId::new(r.varint("frame id")?),
@@ -407,6 +408,7 @@ impl EventCodec {
         self.last_handle = v;
     }
 
+    #[inline(always)]
     fn read_handle(&mut self, r: &mut SliceReader<'_>, what: &str) -> Result<Handle, WireError> {
         let v = self.last_handle + unzigzag(r.varint(what)?);
         if v < 0 || v > i64::from(u32::MAX) {
@@ -468,6 +470,18 @@ fn read_roots(codec: &mut EventCodec, r: &mut SliceReader<'_>) -> Result<RootSet
         statics,
         interpreter,
     })
+}
+
+/// [`read_roots`] for [`decode_event`]: out of line and on its own copy of
+/// the cursor, handed back advanced, so that this rare, looping decoder
+/// does not force the event decoder's cursor out of its register.
+#[inline(never)]
+fn read_boxed_roots<'a>(
+    codec: &mut EventCodec,
+    mut r: SliceReader<'a>,
+) -> Result<(Box<RootSet>, SliceReader<'a>), WireError> {
+    let roots = read_roots(codec, &mut r)?;
+    Ok((Box::new(roots), r))
 }
 
 /// Flag bits of the `Allocate` encoding.
@@ -561,6 +575,11 @@ pub fn encode_event(codec: &mut EventCodec, buf: &mut Vec<u8>, event: &GcEvent) 
 }
 
 /// Decodes one event.
+///
+/// Forced inline: the reader's per-event functions are the only hot
+/// callers, and folding the decoder into them keeps the cursor in registers
+/// and builds the event in the caller's return slot.
+#[inline(always)]
 pub fn decode_event(codec: &mut EventCodec, r: &mut SliceReader<'_>) -> Result<GcEvent, WireError> {
     let tag = r.u8("event tag")?;
     let kind =
@@ -624,12 +643,15 @@ pub fn decode_event(codec: &mut EventCodec, r: &mut SliceReader<'_>) -> Result<G
         EventKind::FramePop => GcEvent::FramePop {
             frame: read_frame(r)?,
         },
-        EventKind::Collect => GcEvent::Collect {
-            roots: Box::new(read_roots(codec, r)?),
-        },
-        EventKind::ProgramEnd => GcEvent::ProgramEnd {
-            roots: Box::new(read_roots(codec, r)?),
-        },
+        EventKind::Collect | EventKind::ProgramEnd => {
+            let (roots, rest) = read_boxed_roots(codec, r.clone())?;
+            *r = rest;
+            if kind == EventKind::Collect {
+                GcEvent::Collect { roots }
+            } else {
+                GcEvent::ProgramEnd { roots }
+            }
+        }
     })
 }
 

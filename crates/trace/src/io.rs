@@ -3,10 +3,12 @@
 //! [`TraceWriter`] and [`TraceReader`] move events through `std::io` one
 //! chunk at a time: the writer buffers at most one chunk's worth of encoded
 //! events before framing (CRC32, optional LZ compression) and flushing; the
-//! reader buffers at most one decoded chunk.  Neither ever materializes the
-//! full event vector, so recording or replaying a multi-gigabyte trace
-//! holds O(chunk) memory — see [`TraceReader::max_buffered_events`], which
-//! the streaming-equivalence tests assert on.
+//! reader holds at most one chunk's bytes, in two buffers it reuses for the
+//! whole stream, and decodes each event out of them when it is asked for.
+//! Neither ever materializes the full event vector, so recording or
+//! replaying a multi-gigabyte trace holds O(chunk) memory — see
+//! [`TraceReader::max_buffered_events`], which the streaming-equivalence
+//! tests assert on.
 //!
 //! The convenience functions ([`write_trace`], [`read_trace`],
 //! [`open_trace`], ...) cover the whole-trace-in-memory cases.
@@ -25,7 +27,7 @@ use crate::format::{
 };
 use crate::partition::{ShardEvent, ShardStream};
 use crate::trace::{Trace, TraceStats};
-use crate::wire::{self, SliceReader};
+use crate::wire::{self, SliceReader, WireError};
 
 /// Flush the pending chunk when its encoded payload reaches this size even
 /// if the event cap has not been hit (root-set snapshots can be large).
@@ -275,24 +277,113 @@ fn read_varint<R: Read>(r: &mut R, what: &str) -> Result<Option<u64>, TraceIoErr
     }
 }
 
+/// The event chunk being decoded and the cursor into it.
+///
+/// Deliberately not generic over the stream: [`TraceReader`]'s per-event
+/// calls land in the two `next_*` methods below, which are compiled once, in
+/// this crate, with the event decoders inlined into them — a reader
+/// instantiated for some `R` in another crate only contributes the chunk
+/// I/O around them.
+#[derive(Debug, Default)]
+struct ChunkCursor {
+    /// Zero-based index of this chunk in the stream, for error reports.
+    index: u64,
+    /// The chunk's encoded events.  Reused for every chunk.
+    body: Vec<u8>,
+    /// Read position in `body`: the first byte of the next event.
+    pos: usize,
+    /// Events of this chunk not yet decoded.
+    pending: u64,
+    /// Handle-delta state (reset at every chunk).
+    codec: EventCodec,
+    /// Shard streams: the previous event's global sequence number, which
+    /// runs on across chunks.
+    prev_seq: u64,
+    /// Events decoded so far, over the whole stream.
+    decoded: u64,
+}
+
+impl ChunkCursor {
+    /// Points the cursor at the start of chunk `index`, whose `events`
+    /// events have just been placed in `body`.
+    fn start(&mut self, index: u64, events: u64) -> Result<(), TraceIoError> {
+        self.index = index;
+        self.pos = 0;
+        self.pending = events;
+        self.codec = EventCodec::default();
+        if events == 0 {
+            self.check_drained()?;
+        }
+        Ok(())
+    }
+
+    /// A chunk's declared events must account for every byte of its body.
+    fn check_drained(&self) -> Result<(), TraceIoError> {
+        match self.body.len() - self.pos {
+            0 => Ok(()),
+            trailing => Err(TraceIoError::Malformed {
+                chunk: Some(self.index),
+                detail: format!("{trailing} trailing bytes after chunk events"),
+            }),
+        }
+    }
+
+    /// Decodes the next of the `pending` records with `decode`.
+    #[inline(always)]
+    fn next_with<T>(
+        &mut self,
+        decode: impl FnOnce(&mut EventCodec, &mut SliceReader<'_>, &mut u64) -> Result<T, WireError>,
+    ) -> Result<Option<T>, TraceIoError> {
+        debug_assert!(self.pending > 0, "the reader refills before it decodes");
+        let mut r = SliceReader::new(&self.body[self.pos..]);
+        let record = decode(&mut self.codec, &mut r, &mut self.prev_seq)
+            .map_err(|e| TraceIoError::malformed(Some(self.index), e))?;
+        self.pos = self.body.len() - r.remaining();
+        self.pending -= 1;
+        if self.pending == 0 {
+            self.check_drained()?;
+        }
+        self.decoded += 1;
+        Ok(Some(record))
+    }
+
+    fn next_event(&mut self) -> Result<Option<GcEvent>, TraceIoError> {
+        self.next_with(|codec, r, _| format::decode_event(codec, r))
+    }
+
+    fn next_shard_event(&mut self) -> Result<Option<ShardEvent>, TraceIoError> {
+        self.next_with(format::decode_shard_event)
+    }
+}
+
 /// A streaming `.cgt` reader over any [`Read`].
 ///
-/// Decodes one chunk at a time; after the last event the footer becomes
-/// available through [`TraceReader::footer`].
+/// Reads one chunk's bytes at a time and decodes each event on demand;
+/// after the last event the footer becomes available through
+/// [`TraceReader::footer`].
+///
+/// # Where errors surface
+///
+/// A chunk's framing, CRC and decompression are checked when the chunk is
+/// read — before its first event is returned.  Its *events* are decoded one
+/// per call, so a chunk that passes its CRC but is structurally bad inside
+/// fails at the offending event: every event before it has already been
+/// returned, and the error replaces the bad one.  Bytes left over after the
+/// declared event count ("trailing bytes after chunk events") are reported
+/// in place of the chunk's last event.  Either way the error names the
+/// chunk's index, and the reader must not be used again after any error.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
     meta: TraceMeta,
-    /// Decoded events of the current chunk, held in *reverse* order so the
-    /// next event moves out with a pop instead of a clone.
-    events: Vec<GcEvent>,
-    shard_events: Vec<ShardEvent>,
+    chunk: ChunkCursor,
+    /// Where a chunk's stored bytes land before they are decompressed into
+    /// the cursor's body (a raw chunk's are swapped in instead).  Reused
+    /// for every chunk.
+    stored: Vec<u8>,
     footer: Option<TraceFooter>,
     chunk_index: u64,
-    prev_seq: u64,
-    events_read: u64,
     max_buffered: usize,
-    payload: Vec<u8>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -356,14 +447,11 @@ impl<R: Read> TraceReader<R> {
         Ok(Self {
             r,
             meta,
-            events: Vec::new(),
-            shard_events: Vec::new(),
+            chunk: ChunkCursor::default(),
+            stored: Vec::new(),
             footer: None,
             chunk_index: 0,
-            prev_seq: 0,
-            events_read: 0,
             max_buffered: 0,
-            payload: Vec::new(),
         })
     }
 
@@ -379,16 +467,20 @@ impl<R: Read> TraceReader<R> {
 
     /// Events decoded so far.
     pub fn events_read(&self) -> u64 {
-        self.events_read
+        self.chunk.decoded
     }
 
-    /// Chunks consumed so far (including the footer chunk once read).
+    /// Chunks consumed so far (including the footer chunk once read).  An
+    /// event chunk counts from the moment its bytes have been read and
+    /// checked, before its first event is decoded.
     pub fn chunks_read(&self) -> u64 {
         self.chunk_index
     }
 
-    /// The largest number of decoded events this reader has ever held at
-    /// once — the O(chunk) bound the streaming evaluation relies on.
+    /// The most events this reader has ever held at once — the event count
+    /// of the largest chunk read so far, which is the O(chunk) bound the
+    /// streaming evaluation relies on.  (They are held as the chunk's
+    /// encoded bytes, at least one byte each, never as a decoded vector.)
     pub fn max_buffered_events(&self) -> usize {
         self.max_buffered
     }
@@ -412,18 +504,10 @@ impl<R: Read> TraceReader<R> {
                 detail: "this is a shard sub-stream; read it with next_shard_event".to_string(),
             });
         }
-        loop {
-            // The decoded chunk is held in reverse, so each event moves out
-            // with an O(1) pop — no per-event clone.
-            if let Some(event) = self.events.pop() {
-                self.events_read += 1;
-                return Ok(Some(event));
-            }
-            if self.footer.is_some() {
-                return Ok(None);
-            }
-            self.read_chunk()?;
+        if !self.refill()? {
+            return Ok(None);
         }
+        self.chunk.next_event()
     }
 
     /// Next event of a shard sub-stream, or `None` after the last one.
@@ -438,21 +522,34 @@ impl<R: Read> TraceReader<R> {
                 detail: "this is a plain stream; read it with next_event".to_string(),
             });
         }
-        loop {
-            if let Some(event) = self.shard_events.pop() {
-                self.events_read += 1;
-                return Ok(Some(event));
-            }
+        if !self.refill()? {
+            return Ok(None);
+        }
+        self.chunk.next_shard_event()
+    }
+
+    /// Makes sure the cursor has an event pending, reading chunks as
+    /// needed; `false` once the footer has been read instead.
+    #[inline]
+    fn refill(&mut self) -> Result<bool, TraceIoError> {
+        while self.chunk.pending == 0 {
             if self.footer.is_some() {
-                return Ok(None);
+                return Ok(false);
             }
             self.read_chunk()?;
         }
+        Ok(true)
     }
 
-    /// Reads, validates and decodes the next chunk (events or footer).
+    /// Reads and validates the next chunk: an event chunk's bytes end up in
+    /// the cursor ready to decode, a footer chunk is decoded here.
+    #[inline(never)]
     fn read_chunk(&mut self) -> Result<(), TraceIoError> {
         let chunk = self.chunk_index;
+        let malformed = |detail: String| TraceIoError::Malformed {
+            chunk: Some(chunk),
+            detail,
+        };
         let mut kind = [0u8; 1];
         if !wire::read_exact_or_eof(&mut self.r, &mut kind)? {
             return Err(TraceIoError::Truncated {
@@ -462,11 +559,19 @@ impl<R: Read> TraceReader<R> {
         let event_count = require(read_varint(&mut self.r, "chunk event count")?, chunk)?;
         let raw_len = require(read_varint(&mut self.r, "chunk raw length")?, chunk)?;
         let stored_len = require(read_varint(&mut self.r, "chunk stored length")?, chunk)?;
+        // The three lengths sit outside the payload CRC, so nothing is sized
+        // from them until they are consistent with each other and with the
+        // bytes the stream actually delivers.
         if raw_len > (1 << 30) || stored_len > (1 << 30) {
-            return Err(TraceIoError::Malformed {
-                chunk: Some(chunk),
-                detail: format!("implausible chunk size (raw {raw_len}, stored {stored_len})"),
-            });
+            return Err(malformed(format!(
+                "implausible chunk size (raw {raw_len}, stored {stored_len})"
+            )));
+        }
+        let (raw_len, stored_len) = (raw_len as usize, stored_len as usize);
+        if event_count > raw_len as u64 {
+            return Err(malformed(format!(
+                "chunk declares {event_count} events in {raw_len} bytes (an event is at least one)"
+            )));
         }
         let mut codec = [0u8; 1];
         if !wire::read_exact_or_eof(&mut self.r, &mut codec)? {
@@ -474,9 +579,14 @@ impl<R: Read> TraceReader<R> {
                 context: format!("stream ended inside chunk {chunk}'s framing"),
             });
         }
-        self.payload.clear();
-        self.payload.resize(stored_len as usize, 0);
-        if !wire::read_exact_or_eof(&mut self.r, &mut self.payload)? && stored_len > 0 {
+        if codec[0] == CODEC_LZ && raw_len > compress::max_expansion(stored_len) {
+            return Err(malformed(format!(
+                "no {stored_len}-byte compressed chunk expands to {raw_len} bytes"
+            )));
+        }
+        self.stored.clear();
+        self.stored.resize(stored_len, 0);
+        if !wire::read_exact_or_eof(&mut self.r, &mut self.stored)? && stored_len > 0 {
             return Err(TraceIoError::Truncated {
                 context: format!("stream ended inside chunk {chunk}'s payload"),
             });
@@ -487,91 +597,37 @@ impl<R: Read> TraceReader<R> {
                 context: format!("stream ended before chunk {chunk}'s CRC"),
             });
         }
-        if u32::from_le_bytes(crc) != wire::crc32(&self.payload) {
+        if u32::from_le_bytes(crc) != wire::crc32(&self.stored) {
             return Err(TraceIoError::CrcMismatch { chunk });
         }
-        let body: &[u8] = match codec[0] {
-            CODEC_RAW => {
-                if raw_len != stored_len {
-                    return Err(TraceIoError::Malformed {
-                        chunk: Some(chunk),
-                        detail: "raw chunk with mismatching lengths".to_string(),
-                    });
-                }
-                &self.payload
+        match codec[0] {
+            CODEC_RAW if raw_len != stored_len => {
+                return Err(malformed("raw chunk with mismatching lengths".to_string()));
             }
-            CODEC_LZ => {
-                self.payload =
-                    compress::decompress(&self.payload, raw_len as usize).map_err(|detail| {
-                        TraceIoError::Malformed {
-                            chunk: Some(chunk),
-                            detail,
-                        }
-                    })?;
-                &self.payload
-            }
-            other => {
-                return Err(TraceIoError::Malformed {
-                    chunk: Some(chunk),
-                    detail: format!("unknown chunk codec {other}"),
-                })
-            }
-        };
+            CODEC_RAW => std::mem::swap(&mut self.chunk.body, &mut self.stored),
+            CODEC_LZ => compress::decompress_into(&self.stored, raw_len, &mut self.chunk.body)
+                .map_err(malformed)?,
+            other => return Err(malformed(format!("unknown chunk codec {other}"))),
+        }
         match kind[0] {
             CHUNK_EVENTS_KIND => {
-                let mut r = SliceReader::new(body);
-                let mut codec = EventCodec::default();
-                if self.is_shard_stream() {
-                    self.shard_events.clear();
-                    self.shard_events.reserve(event_count as usize);
-                    for _ in 0..event_count {
-                        let ev = format::decode_shard_event(&mut codec, &mut r, &mut self.prev_seq)
-                            .map_err(|e| TraceIoError::malformed(Some(chunk), e))?;
-                        self.shard_events.push(ev);
-                    }
-                    self.max_buffered = self.max_buffered.max(self.shard_events.len());
-                    // Reversed so next_shard_event pops in stream order.
-                    self.shard_events.reverse();
-                } else {
-                    self.events.clear();
-                    self.events.reserve(event_count as usize);
-                    for _ in 0..event_count {
-                        let ev = format::decode_event(&mut codec, &mut r)
-                            .map_err(|e| TraceIoError::malformed(Some(chunk), e))?;
-                        self.events.push(ev);
-                    }
-                    self.max_buffered = self.max_buffered.max(self.events.len());
-                    // Reversed so next_event pops in stream order.
-                    self.events.reverse();
-                }
-                if !r.is_empty() {
-                    return Err(TraceIoError::Malformed {
-                        chunk: Some(chunk),
-                        detail: format!("{} trailing bytes after chunk events", r.remaining()),
-                    });
-                }
+                self.max_buffered = self.max_buffered.max(event_count as usize);
                 self.chunk_index += 1;
-                Ok(())
+                self.chunk.start(chunk, event_count)
             }
             CHUNK_FOOTER_KIND => {
-                let footer = format::decode_footer(body)
+                let footer = format::decode_footer(&self.chunk.body)
                     .map_err(|e| TraceIoError::malformed(Some(chunk), e))?;
                 // Nothing may follow the footer.
                 let mut probe = [0u8; 1];
                 if wire::read_exact_or_eof(&mut self.r, &mut probe)? {
-                    return Err(TraceIoError::Malformed {
-                        chunk: Some(chunk),
-                        detail: "data after the footer chunk".to_string(),
-                    });
+                    return Err(malformed("data after the footer chunk".to_string()));
                 }
                 self.footer = Some(footer);
                 self.chunk_index += 1;
                 Ok(())
             }
-            other => Err(TraceIoError::Malformed {
-                chunk: Some(chunk),
-                detail: format!("unknown chunk kind {other}"),
-            }),
+            other => Err(malformed(format!("unknown chunk kind {other}"))),
         }
     }
 }
@@ -884,6 +940,144 @@ mod tests {
         );
         assert!(reader.chunks_read() > 10, "many chunks expected");
         assert_eq!(reader.footer().unwrap().counts, trace.stats().counts());
+    }
+
+    /// A header for `stream`, then one hand-framed raw event chunk that
+    /// declares `declared` events over `body`, then an empty footer: a
+    /// stream whose CRCs all hold whatever `body` says.
+    fn framed(stream: StreamKind, declared: u64, body: &[u8]) -> Vec<u8> {
+        let meta = TraceMeta {
+            stream,
+            ..TraceMeta::default()
+        };
+        let mut bytes = TraceWriter::new(Vec::new(), &meta).expect("header").w;
+        write_chunk(&mut bytes, CHUNK_EVENTS_KIND, declared, body, false).expect("chunk");
+        let footer = format::encode_footer(&TraceFooter::default());
+        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, false).expect("footer");
+        bytes
+    }
+
+    /// `count` encoded slot writes, as a plain or a shard chunk body.
+    fn encoded_events(shard: bool, count: u64) -> Vec<u8> {
+        let (mut codec, mut buf, mut prev_seq) = (EventCodec::default(), Vec::new(), 0);
+        for seq in 0..count {
+            let event = GcEvent::SlotWrite {
+                object: cg_vm::Handle::from_index(seq as u32),
+                slot: 1,
+                value: None,
+                element: false,
+            };
+            if shard {
+                let ev = ShardEvent {
+                    seq,
+                    waits: Vec::new(),
+                    event,
+                };
+                format::encode_shard_event(&mut codec, &mut buf, &mut prev_seq, &ev);
+            } else {
+                format::encode_event(&mut codec, &mut buf, &event);
+            }
+        }
+        buf
+    }
+
+    /// Reads `bytes` to the first error: the events delivered before it,
+    /// the error, and the chunks the reader had counted by then.
+    fn read_to_error(bytes: &[u8]) -> (u64, TraceIoError, u64) {
+        let mut reader = TraceReader::new(bytes).expect("open");
+        loop {
+            let step = if reader.is_shard_stream() {
+                reader.next_shard_event().map(|e| e.is_some())
+            } else {
+                reader.next_event().map(|e| e.is_some())
+            };
+            match step {
+                Ok(true) => {}
+                Ok(false) => panic!("the stream must not read to its end"),
+                Err(e) => return (reader.events_read(), e, reader.chunks_read()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_event_inside_a_valid_chunk_fails_where_it_sits() {
+        // Plain and shard streams run the same cursor; both must deliver
+        // the good prefix, then name the chunk.
+        for (shard, stream) in [
+            (false, StreamKind::Plain),
+            (
+                true,
+                StreamKind::Shard {
+                    shard: 0,
+                    shard_count: 2,
+                },
+            ),
+        ] {
+            // Five good events, then a tag no event kind has.
+            let mut body = encoded_events(shard, 5);
+            if shard {
+                body.extend([1, 0]); // seq delta, no waits
+            }
+            body.push(0xEE);
+            let (delivered, err, chunks) = read_to_error(&framed(stream.clone(), 6, &body));
+            assert_eq!((delivered, chunks), (5, 1), "shard stream: {shard}");
+            assert!(
+                matches!(&err, TraceIoError::Malformed { chunk: Some(0), detail }
+                    if detail.contains("unknown event tag")),
+                "{err}"
+            );
+
+            // Six events under a count of five: the fifth is withheld and
+            // the leftover bytes reported in its place.
+            let body = encoded_events(shard, 6);
+            let (delivered, err, _) = read_to_error(&framed(stream.clone(), 5, &body));
+            assert_eq!(delivered, 4, "shard stream: {shard}");
+            assert!(
+                matches!(&err, TraceIoError::Malformed { chunk: Some(0), detail }
+                    if detail.contains("trailing bytes after chunk events")),
+                "{err}"
+            );
+
+            // A count of zero over a non-empty body is the same complaint,
+            // made before any event.
+            let (delivered, err, _) = read_to_error(&framed(stream.clone(), 0, &body));
+            assert_eq!(delivered, 0);
+            assert!(err.to_string().contains("trailing bytes"), "{err}");
+
+            // More events declared than bytes to hold them: refused from
+            // the framing alone.
+            let (delivered, err, chunks) = read_to_error(&framed(stream, 1 << 50, &body));
+            assert_eq!((delivered, chunks), (0, 0));
+            assert!(
+                matches!(&err, TraceIoError::Malformed { chunk: Some(0), detail }
+                    if detail.contains("events in")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn max_buffered_events_is_the_largest_chunk_held() {
+        let trace = synthetic_trace(1000);
+        let mut writer =
+            TraceWriter::with_chunk_events(Vec::new(), &TraceMeta::default(), 300).expect("writer");
+        for event in trace.events() {
+            writer.push(event).expect("push");
+        }
+        let (bytes, _) = writer.finish().expect("finish");
+        let mut reader = TraceReader::new(&bytes[..]).expect("open");
+        assert_eq!(reader.max_buffered_events(), 0);
+        assert!(reader.next_event().expect("first event").is_some());
+        // One chunk is held from the moment its first event is asked for...
+        assert_eq!(
+            (reader.max_buffered_events(), reader.chunks_read()),
+            (300, 1)
+        );
+        while reader.next_event().expect("event").is_some() {}
+        // ...and the 103-event tail never raises the high-water mark.
+        assert_eq!(reader.max_buffered_events(), 300);
+        assert_eq!(reader.events_read(), trace.len() as u64);
+        assert_eq!(reader.chunks_read(), 4 + 1);
     }
 
     #[test]

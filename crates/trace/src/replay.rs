@@ -217,6 +217,26 @@ pub fn replay_governed<C: Collector>(
     })
 }
 
+/// One handle's share of [`validate_event_handles`].
+#[inline]
+fn in_range(handle: Handle, capacity: usize) -> Result<(), ReplayError> {
+    if handle.index_usize() >= capacity {
+        Err(ReplayError::HandleOutOfRange { handle, capacity })
+    } else {
+        Ok(())
+    }
+}
+
+/// One handle's share of [`validate_event_liveness`].
+#[inline]
+fn live(handle: Handle, heap: &Heap) -> Result<(), ReplayError> {
+    if heap.is_live(handle) {
+        Ok(())
+    } else {
+        Err(ReplayError::Heap(HeapError::DeadHandle(handle)))
+    }
+}
+
 /// Validates every handle `event` names against the heap's configured
 /// capacity.
 ///
@@ -233,13 +253,7 @@ pub fn replay_governed<C: Collector>(
 /// [`ReplayError::HandleOutOfRange`] naming the implausible handle.
 pub fn validate_event_handles(event: &GcEvent, heap: &Heap) -> Result<(), ReplayError> {
     let capacity = heap.config().handle_capacity();
-    let check = |handle: Handle| -> Result<(), ReplayError> {
-        if handle.index_usize() >= capacity {
-            Err(ReplayError::HandleOutOfRange { handle, capacity })
-        } else {
-            Ok(())
-        }
-    };
+    let check = |handle: Handle| in_range(handle, capacity);
     match event {
         GcEvent::Allocate { handle, .. } => check(*handle),
         GcEvent::SlotWrite { object, value, .. } => {
@@ -283,13 +297,7 @@ pub fn validate_event_handles(event: &GcEvent, heap: &Heap) -> Result<(), Replay
 /// [`ReplayError::Heap`] carrying [`HeapError::DeadHandle`] for the first
 /// non-live handle the event names.
 pub fn validate_event_liveness(event: &GcEvent, heap: &Heap) -> Result<(), ReplayError> {
-    let live = |handle: Handle| -> Result<(), ReplayError> {
-        if heap.is_live(handle) {
-            Ok(())
-        } else {
-            Err(ReplayError::Heap(HeapError::DeadHandle(handle)))
-        }
-    };
+    let live = |handle: Handle| live(handle, heap);
     match event {
         GcEvent::Allocate { .. } | GcEvent::FramePush { .. } | GcEvent::FramePop { .. } => Ok(()),
         GcEvent::SlotWrite { object, value, .. } => {
@@ -312,14 +320,27 @@ pub fn validate_event_liveness(event: &GcEvent, heap: &Heap) -> Result<(), Repla
 /// Applies one recorded event to the shadow heap and the collector —
 /// the single replay step shared by [`replay`], [`replay_events`] and the
 /// parallel evaluators.
+///
+/// The event is gated first, exactly as [`validate_event_handles`] followed
+/// by [`validate_event_liveness`] would: every handle it names against the
+/// heap's capacity, in field order, then every existing object it names for
+/// liveness, in field order.  The checks are made inline by the `match`
+/// that then applies the event, so the hot path dispatches on the event
+/// kind once; the two functions remain the specification (and what callers
+/// gating an event *without* applying it use).
+///
+/// # Errors
+///
+/// A [`ReplayError`] from the gates or from the shadow heap.  When a gate
+/// fails nothing has been applied; `outcome.events_replayed` counts the
+/// failing event either way, and a replay ends at its first error.
 pub fn apply_event<C: Collector>(
     event: &GcEvent,
     heap: &mut Heap,
     collector: &mut C,
     outcome: &mut ReplayOutcome,
 ) -> Result<(), ReplayError> {
-    validate_event_handles(event, heap)?;
-    validate_event_liveness(event, heap)?;
+    let capacity = heap.config().handle_capacity();
     outcome.events_replayed += 1;
     match event {
         GcEvent::Allocate {
@@ -329,6 +350,7 @@ pub fn apply_event<C: Collector>(
             frame,
             recycled,
         } => {
+            in_range(*handle, capacity)?;
             if *recycled {
                 let field_count = match kind {
                     AllocKind::Instance { field_count } => *field_count,
@@ -359,6 +381,10 @@ pub fn apply_event<C: Collector>(
             value,
             element,
         } => {
+            in_range(*object, capacity)?;
+            value.map_or(Ok(()), |v| in_range(v, capacity))?;
+            live(*object, heap)?;
+            value.map_or(Ok(()), |v| live(v, heap))?;
             let value = Value::from(*value);
             if *element {
                 heap.set_element(*object, *slot, value)?;
@@ -367,6 +393,8 @@ pub fn apply_event<C: Collector>(
             }
         }
         GcEvent::ObjectAccess { handle, thread } => {
+            in_range(*handle, capacity)?;
+            live(*handle, heap)?;
             collector.on_object_access(*handle, *thread, heap);
         }
         GcEvent::ReferenceStore {
@@ -374,9 +402,15 @@ pub fn apply_event<C: Collector>(
             target,
             frame,
         } => {
+            in_range(*source, capacity)?;
+            in_range(*target, capacity)?;
+            live(*source, heap)?;
+            live(*target, heap)?;
             collector.on_reference_store(*source, *target, frame, heap);
         }
         GcEvent::StaticStore { target } => {
+            in_range(*target, capacity)?;
+            live(*target, heap)?;
             collector.on_static_store(*target, heap);
         }
         GcEvent::ReturnValue {
@@ -384,6 +418,8 @@ pub fn apply_event<C: Collector>(
             caller,
             callee,
         } => {
+            in_range(*value, capacity)?;
+            live(*value, heap)?;
             collector.on_return_value(*value, caller, callee);
         }
         GcEvent::FramePush { frame } => {
@@ -397,6 +433,8 @@ pub fn apply_event<C: Collector>(
             outcome.collector_marked_objects += freed.marked_objects;
         }
         GcEvent::Collect { roots } => {
+            validate_event_handles(event, heap)?;
+            validate_event_liveness(event, heap)?;
             outcome.gc_cycles += 1;
             let collected = collector.collect(roots, heap);
             outcome.collector_freed_objects += collected.freed_objects;
@@ -404,6 +442,8 @@ pub fn apply_event<C: Collector>(
             outcome.collector_marked_objects += collected.marked_objects;
         }
         GcEvent::ProgramEnd { roots } => {
+            validate_event_handles(event, heap)?;
+            validate_event_liveness(event, heap)?;
             collector.on_program_end(roots, heap);
         }
     }
@@ -627,6 +667,125 @@ mod tests {
         assert_eq!(replayed.outcome.frames_popped, outcome.stats.frames_popped);
         assert_eq!(replayed.outcome.events_replayed, trace.len());
         assert_eq!(replayed.outcome.gc_cycles, 0);
+    }
+
+    /// `apply_event` gates inline; the two public gate functions are the
+    /// specification.  Random events over live, dead, never-minted and
+    /// out-of-range handles must be refused with exactly the error the
+    /// functions give, in their order (every range check before any
+    /// liveness check), and must leave the heap untouched when refused.
+    #[test]
+    fn inline_gates_agree_with_the_public_gate_functions() {
+        use cg_heap::{ClassId, HandleRepr};
+        use cg_testutil::TestRng;
+        use cg_vm::{FrameId, FrameInfo, FrameRoots, MethodId, RootSet, ThreadId};
+
+        fn any(rng: &mut TestRng) -> Handle {
+            Handle::from_index(rng.gen_range(0, 20) as u32)
+        }
+        let frame = FrameInfo {
+            id: FrameId::new(1),
+            depth: 1,
+            thread: ThreadId::MAIN,
+            method: MethodId::new(0),
+        };
+        // 16 handles of capacity: indices 0..16 are in range.
+        let mut config = HeapConfig::with_object_space(1 << 12, HandleRepr::Jdk);
+        config.handle_space_bytes = 16 * 8;
+        let mut rng = TestRng::new(41);
+        let (mut refused_range, mut refused_dead, mut passed) = (0, 0, 0);
+        for _ in 0..200 {
+            let mut heap = Heap::new(config);
+            let mut collector = NoopCollector::new();
+            let mut outcome = ReplayOutcome::default();
+            // Ten objects, every third one freed again: live, dead,
+            // never-minted (10..16) and out-of-range (16..) indices.
+            for i in 0..10 {
+                let h = heap.allocate(ClassId::new(0), 2).unwrap();
+                if i % 3 == 1 {
+                    heap.free(h).unwrap();
+                }
+            }
+            for _ in 0..40 {
+                let roots = |a, b, c| {
+                    Box::new(RootSet {
+                        frames: vec![FrameRoots {
+                            frame,
+                            refs: vec![a],
+                        }],
+                        statics: vec![b],
+                        interpreter: vec![c],
+                    })
+                };
+                let event = match rng.gen_range(0, 8) {
+                    0 => GcEvent::SlotWrite {
+                        object: any(&mut rng),
+                        slot: rng.gen_range(0, 3),
+                        value: rng.gen_bool(0.7).then(|| any(&mut rng)),
+                        element: rng.gen_bool(0.2),
+                    },
+                    1 => GcEvent::ObjectAccess {
+                        handle: any(&mut rng),
+                        thread: ThreadId::MAIN,
+                    },
+                    2 => GcEvent::ReferenceStore {
+                        source: any(&mut rng),
+                        target: any(&mut rng),
+                        frame,
+                    },
+                    3 => GcEvent::StaticStore {
+                        target: any(&mut rng),
+                    },
+                    4 => GcEvent::ReturnValue {
+                        value: any(&mut rng),
+                        caller: frame,
+                        callee: frame,
+                    },
+                    5 => GcEvent::Collect {
+                        roots: roots(any(&mut rng), any(&mut rng), any(&mut rng)),
+                    },
+                    6 => GcEvent::ProgramEnd {
+                        roots: roots(any(&mut rng), any(&mut rng), any(&mut rng)),
+                    },
+                    _ => GcEvent::Allocate {
+                        handle: any(&mut rng),
+                        class: ClassId::new(0),
+                        kind: AllocKind::Instance { field_count: 1 },
+                        frame,
+                        recycled: false,
+                    },
+                };
+                let gates = validate_event_handles(&event, &heap)
+                    .and_then(|()| validate_event_liveness(&event, &heap));
+                let before = (heap.live_count(), heap.handles_minted(), *heap.stats());
+                let applied = apply_event(&event, &mut heap, &mut collector, &mut outcome);
+                match gates {
+                    Err(refusal) => {
+                        match refusal {
+                            ReplayError::HandleOutOfRange { .. } => refused_range += 1,
+                            _ => refused_dead += 1,
+                        }
+                        assert_eq!(applied, Err(refusal), "{event:?}");
+                        let after = (heap.live_count(), heap.handles_minted(), *heap.stats());
+                        assert_eq!(after, before, "a refused {event:?} touched the heap");
+                    }
+                    // Past the gates the heap may still object (a bad slot
+                    // index, a diverged allocation) — never with a gate's
+                    // out-of-range error.
+                    Ok(()) => {
+                        passed += 1;
+                        assert!(
+                            !matches!(applied, Err(ReplayError::HandleOutOfRange { .. })),
+                            "{event:?}: {applied:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            refused_range > 500 && refused_dead > 500 && passed > 500,
+            "every outcome must be exercised: {refused_range} / {refused_dead} / {passed}"
+        );
     }
 
     #[test]
