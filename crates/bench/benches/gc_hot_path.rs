@@ -22,7 +22,7 @@ use std::hint::black_box;
 use cg_bench::BenchHarness;
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_heap::{AllocPolicy, ClassId, Heap, HeapConfig, Value};
-use cg_trace::{record, replay};
+use cg_trace::{record, replay_governed, Governor};
 use cg_vm::{Collector, FrameId, FrameInfo, MethodId, NoopCollector, ThreadId, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
@@ -231,11 +231,12 @@ fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
 /// End-to-end replay throughput: events/sec driving the collector from a
 /// recorded workload stream (the trace-driven evaluation mode of PR 1).
 fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: AllocPolicy) {
+    let unlimited = Governor::unlimited();
     let heap_config = VmConfig::default().heap.with_alloc_policy(policy);
     let events = trace.len() as f64;
     let label = format!("replay/cg/{}/db_s1", policy.label());
     let ns = h.bench(&label, 3, || {
-        replay(trace, heap_config, ContaminatedGc::new())
+        replay_governed(trace, heap_config, ContaminatedGc::new(), &unlimited)
             .expect("replay succeeds")
             .outcome
             .events_replayed
@@ -251,6 +252,7 @@ fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: All
 /// configuration × allocation policy pair.  This is the proof that the
 /// hot-path rebuild changed costs, not behaviour.
 fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) {
+    let unlimited = Governor::unlimited();
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
         for cg_config in [CgConfig::preferred(), CgConfig::without_static_opt()] {
             let vm_config =
@@ -261,10 +263,11 @@ fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) 
                 ContaminatedGc::with_config(cg_config),
             );
             live.run().expect("live run succeeds");
-            let replayed = replay(
+            let replayed = replay_governed(
                 trace,
                 vm_config.heap,
                 ContaminatedGc::with_config(cg_config),
+                &unlimited,
             )
             .expect("replay succeeds");
             assert_eq!(

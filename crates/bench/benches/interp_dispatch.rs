@@ -31,7 +31,7 @@ use std::hint::black_box;
 use cg_bench::BenchHarness;
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_stats::Json;
-use cg_trace::{record, replay};
+use cg_trace::{record, replay_governed, Governor};
 use cg_vm::{
     ArithOp, ClassDef, Cond, Insn, MethodDef, NoopCollector, Operand, Program, Vm, VmConfig,
 };
@@ -290,6 +290,7 @@ fn bench_kernels(h: &mut BenchHarness) -> f64 {
 /// contaminated collector, fused and unfused, against replaying the
 /// recorded stream.  Returns the fused live-vs-replay gap.
 fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
+    let unlimited = Governor::unlimited();
     let workload = Workload::by_name("javac").expect("javac exists");
     let program = workload.program(Size::S1);
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
@@ -323,8 +324,13 @@ fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
         });
     }
     h.bench("interp_dispatch/javac1/replay_cg", 3, || {
-        let outcome =
-            replay(&trace, vm_config.heap, ContaminatedGc::with_config(cg)).expect("javac replays");
+        let outcome = replay_governed(
+            &trace,
+            vm_config.heap,
+            ContaminatedGc::with_config(cg),
+            &unlimited,
+        )
+        .expect("javac replays");
         black_box(outcome.collector.stats().objects_created)
     });
 

@@ -4,7 +4,7 @@
 //! batch + per-method compile temporaries) and an `mtrt`-style one (private
 //! rendering temporaries over a shared scene) — are recorded once, spread
 //! over 8 VM threads, and then evaluated with 1, 2, 4 and 8 collector
-//! shards on real OS threads (`cg_bench::parallel_eval`).
+//! shards on real OS threads (`cg_trace::parallel_eval_governed`).
 //!
 //! Before timing anything the suite proves the point of the exercise: for
 //! every shard count the aggregated `CgStats`/`ObjectBreakdown` are
@@ -22,9 +22,9 @@
 
 use std::hint::black_box;
 
-use cg_bench::{parallel_eval, BenchHarness};
+use cg_bench::BenchHarness;
 use cg_core::{CgConfig, ContaminatedGc};
-use cg_trace::{partition, record, replay, Trace};
+use cg_trace::{parallel_eval_governed, partition, record, replay_governed, Governor, Trace};
 use cg_vm::{NoopCollector, VmConfig};
 use cg_workloads::{synthesize, Profile};
 
@@ -107,15 +107,18 @@ fn record_profile(profile: &Profile, vm_config: VmConfig) -> Trace {
 /// Proves the invariant before timing it: aggregated sharded statistics are
 /// byte-identical to the single-threaded replay for every shard count.
 fn verify_equivalence(trace: &Trace, vm_config: VmConfig) {
-    let single = replay(
+    let unlimited = Governor::unlimited();
+    let single = replay_governed(
         trace,
         vm_config.heap,
         ContaminatedGc::with_config(cg_config()),
+        &unlimited,
     )
     .expect("single replay succeeds");
     for shards in SHARD_COUNTS {
         let pt = partition(trace, shards);
-        let outcome = parallel_eval(&pt, vm_config.heap, cg_config()).expect("parallel succeeds");
+        let outcome = parallel_eval_governed(&pt, vm_config.heap, cg_config(), &unlimited)
+            .expect("parallel succeeds");
         assert_eq!(
             outcome.stats,
             *single.collector.stats(),
@@ -130,6 +133,7 @@ fn verify_equivalence(trace: &Trace, vm_config: VmConfig) {
 }
 
 fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &Trace, vm_config: VmConfig) {
+    let unlimited = Governor::unlimited();
     let mut one_shard_ns = None;
     for shards in SHARD_COUNTS {
         // Partitioning is a one-time preprocessing cost; the timed region is
@@ -137,7 +141,7 @@ fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &Trace, vm_config: VmC
         let pt = partition(trace, shards);
         let label = format!("shard_scaling/{name}/shards_{shards}");
         let ns = h.bench(&label, 3, || {
-            parallel_eval(black_box(&pt), vm_config.heap, cg_config())
+            parallel_eval_governed(black_box(&pt), vm_config.heap, cg_config(), &unlimited)
                 .expect("parallel eval succeeds")
                 .events_replayed
         });

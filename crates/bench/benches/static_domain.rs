@@ -28,11 +28,11 @@
 
 use std::hint::black_box;
 
-use cg_bench::{parallel_eval, BenchHarness};
+use cg_bench::BenchHarness;
 use cg_core::{CgConfig, DomainImpl, StaticDomain, StaticNodeId, StaticReason};
 use cg_stats::Json;
 use cg_testutil::TestRng;
-use cg_trace::{partition, record};
+use cg_trace::{parallel_eval_governed, partition, record, Governor};
 use cg_vm::{Handle, NoopCollector, VmConfig};
 use cg_workloads::Profile;
 
@@ -272,6 +272,7 @@ fn cg_config(which: DomainImpl) -> CgConfig {
 /// once per domain implementation, after proving both produce identical
 /// statistics.
 fn bench_e2e(h: &mut BenchHarness, vm_config: VmConfig) {
+    let unlimited = Governor::unlimited();
     let (trace, _, _) = record(
         "mtrt_style".to_string(),
         cg_workloads::synthesize(&mtrt_style()),
@@ -282,7 +283,8 @@ fn bench_e2e(h: &mut BenchHarness, vm_config: VmConfig) {
     let pt = partition(&trace, 4);
 
     let eval = |which: DomainImpl| {
-        parallel_eval(&pt, vm_config.heap, cg_config(which)).expect("parallel eval succeeds")
+        parallel_eval_governed(&pt, vm_config.heap, cg_config(which), &unlimited)
+            .expect("parallel eval succeeds")
     };
     let mutex_outcome = eval(DomainImpl::Mutex);
     let atomic_outcome = eval(DomainImpl::Atomic);

@@ -4,9 +4,8 @@
 //! Three representative size-1 workloads run under the traditional
 //! collector, contaminated GC, and contaminated GC with recycling.  The full
 //! per-benchmark timing tables (all eight workloads, all three problem
-//! sizes, five repetitions) are produced by the `repro_fig4_7`,
-//! `repro_fig4_8`, `repro_fig4_10` and `repro_fig4_12` binaries; these
-//! benches exist so the relative collector costs are tracked run over run
+//! sizes, five repetitions) are produced by `repro_all fig4_7 fig4_8 fig4_10
+//! fig4_12`; these benches exist so the relative collector costs are tracked run over run
 //! in `BENCH_timing.json`.
 //!
 //! The `trace/` group times the two halves of the trace-driven runner on

@@ -32,9 +32,7 @@ fn main() {
             .collect()
     };
 
-    // Disk-backed: recordings persist under target/trace-cache/, so a
-    // repeated trace_eval run skips re-interpretation entirely.
-    let mut cache = TraceCache::with_disk_cache();
+    let mut cache = TraceCache::new();
     let mut table = Table::new(
         format!("Trace-driven evaluation (size {})", options.size),
         &[

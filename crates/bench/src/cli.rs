@@ -1,4 +1,4 @@
-//! Tiny command-line parsing shared by the `repro_*` and `trace_eval`
+//! Tiny command-line parsing shared by the `repro_all` and `trace_eval`
 //! binaries.
 
 use crate::experiments::ExperimentOptions;
@@ -11,9 +11,6 @@ use cg_workloads::Size;
 /// * `--reps N` — timing repetitions (default 3; the paper uses 5).
 /// * `--no-medium` — skip the size-10 runs.
 /// * `--no-large` — skip the size-100 runs (the slowest part).
-/// * `--streaming` — evaluate the stats experiments through the persisted
-///   `.cgt` streaming path (record once to `target/trace-cache/`, replay
-///   from disk) instead of live interpretation; timing figures stay live.
 ///
 /// Unrecognised arguments are returned so callers (such as `repro_all`) can
 /// interpret them as experiment ids.
@@ -26,9 +23,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> (ExperimentOpti
             "--quick" => options = ExperimentOptions::quick(),
             "--no-large" => options.include_large = false,
             "--no-medium" => options.include_medium = false,
-            "--streaming" => {
-                crate::runner::set_experiment_run_mode(crate::runner::RunMode::Streaming)
-            }
             "--reps" => {
                 let value = args
                     .next()

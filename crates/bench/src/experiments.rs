@@ -2,14 +2,13 @@
 //!
 //! Every function runs the required workload/collector configurations and
 //! returns an [`ExperimentReport`] containing the paper-style table(s) plus
-//! paper-vs-measured records.  The `repro_*` binaries print these reports;
-//! `EXPERIMENTS.md` is generated from them.
+//! paper-vs-measured records.  `repro_all [id...]` prints these reports.
 
 use cg_stats::{percent, Cell, ExperimentRecord, ExperimentReport, RunTimings, Table};
 use cg_workloads::{Size, Workload};
 
 use crate::paper;
-use crate::runner::{run_repeated, CollectorChoice, RunResult};
+use crate::runner::{run_once, run_repeated, CollectorChoice, RunResult};
 
 /// Options controlling how much work the experiment functions do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,18 +59,13 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn cg_run(workload: Workload, size: Size, choice: CollectorChoice) -> RunResult {
-    // Stats experiments honour the process-wide run mode (`repro_all
-    // --streaming` drives them from persisted `.cgt` traces to prove stats
-    // parity with live interpretation); timing experiments always call
-    // `run_once`/`run_repeated` directly and stay live.
-    crate::runner::run_with_mode(workload, size, choice, crate::runner::experiment_run_mode())
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} (size {size}, {:?}) failed: {e}",
-                workload.name(),
-                choice
-            )
-        })
+    run_once(workload, size, choice).unwrap_or_else(|e| {
+        panic!(
+            "{} (size {size}, {:?}) failed: {e}",
+            workload.name(),
+            choice
+        )
+    })
 }
 
 // ----------------------------------------------------------------------

@@ -11,16 +11,21 @@
 //!   configurations and renders the paper-style table plus comparison
 //!   records.
 //!
-//! The `repro_*` binaries in `src/bin/` are thin wrappers around
-//! [`experiments`]; `repro_all` runs everything, writes
-//! `experiments_output.md`, and emits machine-readable `BENCH_repro.json`.
-//! The `trace_eval` binary demonstrates the trace-driven runner mode:
-//! each workload is interpreted once (recording its event stream via
-//! `cg-trace`) and every collector is then evaluated by replay.  The benches
-//! in `benches/` (hand-rolled harness in [`microbench`]; the build
-//! environment has no crates.io access for criterion) cover the micro-costs
-//! (union/find, store barrier, frame pop, allocation, interpreter dispatch)
-//! and the end-to-end timing comparisons behind Figures 4.7, 4.8 and 4.12.
+//! The `repro_all` binary in `src/bin/` is a thin wrapper around
+//! [`experiments`]: `repro_all` runs everything and `repro_all <id>...`
+//! (ids in [`REPORT_IDS`]) a selection; it writes `experiments_output.md`
+//! and machine-readable `BENCH_repro.json`.  The `trace_eval` binary
+//! demonstrates the trace-driven runner mode: each workload is interpreted
+//! once (recording its event stream via `cg-trace`) and every collector is
+//! then evaluated by replay through [`replay_run`].  The evaluator itself —
+//! single-threaded and sharded — lives in `cg-trace`
+//! (`cg_trace::{replay_governed, replay_path_governed,
+//! parallel_eval_governed, …}`); nothing outside this crate depends on it.
+//! The benches in `benches/` (hand-rolled harness in [`microbench`]; the
+//! build environment has no crates.io access for criterion) cover the
+//! micro-costs (union/find, store barrier, frame pop, allocation,
+//! interpreter dispatch) and the end-to-end timing comparisons behind
+//! Figures 4.7, 4.8 and 4.12.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,20 +35,13 @@ pub mod experiments;
 pub mod gate;
 pub mod microbench;
 pub mod paper;
-pub mod parallel;
 pub mod runner;
 
 pub use cli::{parse_options, parse_trace_eval, TraceEvalOptions};
 pub use experiments::{all_reports, report_by_id, ExperimentOptions, REPORT_IDS};
 pub use gate::{check_against_baseline, discover_baselines, parse_check_arg};
 pub use microbench::{BenchHarness, BenchResult};
-pub use parallel::{
-    parallel_eval, parallel_eval_governed, parallel_eval_streaming,
-    parallel_eval_streaming_governed, ParallelError, ParallelOutcome,
-};
 pub use runner::{
-    ensure_cached_trace, experiment_run_mode, quarantine_cache_entry, record_workload_trace,
-    record_workload_trace_to_path, replay_run, replay_streaming, run_once, run_with_mode,
-    set_experiment_run_mode, sweep_stale_tmps, trace_cache_dir, trace_cache_path, unique_tmp_path,
-    CollectorChoice, RunMode, RunResult, RunnerError, TraceCache, WorkloadTrace, TMP_SWEEP_TTL,
+    record_workload_trace, replay_run, run_once, CollectorChoice, RunResult, TraceCache,
+    WorkloadTrace,
 };

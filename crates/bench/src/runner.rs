@@ -1,22 +1,15 @@
 //! Running one workload under one collector configuration — *live*
-//! (interpret the program), by *replaying* an in-memory recorded event
-//! trace, or by *streaming* a persisted `.cgt` trace from disk with
-//! O(chunk) memory (see [`RunMode`]).
+//! ([`run_once`]: interpret the program) or by *replaying* an in-memory
+//! recorded event trace ([`record_workload_trace`] + [`replay_run`], with
+//! [`TraceCache`] sharing one recording across collectors).
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime};
 
 use cg_baseline::{MarkSweep, MarkSweepStats, NoopCollector};
 use cg_core::{CgConfig, CgStats, HybridCollector, HybridConfig, ObjectBreakdown};
 use cg_heap::{HeapConfig, HeapStats};
-use cg_trace::footer::{vm_stats_from_section, VM_SECTION};
-use cg_trace::{
-    record, record_streaming, replay, ReplayError, ReplayOutcome, StreamReplayError, Trace,
-    TraceIoError, TraceMeta, WorkloadRef,
-};
+use cg_trace::{record, replay_governed, EvalError, Governor, ReplayOutcome, Trace};
 use cg_vm::{Vm, VmConfig, VmError, VmStats};
 use cg_workloads::{Size, Workload};
 
@@ -83,88 +76,6 @@ impl CollectorChoice {
         // instructions; our synthetic workloads are scaled down roughly 4×,
         // so the interval is scaled the same way.
         (self == CollectorChoice::CgReset).then_some(25_000)
-    }
-}
-
-/// Whether to interpret the workload, replay an in-memory recording, or
-/// stream a persisted `.cgt` trace from disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunMode {
-    /// Interpret the program with the collector installed (the paper's own
-    /// methodology; used for all timing figures).
-    #[default]
-    Live,
-    /// Record the workload's event stream once (under a passive collector)
-    /// and drive the chosen collector from the recording.  Much faster when
-    /// evaluating several collectors over one workload, because the
-    /// interpretation cost is paid once.
-    Replay,
-    /// Like [`RunMode::Replay`], but through the persistent `.cgt` layer:
-    /// the recording is streamed to a file under `target/trace-cache/`
-    /// (skipped entirely when a matching cache file already exists) and
-    /// the collector is driven chunk-by-chunk from disk with O(chunk)
-    /// trace memory.  Repeated bench runs skip re-interpretation across
-    /// *processes*, not just within one.
-    Streaming,
-}
-
-/// Errors from the runner: a live run's [`VmError`], a replay divergence,
-/// or an unreadable/unwritable `.cgt` stream.
-#[derive(Debug)]
-pub enum RunnerError {
-    /// The live (or recording) run failed.
-    Vm(VmError),
-    /// The replay diverged from the recorded heap history.
-    Replay(ReplayError),
-    /// The persisted trace could not be read or written.
-    Trace(TraceIoError),
-}
-
-impl std::fmt::Display for RunnerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunnerError::Vm(e) => write!(f, "{e}"),
-            RunnerError::Replay(e) => write!(f, "{e}"),
-            RunnerError::Trace(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunnerError {}
-
-impl From<VmError> for RunnerError {
-    fn from(e: VmError) -> Self {
-        RunnerError::Vm(e)
-    }
-}
-
-impl From<ReplayError> for RunnerError {
-    fn from(e: ReplayError) -> Self {
-        RunnerError::Replay(e)
-    }
-}
-
-impl From<TraceIoError> for RunnerError {
-    fn from(e: TraceIoError) -> Self {
-        RunnerError::Trace(e)
-    }
-}
-
-impl From<StreamReplayError> for RunnerError {
-    fn from(e: StreamReplayError) -> Self {
-        match e {
-            StreamReplayError::Replay(e) => RunnerError::Replay(e),
-            StreamReplayError::Trace(e) => RunnerError::Trace(e),
-        }
-    }
-}
-
-impl From<cg_trace::RecordError> for RunnerError {
-    fn from(e: cg_trace::RecordError) -> Self {
-        match e {
-            cg_trace::RecordError::Vm(e) => RunnerError::Vm(e),
-            cg_trace::RecordError::Trace(e) => RunnerError::Trace(e),
-        }
     }
 }
 
@@ -381,335 +292,13 @@ pub fn record_workload_trace(
     })
 }
 
-/// Where on-disk trace memoization lives: `$CG_TRACE_CACHE_DIR`, or
-/// `target/trace-cache/` relative to the working directory.
-pub fn trace_cache_dir() -> PathBuf {
-    std::env::var_os("CG_TRACE_CACHE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target").join("trace-cache"))
-}
-
-/// The cache file for one `(workload, size, gc_every)` recording.
-pub fn trace_cache_path(workload: Workload, size: Size, gc_every: Option<u64>) -> PathBuf {
-    let gc = gc_every.map_or_else(|| "none".to_string(), |n| n.to_string());
-    trace_cache_dir().join(format!("{}-s{size}-gc{gc}.cgt", workload.name()))
-}
-
-/// How long an unpublished `.tmp.` sibling may sit in a cache directory
-/// before [`sweep_stale_tmps`] treats it as an orphan from a dead writer.
-/// Generous: a live recording of the largest workload finishes in minutes,
-/// not hours.
-pub const TMP_SWEEP_TTL: Duration = Duration::from_secs(60 * 60);
-
-/// A process-unique, collision-proof temp sibling for atomically publishing
-/// `path`: `<name>.<ext>.tmp.<pid>-<counter>`.
-///
-/// The PID alone is not enough — PIDs are recycled, so a sweeper (or an
-/// unrelated crashed writer's successor) holding the same PID could clobber
-/// a live tmp.  The monotonic per-process counter makes every tmp name this
-/// process ever creates distinct, and distinct from any name a previous
-/// holder of the PID plausibly left behind.
-pub fn unique_tmp_path(path: &Path) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let ext = path
-        .extension()
-        .map_or_else(|| "tmp".to_string(), |e| e.to_string_lossy().into_owned());
-    path.with_extension(format!("{ext}.tmp.{}-{n}", std::process::id()))
-}
-
-/// Removes `*.tmp.*` orphans older than `ttl` from `dir`, returning how
-/// many were deleted.  Called on cache open: a recorder that dies between
-/// `File::create` and the publishing `rename` leaks its tmp forever
-/// otherwise.  The mtime TTL keeps the sweep from racing a *live* writer —
-/// an in-progress recording's tmp is at most minutes old, while an orphan
-/// only gets older.  Missing directories and unreadable entries are not
-/// errors (the sweep is best-effort hygiene).
-pub fn sweep_stale_tmps(dir: &Path, ttl: Duration) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let now = SystemTime::now();
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let is_tmp = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(".tmp."));
-        if !is_tmp {
-            continue;
-        }
-        let Ok(modified) = entry.metadata().and_then(|m| m.modified()) else {
-            continue;
-        };
-        // An mtime in the future (clock skew) reads as age zero.
-        let age = now.duration_since(modified).unwrap_or(Duration::ZERO);
-        if age >= ttl && std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Records `workload` straight to a `.cgt` file with O(chunk) memory: the
-/// header carries the workload identity, heap configuration and
-/// `gc_every`; the footer carries the recording run's interpreter
-/// statistics (everything [`replay_streaming`] and the disk cache need).
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] if the recording run or the write fails.
-pub fn record_workload_trace_to_path(
-    workload: Workload,
-    size: Size,
-    gc_every: Option<u64>,
-    path: &Path,
-) -> Result<(), RunnerError> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(TraceIoError::Io)?;
-    }
-    let mut config = VmConfig::default().with_heap(experiment_heap());
-    if let Some(every) = gc_every {
-        config = config.with_gc_every(every);
-    }
-    let meta = TraceMeta {
-        name: format!("{}/{size}", workload.name()),
-        workload: Some(WorkloadRef {
-            name: workload.name().to_string(),
-            size: size.spec_number(),
-        }),
-        ..TraceMeta::default()
-    };
-    // Record into a collision-proof temp sibling, fsync, and rename into
-    // place: a crash mid-write can never leave a truncated stream at the
-    // published path, a crash between write and rename leaves only a
-    // `.tmp` orphan (reclaimed by the TTL sweep on the next cache open),
-    // and concurrent recorders cannot observe (or clobber) each other's
-    // half-written files — whichever rename lands last wins, and both
-    // renamed files are complete.
-    let tmp = unique_tmp_path(path);
-    let file = std::fs::File::create(&tmp).map_err(TraceIoError::Io)?;
-    let recorded = record_streaming(
-        &meta,
-        workload.program(size),
-        config,
-        NoopCollector::new(),
-        std::io::BufWriter::new(file),
-    );
-    let flushed = recorded
-        .map_err(RunnerError::from)
-        .and_then(|(_, _, _, w)| {
-            w.into_inner()
-                .map_err(|e| RunnerError::Trace(TraceIoError::Io(e.into_error())))
-        })
-        // Durability before visibility: the bytes must be on disk before
-        // the rename publishes the path, or a power cut can publish an
-        // empty (but fully renamed) cache entry.
-        .and_then(|file| {
-            file.sync_all()
-                .map_err(|e| RunnerError::Trace(TraceIoError::Io(e)))
-        });
-    if let Err(e) = flushed {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, path).map_err(TraceIoError::Io)?;
-    // Persist the rename itself (the directory entry); best-effort, since
-    // not every filesystem supports opening a directory for sync.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Moves a corrupt cache entry aside as `<name>.cgt.bad` instead of
-/// deleting it, preserving the bytes for a post-mortem (`cgt info` on the
-/// quarantined file shows how far it parses).  Any previous quarantined
-/// entry for the same path is replaced.  Returns the quarantine path if
-/// the move succeeded; falls back to deletion (and `None`) if rename
-/// fails, so a corrupt entry never blocks re-recording.
-pub fn quarantine_cache_entry(path: &Path) -> Option<PathBuf> {
-    let bad = path.with_extension("cgt.bad");
-    match std::fs::rename(path, &bad) {
-        Ok(()) => Some(bad),
-        Err(_) => {
-            let _ = std::fs::remove_file(path);
-            None
-        }
-    }
-}
-
-/// Ensures the disk cache holds a recording for `(workload, size,
-/// gc_every)` and returns its path, recording on first use.
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] if a needed recording fails.
-pub fn ensure_cached_trace(
-    workload: Workload,
-    size: Size,
-    gc_every: Option<u64>,
-) -> Result<PathBuf, RunnerError> {
-    let path = trace_cache_path(workload, size, gc_every);
-    if !path.exists() {
-        record_workload_trace_to_path(workload, size, gc_every, &path)?;
-    }
-    Ok(path)
-}
-
-/// Streams a persisted `.cgt` workload trace through the chosen collector
-/// — O(chunk) trace memory — and returns the same uniform [`RunResult`] a
-/// live run would (interpreter statistics from the file's footer;
-/// collector statistics and timing from the replay).
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] on unreadable streams, replay divergence, or
-/// a file whose metadata does not match what the choice needs.
-///
-/// # Panics
-///
-/// Panics on choices where [`CollectorChoice::supports_replay`] is false.
-pub fn replay_streaming(path: &Path, choice: CollectorChoice) -> Result<RunResult, RunnerError> {
-    assert!(
-        choice.supports_replay(),
-        "{} cannot be evaluated by replay; run it live",
-        choice.label()
-    );
-    let malformed = |detail: String| {
-        RunnerError::Trace(TraceIoError::Malformed {
-            chunk: None,
-            detail,
-        })
-    };
-    // One open: the header is validated against the choice before any
-    // replay work starts, then the same reader drives the replay.
-    let reader = cg_trace::open_trace(path)?;
-    let meta = reader.meta().clone();
-    if meta.gc_every != choice.gc_every() {
-        return Err(malformed(format!(
-            "{} was recorded with gc_every={:?}, but {} expects {:?}",
-            path.display(),
-            meta.gc_every,
-            choice.label(),
-            choice.gc_every(),
-        )));
-    }
-    let workload = meta
-        .workload
-        .as_ref()
-        .and_then(|w| Workload::by_name(&w.name))
-        .ok_or_else(|| malformed(format!("{} names no known workload", path.display())))?;
-    let size = meta
-        .workload
-        .as_ref()
-        .and_then(|w| Size::parse(&w.size.to_string()))
-        .ok_or_else(|| malformed(format!("{} has no valid size", path.display())))?;
-
-    let vm_of = |footer: &cg_trace::TraceFooter| {
-        footer
-            .section(VM_SECTION)
-            .and_then(vm_stats_from_section)
-            .ok_or_else(|| {
-                malformed(format!(
-                    "{} has no \"{VM_SECTION}\" footer section",
-                    path.display()
-                ))
-            })
-    };
-    let vm_with = |recorded: VmStats, outcome: &ReplayOutcome| {
-        let mut vm = recorded;
-        vm.gc_cycles = outcome.gc_cycles;
-        vm.collector_freed_objects = outcome.collector_freed_objects;
-        vm.collector_freed_bytes = outcome.collector_freed_bytes;
-        vm.collector_marked_objects = outcome.collector_marked_objects;
-        vm
-    };
-    let base = RunResult {
-        workload: workload.name(),
-        size,
-        collector: choice,
-        elapsed_seconds: 0.0,
-        vm: VmStats::default(),
-        heap: HeapStats::default(),
-        live_at_exit: 0,
-        cg: None,
-        msa: None,
-    };
-    let heap_config = meta.heap.unwrap_or_else(experiment_heap);
-    // Drives the already-open reader through one collector and hands back
-    // the replay plus the footer (exactly one header parse per run).
-    fn drive<C: cg_vm::Collector, R: std::io::Read>(
-        mut reader: cg_trace::TraceReader<R>,
-        heap_config: HeapConfig,
-        collector: C,
-    ) -> Result<(cg_trace::Replayed<C>, cg_trace::TraceFooter), RunnerError> {
-        let replayed = cg_trace::replay_events(
-            std::iter::from_fn(|| reader.next_event().transpose()),
-            heap_config,
-            collector,
-        )?;
-        let footer = reader
-            .footer()
-            .cloned()
-            .expect("stream iterated to completion, so the footer was read");
-        Ok((replayed, footer))
-    }
-    match choice {
-        CollectorChoice::Noop => {
-            let (replayed, footer) = drive(reader, heap_config, NoopCollector::new())?;
-            let recorded = vm_of(&footer)?;
-            Ok(RunResult {
-                elapsed_seconds: replayed.outcome.elapsed_seconds,
-                vm: vm_with(recorded, &replayed.outcome),
-                heap: *replayed.heap.stats(),
-                live_at_exit: replayed.outcome.live_at_exit,
-                ..base
-            })
-        }
-        CollectorChoice::Baseline => {
-            let (replayed, footer) = drive(reader, heap_config, MarkSweep::new())?;
-            let recorded = vm_of(&footer)?;
-            Ok(RunResult {
-                elapsed_seconds: replayed.outcome.elapsed_seconds,
-                vm: vm_with(recorded, &replayed.outcome),
-                heap: *replayed.heap.stats(),
-                live_at_exit: replayed.outcome.live_at_exit,
-                msa: Some(*replayed.collector.stats()),
-                ..base
-            })
-        }
-        _ => {
-            let (replayed, footer) = drive(reader, heap_config, hybrid_for(choice))?;
-            let recorded = vm_of(&footer)?;
-            let mut collector = replayed.collector;
-            let breakdown = collector.cg_mut().breakdown();
-            Ok(RunResult {
-                elapsed_seconds: replayed.outcome.elapsed_seconds,
-                vm: vm_with(recorded, &replayed.outcome),
-                heap: *replayed.heap.stats(),
-                live_at_exit: replayed.outcome.live_at_exit,
-                cg: Some(CgSummary {
-                    stats: collector.cg().stats().clone(),
-                    breakdown,
-                }),
-                msa: Some(*collector.msa_stats()),
-                ..base
-            })
-        }
-    }
-}
-
 /// Replays a recorded workload against the chosen collector and returns the
 /// same uniform [`RunResult`] a live run would (interpreter statistics come
 /// from the recording; collector statistics and timing from the replay).
 ///
 /// # Errors
 ///
-/// Returns [`RunnerError::Replay`] if the collector diverges from the
+/// Returns [`EvalError::Replay`] if the collector diverges from the
 /// recorded heap history.
 ///
 /// # Panics
@@ -720,7 +309,7 @@ pub fn replay_streaming(path: &Path, choice: CollectorChoice) -> Result<RunResul
 pub fn replay_run(
     recorded: &WorkloadTrace,
     choice: CollectorChoice,
-) -> Result<RunResult, RunnerError> {
+) -> Result<RunResult, EvalError> {
     assert!(
         choice.supports_replay(),
         "{} cannot be evaluated by replay; run it live",
@@ -751,6 +340,7 @@ pub fn replay_run(
         vm.collector_marked_objects = outcome.collector_marked_objects;
         vm
     };
+    let unlimited = &Governor::unlimited();
     let base = RunResult {
         workload: recorded.workload,
         size: recorded.size,
@@ -764,7 +354,12 @@ pub fn replay_run(
     };
     match choice {
         CollectorChoice::Noop => {
-            let replayed = replay(&recorded.trace, recorded.heap, NoopCollector::new())?;
+            let replayed = replay_governed(
+                &recorded.trace,
+                recorded.heap,
+                NoopCollector::new(),
+                unlimited,
+            )?;
             Ok(RunResult {
                 elapsed_seconds: replayed.outcome.elapsed_seconds,
                 vm: vm_with(&replayed.outcome),
@@ -774,7 +369,8 @@ pub fn replay_run(
             })
         }
         CollectorChoice::Baseline => {
-            let replayed = replay(&recorded.trace, recorded.heap, MarkSweep::new())?;
+            let replayed =
+                replay_governed(&recorded.trace, recorded.heap, MarkSweep::new(), unlimited)?;
             Ok(RunResult {
                 elapsed_seconds: replayed.outcome.elapsed_seconds,
                 vm: vm_with(&replayed.outcome),
@@ -785,7 +381,12 @@ pub fn replay_run(
             })
         }
         _ => {
-            let replayed = replay(&recorded.trace, recorded.heap, hybrid_for(choice))?;
+            let replayed = replay_governed(
+                &recorded.trace,
+                recorded.heap,
+                hybrid_for(choice),
+                unlimited,
+            )?;
             let mut collector = replayed.collector;
             let breakdown = collector.cg_mut().breakdown();
             Ok(RunResult {
@@ -804,127 +405,22 @@ pub fn replay_run(
     }
 }
 
-/// Runs one workload/collector configuration in the chosen [`RunMode`].
-///
-/// In [`RunMode::Replay`] the workload is recorded on the spot (recycling
-/// configurations fall back to a live run — their allocation decisions are
-/// collector-dependent).  Use a [`TraceCache`] to amortise the recording
-/// over several collectors.
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] if the run or replay fails.
-pub fn run_with_mode(
-    workload: Workload,
-    size: Size,
-    choice: CollectorChoice,
-    mode: RunMode,
-) -> Result<RunResult, RunnerError> {
-    match mode {
-        RunMode::Live => Ok(run_once(workload, size, choice)?),
-        RunMode::Replay | RunMode::Streaming if !choice.supports_replay() => {
-            Ok(run_once(workload, size, choice)?)
-        }
-        RunMode::Replay => {
-            let recorded = record_workload_trace(workload, size, choice.gc_every())?;
-            replay_run(&recorded, choice)
-        }
-        RunMode::Streaming => {
-            // Recording runs under a passive collector, which never frees:
-            // a workload too large for the experiment heap without garbage
-            // collection (the size-100 runs) cannot be captured as a
-            // collector-independent stream at all, so it honestly falls
-            // back to live interpretation.
-            let gc_every = choice.gc_every();
-            match ensure_cached_trace(workload, size, gc_every) {
-                Ok(path) => match replay_streaming(&path, choice) {
-                    Ok(result) => Ok(result),
-                    // A stale or corrupt cache file (older format, crash
-                    // leftovers, wrong metadata) only costs a re-recording.
-                    // The bad bytes are quarantined, not destroyed, and the
-                    // retry happens exactly once — a corruption that
-                    // survives a fresh recording is a real bug to surface,
-                    // not something to loop on.
-                    Err(RunnerError::Trace(_)) => {
-                        quarantine_cache_entry(&path);
-                        let path = ensure_cached_trace(workload, size, gc_every)?;
-                        replay_streaming(&path, choice)
-                    }
-                    Err(e) => Err(e),
-                },
-                Err(RunnerError::Vm(_)) => Ok(run_once(workload, size, choice)?),
-                Err(e) => Err(e),
-            }
-        }
-    }
-}
-
-/// The process-wide default [`RunMode`] for the stats experiments (the
-/// `repro_*` binaries' non-timing figures).  Timing experiments always run
-/// live regardless — replay timings measure the replayer, not the paper's
-/// methodology.
-static EXPERIMENT_RUN_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Sets the default run mode used by the experiment suite (`repro_all
-/// --streaming` selects [`RunMode::Streaming`] to prove stats parity
-/// through the persisted-trace path).
-pub fn set_experiment_run_mode(mode: RunMode) {
-    let raw = match mode {
-        RunMode::Live => 0,
-        RunMode::Replay => 1,
-        RunMode::Streaming => 2,
-    };
-    EXPERIMENT_RUN_MODE.store(raw, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current default run mode for the experiment suite.
-pub fn experiment_run_mode() -> RunMode {
-    match EXPERIMENT_RUN_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => RunMode::Replay,
-        2 => RunMode::Streaming,
-        _ => RunMode::Live,
-    }
-}
-
 /// Caches recorded workload traces keyed by `(workload, size, gc_every)`, so
 /// a batch evaluation (many collectors × one workload) interprets each
 /// workload once.
-///
-/// With [`TraceCache::with_disk_cache`] the memoization extends across
-/// processes: recordings are persisted as `.cgt` files under
-/// [`trace_cache_dir`] and loaded back instead of re-interpreted on the
-/// next run.  A stale or unreadable cache file is silently re-recorded
-/// (and overwritten) — the cache can only cost a re-recording, never
-/// correctness.  Delete `target/trace-cache/` (or `cargo clean`) after
-/// changing workload definitions.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     traces: HashMap<(&'static str, Size, Option<u64>), Rc<WorkloadTrace>>,
-    use_disk: bool,
 }
 
 impl TraceCache {
-    /// Creates an empty in-memory cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a cache that additionally memoizes recordings on disk under
-    /// [`trace_cache_dir`].
-    ///
-    /// Opening the disk cache also sweeps `.tmp.` orphans older than
-    /// [`TMP_SWEEP_TTL`] — leftovers from recorders that died between
-    /// creating the temp file and renaming it into place.
-    pub fn with_disk_cache() -> Self {
-        sweep_stale_tmps(&trace_cache_dir(), TMP_SWEEP_TTL);
-        Self {
-            traces: HashMap::new(),
-            use_disk: true,
-        }
-    }
-
     /// The recorded trace for the workload the given choice needs,
-    /// recording it — or loading it from the disk cache — on first use.
+    /// recording it on first use.
     ///
     /// # Errors
     ///
@@ -940,134 +436,20 @@ impl TraceCache {
         if let Some(trace) = self.traces.get(&key) {
             return Ok(Rc::clone(trace));
         }
-        if self.use_disk {
-            let path = trace_cache_path(workload, size, gc_every);
-            if let Some(loaded) = load_cached_workload_trace(&path, workload, size, gc_every) {
-                let loaded = Rc::new(loaded);
-                self.traces.insert(key, Rc::clone(&loaded));
-                return Ok(loaded);
-            }
-            let recorded = Rc::new(record_workload_trace(workload, size, gc_every)?);
-            if let Err(e) = write_cached_workload_trace(&path, &recorded) {
-                // The cache is an optimization; a failed write only costs
-                // the next process a re-recording.
-                eprintln!(
-                    "warning: could not write trace cache {}: {e}",
-                    path.display()
-                );
-            }
-            self.traces.insert(key, Rc::clone(&recorded));
-            return Ok(recorded);
-        }
         let recorded = Rc::new(record_workload_trace(workload, size, gc_every)?);
         self.traces.insert(key, Rc::clone(&recorded));
         Ok(recorded)
     }
 
-    /// Number of distinct recordings held in memory.
+    /// Number of distinct recordings held.
     pub fn len(&self) -> usize {
         self.traces.len()
     }
 
-    /// Whether the in-memory cache is empty.
+    /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.traces.is_empty()
     }
-}
-
-/// Persists a recorded workload trace as a `.cgt` cache file (header:
-/// workload identity + heap + `gc_every`; footer: the recording run's
-/// interpreter statistics).
-fn write_cached_workload_trace(path: &Path, wt: &WorkloadTrace) -> Result<(), TraceIoError> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let meta = TraceMeta {
-        name: wt.trace.name().to_string(),
-        workload: Some(WorkloadRef {
-            name: wt.workload.to_string(),
-            size: wt.size.spec_number(),
-        }),
-        gc_every: wt.gc_every,
-        heap: Some(wt.heap),
-        declared_events: Some(wt.trace.len() as u64),
-        stream: cg_trace::StreamKind::Plain,
-    };
-    // Same atomic-publish discipline as [`record_workload_trace_to_path`]:
-    // a crash or concurrent writer can never leave a torn file at the
-    // published path, and the bytes are on disk before the rename.
-    let tmp = unique_tmp_path(path);
-    let write = || -> Result<(), TraceIoError> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut writer = cg_trace::TraceWriter::new(std::io::BufWriter::new(file), &meta)?;
-        for event in wt.trace.events() {
-            writer.push(event)?;
-        }
-        writer.add_section(cg_trace::footer::vm_section(&wt.vm));
-        let (w, _) = writer.finish()?;
-        let file = w
-            .into_inner()
-            .map_err(|e| TraceIoError::Io(e.into_error()))?;
-        file.sync_all()?;
-        Ok(())
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Loads a cached workload trace, returning `None` when the file is
-/// missing, unreadable, or does not describe the requested recording.
-fn load_cached_workload_trace(
-    path: &Path,
-    workload: Workload,
-    size: Size,
-    gc_every: Option<u64>,
-) -> Option<WorkloadTrace> {
-    if !path.exists() {
-        return None;
-    }
-    let (trace, meta, footer) = match cg_trace::read_trace_from_path(path) {
-        Ok(read) => read,
-        Err(e) => {
-            // Quarantine rather than delete: the corrupt bytes are the
-            // evidence (`cgt info <file>.bad` shows how far they parse).
-            let kept = quarantine_cache_entry(path).map_or_else(
-                || "discarded".to_string(),
-                |bad| format!("kept as {}", bad.display()),
-            );
-            eprintln!(
-                "warning: ignoring unreadable trace cache {} ({kept}): {e}",
-                path.display()
-            );
-            return None;
-        }
-    };
-    let matches = meta
-        .workload
-        .as_ref()
-        .is_some_and(|w| w.name == workload.name() && w.size == size.spec_number())
-        && meta.gc_every == gc_every;
-    if !matches {
-        return None;
-    }
-    let vm = footer.section(VM_SECTION).and_then(vm_stats_from_section)?;
-    Some(WorkloadTrace {
-        workload: workload.name(),
-        size,
-        trace,
-        vm,
-        heap: meta.heap?,
-        gc_every,
-    })
 }
 
 /// Runs a workload `repetitions` times under the chosen collector and
@@ -1160,10 +542,14 @@ mod tests {
         assert_eq!(CollectorChoice::parse("shenandoah"), None);
     }
 
+    /// `replay_run` reports what `run_once` does: `tests/trace_equivalence.rs`
+    /// pins the collector statistics, this pins the `RunResult` built around
+    /// them.
     #[test]
     fn replay_mode_reproduces_live_cg_statistics_exactly() {
         let live = run_once(db(), Size::S1, CollectorChoice::Cg).unwrap();
-        let replayed = run_with_mode(db(), Size::S1, CollectorChoice::Cg, RunMode::Replay).unwrap();
+        let recorded = record_workload_trace(db(), Size::S1, None).unwrap();
+        let replayed = replay_run(&recorded, CollectorChoice::Cg).unwrap();
         assert_eq!(
             live.cg.as_ref().unwrap().stats,
             replayed.cg.as_ref().unwrap().stats
@@ -1183,20 +569,12 @@ mod tests {
     #[test]
     fn replay_mode_covers_the_baseline_collector() {
         let live = run_once(db(), Size::S1, CollectorChoice::Baseline).unwrap();
-        let replayed =
-            run_with_mode(db(), Size::S1, CollectorChoice::Baseline, RunMode::Replay).unwrap();
+        let recorded = record_workload_trace(db(), Size::S1, None).unwrap();
+        let replayed = replay_run(&recorded, CollectorChoice::Baseline).unwrap();
         // Without memory pressure neither run collects, so both see the full
         // allocated population live.
         assert_eq!(live.live_at_exit, replayed.live_at_exit);
         assert_eq!(live.msa.unwrap().cycles, replayed.msa.unwrap().cycles);
-    }
-
-    #[test]
-    fn recycling_falls_back_to_live_execution() {
-        assert!(!CollectorChoice::CgRecycle.supports_replay());
-        let result =
-            run_with_mode(db(), Size::S1, CollectorChoice::CgRecycle, RunMode::Replay).unwrap();
-        assert!(result.cg.unwrap().stats.objects_recycled > 0);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 
 use std::time::{Duration, Instant};
 
-use cg_bench::{parallel_eval_governed, ParallelError};
 use cg_core::CgConfig;
 use cg_heap::HeapConfig;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    partition, record, replay_governed, replay_path_governed, write_trace, CancelToken, EvalError,
-    Governor, LimitKind, ResourceLimits, ShardWait, Trace, TraceMeta,
+    parallel_eval_governed, partition, record, replay_governed, replay_path_governed, write_trace,
+    CancelToken, EvalError, Governor, LimitKind, ParallelError, ResourceLimits, ShardWait, Trace,
+    TraceMeta,
 };
 use cg_vm::{
     AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, NoopCollector, RootSet,

@@ -6,9 +6,10 @@
 //! same trace — and the partitioner's deterministic merge reproduces the
 //! original event order exactly.
 
-use cg_bench::parallel_eval;
 use cg_core::{CgConfig, ContaminatedGc};
-use cg_trace::{partition, record, replay};
+use cg_trace::{
+    parallel_eval_governed, partition, record, replay_governed, EvalError, Governor, ParallelError,
+};
 use cg_vm::{NoopCollector, VmConfig};
 use cg_workloads::{Size, Workload};
 
@@ -25,6 +26,7 @@ fn cg_config() -> CgConfig {
 
 #[test]
 fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
+    let unlimited = Governor::unlimited();
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
     for workload in Workload::all() {
         let (trace, ..) = record(
@@ -35,10 +37,11 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
         )
         .unwrap_or_else(|e| panic!("{} records: {e}", workload.name()));
 
-        let single = replay(
+        let single = replay_governed(
             &trace,
             vm_config.heap,
             ContaminatedGc::with_config(cg_config()),
+            &unlimited,
         )
         .unwrap_or_else(|e| panic!("{} replays: {e}", workload.name()));
         let mut single_collector = single.collector;
@@ -56,7 +59,7 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
             );
 
             // Parallel aggregated statistics are byte-identical.
-            let outcome = parallel_eval(&pt, vm_config.heap, cg_config())
+            let outcome = parallel_eval_governed(&pt, vm_config.heap, cg_config(), &unlimited)
                 .unwrap_or_else(|e| panic!("{} parallel ({shards} shards): {e}", workload.name()));
             assert_eq!(
                 outcome.stats,
@@ -86,6 +89,7 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
 
 #[test]
 fn sharded_evaluation_matches_without_the_static_optimisation() {
+    let unlimited = Governor::unlimited();
     // The §3.4-off configuration exercises the drag-into-static union paths
     // the optimisation normally skips.
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
@@ -101,15 +105,119 @@ fn sharded_evaluation_matches_without_the_static_optimisation() {
         NoopCollector::new(),
     )
     .expect("recording succeeds");
-    let single = replay(&trace, vm_config.heap, ContaminatedGc::with_config(config))
-        .expect("single replay succeeds");
+    let single = replay_governed(
+        &trace,
+        vm_config.heap,
+        ContaminatedGc::with_config(config),
+        &unlimited,
+    )
+    .expect("single replay succeeds");
     for shards in SHARD_COUNTS {
         let pt = partition(&trace, shards);
-        let outcome = parallel_eval(&pt, vm_config.heap, config).expect("parallel succeeds");
+        let outcome = parallel_eval_governed(&pt, vm_config.heap, config, &unlimited)
+            .expect("parallel succeeds");
         assert_eq!(
             outcome.stats,
             *single.collector.stats(),
             "no-opt CgStats diverged at {shards} shards"
         );
+    }
+}
+
+/// A panic in one shard must come back as a structured
+/// [`EvalError::ShardPanicked`] report (the abort guard releases the
+/// siblings during unwinding) instead of deadlocking the evaluation or
+/// re-raising the panic in the caller.
+#[test]
+fn shard_panic_reports_instead_of_hanging() {
+    let unlimited = Governor::unlimited();
+    use cg_trace::Trace;
+    use cg_vm::{
+        AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId,
+    };
+    let frame = |id: u64, thread: u32| FrameInfo {
+        id: FrameId::new(id),
+        depth: 1,
+        thread: ThreadId::new(thread),
+        method: MethodId::new(0),
+    };
+    let alloc = |handle: u32, thread: u32| GcEvent::Allocate {
+        handle: Handle::from_index(handle),
+        class: ClassId::new(0),
+        kind: AllocKind::Instance { field_count: 1 },
+        frame: frame(1 + thread as u64, thread),
+        recycled: false,
+    };
+    // An ill-formed stream: thread 1 stores thread 0's object without
+    // the preceding cross-thread ObjectAccess, so shard 1 panics on the
+    // §3.3 invariant — while shard 0's ProgramEnd barrier waits on it.
+    let mut trace = Trace::new("ill-formed");
+    trace.push(alloc(0, 0));
+    trace.push(alloc(1, 1));
+    trace.push(GcEvent::ReferenceStore {
+        source: Handle::from_index(1),
+        target: Handle::from_index(0),
+        frame: frame(2, 1),
+    });
+    trace.push(GcEvent::ProgramEnd {
+        roots: Box::new(RootSet::default()),
+    });
+    let pt = partition(&trace, 2);
+    let _quiet = cg_fuzz::QuietPanics::install();
+    let err = parallel_eval_governed(
+        &pt,
+        cg_heap::HeapConfig::small(),
+        CgConfig::default(),
+        &unlimited,
+    )
+    .expect_err("the ill-formed stream must fail");
+    match &err {
+        ParallelError::Shards { shard_errors, .. } => {
+            assert_eq!(shard_errors.len(), 1, "exactly one shard fails: {err}");
+            let (shard, eval) = &shard_errors[0];
+            assert_eq!(*shard, 1, "the storing shard is the one that panics");
+            match eval {
+                EvalError::ShardPanicked { shard: 1, message } => {
+                    assert!(
+                        message.contains("pre-escalation invariant"),
+                        "panic message survives: {message}"
+                    );
+                }
+                other => panic!("expected ShardPanicked, got {other}"),
+            }
+        }
+        ParallelError::Rejected(other) => panic!("expected shard failures, got {other}"),
+    }
+}
+
+#[test]
+fn parallel_eval_matches_single_threaded_replay_on_mtrt() {
+    let unlimited = Governor::unlimited();
+    let workload = Workload::by_name("mtrt").expect("mtrt exists");
+    let config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
+    let (trace, ..) = record(
+        "mtrt/1",
+        workload.program(Size::S1),
+        config,
+        NoopCollector::new(),
+    )
+    .expect("recording succeeds");
+    let collector = ContaminatedGc::with_config(cg_config());
+    let single = replay_governed(&trace, config.heap, collector, &unlimited)
+        .expect("single replay succeeds");
+    let mut single_collector = single.collector;
+    let single_breakdown = single_collector.breakdown();
+    for shards in [1, 2, 4] {
+        let pt = partition(&trace, shards);
+        let outcome = parallel_eval_governed(&pt, config.heap, cg_config(), &unlimited)
+            .expect("parallel succeeds");
+        assert_eq!(outcome.stats, *single_collector.stats(), "{shards} shards");
+        assert_eq!(outcome.breakdown, single_breakdown, "{shards} shards");
+        assert_eq!(outcome.events_replayed, trace.len());
+        assert_eq!(
+            outcome.collector_freed_objects,
+            single.outcome.collector_freed_objects
+        );
+        assert_eq!(outcome.live_at_exit, single.outcome.live_at_exit);
     }
 }

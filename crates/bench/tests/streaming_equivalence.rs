@@ -1,18 +1,23 @@
 //! The streaming path must be invisible in the numbers: for every
 //! workload, driving a collector from a persisted `.cgt` file
-//! chunk-by-chunk produces `CgStats`/`ObjectBreakdown` (and interpreter
-//! statistics) byte-identical to the in-memory replay path — and the
-//! parallel evaluator fed from per-shard `.cgt` files matches the
-//! in-memory partitioned evaluation exactly.
+//! chunk-by-chunk (`replay_path_governed`) produces collector statistics,
+//! heap statistics and replay accounting byte-identical to the in-memory
+//! replay (`replay_governed`) — and the parallel evaluator fed from
+//! per-shard `.cgt` files matches the in-memory partitioned evaluation
+//! exactly.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use cg_bench::{
-    parallel_eval, parallel_eval_streaming, record_workload_trace, record_workload_trace_to_path,
-    replay_run, replay_streaming, CollectorChoice,
+use cg_baseline::MarkSweep;
+use cg_bench::{record_workload_trace, WorkloadTrace};
+use cg_core::{CgConfig, HybridCollector, HybridConfig};
+use cg_trace::footer::{vm_stats_from_section, VM_SECTION};
+use cg_trace::{
+    parallel_eval_governed, parallel_eval_streaming_governed, partition, partition_path_streaming,
+    read_partitioned, record_streaming, replay_governed, replay_path_governed, Governor,
+    ReplayOutcome, Replayed, TraceMeta,
 };
-use cg_core::CgConfig;
-use cg_trace::{partition, partition_path_streaming, read_partitioned};
+use cg_vm::{Collector, NoopCollector, VmConfig};
 use cg_workloads::{Size, Workload};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -22,81 +27,110 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Records `workload` at size 1 straight to `path`, under the experiment
+/// heap — the file-side twin of `record_workload_trace`.
+fn record_to_path(workload: Workload, path: &Path) {
+    let config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
+    let file = std::io::BufWriter::new(std::fs::File::create(path).expect("create"));
+    let meta = TraceMeta {
+        name: format!("{}/1", workload.name()),
+        ..TraceMeta::default()
+    };
+    record_streaming(
+        &meta,
+        workload.program(Size::S1),
+        config,
+        NoopCollector::new(),
+        file,
+    )
+    .unwrap_or_else(|e| panic!("{}: record failed: {e}", workload.name()));
+}
+
+fn cg_config(base: CgConfig) -> CgConfig {
+    CgConfig {
+        verify_tainted: false,
+        ..base
+    }
+}
+
+/// Replays `collector()` from the file and from memory and checks that
+/// everything but the wall clock agrees; `summary` extracts the
+/// collector's own statistics.
+fn assert_file_matches_memory<C: Collector, S: PartialEq + std::fmt::Debug>(
+    label: &str,
+    path: &Path,
+    recorded: &WorkloadTrace,
+    collector: impl Fn() -> C,
+    summary: impl Fn(C) -> S,
+) {
+    let unlimited = Governor::unlimited();
+    let streamed = replay_path_governed(path, None, collector(), &unlimited)
+        .unwrap_or_else(|e| panic!("{label}: streaming failed: {e}"));
+    let in_memory = replay_governed(&recorded.trace, recorded.heap, collector(), &unlimited)
+        .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
+    let vm = streamed.footer.section(VM_SECTION);
+    assert_eq!(
+        vm.and_then(vm_stats_from_section),
+        Some(recorded.vm),
+        "{label}: interpreter statistics"
+    );
+    let facts = |r: Replayed<C>| {
+        let outcome = ReplayOutcome {
+            elapsed_seconds: 0.0,
+            ..r.outcome
+        };
+        (outcome, *r.heap.stats(), summary(r.collector))
+    };
+    assert_eq!(facts(streamed.replayed), facts(in_memory), "{label}");
+}
+
 #[test]
 fn streaming_replay_matches_in_memory_replay_for_all_workloads() {
     let dir = scratch("replay");
     for workload in Workload::all() {
         let path = dir.join(format!("{}.cgt", workload.name()));
-        record_workload_trace_to_path(workload, Size::S1, None, &path)
-            .unwrap_or_else(|e| panic!("{}: record failed: {e}", workload.name()));
+        record_to_path(workload, &path);
         let recorded = record_workload_trace(workload, Size::S1, None)
             .unwrap_or_else(|e| panic!("{}: record failed: {e}", workload.name()));
-        for choice in [
-            CollectorChoice::Cg,
-            CollectorChoice::CgNoOpt,
-            CollectorChoice::Baseline,
+        let cg_summary = |mut c: HybridCollector| {
+            let breakdown = c.cg_mut().breakdown();
+            (c.cg().stats().clone(), breakdown, *c.msa_stats())
+        };
+        for (name, cg) in [
+            ("cg", CgConfig::preferred()),
+            ("cg-noopt", CgConfig::without_static_opt()),
         ] {
-            let streamed = replay_streaming(&path, choice)
-                .unwrap_or_else(|e| panic!("{}: streaming failed: {e}", workload.name()));
-            let in_memory = replay_run(&recorded, choice)
-                .unwrap_or_else(|e| panic!("{}: replay failed: {e}", workload.name()));
-            assert_eq!(
-                streamed.vm,
-                in_memory.vm,
-                "{}/{}: interpreter statistics",
-                workload.name(),
-                choice.label()
-            );
-            assert_eq!(
-                streamed.cg.as_ref().map(|c| (&c.stats, &c.breakdown)),
-                in_memory.cg.as_ref().map(|c| (&c.stats, &c.breakdown)),
-                "{}/{}: collector statistics",
-                workload.name(),
-                choice.label()
-            );
-            assert_eq!(streamed.live_at_exit, in_memory.live_at_exit);
-            assert_eq!(streamed.heap, in_memory.heap);
+            let label = format!("{}/{name}", workload.name());
+            let hybrid = || {
+                HybridCollector::new(HybridConfig {
+                    cg: cg_config(cg),
+                    reset_on_collect: false,
+                })
+            };
+            assert_file_matches_memory(&label, &path, &recorded, hybrid, cg_summary);
         }
+        let label = format!("{}/jdk-msa", workload.name());
+        assert_file_matches_memory(&label, &path, &recorded, MarkSweep::new, |c| *c.stats());
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn streaming_replay_honours_the_recorded_gc_interval() {
-    let dir = scratch("gc-interval");
-    let workload = Workload::by_name("jess").expect("jess exists");
-    let path = dir.join("jess-reset.cgt");
-    record_workload_trace_to_path(
-        workload,
-        Size::S1,
-        CollectorChoice::CgReset.gc_every(),
-        &path,
-    )
-    .expect("record with gc_every");
-    // The matching choice replays...
-    let result = replay_streaming(&path, CollectorChoice::CgReset).expect("replay CgReset");
-    assert!(result.cg.as_ref().unwrap().stats.resets > 0);
-    // ...a mismatching one is rejected before any replay work.
-    let err = replay_streaming(&path, CollectorChoice::Cg).unwrap_err();
-    assert!(err.to_string().contains("gc_every"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn parallel_eval_streaming_rejects_an_incomplete_shard_set_cleanly() {
     let dir = scratch("partial-shards");
-    let workload = Workload::by_name("db").expect("db exists");
     let src = dir.join("db.cgt");
-    record_workload_trace_to_path(workload, Size::S1, None, &src).expect("record");
+    record_to_path(Workload::by_name("db").expect("db exists"), &src);
     let placed = partition_path_streaming(&src, 4, dir.join("shards")).expect("partition");
-    let cg_config = CgConfig {
-        verify_tainted: false,
-        ..CgConfig::preferred()
-    };
     let heap = cg_bench::runner::experiment_heap();
     // Feeding only half the shard files must be a clean error (the files
     // declare a 4-shard topology), not an index-out-of-bounds panic.
-    let err = parallel_eval_streaming(&placed.paths[..2], heap, cg_config).unwrap_err();
+    let err = parallel_eval_streaming_governed(
+        &placed.paths[..2],
+        heap,
+        cg_config(CgConfig::preferred()),
+        &Governor::unlimited(),
+    )
+    .unwrap_err();
     assert!(err.to_string().contains("shard"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -106,13 +140,11 @@ fn parallel_eval_from_disk_matches_in_memory_partition() {
     let dir = scratch("parallel");
     let workload = Workload::by_name("mtrt").expect("mtrt exists");
     let src = dir.join("mtrt.cgt");
-    record_workload_trace_to_path(workload, Size::S1, None, &src).expect("record");
+    record_to_path(workload, &src);
     let recorded = record_workload_trace(workload, Size::S1, None).expect("record");
-    let cg_config = CgConfig {
-        verify_tainted: false,
-        ..CgConfig::preferred()
-    };
+    let cg_config = cg_config(CgConfig::preferred());
     let heap = cg_bench::runner::experiment_heap();
+    let unlimited = Governor::unlimited();
     for shards in [1, 2, 4] {
         let shard_dir = dir.join(format!("shards-{shards}"));
         let placed = partition_path_streaming(&src, shards, &shard_dir).expect("partition to disk");
@@ -125,8 +157,10 @@ fn parallel_eval_from_disk_matches_in_memory_partition() {
 
         // And the parallel evaluators agree byte-for-byte.
         let from_disk =
-            parallel_eval_streaming(&placed.paths, heap, cg_config).expect("streaming eval");
-        let from_memory = parallel_eval(&in_memory_partition, heap, cg_config).expect("eval");
+            parallel_eval_streaming_governed(&placed.paths, heap, cg_config, &unlimited)
+                .expect("streaming eval");
+        let from_memory = parallel_eval_governed(&in_memory_partition, heap, cg_config, &unlimited)
+            .expect("eval");
         assert_eq!(from_disk.stats, from_memory.stats, "{shards} shards");
         assert_eq!(from_disk.breakdown, from_memory.breakdown);
         assert_eq!(from_disk.events_replayed, from_memory.events_replayed);

@@ -128,9 +128,9 @@ impl CgConfig {
 /// code path: one [`CollectorShard`] holding all per-thread state (equilive
 /// forest, frame index, tainted set, recycle bins) plus a private
 /// [`StaticDomain`] holding the §3.3 static set.  A multi-shard evaluation
-/// (see [`ShardedGc`](crate::ShardedGc) and the parallel trace evaluation in
-/// `cg-bench`) runs exactly the same per-event code over N shards sharing
-/// one domain.
+/// (see [`ShardedGc`](crate::ShardedGc) and `cg-trace`'s
+/// `parallel_eval_governed`) runs exactly the same per-event code over N
+/// shards sharing one domain.
 ///
 /// # Example
 ///

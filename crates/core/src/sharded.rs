@@ -39,8 +39,8 @@
 //! and [`ShardedGc::new`] panics.  A 1-shard recycling collector is exactly
 //! the global-list collector and remains allowed.
 //!
-//! The parallel evaluation in `cg-bench` uses the same [`CollectorShard`]
-//! code on real OS threads, with each shard driven from its partitioned
+//! The parallel evaluation in `cg-trace` (`parallel_eval_governed`) uses the
+//! same [`CollectorShard`] code on real OS threads, with each shard driven from its partitioned
 //! sub-stream (`cg-trace`'s partitioner) instead of through this sequential
 //! router.
 

@@ -18,7 +18,7 @@
 //!    [`ObjectBreakdown`] byte-for-byte.
 //! 4. **Shard invariance** — a live [`ShardedGc`] at every configured shard
 //!    count must match the single-shard collector byte-for-byte, and
-//!    [`fn@partition`]`+`[`parallel_eval`] must match a single-threaded
+//!    [`fn@partition`]`+`[`parallel_eval_governed`] must match a single-threaded
 //!    replay.  The sharded checks run under **both** [`DomainImpl`]s — the
 //!    configured one live and in parallel, the other one in parallel — so
 //!    the lock-free static domain is differentially fuzzed against the
@@ -37,10 +37,9 @@
 //! fuzzing run.
 
 use cg_baseline::{trace_live, MarkSweep};
-use cg_bench::parallel_eval;
 use cg_core::{CgConfig, CgStats, ContaminatedGc, DomainImpl, ObjectBreakdown, ShardedGc};
 use cg_heap::{HandleRepr, Heap, HeapConfig};
-use cg_trace::{partition, record, replay, Trace};
+use cg_trace::{parallel_eval_governed, partition, record, replay_governed, Governor, Trace};
 use cg_vm::{Collector, NoopCollector, Program, Vm, VmConfig};
 
 /// The heap every oracle run uses: 1 MiB of object space, sized so that a
@@ -464,17 +463,23 @@ pub fn check_program(
     }
 
     let replayed = guard("cg-replay", || {
-        replay(&trace, vm_config.heap, ContaminatedGc::with_config(cg)).map_err(|e| match e {
+        replay_governed(
+            &trace,
+            vm_config.heap,
+            ContaminatedGc::with_config(cg),
+            &Governor::unlimited(),
+        )
+        .map_err(|e| match e {
             // Replay validates that every event names a live object, so a
             // collector that frees early is caught at the first event still
             // referencing the victim — the same defect `check_sound` reports,
             // classed accordingly so shrinking preserves the failure mode.
-            cg_trace::ReplayError::Heap(cg_heap::HeapError::DeadHandle(handle)) => {
-                CheckFailure::CollectorRun {
-                    context: "cg-replay".to_string(),
-                    error: format!("replayed event references freed object {handle}"),
-                }
-            }
+            cg_trace::EvalError::Replay(cg_trace::ReplayError::Heap(
+                cg_heap::HeapError::DeadHandle(handle),
+            )) => CheckFailure::CollectorRun {
+                context: "cg-replay".to_string(),
+                error: format!("replayed event references freed object {handle}"),
+            },
             e => CheckFailure::Replay {
                 context: "cg-replay".to_string(),
                 error: e.to_string(),
@@ -524,9 +529,11 @@ pub fn check_program(
         )?;
 
         let parallel = guard(&format!("parallel-{shards}"), || {
-            parallel_eval(&pt, vm_config.heap, cg).map_err(|e| CheckFailure::Replay {
-                context: format!("parallel-{shards}"),
-                error: e.to_string(),
+            parallel_eval_governed(&pt, vm_config.heap, cg, &Governor::unlimited()).map_err(|e| {
+                CheckFailure::Replay {
+                    context: format!("parallel-{shards}"),
+                    error: e.to_string(),
+                }
             })
         })?;
         check_equal(
@@ -552,10 +559,12 @@ pub fn check_program(
         };
         let context = format!("parallel-{shards}-{other:?}-domain");
         let parallel_other = guard(&context, || {
-            parallel_eval(&pt, vm_config.heap, cross).map_err(|e| CheckFailure::Replay {
-                context: context.clone(),
-                error: e.to_string(),
-            })
+            parallel_eval_governed(&pt, vm_config.heap, cross, &Governor::unlimited()).map_err(
+                |e| CheckFailure::Replay {
+                    context: context.clone(),
+                    error: e.to_string(),
+                },
+            )
         })?;
         check_equal(
             &format!("parallel-{shards}-domains"),

@@ -19,9 +19,8 @@
 //! shadow heap incrementally, so a stream of any length evaluates in
 //! O(chunk) memory, with periodic `PROGRESS` callbacks for the client.
 //!
-//! The result cache lives under the same directory tree as the benchmark
-//! harness's disk trace cache and uses the same atomic-publish discipline
-//! (collision-proof tmp sibling + rename, expired tmps swept on startup).
+//! The result cache publishes atomically (collision-proof tmp sibling +
+//! rename, expired tmps swept on startup; see [`crate::spool`]).
 //! Entries are keyed by content — `(length, CRC32, FNV-1a 64)` of the full
 //! uploaded byte stream — so a repeated upload of the same workload trace
 //! is answered without replaying a single event, and a trace that differs
@@ -35,7 +34,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use cg_bench::{sweep_stale_tmps, unique_tmp_path, TMP_SWEEP_TTL};
+use crate::spool::{sweep_stale_tmps, unique_tmp_path, TMP_SWEEP_TTL};
 use cg_heap::Heap;
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::proto::{session_error, ErrorClass, ProtoError, SessionReader};
@@ -512,7 +511,7 @@ fn eval_sharded(
 }
 
 /// Loads a memoized result; `None` on absence or any damage (a damaged
-/// entry just costs a re-replay, exactly like the trace cache).
+/// entry just costs a re-replay).
 fn load_result(path: &Path) -> Option<SessionResult> {
     let text = std::fs::read_to_string(path).ok()?;
     let events = text
@@ -566,17 +565,26 @@ mod tests {
         config
     }
 
-    /// A tiny but real `.cgt` stream: record one workload at size 1.
+    /// A tiny but real `.cgt` stream: jess at size 1, recorded once per
+    /// test process.
     fn small_trace_bytes() -> Vec<u8> {
-        let dir = std::env::temp_dir().join(format!("cgtd-eval-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("jess-s1.cgt");
-        if !path.exists() {
-            let workload = cg_workloads::Workload::by_name("jess").expect("jess exists");
-            cg_bench::record_workload_trace_to_path(workload, cg_workloads::Size::S1, None, &path)
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES
+            .get_or_init(|| {
+                let workload = cg_workloads::Workload::by_name("jess").expect("jess exists");
+                let config =
+                    cg_vm::VmConfig::default().with_heap(cg_trace::footer::canonical_heap());
+                let (.., bytes) = cg_trace::record_streaming(
+                    &cg_trace::TraceMeta::default(),
+                    workload.program(cg_workloads::Size::S1),
+                    config,
+                    cg_vm::NoopCollector::new(),
+                    Vec::new(),
+                )
                 .expect("record");
-        }
-        std::fs::read(&path).expect("read trace")
+                bytes
+            })
+            .clone()
     }
 
     fn frame_body(bytes: &[u8]) -> Vec<u8> {

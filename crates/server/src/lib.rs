@@ -9,7 +9,7 @@
 //! sessions across a fixed worker pool with bounded per-tenant queues
 //! (explicit BUSY backpressure, never unbounded buffering), evaluates each
 //! trace under per-tenant budgets via the governed replay paths, memoizes
-//! repeated workloads through the disk cache, and answers plaintext
+//! repeated workloads through its on-disk result cache, and answers plaintext
 //! `/metrics`-style scrapes.
 //!
 //! ```no_run
@@ -32,8 +32,10 @@ pub mod eval;
 pub mod metrics;
 pub mod scheduler;
 pub mod server;
+pub mod spool;
 
 pub use eval::{evaluate_session, EvalConfig, SessionError, SessionResult};
 pub use metrics::{Metrics, TenantMetrics};
 pub use scheduler::{QueuedSession, Rejected, Scheduler};
 pub use server::{spawn, Server, ServerConfig, ServerHandle, MAX_TENANT_LEN};
+pub use spool::{sweep_stale_tmps, unique_tmp_path, TMP_SWEEP_TTL};

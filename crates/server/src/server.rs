@@ -22,7 +22,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use cg_trace::proto::{read_frame, read_preamble, write_frame, ErrorClass, Frame, SessionReader};
@@ -169,7 +169,7 @@ impl Server {
         let eval = EvalConfig {
             cache_dir: config
                 .cache_dir
-                .unwrap_or_else(|| cg_bench::trace_cache_dir().join("cgtd")),
+                .unwrap_or_else(crate::spool::default_cache_dir),
             memoize: config.memoize,
             max_upload_bytes: config.max_upload_bytes,
             shard_min_bytes: config.shard_min_bytes,
@@ -223,15 +223,27 @@ impl Server {
     /// Fatal accept-loop failures only; per-connection trouble is handled
     /// (and counted) internally.
     pub fn run(self) -> io::Result<()> {
+        // Every worker is running before the first connection is accepted.
+        // A thread draws its allocator arena when it starts, from the ones
+        // exited threads left behind; a worker that starts after the first
+        // session's handshake thread draws the arena a previous evaluation's
+        // shard grew, and that evaluation's next shard grows another — tens
+        // of MiB of resident memory decided by a start-up race.
+        let started = Arc::new(Barrier::new(self.workers + 1));
         let mut workers = Vec::with_capacity(self.workers);
         for i in 0..self.workers {
             let shared = Arc::clone(&self.shared);
+            let started = Arc::clone(&started);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("cgtd-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(&shared)
+                    })?,
             );
         }
+        started.wait();
         for conn in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;

@@ -1,13 +1,13 @@
-//! Regression tests for the `.cgt.tmp.*` orphan leak: a recorder that dies
+//! Regression tests for the `.tmp.*` orphan leak: a writer that dies
 //! between `File::create` and the publishing `rename` used to leak its temp
 //! file forever, and the pid-only suffix let an unrelated process (after
 //! PID reuse) clobber a live tmp.  Now the suffix is pid + monotonic
-//! counter and opening the disk cache sweeps expired tmps by mtime TTL.
+//! counter and `EvalConfig::prepare` sweeps expired tmps by mtime TTL.
 
 use std::fs::File;
 use std::time::{Duration, SystemTime};
 
-use cg_bench::{sweep_stale_tmps, unique_tmp_path, TraceCache, TMP_SWEEP_TTL};
+use cg_server::{sweep_stale_tmps, unique_tmp_path, EvalConfig, TMP_SWEEP_TTL};
 
 fn age(path: &std::path::Path, by: Duration) {
     let old = SystemTime::now() - by;
@@ -56,17 +56,22 @@ fn sweep_of_missing_directory_is_a_noop() {
 
 #[test]
 fn opening_the_disk_cache_sweeps_planted_orphans() {
-    // Own process (integration test binary), so the env var is private.
     let dir = std::env::temp_dir().join(format!("cg-cache-open-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    std::env::set_var("CG_TRACE_CACHE_DIR", &dir);
+    let results = dir.join("results");
+    std::fs::create_dir_all(&results).expect("mkdir");
 
-    let orphan = dir.join("mtrt-s1-gcnone.cgt.tmp.424242-0");
-    std::fs::write(&orphan, b"dead recorder leftovers").expect("plant orphan");
+    let orphan = results.join("1f-00000000-0000000000000000.stats.tmp.424242-0");
+    std::fs::write(&orphan, b"dead evaluator leftovers").expect("plant orphan");
     age(&orphan, TMP_SWEEP_TTL + Duration::from_secs(1));
 
-    let _cache = TraceCache::with_disk_cache();
+    let config = EvalConfig {
+        cache_dir: dir.clone(),
+        memoize: true,
+        max_upload_bytes: 1 << 20,
+        shard_min_bytes: 1 << 20,
+    };
+    config.prepare().expect("prepare");
     assert!(
         !orphan.exists(),
         "cache open must reclaim expired tmp orphans"

@@ -14,7 +14,7 @@
 //!
 //! The encoder is greedy with a 64 KiB window: it hashes the next four
 //! bytes and walks that slot's chain of earlier positions, up to
-//! [`MAX_CHAIN`] candidates deep, keeping the longest match.  The decoder
+//! `MAX_CHAIN` candidates deep, keeping the longest match.  The decoder
 //! expands into a caller-owned buffer with block copies — eight literals at
 //! a time under an all-literal control byte, one `copy_within` for a match
 //! that does not overlap itself — and replicates the period of an
@@ -138,7 +138,7 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
 
 /// An upper bound on what a token stream of `stored_len` bytes can expand
 /// to: no token does better than a maximal match, 3 stored bytes for
-/// [`MAX_MATCH`] output bytes (a literal is one for one, and control bytes
+/// `MAX_MATCH` output bytes (a literal is one for one, and control bytes
 /// only lower the ratio).
 ///
 /// Chunk framing declares both lengths outside any checksum, so readers

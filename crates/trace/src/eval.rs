@@ -1,10 +1,11 @@
 //! Parallel trace evaluation: N collector shards on N OS threads.
 //!
-//! [`parallel_eval`] takes a partitioned trace ([`PartitionedTrace`]) and
-//! replays each sub-stream against its own [`CollectorShard`] — with its
-//! own shadow [`Heap`] region — on its own OS thread
-//! (`std::thread::scope`), sharing only the [`StaticDomain`] and a
-//! per-shard progress counter:
+//! [`parallel_eval_governed`] takes a partitioned trace
+//! ([`PartitionedTrace`]) — [`parallel_eval_streaming_governed`] the
+//! per-shard `.cgt` files of one — and replays each sub-stream against its
+//! own [`CollectorShard`] — with its own shadow [`Heap`] region — on its
+//! own OS thread (`std::thread::scope`), sharing only the [`StaticDomain`]
+//! and a per-shard progress counter:
 //!
 //! * a shard's own objects, blocks, frame index and heap slice are touched
 //!   by exactly one thread (the partitioner routes every event to the shard
@@ -19,12 +20,12 @@
 //! The invariant — checked by the `shard_equivalence` integration test and
 //! asserted by the `shard_scaling` bench before timing anything — is that
 //! the aggregated [`CgStats`] and [`ObjectBreakdown`] are **byte-identical**
-//! to a single-threaded [`replay()`](crate::replay()) of the same trace,
-//! for every shard count.
+//! to a single-threaded [`replay_governed`](crate::replay_governed) of the
+//! same trace, for every shard count.
 //!
-//! This module lived in `cg-bench` while the evaluator was bench-only
-//! machinery; it moved here when `cgtd` started routing uploaded sessions
-//! through it, so the serving path depends on the trace crate alone.
+//! Both entry points share one shard driver and one spawn/join/aggregate
+//! body; they differ only in where a shard's events come from
+//! (`ShardSource`).  Trusted input passes [`Governor::unlimited`].
 //!
 //! Scope: the engine evaluates the plain contaminated collector.  Recycling
 //! traces are collector-dependent (they cannot be replayed at all) and the
@@ -32,17 +33,19 @@
 //! are barriers but collect nothing — exactly like `ContaminatedGc`'s no-op
 //! `collect` hook.
 
-use std::path::PathBuf;
+use std::borrow::Borrow;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use cg_core::{aggregate_shards, CgConfig, CgStats, CollectorShard, ObjectBreakdown, StaticDomain};
 use cg_heap::{Heap, HeapConfig, Value};
 
 use crate::{
-    EvalError, GcEvent, Governor, PartitionedTrace, ReplayError, ShardStream, ShardWait,
-    StreamKind, TraceIoError, GOVERNOR_CHECK_EVENTS,
+    EvalError, GcEvent, Governor, PartitionedTrace, ReplayError, ShardEvent, ShardStream,
+    ShardWait, StreamKind, TraceIoError, GOVERNOR_CHECK_EVENTS,
 };
 
 /// What a parallel sharded evaluation produced, aggregated across shards.
@@ -384,8 +387,11 @@ fn honour_waits(
     Ok(())
 }
 
-/// Applies one routed event to a shard's collector and private heap — the
-/// single step shared by the in-memory and streamed-from-disk drivers.
+/// Applies one routed event to a shard's collector and private heap.
+///
+/// Deliberately not [`apply_event`](crate::apply_event): a shard places
+/// allocations at the recorded handle (`allocate_at`) and must not gate
+/// foreign operands for liveness — they live in a sibling shard's heap.
 fn apply_shard_event(
     run: &mut ShardRun,
     event: &GcEvent,
@@ -466,126 +472,114 @@ fn apply_shard_event(
     Ok(())
 }
 
-/// Replays one shard's in-memory stream, publishing progress after every
-/// event.
-fn run_shard(
-    stream: &ShardStream,
+/// Where one shard's events come from.
+enum ShardSource<'a> {
+    /// An in-memory sub-stream of a [`PartitionedTrace`].
+    Memory(&'a ShardStream),
+    /// A shard `.cgt` file, read with O(chunk) trace memory.
+    File(&'a Path),
+}
+
+/// What every shard thread of one evaluation shares.
+struct ShardContext<'a> {
     config: CgConfig,
     heap_config: HeapConfig,
-    domain: &StaticDomain,
-    progress: &[WaitCell],
-    abort: &AtomicBool,
-    governor: &Governor,
+    domain: &'a StaticDomain,
+    /// One cell per shard; its length is the topology's shard count.
+    progress: &'a [WaitCell],
+    abort: &'a AtomicBool,
+    governor: &'a Governor,
+}
+
+fn malformed(detail: String) -> ShardError {
+    TraceIoError::Malformed {
+        chunk: None,
+        detail,
+    }
+    .into()
+}
+
+/// Replays shard `me` from `source`: opens it (a file must declare itself
+/// shard `me` of this topology) and feeds its events to [`drive_shard`].
+fn run_shard(
+    me: usize,
+    source: ShardSource<'_>,
+    ctx: &ShardContext<'_>,
 ) -> Result<ShardRun, ShardError> {
-    let me = stream.shard as usize;
-    let deadline = governor.deadline_at();
     let mut run = ShardRun {
-        shard: CollectorShard::for_shard(config),
-        heap: Heap::new(heap_config),
+        shard: CollectorShard::for_shard(ctx.config),
+        heap: Heap::new(ctx.heap_config),
         events: 0,
         freed_objects: 0,
         freed_bytes: 0,
         gc_cycles: 0,
     };
     // Any exit other than a clean completion — error return *or* panic —
-    // must wake the siblings (the guard is defused just before `Ok`).
+    // must raise the abort flag and unpark every sibling waiting on this
+    // shard (the guard is defused just before `Ok`).
     let mut guard = AbortOnDrop {
-        abort,
-        cells: progress,
+        abort: ctx.abort,
+        cells: ctx.progress,
         armed: true,
     };
-    for ev in &stream.events {
-        honour_waits(&ev.waits, progress, abort, me as u32, deadline)?;
-        apply_shard_event(&mut run, &ev.event, domain)?;
-        run.events += 1;
-        progress[me].publish(run.events as u64);
-        if (run.events as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
-            governor
-                .checkpoint(run.events as u64, &run.heap)
-                .map_err(ShardError::Eval)?;
+    let shards = ctx.progress.len();
+    match source {
+        ShardSource::Memory(stream) => {
+            drive_shard(&mut run, me, stream.events.iter().map(Ok), ctx)?
+        }
+        ShardSource::File(path) => {
+            let mut reader = crate::open_trace(path)?;
+            match reader.meta().stream {
+                StreamKind::Shard { shard, shard_count }
+                    if shard as usize == me && shard_count as usize == shards => {}
+                _ => {
+                    return Err(malformed(format!(
+                        "{} is not shard {me} of a {shards}-shard partition",
+                        path.display()
+                    )));
+                }
+            }
+            let events = std::iter::from_fn(|| reader.next_shard_event().transpose());
+            drive_shard(&mut run, me, events, ctx)?
         }
     }
     guard.armed = false;
     Ok(run)
 }
 
-/// Replays one shard's `.cgt` sub-stream straight from disk, holding
-/// O(chunk) trace memory, publishing progress after every event.
-#[allow(clippy::too_many_arguments)] // internal plumbing mirroring run_shard
-fn run_shard_streaming(
+/// The one shard loop: honours each event's wait edges, applies it, and
+/// publishes progress after every event, polling the governor every
+/// [`GOVERNOR_CHECK_EVENTS`].
+fn drive_shard<E: Borrow<ShardEvent>>(
+    run: &mut ShardRun,
     me: usize,
-    path: &PathBuf,
-    config: CgConfig,
-    heap_config: HeapConfig,
-    domain: &StaticDomain,
-    progress: &[WaitCell],
-    abort: &AtomicBool,
-    governor: &Governor,
-) -> Result<ShardRun, ShardError> {
-    let deadline = governor.deadline_at();
-    let mut run = ShardRun {
-        shard: CollectorShard::for_shard(config),
-        heap: Heap::new(heap_config),
-        events: 0,
-        freed_objects: 0,
-        freed_bytes: 0,
-        gc_cycles: 0,
-    };
-    // Every error return below leaves the guard armed, so its drop both
-    // raises the abort flag and unparks any sibling waiting on this shard.
-    let mut guard = AbortOnDrop {
-        abort,
-        cells: progress,
-        armed: true,
-    };
-    let mut reader = crate::open_trace(path).map_err(ShardError::from)?;
-    match reader.meta().stream {
-        StreamKind::Shard { shard, shard_count }
-            if shard as usize == me && shard_count as usize == progress.len() => {}
-        _ => {
-            return Err(TraceIoError::Malformed {
-                chunk: None,
-                detail: format!(
-                    "{} is not shard {me} of a {}-shard partition",
-                    path.display(),
-                    progress.len()
-                ),
-            }
-            .into());
-        }
-    }
-    loop {
-        let ev = match reader.next_shard_event() {
-            Ok(Some(ev)) => ev,
-            Ok(None) => break,
-            Err(e) => return Err(e.into()),
-        };
-        // A corrupt or foreign file may name a shard outside the topology;
+    events: impl Iterator<Item = Result<E, TraceIoError>>,
+    ctx: &ShardContext<'_>,
+) -> Result<(), ShardError> {
+    let shards = ctx.progress.len();
+    let deadline = ctx.governor.deadline_at();
+    for ev in events {
+        let ev = ev?;
+        let ev = ev.borrow();
+        // A corrupt or foreign stream may name a shard outside the topology;
         // fail cleanly instead of indexing out of bounds.
-        if let Some(bad) = ev.waits.iter().find(|w| w.shard as usize >= progress.len()) {
-            return Err(TraceIoError::Malformed {
-                chunk: None,
-                detail: format!(
-                    "{}: wait edge names shard {} of a {}-shard partition",
-                    path.display(),
-                    bad.shard,
-                    progress.len()
-                ),
-            }
-            .into());
+        if let Some(bad) = ev.waits.iter().find(|w| w.shard as usize >= shards) {
+            return Err(malformed(format!(
+                "shard {me}: wait edge names shard {} of a {shards}-shard partition",
+                bad.shard
+            )));
         }
-        honour_waits(&ev.waits, progress, abort, me as u32, deadline)?;
-        apply_shard_event(&mut run, &ev.event, domain)?;
+        honour_waits(&ev.waits, ctx.progress, ctx.abort, me as u32, deadline)?;
+        apply_shard_event(run, &ev.event, ctx.domain)?;
         run.events += 1;
-        progress[me].publish(run.events as u64);
+        ctx.progress[me].publish(run.events as u64);
         if (run.events as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
-            governor
+            ctx.governor
                 .checkpoint(run.events as u64, &run.heap)
                 .map_err(ShardError::Eval)?;
         }
     }
-    guard.armed = false;
-    Ok(run)
+    Ok(())
 }
 
 /// Renders a caught panic payload for an [`EvalError::ShardPanicked`]
@@ -623,91 +617,127 @@ fn catch_shard_panic(
 /// Every shard gets the full `heap_config` as its private region, so a
 /// sharded replay can never exhaust space a single-threaded replay had.
 ///
-/// Equivalent to [`parallel_eval_governed`] with no limits.
+/// The heap configuration, shard count and event total are validated
+/// against the [`Governor`] before any thread spawns or heap allocates,
+/// every shard polls the budget cooperatively, and cross-shard wait edges
+/// honour the governor's deadline (a dead sibling surfaces as
+/// [`EvalError::ShardStalled`] instead of a hang).
 ///
 /// # Errors
 ///
-/// A [`ParallelError`] carrying each failing shard's [`EvalError`] (a
-/// divergence, or a panic caught at the shard boundary — e.g. an
-/// ill-formed stream violating the §3.3 pre-escalation invariant) plus
-/// the completed shards' partial statistics.
-pub fn parallel_eval(
-    pt: &PartitionedTrace,
-    heap_config: HeapConfig,
-    config: CgConfig,
-) -> Result<ParallelOutcome, ParallelError> {
-    parallel_eval_governed(pt, heap_config, config, &Governor::unlimited())
-}
-
-/// [`parallel_eval`] under a resource [`Governor`]: the heap
-/// configuration and shard count are validated before any thread spawns
-/// or heap allocates, every shard polls the budget cooperatively, and
-/// cross-shard wait edges honour the governor's deadline (a dead sibling
-/// surfaces as [`EvalError::ShardStalled`] instead of a hang).
-///
-/// # Errors
-///
-/// A [`ParallelError`]: the up-front rejection, or the per-shard failure
-/// report with partial statistics.
+/// A [`ParallelError`]: the up-front rejection, or each failing shard's
+/// [`EvalError`] (a divergence, a malformed sub-stream, a budget trip, or a
+/// panic caught at the shard boundary — e.g. an ill-formed stream violating
+/// the §3.3 pre-escalation invariant) plus the completed shards' partial
+/// statistics.
 pub fn parallel_eval_governed(
     pt: &PartitionedTrace,
     heap_config: HeapConfig,
     config: CgConfig,
     governor: &Governor,
 ) -> Result<ParallelOutcome, ParallelError> {
+    let total_events: u64 = pt.streams.iter().map(|s| s.events.len() as u64).sum();
+    let sources = pt.streams.iter().map(ShardSource::Memory).collect();
+    eval_shards(sources, Some(total_events), heap_config, config, governor)
+}
+
+/// Replays per-shard `.cgt` sub-streams (written by
+/// [`partition_streaming`](crate::partition_streaming)) on one OS thread
+/// per shard, straight from disk: each thread holds one decoded chunk of
+/// its own stream, so the whole evaluation's trace memory is
+/// O(shards × chunk) regardless of trace length.  Statistics are
+/// byte-identical to [`parallel_eval_governed`] over the same partition,
+/// which is itself byte-identical to a single-threaded replay; the
+/// enforcement points are the same, except that no event total is known
+/// up front (the caller validates the partitioner's count).
+///
+/// # Errors
+///
+/// A [`ParallelError`]: the up-front rejection, or each failing shard's
+/// [`EvalError`] (a divergence, an unreadable shard file, a budget trip, or
+/// a caught panic) plus the completed shards' partial statistics.
+pub fn parallel_eval_streaming_governed(
+    paths: &[PathBuf],
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+) -> Result<ParallelOutcome, ParallelError> {
+    assert!(!paths.is_empty(), "need at least one shard stream");
+    let sources = paths.iter().map(|p| ShardSource::File(p)).collect();
+    eval_shards(sources, None, heap_config, config, governor)
+}
+
+/// The one spawn/join/aggregate body: validates the budget, runs one OS
+/// thread per source, and aggregates the shard runs.
+fn eval_shards(
+    sources: Vec<ShardSource<'_>>,
+    declared_events: Option<u64>,
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+) -> Result<ParallelOutcome, ParallelError> {
     let start = Instant::now();
-    let shard_count = pt.shard_count();
+    let shard_count = sources.len();
     governor
         .validate_shards(shard_count)
         .and_then(|()| governor.validate_heap(&heap_config))
-        .map_err(ParallelError::Rejected)?;
-    let total_events: u64 = pt.streams.iter().map(|s| s.events.len() as u64).sum();
-    governor
-        .validate_declared_events(total_events)
+        .and_then(|()| declared_events.map_or(Ok(()), |n| governor.validate_declared_events(n)))
         .map_err(ParallelError::Rejected)?;
     let domain = StaticDomain::with_impl(config.domain_impl);
     let progress: Vec<WaitCell> = (0..shard_count).map(|_| WaitCell::new()).collect();
     let abort = AtomicBool::new(false);
+    let ctx = ShardContext {
+        config,
+        heap_config,
+        domain: &domain,
+        progress: &progress,
+        abort: &abort,
+        governor,
+    };
 
-    let results: Vec<Result<ShardRun, ShardError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pt
-            .streams
-            .iter()
-            .map(|stream| {
-                let domain = &domain;
-                let progress = &progress;
-                let abort = &abort;
-                let me = stream.shard;
-                scope.spawn(move || {
-                    catch_shard_panic(me, || {
-                        run_shard(
-                            stream,
-                            config,
-                            heap_config,
-                            domain,
-                            progress,
-                            abort,
-                            governor,
-                        )
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("shard panics are caught at the shard boundary")
-            })
-            .collect()
+    let results = std::thread::scope(|scope| {
+        spawn_shards_from(scope, 0, sources.into_iter(), &ctx).map_or_else(Vec::new, join_shards)
     });
 
     aggregate_results(results, shard_count, &domain, start)
 }
 
-/// Joins per-shard results into the aggregated outcome (shared by the
-/// in-memory and streamed-from-disk evaluators); on failure, aggregates
-/// whatever completed into the error's partial outcome.
+type ShardResults = Vec<Result<ShardRun, ShardError>>;
+
+fn join_shards(handle: ScopedJoinHandle<'_, ShardResults>) -> ShardResults {
+    handle
+        .join()
+        .expect("shard panics are caught at the shard boundary")
+}
+
+/// Starts the thread of shard `me`, which starts the thread of shard
+/// `me + 1` before it runs its own shard and joins it after, and so returns
+/// the results of shards `me..` in order.
+///
+/// The shards finish within microseconds of each other (the last event is a
+/// barrier), and an allocator that keeps a freed thread's arena for the next
+/// thread to start hands them out by exit order.  Chained, the threads start
+/// in ascending and exit in descending shard order whatever their speed, so
+/// every evaluation of a long-lived process finds the arena its
+/// predecessor's same shard grew; started side by side, a coin decides per
+/// evaluation whether the largest shard grows a second arena to its size.
+fn spawn_shards_from<'scope, 'env>(
+    scope: &'scope Scope<'scope, 'env>,
+    me: usize,
+    mut sources: std::vec::IntoIter<ShardSource<'env>>,
+    ctx: &'env ShardContext<'env>,
+) -> Option<ScopedJoinHandle<'scope, ShardResults>> {
+    let source = sources.next()?;
+    Some(scope.spawn(move || {
+        let rest = spawn_shards_from(scope, me + 1, sources, ctx);
+        let mut results = vec![catch_shard_panic(me as u32, || run_shard(me, source, ctx))];
+        results.extend(rest.map_or_else(Vec::new, join_shards));
+        results
+    }))
+}
+
+/// Joins per-shard results into the aggregated outcome; on failure,
+/// aggregates whatever completed into the error's partial outcome.
 fn aggregate_results(
     results: Vec<Result<ShardRun, ShardError>>,
     shard_count: usize,
@@ -768,85 +798,53 @@ fn aggregate_runs(
     }
 }
 
-/// Replays per-shard `.cgt` sub-streams (written by
-/// [`partition_streaming`](crate::partition_streaming)) on one OS thread
-/// per shard, straight from disk: each thread holds one decoded chunk of
-/// its own stream, so the whole evaluation's trace memory is
-/// O(shards × chunk) regardless of trace length.  Statistics are
-/// byte-identical to [`parallel_eval`] over the same partition, which is
-/// itself byte-identical to a single-threaded replay.
-///
-/// Equivalent to [`parallel_eval_streaming_governed`] with no limits.
-///
-/// # Errors
-///
-/// A [`ParallelError`] carrying each failing shard's [`EvalError`] (a
-/// divergence, an unreadable shard file, or a caught panic) plus the
-/// completed shards' partial statistics.
-pub fn parallel_eval_streaming(
-    paths: &[PathBuf],
-    heap_config: HeapConfig,
-    config: CgConfig,
-) -> Result<ParallelOutcome, ParallelError> {
-    parallel_eval_streaming_governed(paths, heap_config, config, &Governor::unlimited())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{partition, Trace};
+    use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, Handle, MethodId, RootSet, ThreadId};
 
-/// [`parallel_eval_streaming`] under a resource [`Governor`] (see
-/// [`parallel_eval_governed`] for the enforcement points).
-///
-/// # Errors
-///
-/// A [`ParallelError`]: the up-front rejection, or the per-shard failure
-/// report with partial statistics.
-pub fn parallel_eval_streaming_governed(
-    paths: &[PathBuf],
-    heap_config: HeapConfig,
-    config: CgConfig,
-    governor: &Governor,
-) -> Result<ParallelOutcome, ParallelError> {
-    let start = Instant::now();
-    let shard_count = paths.len();
-    assert!(shard_count > 0, "need at least one shard stream");
-    governor
-        .validate_shards(shard_count)
-        .and_then(|()| governor.validate_heap(&heap_config))
-        .map_err(ParallelError::Rejected)?;
-    let domain = StaticDomain::with_impl(config.domain_impl);
-    let progress: Vec<WaitCell> = (0..shard_count).map(|_| WaitCell::new()).collect();
-    let abort = AtomicBool::new(false);
-
-    let results: Vec<Result<ShardRun, ShardError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = paths
-            .iter()
-            .enumerate()
-            .map(|(me, path)| {
-                let domain = &domain;
-                let progress = &progress;
-                let abort = &abort;
-                scope.spawn(move || {
-                    catch_shard_panic(me as u32, || {
-                        run_shard_streaming(
-                            me,
-                            path,
-                            config,
-                            heap_config,
-                            domain,
-                            progress,
-                            abort,
-                            governor,
-                        )
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("shard panics are caught at the shard boundary")
-            })
-            .collect()
-    });
-
-    aggregate_results(results, shard_count, &domain, start)
+    /// A wait edge naming a shard outside the topology (a corrupt shard file
+    /// loaded through `read_partitioned`, which does not look at edges) is a
+    /// malformed stream for the in-memory source exactly as for the file
+    /// source — not an out-of-bounds panic caught at the shard boundary.
+    #[test]
+    fn wait_edge_outside_the_topology_is_malformed_not_a_panic() {
+        let mut trace = Trace::new("bad-edge");
+        for thread in 0..2u32 {
+            trace.push(GcEvent::Allocate {
+                handle: Handle::from_index(thread),
+                class: ClassId::new(0),
+                kind: AllocKind::Instance { field_count: 1 },
+                frame: FrameInfo {
+                    id: FrameId::new(1 + thread as u64),
+                    depth: 1,
+                    thread: ThreadId::new(thread),
+                    method: MethodId::new(0),
+                },
+                recycled: false,
+            });
+        }
+        trace.push(GcEvent::ProgramEnd {
+            roots: Box::new(RootSet::default()),
+        });
+        let mut pt = partition(&trace, 2);
+        pt.streams[1].events[0].waits.push(ShardWait {
+            shard: 9,
+            processed: 1,
+        });
+        let err = parallel_eval_governed(
+            &pt,
+            HeapConfig::small(),
+            CgConfig::default(),
+            &Governor::unlimited(),
+        )
+        .expect_err("shard 9 of 2 does not exist");
+        match err.primary() {
+            EvalError::Trace(TraceIoError::Malformed { detail, .. }) => {
+                assert!(detail.contains("names shard 9 of a 2-shard"), "{detail}");
+            }
+            other => panic!("expected Malformed, got {other}"),
+        }
+    }
 }

@@ -14,9 +14,10 @@
 //!   live and does the same.  Histograms are serialized exactly (bucket
 //!   counts, total, 128-bit sum, min, max), so a match really is
 //!   byte-identical statistics, not a rounded summary.
-//! * `"vm"` — the interpreter statistics of the recording run, which the
-//!   disk-backed `TraceCache` in `cg-bench` needs to reconstruct a
-//!   `WorkloadTrace` without re-interpreting the program.
+//! * `"vm"` — the interpreter statistics of the recording run
+//!   (instruction and allocation totals are properties of the workload, not
+//!   of the collector replayed later), which `cgt diff` compares and the
+//!   repo benchmark checks without re-interpreting the program.
 
 use cg_core::{CgConfig, CgStats, ContaminatedGc, ObjectBreakdown};
 use cg_heap::{HandleRepr, HeapConfig};

@@ -9,11 +9,18 @@
 //! * [`Trace`] — an owned event log plus bookkeeping counts.
 //! * [`TraceRecorder`] — a [`cg_vm::EventSink`] that captures a live run's
 //!   stream; [`record`] is the one-call convenience wrapper.
-//! * [`replay()`] — drives any [`cg_vm::Collector`] with a recorded stream,
-//!   maintaining a shadow heap, *without re-interpreting the program*.  A
+//! * [`replay_governed`] — drives any [`cg_vm::Collector`] with a recorded
+//!   stream, maintaining a shadow heap, *without re-interpreting the
+//!   program*; [`replay_path_governed`] does the same straight from a `.cgt`
+//!   file and [`replay_events_governed`] is the one loop under both.  A
 //!   workload can be captured once and then evaluated under `ContaminatedGc`,
 //!   `HybridCollector`, `MarkSweep`, … at a fraction of the cost of a live
 //!   run — replay skips arithmetic, branching and scheduling entirely.
+//! * [`parallel_eval_governed`] / [`parallel_eval_streaming_governed`] — the
+//!   same evaluation on N OS threads over a [`partition()`]ed trace ([`eval`]).
+//!
+//! Every evaluation entry point takes a [`Governor`]; trusted input passes
+//! [`Governor::unlimited`].
 //!
 //! Replay is exact: hooks fire with identical arguments in identical order,
 //! and the shadow heap's reference graph matches the live heap at every
@@ -34,7 +41,7 @@
 //! chunks (optionally LZ-compressed), and a footer with the per-kind event
 //! census plus exact stats sections ([`footer`]).  The streaming
 //! [`TraceWriter`]/[`TraceReader`] pair — and [`record_streaming`],
-//! [`replay_path`] and [`partition_streaming`] on top of them — move
+//! [`replay_path_governed`] and [`partition_streaming`] on top of them — move
 //! events chunk-by-chunk and never materialize the full vector, so a
 //! multi-million-event workload records, replays and partitions in
 //! O(chunk) memory.  The `cgt` binary in this crate is the command-line
@@ -61,8 +68,7 @@ mod wire;
 
 pub use cg_vm::{AllocKind, EventKind, EventSink, GcEvent};
 pub use eval::{
-    parallel_eval, parallel_eval_governed, parallel_eval_streaming,
-    parallel_eval_streaming_governed, ParallelError, ParallelOutcome,
+    parallel_eval_governed, parallel_eval_streaming_governed, ParallelError, ParallelOutcome,
 };
 pub use fault::{FaultPlan, FaultyReader, FaultyWriter};
 pub use format::{
@@ -85,8 +91,8 @@ pub use recorder::{
     finish_streaming, record, record_streaming, RecordError, StreamingRecorder, TraceRecorder,
 };
 pub use replay::{
-    apply_event, replay, replay_events, replay_events_governed, replay_governed, replay_path,
-    replay_path_governed, validate_event_handles, validate_event_liveness, ReplayError,
-    ReplayOutcome, Replayed, StreamReplayError, StreamReplayed,
+    apply_event, replay_events_governed, replay_governed, replay_path_governed,
+    validate_event_handles, validate_event_liveness, ReplayError, ReplayOutcome, Replayed,
+    StreamReplayed,
 };
 pub use trace::{Trace, TraceStats};

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use cg_heap::{Heap, HeapConfig};
 
 use crate::format::TraceIoError;
-use crate::replay::{ReplayError, StreamReplayError};
+use crate::replay::ReplayError;
 
 /// How many events a governed replay loop processes between
 /// [`Governor::checkpoint`] polls.  Budget trips are therefore detected
@@ -353,15 +353,6 @@ impl From<TraceIoError> for EvalError {
 impl From<ReplayError> for EvalError {
     fn from(e: ReplayError) -> Self {
         EvalError::Replay(e)
-    }
-}
-
-impl From<StreamReplayError> for EvalError {
-    fn from(e: StreamReplayError) -> Self {
-        match e {
-            StreamReplayError::Replay(e) => EvalError::Replay(e),
-            StreamReplayError::Trace(e) => EvalError::Trace(e),
-        }
     }
 }
 

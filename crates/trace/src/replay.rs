@@ -1,6 +1,7 @@
 //! Replaying a recorded stream against any collector — from memory or
 //! streamed chunk-by-chunk from a `.cgt` file with O(chunk) memory.
 
+use std::borrow::Borrow;
 use std::path::Path;
 
 use cg_heap::{Heap, HeapConfig, HeapError, Value};
@@ -104,47 +105,7 @@ impl From<HeapError> for ReplayError {
     }
 }
 
-/// Why a *streaming* replay failed: either the collector diverged from the
-/// recorded history, or the `.cgt` stream itself could not be read.
-#[derive(Debug)]
-pub enum StreamReplayError {
-    /// The collector under replay diverged (see [`ReplayError`]).
-    Replay(ReplayError),
-    /// The trace stream was unreadable (I/O, corruption, truncation).
-    Trace(TraceIoError),
-}
-
-impl std::fmt::Display for StreamReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamReplayError::Replay(e) => write!(f, "{e}"),
-            StreamReplayError::Trace(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamReplayError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamReplayError::Replay(e) => Some(e),
-            StreamReplayError::Trace(e) => Some(e),
-        }
-    }
-}
-
-impl From<ReplayError> for StreamReplayError {
-    fn from(e: ReplayError) -> Self {
-        StreamReplayError::Replay(e)
-    }
-}
-
-impl From<TraceIoError> for StreamReplayError {
-    fn from(e: TraceIoError) -> Self {
-        StreamReplayError::Trace(e)
-    }
-}
-
-/// The result of [`replay`]: the driven collector, its outcome, and the
+/// The result of a replay: the driven collector, its outcome, and the
 /// shadow heap (for reachability checks).
 #[derive(Debug)]
 pub struct Replayed<C> {
@@ -157,64 +118,39 @@ pub struct Replayed<C> {
 }
 
 /// Replays `trace` against `collector`, maintaining a shadow heap so every
-/// hook observes the same heap the live run's collector did.
+/// hook observes the same heap the live run's collector did — the in-memory
+/// face of [`replay_events_governed`], which it feeds the trace's events by
+/// reference.
 ///
 /// The shadow heap must be configured at least as large as the recording
 /// run's heap: replay re-executes the recorded allocations, and the trace
 /// contains no allocation-failure recovery of its own.
 ///
-/// # Errors
-///
-/// Returns a [`ReplayError`] if the collector under replay diverges from the
-/// recorded history (see the error variants).
-pub fn replay<C: Collector>(
-    trace: &Trace,
-    heap_config: HeapConfig,
-    collector: C,
-) -> Result<Replayed<C>, ReplayError> {
-    replay_governed(trace, heap_config, collector, &Governor::unlimited()).map_err(|e| match e {
-        EvalError::Replay(e) => e,
-        // An unlimited governor with a fresh cancel token has nothing to
-        // trip, and an in-memory trace cannot raise a stream error.
-        other => unreachable!("unlimited governor tripped: {other}"),
-    })
-}
-
-/// [`replay`] under a resource [`Governor`]: the heap configuration is
-/// validated against the budget *before* the shadow heap is allocated, and
-/// the budget (events, handles, deadline, cancellation) is polled every
-/// [`GOVERNOR_CHECK_EVENTS`] events.
+/// The heap configuration and the trace's length are validated against the
+/// budget *before* the shadow heap is allocated, and the budget (events,
+/// handles, deadline, cancellation) is polled every
+/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted input passes
+/// [`Governor::unlimited`], which can only fail with
+/// [`EvalError::Replay`].
 ///
 /// # Errors
 ///
-/// An [`EvalError`]: a replay divergence or a budget trip.
+/// An [`EvalError`]: a replay divergence (the collector under replay
+/// diverged from the recorded history) or a budget trip.
 pub fn replay_governed<C: Collector>(
     trace: &Trace,
     heap_config: HeapConfig,
-    mut collector: C,
+    collector: C,
     governor: &Governor,
 ) -> Result<Replayed<C>, EvalError> {
     governor.validate_heap(&heap_config)?;
     governor.validate_declared_events(trace.len() as u64)?;
-    let start = std::time::Instant::now();
-    let mut heap = Heap::new(heap_config);
-    let mut outcome = ReplayOutcome::default();
-
-    for event in trace.events() {
-        apply_event(event, &mut heap, &mut collector, &mut outcome)?;
-        if (outcome.events_replayed as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
-            governor.checkpoint(outcome.events_replayed as u64, &heap)?;
-        }
-    }
-    governor.checkpoint(outcome.events_replayed as u64, &heap)?;
-
-    outcome.live_at_exit = heap.live_count();
-    outcome.elapsed_seconds = start.elapsed().as_secs_f64();
-    Ok(Replayed {
+    replay_events_governed(
+        trace.events().iter().map(Ok),
+        heap_config,
         collector,
-        outcome,
-        heap,
-    })
+        governor,
+    )
 }
 
 /// One handle's share of [`validate_event_handles`].
@@ -318,8 +254,8 @@ pub fn validate_event_liveness(event: &GcEvent, heap: &Heap) -> Result<(), Repla
 }
 
 /// Applies one recorded event to the shadow heap and the collector —
-/// the single replay step shared by [`replay`], [`replay_events`] and the
-/// parallel evaluators.
+/// the single replay step of [`replay_events_governed`] (and of `cgtd`'s
+/// live-stream evaluator, which interleaves progress frames).
 ///
 /// The event is gated first, exactly as [`validate_event_handles`] followed
 /// by [`validate_event_liveness`] would: every handle it names against the
@@ -452,33 +388,20 @@ pub fn apply_event<C: Collector>(
 
 /// Replays a stream of events (each possibly failing with a trace error,
 /// as produced by a [`TraceReader`](crate::TraceReader)) against a
-/// collector.  Holds only the iterator's working set — for a `.cgt`
-/// reader, one chunk — regardless of trace length.
+/// collector — *the* single-threaded evaluation loop: [`replay_governed`]
+/// feeds it a trace's events by reference, [`replay_path_governed`] a
+/// `.cgt` reader's by value.  Holds only the iterator's working set — for
+/// a `.cgt` reader, one chunk — regardless of trace length.
 ///
-/// # Errors
-///
-/// A [`StreamReplayError`]: a replay divergence or an unreadable stream.
-pub fn replay_events<C, I>(
-    events: I,
-    heap_config: HeapConfig,
-    collector: C,
-) -> Result<Replayed<C>, StreamReplayError>
-where
-    C: Collector,
-    I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
-{
-    replay_events_governed(events, heap_config, collector, &Governor::unlimited())
-        .map_err(degrade_ungoverned)
-}
-
-/// [`replay_events`] under a resource [`Governor`] (see
-/// [`replay_governed`] for the enforcement points).
+/// The heap configuration is validated against the budget before the
+/// shadow heap is allocated, and the budget is polled every
+/// [`GOVERNOR_CHECK_EVENTS`] events.
 ///
 /// # Errors
 ///
 /// An [`EvalError`]: a replay divergence, an unreadable stream, or a
 /// budget trip.
-pub fn replay_events_governed<C, I>(
+pub fn replay_events_governed<C, I, E>(
     events: I,
     heap_config: HeapConfig,
     mut collector: C,
@@ -486,14 +409,15 @@ pub fn replay_events_governed<C, I>(
 ) -> Result<Replayed<C>, EvalError>
 where
     C: Collector,
-    I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
+    I: IntoIterator<Item = Result<E, TraceIoError>>,
+    E: Borrow<GcEvent>,
 {
     governor.validate_heap(&heap_config)?;
     let start = std::time::Instant::now();
     let mut heap = Heap::new(heap_config);
     let mut outcome = ReplayOutcome::default();
     for event in events {
-        apply_event(&event?, &mut heap, &mut collector, &mut outcome)?;
+        apply_event(event?.borrow(), &mut heap, &mut collector, &mut outcome)?;
         if (outcome.events_replayed as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
             governor.checkpoint(outcome.events_replayed as u64, &heap)?;
         }
@@ -506,17 +430,6 @@ where
         outcome,
         heap,
     })
-}
-
-/// Maps an [`EvalError`] from an *unlimited* governor back onto the
-/// pre-governance error type: only stream and replay failures are
-/// reachable.
-fn degrade_ungoverned(e: EvalError) -> StreamReplayError {
-    match e {
-        EvalError::Replay(e) => StreamReplayError::Replay(e),
-        EvalError::Trace(e) => StreamReplayError::Trace(e),
-        other => unreachable!("unlimited governor tripped: {other}"),
-    }
 }
 
 /// What a streaming replay of a `.cgt` file produced: the replay result
@@ -539,25 +452,12 @@ pub struct StreamReplayed<C> {
 /// The heap configuration is taken from the file's header when present,
 /// otherwise from `fallback_heap`.
 ///
-/// # Errors
-///
-/// A [`StreamReplayError`]: a replay divergence or an unreadable stream.
-pub fn replay_path<C: Collector>(
-    path: impl AsRef<Path>,
-    fallback_heap: Option<HeapConfig>,
-    collector: C,
-) -> Result<StreamReplayed<C>, StreamReplayError> {
-    replay_path_governed(path, fallback_heap, collector, &Governor::unlimited())
-        .map_err(degrade_ungoverned)
-}
-
-/// [`replay_path`] under a resource [`Governor`].
-///
 /// This is the untrusted-input entry point: the header's heap
 /// configuration and declared event count are validated against the
 /// budget *before any heap allocation*, so a hostile header cannot OOM
 /// the evaluator, and the replay loop then polls the governor every
-/// [`GOVERNOR_CHECK_EVENTS`] events.
+/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted files pass
+/// [`Governor::unlimited`].
 ///
 /// # Errors
 ///
@@ -655,7 +555,13 @@ mod tests {
         let config = VmConfig::small();
         let (trace, outcome, vm) =
             record("churn", churn_program(), config, NoopCollector::new()).expect("runs");
-        let replayed = replay(&trace, config.heap, NoopCollector::new()).expect("replay succeeds");
+        let replayed = replay_governed(
+            &trace,
+            config.heap,
+            NoopCollector::new(),
+            &Governor::unlimited(),
+        )
+        .expect("replay succeeds");
         // A passive collector frees nothing, so the shadow heap must mirror
         // the live heap exactly.
         assert_eq!(replayed.outcome.live_at_exit, outcome.live_at_exit);
@@ -795,8 +701,12 @@ mod tests {
             record("churn", churn_program(), config, NoopCollector::new()).expect("runs");
         let mut tiny = cg_heap::HeapConfig::tight(8);
         tiny.handle_space_bytes = 1 << 10;
-        let err = replay(&trace, tiny, NoopCollector::new()).unwrap_err();
-        assert!(matches!(err, ReplayError::Heap(_)), "{err}");
+        let err = replay_governed(&trace, tiny, NoopCollector::new(), &Governor::unlimited())
+            .unwrap_err();
+        assert!(
+            matches!(err, EvalError::Replay(ReplayError::Heap(_))),
+            "{err}"
+        );
         assert!(err.to_string().contains("shadow heap"));
     }
 }

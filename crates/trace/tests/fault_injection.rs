@@ -8,8 +8,8 @@
 use cg_heap::HeapConfig;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    read_trace, replay, replay_governed, replay_path_governed, rewrite_trace, write_trace,
-    EvalError, FaultPlan, FaultyReader, FaultyWriter, Governor, ReplayError, RewriteOptions, Trace,
+    read_trace, replay_governed, replay_path_governed, rewrite_trace, write_trace, EvalError,
+    FaultPlan, FaultyReader, FaultyWriter, Governor, ReplayError, RewriteOptions, Trace,
     TraceIoError, TraceMeta,
 };
 use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId};
@@ -268,6 +268,7 @@ fn interrupted_writes_through_the_streaming_writer_error_cleanly() {
 
 #[test]
 fn allocation_failure_at_every_attempt_propagates_cleanly() {
+    let unlimited = Governor::unlimited();
     // Sweep the injected heap failure across every allocation the trace
     // performs: each must come back as ReplayError::Heap — no panic, no
     // partial-state corruption — and the first attempt past the end must
@@ -275,15 +276,16 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
     const ALLOCS: u32 = 64;
     let trace = allocating_trace(ALLOCS, 500);
     let heap = HeapConfig::small();
-    let baseline = replay(&trace, heap, canonical_collector()).expect("baseline replays");
+    let baseline =
+        replay_governed(&trace, heap, canonical_collector(), &unlimited).expect("baseline replays");
 
     for k in 0..u64::from(ALLOCS) {
         let failing = heap.with_alloc_failure_at(k);
-        let err = replay(&trace, failing, canonical_collector())
+        let err = replay_governed(&trace, failing, canonical_collector(), &unlimited)
             .err()
             .unwrap_or_else(|| panic!("attempt {k} must fail"));
         assert!(
-            matches!(err, ReplayError::Heap(_)),
+            matches!(err, EvalError::Replay(ReplayError::Heap(_))),
             "attempt {k}: unexpected error {err}"
         );
     }
@@ -291,7 +293,7 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
     // One past the last allocation: the sweep is exhaustive, so this must
     // succeed — and identically to the baseline.
     let past_end = heap.with_alloc_failure_at(u64::from(ALLOCS));
-    let replayed = replay(&trace, past_end, canonical_collector())
+    let replayed = replay_governed(&trace, past_end, canonical_collector(), &unlimited)
         .expect("an injection past the last allocation never fires");
     assert_eq!(
         replayed.outcome.events_replayed,
@@ -303,18 +305,14 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
 
 #[test]
 fn governed_replay_reports_allocation_failure_as_a_replay_error() {
+    let unlimited = Governor::unlimited();
     // The same sweep through the governed entry point: the structured
     // taxonomy wraps the heap failure, it does not panic or misclassify
     // it as a limit trip.
     let trace = allocating_trace(16, 100);
     let failing = HeapConfig::small().with_alloc_failure_at(7);
-    let err = replay_governed(
-        &trace,
-        failing,
-        canonical_collector(),
-        &Governor::unlimited(),
-    )
-    .expect_err("the injected failure must fail the replay");
+    let err = replay_governed(&trace, failing, canonical_collector(), &unlimited)
+        .expect_err("the injected failure must fail the replay");
     assert!(
         matches!(err, EvalError::Replay(ReplayError::Heap(_))),
         "unexpected error {err}"

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use cg_trace::footer::{
     canonical_collector, canonical_heap, cg_section, vm_stats_from_section, CG_SECTION, VM_SECTION,
 };
-use cg_trace::{read_trace_from_path, replay, replay_path, StreamKind};
+use cg_trace::{read_trace_from_path, replay_governed, replay_path_governed, Governor, StreamKind};
 use cg_vm::NoopCollector;
 use cg_workloads::{Size, Workload};
 
@@ -56,8 +56,9 @@ fn every_golden_trace_replays_to_its_embedded_footer() {
     for file in golden_files() {
         // Streaming read: validates magic, header CRC, every chunk CRC and
         // the footer census, while replaying under the canonical collector.
-        let streamed = replay_path(&file, None, canonical_collector())
-            .unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        let streamed =
+            replay_path_governed(&file, None, canonical_collector(), &Governor::unlimited())
+                .unwrap_or_else(|e| panic!("{}: {e}", file.display()));
         let mut collector = streamed.replayed.collector;
         let breakdown = collector.breakdown();
         let fresh = cg_section(collector.stats(), &breakdown);
@@ -96,13 +97,16 @@ fn every_golden_trace_replays_to_its_embedded_footer() {
 
 #[test]
 fn streaming_and_in_memory_replay_agree_on_golden_traces() {
+    let unlimited = Governor::unlimited();
     // One smaller file keeps this cheap in debug builds; the full sweep
     // happens in the bench crate's streaming-equivalence test.
     let file = golden_dir().join("javac-s1.cgt");
     let (trace, meta, _) = read_trace_from_path(&file).expect("javac golden trace reads");
     let heap = meta.heap.expect("golden traces embed their heap");
-    let in_memory = replay(&trace, heap, canonical_collector()).expect("in-memory replay");
-    let streamed = replay_path(&file, None, canonical_collector()).expect("streaming replay");
+    let in_memory =
+        replay_governed(&trace, heap, canonical_collector(), &unlimited).expect("in-memory replay");
+    let streamed = replay_path_governed(&file, None, canonical_collector(), &unlimited)
+        .expect("streaming replay");
     let mut a = in_memory.collector;
     let mut b = streamed.replayed.collector;
     assert_eq!(a.stats(), b.stats());
@@ -121,6 +125,7 @@ fn streaming_and_in_memory_replay_agree_on_golden_traces() {
 
 #[test]
 fn recording_db_live_matches_its_golden_trace() {
+    let unlimited = Governor::unlimited();
     // The in-suite miniature of the CI `cgt verify --re-record` gate: a
     // fresh live interpretation of db/1 must reproduce the committed
     // trace's event census and canonical statistics exactly.
@@ -141,7 +146,8 @@ fn recording_db_live_matches_its_golden_trace() {
     )
     .expect("re-recording db/1 succeeds");
     assert_eq!(fresh, golden, "event streams must be identical");
-    let replayed = replay(&fresh, config.heap, canonical_collector()).expect("replay");
+    let replayed =
+        replay_governed(&fresh, config.heap, canonical_collector(), &unlimited).expect("replay");
     let mut collector = replayed.collector;
     let breakdown = collector.breakdown();
     assert_eq!(

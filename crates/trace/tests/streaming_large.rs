@@ -10,8 +10,8 @@
 use cg_heap::{HandleRepr, HeapConfig};
 use cg_trace::footer::{canonical_collector, cg_section, CG_SECTION};
 use cg_trace::{
-    read_trace_from_path, record_streaming, replay, replay_path, rewrite_trace, RewriteOptions,
-    TraceMeta, WorkloadRef, DEFAULT_CHUNK_EVENTS,
+    read_trace_from_path, record_streaming, replay_governed, replay_path_governed, rewrite_trace,
+    Governor, RewriteOptions, TraceMeta, WorkloadRef, DEFAULT_CHUNK_EVENTS,
 };
 use cg_vm::{NoopCollector, VmConfig};
 use cg_workloads::{Size, Workload};
@@ -64,8 +64,8 @@ fn million_event_javac_trace_streams_with_bounded_memory() {
     );
 
     // Streaming replay: chunk-by-chunk, never the whole vector.
-    let streamed =
-        replay_path(&path, None, canonical_collector()).expect("streaming replay succeeds");
+    let streamed = replay_path_governed(&path, None, canonical_collector(), &Governor::unlimited())
+        .expect("streaming replay succeeds");
     assert!(
         streamed.max_buffered_events <= DEFAULT_CHUNK_EVENTS,
         "streaming replay held {} events at once; the chunk cap is {}",
@@ -76,10 +76,11 @@ fn million_event_javac_trace_streams_with_bounded_memory() {
     // Classic in-memory replay of the same file.
     let (trace, file_meta, _) = read_trace_from_path(&path).expect("whole-trace read");
     assert_eq!(trace.len() as u64, stats.total());
-    let in_memory = replay(
+    let in_memory = replay_governed(
         &trace,
         file_meta.heap.expect("header embeds the heap"),
         canonical_collector(),
+        &Governor::unlimited(),
     )
     .expect("in-memory replay succeeds");
 

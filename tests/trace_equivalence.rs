@@ -10,7 +10,7 @@
 //! counter and both histograms must match exactly.
 
 use cg_core::{CgConfig, ContaminatedGc, HybridCollector, HybridConfig};
-use cg_trace::{record, replay, Trace};
+use cg_trace::{record, replay_governed, Governor, Trace};
 use cg_vm::{NoopCollector, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
@@ -40,6 +40,7 @@ fn record_workload(name: &str, config: VmConfig) -> Trace {
 
 #[test]
 fn replaying_a_trace_reproduces_live_contaminated_gc_stats_exactly() {
+    let unlimited = Governor::unlimited();
     for name in ["db", "jess", "raytrace"] {
         let workload = Workload::by_name(name).unwrap();
         let trace = record_workload(name, config());
@@ -51,7 +52,7 @@ fn replaying_a_trace_reproduces_live_contaminated_gc_stats_exactly() {
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
         // Replay: drive a fresh CG from the recording, no interpretation.
-        let replayed = replay(&trace, config().heap, ContaminatedGc::new())
+        let replayed = replay_governed(&trace, config().heap, ContaminatedGc::new(), &unlimited)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
 
         // Byte-identical statistics: every counter, both histograms.
@@ -95,7 +96,7 @@ fn replaying_a_trace_reproduces_live_hybrid_collector_stats_exactly() {
             .run()
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
-        let replayed = replay(&trace, periodic.heap, hybrid())
+        let replayed = replay_governed(&trace, periodic.heap, hybrid(), &Governor::unlimited())
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
 
         assert_eq!(
@@ -127,6 +128,7 @@ fn replaying_a_trace_reproduces_live_hybrid_collector_stats_exactly() {
 
 #[test]
 fn allocation_policy_never_affects_collector_statistics() {
+    let unlimited = Governor::unlimited();
     // The collector is heap-address-agnostic: handles are minted densely in
     // allocation order regardless of where the object space places blocks,
     // so the same recorded stream replayed over shadow heaps with different
@@ -144,16 +146,18 @@ fn allocation_policy_never_affects_collector_statistics() {
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
         for cg_config in [CgConfig::preferred(), CgConfig::without_static_opt()] {
-            let first_fit = replay(
+            let first_fit = replay_governed(
                 &trace,
                 config().heap.with_alloc_policy(AllocPolicy::FirstFitRover),
                 ContaminatedGc::with_config(cg_config),
+                &unlimited,
             )
             .unwrap_or_else(|e| panic!("{name}: first-fit replay failed: {e}"));
-            let segregated = replay(
+            let segregated = replay_governed(
                 &trace,
                 config().heap.with_alloc_policy(AllocPolicy::SegregatedFit),
                 ContaminatedGc::with_config(cg_config),
+                &unlimited,
             )
             .unwrap_or_else(|e| panic!("{name}: segregated replay failed: {e}"));
 
@@ -218,17 +222,26 @@ fn live_runs_agree_across_allocation_policies() {
 
 #[test]
 fn one_recording_serves_many_collectors() {
+    let unlimited = Governor::unlimited();
     // The architectural payoff: one interpretation, N collector evaluations.
     let trace = record_workload("db", config());
 
-    let cg = replay(&trace, config().heap, ContaminatedGc::new()).expect("cg replay");
-    let no_opt = replay(
+    let cg = replay_governed(&trace, config().heap, ContaminatedGc::new(), &unlimited)
+        .expect("cg replay");
+    let no_opt = replay_governed(
         &trace,
         config().heap,
         ContaminatedGc::with_config(CgConfig::without_static_opt()),
+        &unlimited,
     )
     .expect("no-opt replay");
-    let msa = replay(&trace, config().heap, cg_baseline::MarkSweep::new()).expect("msa replay");
+    let msa = replay_governed(
+        &trace,
+        config().heap,
+        cg_baseline::MarkSweep::new(),
+        &unlimited,
+    )
+    .expect("msa replay");
 
     // All three replays observed the same workload...
     assert_eq!(

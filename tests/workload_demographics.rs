@@ -151,7 +151,7 @@ fn collectable_share_grows_with_problem_size() {
 #[test]
 fn optimisation_never_reduces_collectable_share() {
     // A representative subset keeps this check cheap; the full sweep over
-    // all eight benchmarks is exercised by `repro_fig4_1`.
+    // all eight benchmarks is exercised by `repro_all fig4_1`.
     for name in ["compress", "db", "jess", "javac"] {
         let shape = measure(name, Size::S1);
         assert!(
