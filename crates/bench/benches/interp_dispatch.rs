@@ -1,27 +1,22 @@
-//! Dispatch-loop benchmarks: superinstructions, inline caches and the
-//! live-vs-replay interpretation gap (`BENCH_interp_dispatch.json`).
+//! Dispatch-loop benchmarks: inline caches and the live-vs-replay
+//! interpretation gap (`BENCH_interp_dispatch.json`).
 //!
-//! Three synthetic kernels isolate what the fusion pass rewrites, each
-//! interpreted live with the pass on and off:
-//!
-//! * `call_heavy` — a tight loop calling a tiny leaf method: const+call
-//!   fusion, the per-site inline cache and the pooled-locals frame push;
-//! * `field_heavy` — paired `getfield`/`putfield` traffic: the
-//!   `f.getget`/`f.getput` superinstructions;
-//! * `arith_branch` — a pure counted loop: the `f.arithbr`
-//!   compare-and-branch superinstruction and the fast dispatch loop.
+//! The `call_heavy` kernel — a tight loop calling a tiny leaf method —
+//! isolates what the inline-cache pass buys (the per-site cache and the
+//! pooled-locals frame push); it is interpreted live with the pass on
+//! (`fused`) and off (`unfused`).
 //!
 //! An end-to-end leg records `javac/1` and times live interpretation
-//! (fused and unfused, under the canonical contaminated collector)
-//! against replaying the recorded stream — the "live interpretation gap"
-//! this PR closes.  The gap and the call-heavy speedup are embedded in the
-//! JSON alongside a `dispatch_profile` section (per-opcode counts are
-//! populated when the `profile` cargo feature is on; inline-cache hit and
-//! miss totals are always live).
+//! (cached and uncached, under the canonical contaminated collector)
+//! against replaying the recorded stream — the "live interpretation gap".
+//! The gap and the call-heavy speedup are embedded in the JSON alongside a
+//! `dispatch_profile` section (per-opcode counts are populated when the
+//! `profile` cargo feature is on; inline-cache hit and miss totals are
+//! always live).
 //!
-//! Before timing anything the suite asserts the tentpole invariant: every
-//! kernel and the javac workload record **byte-identical** event streams
-//! and statistics with fusion on and off.
+//! Before timing anything the suite asserts the invariant: the kernel and
+//! the javac workload record **byte-identical** event streams and
+//! statistics with the pass on and off.
 //!
 //! CI re-runs the suite with `--check baselines/interp_dispatch.json` and
 //! fails if any shared label regressed more than 2x (speed-normalised).
@@ -32,16 +27,13 @@ use cg_bench::BenchHarness;
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_stats::Json;
 use cg_trace::{record, replay_governed, Governor};
-use cg_vm::{
-    ArithOp, ClassDef, Cond, Insn, MethodDef, NoopCollector, Operand, Program, Vm, VmConfig,
-};
+use cg_vm::{ArithOp, Cond, Insn, MethodDef, NoopCollector, Operand, Program, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
 const CALIBRATION_LABEL: &str = "calibration/spin_1k";
 
-/// A tight loop of `iters` calls to a two-instruction leaf method.  The
-/// `const` feeding the argument fuses with the call; the call itself gets
-/// an inline-cached, pooled-locals frame push.  The leaf declares a
+/// A tight loop of `iters` calls to a two-instruction leaf method; the call
+/// gets an inline-cached, pooled-locals frame push.  The leaf declares a
 /// javac-sized frame (32 locals): the unfused push pays a fresh
 /// `vec![NULL; 32]` per call, the cached push recycles one from the pool —
 /// the cost this kernel isolates.
@@ -67,7 +59,7 @@ fn call_heavy(iters: i64) -> Program {
         6,
         vec![
             Insn::Const { dst: 0, value: 0 },
-            // Loop head: const+call fuse into one superinstruction.
+            // Loop head.
             Insn::Const { dst: 1, value: 41 },
             Insn::Call {
                 method: leaf,
@@ -85,95 +77,6 @@ fn call_heavy(iters: i64) -> Program {
                 a: Operand::Local(0),
                 b: Operand::Imm(iters),
                 target: 1,
-            },
-            Insn::Return { value: None },
-        ],
-    ));
-    p.set_entry(main);
-    p
-}
-
-/// A loop of paired field reads and writes over one two-field object:
-/// `getfield`+`getfield` and `getfield`+`putfield` both fuse.
-fn field_heavy(iters: i64) -> Program {
-    let mut p = Program::named("field_heavy");
-    let c = p.add_class(ClassDef::new("Obj", 2));
-    let main = p.add_method(MethodDef::new(
-        "main",
-        0,
-        8,
-        vec![
-            Insn::New { class: c, dst: 0 },
-            Insn::Const { dst: 1, value: 0 },
-            // Loop head.
-            Insn::GetField {
-                object: 0,
-                field: 0,
-                dst: 2,
-            },
-            Insn::GetField {
-                object: 0,
-                field: 1,
-                dst: 3,
-            },
-            Insn::GetField {
-                object: 0,
-                field: 1,
-                dst: 4,
-            },
-            Insn::PutField {
-                object: 0,
-                field: 0,
-                value: 4,
-            },
-            Insn::Arith {
-                op: ArithOp::Add,
-                dst: 1,
-                a: Operand::Local(1),
-                b: Operand::Imm(1),
-            },
-            Insn::Branch {
-                cond: Cond::Lt,
-                a: Operand::Local(1),
-                b: Operand::Imm(iters),
-                target: 2,
-            },
-            Insn::Return { value: None },
-        ],
-    ));
-    p.set_entry(main);
-    p
-}
-
-/// A pure counted loop: the arith+branch pair fuses into `f.arithbr`, the
-/// rest stays in the fast dispatch loop end to end.
-fn arith_branch(iters: i64) -> Program {
-    let mut p = Program::named("arith_branch");
-    let main = p.add_method(MethodDef::new(
-        "main",
-        0,
-        4,
-        vec![
-            Insn::Const { dst: 0, value: 0 },
-            Insn::Const { dst: 1, value: 0 },
-            // Loop head: xor into the accumulator, then count+test.
-            Insn::Arith {
-                op: ArithOp::Xor,
-                dst: 1,
-                a: Operand::Local(1),
-                b: Operand::Local(0),
-            },
-            Insn::Arith {
-                op: ArithOp::Add,
-                dst: 0,
-                a: Operand::Local(0),
-                b: Operand::Imm(1),
-            },
-            Insn::Branch {
-                cond: Cond::Lt,
-                a: Operand::Local(0),
-                b: Operand::Imm(iters),
-                target: 2,
             },
             Insn::Return { value: None },
         ],
@@ -238,46 +141,25 @@ fn paired_speedup(program: &Program, config: VmConfig, rounds: usize) -> f64 {
     ratios[ratios.len() / 2]
 }
 
-fn bench_kernels(h: &mut BenchHarness) -> f64 {
+fn bench_call_heavy(h: &mut BenchHarness) -> f64 {
     let config = VmConfig::default();
-    let kernels = [
-        ("call_heavy", call_heavy(60_000)),
-        ("field_heavy", field_heavy(60_000)),
-        ("arith_branch", arith_branch(120_000)),
-    ];
-    for (name, program) in &kernels {
-        assert_byte_identical(program, config);
-        let fused = Vm::new(
-            program.clone(),
-            config.with_fusion(true),
-            NoopCollector::new(),
+    let program = call_heavy(60_000);
+    assert_byte_identical(&program, config);
+    for fusion in [true, false] {
+        let label = format!(
+            "interp_dispatch/call_heavy/{}",
+            if fusion { "fused" } else { "unfused" }
         );
-        assert!(
-            fused.fuse_report().fused_pairs() > 0,
-            "{name}: the kernel must actually fuse"
-        );
-        for fusion in [true, false] {
-            let label = format!(
-                "interp_dispatch/{name}/{}",
-                if fusion { "fused" } else { "unfused" }
-            );
-            h.bench(&label, 5, || {
-                black_box(run_live(program, config.with_fusion(fusion)))
-            });
-        }
-        let fused_ns = h.ns_of(&format!("interp_dispatch/{name}/fused")).unwrap();
-        let unfused_ns = h.ns_of(&format!("interp_dispatch/{name}/unfused")).unwrap();
-        println!(
-            "  {name}: fused is {:.2}x the unfused dispatch speed",
-            unfused_ns / fused_ns
-        );
+        h.bench(&label, 5, || {
+            black_box(run_live(&program, config.with_fusion(fusion)))
+        });
     }
 
     // The acceptance gate: call-heavy dispatch — the pattern the inline
     // caches and pooled frame pushes exist for — must be at least 1.5x.
     // Measured paired (fused/unfused back-to-back per round) so load drift
     // on a shared runner cannot fake a regression.
-    let speedup = paired_speedup(&kernels[0].1, config, 9);
+    let speedup = paired_speedup(&program, config, 9);
     assert!(
         speedup >= 1.5,
         "call-heavy fused dispatch must be >= 1.5x the unfused loop (got {speedup:.2}x paired)"
@@ -398,7 +280,7 @@ fn main() {
         })
     });
 
-    let call_heavy_speedup = bench_kernels(&mut harness);
+    let call_heavy_speedup = bench_call_heavy(&mut harness);
     let live_replay_gap = bench_javac_gap(&mut harness);
 
     harness.write_json_with([

@@ -3,12 +3,13 @@
 //! ```text
 //! cg-fuzz [--seed N|0xHEX] [--iters N] [--profile NAME|all]
 //!         [--forced-gc N] [--fault skip-contamination] [--domain atomic|mutex]
-//!         [--no-fuse] [--minimize] [--out PATH] [--replay FILE] [--mutate-trace]
+//!         [--minimize] [--out PATH] [--replay FILE] [--mutate-trace]
 //! ```
 //!
-//! `--no-fuse` runs the primary oracle legs on the unfused interpreter
-//! (the oracle's fusion-differential leg then re-records each program
-//! *fused*, so the byte-identity invariant is checked either way).
+//! The primary oracle legs run with inline caches on unless `CG_VM_FUSION`
+//! is `off`; the oracle's inline-cache differential leg re-records each
+//! program with the opposite setting, so byte identity is checked either
+//! way.
 //!
 //! Exit code 0 means every checked program passed the oracle; 1 means a
 //! counterexample was found (printed, and written to `--out` when
@@ -49,7 +50,6 @@ struct Options {
     domain: DomainImpl,
     mutate_trace: bool,
     mutate_proto: bool,
-    fusion: bool,
 }
 
 impl Default for Options {
@@ -67,7 +67,6 @@ impl Default for Options {
             domain: DomainImpl::default(),
             mutate_trace: false,
             mutate_proto: false,
-            fusion: true,
         }
     }
 }
@@ -76,12 +75,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: cg-fuzz [--seed N|0xHEX] [--iters N] [--profile NAME|all] \
          [--forced-gc N] [--fault skip-contamination] [--domain atomic|mutex] \
-         [--no-fuse] [--minimize] [--out PATH] [--replay FILE] \
+         [--minimize] [--out PATH] [--replay FILE] \
          [--case-seed N|0xHEX] [--mutate-trace] [--mutate-proto]\n\n\
-         --no-fuse runs the primary legs on the unfused interpreter; the\n\
-         fusion-differential leg still checks byte-identity against the\n\
-         fused one.  Exit codes are unchanged: 0 pass, 1 counterexample,\n\
-         2 bad usage.\n\nprofiles:"
+         CG_VM_FUSION=off runs the primary legs without inline caches; the\n\
+         differential leg re-records with them either way.\n\
+         Exit codes: 0 pass, 1 counterexample, 2 bad usage.\n\nprofiles:"
     );
     for p in GenProfile::all() {
         eprintln!("  {:<14} {}", p.name, p.description);
@@ -152,7 +150,6 @@ fn parse_args() -> Options {
             "--minimize" => options.minimize = true,
             "--mutate-trace" => options.mutate_trace = true,
             "--mutate-proto" => options.mutate_proto = true,
-            "--no-fuse" => options.fusion = false,
             "--out" => options.out = args.next().unwrap_or_else(|| usage()),
             "--replay" => options.replay = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
@@ -178,7 +175,6 @@ fn oracle_options(options: &Options) -> OracleOptions {
         Some(n) => oracle.forced_gc = Some(n),
         None => {}
     }
-    oracle.fusion = options.fusion;
     oracle
 }
 

@@ -179,58 +179,6 @@ fn insn_to_string(insn: &Insn) -> String {
                 .trim_end()
                 .to_string()
         }
-        Insn::FusedGetGet {
-            object_a,
-            field_a,
-            dst_a,
-            object_b,
-            field_b,
-            dst_b,
-        } => format!("f.getget {object_a} {field_a} {dst_a} {object_b} {field_b} {dst_b}"),
-        Insn::FusedGetPut {
-            object_a,
-            field_a,
-            dst_a,
-            object_b,
-            field_b,
-            value_b,
-        } => format!("f.getput {object_a} {field_a} {dst_a} {object_b} {field_b} {value_b}"),
-        Insn::FusedArithBranch {
-            op,
-            dst,
-            a,
-            b,
-            cond,
-            cmp_a,
-            cmp_b,
-            target,
-        } => format!(
-            "f.arithbr {} {dst} {} {} {} {} {} {target}",
-            arith_name(*op),
-            op_to_string(a),
-            op_to_string(b),
-            cond_name(*cond),
-            op_to_string(cmp_a),
-            op_to_string(cmp_b)
-        ),
-        Insn::FusedConstCall {
-            const_dst,
-            const_value,
-            method,
-            args,
-            dst,
-            site,
-        } => {
-            let dst = dst.map_or("-".to_string(), |d| d.to_string());
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            format!(
-                "f.constcall {const_dst} {const_value} {} {site} {dst} {}",
-                method.index(),
-                args.join(" ")
-            )
-            .trim_end()
-            .to_string()
-        }
     }
 }
 
@@ -269,6 +217,13 @@ impl<'a> Parser<'a> {
         field
             .parse()
             .map_err(|_| self.err(format!("expected a number, got '{field}'")))
+    }
+
+    fn u32(&mut self) -> Result<u32, ParseError> {
+        let field = self.next()?;
+        field
+            .parse()
+            .map_err(|_| self.err(format!("expected a 32-bit number, got '{field}'")))
     }
 
     fn i64(&mut self) -> Result<i64, ParseError> {
@@ -326,8 +281,9 @@ impl<'a> Parser<'a> {
 
 /// Parses a corpus-format program.
 ///
-/// The parsed program is also structurally validated, so a committed case
-/// can never crash the replayer with an out-of-range id.
+/// The parsed program is also structurally validated, and every `call.c`
+/// site must be below its instruction count, so a committed case can never
+/// crash the replayer with an out-of-range id.
 ///
 /// # Errors
 ///
@@ -338,7 +294,9 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
     let mut statics = 0usize;
     // (arg_count, name, code) per method, in order.
     let mut methods: Vec<(usize, String, Vec<Insn>)> = Vec::new();
-    let mut entry: Option<usize> = None;
+    let mut entry: Option<u32> = None;
+    // (line, site) of every cached call, checked once the size is known.
+    let mut sites: Vec<(usize, u32)> = Vec::new();
 
     for (index, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -375,12 +333,13 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
                 methods.push((args, method_name, Vec::new()));
             }
             "entry" => {
-                entry = Some(p.usize()?);
+                entry = Some(p.u32()?);
                 p.done()?;
             }
             _ => {
                 let insn = parse_insn(keyword, &mut p)?;
                 p.done()?;
+                sites.extend(insn.call_site().map(|site| (p.line, site)));
                 methods
                     .last_mut()
                     .ok_or_else(|| p.err("instruction before any 'method'"))?
@@ -388,6 +347,21 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
                     .push(insn);
             }
         }
+    }
+
+    // A site sizes the interpreter's inline-cache table; capping it at the
+    // program's instruction count caps the table at the program's size.
+    let instructions: usize = methods.iter().map(|(_, _, code)| code.len()).sum();
+    if let Some(&(line, site)) = sites
+        .iter()
+        .find(|&&(_, site)| site as usize >= instructions)
+    {
+        return Err(ParseError {
+            line,
+            message: format!(
+                "call site {site} out of range: the program has {instructions} instructions"
+            ),
+        });
     }
 
     let mut program = Program::named(name);
@@ -401,7 +375,7 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
         program.add_method(MethodDef::from_code(method_name, args, code));
     }
     if let Some(entry) = entry {
-        program.set_entry(MethodId::new(entry as u32));
+        program.set_entry(MethodId::new(entry));
     }
     program.validate().map_err(|e| ParseError {
         line: 0,
@@ -425,11 +399,11 @@ fn parse_call_args(p: &mut Parser<'_>) -> Result<Vec<LocalIdx>, ParseError> {
 fn parse_insn(keyword: &str, p: &mut Parser<'_>) -> Result<Insn, ParseError> {
     let insn = match keyword {
         "new" => Insn::New {
-            class: ClassId::new(p.usize()? as u32),
+            class: ClassId::new(p.u32()?),
             dst: p.local()?,
         },
         "newarr" => Insn::NewArray {
-            class: ClassId::new(p.usize()? as u32),
+            class: ClassId::new(p.u32()?),
             length: p.operand()?,
             dst: p.local()?,
         },
@@ -444,11 +418,11 @@ fn parse_insn(keyword: &str, p: &mut Parser<'_>) -> Result<Insn, ParseError> {
             dst: p.local()?,
         },
         "putstatic" => Insn::PutStatic {
-            static_id: StaticId::new(p.usize()? as u32),
+            static_id: StaticId::new(p.u32()?),
             value: p.local()?,
         },
         "getstatic" => Insn::GetStatic {
-            static_id: StaticId::new(p.usize()? as u32),
+            static_id: StaticId::new(p.u32()?),
             dst: p.local()?,
         },
         "arrstore" => Insn::ArrayStore {
@@ -506,21 +480,11 @@ fn parse_insn(keyword: &str, p: &mut Parser<'_>) -> Result<Insn, ParseError> {
             }
         }
         "call" => {
-            let method = MethodId::new(p.usize()? as u32);
+            let method = MethodId::new(p.u32()?);
             let dst = p.opt_local()?;
-            let args: Result<Vec<LocalIdx>, ParseError> = p
-                .rest()
-                .into_iter()
-                .map(|a| {
-                    a.parse().map_err(|_| ParseError {
-                        line: p.line,
-                        message: format!("bad call argument '{a}'"),
-                    })
-                })
-                .collect();
             Insn::Call {
                 method,
-                args: args?,
+                args: parse_call_args(p)?,
                 dst,
             }
         }
@@ -528,7 +492,7 @@ fn parse_insn(keyword: &str, p: &mut Parser<'_>) -> Result<Insn, ParseError> {
             value: p.opt_local()?,
         },
         "spawn" => {
-            let method = MethodId::new(p.usize()? as u32);
+            let method = MethodId::new(p.u32()?);
             let args: Result<Vec<LocalIdx>, ParseError> = p
                 .rest()
                 .into_iter()
@@ -545,81 +509,17 @@ fn parse_insn(keyword: &str, p: &mut Parser<'_>) -> Result<Insn, ParseError> {
             }
         }
         "intern" => Insn::Intern {
-            key: p.usize()? as u32,
+            key: p.u32()?,
             src: p.local()?,
             dst: p.local()?,
         },
         "nativeref" => Insn::NativeStaticRef { src: p.local()? },
         "nop" => Insn::Nop,
         "call.c" => {
-            let method = MethodId::new(p.usize()? as u32);
-            let site = p.usize()? as u32;
+            let method = MethodId::new(p.u32()?);
+            let site = p.u32()?;
             let dst = p.opt_local()?;
             Insn::CallCached {
-                method,
-                args: parse_call_args(p)?,
-                dst,
-                site,
-            }
-        }
-        "f.getget" => Insn::FusedGetGet {
-            object_a: p.local()?,
-            field_a: p.usize()?,
-            dst_a: p.local()?,
-            object_b: p.local()?,
-            field_b: p.usize()?,
-            dst_b: p.local()?,
-        },
-        "f.getput" => Insn::FusedGetPut {
-            object_a: p.local()?,
-            field_a: p.usize()?,
-            dst_a: p.local()?,
-            object_b: p.local()?,
-            field_b: p.usize()?,
-            value_b: p.local()?,
-        },
-        "f.arithbr" => {
-            let op = match p.next()? {
-                "add" => ArithOp::Add,
-                "sub" => ArithOp::Sub,
-                "mul" => ArithOp::Mul,
-                "div" => ArithOp::Div,
-                "rem" => ArithOp::Rem,
-                "xor" => ArithOp::Xor,
-                other => return Err(p.err(format!("unknown arith op '{other}'"))),
-            };
-            let dst = p.local()?;
-            let a = p.operand()?;
-            let b = p.operand()?;
-            let cond = match p.next()? {
-                "eq" => Cond::Eq,
-                "ne" => Cond::Ne,
-                "lt" => Cond::Lt,
-                "le" => Cond::Le,
-                "gt" => Cond::Gt,
-                "ge" => Cond::Ge,
-                other => return Err(p.err(format!("unknown condition '{other}'"))),
-            };
-            Insn::FusedArithBranch {
-                op,
-                dst,
-                a,
-                b,
-                cond,
-                cmp_a: p.operand()?,
-                cmp_b: p.operand()?,
-                target: p.usize()?,
-            }
-        }
-        "f.constcall" => {
-            let const_dst = p.local()?;
-            let const_value = p.i64()?;
-            let method = MethodId::new(p.usize()? as u32);
-            let site = p.usize()? as u32;
-            let dst = p.opt_local()?;
-            Insn::FusedConstCall {
-                const_dst,
-                const_value,
                 method,
                 args: parse_call_args(p)?,
                 dst,
@@ -649,6 +549,7 @@ pub fn instruction_count(program: &Program) -> usize {
 mod tests {
     use super::*;
     use crate::generator::{generate, GenProfile};
+    use cg_vm::{NoopCollector, Vm, VmConfig};
 
     #[test]
     fn generated_programs_round_trip() {
@@ -721,10 +622,6 @@ method 0 main
   nop
   call.c 0 1 -
   call.c 0 2 7
-  f.getget 0 0 3 0 1 4
-  f.getput 0 0 3 0 1 2
-  f.arithbr add 2 l2 i1 lt l2 i9 26
-  f.constcall 2 5 0 3 -
   return 2
 entry 1
 ";
@@ -732,6 +629,35 @@ entry 1
         let reserialized = serialize(&program);
         let reparsed = parse(&reserialized).expect("round trip");
         assert_eq!(reparsed, program);
-        assert_eq!(instruction_count(&program), 28 + 1);
+        assert_eq!(instruction_count(&program), 24 + 1);
+    }
+
+    #[test]
+    fn out_of_range_call_sites_are_refused_with_their_line() {
+        // The inline-cache table is sized from the largest site, so a site
+        // the parser lets through reaches `Vm::new` unchecked.
+        let case = |site: &str| {
+            format!(
+                "name t\nmethod 0 leaf\n  return -\nmethod 0 main\n  call.c 0 {site} -\n  return -\nentry 1\n"
+            )
+        };
+        for (site, accepted) in [
+            ("4294967295", false),
+            ("3000000000", false),
+            ("4294967296", false),
+            ("2", true),
+        ] {
+            match parse(&case(site)) {
+                Ok(program) => {
+                    let outcome = Vm::new(program, VmConfig::small(), NoopCollector::new()).run();
+                    assert!(accepted, "site {site} was accepted");
+                    outcome.expect("a program with an in-range site runs");
+                }
+                Err(e) => {
+                    assert!(!accepted, "site {site} was refused: {e}");
+                    assert_eq!(e.line, 5, "site {site}: {e}");
+                }
+            }
+        }
     }
 }

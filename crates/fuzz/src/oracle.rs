@@ -25,10 +25,10 @@
 //!    mutex model on every program.
 //! 5. **Partition fidelity** — `partition(trace, n).merge()` must reproduce
 //!    the trace exactly for every shard count.
-//! 6. **Fusion invariance** — re-recording the program with the
-//!    superinstruction/inline-cache pass flipped (fused vs. unfused
-//!    dispatch) must reproduce the event stream and the VM statistics
-//!    byte-for-byte; fusion may only change speed, never behaviour.
+//! 6. **Inline-cache invariance** — re-recording the program with the
+//!    inline-cache pass ([`VmConfig::fusion`]) flipped must reproduce the
+//!    event stream and the VM statistics byte-for-byte; caching may only
+//!    change speed, never behaviour.
 //!
 //! Failures carry a coarse [`CheckFailure::class`] so the shrinker can
 //! insist a minimised program still fails *the same way*.  Collector panics
@@ -49,7 +49,8 @@ pub fn fuzz_heap_config() -> HeapConfig {
     HeapConfig::with_object_space(1 << 20, HandleRepr::CgWide)
 }
 
-/// The VM configuration for oracle runs.
+/// The VM configuration for oracle runs.  The inline-cache pass follows the
+/// process default ([`VmConfig::fusion`], i.e. `CG_VM_FUSION`).
 pub fn fuzz_vm_config(forced_gc: Option<u64>) -> VmConfig {
     let mut config = VmConfig::default().with_heap(fuzz_heap_config());
     config.gc_every_instructions = forced_gc;
@@ -72,12 +73,6 @@ pub struct OracleOptions {
     /// Also run the §3.7 recycling configurations (soundness only; recycled
     /// traces are collector-dependent and excluded from replay equality).
     pub check_recycling: bool,
-    /// Run the primary legs with the superinstruction/inline-cache pass on
-    /// (`true`, the default) or off.  Either way the oracle re-records the
-    /// program with the *opposite* setting and demands a byte-identical
-    /// event stream and identical execution statistics — the fused dispatch
-    /// loop's core invariant.
-    pub fusion: bool,
 }
 
 impl Default for OracleOptions {
@@ -95,7 +90,6 @@ impl Default for OracleOptions {
             // program end.
             forced_gc: Some(1024),
             check_recycling: true,
-            fusion: true,
         }
     }
 }
@@ -165,9 +159,9 @@ pub enum CheckFailure {
         /// The shard count that broke the round trip.
         shards: usize,
     },
-    /// A fused and an unfused execution of the same program diverged (event
-    /// stream or execution statistics): the superinstruction/inline-cache
-    /// rewrite changed observable behaviour.
+    /// A cached and an uncached execution of the same program diverged
+    /// (event stream or execution statistics): the inline-cache rewrite
+    /// changed observable behaviour.
     FusionDivergence {
         /// Which comparison diverged.
         context: String,
@@ -348,7 +342,7 @@ pub fn check_program(
     program: &Program,
     options: &OracleOptions,
 ) -> Result<OracleReport, CheckFailure> {
-    let vm_config = fuzz_vm_config(options.forced_gc).with_fusion(options.fusion);
+    let vm_config = fuzz_vm_config(options.forced_gc);
     let cg = CgConfig {
         verify_tainted: false,
         ..options.cg
@@ -368,9 +362,10 @@ pub fn check_program(
     let reachable = trace_live(&baseline_roots, baseline_vm.heap());
     let reachable_count = reachable.iter().filter(|&&m| m).count();
 
-    // 1b. Fusion differential: re-record with the superinstruction /
-    // inline-cache pass flipped.  The event stream and the execution
-    // statistics must be byte-identical — fusion may only change *speed*.
+    // 1b. Inline-cache differential: re-record with the pass flipped from
+    // the process default (`CG_VM_FUSION`).  The event stream and the
+    // execution statistics must be byte-identical — caching may only
+    // change *speed*.
     {
         let context = if vm_config.fusion {
             "fusion-off"

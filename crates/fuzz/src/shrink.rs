@@ -123,12 +123,8 @@ pub fn shrink(
         // Pass 1 + 2: thread and frame deletion, one site at a time.
         for pred in [
             (|i: &Insn| matches!(i, Insn::SpawnThread { .. })) as fn(&Insn) -> bool,
-            (|i: &Insn| {
-                matches!(
-                    i,
-                    Insn::Call { .. } | Insn::CallCached { .. } | Insn::FusedConstCall { .. }
-                )
-            }) as fn(&Insn) -> bool,
+            (|i: &Insn| matches!(i, Insn::Call { .. } | Insn::CallCached { .. }))
+                as fn(&Insn) -> bool,
         ] {
             for m in 0..current.methods.len() {
                 for pc in 0..current.methods[m].2.len() {
@@ -218,8 +214,7 @@ fn compact(editable: &Editable) -> Editable {
         for insn in &editable.methods[m].2 {
             if let Insn::Call { method, .. }
             | Insn::SpawnThread { method, .. }
-            | Insn::CallCached { method, .. }
-            | Insn::FusedConstCall { method, .. } = insn
+            | Insn::CallCached { method, .. } = insn
             {
                 if !reachable[method.index()] {
                     worklist.push(method.index());
@@ -288,40 +283,6 @@ fn compact(editable: &Editable) -> Editable {
                     args: args.clone(),
                     dst: *dst,
                     site: *site,
-                },
-                Insn::FusedConstCall {
-                    const_dst,
-                    const_value,
-                    method,
-                    args,
-                    dst,
-                    site,
-                } => Insn::FusedConstCall {
-                    const_dst: *const_dst,
-                    const_value: *const_value,
-                    method: MethodId::new(method_map[method.index()] as u32),
-                    args: args.clone(),
-                    dst: *dst,
-                    site: *site,
-                },
-                Insn::FusedArithBranch {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cond,
-                    cmp_a,
-                    cmp_b,
-                    target,
-                } => Insn::FusedArithBranch {
-                    op: *op,
-                    dst: *dst,
-                    a: *a,
-                    b: *b,
-                    cond: *cond,
-                    cmp_a: *cmp_a,
-                    cmp_b: *cmp_b,
-                    target: pc_map[*target],
                 },
                 other => other.clone(),
             };

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! cgt record <workload>[/<size>] [--out PATH] [--gc-every N] [--chunk-events N]
-//!            [--no-fuse]
 //! cgt info <file.cgt>
-//! cgt verify <file.cgt> [--re-record] [--mismatch-out PATH] [--no-fuse]
+//! cgt verify <file.cgt> [--re-record] [--mismatch-out PATH]
 //! cgt convert <in.cgt> <out.cgt> [--chunk-events N] [--no-compress] [--strip-sections]
 //! cgt diff <a.cgt> <b.cgt>
 //! cgt submit <file.cgt> [--addr HOST:PORT] [--tenant NAME] [--timeout-ms N]
@@ -69,10 +68,9 @@ fn usage() -> ! {
 
 USAGE:
   cgt record <workload>[/<size>] [--out PATH] [--gc-every N] [--chunk-events N]
-             [--object-space-mib N] [--segregated] [--no-fuse]
+             [--object-space-mib N] [--segregated]
   cgt info <file.cgt>
   cgt verify <file.cgt> [--re-record] [--mismatch-out PATH] [--limits SPEC]
-             [--no-fuse]
   cgt convert <in.cgt> <out.cgt> [--chunk-events N] [--no-compress] [--strip-sections]
   cgt diff <a.cgt> <b.cgt>
   cgt submit <file.cgt> [--addr HOST:PORT] [--tenant NAME] [--timeout-ms N]
@@ -82,11 +80,11 @@ USAGE:
 Workloads: the eight SPECjvm98-like benchmarks (compress, jess, raytrace,
 db, javac, mpegaudio, mtrt, jack) at sizes 1, 10 or 100 (default 1).
 
---no-fuse interprets on the unfused dispatch loop (no superinstructions or
-inline caches).  Fusion is observationally invisible — the recorded events,
-embedded stats footer and every exit code are identical either way — so the
-flag exists for differential testing and timing comparisons, not for
-changing what gets recorded.
+CG_VM_FUSION=off in the environment interprets without inline caches.
+They are observationally invisible — the recorded events, embedded stats
+footer and every exit code are identical either way — so the toggle exists
+for differential testing and timing comparisons, not for changing what
+gets recorded.
 
 --limits runs the verification replay under a resource governor.  SPEC is
 a key=value comma list (events, heap-mib, handles, shards, deadline-ms),
@@ -287,13 +285,11 @@ fn record_workload(
     gc_every: Option<u64>,
     heap: cg_heap::HeapConfig,
     chunk_events: usize,
-    fusion: bool,
     path: &Path,
 ) -> Result<TraceStats, CgtError> {
     let config = VmConfig {
         heap,
         gc_every_instructions: gc_every,
-        fusion,
         ..VmConfig::default()
     };
     let meta = TraceMeta {
@@ -369,7 +365,7 @@ fn cmd_record(args: &[String]) -> Result<(), CgtError> {
             "--chunk-events",
             "--object-space-mib",
         ],
-        &["--segregated", "--no-fuse"],
+        &["--segregated"],
     );
     let [spec] = positional.as_slice() else {
         usage();
@@ -406,15 +402,7 @@ fn cmd_record(args: &[String]) -> Result<(), CgtError> {
         .get("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("{}-s{}.cgt", workload.name(), size)));
-    let stats = record_workload(
-        workload,
-        size,
-        gc_every,
-        heap,
-        chunk_events,
-        !flags.has("--no-fuse"),
-        &out,
-    )?;
+    let stats = record_workload(workload, size, gc_every, heap, chunk_events, &out)?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(
         "recorded {}/{} -> {} ({} events, {} bytes, stats footer embedded)",
@@ -519,11 +507,7 @@ fn compare_sections(what: &str, expected: &FooterSection, actual: &FooterSection
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), CgtError> {
-    let (positional, flags) = split_flags(
-        args,
-        &["--mismatch-out", "--limits"],
-        &["--re-record", "--no-fuse"],
-    );
+    let (positional, flags) = split_flags(args, &["--mismatch-out", "--limits"], &["--re-record"]);
     let [path] = positional.as_slice() else {
         usage();
     };
@@ -593,7 +577,6 @@ fn cmd_verify(args: &[String]) -> Result<(), CgtError> {
         meta.gc_every,
         heap,
         DEFAULT_CHUNK_EVENTS,
-        !flags.has("--no-fuse"),
         &rerecorded,
     )?;
     let (refooter, _) = replay_for_section(&rerecorded, &governor)?;

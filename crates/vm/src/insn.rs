@@ -242,78 +242,10 @@ pub enum Insn {
     /// Do nothing (padding / alignment in generated code).
     Nop,
     /// A [`Insn::Call`] that has been assigned a per-site inline cache slot
-    /// by the fusion pass.  Semantically identical to `Call`; the interpreter
+    /// by [`Program::fused`](crate::Program::fused).  Semantically identical to `Call`; the interpreter
     /// uses `site` to memoise the callee's frame shape so repeated calls skip
     /// the method-table lookup.
     CallCached {
-        /// The callee.
-        method: MethodId,
-        /// Locals passed as arguments.
-        args: Vec<LocalIdx>,
-        /// Local receiving the return value, if the caller wants it.
-        dst: Option<LocalIdx>,
-        /// Index into the executor's inline-cache table.
-        site: u32,
-    },
-    /// Superinstruction: two adjacent [`Insn::GetField`]s fused into one
-    /// dispatch.  The second half is retained at `pc + 1` so control can
-    /// split the pair at a quantum or GC boundary.
-    FusedGetGet {
-        /// First load's object local.
-        object_a: LocalIdx,
-        /// First load's field index.
-        field_a: usize,
-        /// First load's destination local.
-        dst_a: LocalIdx,
-        /// Second load's object local.
-        object_b: LocalIdx,
-        /// Second load's field index.
-        field_b: usize,
-        /// Second load's destination local.
-        dst_b: LocalIdx,
-    },
-    /// Superinstruction: [`Insn::GetField`] followed by [`Insn::PutField`].
-    FusedGetPut {
-        /// Load's object local.
-        object_a: LocalIdx,
-        /// Load's field index.
-        field_a: usize,
-        /// Load's destination local.
-        dst_a: LocalIdx,
-        /// Store's object local.
-        object_b: LocalIdx,
-        /// Store's field index.
-        field_b: usize,
-        /// Store's value local.
-        value_b: LocalIdx,
-    },
-    /// Superinstruction: [`Insn::Arith`] followed by [`Insn::Branch`]
-    /// (compare-and-branch, the hottest loop-control pair).
-    FusedArithBranch {
-        /// Arithmetic operation.
-        op: ArithOp,
-        /// Arithmetic destination local.
-        dst: LocalIdx,
-        /// Arithmetic left operand.
-        a: Operand,
-        /// Arithmetic right operand.
-        b: Operand,
-        /// Branch comparison.
-        cond: Cond,
-        /// Branch left operand.
-        cmp_a: Operand,
-        /// Branch right operand.
-        cmp_b: Operand,
-        /// Branch target instruction index.
-        target: usize,
-    },
-    /// Superinstruction: [`Insn::Const`] feeding a cached call
-    /// (push-const + call, the argument-staging idiom).
-    FusedConstCall {
-        /// Constant's destination local.
-        const_dst: LocalIdx,
-        /// The constant.
-        const_value: i64,
         /// The callee.
         method: MethodId,
         /// Locals passed as arguments.
@@ -354,7 +286,7 @@ impl Insn {
             Insn::Arith { dst, a, b, .. } => vec![Some(*dst), op(a), op(b)],
             Insn::Jump { .. } | Insn::Nop => vec![],
             Insn::Branch { a, b, .. } => vec![op(a), op(b)],
-            Insn::Call { args, dst, .. } => {
+            Insn::Call { args, dst, .. } | Insn::CallCached { args, dst, .. } => {
                 let mut v: Vec<Option<LocalIdx>> = args.iter().map(|a| Some(*a)).collect();
                 v.push(*dst);
                 v
@@ -363,49 +295,6 @@ impl Insn {
             Insn::SpawnThread { args, .. } => args.iter().map(|a| Some(*a)).collect(),
             Insn::Intern { src, dst, .. } => vec![Some(*src), Some(*dst)],
             Insn::NativeStaticRef { src } => vec![Some(*src)],
-            Insn::CallCached { args, dst, .. } => {
-                let mut v: Vec<Option<LocalIdx>> = args.iter().map(|a| Some(*a)).collect();
-                v.push(*dst);
-                v
-            }
-            Insn::FusedGetGet {
-                object_a,
-                dst_a,
-                object_b,
-                dst_b,
-                ..
-            } => vec![Some(*object_a), Some(*dst_a), Some(*object_b), Some(*dst_b)],
-            Insn::FusedGetPut {
-                object_a,
-                dst_a,
-                object_b,
-                value_b,
-                ..
-            } => vec![
-                Some(*object_a),
-                Some(*dst_a),
-                Some(*object_b),
-                Some(*value_b),
-            ],
-            Insn::FusedArithBranch {
-                dst,
-                a,
-                b,
-                cmp_a,
-                cmp_b,
-                ..
-            } => vec![Some(*dst), op(a), op(b), op(cmp_a), op(cmp_b)],
-            Insn::FusedConstCall {
-                const_dst,
-                args,
-                dst,
-                ..
-            } => {
-                let mut v: Vec<Option<LocalIdx>> = args.iter().map(|a| Some(*a)).collect();
-                v.push(Some(*const_dst));
-                v.push(*dst);
-                v
-            }
         };
         locals.into_iter().flatten().max()
     }
@@ -413,9 +302,7 @@ impl Insn {
     /// The branch/jump target, if the instruction transfers control.
     pub fn jump_target(&self) -> Option<usize> {
         match self {
-            Insn::Jump { target }
-            | Insn::Branch { target, .. }
-            | Insn::FusedArithBranch { target, .. } => Some(*target),
+            Insn::Jump { target } | Insn::Branch { target, .. } => Some(*target),
             _ => None,
         }
     }
@@ -423,7 +310,7 @@ impl Insn {
     /// The inline-cache site the instruction uses, if any.
     pub fn call_site(&self) -> Option<u32> {
         match self {
-            Insn::CallCached { site, .. } | Insn::FusedConstCall { site, .. } => Some(*site),
+            Insn::CallCached { site, .. } => Some(*site),
             _ => None,
         }
     }
@@ -453,16 +340,12 @@ impl Insn {
             Insn::NativeStaticRef { .. } => 18,
             Insn::Nop => 19,
             Insn::CallCached { .. } => 20,
-            Insn::FusedGetGet { .. } => 21,
-            Insn::FusedGetPut { .. } => 22,
-            Insn::FusedArithBranch { .. } => 23,
-            Insn::FusedConstCall { .. } => 24,
         }
     }
 }
 
 /// Human-readable opcode names indexed by [`Insn::opcode_index`].
-pub const OPCODE_NAMES: [&str; 25] = [
+pub const OPCODE_NAMES: [&str; 21] = [
     "new",
     "newarr",
     "putfield",
@@ -484,10 +367,6 @@ pub const OPCODE_NAMES: [&str; 25] = [
     "nativeref",
     "nop",
     "call.c",
-    "f.getget",
-    "f.getput",
-    "f.arithbr",
-    "f.constcall",
 ];
 
 #[cfg(test)]
@@ -572,60 +451,10 @@ mod tests {
         );
         assert_eq!(Insn::Nop.jump_target(), None);
         assert_eq!(Insn::LoadNull { dst: 0 }.jump_target(), None);
-        assert_eq!(
-            Insn::FusedArithBranch {
-                op: ArithOp::Add,
-                dst: 0,
-                a: Operand::Imm(1),
-                b: Operand::Imm(2),
-                cond: Cond::Lt,
-                cmp_a: Operand::Local(0),
-                cmp_b: Operand::Imm(9),
-                target: 5
-            }
-            .jump_target(),
-            Some(5)
-        );
     }
 
     #[test]
-    fn fused_variants_account_for_both_halves_locals() {
-        assert_eq!(
-            Insn::FusedGetGet {
-                object_a: 1,
-                field_a: 0,
-                dst_a: 2,
-                object_b: 3,
-                field_b: 1,
-                dst_b: 8
-            }
-            .max_local(),
-            Some(8)
-        );
-        assert_eq!(
-            Insn::FusedGetPut {
-                object_a: 1,
-                field_a: 0,
-                dst_a: 2,
-                object_b: 3,
-                field_b: 1,
-                value_b: 6
-            }
-            .max_local(),
-            Some(6)
-        );
-        assert_eq!(
-            Insn::FusedConstCall {
-                const_dst: 4,
-                const_value: -1,
-                method: MethodId::new(0),
-                args: vec![4, 5],
-                dst: None,
-                site: 0
-            }
-            .max_local(),
-            Some(5)
-        );
+    fn cached_calls_report_locals_and_site() {
         assert_eq!(
             Insn::CallCached {
                 method: MethodId::new(0),

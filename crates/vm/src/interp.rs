@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use crate::collector::{CollectOutcome, Collector, FrameRoots, RootSet};
 use crate::event::{AllocKind, EventSink, GcEvent};
 use crate::frame::{Frame, FrameId, FrameInfo, ThreadId, ThreadState, ThreadStatus};
-use crate::insn::{ArithOp, Cond, Insn, LocalIdx, Operand, OPCODE_NAMES};
+use crate::insn::{ArithOp, Insn, LocalIdx, Operand, OPCODE_NAMES};
 use crate::program::{FuseReport, MethodId, Program, ProgramError, StaticId};
 use cg_heap::{ClassId, Handle, Heap, HeapConfig, HeapError, HeapStats, Value};
 
@@ -42,12 +42,12 @@ pub struct VmConfig {
     /// to the full 32-bit thread-id space; spawning past the limit raises
     /// [`VmError::TooManyThreads`].
     pub max_threads: usize,
-    /// Whether to run the superinstruction/inline-cache fusion pass
-    /// ([`Program::fused`]) when the VM is built.  Defaults to on, unless the
-    /// `CG_VM_FUSION` environment variable is `off`/`0`/`false` — CI uses
-    /// that toggle to run the whole suite against the unfused differential
-    /// model.  Fusion is observationally invisible: the emitted event stream
-    /// and final statistics are byte-identical either way.
+    /// Whether to run the inline-cache pass ([`Program::fused`]) when the VM
+    /// is built, giving every `Call` its own [`CallSite`] slot.  Defaults to
+    /// on, unless the `CG_VM_FUSION` environment variable is
+    /// `off`/`0`/`false` — CI uses that toggle to run the whole suite
+    /// uncached.  The pass is observationally invisible: the emitted event
+    /// stream and final statistics are byte-identical either way.
     pub fusion: bool,
 }
 
@@ -102,7 +102,7 @@ impl VmConfig {
         self
     }
 
-    /// Enables or disables the fusion/inline-cache pass, builder style.
+    /// Enables or disables the inline-cache pass, builder style.
     pub fn with_fusion(mut self, fusion: bool) -> Self {
         self.fusion = fusion;
         self
@@ -177,9 +177,7 @@ impl CallSite {
 /// `VmStats`) is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchProfile {
-    /// Dispatch count per opcode, indexed like
-    /// [`OPCODE_NAMES`].  A fused pair counts
-    /// once, under its fused opcode.
+    /// Dispatch count per opcode, indexed like [`OPCODE_NAMES`].
     pub opcode_counts: [u64; OPCODE_NAMES.len()],
     /// Inline-cache hits summed over all call sites.
     pub call_site_hits: u64,
@@ -503,33 +501,6 @@ impl<C: Collector> Exec<C> {
             .locals[idx as usize] = value;
     }
 
-    fn set_pc(&mut self, thread_idx: usize, pc: usize) {
-        self.threads[thread_idx]
-            .current_frame_mut()
-            .expect("thread has a frame")
-            .pc = pc;
-    }
-
-    fn operand_int(
-        &self,
-        thread_idx: usize,
-        op: Operand,
-        info: FrameInfo,
-        pc: usize,
-    ) -> Result<i64, VmError> {
-        match op {
-            Operand::Imm(i) => Ok(i),
-            Operand::Local(l) => self
-                .local(thread_idx, l)
-                .as_int()
-                .ok_or(VmError::TypeError {
-                    method: info.method,
-                    pc,
-                    expected: "int",
-                }),
-        }
-    }
-
     fn operand_index(
         &self,
         thread_idx: usize,
@@ -538,7 +509,17 @@ impl<C: Collector> Exec<C> {
         pc: usize,
         expected: &'static str,
     ) -> Result<usize, VmError> {
-        let value = self.operand_int(thread_idx, op, info, pc)?;
+        let value = match op {
+            Operand::Imm(i) => i,
+            Operand::Local(l) => self
+                .local(thread_idx, l)
+                .as_int()
+                .ok_or(VmError::TypeError {
+                    method: info.method,
+                    pc,
+                    expected: "int",
+                })?,
+        };
         usize::try_from(value).map_err(|_| VmError::TypeError {
             method: info.method,
             pc,
@@ -595,151 +576,6 @@ impl<C: Collector> Exec<C> {
         self.stats.method_calls += 1;
         self.stats.max_stack_depth = self.stats.max_stack_depth.max(depth);
         Ok(())
-    }
-
-    /// Whether the periodic-collection cadence is due at the current
-    /// instruction count.
-    fn gc_due(&self) -> bool {
-        self.config
-            .gc_every_instructions
-            .is_some_and(|every| self.stats.instructions.is_multiple_of(every))
-    }
-
-    /// Executes an `Arith`'s semantics (also the first half of
-    /// `FusedArithBranch`).  `pc` is the instruction index reported in
-    /// errors.
-    #[allow(clippy::too_many_arguments)] // mirrors the insn's operand list
-    fn exec_arith(
-        &mut self,
-        thread_idx: usize,
-        op: ArithOp,
-        dst: LocalIdx,
-        a: Operand,
-        b: Operand,
-        info: FrameInfo,
-        pc: usize,
-    ) -> Result<(), VmError> {
-        let a = self.operand_int(thread_idx, a, info, pc)?;
-        let b = self.operand_int(thread_idx, b, info, pc)?;
-        let result = arith_eval(op, a, b).ok_or(VmError::DivideByZero {
-            method: info.method,
-            pc,
-        })?;
-        self.set_local(thread_idx, dst, Value::Int(result));
-        Ok(())
-    }
-
-    /// Evaluates a `Branch` condition (also the second half of
-    /// `FusedArithBranch`), returning whether the branch is taken.
-    fn branch_taken(
-        &self,
-        thread_idx: usize,
-        cond: Cond,
-        a: Operand,
-        b: Operand,
-        info: FrameInfo,
-        pc: usize,
-    ) -> Result<bool, VmError> {
-        let a = self.operand_int(thread_idx, a, info, pc)?;
-        let b = self.operand_int(thread_idx, b, info, pc)?;
-        Ok(cond.eval(a, b))
-    }
-
-    /// Executes a `GetField`'s semantics and events (also each half of
-    /// `FusedGetGet` and the first half of `FusedGetPut`).
-    #[allow(clippy::too_many_arguments)] // mirrors the insn's operand list
-    fn exec_getfield(
-        &mut self,
-        thread_idx: usize,
-        object: LocalIdx,
-        field: usize,
-        dst: LocalIdx,
-        info: FrameInfo,
-        pc: usize,
-        thread_id: ThreadId,
-    ) -> Result<(), VmError> {
-        let object = self.local_handle(thread_idx, object, info, pc)?;
-        let value = self.heap.field(object, field)?;
-        self.dispatch(GcEvent::ObjectAccess {
-            handle: object,
-            thread: thread_id,
-        });
-        if let Some(target) = value.as_handle() {
-            self.dispatch(GcEvent::ObjectAccess {
-                handle: target,
-                thread: thread_id,
-            });
-        }
-        self.set_local(thread_idx, dst, value);
-        Ok(())
-    }
-
-    /// Executes a `PutField`'s semantics and events (also the second half of
-    /// `FusedGetPut`).
-    #[allow(clippy::too_many_arguments)] // mirrors the insn's operand list
-    fn exec_putfield(
-        &mut self,
-        thread_idx: usize,
-        object: LocalIdx,
-        field: usize,
-        value: LocalIdx,
-        info: FrameInfo,
-        pc: usize,
-        thread_id: ThreadId,
-    ) -> Result<(), VmError> {
-        let object = self.local_handle(thread_idx, object, info, pc)?;
-        let value = self.local(thread_idx, value);
-        self.heap.set_field(object, field, value)?;
-        self.dispatch(GcEvent::SlotWrite {
-            object,
-            slot: field,
-            value: value.as_handle(),
-            element: false,
-        });
-        self.dispatch(GcEvent::ObjectAccess {
-            handle: object,
-            thread: thread_id,
-        });
-        if let Some(target) = value.as_handle() {
-            self.dispatch(GcEvent::ObjectAccess {
-                handle: target,
-                thread: thread_id,
-            });
-            self.dispatch(GcEvent::ReferenceStore {
-                source: object,
-                target,
-                frame: info,
-            });
-        }
-        Ok(())
-    }
-
-    /// After a fused pair's first half has executed (and been counted),
-    /// decides whether the pair must split at a boundary: the instruction
-    /// limit, the periodic-GC cadence, or the quantum budget (`budget` is
-    /// what the current step was entered with, so `< 2` means the first half
-    /// spent the last slot).  On a split the thread's pc is left on the
-    /// retained second half at `pc + 1`; returns `Some(gc_due)` to stop
-    /// after the first half, `None` to continue with the second.
-    fn pair_boundary(
-        &mut self,
-        thread_idx: usize,
-        pc: usize,
-        budget: usize,
-    ) -> Result<Option<bool>, VmError> {
-        if self.stats.instructions > self.config.max_instructions {
-            self.set_pc(thread_idx, pc + 1);
-            return Err(VmError::InstructionLimit(self.config.max_instructions));
-        }
-        if self.gc_due() {
-            self.set_pc(thread_idx, pc + 1);
-            return Ok(Some(true));
-        }
-        if budget < 2 {
-            self.set_pc(thread_idx, pc + 1);
-            return Ok(Some(false));
-        }
-        Ok(None)
     }
 
     /// The cached-call counterpart of [`Exec::push_frame`]: resolves the
@@ -949,9 +785,9 @@ pub struct Vm<C: Collector> {
 impl<C: Collector> Vm<C> {
     /// Creates a virtual machine for `program` using the given collector.
     ///
-    /// When [`VmConfig::fusion`] is on the program is rewritten through
-    /// [`Program::fused`] first; execution semantics and the emitted event
-    /// stream are identical either way.
+    /// When [`VmConfig::fusion`] is on, every `Call` is given an inline-cache
+    /// site through [`Program::fused`] first; execution semantics and the
+    /// emitted event stream are identical either way.
     pub fn new(program: Program, config: VmConfig, collector: C) -> Self {
         let (program, fuse_report) = if config.fusion {
             program.fused()
@@ -990,8 +826,9 @@ impl<C: Collector> Vm<C> {
         }
     }
 
-    /// What the fusion pass rewrote when this VM was built (all zeros when
-    /// fusion is disabled).
+    /// What the inline-cache pass rewrote when this VM was built.  With
+    /// fusion off `calls_cached` is zero, but `call_sites` still covers any
+    /// `CallCached` the program arrived with (e.g. parsed from corpus text).
     pub fn fuse_report(&self) -> FuseReport {
         self.fuse_report
     }
@@ -1105,33 +942,25 @@ impl<C: Collector> Vm<C> {
         self.ex.build_roots()
     }
 
-    /// Runs up to `thread_quantum` logical instructions on one thread.
+    /// Runs up to `thread_quantum` instructions on one thread.
     ///
-    /// A tight fast loop executes the collector-invisible instructions
+    /// [`Vm::fast_loop`] executes the collector-invisible instructions
     /// (constants, moves, arithmetic, jumps, branches) against cached frame
     /// and bytecode borrows; anything that touches the heap, the collector
-    /// or the frame stack falls back to [`Vm::step_slow`].  The instruction
-    /// counter, the instruction limit and the periodic-GC cadence are
-    /// checked after every *logical* instruction, so a fused pair that meets
-    /// a quantum or cadence boundary splits and behaves exactly like its
-    /// unfused halves.
+    /// or the frame stack goes to [`Vm::step_slow`], one instruction at a
+    /// time.  Both retire every instruction through [`retire`].
     fn run_quantum(&mut self, thread_idx: usize) -> Result<(), VmError> {
         let mut budget = self.ex.config.thread_quantum;
         while budget > 0 && self.ex.threads[thread_idx].status == ThreadStatus::Runnable {
-            match self.fast_loop(thread_idx, &mut budget)? {
-                FastExit::Budget => break,
-                FastExit::GcDue => self.ex.run_collection(),
-                FastExit::Slow => {
-                    let before = self.ex.stats.instructions;
-                    let gc_due = self.step_slow(thread_idx, budget)?;
-                    budget = budget.saturating_sub((self.ex.stats.instructions - before) as usize);
-                    if self.ex.stats.instructions > self.ex.config.max_instructions {
-                        return Err(VmError::InstructionLimit(self.ex.config.max_instructions));
-                    }
-                    if gc_due {
-                        self.ex.run_collection();
-                    }
+            let boundary = match self.fast_loop(thread_idx, &mut budget)? {
+                None => {
+                    self.step_slow(thread_idx)?;
+                    retire(&mut self.ex.stats, &self.ex.config, &mut budget)?
                 }
+                boundary => boundary,
+            };
+            if boundary == Some(Boundary::GcDue) {
+                self.ex.run_collection();
             }
         }
         Ok(())
@@ -1139,12 +968,14 @@ impl<C: Collector> Vm<C> {
 
     /// Executes consecutive collector-invisible instructions without
     /// re-borrowing the frame or the bytecode between dispatches (the som-rs
-    /// `current_bytecodes` pattern).  Returns why it stopped; the frame's pc
-    /// is always written back before returning.
-    fn fast_loop(&mut self, thread_idx: usize, budget: &mut usize) -> Result<FastExit, VmError> {
-        if *budget == 0 {
-            return Ok(FastExit::Budget);
-        }
+    /// `current_bytecodes` pattern).  Returns the boundary it stopped at, or
+    /// `None` when the instruction at the written-back pc needs
+    /// [`Vm::step_slow`].
+    fn fast_loop(
+        &mut self,
+        thread_idx: usize,
+        budget: &mut usize,
+    ) -> Result<Option<Boundary>, VmError> {
         let Exec {
             threads,
             stats,
@@ -1152,8 +983,7 @@ impl<C: Collector> Vm<C> {
             profile,
             ..
         } = &mut self.ex;
-        let thread = &mut threads[thread_idx];
-        let frame = thread
+        let frame = threads[thread_idx]
             .stack
             .last_mut()
             .expect("runnable thread has a frame");
@@ -1165,158 +995,94 @@ impl<C: Collector> Vm<C> {
             .code();
         let mut pc = frame.pc;
 
-        // Bookkeeping after each logical instruction: count it, spend one
-        // quantum slot, advance, then run the same limit and cadence checks
-        // the outer loop would.  Exits write the pc back.
-        macro_rules! retire {
-            ($next:expr) => {{
-                stats.instructions += 1;
-                *budget -= 1;
-                pc = $next;
-                if stats.instructions > config.max_instructions {
-                    frame.pc = pc;
-                    return Err(VmError::InstructionLimit(config.max_instructions));
-                }
-                if let Some(every) = config.gc_every_instructions {
-                    if stats.instructions.is_multiple_of(every) {
-                        frame.pc = pc;
-                        return Ok(FastExit::GcDue);
-                    }
-                }
-                if *budget == 0 {
-                    frame.pc = pc;
-                    return Ok(FastExit::Budget);
-                }
-            }};
-        }
-        macro_rules! fail {
-            ($err:expr) => {{
-                frame.pc = pc;
-                return Err($err);
-            }};
-        }
         macro_rules! op_int {
             ($op:expr) => {
                 match $op {
                     Operand::Imm(i) => *i,
                     Operand::Local(l) => match frame.locals[*l as usize].as_int() {
                         Some(v) => v,
-                        None => fail!(VmError::TypeError {
-                            method,
-                            pc,
-                            expected: "int",
-                        }),
+                        None => {
+                            return Err(VmError::TypeError {
+                                method,
+                                pc,
+                                expected: "int",
+                            })
+                        }
                     },
                 }
             };
         }
-        macro_rules! prof {
-            ($insn:expr) => {
-                if cfg!(feature = "profile") {
-                    profile.opcode_counts[$insn.opcode_index()] += 1;
-                }
-            };
-        }
 
-        loop {
-            let insn = match code.get(pc) {
-                Some(insn) => insn,
-                None => {
-                    frame.pc = pc;
-                    return Ok(FastExit::Slow);
-                }
+        let exit = loop {
+            // Falling off the end of the method is a return: slow path.
+            let Some(insn) = code.get(pc) else {
+                break None;
             };
-            match insn {
-                Insn::Nop => {
-                    prof!(insn);
-                    retire!(pc + 1);
-                }
+            // Every executed instruction is fetched here exactly once, slow
+            // ones included.
+            if cfg!(feature = "profile") {
+                profile.opcode_counts[insn.opcode_index()] += 1;
+            }
+            pc = match insn {
+                Insn::Nop => pc + 1,
                 Insn::Const { dst, value } => {
-                    prof!(insn);
                     frame.locals[*dst as usize] = Value::Int(*value);
-                    retire!(pc + 1);
+                    pc + 1
                 }
                 Insn::LoadNull { dst } => {
-                    prof!(insn);
                     frame.locals[*dst as usize] = Value::NULL;
-                    retire!(pc + 1);
+                    pc + 1
                 }
                 Insn::Move { dst, src } => {
-                    prof!(insn);
                     frame.locals[*dst as usize] = frame.locals[*src as usize];
-                    retire!(pc + 1);
-                }
-                Insn::Jump { target } => {
-                    prof!(insn);
-                    retire!(*target);
+                    pc + 1
                 }
                 Insn::Arith { op, dst, a, b } => {
-                    prof!(insn);
                     let a = op_int!(a);
                     let b = op_int!(b);
                     match arith_eval(*op, a, b) {
                         Some(result) => frame.locals[*dst as usize] = Value::Int(result),
-                        None => fail!(VmError::DivideByZero { method, pc }),
+                        None => return Err(VmError::DivideByZero { method, pc }),
                     }
-                    retire!(pc + 1);
+                    pc + 1
                 }
+                Insn::Jump { target } => *target,
                 Insn::Branch { cond, a, b, target } => {
-                    prof!(insn);
                     let a = op_int!(a);
                     let b = op_int!(b);
-                    let next = if cond.eval(a, b) { *target } else { pc + 1 };
-                    retire!(next);
-                }
-                Insn::FusedArithBranch {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cond,
-                    cmp_a,
-                    cmp_b,
-                    target,
-                } => {
-                    if *budget < 2 {
-                        // Let the slow path split the pair at the quantum
-                        // boundary.
-                        frame.pc = pc;
-                        return Ok(FastExit::Slow);
+                    if cond.eval(a, b) {
+                        *target
+                    } else {
+                        pc + 1
                     }
-                    prof!(insn);
-                    let a = op_int!(a);
-                    let b = op_int!(b);
-                    match arith_eval(*op, a, b) {
-                        Some(result) => frame.locals[*dst as usize] = Value::Int(result),
-                        None => fail!(VmError::DivideByZero { method, pc }),
-                    }
-                    // If the GC cadence lands between the halves this exits
-                    // with the pc on the retained `Branch` at pc + 1, which
-                    // then runs on resume — exactly the unfused schedule.
-                    retire!(pc + 1);
-                    let a = op_int!(cmp_a);
-                    let b = op_int!(cmp_b);
-                    let next = if cond.eval(a, b) { *target } else { pc + 1 };
-                    retire!(next);
                 }
-                _ => {
-                    frame.pc = pc;
-                    return Ok(FastExit::Slow);
-                }
+                _ => break None,
+            };
+            if let Some(boundary) = retire(stats, config, budget)? {
+                break Some(boundary);
             }
-        }
+        };
+        frame.pc = pc;
+        Ok(exit)
     }
 
-    /// Executes one instruction (or one fused pair) that the fast loop does
-    /// not handle.  Returns whether the periodic-GC cadence is due; the
-    /// caller re-checks the instruction limit.
-    fn step_slow(&mut self, thread_idx: usize, budget: usize) -> Result<bool, VmError> {
+    /// Executes the one instruction at the current pc that
+    /// [`Vm::fast_loop`] left for it: allocation, field, array and static
+    /// traffic, calls, returns and spawns.  The caller retires it.
+    fn step_slow(&mut self, thread_idx: usize) -> Result<(), VmError> {
         // One frame lookup yields everything the dispatch needs; the frame's
         // identity, depth and method are cached in the frame itself.
         let (info, pc, thread_id) = {
-            let thread = &self.ex.threads[thread_idx];
-            let frame = thread.current_frame().expect("runnable thread has a frame");
-            (frame.info, frame.pc, thread.id)
+            let thread = &mut self.ex.threads[thread_idx];
+            let thread_id = thread.id;
+            let frame = thread
+                .current_frame_mut()
+                .expect("runnable thread has a frame");
+            let pc = frame.pc;
+            // Resume after this instruction: calls and spawns push their
+            // frame only after this write.
+            frame.pc = pc + 1;
+            (frame.info, pc, thread_id)
         };
         // `insn` borrows the program's code; execution below mutates only
         // `self.ex`, so nothing is cloned.
@@ -1326,43 +1092,11 @@ impl<C: Collector> Vm<C> {
             .expect("validated method")
             .code()
             .get(pc);
-        if cfg!(feature = "profile") {
-            if let Some(insn) = insn {
-                self.ex.profile.opcode_counts[insn.opcode_index()] += 1;
-            }
-        }
-        self.ex.stats.instructions += 1;
-        let mut next_pc = pc + 1;
 
         match insn {
             // Falling off the end of a method behaves like a bare return.
-            None => {
-                self.ex.return_from_frame(thread_idx, None)?;
-                return Ok(self.ex.gc_due());
-            }
-            Some(Insn::Return { value }) => {
-                self.ex.return_from_frame(thread_idx, *value)?;
-                return Ok(self.ex.gc_due());
-            }
-            Some(Insn::Nop) => {}
-            Some(Insn::Const { dst, value }) => {
-                self.ex.set_local(thread_idx, *dst, Value::Int(*value))
-            }
-            Some(Insn::LoadNull { dst }) => self.ex.set_local(thread_idx, *dst, Value::NULL),
-            Some(Insn::Move { dst, src }) => {
-                let v = self.ex.local(thread_idx, *src);
-                self.ex.set_local(thread_idx, *dst, v);
-            }
-            Some(Insn::Arith { op, dst, a, b }) => {
-                self.ex
-                    .exec_arith(thread_idx, *op, *dst, *a, *b, info, pc)?;
-            }
-            Some(Insn::Jump { target }) => next_pc = *target,
-            Some(Insn::Branch { cond, a, b, target }) => {
-                if self.ex.branch_taken(thread_idx, *cond, *a, *b, info, pc)? {
-                    next_pc = *target;
-                }
-            }
+            None => self.ex.return_from_frame(thread_idx, None)?,
+            Some(Insn::Return { value }) => self.ex.return_from_frame(thread_idx, *value)?,
             Some(Insn::New { class, dst }) => {
                 let field_count = self
                     .program
@@ -1396,12 +1130,45 @@ impl<C: Collector> Vm<C> {
                 field,
                 value,
             }) => {
-                self.ex
-                    .exec_putfield(thread_idx, *object, *field, *value, info, pc, thread_id)?;
+                let object = self.ex.local_handle(thread_idx, *object, info, pc)?;
+                let value = self.ex.local(thread_idx, *value);
+                self.ex.heap.set_field(object, *field, value)?;
+                self.ex.dispatch(GcEvent::SlotWrite {
+                    object,
+                    slot: *field,
+                    value: value.as_handle(),
+                    element: false,
+                });
+                self.ex.dispatch(GcEvent::ObjectAccess {
+                    handle: object,
+                    thread: thread_id,
+                });
+                if let Some(target) = value.as_handle() {
+                    self.ex.dispatch(GcEvent::ObjectAccess {
+                        handle: target,
+                        thread: thread_id,
+                    });
+                    self.ex.dispatch(GcEvent::ReferenceStore {
+                        source: object,
+                        target,
+                        frame: info,
+                    });
+                }
             }
             Some(Insn::GetField { object, field, dst }) => {
-                self.ex
-                    .exec_getfield(thread_idx, *object, *field, *dst, info, pc, thread_id)?;
+                let object = self.ex.local_handle(thread_idx, *object, info, pc)?;
+                let value = self.ex.heap.field(object, *field)?;
+                self.ex.dispatch(GcEvent::ObjectAccess {
+                    handle: object,
+                    thread: thread_id,
+                });
+                if let Some(target) = value.as_handle() {
+                    self.ex.dispatch(GcEvent::ObjectAccess {
+                        handle: target,
+                        thread: thread_id,
+                    });
+                }
+                self.ex.set_local(thread_idx, *dst, value);
             }
             Some(Insn::ArrayStore {
                 array,
@@ -1500,11 +1267,8 @@ impl<C: Collector> Vm<C> {
             Some(Insn::Call { method, args, dst }) => {
                 let arg_values: Vec<Value> =
                     args.iter().map(|&a| self.ex.local(thread_idx, a)).collect();
-                // Resume after the call when the callee returns.
-                self.ex.set_pc(thread_idx, next_pc);
                 self.ex
                     .push_frame(&self.program, thread_idx, *method, &arg_values, *dst)?;
-                return Ok(self.ex.gc_due());
             }
             Some(Insn::CallCached {
                 method,
@@ -1512,106 +1276,8 @@ impl<C: Collector> Vm<C> {
                 dst,
                 site,
             }) => {
-                self.ex.set_pc(thread_idx, next_pc);
                 self.ex
                     .push_frame_cached(&self.program, thread_idx, *method, args, *dst, *site)?;
-                return Ok(self.ex.gc_due());
-            }
-            Some(Insn::FusedGetGet {
-                object_a,
-                field_a,
-                dst_a,
-                object_b,
-                field_b,
-                dst_b,
-            }) => {
-                self.ex
-                    .exec_getfield(thread_idx, *object_a, *field_a, *dst_a, info, pc, thread_id)?;
-                if let Some(gc_due) = self.ex.pair_boundary(thread_idx, pc, budget)? {
-                    return Ok(gc_due);
-                }
-                self.ex.stats.instructions += 1;
-                self.ex.exec_getfield(
-                    thread_idx,
-                    *object_b,
-                    *field_b,
-                    *dst_b,
-                    info,
-                    pc + 1,
-                    thread_id,
-                )?;
-                next_pc = pc + 2;
-            }
-            Some(Insn::FusedGetPut {
-                object_a,
-                field_a,
-                dst_a,
-                object_b,
-                field_b,
-                value_b,
-            }) => {
-                self.ex
-                    .exec_getfield(thread_idx, *object_a, *field_a, *dst_a, info, pc, thread_id)?;
-                if let Some(gc_due) = self.ex.pair_boundary(thread_idx, pc, budget)? {
-                    return Ok(gc_due);
-                }
-                self.ex.stats.instructions += 1;
-                self.ex.exec_putfield(
-                    thread_idx,
-                    *object_b,
-                    *field_b,
-                    *value_b,
-                    info,
-                    pc + 1,
-                    thread_id,
-                )?;
-                next_pc = pc + 2;
-            }
-            Some(Insn::FusedArithBranch {
-                op,
-                dst,
-                a,
-                b,
-                cond,
-                cmp_a,
-                cmp_b,
-                target,
-            }) => {
-                self.ex
-                    .exec_arith(thread_idx, *op, *dst, *a, *b, info, pc)?;
-                if let Some(gc_due) = self.ex.pair_boundary(thread_idx, pc, budget)? {
-                    return Ok(gc_due);
-                }
-                self.ex.stats.instructions += 1;
-                next_pc =
-                    if self
-                        .ex
-                        .branch_taken(thread_idx, *cond, *cmp_a, *cmp_b, info, pc + 1)?
-                    {
-                        *target
-                    } else {
-                        pc + 2
-                    };
-            }
-            Some(Insn::FusedConstCall {
-                const_dst,
-                const_value,
-                method,
-                args,
-                dst,
-                site,
-            }) => {
-                self.ex
-                    .set_local(thread_idx, *const_dst, Value::Int(*const_value));
-                if let Some(gc_due) = self.ex.pair_boundary(thread_idx, pc, budget)? {
-                    return Ok(gc_due);
-                }
-                self.ex.stats.instructions += 1;
-                // Resume after the pair when the callee returns.
-                self.ex.set_pc(thread_idx, pc + 2);
-                self.ex
-                    .push_frame_cached(&self.program, thread_idx, *method, args, *dst, *site)?;
-                return Ok(self.ex.gc_due());
             }
             Some(Insn::SpawnThread { method, args }) => {
                 let arg_values: Vec<Value> =
@@ -1642,28 +1308,54 @@ impl<C: Collector> Vm<C> {
                         });
                     }
                 }
-                // Set the spawner's resume point before pushing the new
-                // thread's entry frame.
-                self.ex.set_pc(thread_idx, next_pc);
                 self.ex
                     .push_frame(&self.program, new_idx, *method, &arg_values, None)?;
-                return Ok(self.ex.gc_due());
             }
+            Some(
+                fast @ (Insn::Nop
+                | Insn::Const { .. }
+                | Insn::LoadNull { .. }
+                | Insn::Move { .. }
+                | Insn::Arith { .. }
+                | Insn::Jump { .. }
+                | Insn::Branch { .. }),
+            ) => unreachable!("{fast:?} runs in the fast loop"),
         }
-
-        self.ex.set_pc(thread_idx, next_pc);
-        Ok(self.ex.gc_due())
+        Ok(())
     }
 }
 
-/// Why [`Vm::fast_loop`] returned.
-enum FastExit {
-    /// The quantum budget ran out.
-    Budget,
+/// A boundary [`retire`] reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Boundary {
     /// The periodic-GC cadence is due; the caller runs a collection.
     GcDue,
-    /// The next instruction needs the slow path.
-    Slow,
+    /// The thread's quantum is spent.
+    QuantumEnd,
+}
+
+/// Retires one executed instruction: counts it, spends one quantum slot,
+/// then checks the instruction limit, the periodic-GC cadence and the
+/// quantum.  The only place any of the four is accounted, for fast and slow
+/// instructions alike.
+#[inline(always)]
+fn retire(
+    stats: &mut VmStats,
+    config: &VmConfig,
+    budget: &mut usize,
+) -> Result<Option<Boundary>, VmError> {
+    stats.instructions += 1;
+    *budget -= 1;
+    if stats.instructions > config.max_instructions {
+        return Err(VmError::InstructionLimit(config.max_instructions));
+    }
+    if config
+        .gc_every_instructions
+        .is_some_and(|every| stats.instructions.is_multiple_of(every))
+    {
+        return Ok(Some(Boundary::GcDue));
+    }
+    Ok((*budget == 0).then_some(Boundary::QuantumEnd))
 }
 
 #[cfg(test)]
@@ -2321,11 +2013,10 @@ mod tests {
         (events, outcome.stats)
     }
 
-    /// A program that tickles every fusion pattern: const+call, getfield
-    /// pairs, getfield+putfield, an arith+branch loop, plus a spawned
-    /// thread for cross-thread events.
-    fn fusible_program() -> Program {
-        let mut p = Program::named("fusible");
+    /// A loop whose head is a cached call, with field traffic on both sides
+    /// of it and a spawned thread for cross-thread events.
+    fn call_loop_program() -> Program {
+        let mut p = Program::named("call-loop");
         let c = p.add_class(ClassDef::new("Obj", 2));
         let helper = p.add_method(MethodDef::new(
             "helper",
@@ -2368,7 +2059,7 @@ mod tests {
                     value: 1,
                 },
                 Insn::Const { dst: 2, value: 0 },
-                // Loop head: Const+Call fuses, the branch targets it.
+                // Loop head: the branch targets it.
                 Insn::Const { dst: 3, value: 1 },
                 Insn::Call {
                     method: helper,
@@ -2410,7 +2101,10 @@ mod tests {
 
     #[test]
     fn fused_and_unfused_event_streams_are_byte_identical() {
-        let p = fusible_program();
+        // A one-instruction quantum or a collection after every instruction
+        // puts a boundary on each `CallCached`: the cached push must still
+        // emit exactly what the uncached one does, in the same place.
+        let p = call_loop_program();
         assert!(
             Vm::new(
                 p.clone(),
@@ -2418,54 +2112,23 @@ mod tests {
                 NoopCollector::new()
             )
             .fuse_report()
-            .fused_pairs()
+            .calls_cached
                 > 0,
-            "the probe program must actually fuse something"
+            "the probe program must carry calls to cache"
         );
-        for gc_every in [None, Some(64)] {
-            let mut config = VmConfig::small();
-            config.gc_every_instructions = gc_every;
-            let (fused, fused_stats) = record_events(&p, config.with_fusion(true));
-            let (plain, plain_stats) = record_events(&p, config.with_fusion(false));
-            assert_eq!(
-                fused, plain,
-                "event streams diverged (gc_every={gc_every:?})"
-            );
-            assert_eq!(fused_stats, plain_stats);
-        }
-    }
-
-    #[test]
-    fn gc_cadence_mid_pair_splits_byte_identically() {
-        // A forced collection after *every* instruction lands the cadence
-        // point in the middle of every fused pair: the head half retires,
-        // the collection runs, and the retained second half resumes at
-        // pc+1.  The stream — including every Collect barrier's position —
-        // must still match the unfused interpreter exactly.
-        let p = fusible_program();
-        for gc_every in [1u64, 3, 7] {
-            let config = VmConfig::small().with_gc_every(gc_every);
-            let (fused, fused_stats) = record_events(&p, config.with_fusion(true));
-            let (plain, plain_stats) = record_events(&p, config.with_fusion(false));
-            assert_eq!(fused, plain, "streams diverged at gc_every={gc_every}");
-            assert_eq!(fused_stats, plain_stats);
-            assert!(fused_stats.gc_cycles > 0);
-        }
-    }
-
-    #[test]
-    fn quantum_boundary_mid_pair_splits_byte_identically() {
-        // A one-instruction quantum leaves no budget for a pair's second
-        // half: the fused head must retire alone and yield, preserving the
-        // unfused round-robin interleaving with the spawned thread.
-        let p = fusible_program();
-        for quantum in [1usize, 2, 3] {
-            let mut config = VmConfig::small();
-            config.thread_quantum = quantum;
-            let (fused, fused_stats) = record_events(&p, config.with_fusion(true));
-            let (plain, plain_stats) = record_events(&p, config.with_fusion(false));
-            assert_eq!(fused, plain, "streams diverged at quantum={quantum}");
-            assert_eq!(fused_stats, plain_stats);
+        for quantum in [1usize, 2, 3, 64] {
+            for gc_every in [None, Some(1), Some(3), Some(7), Some(64)] {
+                let mut config = VmConfig::small();
+                config.thread_quantum = quantum;
+                config.gc_every_instructions = gc_every;
+                let (fused, fused_stats) = record_events(&p, config.with_fusion(true));
+                let (plain, plain_stats) = record_events(&p, config.with_fusion(false));
+                assert_eq!(
+                    fused, plain,
+                    "event streams diverged (quantum={quantum}, gc_every={gc_every:?})"
+                );
+                assert_eq!(fused_stats, plain_stats);
+            }
         }
     }
 

@@ -391,11 +391,6 @@ impl Program {
                         method: callee,
                         args,
                         ..
-                    }
-                    | Insn::FusedConstCall {
-                        method: callee,
-                        args,
-                        ..
                     } => match self.method(*callee) {
                         None => return Err(ProgramError::BadMethod { method: *callee }),
                         Some(m) if m.arg_count() != args.len() => {
@@ -416,10 +411,10 @@ impl Program {
 
     /// The highest inline-cache site id any instruction uses, if any.
     ///
-    /// The executor sizes its cache table as `max_call_site() + 1`; the
-    /// fusion pass numbers freshly minted sites after this so programs that
-    /// already carry cached calls (e.g. parsed from the fuzz corpus text
-    /// format) never collide.
+    /// The executor sizes its cache table as `max_call_site() + 1`;
+    /// [`Program::fused`] numbers freshly minted sites after this so
+    /// programs that already carry cached calls (e.g. parsed from the fuzz
+    /// corpus text format) never collide.
     pub fn max_call_site(&self) -> Option<u32> {
         self.methods
             .iter()
@@ -428,149 +423,26 @@ impl Program {
             .max()
     }
 
-    /// Runs the superinstruction fusion pass, returning a rewritten program
-    /// and a report of what was fused.
+    /// Runs the inline-cache pass, returning a rewritten program and a
+    /// report of what was rewritten.
     ///
-    /// Two rewrites happen per method:
-    ///
-    /// 1. Every [`Insn::Call`] becomes an [`Insn::CallCached`] with a fresh
-    ///    inline-cache site.
-    /// 2. Hot adjacent pairs are fused into superinstructions:
-    ///    `GetField+GetField`, `GetField+PutField`, `Arith+Branch`, and
-    ///    `Const+CallCached`.  The fused head replaces the first slot; the
-    ///    **second slot retains its original instruction** so jumps into it
-    ///    and quantum/GC boundary splits still execute the original
-    ///    semantics.  A pair is never fused when its second slot is a branch
-    ///    target, and pairs never overlap.
-    ///
-    /// `Return` and `SpawnThread` are never part of a pair, and calls only
-    /// participate as the *second* half of `Const+CallCached`, so fusion
-    /// never spans a frame push/pop the collector observes.
+    /// Every [`Insn::Call`] becomes an [`Insn::CallCached`] with a fresh
+    /// inline-cache site; nothing else changes, so jump targets, frame
+    /// pushes and every emitted event stay exactly where they were.
     pub fn fused(&self) -> (Program, FuseReport) {
         let mut out = self.clone();
         let mut report = FuseReport::default();
         let mut next_site = self.max_call_site().map_or(0, |s| s + 1);
-        for method in &mut out.methods {
-            // Pass 1: assign inline-cache sites to every plain call.
-            for insn in &mut method.code {
-                if let Insn::Call { method, args, dst } = insn {
-                    *insn = Insn::CallCached {
-                        method: *method,
-                        args: std::mem::take(args),
-                        dst: *dst,
-                        site: next_site,
-                    };
-                    next_site += 1;
-                    report.calls_cached += 1;
-                }
-            }
-            // Pass 2: fuse non-overlapping hot pairs.  Slot `i + 1` keeps the
-            // original second half, so `i` advances by 2 after a fusion and a
-            // retained half can never become the head of another pair.
-            let targets: std::collections::HashSet<usize> =
-                method.code.iter().filter_map(Insn::jump_target).collect();
-            let mut i = 0;
-            while i + 1 < method.code.len() {
-                if targets.contains(&(i + 1)) {
-                    i += 1;
-                    continue;
-                }
-                let fused = match (&method.code[i], &method.code[i + 1]) {
-                    (
-                        Insn::GetField {
-                            object: object_a,
-                            field: field_a,
-                            dst: dst_a,
-                        },
-                        Insn::GetField {
-                            object: object_b,
-                            field: field_b,
-                            dst: dst_b,
-                        },
-                    ) => {
-                        report.get_get += 1;
-                        Some(Insn::FusedGetGet {
-                            object_a: *object_a,
-                            field_a: *field_a,
-                            dst_a: *dst_a,
-                            object_b: *object_b,
-                            field_b: *field_b,
-                            dst_b: *dst_b,
-                        })
-                    }
-                    (
-                        Insn::GetField {
-                            object: object_a,
-                            field: field_a,
-                            dst: dst_a,
-                        },
-                        Insn::PutField {
-                            object: object_b,
-                            field: field_b,
-                            value: value_b,
-                        },
-                    ) => {
-                        report.get_put += 1;
-                        Some(Insn::FusedGetPut {
-                            object_a: *object_a,
-                            field_a: *field_a,
-                            dst_a: *dst_a,
-                            object_b: *object_b,
-                            field_b: *field_b,
-                            value_b: *value_b,
-                        })
-                    }
-                    (
-                        Insn::Arith { op, dst, a, b },
-                        Insn::Branch {
-                            cond,
-                            a: cmp_a,
-                            b: cmp_b,
-                            target,
-                        },
-                    ) => {
-                        report.arith_branch += 1;
-                        Some(Insn::FusedArithBranch {
-                            op: *op,
-                            dst: *dst,
-                            a: *a,
-                            b: *b,
-                            cond: *cond,
-                            cmp_a: *cmp_a,
-                            cmp_b: *cmp_b,
-                            target: *target,
-                        })
-                    }
-                    (
-                        Insn::Const {
-                            dst: const_dst,
-                            value,
-                        },
-                        Insn::CallCached {
-                            method,
-                            args,
-                            dst,
-                            site,
-                        },
-                    ) => {
-                        report.const_call += 1;
-                        Some(Insn::FusedConstCall {
-                            const_dst: *const_dst,
-                            const_value: *value,
-                            method: *method,
-                            args: args.clone(),
-                            dst: *dst,
-                            site: *site,
-                        })
-                    }
-                    _ => None,
+        for insn in out.methods.iter_mut().flat_map(|m| m.code.iter_mut()) {
+            if let Insn::Call { method, args, dst } = insn {
+                *insn = Insn::CallCached {
+                    method: *method,
+                    args: std::mem::take(args),
+                    dst: *dst,
+                    site: next_site,
                 };
-                if let Some(fused) = fused {
-                    method.code[i] = fused;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
+                next_site += 1;
+                report.calls_cached += 1;
             }
         }
         report.call_sites = next_site;
@@ -581,25 +453,10 @@ impl Program {
 /// What [`Program::fused`] rewrote, for profiling and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuseReport {
-    /// Inline-cache table size the fused program needs (`max site + 1`).
+    /// Inline-cache table size the program needs (`max site + 1`).
     pub call_sites: u32,
     /// `Call` instructions rewritten to `CallCached`.
     pub calls_cached: usize,
-    /// `GetField+GetField` pairs fused.
-    pub get_get: usize,
-    /// `GetField+PutField` pairs fused.
-    pub get_put: usize,
-    /// `Arith+Branch` pairs fused.
-    pub arith_branch: usize,
-    /// `Const+CallCached` pairs fused.
-    pub const_call: usize,
-}
-
-impl FuseReport {
-    /// Total superinstruction pairs fused.
-    pub fn fused_pairs(&self) -> usize {
-        self.get_get + self.get_put + self.arith_branch + self.const_call
-    }
 }
 
 impl Default for Program {
@@ -611,7 +468,7 @@ impl Default for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{Cond, Operand};
+    use crate::insn::Operand;
 
     fn minimal_program() -> Program {
         let mut p = Program::named("test");
@@ -836,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn fusion_rewrites_calls_and_pairs_and_still_validates() {
+    fn fusion_rewrites_calls_and_still_validates() {
         let mut p = Program::named("fuse");
         let c = p.add_class(ClassDef::new("Obj", 2));
         let callee = p.add_method(MethodDef::new(
@@ -874,123 +731,13 @@ mod tests {
         let (fused, report) = p.fused();
         assert!(fused.validate().is_ok());
         assert_eq!(report.calls_cached, 1);
-        assert_eq!(report.get_get, 1);
-        assert_eq!(report.const_call, 1);
-        assert_eq!(report.fused_pairs(), 2);
         assert_eq!(report.call_sites, 1);
         assert_eq!(fused.max_call_site(), Some(0));
-        let code = fused.method(m).unwrap().code();
-        // Fused heads replace the first slot; second slots keep the original.
-        assert!(matches!(code[1], Insn::FusedGetGet { .. }));
-        assert!(matches!(code[2], Insn::GetField { field: 1, .. }));
-        assert!(matches!(code[3], Insn::FusedConstCall { site: 0, .. }));
-        assert!(matches!(code[4], Insn::CallCached { site: 0, .. }));
-    }
-
-    #[test]
-    fn fusion_never_crosses_forbidden_boundaries() {
-        // Table of adjacent pairs that must NOT fuse: the second slot is a
-        // branch target, or either half is a frame/thread/GC-visible boundary
-        // instruction (Call as first half, Return, SpawnThread).
-        let get = Insn::GetField {
-            object: 0,
-            field: 0,
-            dst: 1,
-        };
-        let put = Insn::PutField {
-            object: 0,
-            field: 0,
-            value: 1,
-        };
-        let arith = Insn::Arith {
-            op: crate::insn::ArithOp::Add,
-            dst: 1,
-            a: Operand::Local(1),
-            b: Operand::Imm(1),
-        };
-        let cases: Vec<(&str, Insn, Insn)> = vec![
-            (
-                "call-then-load",
-                Insn::Call {
-                    method: MethodId::new(1),
-                    args: vec![],
-                    dst: None,
-                },
-                get.clone(),
-            ),
-            (
-                "load-then-return",
-                get.clone(),
-                Insn::Return { value: None },
-            ),
-            (
-                "arith-then-return",
-                arith.clone(),
-                Insn::Return { value: None },
-            ),
-            (
-                "load-then-spawn",
-                get.clone(),
-                Insn::SpawnThread {
-                    method: MethodId::new(1),
-                    args: vec![],
-                },
-            ),
-            (
-                "const-then-spawn",
-                Insn::Const { dst: 1, value: 0 },
-                Insn::SpawnThread {
-                    method: MethodId::new(1),
-                    args: vec![],
-                },
-            ),
-            ("arith-then-jump", arith.clone(), Insn::Jump { target: 0 }),
-            ("load-then-store", get.clone(), put.clone()),
-        ];
-        for (name, first, second) in cases {
-            let mut p = Program::named(name);
-            let c = p.add_class(ClassDef::new("Obj", 2));
-            let branch_into_second = name == "load-then-store";
-            let mut code = vec![
-                Insn::New { class: c, dst: 0 },
-                first,
-                second,
-                Insn::Return { value: None },
-            ];
-            if branch_into_second {
-                // Jump into the pair's second slot: fusing would skip it.
-                code.insert(
-                    0,
-                    Insn::Branch {
-                        cond: Cond::Eq,
-                        a: Operand::Imm(0),
-                        b: Operand::Imm(1),
-                        target: 3,
-                    },
-                );
-            }
-            let entry = p.add_method(MethodDef::from_code("main", 0, code));
-            p.add_method(MethodDef::new(
-                "aux",
-                0,
-                0,
-                vec![Insn::Return { value: None }],
-            ));
-            p.set_entry(entry);
-            let (fused, report) = p.fused();
-            assert_eq!(report.fused_pairs(), 0, "pair {name} must not fuse");
-            for (pc, insn) in fused.method(entry).unwrap().code().iter().enumerate() {
-                assert!(
-                    !matches!(
-                        insn,
-                        Insn::FusedGetGet { .. }
-                            | Insn::FusedGetPut { .. }
-                            | Insn::FusedArithBranch { .. }
-                            | Insn::FusedConstCall { .. }
-                    ),
-                    "pair {name} fused at pc {pc}"
-                );
-            }
+        // Only the call changes; every other slot is untouched.
+        let (before, after) = (p.method(m).unwrap().code(), fused.method(m).unwrap().code());
+        assert!(matches!(after[4], Insn::CallCached { site: 0, .. }));
+        for pc in (0..before.len()).filter(|&pc| pc != 4) {
+            assert_eq!(after[pc], before[pc], "pc {pc}");
         }
     }
 
