@@ -13,10 +13,10 @@
 //! Before timing anything, every profile's seed-0 program is checked once —
 //! a benchmark of a failing oracle would be measuring panic unwinding.
 //!
-//! CI re-runs the suite with `--check baselines/fuzz.json` and fails if any
-//! shared label regressed more than 2x (speed-normalised through the
-//! calibration loop) — the oracle's throughput is a feature: it bounds how
-//! many programs a fixed fuzzing budget can cover.
+//! Each label is also counted once, untimed, on its first seed: the
+//! program's methods, the events and instructions it records, the
+//! `OracleReport`, and the heap allocations must equal the label's line in
+//! `EXPECTED` (see `cg_bench::microbench`).
 //!
 //! Two derived programs/sec figures are embedded in the JSON so the bench
 //! trajectory accumulates comparable points across PRs:
@@ -32,7 +32,7 @@
 //!   (domain differential, trace mutation, fusion differential), which is
 //!   why the hard regression floor is on the record path, not here.
 
-use std::hint::black_box;
+mod common;
 
 use cg_bench::BenchHarness;
 use cg_fuzz::{check_program, fuzz_vm_config, generate, GenProfile, OracleOptions};
@@ -41,17 +41,30 @@ use cg_testutil::TestRng;
 use cg_trace::record;
 use cg_vm::NoopCollector;
 
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "gen/alloc-heavy methods=4 allocations=327",
+    "record/alloc-heavy events=730 instructions=1079 allocations=773",
+    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=9817",
+    "gen/store-heavy methods=4 allocations=240",
+    "record/store-heavy events=49 instructions=31 allocations=362",
+    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2313",
+    "gen/deep-calls methods=21 allocations=603",
+    "record/deep-calls events=891 instructions=565 allocations=1012",
+    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8506",
+    "gen/threads methods=6 allocations=370",
+    "record/threads events=96 instructions=80 allocations=560",
+    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=3644",
+    "gen/recycle-churn methods=5 allocations=337",
+    "record/recycle-churn events=1711 instructions=2161 allocations=1279",
+    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=22947",
+    "gen/array-heavy methods=5 allocations=256",
+    "record/array-heavy events=24 instructions=17 allocations=380",
+    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2351",
+];
 
 fn main() {
-    let check = cg_bench::parse_check_arg();
-    let mut harness = BenchHarness::new("fuzz");
-    harness.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
+    let mut harness = BenchHarness::new("fuzz").with_counts(EXPECTED, common::allocations);
     let options = OracleOptions::default();
 
     // Correctness gate first.
@@ -67,21 +80,35 @@ fn main() {
 
     for profile in GenProfile::all() {
         let mut seeds = TestRng::new(7);
-        harness.bench(format!("gen/{}", profile.name), 64, || {
-            generate(seeds.next_u64(), profile)
+        harness.bench_counted(format!("gen/{}", profile.name), 64, || {
+            [(
+                "methods",
+                generate(seeds.next_u64(), profile).method_count() as u64,
+            )]
         });
 
         let mut seeds = TestRng::new(7);
-        harness.bench(format!("record/{}", profile.name), 32, || {
+        harness.bench_counted(format!("record/{}", profile.name), 32, || {
             let program = generate(seeds.next_u64(), profile);
-            record("bench", program, fuzz_vm_config(None), NoopCollector::new())
-                .expect("generated programs record")
+            let (trace, outcome, _) =
+                record("bench", program, fuzz_vm_config(None), NoopCollector::new())
+                    .expect("generated programs record");
+            [
+                ("events", trace.len() as u64),
+                ("instructions", outcome.stats.instructions),
+            ]
         });
 
         let mut seeds = TestRng::new(7);
-        harness.bench(format!("oracle/{}", profile.name), 8, || {
+        harness.bench_counted(format!("oracle/{}", profile.name), 8, || {
             let program = generate(seeds.next_u64(), profile);
-            check_program(&program, &options).expect("generated programs pass")
+            let report = check_program(&program, &options).expect("generated programs pass");
+            [
+                ("trace_events", report.trace_events as u64),
+                ("instructions", report.instructions),
+                ("objects_created", report.objects_created),
+                ("threads_spawned", report.threads_spawned),
+            ]
         });
     }
 
@@ -114,7 +141,7 @@ fn main() {
          {record_pps:.0} programs/s <= {PR4_FULL_ORACLE_PPS:.0} programs/s"
     );
 
-    harness.write_json_with([(
+    harness.finish([(
         "fuzz_programs_per_sec",
         Json::Obj(vec![
             ("record_path".to_string(), Json::Num(record_pps)),
@@ -125,8 +152,4 @@ fn main() {
             ),
         ]),
     )]);
-
-    if let Some(path) = check {
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
 }

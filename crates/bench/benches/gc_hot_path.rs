@@ -6,25 +6,53 @@
 //! recycle-list search (§3.7) and the allocator's free-block search the
 //! recycling argument is measured against (§4.8).
 //!
-//! Results land in `BENCH_gc_hot_path.json`.  CI replays the suite and
-//! compares against the committed baseline
-//! (`crates/bench/baselines/gc_hot_path.json`, refreshed whenever the hot
-//! path intentionally changes): `--check <baseline>` exits non-zero if any
-//! shared label regressed more than 2x.
+//! Each label is timed into `BENCH_gc_hot_path.json` and counted once,
+//! untimed: the collector's work counters (`cg_bench::cg_counts`), the
+//! allocator's free-block `search_steps` and the heap allocations of one
+//! iteration must equal its line in `EXPECTED`.
 //!
 //! The suite also proves the optimisations are behaviour-preserving: before
 //! timing anything it records a workload trace and asserts that replaying it
 //! under every collector configuration × allocation policy pair produces
 //! byte-identical `CgStats` (see `verify_replay_equivalence`).
 
+mod common;
+
 use std::hint::black_box;
 
-use cg_bench::BenchHarness;
+use cg_bench::{cg_counts, counts_since, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_heap::{AllocPolicy, ClassId, Heap, HeapConfig, Value};
 use cg_trace::{record, replay_governed, Governor};
 use cg_vm::{Collector, FrameId, FrameInfo, MethodId, NoopCollector, ThreadId, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
+
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "stores/cg/same_block contaminations=1",
+    "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=575",
+    "stores/cg/union_storm_4096 unions=4095 contaminations=4095 allocations=4171",
+    "stores/cg/static_opt_skip contaminations=1 static_opt_skips=1",
+    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=173",
+    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2120",
+    "allocs/first_fit/alloc_free_churn_256 search_steps=256 allocations=268",
+    "allocs/segregated/alloc_free_churn_256 search_steps=256 allocations=301",
+    "allocs/first_fit/churn_behind_16k_live search_steps=64 allocations=73",
+    "allocs/segregated/churn_behind_16k_live search_steps=64 allocations=77",
+    "recycle/first_fit/miss_scan_1024 recycle_probes=1024",
+    "recycle/segregated/miss_scan_1024",
+    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=380",
+    "recycle/segregated/churn_hit_64 objects_collected=256 recycle_probes=280 objects_recycled=191 search_steps=65 allocations=384",
+    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 allocations=4385",
+    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 allocations=4390",
+];
+
+/// What `cg` and its heap have done so far.
+fn work(cg: &ContaminatedGc, heap: &Heap) -> [(&'static str, u64); 7] {
+    let [a, b, c, d, e, f] = cg_counts(cg.stats());
+    let search_steps = heap.object_space().search_steps();
+    [a, b, c, d, e, f, ("search_steps", search_steps)]
+}
 
 fn frame(id: u64, depth: usize) -> FrameInfo {
     FrameInfo {
@@ -68,7 +96,13 @@ fn bench_store_same_block(h: &mut BenchHarness, label: &str, config: CgConfig) {
     let (a, b) = (handles[0], handles[1]);
     heap.set_field(a, 0, Value::from(b)).unwrap();
     cg.on_reference_store(a, b, &f, &heap);
-    h.bench(format!("stores/{label}/same_block"), 1_000_000, || {
+    let label = format!("stores/{label}/same_block");
+    h.count(&label, || {
+        let before = work(&cg, &heap);
+        cg.on_reference_store(a, b, &f, &heap);
+        counts_since(work(&cg, &heap), before)
+    });
+    h.bench(label, 1_000_000, || {
         cg.on_reference_store(black_box(a), black_box(b), &f, &heap);
     });
 }
@@ -78,13 +112,13 @@ fn bench_store_same_block(h: &mut BenchHarness, label: &str, config: CgConfig) {
 /// re-attaches the winner — the worst case for the per-frame bookkeeping.
 fn bench_store_union_heavy(h: &mut BenchHarness, label: &str, config: CgConfig) {
     let f = frame(1, 1);
-    h.bench(format!("stores/{label}/union_chain_256"), 2_000, || {
+    h.bench_counted(format!("stores/{label}/union_chain_256"), 2_000, || {
         let (mut heap, mut cg, handles) = populated(config, HeapConfig::spacious(), 256, &f);
         for pair in handles.windows(2) {
             heap.set_field(pair[0], 0, Value::from(pair[1])).unwrap();
             cg.on_reference_store(pair[0], pair[1], &f, &heap);
         }
-        cg.stats().unions
+        work(&cg, &heap)
     });
 }
 
@@ -98,7 +132,7 @@ fn bench_store_storm_collector_only(h: &mut BenchHarness, label: &str, config: C
     let handles: Vec<_> = (0..4096)
         .map(|_| heap.allocate(class(), 2).expect("fits"))
         .collect();
-    h.bench(format!("stores/{label}/union_storm_4096"), 500, || {
+    h.bench_counted(format!("stores/{label}/union_storm_4096"), 500, || {
         let mut cg = ContaminatedGc::with_config(config);
         for &handle in &handles {
             cg.on_allocate(handle, &f, &heap);
@@ -106,7 +140,7 @@ fn bench_store_storm_collector_only(h: &mut BenchHarness, label: &str, config: C
         for pair in handles.windows(2) {
             cg.on_reference_store(pair[0], pair[1], &f, &heap);
         }
-        cg.stats().unions
+        cg_counts(cg.stats())
     });
 }
 
@@ -118,7 +152,13 @@ fn bench_store_static_skip(h: &mut BenchHarness, label: &str, config: CgConfig) 
     let (local, global) = (handles[0], handles[1]);
     cg.on_static_store(global, &heap);
     heap.set_field(local, 0, Value::from(global)).unwrap();
-    h.bench(format!("stores/{label}/static_opt_skip"), 1_000_000, || {
+    let label = format!("stores/{label}/static_opt_skip");
+    h.count(&label, || {
+        let before = work(&cg, &heap);
+        cg.on_reference_store(local, global, &f, &heap);
+        counts_since(work(&cg, &heap), before)
+    });
+    h.bench(label, 1_000_000, || {
         cg.on_reference_store(black_box(local), black_box(global), &f, &heap);
     });
 }
@@ -127,12 +167,13 @@ fn bench_store_static_skip(h: &mut BenchHarness, label: &str, config: CgConfig) 
 /// block list and freeing every member.
 fn bench_frame_pop(h: &mut BenchHarness, label: &str, config: CgConfig, count: usize) {
     let f = frame(2, 2);
-    h.bench(
+    h.bench_counted(
         format!("pops/{label}/pop_{count}_singletons"),
         200_000 / count as u64,
         || {
             let (mut heap, mut cg, _) = populated(config, HeapConfig::spacious(), count, &f);
-            cg.on_frame_pop(&f, &mut heap).freed_objects
+            cg.on_frame_pop(&f, &mut heap);
+            work(&cg, &heap)
         },
     );
 }
@@ -140,7 +181,7 @@ fn bench_frame_pop(h: &mut BenchHarness, label: &str, config: CgConfig, count: u
 /// Allocator throughput: allocate-then-free churn straight against the
 /// heap's object space (no collector), per allocation policy.
 fn bench_alloc_churn(h: &mut BenchHarness, label: &str, heap_config: HeapConfig) {
-    h.bench(
+    h.bench_counted(
         format!("allocs/{label}/alloc_free_churn_256"),
         2_000,
         || {
@@ -153,7 +194,7 @@ fn bench_alloc_churn(h: &mut BenchHarness, label: &str, heap_config: HeapConfig)
             for handle in handles {
                 heap.free(handle).expect("live");
             }
-            heap.live_count()
+            [("search_steps", heap.object_space().search_steps())]
         },
     );
 }
@@ -178,8 +219,7 @@ fn bench_alloc_churn_behind_live(h: &mut BenchHarness, policy: AllocPolicy) {
         heap.allocate(class(), 2).expect("fits");
     }
     assert_eq!(heap.free_bytes(), 0);
-    let label = format!("allocs/{}/churn_behind_16k_live", policy.label());
-    h.bench(label, 2_000, || {
+    let churn = |heap: &mut Heap| {
         for &handle in &working_set {
             heap.free(handle).expect("live");
         }
@@ -188,7 +228,14 @@ fn bench_alloc_churn_behind_live(h: &mut BenchHarness, policy: AllocPolicy) {
             heap.allocate_at(handle, class(), 6).expect("a hole fits");
         }
         heap.live_count()
+    };
+    let label = format!("allocs/{}/churn_behind_16k_live", policy.label());
+    h.count(&label, || {
+        let before = heap.object_space().search_steps();
+        churn(&mut heap);
+        [("search_steps", heap.object_space().search_steps() - before)]
     });
+    h.bench(label, 2_000, || churn(&mut heap));
 }
 
 /// Recycle-list miss: every probe scans the whole list and finds nothing
@@ -203,7 +250,13 @@ fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
     }
     cg.on_frame_pop(&f, &mut heap);
     assert_eq!(cg.recycle_list_len(), 1024);
-    h.bench(format!("recycle/{label}/miss_scan_1024"), 10_000, || {
+    let label = format!("recycle/{label}/miss_scan_1024");
+    h.count(&label, || {
+        let before = work(&cg, &heap);
+        cg.try_recycled_alloc(class(), 4, &f, &mut heap);
+        counts_since(work(&cg, &heap), before)
+    });
+    h.bench(label, 10_000, || {
         cg.try_recycled_alloc(class(), 4, &f, &mut heap)
     });
 }
@@ -211,7 +264,7 @@ fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
 /// Recycle churn: a frame's worth of corpses is reused by the next frame,
 /// over and over (the §3.7 steady state).
 fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
-    h.bench(format!("recycle/{label}/churn_hit_64"), 2_000, || {
+    h.bench_counted(format!("recycle/{label}/churn_hit_64"), 2_000, || {
         let mut heap = Heap::new(HeapConfig::spacious());
         let mut cg = ContaminatedGc::with_config(config);
         for round in 0..4u64 {
@@ -224,7 +277,7 @@ fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
             }
             cg.on_frame_pop(&f, &mut heap);
         }
-        cg.stats().objects_recycled
+        work(&cg, &heap)
     });
 }
 
@@ -235,11 +288,12 @@ fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: All
     let heap_config = VmConfig::default().heap.with_alloc_policy(policy);
     let events = trace.len() as f64;
     let label = format!("replay/cg/{}/db_s1", policy.label());
-    let ns = h.bench(&label, 3, || {
-        replay_governed(trace, heap_config, ContaminatedGc::new(), &unlimited)
-            .expect("replay succeeds")
-            .outcome
-            .events_replayed
+    let ns = h.bench_counted(&label, 3, || {
+        let replayed = replay_governed(trace, heap_config, ContaminatedGc::new(), &unlimited)
+            .expect("replay succeeds");
+        let events = replayed.outcome.events_replayed as u64;
+        let work = work(&replayed.collector, &replayed.heap);
+        [("events_replayed", events)].into_iter().chain(work)
     });
     println!(
         "{label}: {:.1} ns per replayed event ({events} events)",
@@ -280,25 +334,7 @@ fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) 
     println!("replay equivalence: CgStats byte-identical across 2 configs x 2 policies");
 }
 
-/// Label of the machine-speed calibration loop: a fixed integer workload
-/// whose timing tracks the host's single-core speed.  The regression gate
-/// compares each label's ratio to this loop rather than absolute
-/// nanoseconds, so a committed baseline from one machine remains meaningful
-/// on a slower or faster CI runner.
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
-
-fn bench_calibration(h: &mut BenchHarness) {
-    h.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
-}
-
 fn main() {
-    let check = cg_bench::parse_check_arg();
-
     let workload = Workload::by_name("db").expect("known workload");
     let program = workload.program(Size::S1);
     let (trace, ..) = record(
@@ -310,7 +346,7 @@ fn main() {
     .expect("recording succeeds");
     verify_replay_equivalence(&trace, &program);
 
-    let mut harness = BenchHarness::new("gc_hot_path");
+    let mut harness = BenchHarness::new("gc_hot_path").with_counts(EXPECTED, common::allocations);
     let cg = CgConfig {
         verify_tainted: false,
         ..CgConfig::preferred()
@@ -324,7 +360,6 @@ fn main() {
         ..CgConfig::with_segregated_recycling()
     };
 
-    bench_calibration(&mut harness);
     bench_store_same_block(&mut harness, "cg", cg);
     bench_store_union_heavy(&mut harness, "cg", cg);
     bench_store_storm_collector_only(&mut harness, "cg", cg);
@@ -349,12 +384,5 @@ fn main() {
         bench_trace_replay(&mut harness, &trace, policy);
     }
 
-    harness.write_json();
-
-    if let Some(path) = check {
-        // Fails (exit 1) if any shared label regressed more than 2x against
-        // the committed baseline, speed-normalised through the calibration
-        // loop (see `cg_bench::gate`).
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
+    harness.finish([]);
 }

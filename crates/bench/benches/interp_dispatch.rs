@@ -9,28 +9,38 @@
 //! An end-to-end leg records `javac/1` and times live interpretation
 //! (cached and uncached, under the canonical contaminated collector)
 //! against replaying the recorded stream — the "live interpretation gap".
-//! The gap and the call-heavy speedup are embedded in the JSON alongside a
-//! `dispatch_profile` section (per-opcode counts are populated when the
-//! `profile` cargo feature is on; inline-cache hit and miss totals are
-//! always live).
+//! The gap and the call-heavy speedup are embedded in the JSON alongside
+//! the kernel's `hot_opcodes` (per-opcode dispatch counts, populated when
+//! the `profile` cargo feature is on).
 //!
 //! Before timing anything the suite asserts the invariant: the kernel and
 //! the javac workload record **byte-identical** event streams and
 //! statistics with the pass on and off.
 //!
-//! CI re-runs the suite with `--check baselines/interp_dispatch.json` and
-//! fails if any shared label regressed more than 2x (speed-normalised).
+//! Each label is also counted once, untimed: instructions, method calls,
+//! inline-cache hits and misses, the collector's work counters and the heap
+//! allocations must equal the label's line in `EXPECTED` (see
+//! `cg_bench::microbench`).
+
+mod common;
 
 use std::hint::black_box;
 
-use cg_bench::BenchHarness;
+use cg_bench::{cg_counts, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_stats::Json;
 use cg_trace::{record, replay_governed, Governor};
 use cg_vm::{ArithOp, Cond, Insn, MethodDef, NoopCollector, Operand, Program, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "interp_dispatch/call_heavy/fused instructions=360002 method_calls=60001 call_site_hits=59999 call_site_misses=1 allocations=31",
+    "interp_dispatch/call_heavy/unfused instructions=360002 method_calls=60001 allocations=120026",
+    "interp_dispatch/javac1/live_fused instructions=97297 method_calls=485 call_site_hits=477 call_site_misses=6 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13939",
+    "interp_dispatch/javac1/live_unfused instructions=97297 method_calls=485 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=14399",
+    "interp_dispatch/javac1/replay_cg events_replayed=43658 search_steps=6434 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13729",
+];
 
 /// A tight loop of `iters` calls to a two-instruction leaf method; the call
 /// gets an inline-cached, pooled-locals frame push.  The leaf declares a
@@ -110,11 +120,23 @@ fn assert_byte_identical(program: &Program, config: VmConfig) {
     );
 }
 
-/// Runs `program` live to completion, returning executed instructions.
-fn run_live(program: &Program, config: VmConfig) -> u64 {
+/// What a finished interpreter did: instructions, calls and inline-cache
+/// traffic.
+fn vm_counts<C: cg_vm::Collector>(vm: &Vm<C>) -> [(&'static str, u64); 4] {
+    let profile = vm.dispatch_profile();
+    [
+        ("instructions", vm.stats().instructions),
+        ("method_calls", vm.stats().method_calls),
+        ("call_site_hits", profile.call_site_hits),
+        ("call_site_misses", profile.call_site_misses),
+    ]
+}
+
+/// Runs `program` live to completion, returning what it did.
+fn run_live(program: &Program, config: VmConfig) -> [(&'static str, u64); 4] {
     let mut vm = Vm::new(program.clone(), config, NoopCollector::new());
-    let outcome = vm.run().expect("program runs");
-    outcome.stats.instructions
+    vm.run().expect("program runs");
+    vm_counts(&vm)
 }
 
 /// The fused-over-unfused speedup, measured as the median of per-round
@@ -150,9 +172,7 @@ fn bench_call_heavy(h: &mut BenchHarness) -> f64 {
             "interp_dispatch/call_heavy/{}",
             if fusion { "fused" } else { "unfused" }
         );
-        h.bench(&label, 5, || {
-            black_box(run_live(&program, config.with_fusion(fusion)))
-        });
+        h.bench_counted(label, 5, || run_live(&program, config.with_fusion(fusion)));
     }
 
     // The acceptance gate: call-heavy dispatch — the pattern the inline
@@ -195,25 +215,31 @@ fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
             "interp_dispatch/javac1/live_{}",
             if fusion { "fused" } else { "unfused" }
         );
-        h.bench(&label, 3, || {
+        h.bench_counted(label, 3, || {
             let mut vm = Vm::new(
                 program.clone(),
                 vm_config.with_fusion(fusion),
                 ContaminatedGc::with_config(cg),
             );
             vm.run().expect("javac runs");
-            black_box(vm.collector().stats().objects_created)
+            vm_counts(&vm)
+                .into_iter()
+                .chain(cg_counts(vm.collector().stats()))
         });
     }
-    h.bench("interp_dispatch/javac1/replay_cg", 3, || {
-        let outcome = replay_governed(
+    h.bench_counted("interp_dispatch/javac1/replay_cg", 3, || {
+        let replayed = replay_governed(
             &trace,
             vm_config.heap,
             ContaminatedGc::with_config(cg),
             &unlimited,
         )
         .expect("javac replays");
-        black_box(outcome.collector.stats().objects_created)
+        let events = replayed.outcome.events_replayed as u64;
+        let search_steps = replayed.heap.object_space().search_steps();
+        [("events_replayed", events), ("search_steps", search_steps)]
+            .into_iter()
+            .chain(cg_counts(replayed.collector.stats()))
     });
 
     let live_fused = h.ns_of("interp_dispatch/javac1/live_fused").unwrap();
@@ -234,62 +260,29 @@ fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
     gap_fused
 }
 
-/// One profiled fused run of the call-heavy kernel for the JSON section.
-/// Opcode counts need the `profile` cargo feature; the inline-cache
-/// counters are always maintained.
-fn dispatch_profile_section() -> Json {
-    let program = call_heavy(60_000);
-    let mut vm = Vm::new(program, VmConfig::default(), NoopCollector::new());
+/// The fused call-heavy kernel's dispatches per opcode, hottest first, for
+/// the JSON; empty unless built with the `profile` cargo feature.
+fn hot_opcodes() -> Json {
+    let mut vm = Vm::new(
+        call_heavy(60_000),
+        VmConfig::default(),
+        NoopCollector::new(),
+    );
     vm.run().expect("profiled run completes");
-    let profile = vm.dispatch_profile();
-    let opcodes: Vec<Json> = profile
-        .hot_opcodes()
-        .into_iter()
-        .map(|(name, count)| {
-            Json::Obj(vec![
-                ("opcode".to_string(), Json::Str(name.to_string())),
-                ("count".to_string(), Json::Num(count as f64)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("kernel".to_string(), Json::Str("call_heavy".to_string())),
-        (
-            "opcode_counts_enabled".to_string(),
-            Json::Bool(cfg!(feature = "profile")),
-        ),
-        ("hot_opcodes".to_string(), Json::Arr(opcodes)),
-        (
-            "call_site_hits".to_string(),
-            Json::Num(profile.call_site_hits as f64),
-        ),
-        (
-            "call_site_misses".to_string(),
-            Json::Num(profile.call_site_misses as f64),
-        ),
-    ])
+    let opcodes = vm.dispatch_profile().hot_opcodes().into_iter();
+    Json::obj(opcodes.map(|(name, count)| (name, Json::Num(count as f64))))
 }
 
 fn main() {
-    let check = cg_bench::parse_check_arg();
-    let mut harness = BenchHarness::new("interp_dispatch");
-    harness.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
+    let mut harness =
+        BenchHarness::new("interp_dispatch").with_counts(EXPECTED, common::allocations);
 
     let call_heavy_speedup = bench_call_heavy(&mut harness);
     let live_replay_gap = bench_javac_gap(&mut harness);
 
-    harness.write_json_with([
+    harness.finish([
         ("call_heavy_speedup", Json::Num(call_heavy_speedup)),
         ("javac1_live_replay_gap", Json::Num(live_replay_gap)),
-        ("dispatch_profile", dispatch_profile_section()),
+        ("hot_opcodes", hot_opcodes()),
     ]);
-
-    if let Some(path) = check {
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
 }

@@ -4,43 +4,35 @@
 //! the equilive sets is a nearly constant amount of work per reference store
 //! (union/find with path compression), collecting at a frame pop is cheap
 //! (no marking), and the traditional collector's marking pass is the
-//! expensive part being avoided.  These benches measure each of those costs
-//! in isolation, plus two interpreter-level comparisons introduced with the
-//! event-stream refactor:
+//! expensive part being avoided.  The store barrier and the frame pop are
+//! measured in `gc_hot_path`; these benches cover the union/find forest on
+//! its own, the marking pass, and end-to-end interpreter throughput on a
+//! call-heavy workload (`interp/jess_size1_noop_run`).
 //!
-//! * `step/old_clone_dispatch` vs `step/new_borrowed_dispatch` — the seed
-//!   interpreter cloned every executed instruction out of the method's code
-//!   (`Call` argument vectors included); the refactored `step` borrows the
-//!   code.  The pair of benches dispatches the same `Call`-heavy code
-//!   sequence both ways.
-//! * `interp/jess_size1_noop_run` — end-to-end interpreter throughput on a
-//!   call-heavy workload, tracking the real `step` path over time.
-//!
-//! Results land in `BENCH_microbench.json` (see `cg_bench::microbench`).
+//! Each label is timed into `BENCH_microbench.json` and counted once,
+//! untimed: the counts of one iteration must equal its line in `EXPECTED`
+//! (see `cg_bench::microbench`).
+
+mod common;
 
 use cg_baseline::MarkSweep;
 use cg_bench::BenchHarness;
-use cg_core::ContaminatedGc;
 use cg_heap::{ClassId, Heap, HeapConfig, Value};
 use cg_unionfind::DisjointSets;
-use cg_vm::{
-    Collector, FrameId, FrameInfo, Insn, MethodId, NoopCollector, Operand, RootSet, ThreadId, Vm,
-    VmConfig,
-};
+use cg_vm::{Collector, NoopCollector, RootSet, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 use std::hint::black_box;
 
-fn frame(id: u64, depth: usize) -> FrameInfo {
-    FrameInfo {
-        id: FrameId::new(id),
-        depth,
-        thread: ThreadId::MAIN,
-        method: MethodId::new(0),
-    }
-}
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "unionfind/union_find_1024_elements sets=1 max_rank=1 allocations=2",
+    "unionfind/find_after_compression",
+    "msa/mark_sweep_4096_live_4096_dead marked_objects=4096 freed_objects=4096 search_steps=8192 allocations=8936",
+    "interp/jess_size1_noop_run instructions=186296 method_calls=2003 allocations=11688",
+];
 
 fn bench_unionfind(h: &mut BenchHarness) {
-    h.bench("unionfind/union_find_1024_elements", 2_000, || {
+    h.bench_counted("unionfind/union_find_1024_elements", 2_000, || {
         let mut sets = DisjointSets::with_capacity(1024);
         for _ in 0..1024 {
             sets.make_set();
@@ -48,7 +40,12 @@ fn bench_unionfind(h: &mut BenchHarness) {
         for i in 0..1023u32 {
             sets.union(i, i + 1);
         }
-        sets.find(0)
+        let root = sets.find(0);
+        [
+            ("sets", sets.set_count() as u64),
+            ("max_rank", u64::from(sets.max_rank())),
+            ("root", u64::from(root)),
+        ]
     });
     let mut sets = DisjointSets::with_capacity(4096);
     for _ in 0..4096 {
@@ -57,54 +54,14 @@ fn bench_unionfind(h: &mut BenchHarness) {
     for i in 0..4095u32 {
         sets.union(i, i + 1);
     }
-    h.bench("unionfind/find_after_compression", 1_000_000, || {
-        sets.find(black_box(4095))
-    });
-}
-
-fn bench_heap(h: &mut BenchHarness) {
-    h.bench("heap/allocate_free_256_objects", 2_000, || {
-        let mut heap = Heap::new(HeapConfig::small());
-        let mut handles = Vec::with_capacity(256);
-        for _ in 0..256 {
-            handles.push(heap.allocate(ClassId::new(0), 2).expect("fits"));
-        }
-        for handle in handles {
-            heap.free(handle).expect("live");
-        }
-        heap.live_count()
-    });
-}
-
-/// The per-store cost the paper calls "extra work at every store operation".
-fn bench_store_barrier(h: &mut BenchHarness) {
-    let mut heap = Heap::new(HeapConfig::spacious());
-    let mut cg = ContaminatedGc::new();
-    let f = frame(1, 1);
-    let a = heap.allocate(ClassId::new(0), 2).unwrap();
-    let b = heap.allocate(ClassId::new(0), 2).unwrap();
-    cg.on_allocate(a, &f, &heap);
-    cg.on_allocate(b, &f, &heap);
-    heap.set_field(a, 0, Value::from(b)).unwrap();
-    h.bench("cg_barrier/reference_store_same_block", 1_000_000, || {
-        cg.on_reference_store(black_box(a), black_box(b), &f, &heap);
-    });
-
-    h.bench("cg_barrier/frame_pop_with_64_singletons", 5_000, || {
-        let mut heap = Heap::new(HeapConfig::spacious());
-        let mut cg = ContaminatedGc::new();
-        let f = frame(2, 2);
-        for _ in 0..64 {
-            let handle = heap.allocate(ClassId::new(0), 2).unwrap();
-            cg.on_allocate(handle, &f, &heap);
-        }
-        cg.on_frame_pop(&f, &mut heap).freed_objects
+    h.bench_counted("unionfind/find_after_compression", 1_000_000, || {
+        [("root", u64::from(sets.find(black_box(4095))))]
     });
 }
 
 /// The mark cost the contaminated collector avoids.
 fn bench_marksweep(h: &mut BenchHarness) {
-    h.bench("msa/mark_sweep_4096_live_4096_dead", 200, || {
+    h.bench_counted("msa/mark_sweep_4096_live_4096_dead", 200, || {
         let mut heap = Heap::new(HeapConfig::spacious());
         let mut previous = None;
         for i in 0..8192u32 {
@@ -121,84 +78,27 @@ fn bench_marksweep(h: &mut BenchHarness) {
             statics: vec![previous.unwrap()],
             ..RootSet::default()
         };
-        let mut msa = MarkSweep::new();
-        msa.collect(&roots, &mut heap)
+        let outcome = MarkSweep::new().collect(&roots, &mut heap);
+        [
+            ("marked_objects", outcome.marked_objects),
+            ("freed_objects", outcome.freed_objects),
+            ("search_steps", heap.object_space().search_steps()),
+        ]
     });
-}
-
-/// A `Call`-heavy code sequence of the shape the interpreter's hot loop
-/// sees: the old dispatch cloned each instruction (argument vectors and
-/// all), the new dispatch borrows it.
-fn call_heavy_code() -> Vec<Insn> {
-    (0..64)
-        .map(|i| match i % 4 {
-            0 => Insn::Call {
-                method: MethodId::new(0),
-                args: vec![0, 1, 2, 3],
-                dst: Some(4),
-            },
-            1 => Insn::Arith {
-                op: cg_vm::ArithOp::Add,
-                dst: 0,
-                a: Operand::Local(0),
-                b: Operand::Imm(1),
-            },
-            2 => Insn::Move { dst: 1, src: 0 },
-            _ => Insn::SpawnThread {
-                method: MethodId::new(0),
-                args: vec![0, 1],
-            },
-        })
-        .collect()
-}
-
-/// A tiny stand-in for instruction dispatch: enough of a `match` to make
-/// the clone-vs-borrow difference the only variable.
-fn dispatch_weight(insn: &Insn) -> u64 {
-    match insn {
-        Insn::Call { args, .. } | Insn::SpawnThread { args, .. } => args.len() as u64,
-        Insn::Arith { .. } => 2,
-        _ => 1,
-    }
-}
-
-fn bench_step_dispatch(h: &mut BenchHarness) {
-    let code = call_heavy_code();
-    let old = h.bench("step/old_clone_dispatch", 50_000, || {
-        let mut acc = 0u64;
-        for pc in 0..code.len() {
-            // The seed interpreter's fetch: clone the instruction out of the
-            // program so the borrow on the code ends before execution.
-            let insn = black_box(&code)[pc].clone();
-            acc += dispatch_weight(&insn);
-        }
-        acc
-    });
-    let new = h.bench("step/new_borrowed_dispatch", 50_000, || {
-        let mut acc = 0u64;
-        for pc in 0..code.len() {
-            // The refactored fetch: borrow the instruction in place.
-            let insn = &black_box(&code)[pc];
-            acc += dispatch_weight(insn);
-        }
-        acc
-    });
-    println!(
-        "step dispatch: borrowed fetch is {:.2}x the speed of the cloning fetch",
-        old / new.max(f64::MIN_POSITIVE)
-    );
 }
 
 fn bench_interpreter_throughput(h: &mut BenchHarness) {
     let workload = Workload::by_name("jess").expect("known benchmark");
     let program = workload.program(Size::S1);
-    let instructions = {
+    let mut instructions = 0;
+    let ns = h.bench_counted("interp/jess_size1_noop_run", 5, || {
         let mut vm = Vm::new(program.clone(), VmConfig::default(), NoopCollector::new());
-        vm.run().expect("jess runs").stats.instructions
-    };
-    let ns = h.bench("interp/jess_size1_noop_run", 5, || {
-        let mut vm = Vm::new(program.clone(), VmConfig::default(), NoopCollector::new());
-        vm.run().expect("jess runs").stats.instructions
+        let stats = vm.run().expect("jess runs").stats;
+        instructions = stats.instructions;
+        [
+            ("instructions", stats.instructions),
+            ("method_calls", stats.method_calls),
+        ]
     });
     println!(
         "interp/jess_size1_noop_run: {:.1} ns per executed instruction ({instructions} instructions)",
@@ -207,12 +107,9 @@ fn bench_interpreter_throughput(h: &mut BenchHarness) {
 }
 
 fn main() {
-    let mut harness = BenchHarness::new("microbench");
+    let mut harness = BenchHarness::new("microbench").with_counts(EXPECTED, common::allocations);
     bench_unionfind(&mut harness);
-    bench_heap(&mut harness);
-    bench_store_barrier(&mut harness);
     bench_marksweep(&mut harness);
-    bench_step_dispatch(&mut harness);
     bench_interpreter_throughput(&mut harness);
-    harness.write_json();
+    harness.finish([]);
 }

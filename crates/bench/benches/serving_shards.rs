@@ -12,16 +12,20 @@
 //! one-pass partition is reported separately) must be **at least 1.5x**
 //! faster than single-shard, and the bench asserts exactly that.  On
 //! fewer cores the assertion disarms and the numbers instead track the
-//! coordination overhead, which the committed baseline gates in CI.
+//! coordination overhead.
 //!
-//! Results land in `BENCH_serving_shards.json`; CI replays the suite via
-//! `cg-bench --check-all` against `baselines/serving_shards.json` (2x
-//! speed-normalised gate, same mechanism as `gc_hot_path`).
+//! Results land in `BENCH_serving_shards.json`.  Each label is also
+//! counted once, untimed: events and bytes partitioned, events replayed,
+//! the collector's work counters and the calling thread's heap allocations
+//! must equal the label's line in `EXPECTED` (see `cg_bench::microbench`).
+
+mod common;
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
-use cg_bench::BenchHarness;
+use cg_bench::runner::javac_style;
+use cg_bench::{cg_counts, BenchHarness};
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::{
     parallel_eval_streaming_governed, partition_path_streaming, record, replay_path_governed,
@@ -31,30 +35,13 @@ use cg_vm::{NoopCollector, VmConfig};
 use cg_workloads::{synthesize, Profile};
 
 const SERVING_SHARDS: usize = 4;
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
 
-/// The same `javac`-style thread-heavy profile the `shard_scaling` bench
-/// uses: a shared AST batch plus per-method compile temporaries over 8 VM
-/// threads, so 4 shards all have real work.
-fn javac_style() -> Profile {
-    Profile {
-        name: "javac_style".to_string(),
-        description: "javac-style: shared AST batch + compile temporaries over 8 threads"
-            .to_string(),
-        static_setup: 1_000,
-        interned: 32,
-        iterations: 12_000,
-        leaf_temps: 3,
-        chained_temps: 4,
-        static_touching_temps: 2,
-        returned_temps: 1,
-        escape_depth: 1,
-        leaked_per_iteration: 0,
-        compute_per_iteration: 8,
-        shared_objects: 2_000,
-        worker_threads: 7,
-    }
-}
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30722",
+    "serving_shards/javac_style/single events_replayed=598129 allocations=271543",
+    "serving_shards/javac_style/sharded_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+];
 
 /// Records the profile and spools it to a `.cgt` exactly as `cgtd` would
 /// hold an upload on disk.
@@ -96,7 +83,6 @@ fn eval_single(spool: &Path, governor: &Governor) -> (u64, cg_trace::FooterSecti
 }
 
 fn main() {
-    let check = cg_bench::parse_check_arg();
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
     let governor = Governor::new(ResourceLimits::unlimited());
 
@@ -137,37 +123,42 @@ fn main() {
         profile.name
     );
 
-    let mut harness = BenchHarness::new("serving_shards");
-    harness.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
+    let mut harness =
+        BenchHarness::new("serving_shards").with_counts(EXPECTED, common::allocations);
 
     // The one-pass partition is a per-upload preprocessing cost the
-    // sharded route pays once; report it on its own label so the gate
-    // tracks it without folding sequential I/O into the parallel timing.
+    // sharded route pays once; report it on its own label so it is tracked
+    // without folding sequential I/O into the parallel timing.
     let name = &profile.name;
-    harness.bench(format!("serving_shards/{name}/partition_4"), 3, || {
+    harness.bench_counted(format!("serving_shards/{name}/partition_4"), 3, || {
         let dir = shard_dir.join("timed");
         let parts =
             partition_path_streaming(black_box(&spool), SERVING_SHARDS, &dir).expect("partition");
+        let bytes: u64 = parts
+            .paths
+            .iter()
+            .map(|p| std::fs::metadata(p).expect("shard file").len())
+            .sum();
         let _ = std::fs::remove_dir_all(&dir);
-        parts.total_events
+        [("events", parts.total_events), ("bytes", bytes)]
     });
-    let single_ns = harness.bench(format!("serving_shards/{name}/single"), 3, || {
-        eval_single(black_box(&spool), &governor).0
+    let single_ns = harness.bench_counted(format!("serving_shards/{name}/single"), 3, || {
+        [(
+            "events_replayed",
+            eval_single(black_box(&spool), &governor).0,
+        )]
     });
-    let sharded_ns = harness.bench(format!("serving_shards/{name}/sharded_4"), 3, || {
-        parallel_eval_streaming_governed(
+    let sharded_ns = harness.bench_counted(format!("serving_shards/{name}/sharded_4"), 3, || {
+        let outcome = parallel_eval_streaming_governed(
             black_box(&parts.paths),
             vm_config.heap,
             canonical_config(),
             &governor,
         )
-        .expect("sharded eval succeeds")
-        .events_replayed
+        .expect("sharded eval succeeds");
+        [("events_replayed", outcome.events_replayed as u64)]
+            .into_iter()
+            .chain(cg_counts(&outcome.stats))
     });
     let speedup = single_ns / sharded_ns;
     println!("  {name}: {SERVING_SHARDS} shards -> {speedup:.2}x speedup over single-shard");
@@ -180,10 +171,6 @@ fn main() {
         println!("  note: < 4 cores, the 1.5x speedup assertion is disarmed");
     }
 
-    harness.write_json_with([("cores", cg_stats::Json::Num(cores as f64))]);
     let _ = std::fs::remove_dir_all(&dir);
-
-    if let Some(path) = check {
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
+    harness.finish([("cores", cg_stats::Json::Num(cores as f64))]);
 }

@@ -13,70 +13,37 @@
 //! a multi-core machine the 4-shard run should approach the per-shard share
 //! of the work (≥ 2x over 1 shard); on a single-core container the numbers
 //! instead document the coordination overhead (progress counters, wait
-//! edges, domain locks), which is the regression this bench's baseline
-//! gates in CI.
+//! edges, domain locks).
 //!
-//! Results land in `BENCH_shard_scaling.json`; CI replays the suite with
-//! `--check baselines/shard_scaling.json` (2x speed-normalised gate, same
-//! mechanism as `gc_hot_path`).
+//! Results land in `BENCH_shard_scaling.json`.  Each label is also counted
+//! once, untimed: events replayed, the collector's work counters and the
+//! calling thread's heap allocations must equal the label's line in
+//! `EXPECTED` (see `cg_bench::microbench`).
+
+mod common;
 
 use std::hint::black_box;
 
-use cg_bench::BenchHarness;
+use cg_bench::runner::{javac_style, mtrt_style};
+use cg_bench::{cg_counts, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_trace::{parallel_eval_governed, partition, record, replay_governed, Governor, Trace};
 use cg_vm::{NoopCollector, VmConfig};
 use cg_workloads::{synthesize, Profile};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
 
-/// A `javac`-style profile: a large shared batch handed to a loader thread
-/// (over half the small run's objects go thread-shared, Appendix A.2) plus
-/// per-method compile temporaries, spread over 7 worker threads.
-fn javac_style() -> Profile {
-    Profile {
-        name: "javac_style".to_string(),
-        description: "javac-style: shared AST batch + compile temporaries over 8 threads"
-            .to_string(),
-        static_setup: 1_000,
-        interned: 32,
-        iterations: 12_000,
-        leaf_temps: 3,
-        chained_temps: 4,
-        static_touching_temps: 2,
-        returned_temps: 1,
-        escape_depth: 1,
-        leaked_per_iteration: 0,
-        compute_per_iteration: 8,
-        shared_objects: 2_000,
-        worker_threads: 7,
-    }
-}
-
-/// An `mtrt`-style profile: thread-private rendering temporaries dominated
-/// by singleton and small chained blocks, over a shared static scene, with 7
-/// rendering threads (the paper's mtrt runs two; we scale the thread count
-/// so 8 shards have work).
-fn mtrt_style() -> Profile {
-    Profile {
-        name: "mtrt_style".to_string(),
-        description: "mtrt-style: private ray temporaries over a shared scene, 8 threads"
-            .to_string(),
-        static_setup: 600,
-        interned: 8,
-        iterations: 16_000,
-        leaf_temps: 5,
-        chained_temps: 3,
-        static_touching_temps: 1,
-        returned_temps: 2,
-        escape_depth: 2,
-        leaked_per_iteration: 0,
-        compute_per_iteration: 6,
-        shared_objects: 200,
-        worker_threads: 7,
-    }
-}
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "shard_scaling/javac_style/shards_1 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+    "shard_scaling/javac_style/shards_2 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+    "shard_scaling/javac_style/shards_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+    "shard_scaling/javac_style/shards_8 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+    "shard_scaling/mtrt_style/shards_1 events_replayed=709281 unions=48799 contaminations=64949 static_opt_skips=16150 objects_collected=176000 allocations=23",
+    "shard_scaling/mtrt_style/shards_2 events_replayed=709281 unions=48799 contaminations=64949 static_opt_skips=16150 objects_collected=176000 allocations=23",
+    "shard_scaling/mtrt_style/shards_4 events_replayed=709281 unions=48799 contaminations=64949 static_opt_skips=16150 objects_collected=176000 allocations=23",
+    "shard_scaling/mtrt_style/shards_8 events_replayed=709281 unions=48799 contaminations=64949 static_opt_skips=16150 objects_collected=176000 allocations=23",
+];
 
 fn cg_config() -> CgConfig {
     CgConfig {
@@ -140,10 +107,13 @@ fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &Trace, vm_config: VmC
         // the parallel evaluation itself.
         let pt = partition(trace, shards);
         let label = format!("shard_scaling/{name}/shards_{shards}");
-        let ns = h.bench(&label, 3, || {
-            parallel_eval_governed(black_box(&pt), vm_config.heap, cg_config(), &unlimited)
-                .expect("parallel eval succeeds")
-                .events_replayed
+        let ns = h.bench_counted(label, 3, || {
+            let outcome =
+                parallel_eval_governed(black_box(&pt), vm_config.heap, cg_config(), &unlimited)
+                    .expect("parallel eval succeeds");
+            [("events_replayed", outcome.events_replayed as u64)]
+                .into_iter()
+                .chain(cg_counts(&outcome.stats))
         });
         match one_shard_ns {
             None => one_shard_ns = Some(ns),
@@ -156,7 +126,6 @@ fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &Trace, vm_config: VmC
 }
 
 fn main() {
-    let check = cg_bench::parse_check_arg();
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
 
     let cores = std::thread::available_parallelism()
@@ -170,23 +139,13 @@ fn main() {
         );
     }
 
-    let mut harness = BenchHarness::new("shard_scaling");
-    harness.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
+    let mut harness = BenchHarness::new("shard_scaling").with_counts(EXPECTED, common::allocations);
 
-    for profile in [javac_style(), mtrt_style()] {
+    for profile in [javac_style(), mtrt_style(16_000)] {
         let trace = record_profile(&profile, vm_config);
         verify_equivalence(&trace, vm_config);
         bench_scaling(&mut harness, &profile.name, &trace, vm_config);
     }
 
-    harness.write_json();
-
-    if let Some(path) = check {
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
+    harness.finish([]);
 }

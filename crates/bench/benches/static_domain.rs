@@ -19,24 +19,45 @@
 //! asserted, since 4 producer threads oversubscribe a small shared runner
 //! and scheduler noise would make a hard gate flaky; on a single core the
 //! threads serialise and the comparison is skipped entirely (the numbers
-//! then measure per-op overhead, not contention).  The committed
-//! baseline (`baselines/static_domain.json`) carries only the labels that
-//! are stable across core counts: the calibration loop, the single-threaded
-//! microbenches and the end-to-end legs.  `BENCH_static_domain.json`
-//! records the runner's core count so the other numbers can be read in
-//! context.
+//! then measure per-op overhead, not contention).  `BENCH_static_domain.json`
+//! records the runner's core count so the numbers can be read in context.
+//!
+//! Each label is also counted once, untimed: the domain's final block,
+//! member and promotion counts (fixed by the seeded op mix whatever the
+//! interleaving), or the end-to-end leg's events and collector work
+//! counters, plus the calling thread's heap allocations, must equal the
+//! label's line in `EXPECTED` (see `cg_bench::microbench`).
+
+mod common;
 
 use std::hint::black_box;
 
-use cg_bench::BenchHarness;
+use cg_bench::runner::mtrt_style;
+use cg_bench::{cg_counts, BenchHarness};
 use cg_core::{CgConfig, DomainImpl, StaticDomain, StaticNodeId, StaticReason};
 use cg_stats::Json;
 use cg_testutil::TestRng;
 use cg_trace::{parallel_eval_governed, partition, record, Governor};
 use cg_vm::{Handle, NoopCollector, VmConfig};
-use cg_workloads::Profile;
 
-const CALIBRATION_LABEL: &str = "calibration/spin_1k";
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "static_domain/union_heavy/mutex/threads_1 blocks=135 members=658 promotions=658 allocations=28",
+    "static_domain/union_heavy/mutex/threads_2 blocks=260 members=1228 promotions=1228 allocations=24",
+    "static_domain/union_heavy/mutex/threads_4 blocks=533 members=2455 promotions=2455 allocations=30",
+    "static_domain/union_heavy/atomic/threads_1 blocks=135 members=658 promotions=658 allocations=208",
+    "static_domain/union_heavy/atomic/threads_2 blocks=260 members=1228 promotions=1228 allocations=88",
+    "static_domain/union_heavy/atomic/threads_4 blocks=533 members=2455 promotions=2455 allocations=94",
+    "static_domain/read_heavy/mutex/threads_1 blocks=67 members=228 promotions=228 allocations=23",
+    "static_domain/read_heavy/mutex/threads_2 blocks=117 members=391 promotions=391 allocations=24",
+    "static_domain/read_heavy/mutex/threads_4 blocks=220 members=696 promotions=696 allocations=30",
+    "static_domain/read_heavy/atomic/threads_1 blocks=67 members=228 promotions=228 allocations=116",
+    "static_domain/read_heavy/atomic/threads_2 blocks=117 members=391 promotions=391 allocations=88",
+    "static_domain/read_heavy/atomic/threads_4 blocks=220 members=696 promotions=696 allocations=94",
+    "static_domain/e2e_mtrt/mutex/shards_4 events_replayed=357281 unions=24799 contaminations=32949 static_opt_skips=8150 objects_collected=88000 allocations=22",
+    "static_domain/e2e_mtrt/atomic/shards_4 events_replayed=357281 unions=24799 contaminations=32949 static_opt_skips=8150 objects_collected=88000 allocations=23",
+];
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const IMPLS: [DomainImpl; 2] = [DomainImpl::Mutex, DomainImpl::Atomic];
 /// Domain ops per producer thread per iteration.
@@ -136,8 +157,9 @@ fn producer(domain: &StaticDomain, shared: &[StaticNodeId], thread: usize, mix: 
 /// One timed iteration: fresh domain, `threads` producers over the shared
 /// node set.  A fresh domain per iteration keeps the workload honest —
 /// unions are irreversible, so a reused domain would degenerate into
-/// all-singletons-already-merged.
-fn contention_iteration(which: DomainImpl, threads: usize, mix: OpMix) -> u64 {
+/// all-singletons-already-merged.  Returns the domain and the producers'
+/// checksum.
+fn contention_iteration(which: DomainImpl, threads: usize, mix: OpMix) -> (StaticDomain, u64) {
     let domain = StaticDomain::with_impl(which);
     let shared: Vec<StaticNodeId> = (0..SHARED_NODES)
         .map(|i| {
@@ -146,18 +168,20 @@ fn contention_iteration(which: DomainImpl, threads: usize, mix: OpMix) -> u64 {
             node
         })
         .collect();
-    if threads == 1 {
-        return producer(&domain, &shared, 0, mix);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (domain, shared) = (&domain, &shared);
-                scope.spawn(move || producer(domain, shared, t, mix))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    })
+    let sum = if threads == 1 {
+        producer(&domain, &shared, 0, mix)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (domain, shared) = (&domain, &shared);
+                    scope.spawn(move || producer(domain, shared, t, mix))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        })
+    };
+    (domain, sum)
 }
 
 fn bench_contention(h: &mut BenchHarness, cores: usize) {
@@ -169,7 +193,15 @@ fn bench_contention(h: &mut BenchHarness, cores: usize) {
                     mix.name,
                     impl_name(which)
                 );
-                h.bench(&label, 8, || {
+                h.count(&label, || {
+                    let (domain, _) = contention_iteration(which, threads, mix);
+                    [
+                        ("blocks", domain.block_count() as u64),
+                        ("members", domain.member_count() as u64),
+                        ("promotions", domain.promotions()),
+                    ]
+                });
+                h.bench(label, 8, || {
                     black_box(contention_iteration(which, threads, mix))
                 });
             }
@@ -238,28 +270,6 @@ fn bench_contention(h: &mut BenchHarness, cores: usize) {
     }
 }
 
-/// The mtrt-style profile from `shard_scaling`, shrunk so the end-to-end leg
-/// stays a small share of the bench's runtime.
-fn mtrt_style() -> Profile {
-    Profile {
-        name: "mtrt_style".to_string(),
-        description: "mtrt-style: private ray temporaries over a shared scene, 8 threads"
-            .to_string(),
-        static_setup: 600,
-        interned: 8,
-        iterations: 8_000,
-        leaf_temps: 5,
-        chained_temps: 3,
-        static_touching_temps: 1,
-        returned_temps: 2,
-        escape_depth: 2,
-        leaked_per_iteration: 0,
-        compute_per_iteration: 6,
-        shared_objects: 200,
-        worker_threads: 7,
-    }
-}
-
 fn cg_config(which: DomainImpl) -> CgConfig {
     CgConfig {
         verify_tainted: false,
@@ -275,7 +285,9 @@ fn bench_e2e(h: &mut BenchHarness, vm_config: VmConfig) {
     let unlimited = Governor::unlimited();
     let (trace, _, _) = record(
         "mtrt_style".to_string(),
-        cg_workloads::synthesize(&mtrt_style()),
+        // Half of `shard_scaling`'s iterations keep this leg a small share
+        // of the bench's runtime.
+        cg_workloads::synthesize(&mtrt_style(8_000)),
         vm_config,
         NoopCollector::new(),
     )
@@ -296,32 +308,26 @@ fn bench_e2e(h: &mut BenchHarness, vm_config: VmConfig) {
 
     for which in IMPLS {
         let label = format!("static_domain/e2e_mtrt/{}/shards_4", impl_name(which));
-        h.bench(&label, 3, || black_box(eval(which)).events_replayed);
+        h.bench_counted(label, 3, || {
+            let outcome = eval(which);
+            [("events_replayed", outcome.events_replayed as u64)]
+                .into_iter()
+                .chain(cg_counts(&outcome.stats))
+        });
     }
 }
 
 fn main() {
-    let check = cg_bench::parse_check_arg();
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!("static_domain: {cores} hardware thread(s) available");
 
-    let mut harness = BenchHarness::new("static_domain");
-    harness.bench(CALIBRATION_LABEL, 200_000, || {
-        (0..1000u64).fold(0u64, |acc, i| {
-            acc.wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(black_box(i))
-        })
-    });
+    let mut harness = BenchHarness::new("static_domain").with_counts(EXPECTED, common::allocations);
 
     bench_contention(&mut harness, cores);
     bench_e2e(&mut harness, vm_config);
 
-    harness.write_json_with([("cores", Json::Num(cores as f64))]);
-
-    if let Some(path) = check {
-        cg_bench::check_against_baseline(&harness, &path, CALIBRATION_LABEL);
-    }
+    harness.finish([("cores", Json::Num(cores as f64))]);
 }

@@ -11,16 +11,48 @@
 //! The `trace/` group times the two halves of the trace-driven runner on
 //! `db`: recording a workload (one interpretation) and replaying its stream
 //! against the contaminated collector.  Replay must beat live interpretation
-//! — that is the point of the event-stream layer: evaluating another
-//! collector costs a replay, not a re-interpretation.
+//! (`timing_size1/db/cg`) — that is the point of the event-stream layer:
+//! evaluating another collector costs a replay, not a re-interpretation.
+//!
+//! Each label is also counted once, untimed: the counts of one run must
+//! equal its line in `EXPECTED` (see `cg_bench::microbench`).
 
-use cg_bench::{record_workload_trace, replay_run, run_once, BenchHarness, CollectorChoice};
+mod common;
+
+use cg_bench::{
+    record_workload_trace, replay_run, run_once, BenchHarness, CollectorChoice, RunResult,
+};
 use cg_workloads::{Size, Workload};
+
+/// One line per label: its counts, zero counters omitted.
+const EXPECTED: &[&str] = &[
+    "timing_size1/db/jdk-msa instructions=49368 objects_created=1897 allocations=2050",
+    "timing_size1/db/cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4522",
+    "timing_size1/db/cg-recycle instructions=49368 objects_created=1897 allocations=3836",
+    "timing_size1/jess/jdk-msa instructions=186296 objects_created=11467 allocations=11719",
+    "timing_size1/jess/cg instructions=186296 objects_created=11467 objects_freed=7000 allocations=26182",
+    "timing_size1/jess/cg-recycle instructions=186296 objects_created=11467 allocations=19166",
+    "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1416",
+    "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=3009",
+    "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2876",
+    "trace/db_record_once events=12167 allocations=2069",
+    "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4392",
+];
 
 /// Representative subset: one record-heavy benchmark (db), one
 /// rule-engine-style allocator (jess) and one compute-bound benchmark
 /// (compress).
 const SUBSET: [&str; 3] = ["db", "jess", "compress"];
+
+/// What one run did: interpretation, allocation and collection work.
+fn run_counts(run: &RunResult) -> [(&'static str, u64); 4] {
+    [
+        ("instructions", run.vm.instructions),
+        ("objects_created", run.objects_created()),
+        ("objects_freed", run.vm.collector_freed_objects),
+        ("gc_cycles", run.vm.gc_cycles),
+    ]
+}
 
 fn bench_collectors(h: &mut BenchHarness) {
     for name in SUBSET {
@@ -30,9 +62,9 @@ fn bench_collectors(h: &mut BenchHarness) {
             CollectorChoice::Cg,
             CollectorChoice::CgRecycle,
         ] {
-            h.bench(format!("timing_size1/{name}/{}", choice.label()), 3, || {
-                let result = run_once(workload, Size::S1, choice).expect("run succeeds");
-                result.objects_created()
+            let label = format!("timing_size1/{name}/{}", choice.label());
+            h.bench_counted(label, 3, || {
+                run_counts(&run_once(workload, Size::S1, choice).expect("run succeeds"))
             });
         }
     }
@@ -40,23 +72,15 @@ fn bench_collectors(h: &mut BenchHarness) {
 
 fn bench_trace_runner(h: &mut BenchHarness) {
     let workload = Workload::by_name("db").expect("known benchmark");
-    let live = h.bench("trace/db_live_cg_run", 3, || {
-        run_once(workload, Size::S1, CollectorChoice::Cg)
-            .expect("live run succeeds")
-            .objects_created()
-    });
-    h.bench("trace/db_record_once", 3, || {
-        record_workload_trace(workload, Size::S1, None)
-            .expect("recording succeeds")
-            .trace
-            .len()
+    h.bench_counted("trace/db_record_once", 3, || {
+        let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
+        [("events", recorded.trace.len() as u64)]
     });
     let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
-    let replay = h.bench("trace/db_replay_cg", 3, || {
-        replay_run(&recorded, CollectorChoice::Cg)
-            .expect("replay succeeds")
-            .objects_created()
+    let replay = h.bench_counted("trace/db_replay_cg", 3, || {
+        run_counts(&replay_run(&recorded, CollectorChoice::Cg).expect("replay succeeds"))
     });
+    let live = h.ns_of("timing_size1/db/cg").expect("live db run benched");
     println!(
         "trace runner: replaying CG is {:.2}x the speed of live interpretation",
         live / replay.max(f64::MIN_POSITIVE)
@@ -67,8 +91,8 @@ fn bench_trace_runner(h: &mut BenchHarness) {
 }
 
 fn main() {
-    let mut harness = BenchHarness::new("timing");
+    let mut harness = BenchHarness::new("timing").with_counts(EXPECTED, common::allocations);
     bench_collectors(&mut harness);
     bench_trace_runner(&mut harness);
-    harness.write_json();
+    harness.finish([]);
 }

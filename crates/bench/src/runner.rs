@@ -11,7 +11,7 @@ use cg_core::{CgConfig, CgStats, HybridCollector, HybridConfig, ObjectBreakdown}
 use cg_heap::{HeapConfig, HeapStats};
 use cg_trace::{record, replay_governed, EvalError, Governor, ReplayOutcome, Trace};
 use cg_vm::{Vm, VmConfig, VmError, VmStats};
-use cg_workloads::{Size, Workload};
+use cg_workloads::{Profile, Size, Workload};
 
 /// Which collector configuration to run a workload under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,6 +140,54 @@ impl RunResult {
 /// committed traces can never drift apart.
 pub fn experiment_heap() -> HeapConfig {
     cg_trace::footer::canonical_heap()
+}
+
+/// The `javac`-style thread-heavy profile the sharding benches evaluate: a
+/// large shared batch handed to a loader thread (over half the small run's
+/// objects go thread-shared, Appendix A.2) plus per-method compile
+/// temporaries, over 8 VM threads so 4 and 8 shards all have work.
+pub fn javac_style() -> Profile {
+    Profile {
+        name: "javac_style".to_string(),
+        description: "javac-style: shared AST batch + compile temporaries over 8 threads"
+            .to_string(),
+        static_setup: 1_000,
+        interned: 32,
+        iterations: 12_000,
+        leaf_temps: 3,
+        chained_temps: 4,
+        static_touching_temps: 2,
+        returned_temps: 1,
+        escape_depth: 1,
+        leaked_per_iteration: 0,
+        compute_per_iteration: 8,
+        shared_objects: 2_000,
+        worker_threads: 7,
+    }
+}
+
+/// The `mtrt`-style profile the sharding benches evaluate: thread-private
+/// rendering temporaries, dominated by singleton and small chained blocks,
+/// over a shared static scene, with 7 rendering threads (the paper's mtrt
+/// runs two; the thread count is scaled so 8 shards have work).
+pub fn mtrt_style(iterations: u64) -> Profile {
+    Profile {
+        name: "mtrt_style".to_string(),
+        description: "mtrt-style: private ray temporaries over a shared scene, 8 threads"
+            .to_string(),
+        static_setup: 600,
+        interned: 8,
+        iterations,
+        leaf_temps: 5,
+        chained_temps: 3,
+        static_touching_temps: 1,
+        returned_temps: 2,
+        escape_depth: 2,
+        leaked_per_iteration: 0,
+        compute_per_iteration: 6,
+        shared_objects: 200,
+        worker_threads: 7,
+    }
 }
 
 /// The VM configuration used by experiment runs.
