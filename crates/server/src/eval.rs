@@ -1,47 +1,44 @@
-//! One session's evaluation: spool the uploaded `.cgt` byte stream to
-//! disk with O(chunk) memory, answer repeated workloads from the memoized
-//! result cache, otherwise replay under the session's [`Governor`] via the
-//! governed streaming path and publish the result for next time.
+//! One session's evaluation.  Every route reads the session body through
+//! one guarded reader that checks the upload cap, the governor's deadline
+//! and cancellation on every read, so a client that drips bytes gets its
+//! worker slot back within the deadline plus one idle timeout.
 //!
-//! Large uploads take the **sharded** path: when the tenant's `shards`
-//! budget allows ≥ 2 shards and the spool crosses
-//! [`EvalConfig::shard_min_bytes`], the spool is split per thread with
-//! [`partition_path_streaming`] and evaluated on one OS thread per shard
-//! via [`parallel_eval_streaming_governed`] — sound because contaminated
-//! GC's per-thread frame/block locality (§3.3) keeps shard state
-//! independent up to explicit cross-shard waits, and byte-identical to
-//! the single-shard replay by the shard-equivalence invariant.  Shard
-//! failures surface as [`SessionError::Shards`] with the completed
-//! shards' partial statistics preserved in the error message.
+//! **Single-shard sessions are evaluated as the bytes arrive**, decoded
+//! event by event (one chunk held at a time) into the library's one replay
+//! loop, [`replay_events_governed`].  A live `STREAM`
+//! ([`evaluate_stream_session`]) reports `PROGRESS` on the way; an upload
+//! ([`evaluate_session`]) takes the same route whenever no feature needs
+//! the whole file — memoization off and a serving-shard grant of 1.
 //!
-//! **Live streams** ([`evaluate_stream_session`]) never spool at all: the
-//! framed body is decoded event-by-event as it arrives and applied to the
-//! shadow heap incrementally, so a stream of any length evaluates in
-//! O(chunk) memory, with periodic `PROGRESS` callbacks for the client.
-//!
-//! The result cache publishes atomically (collision-proof tmp sibling +
-//! rename, expired tmps swept on startup; see [`crate::spool`]).
-//! Entries are keyed by content — `(length, CRC32, FNV-1a 64)` of the full
-//! uploaded byte stream — so a repeated upload of the same workload trace
-//! is answered without replaying a single event, and a trace that differs
-//! anywhere (header, events, footer) can never collide into a wrong
-//! answer short of a simultaneous 96-bit hash collision.
+//! **The spool**, a temporary copy of the upload under
+//! `<cache_dir>/uploads/`, stays for the two features that do.  The
+//! memoized result cache keys entries by content — `(length, CRC32, FNV-1a
+//! 64)` of the full uploaded byte stream, known only at the last byte — so
+//! a repeated upload is answered without replaying an event, and a trace
+//! that differs anywhere cannot collide into a wrong answer short of a
+//! simultaneous 96-bit hash collision.  Entries publish atomically (see
+//! [`crate::spool`]).  The **sharded** route (a `shards` budget ≥ 2 and an
+//! upload over [`EvalConfig::shard_min_bytes`]) splits the spool per
+//! thread with [`partition_path_streaming`] and evaluates one OS thread per
+//! shard via [`parallel_eval_streaming_governed`] — sound because
+//! contaminated GC's per-thread frame/block locality (§3.3) keeps shard
+//! state independent up to explicit cross-shard waits, and byte-identical
+//! to the single-shard replay.  Shard failures surface as
+//! [`SessionError::Shards`] with the completed shards' partial statistics
+//! in the error message.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 use crate::spool::{sweep_stale_tmps, unique_tmp_path, TMP_SWEEP_TTL};
-use cg_heap::Heap;
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::proto::{session_error, ErrorClass, ProtoError, SessionReader};
 use cg_trace::{
-    apply_event, open_trace, parallel_eval_streaming_governed, partition_path_streaming,
-    replay_path_governed, EvalError, FooterSection, Governor, ParallelError, ReplayOutcome,
-    ResourceLimits, TraceIoError, TraceReader, GOVERNOR_CHECK_EVENTS,
+    open_trace, parallel_eval_streaming_governed, partition_path_streaming, replay_events_governed,
+    EvalError, FooterSection, Governor, ParallelError, ResourceLimits, TraceIoError, TraceReader,
 };
 
 /// Most shard threads one session may occupy, regardless of the tenant's
@@ -205,11 +202,96 @@ fn classify_read(e: io::Error) -> SessionError {
     }
 }
 
-/// Runs one session body to completion: spools, memoizes, evaluates.
+/// A session body as every route reads it.  Each read first checks the
+/// governor's deadline and cancellation, and then the upload cap once the
+/// bytes are in.  Reads go through `&Body`, so the evaluator can still
+/// ask for [`Body::bytes_read`] while the trace reader consumes the body.
+/// The first failed read is kept for [`Body::failure`], and every later
+/// read fails too.
+struct Body<'a, R: Read> {
+    reader: RefCell<&'a mut SessionReader<R>>,
+    governor: &'a Governor,
+    cap: u64,
+    stopped: RefCell<Option<SessionError>>,
+}
+
+impl<'a, R: Read> Body<'a, R> {
+    fn new(reader: &'a mut SessionReader<R>, governor: &'a Governor, config: &EvalConfig) -> Self {
+        Self {
+            reader: RefCell::new(reader),
+            governor,
+            cap: config.max_upload_bytes,
+            stopped: RefCell::new(None),
+        }
+    }
+
+    fn bytes_read(&self) -> u64 {
+        self.reader.borrow().bytes_read()
+    }
+
+    /// The memo cache's content key of the bytes read so far.
+    fn content_key(&self) -> (u64, u32, u64) {
+        let reader = self.reader.borrow();
+        (reader.bytes_read(), reader.crc32(), reader.fnv64())
+    }
+
+    fn read_checked(&self, buf: &mut [u8]) -> Result<usize, SessionError> {
+        self.governor.check_deadline().map_err(SessionError::Eval)?;
+        self.governor
+            .check_cancelled()
+            .map_err(SessionError::Eval)?;
+        let mut reader = self.reader.borrow_mut();
+        let n = reader.read(buf).map_err(classify_read)?;
+        if reader.bytes_read() > self.cap {
+            return Err(SessionError::UploadTooLarge { limit: self.cap });
+        }
+        Ok(n)
+    }
+
+    /// What a session reports for an I/O error `e` met while reading the
+    /// body: the failure the body kept, or the client's transport for an
+    /// error no read produced (a `PROGRESS` write, a record cut off by
+    /// `END`).
+    fn failure(&self, e: io::Error) -> SessionError {
+        self.stopped.take().unwrap_or_else(|| classify_read(e))
+    }
+
+    /// What an upload whose evaluation failed with `e` reports.  The rest
+    /// of the body is read first, as the spool would have read it: a
+    /// transport failure on the way is the verdict, and a client that is
+    /// still writing gets to read its `ERROR` instead of a reset.
+    fn failure_after_end(&self, e: EvalError) -> SessionError {
+        if !self.reader.borrow().finished() {
+            let _ = io::copy(&mut &*self, &mut io::sink());
+        }
+        self.stopped.take().unwrap_or(SessionError::Eval(e))
+    }
+}
+
+impl<R: Read> Read for &Body<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut stopped = self.stopped.borrow_mut();
+        if stopped.is_none() {
+            match self.read_checked(buf) {
+                Ok(n) => return Ok(n),
+                Err(e) => *stopped = Some(e),
+            }
+        }
+        Err(io::Error::other("the session body failed"))
+    }
+}
+
+/// Runs one upload's body to a verdict.  When memoization is off and the
+/// tenant's serving-shard grant is 1, nothing needs the whole file, so
+/// the body is evaluated as it arrives — [`evaluate_stream_session`]'s
+/// evaluator without the `PROGRESS` frames.  Otherwise it is spooled,
+/// looked up in the memo cache, and evaluated from the spool, single-shard
+/// or sharded.  Either way the verdict follows `END`.
 ///
 /// The governor's deadline covers the whole session — a client that
-/// uploads slowly eats into its own evaluation budget, so a worker slot
-/// is always reclaimed within the deadline plus one idle timeout.
+/// uploads slowly eats into its own evaluation budget, and every read of
+/// the body checks it, so a worker slot is always reclaimed within the
+/// deadline plus one idle timeout.
 ///
 /// # Errors
 ///
@@ -219,164 +301,47 @@ pub fn evaluate_session<R: Read>(
     governor: &Governor,
     config: &EvalConfig,
 ) -> Result<SessionResult, SessionError> {
+    let body = Body::new(body, governor, config);
+    if !config.memoize && serving_shards(governor.limits()) == 1 {
+        return eval_single(&body, governor, |_| Ok(())).map_err(|e| body.failure_after_end(e));
+    }
     let uploads = config.cache_dir.join("uploads");
     std::fs::create_dir_all(&uploads).map_err(SessionError::Io)?;
     let spool_path = unique_tmp_path(&uploads.join("session.cgt"));
-    let result = spool_and_eval(body, governor, config, &spool_path);
+    let result = spool_and_eval(&body, governor, config, &spool_path);
     let _ = std::fs::remove_file(&spool_path);
     result
 }
 
-/// The marker error [`SharedSession`] raises when a stream crosses the
-/// upload byte cap, so [`classify_stream`] can tell the cap apart from
-/// transport failures after the error has passed through the trace
-/// reader.
-#[derive(Debug)]
-struct CapExceeded;
-
-impl fmt::Display for CapExceeded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stream exceeds the upload byte cap")
-    }
-}
-
-impl std::error::Error for CapExceeded {}
-
-/// A [`SessionReader`] behind a shared handle, so the trace reader can
-/// consume it while the evaluation loop still observes `bytes_read` for
-/// progress frames and drains the tail after the footer.  Enforces the
-/// upload cap on every read.
-struct SharedSession<R: Read> {
-    inner: Rc<RefCell<SessionReader<R>>>,
-    cap: u64,
-}
-
-impl<R: Read> Read for SharedSession<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut inner = self.inner.borrow_mut();
-        let n = inner.read(buf)?;
-        if inner.bytes_read() > self.cap {
-            return Err(io::Error::other(CapExceeded));
-        }
-        Ok(n)
-    }
-}
-
-/// Classifies a failure from the incremental trace reader: the cap marker
-/// planted by [`SharedSession`], a client transport failure (stall,
-/// disconnect, torn frame), or genuine stream damage.
-fn classify_stream(e: TraceIoError, limit: u64) -> SessionError {
-    match e {
-        TraceIoError::Io(io) => {
-            if io.get_ref().is_some_and(|inner| inner.is::<CapExceeded>()) {
-                SessionError::UploadTooLarge { limit }
-            } else {
-                classify_read(io)
-            }
-        }
-        damaged => SessionError::Eval(EvalError::Trace(damaged)),
-    }
-}
-
-/// Runs one live `STREAM` session: decodes the framed `.cgt` body
-/// event-by-event as it arrives and applies each event to the shadow heap
-/// immediately, so memory stays O(chunk) no matter how long the client
-/// records.  `progress` is called with `(events, bytes)` once after the
+/// Runs one live `STREAM` session: the body is evaluated as it arrives,
+/// like an upload that needs no spool, except that a failure is answered at
+/// once.  `progress` is called with `(events, bytes)` once after the
 /// header parses and then every [`PROGRESS_EVERY_EVENTS`] events — the
 /// worker turns each call into a `PROGRESS` frame; a callback error means
-/// the client stopped draining and ends the session.
-///
-/// Live streams bypass the memoized result cache: the daemon never holds
-/// the full byte stream, so there is no content key to look up.  The
-/// governed checkpoints are the same as the spooled path's, so budgets
-/// and deadlines trip identically.
+/// the client stopped draining and ends the session.  Live streams bypass
+/// the memoized result cache, whose key is known only at the last byte.
 ///
 /// # Errors
 ///
 /// A [`SessionError`]; the worker frames it as an `ERROR` response.
 pub fn evaluate_stream_session<R: Read>(
-    body: SessionReader<R>,
+    mut reader: SessionReader<R>,
     governor: &Governor,
     config: &EvalConfig,
     mut progress: impl FnMut(u64, u64) -> io::Result<()>,
 ) -> Result<SessionResult, SessionError> {
-    let session = Rc::new(RefCell::new(body));
-    let cap = config.max_upload_bytes;
-    let mut reader = TraceReader::new(SharedSession {
-        inner: Rc::clone(&session),
-        cap,
+    let body = Body::new(&mut reader, governor, config);
+    eval_single(&body, governor, |events| {
+        progress(events, body.bytes_read())
     })
-    .map_err(|e| classify_stream(e, cap))?;
-
-    let heap_config = reader.meta().heap.ok_or_else(|| {
-        SessionError::Eval(EvalError::Trace(TraceIoError::Malformed {
-            chunk: None,
-            detail: "stream header carries no heap configuration".to_string(),
-        }))
-    })?;
-    governor
-        .validate_heap(&heap_config)
-        .map_err(SessionError::Eval)?;
-    if let Some(declared) = reader.meta().declared_events {
-        governor
-            .validate_declared_events(declared)
-            .map_err(SessionError::Eval)?;
-    }
-
-    let mut heap = Heap::new(heap_config);
-    let mut collector = canonical_collector();
-    let mut outcome = ReplayOutcome::default();
-    progress(0, session.borrow().bytes_read()).map_err(classify_read)?;
-    loop {
-        match reader.next_event() {
-            Ok(Some(event)) => {
-                apply_event(&event, &mut heap, &mut collector, &mut outcome)
-                    .map_err(|e| SessionError::Eval(EvalError::Replay(e)))?;
-                let n = outcome.events_replayed as u64;
-                if n.is_multiple_of(GOVERNOR_CHECK_EVENTS) {
-                    governor.checkpoint(n, &heap).map_err(SessionError::Eval)?;
-                }
-                if n.is_multiple_of(PROGRESS_EVERY_EVENTS) {
-                    progress(n, session.borrow().bytes_read()).map_err(classify_read)?;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(classify_stream(e, cap)),
-        }
-    }
-    let events = outcome.events_replayed as u64;
-    governor
-        .checkpoint(events, &heap)
-        .map_err(SessionError::Eval)?;
-    drop(reader);
-
-    // Drain to the END frame so the response is never raced by an unread
-    // tail (a close with buffered receive data can turn into a reset that
-    // eats the STATS frame).
-    let mut sink = [0u8; 4096];
-    loop {
-        let mut inner = session.borrow_mut();
-        let n = inner.read(&mut sink).map_err(classify_read)?;
-        if inner.bytes_read() > cap {
-            return Err(SessionError::UploadTooLarge { limit: cap });
-        }
-        if n == 0 {
-            break;
-        }
-    }
-
-    let breakdown = collector.breakdown();
-    let section = cg_section(collector.stats(), &breakdown);
-    Ok(SessionResult {
-        text: stats_text(events, &section),
-        cached: false,
-        events,
-        shards: 1,
+    .map_err(|e| match e {
+        EvalError::Trace(TraceIoError::Io(io)) => body.failure(io),
+        e => SessionError::Eval(e),
     })
 }
 
 fn spool_and_eval<R: Read>(
-    body: &mut SessionReader<R>,
+    body: &Body<'_, R>,
     governor: &Governor,
     config: &EvalConfig,
     spool_path: &Path,
@@ -386,17 +351,11 @@ fn spool_and_eval<R: Read>(
     let spool = File::create(spool_path).map_err(SessionError::Io)?;
     let mut spool = BufWriter::new(spool);
     let mut buf = vec![0u8; 64 * 1024];
+    let mut source = body;
     loop {
-        governor.check_deadline().map_err(SessionError::Eval)?;
-        governor.check_cancelled().map_err(SessionError::Eval)?;
-        let n = body.read(&mut buf).map_err(classify_read)?;
+        let n = source.read(&mut buf).map_err(|e| body.failure(e))?;
         if n == 0 {
             break;
-        }
-        if body.bytes_read() > config.max_upload_bytes {
-            return Err(SessionError::UploadTooLarge {
-                limit: config.max_upload_bytes,
-            });
         }
         spool.write_all(&buf[..n]).map_err(SessionError::Io)?;
     }
@@ -405,58 +364,82 @@ fn spool_and_eval<R: Read>(
         .map_err(|e| SessionError::Io(e.into_error()))?;
 
     // Memoization: same bytes, same answer — skip the replay entirely.
-    let result_path = config.result_path(body.bytes_read(), body.crc32(), body.fnv64());
+    let (len, crc, fnv) = body.content_key();
+    let result_path = config.result_path(len, crc, fnv);
     if config.memoize {
         if let Some(hit) = load_result(&result_path) {
-            return Ok(SessionResult {
-                cached: true,
-                ..hit
-            });
+            return Ok(hit);
         }
     }
 
     // Route: the sharded path when the tenant's budget allows it and the
     // upload is large enough to pay for the partition pass.
-    let shards = if body.bytes_read() >= config.shard_min_bytes {
+    let shards = if len >= config.shard_min_bytes {
         serving_shards(governor.limits())
     } else {
         1
     };
-    let (text, events) = if shards >= 2 {
+    let result = if shards >= 2 {
         eval_sharded(spool_path, shards, governor)?
     } else {
-        eval_single(spool_path, governor)?
+        let spool = File::open(spool_path).map_err(SessionError::Io)?;
+        eval_single(BufReader::new(spool), governor, |_| Ok(())).map_err(SessionError::Eval)?
     };
     if config.memoize {
-        store_result(&result_path, &text);
+        store_result(&result_path, &result.text);
     }
-    Ok(SessionResult {
-        text,
-        cached: false,
-        events,
-        shards,
-    })
+    Ok(result)
 }
 
-/// The canonical stats body: `events N` then the footer-section entries.
-fn stats_text(events: u64, section: &FooterSection) -> String {
+/// A fresh answer: the canonical stats body — `events N` then the
+/// footer-section entries.
+fn answer(events: u64, section: &FooterSection, shards: usize) -> SessionResult {
     let mut text = format!("events {events}\n");
     for (name, value) in &section.entries {
         text.push_str(&format!("cg.{name} {value}\n"));
     }
-    text
+    SessionResult {
+        text,
+        cached: false,
+        events,
+        shards,
+    }
 }
 
-/// The single-shard whole-file path — the byte-identity reference for
-/// both the sharded and the streamed evaluators.
-fn eval_single(spool_path: &Path, governor: &Governor) -> Result<(String, u64), SessionError> {
-    let evaluated = replay_path_governed(spool_path, None, canonical_collector(), governor)
-        .map_err(SessionError::Eval)?;
-    let mut collector = evaluated.replayed.collector;
+/// The single-shard evaluator every route but the sharded one runs, and
+/// the byte-identity reference for that one: decodes `source` event by
+/// event into the library's replay loop.  `progress` is called with the
+/// events replayed so far once after the header, then after every
+/// [`PROGRESS_EVERY_EVENTS`] events, each time after that event's governor
+/// checkpoint.
+fn eval_single<S: Read>(
+    source: S,
+    governor: &Governor,
+    mut progress: impl FnMut(u64) -> io::Result<()>,
+) -> Result<SessionResult, EvalError> {
+    let mut reader = TraceReader::new(source)?;
+    let heap = reader.meta().heap.ok_or_else(|| TraceIoError::Malformed {
+        chunk: None,
+        detail: "trace header carries no heap configuration".to_string(),
+    })?;
+    if let Some(declared) = reader.meta().declared_events {
+        governor.validate_declared_events(declared)?;
+    }
+    let mut yielded = 0u64;
+    let events = std::iter::from_fn(|| {
+        if yielded.is_multiple_of(PROGRESS_EVERY_EVENTS) {
+            if let Err(e) = progress(yielded) {
+                return Some(Err(e.into()));
+            }
+        }
+        yielded += 1;
+        reader.next_event().transpose()
+    });
+    let replayed = replay_events_governed(events, heap, canonical_collector(), governor)?;
+    let mut collector = replayed.collector;
     let breakdown = collector.breakdown();
     let section = cg_section(collector.stats(), &breakdown);
-    let events = evaluated.replayed.outcome.events_replayed as u64;
-    Ok((stats_text(events, &section), events))
+    Ok(answer(replayed.outcome.events_replayed as u64, &section, 1))
 }
 
 /// The sharded path: partition the spool per recording thread, evaluate
@@ -466,7 +449,7 @@ fn eval_sharded(
     spool_path: &Path,
     shards: usize,
     governor: &Governor,
-) -> Result<(String, u64), SessionError> {
+) -> Result<SessionResult, SessionError> {
     let reader = open_trace(spool_path).map_err(|e| SessionError::Eval(EvalError::Trace(e)))?;
     let heap = reader.meta().heap.ok_or_else(|| {
         SessionError::Eval(EvalError::Trace(TraceIoError::Malformed {
@@ -503,8 +486,7 @@ fn eval_sharded(
                     failed @ ParallelError::Shards { .. } => SessionError::Shards(failed),
                 })?;
         let section = cg_section(&outcome.stats, &outcome.breakdown);
-        let events = outcome.events_replayed as u64;
-        Ok((stats_text(events, &section), events))
+        Ok(answer(outcome.events_replayed as u64, &section, shards))
     })();
     let _ = std::fs::remove_dir_all(&shard_dir);
     result
@@ -619,6 +601,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
+    /// Evaluates `framed` as an upload under `spec` plus a single-shard
+    /// grant, on both upload routes: spooled (memoizing) and direct (no
+    /// memoization, evaluated as it arrives).
+    fn upload_routes(
+        config: &EvalConfig,
+        spec: &str,
+        framed: &[u8],
+    ) -> [(&'static str, Result<SessionResult, SessionError>); 2] {
+        let spec = if spec.is_empty() {
+            "shards=1".to_string()
+        } else {
+            format!("{spec},shards=1")
+        };
+        let governor = Governor::new(ResourceLimits::parse(&spec).expect("spec"));
+        ["spooled", "direct"].map(|route| {
+            let config = EvalConfig {
+                memoize: route == "spooled",
+                ..config.clone()
+            };
+            let mut body = SessionReader::new(io::Cursor::new(framed));
+            (route, evaluate_session(&mut body, &governor, &config))
+        })
+    }
+
     #[test]
     fn corrupt_stream_reports_corrupt_class() {
         let config = test_config("corrupt");
@@ -629,6 +635,10 @@ mod tests {
         let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let err = evaluate_session(&mut body, &governor, &config).expect_err("corrupt");
         assert_eq!(err.class(), ErrorClass::Corrupt, "{err}");
+        for (route, result) in upload_routes(&config, "", &frame_body(&bytes)) {
+            let err = result.expect_err(route);
+            assert_eq!(err.class(), ErrorClass::Corrupt, "{route}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
@@ -640,6 +650,10 @@ mod tests {
         let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let err = evaluate_session(&mut body, &governor, &config).expect_err("limited");
         assert_eq!(err.class(), ErrorClass::Limit, "{err}");
+        for (route, result) in upload_routes(&config, "events=10", &frame_body(&bytes)) {
+            let err = result.expect_err(route);
+            assert_eq!(err.class(), ErrorClass::Limit, "{route}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
@@ -655,44 +669,52 @@ mod tests {
             cg_trace::proto::write_frame(&mut framed, &Frame::Data(vec![0u8; 512])).unwrap();
         }
         cg_trace::proto::write_frame(&mut framed, &Frame::End).unwrap();
-        let mut body = SessionReader::new(io::Cursor::new(framed));
+        let mut body = SessionReader::new(io::Cursor::new(framed.clone()));
         let err = evaluate_session(&mut body, &governor, &config).expect_err("capped");
         assert_eq!(err.class(), ErrorClass::Limit, "{err}");
+        // The direct route fails on the bad magic first, then reads on to
+        // END before answering, and the cap is what it meets on the way.
+        for (route, result) in upload_routes(&config, "", &framed) {
+            let err = result.expect_err(route);
+            assert_eq!(err.class(), ErrorClass::Limit, "{route}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
-    /// The invariant of the whole PR: sharded and streamed evaluations of
-    /// the same trace answer byte-identically to the single-shard path.
+    /// Every route answers byte-identically: the spooled upload (the
+    /// reference, memoizing into an empty cache), the direct upload, the
+    /// sharded upload and the live stream.
     #[test]
     fn sharded_and_streamed_answers_match_single_shard_byte_for_byte() {
-        let config = EvalConfig {
-            memoize: false,
-            ..test_config("identity")
-        };
+        let config = test_config("identity");
         let bytes = small_trace_bytes();
+        let single_shard = Governor::new(ResourceLimits::parse("shards=1").expect("spec"));
 
-        let mut single = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
-        let governor = Governor::new(ResourceLimits::untrusted());
-        let reference = evaluate_session(&mut single, &governor, &config).expect("single");
+        let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
+        let reference = evaluate_session(&mut body, &single_shard, &config).expect("spooled");
+        assert!(!reference.cached, "the cache starts empty");
         assert_eq!(reference.shards, 1, "small upload stays single-shard");
+
+        // Direct: nothing needs the whole file, so no spool.
+        let direct_config = EvalConfig {
+            memoize: false,
+            ..config.clone()
+        };
+        let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
+        let direct = evaluate_session(&mut body, &single_shard, &direct_config).expect("direct");
 
         // Sharded: force the route with a zero size floor and a 4-shard
         // budget.
         let sharded_config = EvalConfig {
             shard_min_bytes: 0,
-            ..config.clone()
+            ..direct_config.clone()
         };
         let governor = Governor::new(ResourceLimits::parse("shards=4").expect("spec"));
         let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let sharded = evaluate_session(&mut body, &governor, &sharded_config).expect("sharded");
         assert_eq!(sharded.shards, 4, "the sharded route honors the budget");
-        assert_eq!(
-            sharded.text, reference.text,
-            "sharded answer is byte-identical"
-        );
-        assert_eq!(sharded.events, reference.events);
 
-        // Streamed: same bytes through the incremental evaluator.
+        // Streamed: same bytes through the live evaluator.
         let governor = Governor::new(ResourceLimits::untrusted());
         let body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let mut frames = 0u32;
@@ -707,12 +729,45 @@ mod tests {
             Ok(())
         })
         .expect("streamed");
-        assert_eq!(
-            streamed.text, reference.text,
-            "streamed answer is byte-identical"
-        );
         assert!(frames >= 1, "at least the post-header progress frame fires");
-        assert!(!streamed.cached, "live streams bypass the result cache");
+
+        for (route, answer) in [
+            ("direct", &direct),
+            ("sharded", &sharded),
+            ("streamed", &streamed),
+        ] {
+            assert_eq!(
+                answer.text, reference.text,
+                "{route} answer is byte-identical"
+            );
+            assert_eq!(answer.events, reference.events, "{route}");
+            assert!(!answer.cached, "{route} bypasses the result cache");
+        }
+        let _ = std::fs::remove_dir_all(&config.cache_dir);
+    }
+
+    /// A single-shard upload with memoization off is evaluated from the
+    /// socket: with `uploads/` replaced by a regular file no spool can be
+    /// created, yet it answers, while a memoizing config (which must
+    /// spool) fails with `Io`.
+    #[test]
+    fn direct_uploads_never_touch_the_disk() {
+        let config = test_config("no-disk");
+        let uploads = config.cache_dir.join("uploads");
+        std::fs::remove_dir_all(&uploads).expect("remove uploads/");
+        std::fs::write(&uploads, b"not a directory").expect("plant a file");
+        let framed = frame_body(&small_trace_bytes());
+
+        let [(_, spooled), (_, direct)] = upload_routes(&config, "", &framed);
+        let direct = direct.expect("the direct route needs no spool");
+        assert!(direct.events > 0);
+        assert!(
+            direct.text.contains("cg.objects_created"),
+            "{}",
+            direct.text
+        );
+        let err = spooled.expect_err("the spool cannot be created");
+        assert_eq!(err.class(), ErrorClass::Io, "{err}");
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
@@ -780,9 +835,15 @@ mod tests {
         let mut framed = Vec::new();
         cg_trace::proto::write_frame(&mut framed, &Frame::Data(vec![1, 2, 3])).unwrap();
         // No END frame: the client vanished.
-        let mut body = SessionReader::new(io::Cursor::new(framed));
+        let mut body = SessionReader::new(io::Cursor::new(framed.clone()));
         let err = evaluate_session(&mut body, &governor, &config).expect_err("gone");
         assert_eq!(err.class(), ErrorClass::Protocol, "{err}");
+        // The direct route fails on the bad magic first; the disconnect it
+        // meets reading on to END is the verdict.
+        for (route, result) in upload_routes(&config, "", &framed) {
+            let err = result.expect_err(route);
+            assert_eq!(err.class(), ErrorClass::Protocol, "{route}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 }

@@ -23,7 +23,7 @@ pub struct TenantMetrics {
     pub active: u64,
     /// Events replayed across all finished sessions.
     pub events: u64,
-    /// Wall-clock spent evaluating (spool + replay), for the events/s rate.
+    /// Wall-clock spent in sessions (upload + replay), for the events/s rate.
     pub busy: Duration,
     /// Sessions that ended in an error, by class.
     pub errors: u64,

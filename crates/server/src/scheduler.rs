@@ -23,8 +23,9 @@ use std::sync::{Condvar, Mutex};
 /// What kind of session a worker is about to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {
-    /// A complete `.cgt` upload (`SUBMIT`): spooled, memoized, possibly
-    /// sharded.
+    /// A complete `.cgt` upload (`SUBMIT`): answered after `END`; spooled
+    /// when memoizing or under a multi-shard grant, else evaluated as it
+    /// arrives.
     Upload,
     /// A live event stream (`STREAM`): evaluated incrementally with
     /// periodic `PROGRESS` frames.

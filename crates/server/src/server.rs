@@ -303,20 +303,8 @@ fn handshake(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
 
-    let refuse = |writer: &mut BufWriter<TcpStream>, message: String| {
-        shared.metrics.on_handshake_error();
-        let _ = write_frame(
-            writer,
-            &Frame::Error {
-                class: ErrorClass::Protocol,
-                message,
-            },
-        );
-        let _ = writer.flush();
-    };
-
     if let Err(e) = read_preamble(&mut reader) {
-        refuse(&mut writer, e.to_string());
+        refuse(&mut writer, shared, e.to_string());
         return;
     }
     match read_frame(&mut reader) {
@@ -333,11 +321,26 @@ fn handshake(stream: TcpStream, shared: &Shared) {
         }
         Ok(Some(_)) => refuse(
             &mut writer,
+            shared,
             "expected SUBMIT, STREAM or METRICS".to_string(),
         ),
         Ok(None) => shared.metrics.on_handshake_error(),
-        Err(e) => refuse(&mut writer, e.to_string()),
+        Err(e) => refuse(&mut writer, shared, e.to_string()),
     }
+}
+
+/// Answers a connection that broke the handshake with a `Protocol`
+/// `ERROR`, and counts it.
+fn refuse(writer: &mut BufWriter<TcpStream>, shared: &Shared, message: String) {
+    shared.metrics.on_handshake_error();
+    let _ = write_frame(
+        writer,
+        &Frame::Error {
+            class: ErrorClass::Protocol,
+            message,
+        },
+    );
+    let _ = writer.flush();
 }
 
 /// Validates the tenant name and hands the connection to the scheduler
@@ -351,17 +354,6 @@ fn admit(
     tenant: String,
     kind: SessionKind,
 ) {
-    let refuse = |writer: &mut BufWriter<TcpStream>, message: String| {
-        shared.metrics.on_handshake_error();
-        let _ = write_frame(
-            writer,
-            &Frame::Error {
-                class: ErrorClass::Protocol,
-                message,
-            },
-        );
-        let _ = writer.flush();
-    };
     if tenant.is_empty()
         || tenant.len() > MAX_TENANT_LEN
         || !tenant
@@ -370,6 +362,7 @@ fn admit(
     {
         refuse(
             &mut writer,
+            shared,
             format!(
                 "tenant names are 1..={MAX_TENANT_LEN} ascii \
                  alphanumeric/dash/underscore/dot characters"

@@ -444,3 +444,89 @@ fn interleaved_abuse_and_clean_sessions_all_resolve() {
     handle.shutdown();
     join.join().expect("server thread");
 }
+
+/// Opens a session with `open`, then sends the golden trace one byte per
+/// `DATA` frame every 100 ms — never idle long enough for the idle timeout
+/// — until the server answers.  Returns the first read that is not a
+/// `PROGRESS` frame and how long after `ACCEPTED` it came.
+fn drip_until_verdict(
+    addr: &str,
+    open: Frame,
+) -> (Result<Option<Frame>, proto::ProtoError>, Duration) {
+    let (mut reader, mut writer) = accepted_with(addr, open);
+    let accepted = Instant::now();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let body = std::fs::read(golden()).expect("read golden");
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for &byte in &body {
+                if stop.load(std::sync::atomic::Ordering::SeqCst)
+                    || write_frame(&mut writer, &Frame::Data(vec![byte])).is_err()
+                    || writer.flush().is_err()
+                {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let verdict = loop {
+            match read_frame(&mut reader) {
+                Ok(Some(Frame::Progress { .. })) => continue,
+                other => break other,
+            }
+        };
+        let took = accepted.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        (verdict, took)
+    })
+}
+
+/// A client that drips one byte every 100 ms never trips the 300 ms idle
+/// timeout, so only the governor's deadline can end its session.  Both
+/// session kinds must answer `ERROR(Deadline)` within the deadline plus
+/// one idle timeout — the bound the daemon promises for giving a worker
+/// slot back.
+#[test]
+fn dripping_sessions_meet_their_deadline() {
+    let deadline = Duration::from_secs(1);
+    let defaults = ServerConfig::default().default_limits;
+    let (handle, join) = test_server_with(
+        "drip-deadline",
+        ServerConfig {
+            default_limits: cg_trace::ResourceLimits {
+                deadline: Some(deadline),
+                ..defaults
+            },
+            tenant_limits: std::collections::HashMap::from([("clean".to_string(), defaults)]),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr().to_string();
+    let bound = deadline + Duration::from_millis(300);
+
+    let tenant = "drip".to_string();
+    for open in [
+        Frame::Submit {
+            tenant: tenant.clone(),
+        },
+        Frame::Stream { tenant },
+    ] {
+        let what = format!("{open:?}");
+        let (verdict, took) = drip_until_verdict(&addr, open);
+        match verdict {
+            Ok(Some(Frame::Error { class, message })) => {
+                assert_eq!(class, ErrorClass::Deadline, "{what}: {message}")
+            }
+            other => panic!("{what}: expected ERROR after {took:?}, got {other:?}"),
+        }
+        assert!(
+            took <= bound,
+            "{what}: answered after {took:?}, bound {bound:?}"
+        );
+    }
+    assert_eq!(handle.metrics().errors_of(ErrorClass::Deadline), 2);
+
+    assert_recovered(&addr);
+    handle.shutdown();
+    join.join().expect("server thread");
+}

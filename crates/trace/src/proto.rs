@@ -50,6 +50,7 @@
 //! boundaries, so memory stays O(chunk) end to end.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 use crate::limits::EvalError;
 use crate::wire::{self, SliceReader};
@@ -725,15 +726,63 @@ impl SubmitOutcome {
     }
 }
 
-fn connect(
+/// A client connection's buffered read and write halves.
+type Connection = (io::BufReader<TcpStream>, io::BufWriter<TcpStream>);
+
+/// Connects to a `cgtd` at `addr` and sends the preamble and the opening
+/// frame.  `timeout` bounds each socket read/write.
+fn open(
     addr: &str,
+    opening: &Frame,
     timeout: Option<std::time::Duration>,
-) -> Result<std::net::TcpStream, ClientError> {
-    let stream = std::net::TcpStream::connect(addr)?;
+) -> Result<Connection, ClientError> {
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    let reader = io::BufReader::new(stream.try_clone().map_err(ProtoError::Io)?);
+    let mut writer = io::BufWriter::new(stream);
+    write_preamble(&mut writer)?;
+    write_frame(&mut writer, opening)?;
+    writer.flush().map_err(ProtoError::Io)?;
+    Ok((reader, writer))
+}
+
+/// Opens a session (`SUBMIT` or `STREAM`) and waits for `ACCEPTED`.
+fn open_session(
+    addr: &str,
+    opening: &Frame,
+    timeout: Option<std::time::Duration>,
+) -> Result<Connection, ClientError> {
+    let (mut reader, writer) = open(addr, opening, timeout)?;
+    match read_frame(&mut reader)? {
+        Some(Frame::Accepted) => Ok((reader, writer)),
+        Some(Frame::Busy { reason }) => Err(ClientError::Busy { reason }),
+        Some(Frame::Error { class, message }) => Err(ClientError::Server { class, message }),
+        Some(_) => Err(ProtoError::Unexpected("wanted ACCEPTED or BUSY").into()),
+        None => Err(ProtoError::Truncated("server reply").into()),
+    }
+}
+
+/// Reads a session's verdict, handing every `PROGRESS` frame before it to
+/// `on_progress`.
+fn read_verdict<R: Read>(
+    reader: &mut R,
+    mut on_progress: impl FnMut(StreamProgress),
+) -> Result<SubmitOutcome, ClientError> {
+    loop {
+        match read_frame(reader)? {
+            Some(Frame::Progress { events, bytes }) => {
+                on_progress(StreamProgress { events, bytes });
+            }
+            Some(Frame::Stats { cached, text }) => return Ok(SubmitOutcome { cached, text }),
+            Some(Frame::Error { class, message }) => {
+                return Err(ClientError::Server { class, message })
+            }
+            Some(_) => return Err(ProtoError::Unexpected("wanted STATS or ERROR").into()),
+            None => return Err(ProtoError::Truncated("server verdict").into()),
+        }
+    }
 }
 
 /// Submits a `.cgt` byte stream to a `cgtd` at `addr` under `tenant` and
@@ -751,33 +800,12 @@ pub fn submit_stream<R: Read>(
     body: &mut R,
     timeout: Option<std::time::Duration>,
 ) -> Result<SubmitOutcome, ClientError> {
-    let stream = connect(addr, timeout)?;
-    let mut reader = io::BufReader::new(stream.try_clone().map_err(ProtoError::Io)?);
-    let mut writer = io::BufWriter::new(stream);
-    write_preamble(&mut writer)?;
-    write_frame(
-        &mut writer,
-        &Frame::Submit {
-            tenant: tenant.to_string(),
-        },
-    )?;
-    writer.flush().map_err(ProtoError::Io)?;
-    match read_frame(&mut reader)? {
-        Some(Frame::Accepted) => {}
-        Some(Frame::Busy { reason }) => return Err(ClientError::Busy { reason }),
-        Some(Frame::Error { class, message }) => {
-            return Err(ClientError::Server { class, message })
-        }
-        Some(_) => return Err(ProtoError::Unexpected("wanted ACCEPTED or BUSY").into()),
-        None => return Err(ProtoError::Truncated("server reply").into()),
-    }
+    let submit = Frame::Submit {
+        tenant: tenant.to_string(),
+    };
+    let (mut reader, mut writer) = open_session(addr, &submit, timeout)?;
     write_session_body(body, &mut writer)?;
-    match read_frame(&mut reader)? {
-        Some(Frame::Stats { cached, text }) => Ok(SubmitOutcome { cached, text }),
-        Some(Frame::Error { class, message }) => Err(ClientError::Server { class, message }),
-        Some(_) => Err(ProtoError::Unexpected("wanted STATS or ERROR").into()),
-        None => Err(ProtoError::Truncated("server verdict").into()),
-    }
+    read_verdict(&mut reader, |_| {})
 }
 
 /// [`submit_stream`] for a `.cgt` file on disk.
@@ -827,48 +855,15 @@ pub fn stream_events<R: Read + Send>(
     tenant: &str,
     body: &mut R,
     timeout: Option<std::time::Duration>,
-    mut on_progress: impl FnMut(StreamProgress),
+    on_progress: impl FnMut(StreamProgress),
 ) -> Result<SubmitOutcome, ClientError> {
-    let stream = connect(addr, timeout)?;
-    let mut reader = io::BufReader::new(stream.try_clone().map_err(ProtoError::Io)?);
-    let mut writer = io::BufWriter::new(stream);
-    write_preamble(&mut writer)?;
-    write_frame(
-        &mut writer,
-        &Frame::Stream {
-            tenant: tenant.to_string(),
-        },
-    )?;
-    writer.flush().map_err(ProtoError::Io)?;
-    match read_frame(&mut reader)? {
-        Some(Frame::Accepted) => {}
-        Some(Frame::Busy { reason }) => return Err(ClientError::Busy { reason }),
-        Some(Frame::Error { class, message }) => {
-            return Err(ClientError::Server { class, message })
-        }
-        Some(_) => return Err(ProtoError::Unexpected("wanted ACCEPTED or BUSY").into()),
-        None => return Err(ProtoError::Truncated("server reply").into()),
-    }
+    let stream = Frame::Stream {
+        tenant: tenant.to_string(),
+    };
+    let (mut reader, mut writer) = open_session(addr, &stream, timeout)?;
     std::thread::scope(|scope| {
         let upload = scope.spawn(move || write_session_body(body, &mut writer));
-        let verdict = loop {
-            match read_frame(&mut reader) {
-                Ok(Some(Frame::Progress { events, bytes })) => {
-                    on_progress(StreamProgress { events, bytes });
-                }
-                Ok(Some(Frame::Stats { cached, text })) => {
-                    break Ok(SubmitOutcome { cached, text })
-                }
-                Ok(Some(Frame::Error { class, message })) => {
-                    break Err(ClientError::Server { class, message })
-                }
-                Ok(Some(_)) => {
-                    break Err(ProtoError::Unexpected("wanted PROGRESS, STATS or ERROR").into())
-                }
-                Ok(None) => break Err(ProtoError::Truncated("server verdict").into()),
-                Err(e) => break Err(e.into()),
-            }
-        };
+        let verdict = read_verdict(&mut reader, on_progress);
         // A server-side abort races the upload: the verdict frame wins and
         // the writer's broken pipe (if any) is noise.  Only surface the
         // upload failure when the server never answered at all.
@@ -888,12 +883,7 @@ pub fn fetch_metrics(
     addr: &str,
     timeout: Option<std::time::Duration>,
 ) -> Result<String, ClientError> {
-    let stream = connect(addr, timeout)?;
-    let mut reader = io::BufReader::new(stream.try_clone().map_err(ProtoError::Io)?);
-    let mut writer = io::BufWriter::new(stream);
-    write_preamble(&mut writer)?;
-    write_frame(&mut writer, &Frame::Metrics)?;
-    writer.flush().map_err(ProtoError::Io)?;
+    let (mut reader, _writer) = open(addr, &Frame::Metrics, timeout)?;
     match read_frame(&mut reader)? {
         Some(Frame::MetricsReply { text }) => Ok(text),
         Some(Frame::Error { class, message }) => Err(ClientError::Server { class, message }),
