@@ -5,7 +5,7 @@
 //!
 //! * `gen/<profile>` — generating one program (pure generator cost);
 //! * `record/<profile>` — generating + recording the collector-free
-//!   baseline run (the oracle's fixed floor);
+//!   baseline run as `.cgt` bytes (the oracle's fixed floor);
 //! * `oracle/<profile>` — one full differential check: ground truth,
 //!   contaminated GC live + replay + incremental, sharded at {1,2,4,8},
 //!   parallel evaluation, recycling soundness.
@@ -38,29 +38,29 @@ use cg_bench::BenchHarness;
 use cg_fuzz::{check_program, fuzz_vm_config, generate, GenProfile, OracleOptions};
 use cg_stats::Json;
 use cg_testutil::TestRng;
-use cg_trace::record;
+use cg_trace::{record_streaming, TraceMeta};
 use cg_vm::NoopCollector;
 
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
     "gen/alloc-heavy methods=4 allocations=327",
-    "record/alloc-heavy events=730 instructions=1079 allocations=773",
-    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=9817",
+    "record/alloc-heavy events=730 instructions=1079 allocations=797",
+    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=10340",
     "gen/store-heavy methods=4 allocations=240",
-    "record/store-heavy events=49 instructions=31 allocations=362",
-    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2313",
+    "record/store-heavy events=49 instructions=31 allocations=390",
+    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2866",
     "gen/deep-calls methods=21 allocations=603",
-    "record/deep-calls events=891 instructions=565 allocations=1012",
-    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8506",
+    "record/deep-calls events=891 instructions=565 allocations=1036",
+    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=9035",
     "gen/threads methods=6 allocations=370",
-    "record/threads events=96 instructions=80 allocations=560",
-    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=3644",
+    "record/threads events=96 instructions=80 allocations=586",
+    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=4190",
     "gen/recycle-churn methods=5 allocations=337",
-    "record/recycle-churn events=1711 instructions=2161 allocations=1279",
-    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=22947",
+    "record/recycle-churn events=1711 instructions=2161 allocations=1302",
+    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=23460",
     "gen/array-heavy methods=5 allocations=256",
-    "record/array-heavy events=24 instructions=17 allocations=380",
-    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2351",
+    "record/array-heavy events=24 instructions=17 allocations=409",
+    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2909",
 ];
 
 fn main() {
@@ -90,11 +90,16 @@ fn main() {
         let mut seeds = TestRng::new(7);
         harness.bench_counted(format!("record/{}", profile.name), 32, || {
             let program = generate(seeds.next_u64(), profile);
-            let (trace, outcome, _) =
-                record("bench", program, fuzz_vm_config(None), NoopCollector::new())
-                    .expect("generated programs record");
+            let (outcome, census, ..) = record_streaming(
+                &TraceMeta::default(),
+                program,
+                fuzz_vm_config(None),
+                NoopCollector::new(),
+                Vec::new(),
+            )
+            .expect("generated programs record");
             [
-                ("events", trace.len() as u64),
+                ("events", census.total()),
                 ("instructions", outcome.stats.instructions),
             ]
         });

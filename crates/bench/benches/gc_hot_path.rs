@@ -20,11 +20,11 @@ mod common;
 
 use std::hint::black_box;
 
-use cg_bench::{cg_counts, counts_since, BenchHarness};
+use cg_bench::{cg_counts, counts_since, record_events, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_heap::{AllocPolicy, ClassId, Heap, HeapConfig, Value};
-use cg_trace::{record, replay_governed, Governor};
-use cg_vm::{Collector, FrameId, FrameInfo, MethodId, NoopCollector, ThreadId, Vm, VmConfig};
+use cg_trace::{replay_events_governed, Governor};
+use cg_vm::{Collector, FrameId, FrameInfo, GcEvent, MethodId, ThreadId, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
 /// One line per label: its counts, zero counters omitted.
@@ -283,14 +283,19 @@ fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
 
 /// End-to-end replay throughput: events/sec driving the collector from a
 /// recorded workload stream (the trace-driven evaluation mode of PR 1).
-fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: AllocPolicy) {
+fn bench_trace_replay(h: &mut BenchHarness, trace: &[GcEvent], policy: AllocPolicy) {
     let unlimited = Governor::unlimited();
     let heap_config = VmConfig::default().heap.with_alloc_policy(policy);
     let events = trace.len() as f64;
     let label = format!("replay/cg/{}/db_s1", policy.label());
     let ns = h.bench_counted(&label, 3, || {
-        let replayed = replay_governed(trace, heap_config, ContaminatedGc::new(), &unlimited)
-            .expect("replay succeeds");
+        let replayed = replay_events_governed(
+            trace.iter().map(Ok),
+            heap_config,
+            ContaminatedGc::new(),
+            &unlimited,
+        )
+        .expect("replay succeeds");
         let events = replayed.outcome.events_replayed as u64;
         let work = work(&replayed.collector, &replayed.heap);
         [("events_replayed", events)].into_iter().chain(work)
@@ -305,7 +310,7 @@ fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: All
 /// byte-identical `CgStats` to a live interpreted run, for every collector
 /// configuration × allocation policy pair.  This is the proof that the
 /// hot-path rebuild changed costs, not behaviour.
-fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) {
+fn verify_replay_equivalence(trace: &[GcEvent], program: &cg_vm::Program) {
     let unlimited = Governor::unlimited();
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
         for cg_config in [CgConfig::preferred(), CgConfig::without_static_opt()] {
@@ -317,8 +322,8 @@ fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) 
                 ContaminatedGc::with_config(cg_config),
             );
             live.run().expect("live run succeeds");
-            let replayed = replay_governed(
-                trace,
+            let replayed = replay_events_governed(
+                trace.iter().map(Ok),
                 vm_config.heap,
                 ContaminatedGc::with_config(cg_config),
                 &unlimited,
@@ -337,13 +342,8 @@ fn verify_replay_equivalence(trace: &cg_trace::Trace, program: &cg_vm::Program) 
 fn main() {
     let workload = Workload::by_name("db").expect("known workload");
     let program = workload.program(Size::S1);
-    let (trace, ..) = record(
-        "db/1",
-        program.clone(),
-        VmConfig::default(),
-        NoopCollector::new(),
-    )
-    .expect("recording succeeds");
+    let (trace, _) =
+        record_events("db/1", program.clone(), VmConfig::default()).expect("recording succeeds");
     verify_replay_equivalence(&trace, &program);
 
     let mut harness = BenchHarness::new("gc_hot_path").with_counts(EXPECTED, common::allocations);

@@ -26,10 +26,10 @@ mod common;
 
 use std::hint::black_box;
 
-use cg_bench::{cg_counts, BenchHarness};
+use cg_bench::{cg_counts, record_events, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_stats::Json;
-use cg_trace::{record, replay_governed, Governor};
+use cg_trace::{record_streaming, replay_events_governed, Governor, TraceMeta};
 use cg_vm::{ArithOp, Cond, Insn, MethodDef, NoopCollector, Operand, Program, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 
@@ -95,16 +95,22 @@ fn call_heavy(iters: i64) -> Program {
     p
 }
 
-/// Records `program` under a passive collector with fusion set as given.
-fn record_with(program: &Program, config: VmConfig, fusion: bool) -> cg_trace::Trace {
-    let (trace, _, _) = record(
-        program.name().to_string(),
+/// Records `program` under a passive collector with fusion set as given,
+/// as `.cgt` bytes.
+fn record_with(program: &Program, config: VmConfig, fusion: bool) -> Vec<u8> {
+    let meta = TraceMeta {
+        name: program.name().to_string(),
+        ..TraceMeta::default()
+    };
+    let (.., bytes) = record_streaming(
+        &meta,
         program.clone(),
         config.with_fusion(fusion),
         NoopCollector::new(),
+        Vec::new(),
     )
     .expect("program records");
-    trace
+    bytes
 }
 
 /// The tentpole invariant, asserted before anything is timed: fusion on
@@ -112,10 +118,9 @@ fn record_with(program: &Program, config: VmConfig, fusion: bool) -> cg_trace::T
 fn assert_byte_identical(program: &Program, config: VmConfig) {
     let fused = record_with(program, config, true);
     let unfused = record_with(program, config, false);
-    assert_eq!(
-        fused,
-        unfused,
-        "{}: fused and unfused event streams must be byte-identical",
+    assert!(
+        fused == unfused,
+        "{}: fused and unfused recordings must be byte-identical",
         program.name()
     );
 }
@@ -202,13 +207,7 @@ fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
         verify_tainted: false,
         ..CgConfig::preferred()
     };
-    let (trace, _, _) = record(
-        "javac/1".to_string(),
-        program.clone(),
-        vm_config,
-        NoopCollector::new(),
-    )
-    .expect("javac records");
+    let (trace, _) = record_events("javac/1", program.clone(), vm_config).expect("javac records");
 
     for fusion in [true, false] {
         let label = format!(
@@ -228,8 +227,8 @@ fn bench_javac_gap(h: &mut BenchHarness) -> f64 {
         });
     }
     h.bench_counted("interp_dispatch/javac1/replay_cg", 3, || {
-        let replayed = replay_governed(
-            &trace,
+        let replayed = replay_events_governed(
+            trace.iter().map(Ok),
             vm_config.heap,
             ContaminatedGc::with_config(cg),
             &unlimited,

@@ -25,20 +25,20 @@ use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
 use cg_bench::runner::javac_style;
-use cg_bench::{cg_counts, BenchHarness};
+use cg_bench::{cg_counts, record_events, BenchHarness};
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::{
-    parallel_eval_streaming_governed, partition_path_streaming, record, replay_path_governed,
-    write_trace_to_path, Governor, ResourceLimits, TraceMeta,
+    parallel_eval_streaming_governed, partition_path_streaming, replay_path_governed, Governor,
+    ResourceLimits, TraceMeta, TraceWriter,
 };
-use cg_vm::{NoopCollector, VmConfig};
+use cg_vm::VmConfig;
 use cg_workloads::{synthesize, Profile};
 
 const SERVING_SHARDS: usize = 4;
 
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
-    "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30722",
+    "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30724",
     "serving_shards/javac_style/single events_replayed=598129 allocations=271543",
     "serving_shards/javac_style/sharded_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
 ];
@@ -46,13 +46,8 @@ const EXPECTED: &[&str] = &[
 /// Records the profile and spools it to a `.cgt` exactly as `cgtd` would
 /// hold an upload on disk.
 fn spool_profile(profile: &Profile, vm_config: VmConfig, dir: &Path) -> PathBuf {
-    let (trace, outcome, _) = record(
-        profile.name.clone(),
-        synthesize(profile),
-        vm_config,
-        NoopCollector::new(),
-    )
-    .expect("recording succeeds");
+    let (trace, outcome) = record_events(profile.name.clone(), synthesize(profile), vm_config)
+        .expect("recording succeeds");
     println!(
         "{}: {} events, {} threads",
         profile.name,
@@ -66,7 +61,13 @@ fn spool_profile(profile: &Profile, vm_config: VmConfig, dir: &Path) -> PathBuf 
         ..TraceMeta::default()
     };
     let path = dir.join(format!("{}.cgt", profile.name));
-    write_trace_to_path(&path, &trace, &meta).expect("spool trace");
+    let file = std::io::BufWriter::new(std::fs::File::create(&path).expect("create spool"));
+    let mut writer = TraceWriter::new(file, &meta).expect("spool header");
+    for event in &trace {
+        writer.push(event).expect("spool event");
+    }
+    let (file, _) = writer.finish().expect("spool footer");
+    file.into_inner().expect("spool flush");
     path
 }
 

@@ -3,8 +3,10 @@
 //! Two thread-heavy workload profiles — a `javac`-style one (shared AST
 //! batch + per-method compile temporaries) and an `mtrt`-style one (private
 //! rendering temporaries over a shared scene) — are recorded once, spread
-//! over 8 VM threads, and then evaluated with 1, 2, 4 and 8 collector
-//! shards on real OS threads (`cg_trace::parallel_eval_governed`).
+//! over 8 VM threads, partitioned once per shard count into in-memory `.cgt`
+//! shard streams, and then evaluated with 1, 2, 4 and 8 collector shards on
+//! real OS threads (`cg_trace::parallel_eval_governed`), each thread
+//! decoding its own shard's bytes.
 //!
 //! Before timing anything the suite proves the point of the exercise: for
 //! every shard count the aggregated `CgStats`/`ObjectBreakdown` are
@@ -25,10 +27,10 @@ mod common;
 use std::hint::black_box;
 
 use cg_bench::runner::{javac_style, mtrt_style};
-use cg_bench::{cg_counts, BenchHarness};
+use cg_bench::{cg_counts, partition_events, record_events, BenchHarness};
 use cg_core::{CgConfig, ContaminatedGc};
-use cg_trace::{parallel_eval_governed, partition, record, replay_governed, Governor, Trace};
-use cg_vm::{NoopCollector, VmConfig};
+use cg_trace::{parallel_eval_governed, replay_events_governed, Governor};
+use cg_vm::{GcEvent, VmConfig};
 use cg_workloads::{synthesize, Profile};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -53,14 +55,9 @@ fn cg_config() -> CgConfig {
 }
 
 /// Records the profile's event stream once (passive collector).
-fn record_profile(profile: &Profile, vm_config: VmConfig) -> Trace {
-    let (trace, outcome, _) = record(
-        profile.name.clone(),
-        synthesize(profile),
-        vm_config,
-        NoopCollector::new(),
-    )
-    .expect("recording succeeds");
+fn record_profile(profile: &Profile, vm_config: VmConfig) -> Vec<GcEvent> {
+    let (trace, outcome) = record_events(profile.name.clone(), synthesize(profile), vm_config)
+        .expect("recording succeeds");
     println!(
         "{}: {} events, {} objects, {} threads",
         profile.name,
@@ -73,44 +70,49 @@ fn record_profile(profile: &Profile, vm_config: VmConfig) -> Trace {
 
 /// Proves the invariant before timing it: aggregated sharded statistics are
 /// byte-identical to the single-threaded replay for every shard count.
-fn verify_equivalence(trace: &Trace, vm_config: VmConfig) {
+fn verify_equivalence(name: &str, trace: &[GcEvent], vm_config: VmConfig) {
     let unlimited = Governor::unlimited();
-    let single = replay_governed(
-        trace,
+    let single = replay_events_governed(
+        trace.iter().map(Ok),
         vm_config.heap,
         ContaminatedGc::with_config(cg_config()),
         &unlimited,
     )
     .expect("single replay succeeds");
     for shards in SHARD_COUNTS {
-        let pt = partition(trace, shards);
-        let outcome = parallel_eval_governed(&pt, vm_config.heap, cg_config(), &unlimited)
-            .expect("parallel succeeds");
+        let streams = partition_events(trace, shards);
+        let outcome = parallel_eval_governed(
+            streams.iter().map(Vec::as_slice),
+            vm_config.heap,
+            cg_config(),
+            &unlimited,
+        )
+        .expect("parallel succeeds");
         assert_eq!(
             outcome.stats,
             *single.collector.stats(),
             "CgStats diverged at {shards} shards"
         );
-        assert_eq!(pt.merge(), *trace, "merge must reproduce the trace");
     }
-    println!(
-        "{}: sharded CgStats byte-identical across shard counts {SHARD_COUNTS:?}",
-        trace.name()
-    );
+    println!("{name}: sharded CgStats byte-identical across shard counts {SHARD_COUNTS:?}");
 }
 
-fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &Trace, vm_config: VmConfig) {
+fn bench_scaling(h: &mut BenchHarness, name: &str, trace: &[GcEvent], vm_config: VmConfig) {
     let unlimited = Governor::unlimited();
     let mut one_shard_ns = None;
     for shards in SHARD_COUNTS {
         // Partitioning is a one-time preprocessing cost; the timed region is
-        // the parallel evaluation itself.
-        let pt = partition(trace, shards);
+        // the parallel evaluation itself, decoding included.
+        let streams = partition_events(trace, shards);
         let label = format!("shard_scaling/{name}/shards_{shards}");
         let ns = h.bench_counted(label, 3, || {
-            let outcome =
-                parallel_eval_governed(black_box(&pt), vm_config.heap, cg_config(), &unlimited)
-                    .expect("parallel eval succeeds");
+            let outcome = parallel_eval_governed(
+                black_box(&streams).iter().map(Vec::as_slice),
+                vm_config.heap,
+                cg_config(),
+                &unlimited,
+            )
+            .expect("parallel eval succeeds");
             [("events_replayed", outcome.events_replayed as u64)]
                 .into_iter()
                 .chain(cg_counts(&outcome.stats))
@@ -143,7 +145,7 @@ fn main() {
 
     for profile in [javac_style(), mtrt_style(16_000)] {
         let trace = record_profile(&profile, vm_config);
-        verify_equivalence(&trace, vm_config);
+        verify_equivalence(&profile.name, &trace, vm_config);
         bench_scaling(&mut harness, &profile.name, &trace, vm_config);
     }
 

@@ -37,8 +37,8 @@ use cg_bench::{cg_counts, BenchHarness};
 use cg_core::{CgConfig, DomainImpl, StaticDomain, StaticNodeId, StaticReason};
 use cg_stats::Json;
 use cg_testutil::TestRng;
-use cg_trace::{parallel_eval_governed, partition, record, Governor};
-use cg_vm::{Handle, NoopCollector, VmConfig};
+use cg_trace::{parallel_eval_governed, Governor};
+use cg_vm::{Handle, VmConfig};
 
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
@@ -283,20 +283,24 @@ fn cg_config(which: DomainImpl) -> CgConfig {
 /// statistics.
 fn bench_e2e(h: &mut BenchHarness, vm_config: VmConfig) {
     let unlimited = Governor::unlimited();
-    let (trace, _, _) = record(
-        "mtrt_style".to_string(),
+    let (trace, _) = cg_bench::record_events(
+        "mtrt_style",
         // Half of `shard_scaling`'s iterations keep this leg a small share
         // of the bench's runtime.
         cg_workloads::synthesize(&mtrt_style(8_000)),
         vm_config,
-        NoopCollector::new(),
     )
     .expect("recording succeeds");
-    let pt = partition(&trace, 4);
+    let shards = cg_bench::partition_events(&trace, 4);
 
     let eval = |which: DomainImpl| {
-        parallel_eval_governed(&pt, vm_config.heap, cg_config(which), &unlimited)
-            .expect("parallel eval succeeds")
+        parallel_eval_governed(
+            shards.iter().map(Vec::as_slice),
+            vm_config.heap,
+            cg_config(which),
+            &unlimited,
+        )
+        .expect("parallel eval succeeds")
     };
     let mutex_outcome = eval(DomainImpl::Mutex);
     let atomic_outcome = eval(DomainImpl::Atomic);

@@ -35,7 +35,7 @@ const EXPECTED: &[&str] = &[
     "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1416",
     "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=3009",
     "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2876",
-    "trace/db_record_once events=12167 allocations=2069",
+    "trace/db_record_once events=12167 allocations=2140",
     "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4392",
 ];
 
@@ -74,7 +74,7 @@ fn bench_trace_runner(h: &mut BenchHarness) {
     let workload = Workload::by_name("db").expect("known benchmark");
     h.bench_counted("trace/db_record_once", 3, || {
         let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
-        [("events", recorded.trace.len() as u64)]
+        [("events", recorded.events.len() as u64)]
     });
     let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
     let replay = h.bench_counted("trace/db_replay_cg", 3, || {

@@ -64,7 +64,7 @@ fn main() {
                 Cell::count(result.objects_created()),
                 Cell::percent(result.collectable_percent()),
                 Cell::count(result.msa.map(|m| m.cycles).unwrap_or(0)),
-                Cell::count(recorded.trace.len() as u64),
+                Cell::count(recorded.events.len() as u64),
                 Cell::seconds(result.elapsed_seconds),
             ]);
             json_runs.push(Json::obj([
@@ -79,7 +79,7 @@ fn main() {
                     "collectable_percent",
                     Json::Num(result.collectable_percent()),
                 ),
-                ("trace_events", Json::Num(recorded.trace.len() as f64)),
+                ("trace_events", Json::Num(recorded.events.len() as f64)),
                 ("replay_seconds", Json::Num(result.elapsed_seconds)),
                 ("live_at_exit", Json::Num(result.live_at_exit as f64)),
             ]));

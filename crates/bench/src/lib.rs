@@ -19,7 +19,7 @@
 //! once (recording its event stream via `cg-trace`) and every collector is
 //! then evaluated by replay through [`replay_run`].  The evaluator itself —
 //! single-threaded and sharded — lives in `cg-trace`
-//! (`cg_trace::{replay_governed, replay_path_governed,
+//! (`cg_trace::{replay_events_governed, replay_path_governed,
 //! parallel_eval_governed, …}`); nothing outside this crate depends on it.
 //! The benches in `benches/` (hand-rolled harness in [`microbench`]; the
 //! build environment has no crates.io access for criterion) cover the
@@ -41,6 +41,6 @@ pub use cli::{parse_options, parse_trace_eval, TraceEvalOptions};
 pub use experiments::{all_reports, report_by_id, ExperimentOptions, REPORT_IDS};
 pub use microbench::{cg_counts, counts_since, BenchHarness, BenchResult};
 pub use runner::{
-    record_workload_trace, replay_run, run_once, CollectorChoice, RunResult, TraceCache,
-    WorkloadTrace,
+    partition_events, record_events, record_workload_trace, replay_run, run_once, CollectorChoice,
+    RunResult, TraceCache, WorkloadTrace,
 };

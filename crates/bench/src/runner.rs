@@ -1,7 +1,7 @@
 //! Running one workload under one collector configuration — *live*
-//! ([`run_once`]: interpret the program) or by *replaying* an in-memory
-//! recorded event trace ([`record_workload_trace`] + [`replay_run`], with
-//! [`TraceCache`] sharing one recording across collectors).
+//! ([`run_once`]: interpret the program) or by *replaying* a recorded event
+//! trace ([`record_workload_trace`] + [`replay_run`], with [`TraceCache`]
+//! sharing one recording across collectors).
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -9,8 +9,11 @@ use std::rc::Rc;
 use cg_baseline::{MarkSweep, MarkSweepStats, NoopCollector};
 use cg_core::{CgConfig, CgStats, HybridCollector, HybridConfig, ObjectBreakdown};
 use cg_heap::{HeapConfig, HeapStats};
-use cg_trace::{record, replay_governed, EvalError, Governor, ReplayOutcome, Trace};
-use cg_vm::{Vm, VmConfig, VmError, VmStats};
+use cg_trace::{
+    partition_streaming, record_streaming, replay_events_governed, EvalError, Governor,
+    RecordError, ReplayOutcome, TraceMeta, TraceReader,
+};
+use cg_vm::{GcEvent, Program, RunOutcome, Vm, VmConfig, VmError, VmStats};
 use cg_workloads::{Profile, Size, Workload};
 
 /// Which collector configuration to run a workload under.
@@ -299,8 +302,8 @@ pub struct WorkloadTrace {
     pub workload: &'static str,
     /// Problem size.
     pub size: Size,
-    /// The recorded stream (captured under a passive collector).
-    pub trace: Trace,
+    /// The recorded stream (see [`record_events`]).
+    pub events: Vec<GcEvent>,
     /// The recording run's interpreter statistics (instruction counts and
     /// allocation totals are properties of the workload, not the collector).
     pub vm: VmStats,
@@ -329,15 +332,55 @@ pub fn record_workload_trace(
         config = config.with_gc_every(every);
     }
     let name = format!("{}/{size}", workload.name());
-    let (trace, outcome, _) = record(name, workload.program(size), config, NoopCollector::new())?;
+    let (events, outcome) = record_events(name, workload.program(size), config)?;
     Ok(WorkloadTrace {
         workload: workload.name(),
         size,
-        trace,
+        events,
         vm: outcome.stats,
         heap: config.heap,
         gc_every,
     })
+}
+
+/// Records `program` under a passive collector the way every trace-driven
+/// evaluation here does: as `.cgt` bytes in memory, decoded once into the
+/// events a caller then replays as often as it likes, so a timed replay
+/// measures replay and not decoding.
+///
+/// # Errors
+///
+/// Returns the underlying [`VmError`] if the recording run fails.
+pub fn record_events(
+    name: impl Into<String>,
+    program: Program,
+    config: VmConfig,
+) -> Result<(Vec<GcEvent>, RunOutcome), VmError> {
+    let meta = TraceMeta {
+        name: name.into(),
+        ..TraceMeta::default()
+    };
+    let in_memory = "an in-memory recording always encodes and decodes";
+    let (outcome, _, _, bytes) =
+        record_streaming(&meta, program, config, NoopCollector::new(), Vec::new()).map_err(
+            |e| match e {
+                RecordError::Vm(e) => e,
+                RecordError::Trace(e) => panic!("{in_memory}: {e}"),
+            },
+        )?;
+    let events = TraceReader::new(&bytes[..])
+        .and_then(|mut reader| reader.events().collect())
+        .expect(in_memory);
+    Ok((events, outcome))
+}
+
+/// Partitions recorded events into `shards` in-memory `.cgt` shard streams,
+/// ready for `cg_trace::parallel_eval_governed`.
+pub fn partition_events(events: &[GcEvent], shards: usize) -> Vec<Vec<u8>> {
+    let sinks = vec![Vec::new(); shards];
+    partition_streaming(events.iter().cloned().map(Ok), &TraceMeta::default(), sinks)
+        .expect("an in-memory partition always encodes")
+        .0
 }
 
 /// Replays a recorded workload against the chosen collector and returns the
@@ -389,6 +432,7 @@ pub fn replay_run(
         vm
     };
     let unlimited = &Governor::unlimited();
+    let events = || recorded.events.iter().map(Ok);
     let base = RunResult {
         workload: recorded.workload,
         size: recorded.size,
@@ -402,12 +446,8 @@ pub fn replay_run(
     };
     match choice {
         CollectorChoice::Noop => {
-            let replayed = replay_governed(
-                &recorded.trace,
-                recorded.heap,
-                NoopCollector::new(),
-                unlimited,
-            )?;
+            let replayed =
+                replay_events_governed(events(), recorded.heap, NoopCollector::new(), unlimited)?;
             Ok(RunResult {
                 elapsed_seconds: replayed.outcome.elapsed_seconds,
                 vm: vm_with(&replayed.outcome),
@@ -418,7 +458,7 @@ pub fn replay_run(
         }
         CollectorChoice::Baseline => {
             let replayed =
-                replay_governed(&recorded.trace, recorded.heap, MarkSweep::new(), unlimited)?;
+                replay_events_governed(events(), recorded.heap, MarkSweep::new(), unlimited)?;
             Ok(RunResult {
                 elapsed_seconds: replayed.outcome.elapsed_seconds,
                 vm: vm_with(&replayed.outcome),
@@ -429,12 +469,8 @@ pub fn replay_run(
             })
         }
         _ => {
-            let replayed = replay_governed(
-                &recorded.trace,
-                recorded.heap,
-                hybrid_for(choice),
-                unlimited,
-            )?;
+            let replayed =
+                replay_events_governed(events(), recorded.heap, hybrid_for(choice), unlimited)?;
             let mut collector = replayed.collector;
             let breakdown = collector.cg_mut().breakdown();
             Ok(RunResult {
@@ -646,7 +682,13 @@ mod tests {
             .unwrap();
         assert!(!Rc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
-        assert!(c.trace.stats().collects > 0);
-        assert_eq!(a.trace.stats().collects, 0);
+        let collects = |t: &WorkloadTrace| {
+            t.events
+                .iter()
+                .filter(|e| matches!(e, GcEvent::Collect { .. }))
+                .count()
+        };
+        assert!(collects(&c) > 0);
+        assert_eq!(collects(&a), 0);
     }
 }

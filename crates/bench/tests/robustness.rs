@@ -6,17 +6,17 @@
 
 use std::time::{Duration, Instant};
 
+use cg_bench::partition_events;
 use cg_core::CgConfig;
 use cg_heap::HeapConfig;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    parallel_eval_governed, partition, record, replay_governed, replay_path_governed, write_trace,
-    CancelToken, EvalError, Governor, LimitKind, ParallelError, ResourceLimits, ShardWait, Trace,
-    TraceMeta,
+    parallel_eval_governed, replay_events_governed, replay_path_governed, CancelToken, EvalError,
+    Governor, LimitKind, ParallelError, ResourceLimits, ShardEvent, ShardWait, StreamKind,
+    TraceMeta, TraceWriter,
 };
 use cg_vm::{
-    AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, NoopCollector, RootSet,
-    ThreadId, VmConfig,
+    AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId, VmConfig,
 };
 use cg_workloads::{Size, Workload};
 
@@ -54,27 +54,26 @@ fn test_limits() -> ResourceLimits {
 /// cross-thread access), while the first shard's stream is complete and
 /// self-contained.  No trailing `ProgramEnd` barrier: shard 0 must not
 /// owe shard 1 anything, so its statistics survive the wreck.
-fn trace_with_poisoned_second_shard() -> Trace {
-    let mut trace = Trace::new("poisoned-shard");
-    trace.push(alloc(0, 0));
-    trace.push(alloc(1, 1));
-    trace.push(GcEvent::ReferenceStore {
-        source: Handle::from_index(1),
-        target: Handle::from_index(0),
-        frame: frame(2, 1),
-    });
-    trace
+fn trace_with_poisoned_second_shard() -> Vec<GcEvent> {
+    vec![
+        alloc(0, 0),
+        alloc(1, 1),
+        GcEvent::ReferenceStore {
+            source: Handle::from_index(1),
+            target: Handle::from_index(0),
+            frame: frame(2, 1),
+        },
+    ]
 }
 
 #[test]
 fn a_panicking_shard_becomes_a_report_with_partial_stats() {
-    let trace = trace_with_poisoned_second_shard();
-    let pt = partition(&trace, 2);
+    let streams = partition_events(&trace_with_poisoned_second_shard(), 2);
     let _quiet = cg_fuzz::QuietPanics::install();
 
     let started = Instant::now();
     let err = parallel_eval_governed(
-        &pt,
+        streams.iter().map(Vec::as_slice),
         HeapConfig::small(),
         CgConfig::default(),
         &Governor::new(test_limits()),
@@ -119,16 +118,28 @@ fn a_panicking_shard_becomes_a_report_with_partial_stats() {
 #[test]
 fn a_dead_sibling_stalls_the_waiter_into_a_structured_error() {
     // A healthy two-shard stream (one allocation per thread)...
-    let mut trace = Trace::new("stalled");
-    trace.push(alloc(0, 0));
-    trace.push(alloc(1, 1));
-    let mut pt = partition(&trace, 2);
-    // ...except shard 0's event now demands progress shard 1 will never
-    // make — the partitioned equivalent of a sibling that died mid-file.
-    pt.streams[0].events[0].waits.push(ShardWait {
+    let shard = |shard: u32, seq: u64, waits: Vec<ShardWait>| {
+        let meta = TraceMeta {
+            stream: StreamKind::Shard {
+                shard,
+                shard_count: 2,
+            },
+            ..TraceMeta::default()
+        };
+        let mut writer = TraceWriter::new(Vec::new(), &meta).expect("header");
+        let event = alloc(shard, shard);
+        writer
+            .push_shard(&ShardEvent { seq, waits, event })
+            .expect("push");
+        writer.finish().expect("finish").0
+    };
+    // ...except shard 0's event demands progress shard 1 will never make —
+    // the partitioned equivalent of a sibling that died mid-file.
+    let never = ShardWait {
         shard: 1,
         processed: u64::MAX,
-    });
+    };
+    let streams = [shard(0, 0, vec![never]), shard(1, 1, Vec::new())];
 
     let deadline = Duration::from_millis(300);
     let limits = ResourceLimits {
@@ -137,7 +148,7 @@ fn a_dead_sibling_stalls_the_waiter_into_a_structured_error() {
     };
     let started = Instant::now();
     let err = parallel_eval_governed(
-        &pt,
+        streams.iter().map(Vec::as_slice),
         HeapConfig::small(),
         CgConfig::default(),
         &Governor::new(limits),
@@ -168,19 +179,19 @@ fn a_dead_sibling_stalls_the_waiter_into_a_structured_error() {
 fn cancellation_interrupts_a_governed_replay() {
     let db = Workload::by_name("db").expect("db exists");
     let config = VmConfig::default();
-    let (trace, ..) = record(
-        "db/cancel".to_string(),
-        db.program(Size::S1),
-        config,
-        NoopCollector::new(),
-    )
-    .expect("recording db/1");
+    let (trace, _) =
+        cg_bench::record_events("db/cancel", db.program(Size::S1), config).expect("recording db/1");
 
     let cancel = CancelToken::new();
     cancel.cancel();
     let governor = Governor::with_cancel(ResourceLimits::unlimited(), cancel);
-    let err = replay_governed(&trace, config.heap, canonical_collector(), &governor)
-        .expect_err("a cancelled evaluation must not complete");
+    let err = replay_events_governed(
+        trace.iter().map(Ok),
+        config.heap,
+        canonical_collector(),
+        &governor,
+    )
+    .expect_err("a cancelled evaluation must not complete");
     assert!(
         matches!(err, EvalError::Cancelled),
         "expected Cancelled, got {err}"
@@ -193,11 +204,12 @@ fn an_oversized_header_heap_is_rejected_before_allocation() {
     // absurd heap.  If admission control ever ran *after* heap
     // construction, this test would not fail an assertion — it would
     // take the test process down with it.
-    let mut trace = Trace::new("liar");
-    trace.push(alloc(0, 0));
-    trace.push(GcEvent::ProgramEnd {
-        roots: Box::new(RootSet::default()),
-    });
+    let trace = [
+        alloc(0, 0),
+        GcEvent::ProgramEnd {
+            roots: Box::new(RootSet::default()),
+        },
+    ];
     let huge = HeapConfig {
         object_space_bytes: usize::MAX / 4,
         handle_space_bytes: usize::MAX / 4,
@@ -206,9 +218,14 @@ fn an_oversized_header_heap_is_rejected_before_allocation() {
     let meta = TraceMeta {
         name: "liar".to_string(),
         heap: Some(huge),
+        declared_events: Some(trace.len() as u64),
         ..TraceMeta::default()
     };
-    let bytes = write_trace(Vec::new(), &trace, &meta).expect("serialize");
+    let mut writer = TraceWriter::new(Vec::new(), &meta).expect("header");
+    for event in &trace {
+        writer.push(event).expect("push");
+    }
+    let (bytes, _) = writer.finish().expect("serialize");
     let dir = std::env::temp_dir().join(format!("cg-robustness-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("liar.cgt");
@@ -234,9 +251,14 @@ fn an_oversized_header_heap_is_rejected_before_allocation() {
     );
 
     // The parallel entry point applies the same admission check.
-    let pt = partition(&trace, 2);
-    let err = parallel_eval_governed(&pt, huge, CgConfig::default(), &governor)
-        .expect_err("the oversized config must be rejected");
+    let streams = partition_events(&trace, 2);
+    let err = parallel_eval_governed(
+        streams.iter().map(Vec::as_slice),
+        huge,
+        CgConfig::default(),
+        &governor,
+    )
+    .expect_err("the oversized config must be rejected");
     let ParallelError::Rejected(EvalError::LimitExceeded {
         kind: LimitKind::HeapBytes,
         ..

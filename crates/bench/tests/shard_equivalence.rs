@@ -3,17 +3,36 @@
 //! for **every** recorded workload trace and **every** shard count in
 //! {1, 2, 4, 8}, the parallel sharded evaluation's aggregated `CgStats` and
 //! `ObjectBreakdown` are byte-identical to a single-threaded replay of the
-//! same trace — and the partitioner's deterministic merge reproduces the
-//! original event order exactly.
+//! same trace — and putting the shard streams' events back at their
+//! sequence numbers reproduces the original event order exactly.
 
+use cg_bench::{partition_events, record_events};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_trace::{
-    parallel_eval_governed, partition, record, replay_governed, EvalError, Governor, ParallelError,
+    parallel_eval_governed, replay_events_governed, EvalError, Governor, ParallelError, TraceReader,
 };
-use cg_vm::{NoopCollector, VmConfig};
+use cg_vm::{GcEvent, VmConfig};
 use cg_workloads::{Size, Workload};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Decodes every shard stream and puts each event back at its sequence
+/// number.
+fn merge(shards: &[Vec<u8>]) -> Vec<GcEvent> {
+    let mut events = Vec::new();
+    for bytes in shards {
+        let mut reader = TraceReader::new(&bytes[..]).expect("shard header");
+        for ev in reader.shard_events() {
+            events.push(ev.expect("shard decodes"));
+        }
+    }
+    events.sort_by_key(|ev| ev.seq);
+    assert!(
+        events.iter().enumerate().all(|(i, ev)| ev.seq == i as u64),
+        "every sequence number is routed to exactly one shard"
+    );
+    events.into_iter().map(|ev| ev.event).collect()
+}
 
 fn cg_config() -> CgConfig {
     CgConfig {
@@ -29,16 +48,15 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
     let unlimited = Governor::unlimited();
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
     for workload in Workload::all() {
-        let (trace, ..) = record(
+        let (trace, _) = record_events(
             format!("{}/1", workload.name()),
             workload.program(Size::S1),
             vm_config,
-            NoopCollector::new(),
         )
         .unwrap_or_else(|e| panic!("{} records: {e}", workload.name()));
 
-        let single = replay_governed(
-            &trace,
+        let single = replay_events_governed(
+            trace.iter().map(Ok),
             vm_config.heap,
             ContaminatedGc::with_config(cg_config()),
             &unlimited,
@@ -48,19 +66,23 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
         let single_breakdown = single_collector.breakdown();
 
         for shards in SHARD_COUNTS {
-            let pt = partition(&trace, shards);
+            let streams = partition_events(&trace, shards);
 
-            // Partition -> deterministic merge is the identity.
-            assert_eq!(
-                pt.merge(),
-                trace,
+            // Partition -> merge by sequence number is the identity.
+            assert!(
+                merge(&streams) == trace,
                 "{}: merge must reproduce the original order ({shards} shards)",
                 workload.name()
             );
 
             // Parallel aggregated statistics are byte-identical.
-            let outcome = parallel_eval_governed(&pt, vm_config.heap, cg_config(), &unlimited)
-                .unwrap_or_else(|e| panic!("{} parallel ({shards} shards): {e}", workload.name()));
+            let outcome = parallel_eval_governed(
+                streams.iter().map(Vec::as_slice),
+                vm_config.heap,
+                cg_config(),
+                &unlimited,
+            )
+            .unwrap_or_else(|e| panic!("{} parallel ({shards} shards): {e}", workload.name()));
             assert_eq!(
                 outcome.stats,
                 *single_collector.stats(),
@@ -98,24 +120,24 @@ fn sharded_evaluation_matches_without_the_static_optimisation() {
         ..CgConfig::without_static_opt()
     };
     let workload = Workload::by_name("javac").expect("javac exists");
-    let (trace, ..) = record(
-        "javac/1",
-        workload.program(Size::S1),
-        vm_config,
-        NoopCollector::new(),
-    )
-    .expect("recording succeeds");
-    let single = replay_governed(
-        &trace,
+    let (trace, _) = record_events("javac/1", workload.program(Size::S1), vm_config)
+        .expect("recording succeeds");
+    let single = replay_events_governed(
+        trace.iter().map(Ok),
         vm_config.heap,
         ContaminatedGc::with_config(config),
         &unlimited,
     )
     .expect("single replay succeeds");
     for shards in SHARD_COUNTS {
-        let pt = partition(&trace, shards);
-        let outcome = parallel_eval_governed(&pt, vm_config.heap, config, &unlimited)
-            .expect("parallel succeeds");
+        let streams = partition_events(&trace, shards);
+        let outcome = parallel_eval_governed(
+            streams.iter().map(Vec::as_slice),
+            vm_config.heap,
+            config,
+            &unlimited,
+        )
+        .expect("parallel succeeds");
         assert_eq!(
             outcome.stats,
             *single.collector.stats(),
@@ -131,10 +153,7 @@ fn sharded_evaluation_matches_without_the_static_optimisation() {
 #[test]
 fn shard_panic_reports_instead_of_hanging() {
     let unlimited = Governor::unlimited();
-    use cg_trace::Trace;
-    use cg_vm::{
-        AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId,
-    };
+    use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, Handle, MethodId, RootSet, ThreadId};
     let frame = |id: u64, thread: u32| FrameInfo {
         id: FrameId::new(id),
         depth: 1,
@@ -151,21 +170,22 @@ fn shard_panic_reports_instead_of_hanging() {
     // An ill-formed stream: thread 1 stores thread 0's object without
     // the preceding cross-thread ObjectAccess, so shard 1 panics on the
     // §3.3 invariant — while shard 0's ProgramEnd barrier waits on it.
-    let mut trace = Trace::new("ill-formed");
-    trace.push(alloc(0, 0));
-    trace.push(alloc(1, 1));
-    trace.push(GcEvent::ReferenceStore {
-        source: Handle::from_index(1),
-        target: Handle::from_index(0),
-        frame: frame(2, 1),
-    });
-    trace.push(GcEvent::ProgramEnd {
-        roots: Box::new(RootSet::default()),
-    });
-    let pt = partition(&trace, 2);
+    let trace = [
+        alloc(0, 0),
+        alloc(1, 1),
+        GcEvent::ReferenceStore {
+            source: Handle::from_index(1),
+            target: Handle::from_index(0),
+            frame: frame(2, 1),
+        },
+        GcEvent::ProgramEnd {
+            roots: Box::new(RootSet::default()),
+        },
+    ];
+    let streams = partition_events(&trace, 2);
     let _quiet = cg_fuzz::QuietPanics::install();
     let err = parallel_eval_governed(
-        &pt,
+        streams.iter().map(Vec::as_slice),
         cg_heap::HeapConfig::small(),
         CgConfig::default(),
         &unlimited,
@@ -195,22 +215,22 @@ fn parallel_eval_matches_single_threaded_replay_on_mtrt() {
     let unlimited = Governor::unlimited();
     let workload = Workload::by_name("mtrt").expect("mtrt exists");
     let config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
-    let (trace, ..) = record(
-        "mtrt/1",
-        workload.program(Size::S1),
-        config,
-        NoopCollector::new(),
-    )
-    .expect("recording succeeds");
+    let (trace, _) =
+        record_events("mtrt/1", workload.program(Size::S1), config).expect("recording succeeds");
     let collector = ContaminatedGc::with_config(cg_config());
-    let single = replay_governed(&trace, config.heap, collector, &unlimited)
+    let single = replay_events_governed(trace.iter().map(Ok), config.heap, collector, &unlimited)
         .expect("single replay succeeds");
     let mut single_collector = single.collector;
     let single_breakdown = single_collector.breakdown();
     for shards in [1, 2, 4] {
-        let pt = partition(&trace, shards);
-        let outcome = parallel_eval_governed(&pt, config.heap, cg_config(), &unlimited)
-            .expect("parallel succeeds");
+        let streams = partition_events(&trace, shards);
+        let outcome = parallel_eval_governed(
+            streams.iter().map(Vec::as_slice),
+            config.heap,
+            cg_config(),
+            &unlimited,
+        )
+        .expect("parallel succeeds");
         assert_eq!(outcome.stats, *single_collector.stats(), "{shards} shards");
         assert_eq!(outcome.breakdown, single_breakdown, "{shards} shards");
         assert_eq!(outcome.events_replayed, trace.len());

@@ -1,10 +1,10 @@
 //! The streaming path must be invisible in the numbers: for every
 //! workload, driving a collector from a persisted `.cgt` file
 //! chunk-by-chunk (`replay_path_governed`) produces collector statistics,
-//! heap statistics and replay accounting byte-identical to the in-memory
-//! replay (`replay_governed`) — and the parallel evaluator fed from
-//! per-shard `.cgt` files matches the in-memory partitioned evaluation
-//! exactly.
+//! heap statistics and replay accounting byte-identical to replaying the
+//! events decoded into memory first (`replay_events_governed`) — and the
+//! parallel evaluator fed from per-shard `.cgt` files matches the same
+//! partition held in memory exactly.
 
 use std::path::{Path, PathBuf};
 
@@ -13,8 +13,8 @@ use cg_bench::{record_workload_trace, WorkloadTrace};
 use cg_core::{CgConfig, HybridCollector, HybridConfig};
 use cg_trace::footer::{vm_stats_from_section, VM_SECTION};
 use cg_trace::{
-    parallel_eval_governed, parallel_eval_streaming_governed, partition, partition_path_streaming,
-    read_partitioned, record_streaming, replay_governed, replay_path_governed, Governor,
+    open_trace, parallel_eval_governed, parallel_eval_streaming_governed, partition_path_streaming,
+    partition_streaming, record_streaming, replay_events_governed, replay_path_governed, Governor,
     ReplayOutcome, Replayed, TraceMeta,
 };
 use cg_vm::{Collector, NoopCollector, VmConfig};
@@ -66,8 +66,13 @@ fn assert_file_matches_memory<C: Collector, S: PartialEq + std::fmt::Debug>(
     let unlimited = Governor::unlimited();
     let streamed = replay_path_governed(path, None, collector(), &unlimited)
         .unwrap_or_else(|e| panic!("{label}: streaming failed: {e}"));
-    let in_memory = replay_governed(&recorded.trace, recorded.heap, collector(), &unlimited)
-        .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
+    let in_memory = replay_events_governed(
+        recorded.events.iter().map(Ok),
+        recorded.heap,
+        collector(),
+        &unlimited,
+    )
+    .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
     let vm = streamed.footer.section(VM_SECTION);
     assert_eq!(
         vm.and_then(vm_stats_from_section),
@@ -145,22 +150,37 @@ fn parallel_eval_from_disk_matches_in_memory_partition() {
     let cg_config = cg_config(CgConfig::preferred());
     let heap = cg_bench::runner::experiment_heap();
     let unlimited = Governor::unlimited();
+    let meta = open_trace(&src).expect("open recording").meta().clone();
     for shards in [1, 2, 4] {
         let shard_dir = dir.join(format!("shards-{shards}"));
         let placed = partition_path_streaming(&src, shards, &shard_dir).expect("partition to disk");
-        assert_eq!(placed.total_events, recorded.trace.len() as u64);
+        assert_eq!(placed.total_events, recorded.events.len() as u64);
 
-        // Disk round-trip reproduces the in-memory partition exactly.
-        let loaded = read_partitioned(&placed.paths).expect("load partition");
-        let in_memory_partition = partition(&recorded.trace, shards);
-        assert_eq!(loaded, in_memory_partition, "{shards} shards");
+        // The shard files hold exactly the bytes the same partition writes
+        // into memory.
+        let (in_memory_partition, syncs) = partition_streaming(
+            recorded.events.iter().cloned().map(Ok),
+            &meta,
+            vec![Vec::new(); shards],
+        )
+        .expect("in-memory partition");
+        assert_eq!(placed.cross_thread_syncs, syncs, "{shards} shards");
+        for (path, bytes) in placed.paths.iter().zip(&in_memory_partition) {
+            let on_disk = std::fs::read(path).expect("read shard file");
+            assert!(on_disk == *bytes, "{}: {shards} shards", path.display());
+        }
 
         // And the parallel evaluators agree byte-for-byte.
         let from_disk =
             parallel_eval_streaming_governed(&placed.paths, heap, cg_config, &unlimited)
                 .expect("streaming eval");
-        let from_memory = parallel_eval_governed(&in_memory_partition, heap, cg_config, &unlimited)
-            .expect("eval");
+        let from_memory = parallel_eval_governed(
+            in_memory_partition.iter().map(Vec::as_slice),
+            heap,
+            cg_config,
+            &unlimited,
+        )
+        .expect("eval");
         assert_eq!(from_disk.stats, from_memory.stats, "{shards} shards");
         assert_eq!(from_disk.breakdown, from_memory.breakdown);
         assert_eq!(from_disk.events_replayed, from_memory.events_replayed);

@@ -16,10 +16,13 @@
 //! * **never** a panic, and never a silently different decode (the CRC
 //!   framing must catch what the event-level checks don't).
 //!
-//! Byte-level mutants exercise the `.cgt` decoder; structure-level mutants
-//! re-encode wire-valid streams whose *semantics* are hostile (dangling
-//! handles, dropped frames, lying headers) and exercise the replay layer
-//! and the governor's admission checks.
+//! Every mutant reaches the evaluator the way an upload does: as `.cgt`
+//! bytes decoded through [`TraceReader`], which checks framing, CRCs and the
+//! footer census.  Byte-level mutants exercise that decoder; structure-level
+//! mutants are re-encoded into wire-valid streams whose *semantics* are
+//! hostile (dangling handles, dropped frames, lying headers) and replayed
+//! through the reader under the campaign governor, exercising the header
+//! admission checks and the replay layer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -28,8 +31,8 @@ use cg_heap::{HandleRepr, HeapConfig};
 use cg_testutil::TestRng;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    read_trace, replay_governed, write_trace, EvalError, FaultPlan, FaultyReader, Governor,
-    ResourceLimits, Trace, TraceMeta,
+    record_streaming, replay_reader_governed, EvalError, FaultPlan, FaultyReader, Governor,
+    ResourceLimits, TraceIoError, TraceMeta, TraceReader, TraceWriter,
 };
 use cg_vm::{GcEvent, Handle, NoopCollector, VmConfig};
 use cg_workloads::{Size, Workload};
@@ -79,9 +82,8 @@ pub struct MutationFailure {
     pub mutation: &'static str,
     /// What went wrong.
     pub detail: String,
-    /// The mutated `.cgt` bytes, when the mutant exists in serialized form
-    /// (byte-level mutants and header lies; event-level mutants are
-    /// re-serialized on the way out so the artifact always replays).
+    /// The mutated `.cgt` bytes (for a read fault, the unmutated bytes the
+    /// faulty reader delivered from).
     pub artifact: Option<Vec<u8>>,
 }
 
@@ -120,29 +122,29 @@ const MUTATIONS: &[(&str, u32)] = &[
 
 struct BaseCase {
     workload: &'static str,
-    trace: Trace,
+    events: Vec<GcEvent>,
     heap: HeapConfig,
     bytes: Vec<u8>,
 }
 
 fn record_base(workload: &Workload) -> BaseCase {
     let config = VmConfig::default();
-    let (trace, ..) = cg_trace::record(
-        format!("{}/mutate", workload.name()),
+    let meta = TraceMeta {
+        name: format!("{}/mutate", workload.name()),
+        ..TraceMeta::default()
+    };
+    let (.., bytes) = record_streaming(
+        &meta,
         workload.program(Size::S1),
         config,
         NoopCollector::new(),
+        Vec::new(),
     )
     .expect("recording a stock workload always succeeds");
-    let meta = TraceMeta {
-        name: trace.name().to_string(),
-        heap: Some(config.heap),
-        ..TraceMeta::default()
-    };
-    let bytes = write_trace(Vec::new(), &trace, &meta).expect("serializing a fresh trace");
+    let events = decode(&bytes[..]).expect("a fresh recording decodes");
     BaseCase {
         workload: workload.name(),
-        trace,
+        events,
         heap: config.heap,
         bytes,
     }
@@ -155,30 +157,47 @@ enum CaseEnd {
     SilentCorruption(String),
 }
 
-/// Replays `trace` under the campaign governor, classifying the result.
-fn governed_replay(trace: &Trace, heap: HeapConfig, governor: &Governor) -> CaseEnd {
-    match replay_governed(trace, heap, canonical_collector(), governor) {
+/// Encodes `events` as a `.cgt` stream whose header embeds `heap`.
+fn encode(events: &[GcEvent], heap: HeapConfig) -> Vec<u8> {
+    let meta = TraceMeta {
+        name: "mutant".to_string(),
+        heap: Some(heap),
+        ..TraceMeta::default()
+    };
+    let mut writer = TraceWriter::new(Vec::new(), &meta).expect("writing to memory never fails");
+    for event in events {
+        writer.push(event).expect("writing to memory never fails");
+    }
+    writer.finish().expect("writing to memory never fails").0
+}
+
+/// Decodes a whole `.cgt` stream, through its footer's census check.
+fn decode(r: impl std::io::Read) -> Result<Vec<GcEvent>, TraceIoError> {
+    let mut reader = TraceReader::new(r)?;
+    reader.events().collect()
+}
+
+/// Replays `.cgt` bytes through the reader under the campaign governor —
+/// header admission first — classifying the result.
+fn governed_replay(bytes: &[u8], governor: &Governor) -> CaseEnd {
+    match replay_reader_governed(bytes, None, canonical_collector(), governor) {
         Ok(_) => CaseEnd::CleanPass,
         Err(_) => CaseEnd::StructuredError,
     }
 }
 
 /// Decodes mutated bytes; a successful decode must reproduce the original
-/// events exactly (anything else slipped past the CRC framing).
-fn decode_and_compare(mutated: &[u8], original: &Trace) -> CaseEnd {
-    match read_trace(mutated) {
+/// events exactly (anything else slipped past the CRC framing and the
+/// census check).
+fn decode_and_compare(mutated: impl std::io::Read, original: &[GcEvent]) -> CaseEnd {
+    match decode(mutated) {
         Err(_) => CaseEnd::StructuredError,
-        Ok((decoded, ..)) => {
-            if decoded == *original {
-                CaseEnd::CleanPass
-            } else {
-                CaseEnd::SilentCorruption(format!(
-                    "decode succeeded with {} events where the original has {}",
-                    decoded.len(),
-                    original.len()
-                ))
-            }
-        }
+        Ok(decoded) if decoded == original => CaseEnd::CleanPass,
+        Ok(decoded) => CaseEnd::SilentCorruption(format!(
+            "decode succeeded with {} events where the original has {}",
+            decoded.len(),
+            original.len()
+        )),
     }
 }
 
@@ -213,19 +232,11 @@ fn rewrite_handles(event: &GcEvent, f: &mut impl FnMut(Handle) -> Handle) -> GcE
     event
 }
 
-fn trace_from_events(name: &str, events: Vec<GcEvent>) -> Trace {
-    let mut t = Trace::new(name);
-    for event in events {
-        t.push(event);
-    }
-    t
-}
-
 /// Applies one structure-level mutation to the base events.
-fn mutate_events(base: &Trace, mutation: &str, rng: &mut TestRng) -> Trace {
-    let mut events: Vec<GcEvent> = base.events().to_vec();
+fn mutate_events(base: &[GcEvent], mutation: &str, rng: &mut TestRng) -> Vec<GcEvent> {
+    let mut events = base.to_vec();
     if events.is_empty() {
-        return trace_from_events("mutant", events);
+        return events;
     }
     let at = rng.gen_range(0, events.len());
     match mutation {
@@ -264,7 +275,7 @@ fn mutate_events(base: &Trace, mutation: &str, rng: &mut TestRng) -> Trace {
         }
         other => unreachable!("not a structure mutation: {other}"),
     }
-    trace_from_events("mutant", events)
+    events
 }
 
 /// Applies one byte-level mutation to the serialized base bytes.
@@ -297,41 +308,53 @@ fn mutate_bytes(base: &[u8], mutation: &str, rng: &mut TestRng) -> Vec<u8> {
     bytes
 }
 
+/// A copy of `heap` declaring an absurd size.
+fn lying_heap(heap: HeapConfig) -> HeapConfig {
+    HeapConfig {
+        object_space_bytes: usize::MAX / 4,
+        handle_space_bytes: usize::MAX / 4,
+        handle_repr: HandleRepr::CgWide,
+        object_header_words: HeapConfig::DEFAULT_HEADER_WORDS,
+        alloc_policy: heap.alloc_policy,
+        alloc_failure_at: None,
+    }
+}
+
+/// The case's mutant as `.cgt` bytes.  A read fault mutates nothing: its
+/// bytes are the base's, delivered through a faulty reader.
+fn mutant_bytes(base: &BaseCase, mutation: &str, rng: &mut TestRng) -> Vec<u8> {
+    match mutation {
+        "flip-bits" | "truncate" | "zero-run" | "duplicate-slice" => {
+            mutate_bytes(&base.bytes, mutation, rng)
+        }
+        "read-fault" => base.bytes.clone(),
+        // A header declaring an absurd heap: the governor must reject it
+        // at admission, before a byte of heap is allocated.
+        "header-heap-lie" => encode(&base.events, lying_heap(base.heap)),
+        structural => encode(&mutate_events(&base.events, structural, rng), base.heap),
+    }
+}
+
 /// Runs one case end to end.  Returns the classification; panics inside
 /// are the *caller's* job to catch (so a panic anywhere in decode or
 /// replay is attributed to the case).
 fn run_case(base: &BaseCase, mutation: &str, rng: &mut TestRng, governor: &Governor) -> CaseEnd {
+    let bytes = mutant_bytes(base, mutation, rng);
     match mutation {
         "flip-bits" | "truncate" | "zero-run" | "duplicate-slice" => {
-            let mutated = mutate_bytes(&base.bytes, mutation, rng);
-            decode_and_compare(&mutated, &base.trace)
+            decode_and_compare(&bytes[..], &base.events)
         }
         "read-fault" => {
             // A hard I/O fault or pathological short reads mid-decode.
             let plan = if rng.gen_bool(0.5) {
-                FaultPlan::error(rng.gen_range(0, base.bytes.len()) as u64)
+                FaultPlan::error(rng.gen_range(0, bytes.len()) as u64)
             } else {
                 FaultPlan::short(rng.gen_range(1, 8))
             };
-            let reader = FaultyReader::new(&base.bytes[..], plan);
-            match read_trace(reader) {
-                Err(_) => CaseEnd::StructuredError,
-                Ok((decoded, ..)) if decoded == base.trace => CaseEnd::CleanPass,
-                Ok(_) => CaseEnd::SilentCorruption("faulty read decoded differently".to_string()),
-            }
+            decode_and_compare(FaultyReader::new(&bytes[..], plan), &base.events)
         }
         "header-heap-lie" => {
-            // A header declaring an absurd heap: the governor must reject
-            // it at admission, before a byte of heap is allocated.
-            let lie = HeapConfig {
-                object_space_bytes: usize::MAX / 4,
-                handle_space_bytes: usize::MAX / 4,
-                handle_repr: HandleRepr::CgWide,
-                object_header_words: HeapConfig::DEFAULT_HEADER_WORDS,
-                alloc_policy: base.heap.alloc_policy,
-                alloc_failure_at: None,
-            };
-            match replay_governed(&base.trace, lie, canonical_collector(), governor) {
+            match replay_reader_governed(&bytes[..], None, canonical_collector(), governor) {
                 Err(EvalError::LimitExceeded { .. }) => CaseEnd::StructuredError,
                 Err(_) => CaseEnd::StructuredError,
                 Ok(_) => {
@@ -339,29 +362,7 @@ fn run_case(base: &BaseCase, mutation: &str, rng: &mut TestRng, governor: &Gover
                 }
             }
         }
-        structural => {
-            let mutant = mutate_events(&base.trace, structural, rng);
-            governed_replay(&mutant, base.heap, governor)
-        }
-    }
-}
-
-/// Serializes whatever form the failing mutant took, for the artifact.
-fn artifact_bytes(base: &BaseCase, mutation: &str, rng: &mut TestRng) -> Option<Vec<u8>> {
-    match mutation {
-        "flip-bits" | "truncate" | "zero-run" | "duplicate-slice" => {
-            Some(mutate_bytes(&base.bytes, mutation, rng))
-        }
-        "read-fault" | "header-heap-lie" => Some(base.bytes.clone()),
-        structural => {
-            let mutant = mutate_events(&base.trace, structural, rng);
-            let meta = TraceMeta {
-                name: mutant.name().to_string(),
-                heap: Some(base.heap),
-                ..TraceMeta::default()
-            };
-            write_trace(Vec::new(), &mutant, &meta).ok()
-        }
+        _ => governed_replay(&bytes, governor),
     }
 }
 
@@ -416,7 +417,7 @@ pub fn run_mutation_campaign(options: &MutationOptions) -> MutationReport {
                     case_seed,
                     mutation,
                     detail,
-                    artifact: artifact_bytes(&base, mutation, &mut artifact_rng),
+                    artifact: Some(mutant_bytes(&base, mutation, &mut artifact_rng)),
                 });
             };
             match outcome {

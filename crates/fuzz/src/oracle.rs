@@ -13,22 +13,23 @@
 //!    configurations) no precisely-reachable object may ever be freed:
 //!    a heap error, a collector panic, or a reachable-but-dead object at
 //!    program end is a counterexample.
-//! 3. **Trace fidelity** — replaying the recorded stream against the same
-//!    collector must reproduce the live run's [`CgStats`] and
-//!    [`ObjectBreakdown`] byte-for-byte.
+//! 3. **Trace fidelity** — replaying the recorded stream (`.cgt` bytes,
+//!    decoded once) against the same collector must reproduce the live
+//!    run's [`CgStats`] and [`ObjectBreakdown`] byte-for-byte.
 //! 4. **Shard invariance** — a live [`ShardedGc`] at every configured shard
 //!    count must match the single-shard collector byte-for-byte, and
-//!    [`fn@partition`]`+`[`parallel_eval_governed`] must match a single-threaded
-//!    replay.  The sharded checks run under **both** [`DomainImpl`]s — the
-//!    configured one live and in parallel, the other one in parallel — so
-//!    the lock-free static domain is differentially fuzzed against the
-//!    mutex model on every program.
-//! 5. **Partition fidelity** — `partition(trace, n).merge()` must reproduce
-//!    the trace exactly for every shard count.
+//!    [`partition_streaming`]`+`[`parallel_eval_governed`] must match a
+//!    single-threaded replay.  The sharded checks run under **both**
+//!    [`DomainImpl`]s — the configured one live and in parallel, the other
+//!    one in parallel — so the lock-free static domain is differentially
+//!    fuzzed against the mutex model on every program.
+//! 5. **Partition fidelity** — decoding the `n` shard streams and putting
+//!    every event back at its sequence number must reproduce the recorded
+//!    events exactly, for every shard count.
 //! 6. **Inline-cache invariance** — re-recording the program with the
 //!    inline-cache pass ([`VmConfig::fusion`]) flipped must reproduce the
-//!    event stream and the VM statistics byte-for-byte; caching may only
-//!    change speed, never behaviour.
+//!    recording byte-for-byte — event stream and VM statistics footer
+//!    alike; caching may only change speed, never behaviour.
 //!
 //! Failures carry a coarse [`CheckFailure::class`] so the shrinker can
 //! insist a minimised program still fails *the same way*.  Collector panics
@@ -39,8 +40,11 @@
 use cg_baseline::{trace_live, MarkSweep};
 use cg_core::{CgConfig, CgStats, ContaminatedGc, DomainImpl, ObjectBreakdown, ShardedGc};
 use cg_heap::{HandleRepr, Heap, HeapConfig};
-use cg_trace::{parallel_eval_governed, partition, record, replay_governed, Governor, Trace};
-use cg_vm::{Collector, NoopCollector, Program, Vm, VmConfig};
+use cg_trace::{
+    parallel_eval_governed, partition_streaming, record_streaming, replay_events_governed,
+    Governor, TraceMeta, TraceReader,
+};
+use cg_vm::{Collector, GcEvent, NoopCollector, Program, Vm, VmConfig};
 
 /// The heap every oracle run uses: 1 MiB of object space, sized so that a
 /// collector which frees *nothing* can still hold a full budgeted run
@@ -154,7 +158,8 @@ pub enum CheckFailure {
         /// Which pair diverged.
         context: String,
     },
-    /// `partition(trace, n).merge()` did not reproduce the trace.
+    /// Merging the `n` shard streams by sequence number did not reproduce
+    /// the trace.
     RoundTrip {
         /// The shard count that broke the round trip.
         shards: usize,
@@ -222,7 +227,10 @@ impl std::fmt::Display for CheckFailure {
                 write!(f, "[{context}] ObjectBreakdown diverged")
             }
             CheckFailure::RoundTrip { shards } => {
-                write!(f, "partition({shards}) + merge did not reproduce the trace")
+                write!(
+                    f,
+                    "partitioning into {shards} shards and merging back did not reproduce the trace"
+                )
             }
             CheckFailure::FusionDivergence { context } => {
                 write!(f, "[{context}] fused and unfused executions diverged")
@@ -348,50 +356,58 @@ pub fn check_program(
         ..options.cg
     };
 
-    // 1. Ground truth: a collector-free recording run.
-    let (trace, baseline_outcome, baseline_vm) = record(
-        program.name().to_string(),
-        program.clone(),
-        vm_config,
-        NoopCollector::new(),
-    )
-    .map_err(|e| CheckFailure::InvalidProgram {
-        error: e.to_string(),
+    // 1. Ground truth: a collector-free recording run, as `.cgt` bytes.
+    let record = |config: VmConfig| {
+        let meta = TraceMeta {
+            name: program.name().to_string(),
+            ..TraceMeta::default()
+        };
+        record_streaming(
+            &meta,
+            program.clone(),
+            config,
+            NoopCollector::new(),
+            Vec::new(),
+        )
+    };
+    let (baseline_outcome, _, baseline_vm, bytes) =
+        record(vm_config).map_err(|e| CheckFailure::InvalidProgram {
+            error: e.to_string(),
+        })?;
+    let trace = decode(&bytes).map_err(|error| CheckFailure::Replay {
+        context: "decode".to_string(),
+        error,
     })?;
     let baseline_roots = baseline_vm.build_roots();
     let reachable = trace_live(&baseline_roots, baseline_vm.heap());
     let reachable_count = reachable.iter().filter(|&&m| m).count();
 
     // 1b. Inline-cache differential: re-record with the pass flipped from
-    // the process default (`CG_VM_FUSION`).  The event stream and the
-    // execution statistics must be byte-identical — caching may only
-    // change *speed*.
+    // the process default (`CG_VM_FUSION`).  The execution statistics and
+    // the recording's bytes must be identical — caching may only change
+    // *speed*.
     {
         let context = if vm_config.fusion {
             "fusion-off"
         } else {
             "fusion-on"
         };
-        let (flipped_trace, flipped_outcome, _) = guard(context, || {
-            record(
-                program.name().to_string(),
-                program.clone(),
-                vm_config.with_fusion(!vm_config.fusion),
-                NoopCollector::new(),
-            )
-            .map_err(|e| CheckFailure::CollectorRun {
-                context: context.to_string(),
-                error: e.to_string(),
+        let (flipped_outcome, _, _, flipped_bytes) = guard(context, || {
+            record(vm_config.with_fusion(!vm_config.fusion)).map_err(|e| {
+                CheckFailure::CollectorRun {
+                    context: context.to_string(),
+                    error: e.to_string(),
+                }
             })
         })?;
-        if flipped_trace != trace {
-            return Err(CheckFailure::FusionDivergence {
-                context: format!("{context}: event stream"),
-            });
-        }
         if flipped_outcome.stats != baseline_outcome.stats {
             return Err(CheckFailure::FusionDivergence {
                 context: format!("{context}: vm stats"),
+            });
+        }
+        if flipped_bytes != bytes {
+            return Err(CheckFailure::FusionDivergence {
+                context: format!("{context}: recorded bytes"),
             });
         }
     }
@@ -458,8 +474,8 @@ pub fn check_program(
     }
 
     let replayed = guard("cg-replay", || {
-        replay_governed(
-            &trace,
+        replay_events_governed(
+            trace.iter().map(Ok),
             vm_config.heap,
             ContaminatedGc::with_config(cg),
             &Governor::unlimited(),
@@ -497,10 +513,11 @@ pub fn check_program(
 
     // 4. Shard invariance, live and parallel; 5. partition fidelity.
     for &shards in &options.shards {
-        let pt = partition(&trace, shards);
-        if pt.merge() != trace {
+        let streams = partition(&trace, shards);
+        if merge(&streams).as_deref() != Some(&trace[..]) {
             return Err(CheckFailure::RoundTrip { shards });
         }
+        let sources = || streams.iter().map(Vec::as_slice);
 
         let mut sharded_vm = run_live(
             &format!("sharded-{shards}-live"),
@@ -524,12 +541,12 @@ pub fn check_program(
         )?;
 
         let parallel = guard(&format!("parallel-{shards}"), || {
-            parallel_eval_governed(&pt, vm_config.heap, cg, &Governor::unlimited()).map_err(|e| {
-                CheckFailure::Replay {
+            parallel_eval_governed(sources(), vm_config.heap, cg, &Governor::unlimited()).map_err(
+                |e| CheckFailure::Replay {
                     context: format!("parallel-{shards}"),
                     error: e.to_string(),
-                }
-            })
+                },
+            )
         })?;
         check_equal(
             &format!("replay-vs-parallel-{shards}"),
@@ -554,12 +571,11 @@ pub fn check_program(
         };
         let context = format!("parallel-{shards}-{other:?}-domain");
         let parallel_other = guard(&context, || {
-            parallel_eval_governed(&pt, vm_config.heap, cross, &Governor::unlimited()).map_err(
-                |e| CheckFailure::Replay {
+            parallel_eval_governed(sources(), vm_config.heap, cross, &Governor::unlimited())
+                .map_err(|e| CheckFailure::Replay {
                     context: context.clone(),
                     error: e.to_string(),
-                },
-            )
+                })
         })?;
         check_equal(
             &format!("parallel-{shards}-domains"),
@@ -621,18 +637,17 @@ pub fn check_program(
 /// while a frame could still reach it is caught immediately — end-state
 /// checks only see what statics and interpreter references keep alive.
 fn check_incremental(
-    trace: &Trace,
+    trace: &[GcEvent],
     heap_config: HeapConfig,
     cg: CgConfig,
 ) -> Result<(), CheckFailure> {
-    use cg_vm::GcEvent;
     let mut collector = ContaminatedGc::with_config(cg);
     // The collector's heap (it frees into this one)...
     let mut heap = Heap::new(heap_config);
     // ...and the precise shadow: same allocations and writes, no frees.
     let mut shadow = Heap::new(heap_config);
 
-    for (index, event) in trace.events().iter().enumerate() {
+    for (index, event) in trace.iter().enumerate() {
         match event {
             GcEvent::Allocate {
                 handle,
@@ -753,11 +768,43 @@ fn check_equal(
     Ok(())
 }
 
-/// Convenience: checks a trace's partition/merge round trip alone (used by
-/// the property tests over generated traces).
-pub fn check_round_trip(trace: &Trace, shards: &[usize]) -> Result<(), CheckFailure> {
+/// Decodes a whole in-memory `.cgt` stream into its events.
+fn decode(bytes: &[u8]) -> Result<Vec<GcEvent>, String> {
+    TraceReader::new(bytes)
+        .and_then(|mut reader| reader.events().collect())
+        .map_err(|e| e.to_string())
+}
+
+/// `events` partitioned into `shards` in-memory `.cgt` shard streams.
+fn partition(events: &[GcEvent], shards: usize) -> Vec<Vec<u8>> {
+    let sinks = vec![Vec::new(); shards];
+    partition_streaming(events.iter().cloned().map(Ok), &TraceMeta::default(), sinks)
+        .expect("an in-memory partition always encodes")
+        .0
+}
+
+/// Decodes shard streams and puts every event back at its sequence number:
+/// `None` unless every stream decodes and the sequence numbers are exactly
+/// `0..n`, each once.
+fn merge(shards: &[Vec<u8>]) -> Option<Vec<GcEvent>> {
+    let mut events = Vec::new();
+    for bytes in shards {
+        let mut reader = TraceReader::new(&bytes[..]).ok()?;
+        for ev in reader.shard_events() {
+            events.push(ev.ok()?);
+        }
+    }
+    events.sort_by_key(|ev| ev.seq);
+    let in_order = events.iter().enumerate().all(|(i, ev)| ev.seq == i as u64);
+    in_order.then(|| events.into_iter().map(|ev| ev.event).collect())
+}
+
+/// Convenience: checks a trace's partition fidelity alone — every shard
+/// count's streams merge back to exactly `trace` (used by the property
+/// tests over generated traces).
+pub fn check_round_trip(trace: &[GcEvent], shards: &[usize]) -> Result<(), CheckFailure> {
     for &n in shards {
-        if partition(trace, n).merge() != *trace {
+        if merge(&partition(trace, n)).as_deref() != Some(trace) {
             return Err(CheckFailure::RoundTrip { shards: n });
         }
     }

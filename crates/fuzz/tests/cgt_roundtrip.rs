@@ -1,46 +1,90 @@
 //! Property-style `.cgt` round-trip over fuzz-generated traces: for random
 //! programs from all six generator profiles, encode→decode is the identity
-//! on the recorded event stream — through in-memory bytes, through files,
-//! compressed and raw, and through the streaming partitioner's per-shard
-//! files.  This is the corpus-facing guarantee: any stream the VM can emit
-//! survives persistence bit-for-bit.
+//! on the recorded event stream — through in-memory bytes, compressed and
+//! raw, and through the streaming partitioner's per-shard files.  The
+//! reference is the event stream captured straight from the live VM by a
+//! plain vector sink, independent of the codec under test.  This is the
+//! corpus-facing guarantee: any stream the VM can emit survives
+//! persistence bit-for-bit.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cg_fuzz::{fuzz_vm_config, generate, GenProfile};
 use cg_trace::{
-    partition, partition_streaming, read_partitioned, read_trace, record, write_trace, Trace,
-    TraceMeta,
+    partition_path_streaming, record_streaming, TraceMeta, TraceReader, TraceStats, TraceWriter,
 };
-use cg_vm::NoopCollector;
+use cg_vm::{EventSink, GcEvent, NoopCollector, Program, Vm, VmConfig};
 
-fn recorded_trace(seed: u64, profile: &GenProfile) -> Trace {
-    let program = generate(seed, profile);
+/// Keeps a copy of every event the VM emits.
+#[derive(Debug, Default, Clone)]
+struct Capture(Rc<RefCell<Vec<GcEvent>>>);
+
+impl EventSink for Capture {
+    fn record(&mut self, event: &GcEvent) {
+        self.0.borrow_mut().push(event.clone());
+    }
+}
+
+/// A generated program and the configuration it records under.
+fn generated(seed: u64, profile: &GenProfile) -> (Program, VmConfig) {
     // Every other seed adds forced periodic collections so Collect events
     // (with their root-set snapshots) are exercised by the round-trip too.
     let forced_gc = seed.is_multiple_of(2).then_some(512);
-    let (trace, ..) = record(
-        format!("{}/{seed}", program.name()),
-        program,
-        fuzz_vm_config(forced_gc),
+    (generate(seed, profile), fuzz_vm_config(forced_gc))
+}
+
+/// The events a live run of `program` emits, as a plain vector.
+fn captured(program: &Program, config: VmConfig) -> Vec<GcEvent> {
+    let capture = Capture::default();
+    let mut vm = Vm::new(program.clone(), config, NoopCollector::new());
+    vm.set_event_sink(Box::new(capture.clone()));
+    vm.run().expect("generated programs terminate");
+    drop(vm.take_event_sink());
+    capture.0.take()
+}
+
+/// `program` recorded as `.cgt` bytes.
+fn recorded(program: &Program, config: VmConfig) -> Vec<u8> {
+    let meta = TraceMeta {
+        name: program.name().to_string(),
+        ..TraceMeta::default()
+    };
+    let (.., bytes) = record_streaming(
+        &meta,
+        program.clone(),
+        config,
         NoopCollector::new(),
+        Vec::new(),
     )
     .expect("generated programs terminate and record");
-    trace
+    bytes
+}
+
+fn census(events: &[GcEvent]) -> TraceStats {
+    let mut stats = TraceStats::default();
+    for event in events {
+        stats.record(event.kind());
+    }
+    stats
 }
 
 #[test]
 fn fuzz_traces_round_trip_through_cgt_bytes() {
     for profile in GenProfile::all() {
         for seed in 0..8u64 {
-            let trace = recorded_trace(seed ^ 0xC61_7A5E, profile);
-            let meta = TraceMeta {
-                name: trace.name().to_string(),
-                ..TraceMeta::default()
-            };
-            let bytes = write_trace(Vec::new(), &trace, &meta).expect("write");
-            let (decoded, meta2, footer) = read_trace(&bytes[..]).expect("read");
-            assert_eq!(decoded, trace, "{}/{seed}", profile.name);
-            assert_eq!(meta2.name, trace.name());
-            assert_eq!(footer.counts, trace.stats().counts(), "{}", profile.name);
+            let (program, config) = generated(seed ^ 0xC61_7A5E, profile);
+            let live = captured(&program, config);
+            let bytes = recorded(&program, config);
+            let mut reader = TraceReader::new(&bytes[..]).expect("header");
+            let decoded = reader
+                .events()
+                .collect::<Result<Vec<_>, _>>()
+                .expect("decode");
+            assert_eq!(decoded, live, "{}/{seed}", profile.name);
+            assert_eq!(reader.meta().name, program.name());
+            let footer = reader.footer().expect("footer");
+            assert_eq!(footer.counts, census(&live).counts(), "{}", profile.name);
         }
     }
 }
@@ -49,19 +93,18 @@ fn fuzz_traces_round_trip_through_cgt_bytes() {
 fn fuzz_traces_round_trip_uncompressed() {
     // The raw codec path (chunks stored verbatim) must be lossless too.
     for profile in GenProfile::all() {
-        let trace = recorded_trace(99, profile);
-        let meta = TraceMeta {
-            name: trace.name().to_string(),
-            ..TraceMeta::default()
-        };
-        let mut writer = cg_trace::TraceWriter::new(Vec::new(), &meta).expect("writer");
+        let (program, config) = generated(99, profile);
+        let live = captured(&program, config);
+        let mut writer = TraceWriter::new(Vec::new(), &TraceMeta::default()).expect("writer");
         writer.set_compression(false);
-        for event in trace.events() {
+        for event in &live {
             writer.push(event).expect("push");
         }
         let (bytes, _) = writer.finish().expect("finish");
-        let (decoded, ..) = read_trace(&bytes[..]).expect("read");
-        assert_eq!(decoded, trace, "{}", profile.name);
+        let decoded = TraceReader::new(&bytes[..])
+            .and_then(|mut reader| reader.events().collect::<Result<Vec<_>, _>>())
+            .expect("read");
+        assert_eq!(decoded, live, "{}", profile.name);
     }
 }
 
@@ -69,23 +112,31 @@ fn fuzz_traces_round_trip_uncompressed() {
 fn fuzz_traces_partition_to_disk_and_back() {
     let dir = std::env::temp_dir().join(format!("cgt-fuzz-rt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
     for profile in GenProfile::all() {
         // The threads profile exercises real cross-shard wait edges; the
         // others mostly stay single-threaded — both shapes must survive.
-        let trace = recorded_trace(7, profile);
+        let (program, config) = generated(7, profile);
+        let live = captured(&program, config);
+        let src = dir.join(format!("{}.cgt", profile.name));
+        std::fs::write(&src, recorded(&program, config)).expect("write recording");
         for shards in [1, 2, 3] {
             let sub = dir.join(format!("{}-{shards}", profile.name));
-            let meta = TraceMeta {
-                name: trace.name().to_string(),
-                ..TraceMeta::default()
-            };
-            let placed =
-                partition_streaming(trace.events().iter().cloned().map(Ok), &meta, shards, &sub)
-                    .expect("partition to disk");
-            let loaded = read_partitioned(&placed.paths).expect("load partition");
-            let in_memory = partition(&trace, shards);
-            assert_eq!(loaded, in_memory, "{}/{shards}", profile.name);
-            assert_eq!(loaded.merge(), trace, "{}/{shards}", profile.name);
+            let placed = partition_path_streaming(&src, shards, &sub).expect("partition to disk");
+            // Every shard event back at its global sequence number.
+            let mut slots: Vec<Option<GcEvent>> = vec![None; live.len()];
+            for path in &placed.paths {
+                let file = std::fs::File::open(path).expect("shard file");
+                let mut reader = TraceReader::new(std::io::BufReader::new(file)).expect("header");
+                for ev in reader.shard_events() {
+                    let ev = ev.expect("shard decodes");
+                    let slot = &mut slots[ev.seq as usize];
+                    assert!(slot.is_none(), "seq {} routed twice", ev.seq);
+                    *slot = Some(ev.event);
+                }
+            }
+            let merged: Vec<GcEvent> = slots.into_iter().map(|e| e.expect("routed")).collect();
+            assert_eq!(merged, live, "{}/{shards}", profile.name);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

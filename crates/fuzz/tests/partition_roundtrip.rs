@@ -1,24 +1,55 @@
-//! Property: `partition(trace, n)` + `merge` is the identity on
+//! Property: partitioning a trace into `n` shard streams and putting every
+//! decoded shard event back at its sequence number is the identity on
 //! fuzz-generated traces — not just on the workload traces `cg-bench`
-//! already pins — including the degenerate shapes the satellite task calls
-//! out: traces with zero cross-shard syncs and all-static traces.
+//! already pins — including the degenerate shapes: traces with zero
+//! cross-shard syncs and all-static traces.
 
 use cg_fuzz::{check_round_trip, fuzz_vm_config, generate, GenProfile};
-use cg_trace::{partition, record, Trace};
+use cg_trace::{partition_streaming, record_streaming, TraceMeta, TraceReader};
 use cg_vm::{GcEvent, NoopCollector};
 
 const SHARDS: [usize; 5] = [1, 2, 3, 4, 8];
 
-fn record_trace(profile: &GenProfile, seed: u64) -> Trace {
+fn record_trace(profile: &GenProfile, seed: u64) -> Vec<GcEvent> {
     let program = generate(seed, profile);
-    let (trace, ..) = record(
-        program.name().to_string(),
+    let meta = TraceMeta {
+        name: program.name().to_string(),
+        ..TraceMeta::default()
+    };
+    let (.., bytes) = record_streaming(
+        &meta,
         program,
         fuzz_vm_config(Some(512)),
         NoopCollector::new(),
+        Vec::new(),
     )
     .expect("generated programs run");
-    trace
+    TraceReader::new(&bytes[..])
+        .and_then(|mut reader| reader.events().collect())
+        .expect("recording decodes")
+}
+
+/// Partitions `trace` into `shards` in-memory shard streams: how many
+/// events each holds, and the cross-thread synchronisation count.
+fn shard_sizes(trace: &[GcEvent], shards: usize) -> (Vec<u64>, u64) {
+    let (streams, syncs) = partition_streaming(
+        trace.iter().cloned().map(Ok),
+        &TraceMeta::default(),
+        vec![Vec::new(); shards],
+    )
+    .expect("in-memory partition");
+    let sizes = streams
+        .iter()
+        .map(|bytes| {
+            let mut reader = TraceReader::new(&bytes[..]).expect("shard header");
+            reader
+                .shard_events()
+                .try_for_each(|ev| ev.map(drop))
+                .expect("shard decodes");
+            reader.events_read()
+        })
+        .collect();
+    (sizes, syncs)
 }
 
 #[test]
@@ -43,23 +74,19 @@ fn zero_sync_traces_round_trip() {
         .map(|seed| record_trace(&cg_fuzz::generator::DEEP_CALLS, seed))
         .find(|t| t.len() > 80)
         .expect("some deep-calls seed yields a non-trivial trace");
-    let mut stripped = Trace::new("zero-sync");
-    for event in full.events() {
-        match event {
-            GcEvent::Collect { .. } | GcEvent::ProgramEnd { .. } => {}
-            other => stripped.push(other.clone()),
-        }
-    }
+    let stripped: Vec<GcEvent> = full
+        .into_iter()
+        .filter(|event| !matches!(event, GcEvent::Collect { .. } | GcEvent::ProgramEnd { .. }))
+        .collect();
     assert!(stripped.len() > 50, "stripped trace is too trivial");
     for n in SHARDS {
-        let pt = partition(&stripped, n);
+        let (sizes, syncs) = shard_sizes(&stripped, n);
         assert_eq!(
-            pt.cross_thread_syncs, 0,
+            syncs, 0,
             "{n} shards: single-threaded barrier-free trace must need no syncs"
         );
-        assert_eq!(pt.merge(), stripped, "{n} shards");
         // Everything routed to thread 0's shard.
-        let occupied = pt.streams.iter().filter(|s| !s.events.is_empty()).count();
+        let occupied = sizes.iter().filter(|&&size| size > 0).count();
         assert_eq!(occupied, 1, "{n} shards");
     }
     check_round_trip(&stripped, &SHARDS).expect("round trip");
@@ -77,7 +104,7 @@ fn all_static_traces_round_trip() {
         thread: ThreadId::new(thread),
         method: MethodId::new(0),
     };
-    let mut trace = Trace::new("all-static");
+    let mut trace = Vec::new();
     for t in 0..3u32 {
         trace.push(GcEvent::FramePush { frame: frame(t) });
     }
@@ -109,5 +136,5 @@ fn all_static_traces_round_trip() {
     });
     check_round_trip(&trace, &SHARDS).expect("all-static round trip");
     // The cross-thread static stores are explicit sync points.
-    assert!(partition(&trace, 3).cross_thread_syncs > 0);
+    assert!(shard_sizes(&trace, 3).1 > 0);
 }

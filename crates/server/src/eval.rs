@@ -625,6 +625,49 @@ mod tests {
         })
     }
 
+    /// The small trace re-chunked to 16 raw events a chunk, with its last
+    /// event chunk cut out: every CRC still holds, but the footer's census
+    /// counts events the stream no longer has.
+    fn dropped_chunk_bytes() -> Vec<u8> {
+        let bytes = small_trace_bytes();
+        let mut reader = TraceReader::new(&bytes[..]).expect("header");
+        let mut writer = cg_trace::TraceWriter::with_chunk_events(Vec::new(), reader.meta(), 16)
+            .expect("header");
+        writer.set_compression(false);
+        for event in reader.events() {
+            writer.push(&event.expect("decode")).expect("push");
+        }
+        let (bytes, _) = writer.finish().expect("finish");
+        // Walk the framing: magic and version, the length-prefixed header
+        // and its CRC, then chunks of kind, event count, raw and stored
+        // lengths, codec, payload and CRC.
+        let varint = |at: &mut usize| {
+            let (mut value, mut shift) = (0, 0);
+            loop {
+                let byte = bytes[*at];
+                *at += 1;
+                value |= usize::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return value;
+                }
+                shift += 7;
+            }
+        };
+        let mut at = 6;
+        at += varint(&mut at) + 4;
+        let mut chunks = Vec::new();
+        while at < bytes.len() {
+            let start = at;
+            at += 1;
+            varint(&mut at);
+            varint(&mut at);
+            at += varint(&mut at) + 1 + 4;
+            chunks.push(start..at);
+        }
+        let last_events = chunks[chunks.len() - 2].clone();
+        [&bytes[..last_events.start], &bytes[last_events.end..]].concat()
+    }
+
     #[test]
     fn corrupt_stream_reports_corrupt_class() {
         let config = test_config("corrupt");
@@ -635,9 +678,11 @@ mod tests {
         let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let err = evaluate_session(&mut body, &governor, &config).expect_err("corrupt");
         assert_eq!(err.class(), ErrorClass::Corrupt, "{err}");
-        for (route, result) in upload_routes(&config, "", &frame_body(&bytes)) {
-            let err = result.expect_err(route);
-            assert_eq!(err.class(), ErrorClass::Corrupt, "{route}: {err}");
+        for bytes in [bytes, dropped_chunk_bytes()] {
+            for (route, result) in upload_routes(&config, "", &frame_body(&bytes)) {
+                let err = result.expect_err(route);
+                assert_eq!(err.class(), ErrorClass::Corrupt, "{route}: {err}");
+            }
         }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }

@@ -1,11 +1,13 @@
 //! Parallel trace evaluation: N collector shards on N OS threads.
 //!
-//! [`parallel_eval_governed`] takes a partitioned trace
-//! ([`PartitionedTrace`]) — [`parallel_eval_streaming_governed`] the
-//! per-shard `.cgt` files of one — and replays each sub-stream against its
-//! own [`CollectorShard`] — with its own shadow [`Heap`] region — on its
-//! own OS thread (`std::thread::scope`), sharing only the [`StaticDomain`]
-//! and a per-shard progress counter:
+//! [`parallel_eval_governed`] takes the `.cgt` shard sub-streams of one
+//! partition ([`partition_streaming`](crate::partition_streaming)) as one
+//! [`Read`] per shard — [`parallel_eval_streaming_governed`] the per-shard
+//! files of one — and replays each sub-stream against its own
+//! [`CollectorShard`] — with its own shadow [`Heap`] region — on its own
+//! OS thread (`std::thread::scope`), decoding it there one chunk at a
+//! time, sharing only the [`StaticDomain`] and a per-shard progress
+//! counter:
 //!
 //! * a shard's own objects, blocks, frame index and heap slice are touched
 //!   by exactly one thread (the partitioner routes every event to the shard
@@ -20,12 +22,13 @@
 //! The invariant — checked by the `shard_equivalence` integration test and
 //! asserted by the `shard_scaling` bench before timing anything — is that
 //! the aggregated [`CgStats`] and [`ObjectBreakdown`] are **byte-identical**
-//! to a single-threaded [`replay_governed`](crate::replay_governed) of the
-//! same trace, for every shard count.
+//! to a single-threaded
+//! [`replay_events_governed`](crate::replay_events_governed) of the same
+//! trace, for every shard count.
 //!
-//! Both entry points share one shard driver and one spawn/join/aggregate
-//! body; they differ only in where a shard's events come from
-//! (`ShardSource`).  Trusted input passes [`Governor::unlimited`].
+//! Every source must declare itself shard `i` of an `n`-shard partition,
+//! where `i` is its position and `n` the number of sources.  Trusted input
+//! passes [`Governor::unlimited`].
 //!
 //! Scope: the engine evaluates the plain contaminated collector.  Recycling
 //! traces are collector-dependent (they cannot be replayed at all) and the
@@ -33,8 +36,9 @@
 //! are barriers but collect nothing — exactly like `ContaminatedGc`'s no-op
 //! `collect` hook.
 
-use std::borrow::Borrow;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{BufReader, Read};
+use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -44,8 +48,8 @@ use cg_core::{aggregate_shards, CgConfig, CgStats, CollectorShard, ObjectBreakdo
 use cg_heap::{Heap, HeapConfig, Value};
 
 use crate::{
-    EvalError, GcEvent, Governor, PartitionedTrace, ReplayError, ShardEvent, ShardStream,
-    ShardWait, StreamKind, TraceIoError, GOVERNOR_CHECK_EVENTS,
+    EvalError, GcEvent, Governor, ReplayError, ShardWait, StreamKind, TraceIoError, TraceReader,
+    GOVERNOR_CHECK_EVENTS,
 };
 
 /// What a parallel sharded evaluation produced, aggregated across shards.
@@ -472,14 +476,6 @@ fn apply_shard_event(
     Ok(())
 }
 
-/// Where one shard's events come from.
-enum ShardSource<'a> {
-    /// An in-memory sub-stream of a [`PartitionedTrace`].
-    Memory(&'a ShardStream),
-    /// A shard `.cgt` file, read with O(chunk) trace memory.
-    File(&'a Path),
-}
-
 /// What every shard thread of one evaluation shares.
 struct ShardContext<'a> {
     config: CgConfig,
@@ -499,11 +495,13 @@ fn malformed(detail: String) -> ShardError {
     .into()
 }
 
-/// Replays shard `me` from `source`: opens it (a file must declare itself
-/// shard `me` of this topology) and feeds its events to [`drive_shard`].
-fn run_shard(
+/// Replays shard `me` from `source`, which must declare itself shard `me`
+/// of this topology, decoding it one chunk at a time: honours each event's
+/// wait edges, applies it, and publishes progress after every event,
+/// polling the governor every [`GOVERNOR_CHECK_EVENTS`].
+fn run_shard<R: Read>(
     me: usize,
-    source: ShardSource<'_>,
+    source: R,
     ctx: &ShardContext<'_>,
 ) -> Result<ShardRun, ShardError> {
     let mut run = ShardRun {
@@ -523,44 +521,19 @@ fn run_shard(
         armed: true,
     };
     let shards = ctx.progress.len();
-    match source {
-        ShardSource::Memory(stream) => {
-            drive_shard(&mut run, me, stream.events.iter().map(Ok), ctx)?
-        }
-        ShardSource::File(path) => {
-            let mut reader = crate::open_trace(path)?;
-            match reader.meta().stream {
-                StreamKind::Shard { shard, shard_count }
-                    if shard as usize == me && shard_count as usize == shards => {}
-                _ => {
-                    return Err(malformed(format!(
-                        "{} is not shard {me} of a {shards}-shard partition",
-                        path.display()
-                    )));
-                }
-            }
-            let events = std::iter::from_fn(|| reader.next_shard_event().transpose());
-            drive_shard(&mut run, me, events, ctx)?
+    let mut reader = TraceReader::new(BufReader::new(source))?;
+    match reader.meta().stream {
+        StreamKind::Shard { shard, shard_count }
+            if shard as usize == me && shard_count as usize == shards => {}
+        _ => {
+            return Err(malformed(format!(
+                "input {me} is not shard {me} of a {shards}-shard partition"
+            )));
         }
     }
-    guard.armed = false;
-    Ok(run)
-}
-
-/// The one shard loop: honours each event's wait edges, applies it, and
-/// publishes progress after every event, polling the governor every
-/// [`GOVERNOR_CHECK_EVENTS`].
-fn drive_shard<E: Borrow<ShardEvent>>(
-    run: &mut ShardRun,
-    me: usize,
-    events: impl Iterator<Item = Result<E, TraceIoError>>,
-    ctx: &ShardContext<'_>,
-) -> Result<(), ShardError> {
-    let shards = ctx.progress.len();
     let deadline = ctx.governor.deadline_at();
-    for ev in events {
+    for ev in reader.shard_events() {
         let ev = ev?;
-        let ev = ev.borrow();
         // A corrupt or foreign stream may name a shard outside the topology;
         // fail cleanly instead of indexing out of bounds.
         if let Some(bad) = ev.waits.iter().find(|w| w.shard as usize >= shards) {
@@ -570,7 +543,7 @@ fn drive_shard<E: Borrow<ShardEvent>>(
             )));
         }
         honour_waits(&ev.waits, ctx.progress, ctx.abort, me as u32, deadline)?;
-        apply_shard_event(run, &ev.event, ctx.domain)?;
+        apply_shard_event(&mut run, &ev.event, ctx.domain)?;
         run.events += 1;
         ctx.progress[me].publish(run.events as u64);
         if (run.events as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
@@ -579,7 +552,8 @@ fn drive_shard<E: Borrow<ShardEvent>>(
                 .map_err(ShardError::Eval)?;
         }
     }
-    Ok(())
+    guard.armed = false;
+    Ok(run)
 }
 
 /// Renders a caught panic payload for an [`EvalError::ShardPanicked`]
@@ -611,77 +585,46 @@ fn catch_shard_panic(
     }
 }
 
-/// Replays a partitioned trace on `shard_count` OS threads and aggregates
-/// the results.
+/// Replays the shard sub-streams of one partition on one OS thread per
+/// source and aggregates the results.  Source `i` must be the `.cgt` bytes
+/// [`partition_streaming`](crate::partition_streaming) wrote for shard `i`
+/// of as many shards as there are sources; each thread decodes its own
+/// source, holding one chunk of it at a time.
 ///
 /// Every shard gets the full `heap_config` as its private region, so a
 /// sharded replay can never exhaust space a single-threaded replay had.
 ///
-/// The heap configuration, shard count and event total are validated
-/// against the [`Governor`] before any thread spawns or heap allocates,
-/// every shard polls the budget cooperatively, and cross-shard wait edges
-/// honour the governor's deadline (a dead sibling surfaces as
-/// [`EvalError::ShardStalled`] instead of a hang).
+/// The heap configuration and shard count are validated against the
+/// [`Governor`] before any thread spawns or heap allocates, every shard
+/// polls the budget cooperatively, and cross-shard wait edges honour the
+/// governor's deadline (a dead sibling surfaces as
+/// [`EvalError::ShardStalled`] instead of a hang).  No event total is known
+/// up front; a caller holding one (the partitioner's count) validates it.
 ///
 /// # Errors
 ///
 /// A [`ParallelError`]: the up-front rejection, or each failing shard's
-/// [`EvalError`] (a divergence, a malformed sub-stream, a budget trip, or a
-/// panic caught at the shard boundary — e.g. an ill-formed stream violating
-/// the §3.3 pre-escalation invariant) plus the completed shards' partial
-/// statistics.
-pub fn parallel_eval_governed(
-    pt: &PartitionedTrace,
-    heap_config: HeapConfig,
-    config: CgConfig,
-    governor: &Governor,
-) -> Result<ParallelOutcome, ParallelError> {
-    let total_events: u64 = pt.streams.iter().map(|s| s.events.len() as u64).sum();
-    let sources = pt.streams.iter().map(ShardSource::Memory).collect();
-    eval_shards(sources, Some(total_events), heap_config, config, governor)
-}
-
-/// Replays per-shard `.cgt` sub-streams (written by
-/// [`partition_streaming`](crate::partition_streaming)) on one OS thread
-/// per shard, straight from disk: each thread holds one decoded chunk of
-/// its own stream, so the whole evaluation's trace memory is
-/// O(shards × chunk) regardless of trace length.  Statistics are
-/// byte-identical to [`parallel_eval_governed`] over the same partition,
-/// which is itself byte-identical to a single-threaded replay; the
-/// enforcement points are the same, except that no event total is known
-/// up front (the caller validates the partitioner's count).
+/// [`EvalError`] (a divergence, a malformed or foreign sub-stream, a budget
+/// trip, or a panic caught at the shard boundary — e.g. an ill-formed
+/// stream violating the §3.3 pre-escalation invariant) plus the completed
+/// shards' partial statistics.
 ///
-/// # Errors
+/// # Panics
 ///
-/// A [`ParallelError`]: the up-front rejection, or each failing shard's
-/// [`EvalError`] (a divergence, an unreadable shard file, a budget trip, or
-/// a caught panic) plus the completed shards' partial statistics.
-pub fn parallel_eval_streaming_governed(
-    paths: &[PathBuf],
+/// Panics if `sources` is empty.
+pub fn parallel_eval_governed<R: Read + Send>(
+    sources: impl IntoIterator<Item = R>,
     heap_config: HeapConfig,
     config: CgConfig,
     governor: &Governor,
 ) -> Result<ParallelOutcome, ParallelError> {
-    assert!(!paths.is_empty(), "need at least one shard stream");
-    let sources = paths.iter().map(|p| ShardSource::File(p)).collect();
-    eval_shards(sources, None, heap_config, config, governor)
-}
-
-/// The one spawn/join/aggregate body: validates the budget, runs one OS
-/// thread per source, and aggregates the shard runs.
-fn eval_shards(
-    sources: Vec<ShardSource<'_>>,
-    declared_events: Option<u64>,
-    heap_config: HeapConfig,
-    config: CgConfig,
-    governor: &Governor,
-) -> Result<ParallelOutcome, ParallelError> {
+    let sources: Vec<R> = sources.into_iter().collect();
+    assert!(!sources.is_empty(), "need at least one shard stream");
     let start = Instant::now();
     let shard_count = sources.len();
     governor
         .validate_shards(shard_count)
         .and_then(|()| governor.validate_heap(&heap_config))
-        .and_then(|()| declared_events.map_or(Ok(()), |n| governor.validate_declared_events(n)))
         .map_err(ParallelError::Rejected)?;
     let domain = StaticDomain::with_impl(config.domain_impl);
     let progress: Vec<WaitCell> = (0..shard_count).map(|_| WaitCell::new()).collect();
@@ -700,6 +643,29 @@ fn eval_shards(
     });
 
     aggregate_results(results, shard_count, &domain, start)
+}
+
+/// [`parallel_eval_governed`] over per-shard `.cgt` files (written by
+/// [`partition_path_streaming`](crate::partition_path_streaming)), straight
+/// from disk: the whole evaluation's trace memory is O(shards × chunk)
+/// regardless of trace length.
+///
+/// # Errors
+///
+/// A [`ParallelError`]: a shard file that cannot be opened (rejected before
+/// any thread spawns), or anything [`parallel_eval_governed`] reports.
+pub fn parallel_eval_streaming_governed(
+    paths: &[PathBuf],
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+) -> Result<ParallelOutcome, ParallelError> {
+    let files = paths
+        .iter()
+        .map(File::open)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| ParallelError::Rejected(EvalError::Trace(e.into())))?;
+    parallel_eval_governed(files, heap_config, config, governor)
 }
 
 type ShardResults = Vec<Result<ShardRun, ShardError>>;
@@ -721,10 +687,10 @@ fn join_shards(handle: ScopedJoinHandle<'_, ShardResults>) -> ShardResults {
 /// every evaluation of a long-lived process finds the arena its
 /// predecessor's same shard grew; started side by side, a coin decides per
 /// evaluation whether the largest shard grows a second arena to its size.
-fn spawn_shards_from<'scope, 'env>(
+fn spawn_shards_from<'scope, 'env, R: Read + Send + 'scope>(
     scope: &'scope Scope<'scope, 'env>,
     me: usize,
-    mut sources: std::vec::IntoIter<ShardSource<'env>>,
+    mut sources: std::vec::IntoIter<R>,
     ctx: &'env ShardContext<'env>,
 ) -> Option<ScopedJoinHandle<'scope, ShardResults>> {
     let source = sources.next()?;
@@ -801,40 +767,65 @@ fn aggregate_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{partition, Trace};
+    use crate::{ShardEvent, TraceMeta, TraceWriter};
     use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, Handle, MethodId, RootSet, ThreadId};
 
-    /// A wait edge naming a shard outside the topology (a corrupt shard file
-    /// loaded through `read_partitioned`, which does not look at edges) is a
-    /// malformed stream for the in-memory source exactly as for the file
-    /// source — not an out-of-bounds panic caught at the shard boundary.
+    /// A wait edge naming a shard outside the topology (a corrupt shard
+    /// stream whose framing is intact) is a malformed stream, not an
+    /// out-of-bounds panic caught at the shard boundary.
     #[test]
     fn wait_edge_outside_the_topology_is_malformed_not_a_panic() {
-        let mut trace = Trace::new("bad-edge");
-        for thread in 0..2u32 {
-            trace.push(GcEvent::Allocate {
-                handle: Handle::from_index(thread),
-                class: ClassId::new(0),
-                kind: AllocKind::Instance { field_count: 1 },
-                frame: FrameInfo {
-                    id: FrameId::new(1 + thread as u64),
-                    depth: 1,
-                    thread: ThreadId::new(thread),
-                    method: MethodId::new(0),
-                },
-                recycled: false,
-            });
-        }
-        trace.push(GcEvent::ProgramEnd {
+        let alloc = |thread: u32| GcEvent::Allocate {
+            handle: Handle::from_index(thread),
+            class: ClassId::new(0),
+            kind: AllocKind::Instance { field_count: 1 },
+            frame: FrameInfo {
+                id: FrameId::new(1 + thread as u64),
+                depth: 1,
+                thread: ThreadId::new(thread),
+                method: MethodId::new(0),
+            },
+            recycled: false,
+        };
+        let end = GcEvent::ProgramEnd {
             roots: Box::new(RootSet::default()),
-        });
-        let mut pt = partition(&trace, 2);
-        pt.streams[1].events[0].waits.push(ShardWait {
-            shard: 9,
-            processed: 1,
-        });
+        };
+        // Shard 0: its allocation and the barrier; shard 1: its allocation,
+        // waiting on a shard 9 that does not exist.
+        let streams = [
+            vec![(0, vec![], alloc(0)), (2, vec![(1, 1)], end)],
+            vec![(1, vec![(9, 1)], alloc(1))],
+        ];
+        let bytes: Vec<Vec<u8>> = streams
+            .iter()
+            .enumerate()
+            .map(|(shard, events)| {
+                let meta = TraceMeta {
+                    stream: StreamKind::Shard {
+                        shard: shard as u32,
+                        shard_count: 2,
+                    },
+                    ..TraceMeta::default()
+                };
+                let mut writer = TraceWriter::new(Vec::new(), &meta).expect("header");
+                for (seq, waits, event) in events {
+                    let waits = waits
+                        .iter()
+                        .map(|&(shard, processed)| ShardWait { shard, processed })
+                        .collect();
+                    writer
+                        .push_shard(&ShardEvent {
+                            seq: *seq,
+                            waits,
+                            event: event.clone(),
+                        })
+                        .expect("push");
+                }
+                writer.finish().expect("finish").0
+            })
+            .collect();
         let err = parallel_eval_governed(
-            &pt,
+            bytes.iter().map(Vec::as_slice),
             HeapConfig::small(),
             CgConfig::default(),
             &Governor::unlimited(),

@@ -8,16 +8,20 @@
 //! Neither ever materializes the full event vector, so recording or
 //! replaying a multi-gigabyte trace holds O(chunk) memory — see
 //! [`TraceReader::max_buffered_events`], which the streaming-equivalence
-//! tests assert on.
+//! tests assert on.  A recording kept in memory is the same bytes in a
+//! `Vec<u8>`: write it through a `TraceWriter<Vec<u8>>` and read it back
+//! through a `TraceReader<&[u8]>`.
 //!
-//! The convenience functions ([`write_trace`], [`read_trace`],
-//! [`open_trace`], ...) cover the whole-trace-in-memory cases.
+//! The reader tallies every event it decodes by kind, and a stream whose
+//! footer census (or header `declared_events`) disagrees with that tally
+//! fails at the footer, so no route can report statistics for events a
+//! stream lost.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use cg_vm::GcEvent;
+use cg_vm::{EventKind, GcEvent};
 
 use crate::compress;
 use crate::format::{
@@ -25,8 +29,8 @@ use crate::format::{
     CHUNK_EVENTS_KIND, CHUNK_FOOTER_KIND, CODEC_LZ, CODEC_RAW, DEFAULT_CHUNK_EVENTS,
     FORMAT_VERSION, MAGIC,
 };
-use crate::partition::{ShardEvent, ShardStream};
-use crate::trace::{Trace, TraceStats};
+use crate::partition::ShardEvent;
+use crate::trace::TraceStats;
 use crate::wire::{self, SliceReader, WireError};
 
 /// Flush the pending chunk when its encoded payload reaches this size even
@@ -301,6 +305,9 @@ struct ChunkCursor {
     prev_seq: u64,
     /// Events decoded so far, over the whole stream.
     decoded: u64,
+    /// Those events by kind (indexed by tag), checked against the footer's
+    /// census.
+    census: [u64; EventKind::ALL.len()],
 }
 
 impl ChunkCursor {
@@ -333,7 +340,7 @@ impl ChunkCursor {
     fn next_with<T>(
         &mut self,
         decode: impl FnOnce(&mut EventCodec, &mut SliceReader<'_>, &mut u64) -> Result<T, WireError>,
-    ) -> Result<Option<T>, TraceIoError> {
+    ) -> Result<T, TraceIoError> {
         debug_assert!(self.pending > 0, "the reader refills before it decodes");
         let mut r = SliceReader::new(&self.body[self.pos..]);
         let record = decode(&mut self.codec, &mut r, &mut self.prev_seq)
@@ -344,15 +351,47 @@ impl ChunkCursor {
             self.check_drained()?;
         }
         self.decoded += 1;
-        Ok(Some(record))
+        Ok(record)
     }
 
     fn next_event(&mut self) -> Result<Option<GcEvent>, TraceIoError> {
-        self.next_with(|codec, r, _| format::decode_event(codec, r))
+        let event = self.next_with(|codec, r, _| format::decode_event(codec, r))?;
+        self.census[event.kind().tag() as usize] += 1;
+        Ok(Some(event))
     }
 
     fn next_shard_event(&mut self) -> Result<Option<ShardEvent>, TraceIoError> {
-        self.next_with(format::decode_shard_event)
+        let ev = self.next_with(format::decode_shard_event)?;
+        self.census[ev.event.kind().tag() as usize] += 1;
+        Ok(Some(ev))
+    }
+
+    /// The footer's census and the header's declared count must both
+    /// match the events this stream actually held.
+    fn check_census(
+        &self,
+        chunk: u64,
+        footer: &TraceFooter,
+        declared: Option<u64>,
+    ) -> Result<(), TraceIoError> {
+        let malformed = |detail| TraceIoError::Malformed {
+            chunk: Some(chunk),
+            detail,
+        };
+        if footer.counts != self.census {
+            return Err(malformed(format!(
+                "footer census counts {} events but the stream holds {}",
+                footer.total_events(),
+                self.decoded
+            )));
+        }
+        match declared {
+            Some(declared) if declared != self.decoded => Err(malformed(format!(
+                "header declares {declared} events but the stream holds {}",
+                self.decoded
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -528,6 +567,21 @@ impl<R: Read> TraceReader<R> {
         self.chunk.next_shard_event()
     }
 
+    /// The remaining events of a plain stream, as an iterator over
+    /// [`TraceReader::next_event`]: it ends after the last event, when the
+    /// footer is available.  As with `next_event`, stop at the first
+    /// error (`collect` into a `Result`, or `?` on each item).
+    pub fn events(&mut self) -> impl Iterator<Item = Result<GcEvent, TraceIoError>> + '_ {
+        std::iter::from_fn(|| self.next_event().transpose())
+    }
+
+    /// The remaining events of a shard sub-stream, as an iterator over
+    /// [`TraceReader::next_shard_event`] that ends like
+    /// [`TraceReader::events`].
+    pub fn shard_events(&mut self) -> impl Iterator<Item = Result<ShardEvent, TraceIoError>> + '_ {
+        std::iter::from_fn(|| self.next_shard_event().transpose())
+    }
+
     /// Makes sure the cursor has an event pending, reading chunks as
     /// needed; `false` once the footer has been read instead.
     #[inline]
@@ -623,6 +677,8 @@ impl<R: Read> TraceReader<R> {
                 if wire::read_exact_or_eof(&mut self.r, &mut probe)? {
                     return Err(malformed("data after the footer chunk".to_string()));
                 }
+                self.chunk
+                    .check_census(chunk, &footer, self.meta.declared_events)?;
                 self.footer = Some(footer);
                 self.chunk_index += 1;
                 Ok(())
@@ -670,6 +726,11 @@ impl Default for RewriteOptions {
 /// with footer sections carried over and/or replaced — holding O(chunk)
 /// memory.  Works for plain traces and shard sub-streams alike.
 ///
+/// The output is written to a temporary sibling of `dst` and renamed over
+/// `dst` only once the whole source has been read and checked, so `dst`
+/// is never left half-written and `src` may be `dst` itself; on any error
+/// the temporary file is removed and `dst` is untouched.
+///
 /// Returns the source's header metadata and the per-kind census.
 ///
 /// # Errors
@@ -680,18 +741,38 @@ pub fn rewrite_trace(
     dst: impl AsRef<Path>,
     opts: &RewriteOptions,
 ) -> Result<(TraceMeta, TraceStats), TraceIoError> {
+    let dst = dst.as_ref();
+    let mut tmp = dst.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let result = rewrite_into(src.as_ref(), &tmp, opts).and_then(|done| {
+        std::fs::rename(&tmp, dst)?;
+        Ok(done)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// [`rewrite_trace`]'s body: streams `src` into a freshly created `dst`.
+fn rewrite_into(
+    src: &Path,
+    dst: &Path,
+    opts: &RewriteOptions,
+) -> Result<(TraceMeta, TraceStats), TraceIoError> {
     let mut reader = open_trace(src)?;
     let meta = reader.meta().clone();
     let out = File::create(dst)?;
     let mut writer = TraceWriter::with_chunk_events(BufWriter::new(out), &meta, opts.chunk_events)?;
     writer.set_compression(opts.compress);
     if reader.is_shard_stream() {
-        while let Some(ev) = reader.next_shard_event()? {
-            writer.push_shard(&ev)?;
+        for ev in reader.shard_events() {
+            writer.push_shard(&ev?)?;
         }
     } else {
-        while let Some(event) = reader.next_event()? {
-            writer.push(&event)?;
+        for event in reader.events() {
+            writer.push(&event?)?;
         }
     }
     let footer = reader
@@ -710,95 +791,6 @@ pub fn rewrite_trace(
     Ok((meta, stats))
 }
 
-// ---------------------------------------------------------------------------
-// Whole-trace convenience
-// ---------------------------------------------------------------------------
-
-/// Writes an in-memory [`Trace`] as a `.cgt` stream (declared event count
-/// filled in from the trace) and returns the underlying writer.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error on a failed write.
-pub fn write_trace<W: Write>(w: W, trace: &Trace, meta: &TraceMeta) -> Result<W, TraceIoError> {
-    let mut meta = meta.clone();
-    if meta.name.is_empty() {
-        meta.name = trace.name().to_string();
-    }
-    meta.declared_events = Some(trace.len() as u64);
-    let mut writer = TraceWriter::new(w, &meta)?;
-    for event in trace.events() {
-        writer.push(event)?;
-    }
-    let (w, _) = writer.finish()?;
-    Ok(w)
-}
-
-/// [`write_trace`] to a buffered file.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error on a failed write.
-pub fn write_trace_to_path(
-    path: impl AsRef<Path>,
-    trace: &Trace,
-    meta: &TraceMeta,
-) -> Result<(), TraceIoError> {
-    let file = File::create(path)?;
-    let w = write_trace(BufWriter::new(file), trace, meta)?;
-    w.into_inner().map_err(|e| e.into_error())?;
-    Ok(())
-}
-
-/// Reads a whole `.cgt` stream into an owned [`Trace`], verifying that the
-/// footer census matches the events actually decoded.
-///
-/// # Errors
-///
-/// Any [`TraceIoError`], including a census mismatch (which means the file
-/// was assembled inconsistently).
-pub fn read_trace<R: Read>(r: R) -> Result<(Trace, TraceMeta, TraceFooter), TraceIoError> {
-    let mut reader = TraceReader::new(r)?;
-    let mut trace = Trace::new(reader.meta().name.clone());
-    while let Some(event) = reader.next_event()? {
-        trace.push(event);
-    }
-    let meta = reader.meta().clone();
-    let footer = reader
-        .footer()
-        .cloned()
-        .expect("next_event returned None, so the footer was read");
-    if footer.counts != trace.stats().counts() {
-        return Err(TraceIoError::Malformed {
-            chunk: None,
-            detail: "footer event census disagrees with the decoded events".to_string(),
-        });
-    }
-    if let Some(declared) = meta.declared_events {
-        if declared != trace.len() as u64 {
-            return Err(TraceIoError::Malformed {
-                chunk: None,
-                detail: format!(
-                    "header declares {declared} events but the stream holds {}",
-                    trace.len()
-                ),
-            });
-        }
-    }
-    Ok((trace, meta, footer))
-}
-
-/// [`read_trace`] from a buffered file.
-///
-/// # Errors
-///
-/// Any [`TraceIoError`].
-pub fn read_trace_from_path(
-    path: impl AsRef<Path>,
-) -> Result<(Trace, TraceMeta, TraceFooter), TraceIoError> {
-    read_trace(BufReader::new(File::open(path)?))
-}
-
 /// Opens a `.cgt` file for streaming reads.
 ///
 /// # Errors
@@ -806,36 +798,6 @@ pub fn read_trace_from_path(
 /// Any [`TraceIoError`] from reading the header.
 pub fn open_trace(path: impl AsRef<Path>) -> Result<TraceReader<BufReader<File>>, TraceIoError> {
     TraceReader::new(BufReader::new(File::open(path)?))
-}
-
-/// Reads a whole per-shard `.cgt` sub-stream into a [`ShardStream`].
-///
-/// # Errors
-///
-/// Any [`TraceIoError`]; also when the file is not a shard sub-stream.
-pub fn read_shard_stream(
-    path: impl AsRef<Path>,
-) -> Result<(ShardStream, TraceMeta, TraceFooter), TraceIoError> {
-    let mut reader = open_trace(path)?;
-    let shard = match reader.meta().stream {
-        StreamKind::Shard { shard, .. } => shard,
-        StreamKind::Plain => {
-            return Err(TraceIoError::Malformed {
-                chunk: None,
-                detail: "expected a shard sub-stream, found a plain trace".to_string(),
-            })
-        }
-    };
-    let mut events = Vec::new();
-    while let Some(ev) = reader.next_shard_event()? {
-        events.push(ev);
-    }
-    let meta = reader.meta().clone();
-    let footer = reader
-        .footer()
-        .cloned()
-        .expect("next_shard_event returned None, so the footer was read");
-    Ok((ShardStream { shard, events }, meta, footer))
 }
 
 #[cfg(test)]
@@ -852,9 +814,8 @@ mod tests {
         }
     }
 
-    fn synthetic_trace(events: usize) -> Trace {
-        let mut t = Trace::new("synthetic");
-        t.push(GcEvent::FramePush { frame: frame(1) });
+    fn synthetic_events(events: usize) -> Vec<GcEvent> {
+        let mut t = vec![GcEvent::FramePush { frame: frame(1) }];
         for i in 0..events {
             t.push(GcEvent::SlotWrite {
                 object: cg_vm::Handle::from_index((i % 977) as u32),
@@ -870,36 +831,60 @@ mod tests {
         t
     }
 
+    fn census(events: &[GcEvent]) -> TraceStats {
+        let mut stats = TraceStats::default();
+        for event in events {
+            stats.record(event.kind());
+        }
+        stats
+    }
+
+    /// `events` as a `.cgt` stream with `chunk_events` per chunk.
+    fn write_events(events: &[GcEvent], meta: &TraceMeta, chunk_events: usize) -> Vec<u8> {
+        let mut writer =
+            TraceWriter::with_chunk_events(Vec::new(), meta, chunk_events).expect("writer");
+        for event in events {
+            writer.push(event).expect("push");
+        }
+        writer.finish().expect("finish").0
+    }
+
+    /// Decodes a whole plain stream.
+    fn read_all(bytes: &[u8]) -> Result<(Vec<GcEvent>, TraceMeta, TraceFooter), TraceIoError> {
+        let mut reader = TraceReader::new(bytes)?;
+        let events = reader.events().collect::<Result<Vec<_>, _>>()?;
+        let footer = reader.footer().cloned().expect("the footer was read");
+        Ok((events, reader.meta().clone(), footer))
+    }
+
     #[test]
     fn whole_trace_round_trips_through_bytes() {
-        let trace = synthetic_trace(10_000);
+        let events = synthetic_events(10_000);
         let meta = TraceMeta {
-            name: trace.name().to_string(),
+            name: "synthetic".to_string(),
             gc_every: Some(25_000),
+            declared_events: Some(events.len() as u64),
             ..TraceMeta::default()
         };
-        let bytes = write_trace(Vec::new(), &trace, &meta).expect("write");
-        let (decoded, meta2, footer) = read_trace(&bytes[..]).expect("read");
-        assert_eq!(decoded, trace);
+        let bytes = write_events(&events, &meta, DEFAULT_CHUNK_EVENTS);
+        let (decoded, meta2, footer) = read_all(&bytes).expect("read");
+        assert_eq!(decoded, events);
         assert_eq!(meta2.name, "synthetic");
         assert_eq!(meta2.gc_every, Some(25_000));
-        assert_eq!(meta2.declared_events, Some(trace.len() as u64));
-        assert_eq!(footer.total_events(), trace.len() as u64);
-        assert_eq!(footer.counts, trace.stats().counts());
+        assert_eq!(meta2.declared_events, Some(events.len() as u64));
+        assert_eq!(footer.total_events(), events.len() as u64);
+        assert_eq!(footer.counts, census(&events).counts());
     }
 
     #[test]
     fn compression_makes_event_chunks_smaller_than_raw() {
-        let trace = synthetic_trace(50_000);
-        let meta = TraceMeta {
-            name: trace.name().to_string(),
-            ..TraceMeta::default()
-        };
-        let compressed = write_trace(Vec::new(), &trace, &meta).expect("write");
+        let events = synthetic_events(50_000);
+        let meta = TraceMeta::default();
+        let compressed = write_events(&events, &meta, DEFAULT_CHUNK_EVENTS);
         let raw = {
             let mut writer = TraceWriter::new(Vec::new(), &meta).expect("writer");
             writer.set_compression(false);
-            for event in trace.events() {
+            for event in &events {
                 writer.push(event).expect("push");
             }
             writer.finish().expect("finish").0
@@ -910,57 +895,70 @@ mod tests {
             compressed.len(),
             raw.len()
         );
-        // Both decode to the same trace.
-        assert_eq!(read_trace(&compressed[..]).unwrap().0, trace);
-        assert_eq!(read_trace(&raw[..]).unwrap().0, trace);
+        // Both decode to the same events.
+        assert_eq!(read_all(&compressed).unwrap().0, events);
+        assert_eq!(read_all(&raw).unwrap().0, events);
     }
 
     #[test]
     fn streaming_reader_buffers_at_most_one_chunk() {
-        let trace = synthetic_trace(20_000);
-        let meta = TraceMeta::default();
-        let mut writer = TraceWriter::with_chunk_events(Vec::new(), &meta, 512).expect("writer");
-        for event in trace.events() {
+        let events = synthetic_events(20_000);
+        let mut writer =
+            TraceWriter::with_chunk_events(Vec::new(), &TraceMeta::default(), 512).expect("writer");
+        for event in &events {
             writer.push(event).expect("push");
         }
         let (bytes, stats) = writer.finish().expect("finish");
-        assert_eq!(stats.counts(), trace.stats().counts());
+        assert_eq!(stats, census(&events));
 
         let mut reader = TraceReader::new(&bytes[..]).expect("open");
         let mut count = 0usize;
         while let Some(event) = reader.next_event().expect("event") {
-            assert_eq!(&event, &trace.events()[count]);
+            assert_eq!(&event, &events[count]);
             count += 1;
         }
-        assert_eq!(count, trace.len());
+        assert_eq!(count, events.len());
         assert!(
             reader.max_buffered_events() <= 512,
             "buffered {} events, chunk cap is 512",
             reader.max_buffered_events()
         );
         assert!(reader.chunks_read() > 10, "many chunks expected");
-        assert_eq!(reader.footer().unwrap().counts, trace.stats().counts());
+        assert_eq!(reader.footer().unwrap().counts, stats.counts());
     }
 
-    /// A header for `stream`, then one hand-framed raw event chunk that
-    /// declares `declared` events over `body`, then an empty footer: a
-    /// stream whose CRCs all hold whatever `body` says.
+    /// A header for `meta`, then hand-framed raw event chunks (each a
+    /// declared event count over a body), then a footer with `counts`: a
+    /// stream whose CRCs all hold whatever the chunks say.
+    fn framed_chunks(meta: &TraceMeta, chunks: &[(u64, &[u8])], counts: TraceStats) -> Vec<u8> {
+        let mut bytes = TraceWriter::new(Vec::new(), meta).expect("header").w;
+        for (declared, body) in chunks {
+            write_chunk(&mut bytes, CHUNK_EVENTS_KIND, *declared, body, false).expect("chunk");
+        }
+        let footer = format::encode_footer(&TraceFooter {
+            counts: counts.counts(),
+            sections: Vec::new(),
+        });
+        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, false).expect("footer");
+        bytes
+    }
+
+    /// One chunk declaring `declared` events over `body`, then an empty
+    /// footer.
     fn framed(stream: StreamKind, declared: u64, body: &[u8]) -> Vec<u8> {
         let meta = TraceMeta {
             stream,
             ..TraceMeta::default()
         };
-        let mut bytes = TraceWriter::new(Vec::new(), &meta).expect("header").w;
-        write_chunk(&mut bytes, CHUNK_EVENTS_KIND, declared, body, false).expect("chunk");
-        let footer = format::encode_footer(&TraceFooter::default());
-        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, false).expect("footer");
-        bytes
+        framed_chunks(&meta, &[(declared, body)], TraceStats::default())
     }
 
-    /// `count` encoded slot writes, as a plain or a shard chunk body.
-    fn encoded_events(shard: bool, count: u64) -> Vec<u8> {
-        let (mut codec, mut buf, mut prev_seq) = (EventCodec::default(), Vec::new(), 0);
-        for seq in 0..count {
+    /// `count` encoded slot writes, as a plain or a shard chunk body,
+    /// numbered (handle and sequence) from `first`.
+    fn encoded_events_from(shard: bool, first: u64, count: u64) -> Vec<u8> {
+        let (mut codec, mut buf, mut prev_seq) =
+            (EventCodec::default(), Vec::new(), first.saturating_sub(1));
+        for seq in first..first + count {
             let event = GcEvent::SlotWrite {
                 object: cg_vm::Handle::from_index(seq as u32),
                 slot: 1,
@@ -981,6 +979,10 @@ mod tests {
         buf
     }
 
+    fn encoded_events(shard: bool, count: u64) -> Vec<u8> {
+        encoded_events_from(shard, 0, count)
+    }
+
     /// Reads `bytes` to the first error: the events delivered before it,
     /// the error, and the chunks the reader had counted by then.
     fn read_to_error(bytes: &[u8]) -> (u64, TraceIoError, u64) {
@@ -999,20 +1001,16 @@ mod tests {
         }
     }
 
+    const SHARD_0_OF_2: StreamKind = StreamKind::Shard {
+        shard: 0,
+        shard_count: 2,
+    };
+
     #[test]
     fn a_bad_event_inside_a_valid_chunk_fails_where_it_sits() {
         // Plain and shard streams run the same cursor; both must deliver
         // the good prefix, then name the chunk.
-        for (shard, stream) in [
-            (false, StreamKind::Plain),
-            (
-                true,
-                StreamKind::Shard {
-                    shard: 0,
-                    shard_count: 2,
-                },
-            ),
-        ] {
+        for (shard, stream) in [(false, StreamKind::Plain), (true, SHARD_0_OF_2)] {
             // Five good events, then a tag no event kind has.
             let mut body = encoded_events(shard, 5);
             if shard {
@@ -1056,15 +1054,67 @@ mod tests {
         }
     }
 
+    /// Two chunks of slot writes whose footer census counts both: the
+    /// stream reads clean, and with the second chunk cut out — every CRC
+    /// still valid — it fails at the footer instead of reporting fewer
+    /// events than its census.
+    #[test]
+    fn a_census_that_disagrees_with_the_events_is_malformed() {
+        for (shard, stream) in [(false, StreamKind::Plain), (true, SHARD_0_OF_2)] {
+            let meta = TraceMeta {
+                stream,
+                ..TraceMeta::default()
+            };
+            let (first, second) = (
+                encoded_events_from(shard, 0, 9),
+                encoded_events_from(shard, 9, 7),
+            );
+            let counts = TraceStats {
+                slot_writes: 16,
+                ..TraceStats::default()
+            };
+            let whole = framed_chunks(&meta, &[(9, &first), (7, &second)], counts);
+            let mut reader = TraceReader::new(&whole[..]).expect("open");
+            let read: Result<Vec<()>, _> = if shard {
+                reader.shard_events().map(|ev| ev.map(|_| ())).collect()
+            } else {
+                reader.events().map(|ev| ev.map(|_| ())).collect()
+            };
+            assert_eq!(read.expect("the whole stream reads").len(), 16);
+            assert!(reader.footer().is_some());
+
+            let dropped = framed_chunks(&meta, &[(9, &first)], counts);
+            let (delivered, err, chunks) = read_to_error(&dropped);
+            assert_eq!((delivered, chunks), (9, 1), "shard stream: {shard}");
+            assert!(
+                matches!(&err, TraceIoError::Malformed { chunk: Some(1), detail }
+                    if detail.contains("census counts 16 events but the stream holds 9")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_declared_count_that_disagrees_with_the_events_is_malformed() {
+        let events = synthetic_events(10);
+        let meta = TraceMeta {
+            declared_events: Some(events.len() as u64 + 1),
+            ..TraceMeta::default()
+        };
+        let bytes = write_events(&events, &meta, DEFAULT_CHUNK_EVENTS);
+        let (delivered, err, _) = read_to_error(&bytes);
+        assert_eq!(delivered, events.len() as u64);
+        assert!(
+            err.to_string()
+                .contains("header declares 14 events but the stream holds 13"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn max_buffered_events_is_the_largest_chunk_held() {
-        let trace = synthetic_trace(1000);
-        let mut writer =
-            TraceWriter::with_chunk_events(Vec::new(), &TraceMeta::default(), 300).expect("writer");
-        for event in trace.events() {
-            writer.push(event).expect("push");
-        }
-        let (bytes, _) = writer.finish().expect("finish");
+        let events = synthetic_events(1000);
+        let bytes = write_events(&events, &TraceMeta::default(), 300);
         let mut reader = TraceReader::new(&bytes[..]).expect("open");
         assert_eq!(reader.max_buffered_events(), 0);
         assert!(reader.next_event().expect("first event").is_some());
@@ -1076,7 +1126,7 @@ mod tests {
         while reader.next_event().expect("event").is_some() {}
         // ...and the 103-event tail never raises the high-water mark.
         assert_eq!(reader.max_buffered_events(), 300);
-        assert_eq!(reader.events_read(), trace.len() as u64);
+        assert_eq!(reader.events_read(), events.len() as u64);
         assert_eq!(reader.chunks_read(), 4 + 1);
     }
 
@@ -1087,16 +1137,10 @@ mod tests {
         writer
             .push(&GcEvent::FramePush { frame: frame(1) })
             .expect("push");
-        // Steal the bytes written so far (header only; the event is still
-        // buffered) by finishing into a clone-less drop: simulate a crash
-        // by writing a fresh header-only stream instead.
-        let header_only = {
-            let w = TraceWriter::new(Vec::new(), &meta).expect("writer");
-            // Drop without finish.
-            let TraceWriter { w, .. } = w;
-            w
-        };
-        let err = read_trace(&header_only[..]).unwrap_err();
+        // Dropping a writer without `finish` leaves only what it flushed:
+        // here the header, the event still being buffered.
+        let TraceWriter { w: header_only, .. } = writer;
+        let err = read_all(&header_only).unwrap_err();
         assert!(
             matches!(err, TraceIoError::Truncated { .. }),
             "unfinished stream must read as truncated, got {err}"
@@ -1105,9 +1149,8 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let trace = Trace::new("empty");
-        let bytes = write_trace(Vec::new(), &trace, &TraceMeta::default()).expect("write");
-        let (decoded, _, footer) = read_trace(&bytes[..]).expect("read");
+        let bytes = write_events(&[], &TraceMeta::default(), DEFAULT_CHUNK_EVENTS);
+        let (decoded, _, footer) = read_all(&bytes).expect("read");
         assert!(decoded.is_empty());
         assert_eq!(footer.total_events(), 0);
     }
@@ -1125,7 +1168,7 @@ mod tests {
             entries: vec![("instructions".into(), 456)],
         });
         let (bytes, _) = writer.finish().expect("finish");
-        let (_, _, footer) = read_trace(&bytes[..]).expect("read");
+        let (_, _, footer) = read_all(&bytes).expect("read");
         assert_eq!(footer.sections.len(), 1, "same-name section replaces");
         assert_eq!(
             footer.section("vm").unwrap().entries,

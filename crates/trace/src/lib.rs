@@ -6,18 +6,24 @@
 //! itself a complete, collector-independent description of a workload.  This
 //! crate exploits that:
 //!
-//! * [`Trace`] — an owned event log plus bookkeeping counts.
-//! * [`TraceRecorder`] — a [`cg_vm::EventSink`] that captures a live run's
-//!   stream; [`record`] is the one-call convenience wrapper.
-//! * [`replay_governed`] — drives any [`cg_vm::Collector`] with a recorded
-//!   stream, maintaining a shadow heap, *without re-interpreting the
-//!   program*; [`replay_path_governed`] does the same straight from a `.cgt`
-//!   file and [`replay_events_governed`] is the one loop under both.  A
-//!   workload can be captured once and then evaluated under `ContaminatedGc`,
-//!   `HybridCollector`, `MarkSweep`, … at a fraction of the cost of a live
-//!   run — replay skips arithmetic, branching and scheduling entirely.
-//! * [`parallel_eval_governed`] / [`parallel_eval_streaming_governed`] — the
-//!   same evaluation on N OS threads over a [`partition()`]ed trace ([`eval`]).
+//! * [`record_streaming`] — runs a program with a [`StreamingRecorder`]
+//!   attached, encoding its stream as `.cgt` bytes into any
+//!   [`std::io::Write`]: a file, a socket, or a `Vec<u8>` for a recording
+//!   kept in memory.  `.cgt` bytes are the one form a recording takes.
+//! * [`replay_reader_governed`] — drives any [`cg_vm::Collector`] with a
+//!   recorded stream read through a [`TraceReader`], maintaining a shadow
+//!   heap, *without re-interpreting the program*; [`replay_path_governed`]
+//!   does the same straight from a `.cgt` file, and
+//!   [`replay_events_governed`] is the one loop under both (a caller
+//!   replaying one recording many times decodes it once and feeds it the
+//!   events).  A workload can be captured once and then evaluated under
+//!   `ContaminatedGc`, `HybridCollector`, `MarkSweep`, … at a fraction of
+//!   the cost of a live run — replay skips arithmetic, branching and
+//!   scheduling entirely.
+//! * [`partition_streaming`] / [`partition_path_streaming`] — split a
+//!   stream into per-thread shard sub-streams ([`mod@partition`]), and
+//!   [`parallel_eval_governed`] / [`parallel_eval_streaming_governed`] — the
+//!   same evaluation on N OS threads over them ([`eval`]).
 //!
 //! Every evaluation entry point takes a [`Governor`]; trusted input passes
 //! [`Governor::unlimited`].
@@ -30,8 +36,8 @@
 //! One caveat: the *allocation decisions* of the recording run are part of
 //! the trace.  Record with a non-recycling configuration (the §3.7 recycle
 //! list reuses handles, which ties the stream to that collector's reuse
-//! choices); [`record`] with [`cg_vm::NoopCollector`] is the canonical way
-//! to capture a workload.
+//! choices); [`record_streaming`] with [`cg_vm::NoopCollector`] is the
+//! canonical way to capture a workload.
 //!
 //! # Persistence: the `.cgt` format
 //!
@@ -40,14 +46,15 @@
 //! workload metadata, heap configuration), LEB128-varint events in CRC32'd
 //! chunks (optionally LZ-compressed), and a footer with the per-kind event
 //! census plus exact stats sections ([`footer`]).  The streaming
-//! [`TraceWriter`]/[`TraceReader`] pair — and [`record_streaming`],
-//! [`replay_path_governed`] and [`partition_streaming`] on top of them — move
-//! events chunk-by-chunk and never materialize the full vector, so a
-//! multi-million-event workload records, replays and partitions in
-//! O(chunk) memory.  The `cgt` binary in this crate is the command-line
-//! face of all of it (`cgt record | info | verify | convert | diff`), and
-//! `crates/trace/golden/` holds the committed golden corpus CI gates
-//! collector changes against.
+//! [`TraceWriter`]/[`TraceReader`] pair — and everything above on top of
+//! them — move events chunk-by-chunk and never materialize the full
+//! vector, so a multi-million-event workload records, replays and
+//! partitions in O(chunk) memory.  The reader checks the footer's census
+//! against the events it decoded, so a stream that lost events fails at
+//! its footer on every route.  The `cgt` binary in this crate is the
+//! command-line face of all of it (`cgt record | info | verify | convert |
+//! diff`), and `crates/trace/golden/` holds the committed golden corpus CI
+//! gates collector changes against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,24 +82,18 @@ pub use format::{
     FooterSection, StreamKind, TraceFooter, TraceIoError, TraceMeta, WorkloadRef,
     DEFAULT_CHUNK_EVENTS, FORMAT_VERSION,
 };
-pub use io::{
-    open_trace, read_shard_stream, read_trace, read_trace_from_path, rewrite_trace, write_trace,
-    write_trace_to_path, RewriteOptions, TraceReader, TraceWriter,
-};
+pub use io::{open_trace, rewrite_trace, RewriteOptions, TraceReader, TraceWriter};
 pub use limits::{
     CancelToken, EvalError, Governor, LimitKind, LimitsParseError, ResourceLimits,
     GOVERNOR_CHECK_EVENTS,
 };
 pub use partition::{
-    partition, partition_path_streaming, partition_streaming, read_partitioned, PartitionedPaths,
-    PartitionedTrace, ShardEvent, ShardStream, ShardWait,
+    partition_path_streaming, partition_streaming, PartitionedPaths, ShardEvent, ShardWait,
 };
-pub use recorder::{
-    finish_streaming, record, record_streaming, RecordError, StreamingRecorder, TraceRecorder,
-};
+pub use recorder::{finish_streaming, record_streaming, RecordError, StreamingRecorder};
 pub use replay::{
-    apply_event, replay_events_governed, replay_governed, replay_path_governed,
+    apply_event, replay_events_governed, replay_path_governed, replay_reader_governed,
     validate_event_handles, validate_event_liveness, ReplayError, ReplayOutcome, Replayed,
     StreamReplayed,
 };
-pub use trace::{Trace, TraceStats};
+pub use trace::TraceStats;

@@ -3,10 +3,13 @@
 //! The paper's collector is naturally per-thread: each thread owns its frame
 //! stack and the equilive blocks dependent on it, and the only cross-thread
 //! coupling is the §3.3 static/thread-shared escalation.  The partitioner
-//! turns that observation into data: it splits one recorded [`Trace`] into
-//! `shard_count` sub-streams (threads map to shards round-robin) such that N
-//! OS threads can each drive one collector shard from one stream — with the
-//! few genuinely cross-thread points made explicit as *wait edges*.
+//! turns that observation into data: it splits one recorded event stream
+//! into `shard_count` `.cgt` shard sub-streams (threads map to shards
+//! round-robin) such that N OS threads can each drive one collector shard
+//! from one stream — with the few genuinely cross-thread points made
+//! explicit as *wait edges*.  [`partition_streaming`] writes the shards to
+//! any [`Write`] sinks (a `Vec<u8>` each, for a partition kept in memory);
+//! [`partition_path_streaming`] partitions a `.cgt` file into a directory.
 //!
 //! # Routing
 //!
@@ -34,23 +37,24 @@
 //!
 //! # Determinism
 //!
-//! Each event carries its global sequence number, and
-//! [`PartitionedTrace::merge`] reassembles the streams into the original
-//! event order exactly — partition → merge is the identity on any trace (a
-//! property test in `cg-bench` checks this for every recorded workload).
+//! Each event carries its global sequence number, so putting every shard
+//! event back at its `seq` reassembles the original stream exactly — the
+//! partition fidelity property `cg-fuzz` checks for every generated
+//! program and shard count.
 //! Replaying the streams on N threads under the wait edges is equivalent to
 //! the single-threaded replay: every cross-shard read is ordered by a wait,
 //! and the shared static domain's aggregate effects (effective-union count,
 //! merged reasons, final partition) are independent of the order concurrent
 //! unions interleave in.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use cg_vm::{GcEvent, Handle, ThreadId};
 
-use crate::format::{StreamKind, TraceIoError, TraceMeta};
-use crate::io::{read_shard_stream, TraceWriter};
-use crate::trace::Trace;
+use crate::format::{FooterSection, StreamKind, TraceIoError, TraceMeta};
+use crate::io::{open_trace, TraceWriter};
 
 /// A prerequisite attached to a shard event: the named shard must have
 /// processed at least `processed` events of its own stream first.
@@ -71,79 +75,6 @@ pub struct ShardEvent {
     pub waits: Vec<ShardWait>,
     /// The event itself.
     pub event: GcEvent,
-}
-
-/// The events routed to one shard, in global order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardStream {
-    /// The shard index.
-    pub shard: u32,
-    /// The shard's events, `seq`-ascending.
-    pub events: Vec<ShardEvent>,
-}
-
-/// A trace split into per-shard sub-streams with explicit cross-thread
-/// synchronisation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionedTrace {
-    name: String,
-    shard_count: usize,
-    total: usize,
-    /// One stream per shard.
-    pub streams: Vec<ShardStream>,
-    /// Number of cross-thread synchronisation points the partitioner made
-    /// explicit: foreign-operand stores, cross-thread accesses routed to
-    /// their owner, and global barriers (`Collect`, `ProgramEnd`).
-    pub cross_thread_syncs: u64,
-}
-
-impl PartitionedTrace {
-    /// The original trace's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of shards the trace was partitioned for.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Total number of events across all streams (= the original trace's).
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Whether the partition holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The shard a thread's events are routed to.
-    pub fn shard_of(&self, thread: ThreadId) -> usize {
-        thread.raw() as usize % self.shard_count
-    }
-
-    /// Deterministically merges the sub-streams back into one trace, in the
-    /// original event order.  `partition` followed by `merge` reproduces the
-    /// input exactly.
-    pub fn merge(&self) -> Trace {
-        let mut slots: Vec<Option<&GcEvent>> = vec![None; self.total];
-        for stream in &self.streams {
-            for ev in &stream.events {
-                let slot = &mut slots[ev.seq as usize];
-                debug_assert!(slot.is_none(), "event {} routed twice", ev.seq);
-                *slot = Some(&ev.event);
-            }
-        }
-        let mut merged = Trace::new(self.name.clone());
-        for slot in slots {
-            merged.push(
-                slot.expect("every global sequence number is routed to exactly one shard")
-                    .clone(),
-            );
-        }
-        merged
-    }
 }
 
 /// Tracks which thread allocated each handle (the handle's *owner*).
@@ -183,10 +114,9 @@ fn add_wait(waits: &mut Vec<ShardWait>, shard: usize, processed: u64) {
     }
 }
 
-/// The stateful routing core shared by [`partition`] (in memory) and
-/// [`partition_streaming`] (per-shard `.cgt` files): applies the module's
-/// routing and wait rules one event at a time, holding only the owner map
-/// and per-shard counters — never the events themselves.
+/// The stateful routing core of [`partition_streaming`]: applies the
+/// module's routing and wait rules one event at a time, holding only the
+/// owner map and per-shard counters — never the events themselves.
 struct EventRouter {
     shard_count: usize,
     /// Events already routed to each shard (= "processed" count a wait on
@@ -315,42 +245,6 @@ impl EventRouter {
     }
 }
 
-/// Splits `trace` into `shard_count` per-shard sub-streams with explicit
-/// cross-thread synchronisation (see the module docs for the routing and
-/// wait rules).
-///
-/// # Panics
-///
-/// Panics if `shard_count` is zero.
-pub fn partition(trace: &Trace, shard_count: usize) -> PartitionedTrace {
-    let mut router = EventRouter::new(shard_count);
-    let mut streams: Vec<Vec<ShardEvent>> = vec![Vec::new(); shard_count];
-
-    for (seq, event) in trace.events().iter().enumerate() {
-        let routed = router.route(event);
-        streams[routed.shard].push(ShardEvent {
-            seq: seq as u64,
-            waits: routed.waits,
-            event: event.clone(),
-        });
-    }
-
-    PartitionedTrace {
-        name: trace.name().to_string(),
-        shard_count,
-        total: trace.len(),
-        streams: streams
-            .into_iter()
-            .enumerate()
-            .map(|(shard, events)| ShardStream {
-                shard: shard as u32,
-                events,
-            })
-            .collect(),
-        cross_thread_syncs: router.cross_thread_syncs,
-    }
-}
-
 /// Name of the footer section carrying whole-partition totals in per-shard
 /// `.cgt` files.
 pub const SHARD_SECTION: &str = "shard";
@@ -369,13 +263,17 @@ pub struct PartitionedPaths {
     pub cross_thread_syncs: u64,
 }
 
-/// Streams a whole trace through the partitioner, writing one `.cgt`
-/// sub-stream per shard into `dir` (`shard-<i>-of-<n>.cgt`) — the disk
-/// twin of [`partition`], with O(chunk) memory: no shard stream is ever
-/// materialized.
+/// Streams a whole trace through the partitioner, writing one `.cgt` shard
+/// sub-stream into each of `sinks` (shard `i` into `sinks[i]`), with O(chunk)
+/// memory beyond the sinks: no shard stream is ever materialized as events.
 ///
-/// `meta` supplies the headers of the shard files (name, workload, heap,
-/// `gc_every`); its stream kind is overridden per shard.
+/// `meta` supplies the headers of the shard streams (name, workload, heap,
+/// `gc_every`); its stream kind is overridden per shard and its declared
+/// event count dropped.  Every shard's footer carries a [`SHARD_SECTION`]
+/// with the whole partition's totals.
+///
+/// Returns the finished sinks, in shard order, and the number of
+/// cross-thread synchronisation points the partitioner made explicit.
 ///
 /// # Errors
 ///
@@ -383,23 +281,20 @@ pub struct PartitionedPaths {
 ///
 /// # Panics
 ///
-/// Panics if `shard_count` is zero.
-pub fn partition_streaming<I>(
+/// Panics if `sinks` is empty.
+pub fn partition_streaming<I, W>(
     events: I,
     meta: &TraceMeta,
-    shard_count: usize,
-    dir: impl AsRef<Path>,
-) -> Result<PartitionedPaths, TraceIoError>
+    sinks: Vec<W>,
+) -> Result<(Vec<W>, u64), TraceIoError>
 where
     I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
+    W: Write,
 {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
+    let shard_count = sinks.len();
     let mut router = EventRouter::new(shard_count);
-    let mut paths = Vec::with_capacity(shard_count);
     let mut writers = Vec::with_capacity(shard_count);
-    for shard in 0..shard_count {
-        let path = dir.join(format!("shard-{shard}-of-{shard_count}.cgt"));
+    for (shard, sink) in sinks.into_iter().enumerate() {
         let shard_meta = TraceMeta {
             declared_events: None,
             stream: StreamKind::Shard {
@@ -408,12 +303,7 @@ where
             },
             ..meta.clone()
         };
-        let file = std::fs::File::create(&path)?;
-        writers.push(TraceWriter::new(
-            std::io::BufWriter::new(file),
-            &shard_meta,
-        )?);
-        paths.push(path);
+        writers.push(TraceWriter::new(sink, &shard_meta)?);
     }
 
     let mut seq = 0u64;
@@ -428,7 +318,7 @@ where
         seq += 1;
     }
 
-    let totals = |shard: usize| crate::format::FooterSection {
+    let totals = |shard: usize| FooterSection {
         name: SHARD_SECTION.to_string(),
         entries: vec![
             ("shard".to_string(), shard as u64),
@@ -437,106 +327,46 @@ where
             ("cross_thread_syncs".to_string(), router.cross_thread_syncs),
         ],
     };
+    let mut sinks = Vec::with_capacity(shard_count);
     for (shard, mut writer) in writers.into_iter().enumerate() {
         writer.add_section(totals(shard));
-        let (w, _) = writer.finish()?;
-        w.into_inner()
-            .map_err(|e| TraceIoError::Io(e.into_error()))?;
+        sinks.push(writer.finish()?.0);
     }
-
-    Ok(PartitionedPaths {
-        paths,
-        shard_count,
-        total_events: seq,
-        cross_thread_syncs: router.cross_thread_syncs,
-    })
+    Ok((sinks, router.cross_thread_syncs))
 }
 
-/// [`partition_streaming`] over an existing plain `.cgt` file, carrying
-/// the source header's metadata into the shard files.
+/// [`partition_streaming`] over an existing plain `.cgt` file, carrying the
+/// source header's metadata into one shard file per shard in `dir`
+/// (`shard-<i>-of-<n>.cgt`).
 ///
 /// # Errors
 ///
 /// Any [`TraceIoError`] from the source or the shard writers.
+///
+/// # Panics
+///
+/// Panics if `shard_count` is zero.
 pub fn partition_path_streaming(
     src: impl AsRef<Path>,
     shard_count: usize,
     dir: impl AsRef<Path>,
 ) -> Result<PartitionedPaths, TraceIoError> {
-    let mut reader = crate::io::open_trace(src)?;
+    let mut reader = open_trace(src)?;
     let meta = reader.meta().clone();
-    partition_streaming(
-        std::iter::from_fn(|| reader.next_event().transpose()),
-        &meta,
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir)?;
+    let paths: Vec<PathBuf> = (0..shard_count)
+        .map(|shard| dir.join(format!("shard-{shard}-of-{shard_count}.cgt")))
+        .collect();
+    let files = paths
+        .iter()
+        .map(|path| File::create(path).map(BufWriter::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (_, cross_thread_syncs) = partition_streaming(reader.events(), &meta, files)?;
+    Ok(PartitionedPaths {
+        paths,
         shard_count,
-        dir,
-    )
-}
-
-/// Loads per-shard `.cgt` files written by [`partition_streaming`] back
-/// into an in-memory [`PartitionedTrace`].
-///
-/// # Errors
-///
-/// Any [`TraceIoError`], including inconsistent shard topology across the
-/// files.
-pub fn read_partitioned(paths: &[PathBuf]) -> Result<PartitionedTrace, TraceIoError> {
-    let mut streams = Vec::with_capacity(paths.len());
-    let mut name = String::new();
-    let mut cross_thread_syncs = 0u64;
-    let mut total = 0u64;
-    for path in paths {
-        let (stream, meta, footer) = read_shard_stream(path)?;
-        match meta.stream {
-            StreamKind::Shard { shard_count, .. } if shard_count as usize == paths.len() => {}
-            _ => {
-                return Err(TraceIoError::Malformed {
-                    chunk: None,
-                    detail: format!(
-                        "{} does not belong to a {}-shard partition",
-                        path.display(),
-                        paths.len()
-                    ),
-                })
-            }
-        }
-        name = meta.name;
-        if let Some(section) = footer.section(SHARD_SECTION) {
-            let get = |key: &str| {
-                section
-                    .entries
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| *v)
-            };
-            cross_thread_syncs = get("cross_thread_syncs").unwrap_or(0);
-            total = get("total_events").unwrap_or(0);
-        }
-        streams.push(stream);
-    }
-    streams.sort_by_key(|s| s.shard);
-    for (i, stream) in streams.iter().enumerate() {
-        if stream.shard as usize != i {
-            return Err(TraceIoError::Malformed {
-                chunk: None,
-                detail: format!("missing or duplicate shard {i} in the partition"),
-            });
-        }
-    }
-    let counted: u64 = streams.iter().map(|s| s.events.len() as u64).sum();
-    if counted != total {
-        return Err(TraceIoError::Malformed {
-            chunk: None,
-            detail: format!(
-                "partition footers declare {total} events but the streams hold {counted}"
-            ),
-        });
-    }
-    Ok(PartitionedTrace {
-        name,
-        shard_count: streams.len(),
-        total: counted as usize,
-        streams,
+        total_events: reader.events_read(),
         cross_thread_syncs,
     })
 }
@@ -544,7 +374,45 @@ pub fn read_partitioned(paths: &[PathBuf]) -> Result<PartitionedTrace, TraceIoEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::TraceReader;
     use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, MethodId, RootSet};
+
+    /// Partitions `events` into `shards` in-memory shard streams and
+    /// decodes them back: each shard's events, and the cross-thread
+    /// synchronisation count.
+    fn split(events: &[GcEvent], shards: usize) -> (Vec<Vec<ShardEvent>>, u64) {
+        let (bytes, syncs) = partition_streaming(
+            events.iter().cloned().map(Ok),
+            &TraceMeta::default(),
+            vec![Vec::new(); shards],
+        )
+        .expect("in-memory partition");
+        let streams = bytes
+            .iter()
+            .map(|b| {
+                let mut reader = TraceReader::new(&b[..]).expect("shard header");
+                reader
+                    .shard_events()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("shard decodes")
+            })
+            .collect();
+        (streams, syncs)
+    }
+
+    /// Puts every shard event back at its global sequence number.
+    fn merge(streams: &[Vec<ShardEvent>]) -> Vec<GcEvent> {
+        let mut slots: Vec<Option<GcEvent>> = vec![None; streams.iter().map(Vec::len).sum()];
+        for ev in streams.iter().flatten() {
+            let slot = &mut slots[ev.seq as usize];
+            assert!(slot.is_none(), "event {} routed twice", ev.seq);
+            *slot = Some(ev.event.clone());
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every sequence number is routed to one shard"))
+            .collect()
+    }
 
     fn frame(id: u64, depth: usize, thread: u32) -> FrameInfo {
         FrameInfo {
@@ -570,69 +438,67 @@ mod tests {
     }
 
     /// A two-thread stream with a cross-thread access and store.
-    fn cross_thread_trace() -> Trace {
-        let mut t = Trace::new("cross");
-        t.push(GcEvent::FramePush {
-            frame: frame(1, 1, 0),
-        });
-        t.push(alloc(h(0), 0));
-        t.push(GcEvent::FramePush {
-            frame: frame(2, 1, 1),
-        });
-        t.push(alloc(h(1), 1));
-        // Thread 1 touches thread 0's object (the §3.3 escalation)...
-        t.push(GcEvent::ObjectAccess {
-            handle: h(0),
-            thread: ThreadId::new(1),
-        });
-        // ...then stores it into its own object.
-        t.push(GcEvent::ReferenceStore {
-            source: h(1),
-            target: h(0),
-            frame: frame(2, 1, 1),
-        });
-        t.push(GcEvent::FramePop {
-            frame: frame(2, 1, 1),
-        });
-        t.push(GcEvent::FramePop {
-            frame: frame(1, 1, 0),
-        });
-        t.push(GcEvent::ProgramEnd {
-            roots: Box::new(RootSet::default()),
-        });
-        t
+    fn cross_thread_trace() -> Vec<GcEvent> {
+        vec![
+            GcEvent::FramePush {
+                frame: frame(1, 1, 0),
+            },
+            alloc(h(0), 0),
+            GcEvent::FramePush {
+                frame: frame(2, 1, 1),
+            },
+            alloc(h(1), 1),
+            // Thread 1 touches thread 0's object (the §3.3 escalation)...
+            GcEvent::ObjectAccess {
+                handle: h(0),
+                thread: ThreadId::new(1),
+            },
+            // ...then stores it into its own object.
+            GcEvent::ReferenceStore {
+                source: h(1),
+                target: h(0),
+                frame: frame(2, 1, 1),
+            },
+            GcEvent::FramePop {
+                frame: frame(2, 1, 1),
+            },
+            GcEvent::FramePop {
+                frame: frame(1, 1, 0),
+            },
+            GcEvent::ProgramEnd {
+                roots: Box::new(RootSet::default()),
+            },
+        ]
     }
 
     #[test]
     fn single_shard_routes_everything_to_stream_zero() {
         let trace = cross_thread_trace();
-        let pt = partition(&trace, 1);
-        assert_eq!(pt.shard_count(), 1);
-        assert_eq!(pt.streams[0].events.len(), trace.len());
-        assert_eq!(pt.len(), trace.len());
+        let (streams, _) = split(&trace, 1);
+        assert_eq!(streams.len(), 1);
+        assert_eq!(streams[0].len(), trace.len());
         // No cross-shard waits exist with one shard.
-        assert!(pt.streams[0].events.iter().all(|e| e.waits.is_empty()));
+        assert!(streams[0].iter().all(|e| e.waits.is_empty()));
     }
 
     #[test]
     fn cross_thread_access_is_routed_to_the_owner() {
         let trace = cross_thread_trace();
-        let pt = partition(&trace, 2);
+        let (streams, syncs) = split(&trace, 2);
         // The ObjectAccess on thread 0's object (seq 4) must sit in shard
         // 0's stream even though thread 1 performed it.
-        let shard0_seqs: Vec<u64> = pt.streams[0].events.iter().map(|e| e.seq).collect();
+        let shard0_seqs: Vec<u64> = streams[0].iter().map(|e| e.seq).collect();
         assert!(shard0_seqs.contains(&4), "{shard0_seqs:?}");
-        assert!(pt.cross_thread_syncs >= 2);
+        assert!(syncs >= 2);
     }
 
     #[test]
     fn foreign_operand_store_waits_for_the_owner() {
         let trace = cross_thread_trace();
-        let pt = partition(&trace, 2);
+        let (streams, _) = split(&trace, 2);
         // The store (seq 5) runs in shard 1 and must wait until shard 0 has
         // processed its first three events (push, alloc, access).
-        let store = pt.streams[1]
-            .events
+        let store = streams[1]
             .iter()
             .find(|e| e.seq == 5)
             .expect("store in shard 1");
@@ -648,11 +514,8 @@ mod tests {
     #[test]
     fn program_end_is_a_barrier_on_shard_zero() {
         let trace = cross_thread_trace();
-        let pt = partition(&trace, 2);
-        let end = pt.streams[0]
-            .events
-            .last()
-            .expect("shard 0 holds the barrier");
+        let (streams, _) = split(&trace, 2);
+        let end = streams[0].last().expect("shard 0 holds the barrier");
         assert!(matches!(end.event, GcEvent::ProgramEnd { .. }));
         // It waits for shard 1's four events (push, alloc, store, pop).
         assert_eq!(
@@ -668,8 +531,7 @@ mod tests {
     fn merge_reproduces_the_original_order() {
         let trace = cross_thread_trace();
         for shards in [1, 2, 3, 4, 8] {
-            let pt = partition(&trace, shards);
-            assert_eq!(pt.merge(), trace, "{shards} shards");
+            assert_eq!(merge(&split(&trace, shards).0), trace, "{shards} shards");
         }
     }
 
@@ -680,12 +542,11 @@ mod tests {
         // events preceding g.  (Forward edges could deadlock.)
         let trace = cross_thread_trace();
         for shards in [2, 3, 4] {
-            let pt = partition(&trace, shards);
-            for stream in &pt.streams {
-                for ev in &stream.events {
+            let (streams, _) = split(&trace, shards);
+            for stream in &streams {
+                for ev in stream {
                     for w in &ev.waits {
-                        let preceding = pt.streams[w.shard as usize]
-                            .events
+                        let preceding = streams[w.shard as usize]
                             .iter()
                             .filter(|other| other.seq < ev.seq)
                             .count() as u64;
@@ -705,7 +566,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero shards")]
     fn zero_shards_is_rejected() {
-        let _ = partition(&Trace::new("x"), 0);
+        let _ = split(&[], 0);
     }
 
     /// A unique, clean scratch directory under the system temp dir.
@@ -715,39 +576,45 @@ mod tests {
         dir
     }
 
+    /// A file partitioned into a directory holds exactly the bytes the
+    /// same partition writes into memory.
     #[test]
     fn streaming_partition_round_trips_through_disk() {
         let trace = cross_thread_trace();
+        let meta = TraceMeta {
+            name: "cross".to_string(),
+            ..TraceMeta::default()
+        };
+        let dir = scratch_dir("rt");
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let src = dir.join("cross.cgt");
+        let mut writer = TraceWriter::new(Vec::new(), &meta).expect("writer");
+        for event in &trace {
+            writer.push(event).expect("push");
+        }
+        std::fs::write(&src, writer.finish().expect("finish").0).expect("write source");
         for shards in [1, 2, 3] {
-            let dir = scratch_dir(&format!("rt{shards}"));
-            let meta = TraceMeta {
-                name: trace.name().to_string(),
-                ..TraceMeta::default()
-            };
-            let events = trace.events().iter().cloned().map(Ok);
-            let placed = partition_streaming(events, &meta, shards, &dir).expect("partition");
+            let placed = partition_path_streaming(&src, shards, dir.join(format!("{shards}")))
+                .expect("partition");
             assert_eq!(placed.shard_count, shards);
             assert_eq!(placed.total_events, trace.len() as u64);
             assert_eq!(placed.paths.len(), shards);
 
-            let loaded = read_partitioned(&placed.paths).expect("load");
-            let in_memory = partition(&trace, shards);
-            assert_eq!(loaded, in_memory, "{shards} shards");
-            assert_eq!(loaded.merge(), trace);
-            assert_eq!(placed.cross_thread_syncs, in_memory.cross_thread_syncs);
-            let _ = std::fs::remove_dir_all(&dir);
+            let (in_memory, syncs) = partition_streaming(
+                trace.iter().cloned().map(Ok),
+                &meta,
+                vec![Vec::new(); shards],
+            )
+            .expect("in-memory partition");
+            assert_eq!(placed.cross_thread_syncs, syncs);
+            for (path, bytes) in placed.paths.iter().zip(&in_memory) {
+                assert_eq!(
+                    &std::fs::read(path).expect("shard file"),
+                    bytes,
+                    "{shards} shards"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn read_partitioned_rejects_an_incomplete_shard_set() {
-        let trace = cross_thread_trace();
-        let dir = scratch_dir("incomplete");
-        let meta = TraceMeta::default();
-        let events = trace.events().iter().cloned().map(Ok);
-        let placed = partition_streaming(events, &meta, 2, &dir).expect("partition");
-        let err = read_partitioned(&placed.paths[..1]).unwrap_err();
-        assert!(err.to_string().contains("partition"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -763,7 +630,7 @@ mod tests {
             for seed in 0..64u64 {
                 let mut rng = TestRng::new(seed);
                 let threads = rng.gen_range(1, 5) as u32;
-                let mut trace = Trace::new(format!("seed-{seed}"));
+                let mut trace = Vec::new();
                 let mut allocated: Vec<(Handle, u32)> = Vec::new();
                 let mut next_handle = 0u32;
                 for t in 0..threads {
@@ -798,21 +665,18 @@ mod tests {
                     roots: Box::new(RootSet::default()),
                 });
                 for shards in [1, 2, 3, 5, 8] {
-                    let pt = partition(&trace, shards);
-                    assert_eq!(pt.merge(), trace, "seed {seed}, {shards} shards");
-                    let total: usize = pt.streams.iter().map(|s| s.events.len()).sum();
-                    assert_eq!(total, trace.len(), "seed {seed}, {shards} shards");
-                    for stream in &pt.streams {
+                    let (streams, _) = split(&trace, shards);
+                    assert_eq!(merge(&streams), trace, "seed {seed}, {shards} shards");
+                    for (shard, stream) in streams.iter().enumerate() {
                         // Streams are seq-ascending.
                         assert!(
-                            stream.events.windows(2).all(|w| w[0].seq < w[1].seq),
+                            stream.windows(2).all(|w| w[0].seq < w[1].seq),
                             "seed {seed}"
                         );
-                        for ev in &stream.events {
+                        for ev in stream {
                             for w in &ev.waits {
-                                assert_ne!(w.shard, stream.shard, "self-wait, seed {seed}");
-                                let preceding = pt.streams[w.shard as usize]
-                                    .events
+                                assert_ne!(w.shard as usize, shard, "self-wait, seed {seed}");
+                                let preceding = streams[w.shard as usize]
                                     .iter()
                                     .filter(|other| other.seq < ev.seq)
                                     .count() as u64;

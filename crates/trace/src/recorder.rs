@@ -1,7 +1,9 @@
-//! Capturing a live run's event stream — into memory ([`TraceRecorder`])
-//! or flushed chunk-by-chunk through a `.cgt` writer
-//! ([`StreamingRecorder`]), which holds O(chunk) memory regardless of how
-//! long the run is.
+//! Capturing a live run's event stream as `.cgt` bytes: every event is
+//! encoded into a chunked [`TraceWriter`] as it is emitted and flushed a
+//! chunk at a time ([`StreamingRecorder`]), so a recording holds O(chunk)
+//! memory beyond its sink, however long the run.  The sink is any
+//! [`Write`]: a file, a socket, or a `Vec<u8>` for a recording kept in
+//! memory.
 
 use std::cell::RefCell;
 use std::io::Write;
@@ -12,76 +14,7 @@ use cg_vm::{Collector, EventSink, GcEvent, Program, RunOutcome, Vm, VmConfig, Vm
 use crate::footer::vm_section;
 use crate::format::{TraceIoError, TraceMeta};
 use crate::io::TraceWriter;
-use crate::trace::{Trace, TraceStats};
-
-/// An [`EventSink`] that appends every event to a shared [`Trace`].
-///
-/// The recorder and the caller share the trace through an `Rc`, because the
-/// VM owns the sink for the duration of the run:
-///
-/// ```
-/// use cg_trace::TraceRecorder;
-/// use cg_vm::{ClassDef, Insn, MethodDef, NoopCollector, Program, Vm, VmConfig};
-///
-/// let mut program = Program::new();
-/// let class = program.add_class(ClassDef::new("Obj", 1));
-/// let main = program.add_method(MethodDef::new("main", 0, 1, vec![
-///     Insn::New { class, dst: 0 },
-///     Insn::Return { value: None },
-/// ]));
-/// program.set_entry(main);
-///
-/// let recorder = TraceRecorder::new("example");
-/// let handle = recorder.handle();
-/// let mut vm = Vm::new(program, VmConfig::small(), NoopCollector::new());
-/// vm.set_event_sink(Box::new(recorder));
-/// vm.run()?;
-/// let trace = handle.borrow().clone();
-/// assert_eq!(trace.stats().allocations, 1);
-/// assert!(trace.is_complete());
-/// # Ok::<(), cg_vm::VmError>(())
-/// ```
-///
-/// For the common record-a-whole-run case, use [`record`] instead.
-#[derive(Debug)]
-pub struct TraceRecorder {
-    trace: Rc<RefCell<Trace>>,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder that fills a fresh, named trace.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            trace: Rc::new(RefCell::new(Trace::new(name))),
-        }
-    }
-
-    /// A shared handle to the trace being recorded; clone the inner value
-    /// (or unwrap the `Rc` once the VM dropped its sink) to obtain the final
-    /// [`Trace`].
-    pub fn handle(&self) -> Rc<RefCell<Trace>> {
-        Rc::clone(&self.trace)
-    }
-}
-
-impl TraceRecorder {
-    /// Creates a recorder whose trace has room for `capacity` events,
-    /// avoiding doubling reallocations when the expected stream length is
-    /// known (e.g. re-recording a workload whose trace was measured
-    /// before).  For unbounded runs, prefer [`StreamingRecorder`], which
-    /// never holds more than one chunk.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Self {
-            trace: Rc::new(RefCell::new(Trace::with_capacity(name, capacity))),
-        }
-    }
-}
-
-impl EventSink for TraceRecorder {
-    fn record(&mut self, event: &GcEvent) {
-        self.trace.borrow_mut().push(event.clone());
-    }
-}
+use crate::trace::TraceStats;
 
 /// The shared state behind a [`StreamingRecorder`]: the chunked writer and
 /// the first error it hit (the [`EventSink`] interface cannot surface
@@ -116,9 +49,9 @@ impl<W: Write> StreamingSink<W> {
 }
 
 /// An [`EventSink`] that encodes every event straight into a chunked
-/// [`TraceWriter`], flushing full chunks as the run progresses.  Unlike
-/// [`TraceRecorder`], it never grows an unbounded event vector: peak
-/// memory is one encoded chunk, however long the program runs.
+/// [`TraceWriter`], flushing full chunks as the run progresses: peak
+/// memory is one encoded chunk (plus whatever the sink keeps), however
+/// long the program runs.
 ///
 /// The sink and the caller share the writer through an `Rc` (the VM owns
 /// the sink during the run); after the run, [`finish_streaming`] retrieves
@@ -186,35 +119,6 @@ pub fn finish_streaming<W: Write>(
         .expect("the writer is present until finish_streaming takes it"))
 }
 
-/// Runs `program` under `collector` with a recorder attached and returns the
-/// captured trace together with the run outcome and the finished VM (for its
-/// collector statistics and final heap).
-///
-/// Record with a *non-recycling* collector configuration — the canonical
-/// choice is [`cg_vm::NoopCollector`] — so the trace's allocation decisions
-/// stay collector-independent (see the crate docs).
-///
-/// # Errors
-///
-/// Returns the underlying [`VmError`] if the run fails.
-pub fn record<C: Collector>(
-    name: impl Into<String>,
-    program: Program,
-    config: VmConfig,
-    collector: C,
-) -> Result<(Trace, RunOutcome, Vm<C>), VmError> {
-    let recorder = TraceRecorder::new(name);
-    let handle = recorder.handle();
-    let mut vm = Vm::new(program, config, collector);
-    vm.set_event_sink(Box::new(recorder));
-    let outcome = vm.run()?;
-    drop(vm.take_event_sink());
-    let trace = Rc::try_unwrap(handle)
-        .expect("the VM dropped its recorder, leaving one owner")
-        .into_inner();
-    Ok((trace, outcome, vm))
-}
-
 /// Why a streaming recording failed: the run itself, or writing the
 /// stream.
 #[derive(Debug)]
@@ -255,7 +159,34 @@ impl From<TraceIoError> for RecordError {
 /// gets a `"vm"` section with the recording run's interpreter statistics.
 ///
 /// Returns the run outcome, the per-kind event census and the finished
-/// VM, plus the underlying writer (already flushed).
+/// VM, plus the underlying writer (already flushed).  A `Vec<u8>` writer
+/// keeps the recording in memory, ready for any number of
+/// [`TraceReader`](crate::TraceReader) passes:
+///
+/// ```
+/// use cg_trace::{record_streaming, TraceMeta, TraceReader};
+/// use cg_vm::{ClassDef, Insn, MethodDef, NoopCollector, Program, VmConfig};
+///
+/// let mut program = Program::new();
+/// let class = program.add_class(ClassDef::new("Obj", 1));
+/// let main = program.add_method(MethodDef::new("main", 0, 1, vec![
+///     Insn::New { class, dst: 0 },
+///     Insn::Return { value: None },
+/// ]));
+/// program.set_entry(main);
+///
+/// let (_, census, _, bytes) = record_streaming(
+///     &TraceMeta::default(), program, VmConfig::small(), NoopCollector::new(), Vec::new(),
+/// )?;
+/// assert_eq!(census.allocations, 1);
+/// let events = TraceReader::new(&bytes[..])?.events().collect::<Result<Vec<_>, _>>()?;
+/// assert_eq!(events.len() as u64, census.total());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Record with a *non-recycling* collector configuration — the canonical
+/// choice is [`cg_vm::NoopCollector`] — so the stream's allocation
+/// decisions stay collector-independent (see the crate docs).
 ///
 /// # Errors
 ///
@@ -316,24 +247,46 @@ mod tests {
         p
     }
 
-    #[test]
-    fn record_captures_the_whole_run() {
-        let (trace, outcome, vm) = record(
-            "two-objects",
-            two_object_program(),
+    fn record(program: Program) -> (RunOutcome, TraceStats, Vm<NoopCollector>, Vec<u8>) {
+        let meta = TraceMeta {
+            name: "two-objects".to_string(),
+            ..TraceMeta::default()
+        };
+        record_streaming(
+            &meta,
+            program,
             VmConfig::small(),
             NoopCollector::new(),
+            Vec::new(),
         )
-        .expect("program runs");
+        .expect("program runs")
+    }
+
+    #[test]
+    fn record_captures_the_whole_run() {
+        let (outcome, census, vm, bytes) = record(two_object_program());
         assert_eq!(outcome.stats.objects_allocated, 2);
         assert_eq!(vm.collector().allocations(), 2);
-        assert_eq!(trace.name(), "two-objects");
-        assert_eq!(trace.stats().allocations, 2);
-        assert_eq!(trace.stats().reference_stores, 1);
-        assert_eq!(trace.stats().slot_writes, 1);
-        assert_eq!(trace.stats().frame_pushes, 1);
-        assert_eq!(trace.stats().frame_pops, 1);
-        assert!(trace.is_complete());
+        assert_eq!(census.allocations, 2);
+        assert_eq!(census.reference_stores, 1);
+        assert_eq!(census.slot_writes, 1);
+        assert_eq!(census.frame_pushes, 1);
+        assert_eq!(census.frame_pops, 1);
+        let mut reader = crate::TraceReader::new(&bytes[..]).expect("header");
+        assert_eq!(reader.meta().name, "two-objects");
+        assert_eq!(reader.meta().heap, Some(VmConfig::small().heap));
+        let events = reader
+            .events()
+            .collect::<Result<Vec<_>, _>>()
+            .expect("decode");
+        assert_eq!(events.len() as u64, census.total());
+        assert!(matches!(events.last(), Some(GcEvent::ProgramEnd { .. })));
+        let footer = reader.footer().expect("footer read");
+        assert_eq!(footer.counts, census.counts());
+        assert_eq!(
+            footer.section(crate::footer::VM_SECTION),
+            Some(&vm_section(&outcome.stats))
+        );
     }
 
     #[test]
@@ -346,13 +299,7 @@ mod tests {
             );
             vm.run().expect("program runs").stats
         };
-        let (_, recorded, _) = record(
-            "t",
-            two_object_program(),
-            VmConfig::small(),
-            NoopCollector::new(),
-        )
-        .expect("program runs");
+        let (recorded, ..) = record(two_object_program());
         assert_eq!(plain.instructions, recorded.stats.instructions);
         assert_eq!(plain.objects_allocated, recorded.stats.objects_allocated);
         assert_eq!(plain.frames_popped, recorded.stats.frames_popped);

@@ -1,16 +1,18 @@
-//! Replaying a recorded stream against any collector — from memory or
-//! streamed chunk-by-chunk from a `.cgt` file with O(chunk) memory.
+//! Replaying a recorded stream against any collector: decoded
+//! chunk-by-chunk from `.cgt` bytes with O(chunk) memory, or from events
+//! a caller decoded once to replay many times.
 
 use std::borrow::Borrow;
+use std::fs::File;
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 use cg_heap::{Heap, HeapConfig, HeapError, Value};
 use cg_vm::{AllocKind, Collector, GcEvent, Handle};
 
 use crate::format::TraceIoError;
-use crate::io::open_trace;
+use crate::io::TraceReader;
 use crate::limits::{EvalError, Governor, GOVERNOR_CHECK_EVENTS};
-use crate::trace::Trace;
 
 /// What a replay accomplished, mirroring the collector-side fields of a live
 /// run's statistics.
@@ -115,42 +117,6 @@ pub struct Replayed<C> {
     pub outcome: ReplayOutcome,
     /// The shadow heap at the end of the replay.
     pub heap: Heap,
-}
-
-/// Replays `trace` against `collector`, maintaining a shadow heap so every
-/// hook observes the same heap the live run's collector did — the in-memory
-/// face of [`replay_events_governed`], which it feeds the trace's events by
-/// reference.
-///
-/// The shadow heap must be configured at least as large as the recording
-/// run's heap: replay re-executes the recorded allocations, and the trace
-/// contains no allocation-failure recovery of its own.
-///
-/// The heap configuration and the trace's length are validated against the
-/// budget *before* the shadow heap is allocated, and the budget (events,
-/// handles, deadline, cancellation) is polled every
-/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted input passes
-/// [`Governor::unlimited`], which can only fail with
-/// [`EvalError::Replay`].
-///
-/// # Errors
-///
-/// An [`EvalError`]: a replay divergence (the collector under replay
-/// diverged from the recorded history) or a budget trip.
-pub fn replay_governed<C: Collector>(
-    trace: &Trace,
-    heap_config: HeapConfig,
-    collector: C,
-    governor: &Governor,
-) -> Result<Replayed<C>, EvalError> {
-    governor.validate_heap(&heap_config)?;
-    governor.validate_declared_events(trace.len() as u64)?;
-    replay_events_governed(
-        trace.events().iter().map(Ok),
-        heap_config,
-        collector,
-        governor,
-    )
 }
 
 /// One handle's share of [`validate_event_handles`].
@@ -387,15 +353,18 @@ pub fn apply_event<C: Collector>(
 }
 
 /// Replays a stream of events (each possibly failing with a trace error,
-/// as produced by a [`TraceReader`](crate::TraceReader)) against a
-/// collector — *the* single-threaded evaluation loop: [`replay_governed`]
-/// feeds it a trace's events by reference, [`replay_path_governed`] a
-/// `.cgt` reader's by value.  Holds only the iterator's working set — for
-/// a `.cgt` reader, one chunk — regardless of trace length.
+/// as produced by a [`TraceReader`]) against a collector — *the*
+/// single-threaded evaluation loop: [`replay_reader_governed`] feeds it a
+/// `.cgt` reader's events by value, and a caller replaying one recording
+/// many times decodes it once and feeds the events by reference
+/// (`events.iter().map(Ok)`).  Holds only the iterator's working set —
+/// for a `.cgt` reader, one chunk — regardless of trace length.
 ///
 /// The heap configuration is validated against the budget before the
 /// shadow heap is allocated, and the budget is polled every
-/// [`GOVERNOR_CHECK_EVENTS`] events.
+/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted input passes
+/// [`Governor::unlimited`], which can only fail with
+/// [`EvalError::Replay`] (or [`EvalError::Trace`] for unreadable bytes).
 ///
 /// # Errors
 ///
@@ -432,7 +401,7 @@ where
     })
 }
 
-/// What a streaming replay of a `.cgt` file produced: the replay result
+/// What a streaming replay of a `.cgt` stream produced: the replay result
 /// plus the stream's own metadata and buffering high-water mark.
 #[derive(Debug)]
 pub struct StreamReplayed<C> {
@@ -447,29 +416,30 @@ pub struct StreamReplayed<C> {
     pub max_buffered_events: usize,
 }
 
-/// Streams a `.cgt` file through any collector, chunk by chunk.
+/// Streams `.cgt` bytes from any [`Read`] through any collector, chunk by
+/// chunk.
 ///
-/// The heap configuration is taken from the file's header when present,
+/// The heap configuration is taken from the stream's header when present,
 /// otherwise from `fallback_heap`.
 ///
 /// This is the untrusted-input entry point: the header's heap
 /// configuration and declared event count are validated against the
 /// budget *before any heap allocation*, so a hostile header cannot OOM
 /// the evaluator, and the replay loop then polls the governor every
-/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted files pass
+/// [`GOVERNOR_CHECK_EVENTS`] events.  Trusted input passes
 /// [`Governor::unlimited`].
 ///
 /// # Errors
 ///
 /// An [`EvalError`]: a replay divergence, an unreadable stream, or a
 /// budget trip.
-pub fn replay_path_governed<C: Collector>(
-    path: impl AsRef<Path>,
+pub fn replay_reader_governed<C: Collector, R: Read>(
+    r: R,
     fallback_heap: Option<HeapConfig>,
     collector: C,
     governor: &Governor,
 ) -> Result<StreamReplayed<C>, EvalError> {
-    let mut reader = open_trace(path)?;
+    let mut reader = TraceReader::new(r)?;
     let heap_config =
         reader
             .meta()
@@ -485,12 +455,7 @@ pub fn replay_path_governed<C: Collector>(
         governor.validate_declared_events(declared)?;
     }
     let meta = reader.meta().clone();
-    let replayed = replay_events_governed(
-        std::iter::from_fn(|| reader.next_event().transpose()),
-        heap_config,
-        collector,
-        governor,
-    )?;
+    let replayed = replay_events_governed(reader.events(), heap_config, collector, governor)?;
     let footer = reader
         .footer()
         .cloned()
@@ -503,11 +468,27 @@ pub fn replay_path_governed<C: Collector>(
     })
 }
 
+/// [`replay_reader_governed`] over a `.cgt` file.
+///
+/// # Errors
+///
+/// An [`EvalError`]: an unopenable file, a replay divergence, an
+/// unreadable stream, or a budget trip.
+pub fn replay_path_governed<C: Collector>(
+    path: impl AsRef<Path>,
+    fallback_heap: Option<HeapConfig>,
+    collector: C,
+    governor: &Governor,
+) -> Result<StreamReplayed<C>, EvalError> {
+    let file = File::open(path).map_err(TraceIoError::from)?;
+    replay_reader_governed(BufReader::new(file), fallback_heap, collector, governor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::record;
-    use cg_vm::{ClassDef, Insn, MethodDef, NoopCollector, Program, VmConfig};
+    use crate::{record_streaming, TraceMeta};
+    use cg_vm::{ClassDef, Insn, MethodDef, NoopCollector, Program, RunOutcome, Vm, VmConfig};
 
     /// main calls helper twice; helper allocates a pair that dies with it.
     fn churn_program() -> Program {
@@ -550,18 +531,31 @@ mod tests {
         p
     }
 
+    /// Records the churn program as `.cgt` bytes.
+    fn record_churn(config: VmConfig) -> (RunOutcome, Vm<NoopCollector>, Vec<u8>) {
+        let (outcome, _, vm, bytes) = record_streaming(
+            &TraceMeta::default(),
+            churn_program(),
+            config,
+            NoopCollector::new(),
+            Vec::new(),
+        )
+        .expect("runs");
+        (outcome, vm, bytes)
+    }
+
     #[test]
     fn replay_rebuilds_the_heap_for_a_passive_collector() {
         let config = VmConfig::small();
-        let (trace, outcome, vm) =
-            record("churn", churn_program(), config, NoopCollector::new()).expect("runs");
-        let replayed = replay_governed(
-            &trace,
-            config.heap,
+        let (outcome, vm, bytes) = record_churn(config);
+        let streamed = replay_reader_governed(
+            &bytes[..],
+            None,
             NoopCollector::new(),
             &Governor::unlimited(),
         )
         .expect("replay succeeds");
+        let replayed = streamed.replayed;
         // A passive collector frees nothing, so the shadow heap must mirror
         // the live heap exactly.
         assert_eq!(replayed.outcome.live_at_exit, outcome.live_at_exit);
@@ -571,7 +565,10 @@ mod tests {
             vm.collector().allocations()
         );
         assert_eq!(replayed.outcome.frames_popped, outcome.stats.frames_popped);
-        assert_eq!(replayed.outcome.events_replayed, trace.len());
+        assert_eq!(
+            replayed.outcome.events_replayed as u64,
+            streamed.footer.total_events()
+        );
         assert_eq!(replayed.outcome.gc_cycles, 0);
     }
 
@@ -696,13 +693,21 @@ mod tests {
 
     #[test]
     fn replay_on_a_too_small_heap_reports_heap_error() {
-        let config = VmConfig::small();
-        let (trace, ..) =
-            record("churn", churn_program(), config, NoopCollector::new()).expect("runs");
+        let (.., bytes) = record_churn(VmConfig::small());
+        let events = TraceReader::new(&bytes[..])
+            .expect("header")
+            .events()
+            .collect::<Result<Vec<_>, _>>()
+            .expect("decode");
         let mut tiny = cg_heap::HeapConfig::tight(8);
         tiny.handle_space_bytes = 1 << 10;
-        let err = replay_governed(&trace, tiny, NoopCollector::new(), &Governor::unlimited())
-            .unwrap_err();
+        let err = replay_events_governed(
+            events.iter().map(Ok),
+            tiny,
+            NoopCollector::new(),
+            &Governor::unlimited(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, EvalError::Replay(ReplayError::Heap(_))),
             "{err}"

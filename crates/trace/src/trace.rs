@@ -1,8 +1,10 @@
-//! The owned event log.
+//! The per-kind event census: what a `.cgt` footer records and what
+//! [`TraceWriter`](crate::TraceWriter) and [`TraceReader`](crate::TraceReader)
+//! tally as events pass through them.
 
-use cg_vm::{EventKind, GcEvent};
+use cg_vm::EventKind;
 
-/// Counts of each event kind in a [`Trace`].
+/// Counts of each event kind in a recorded stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// `Allocate` events (instances + arrays, including recycled ones).
@@ -84,118 +86,21 @@ impl TraceStats {
     }
 }
 
-/// A recorded VM↔collector event stream.
-///
-/// Traces are append-only; the recorder pushes events in emission order and
-/// replay walks them front to back.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    name: String,
-    events: Vec<GcEvent>,
-    stats: TraceStats,
-}
-
-impl Trace {
-    /// Creates an empty, named trace.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            events: Vec::new(),
-            stats: TraceStats::default(),
-        }
-    }
-
-    /// Creates an empty trace with room for `capacity` events, avoiding the
-    /// doubling reallocations of a growing recording.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Self {
-            name: name.into(),
-            events: Vec::with_capacity(capacity),
-            stats: TraceStats::default(),
-        }
-    }
-
-    /// The trace's name (typically `workload/size`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, event: GcEvent) {
-        self.stats.record(event.kind());
-        self.events.push(event);
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[GcEvent] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Per-kind event counts.
-    pub fn stats(&self) -> &TraceStats {
-        &self.stats
-    }
-
-    /// Whether the trace covers a complete run (ends with `ProgramEnd`).
-    pub fn is_complete(&self) -> bool {
-        matches!(self.events.last(), Some(GcEvent::ProgramEnd { .. }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_vm::{FrameId, FrameInfo, MethodId, RootSet, ThreadId};
-
-    fn frame() -> FrameInfo {
-        FrameInfo {
-            id: FrameId::new(1),
-            depth: 1,
-            thread: ThreadId::MAIN,
-            method: MethodId::new(0),
-        }
-    }
-
-    #[test]
-    fn push_tracks_per_kind_counts() {
-        let mut trace = Trace::new("t");
-        assert!(trace.is_empty());
-        assert!(!trace.is_complete());
-        trace.push(GcEvent::FramePush { frame: frame() });
-        trace.push(GcEvent::FramePop { frame: frame() });
-        trace.push(GcEvent::ProgramEnd {
-            roots: Box::new(RootSet::default()),
-        });
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.stats().frame_pushes, 1);
-        assert_eq!(trace.stats().frame_pops, 1);
-        assert_eq!(trace.stats().program_ends, 1);
-        assert!(trace.is_complete());
-        assert_eq!(trace.name(), "t");
-        assert_eq!(trace.events().len(), 3);
-    }
 
     #[test]
     fn stats_census_round_trips() {
-        let mut trace = Trace::with_capacity("t", 4);
-        trace.push(GcEvent::FramePush { frame: frame() });
-        trace.push(GcEvent::FramePush { frame: frame() });
-        trace.push(GcEvent::FramePop { frame: frame() });
-        let counts = trace.stats().counts();
-        assert_eq!(counts[cg_vm::EventKind::FramePush.tag() as usize], 2);
-        assert_eq!(counts[cg_vm::EventKind::FramePop.tag() as usize], 1);
-        assert_eq!(TraceStats::from_counts(&counts), *trace.stats());
-        assert_eq!(trace.stats().total(), 3);
-        assert_eq!(trace.stats().count(cg_vm::EventKind::Collect), 0);
+        let mut stats = TraceStats::default();
+        stats.record(EventKind::FramePush);
+        stats.record(EventKind::FramePush);
+        stats.record(EventKind::FramePop);
+        let counts = stats.counts();
+        assert_eq!(counts[EventKind::FramePush.tag() as usize], 2);
+        assert_eq!(counts[EventKind::FramePop.tag() as usize], 1);
+        assert_eq!(TraceStats::from_counts(&counts), stats);
+        assert_eq!(stats.total(), 3);
+        assert_eq!(stats.count(EventKind::Collect), 0);
     }
 }

@@ -2,9 +2,7 @@
 //! fail with clean [`TraceIoError`]s — never panics, never silent
 //! misreads.  Chunked CRC framing localizes a flipped byte to one chunk.
 
-use cg_trace::{
-    read_trace, write_trace, Trace, TraceIoError, TraceMeta, TraceReader, FORMAT_VERSION,
-};
+use cg_trace::{TraceIoError, TraceMeta, TraceReader, TraceWriter, FORMAT_VERSION};
 use cg_vm::{FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId};
 
 fn frame(id: u64) -> FrameInfo {
@@ -17,8 +15,8 @@ fn frame(id: u64) -> FrameInfo {
 }
 
 /// A trace big enough to span several chunks at the default chunk size.
-fn sample_trace() -> Trace {
-    let mut t = Trace::new("robustness");
+fn sample_trace() -> Vec<GcEvent> {
+    let mut t = Vec::new();
     t.push(GcEvent::FramePush { frame: frame(1) });
     for i in 0..20_000u32 {
         t.push(GcEvent::SlotWrite {
@@ -36,7 +34,17 @@ fn sample_trace() -> Trace {
 }
 
 fn sample_bytes() -> Vec<u8> {
-    write_trace(Vec::new(), &sample_trace(), &TraceMeta::default()).expect("write")
+    let mut writer = TraceWriter::new(Vec::new(), &TraceMeta::default()).expect("header");
+    for event in &sample_trace() {
+        writer.push(event).expect("push");
+    }
+    writer.finish().expect("finish").0
+}
+
+/// Reads a whole plain stream, to and including its footer.
+fn read_trace(bytes: &[u8]) -> Result<Vec<GcEvent>, TraceIoError> {
+    let mut reader = TraceReader::new(bytes)?;
+    reader.events().collect()
 }
 
 #[test]
@@ -105,25 +113,20 @@ fn shard_stream_byte_flips_fail_cleanly_too() {
     // Shard sub-streams carry extra per-event framing (seq deltas, wait
     // edges); corruption there must fail as cleanly as in plain streams —
     // including seq-delta overflow, which must not panic in debug builds.
-    let trace = sample_trace();
-    let dir = std::env::temp_dir().join(format!("cgt-shard-robust-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let meta = TraceMeta {
-        name: trace.name().to_string(),
-        ..TraceMeta::default()
-    };
-    let placed =
-        cg_trace::partition_streaming(trace.events().iter().cloned().map(Ok), &meta, 2, &dir)
-            .expect("partition to disk");
-    let bytes = std::fs::read(&placed.paths[0]).expect("read shard file");
-    let flip_target = dir.join("flipped.cgt");
+    let (shards, _) = cg_trace::partition_streaming(
+        sample_trace().into_iter().map(Ok),
+        &TraceMeta::default(),
+        vec![Vec::new(); 2],
+    )
+    .expect("partition");
+    let bytes = &shards[0];
     for i in 0..bytes.len().min(900) {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xff;
-        std::fs::write(&flip_target, &corrupt).expect("write flipped");
-        let _ = cg_trace::read_shard_stream(&flip_target); // must not panic
+        // Must not panic.
+        let _ = TraceReader::new(&corrupt[..])
+            .and_then(|mut reader| reader.shard_events().collect::<Result<Vec<_>, _>>());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

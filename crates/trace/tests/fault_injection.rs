@@ -5,14 +5,16 @@
 //! structured error ([`TraceIoError`], [`ReplayError`], [`EvalError`]),
 //! never a panic, never a silent misread.
 
+use cg_core::ContaminatedGc;
 use cg_heap::HeapConfig;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    read_trace, replay_governed, replay_path_governed, rewrite_trace, write_trace, EvalError,
-    FaultPlan, FaultyReader, FaultyWriter, Governor, ReplayError, RewriteOptions, Trace,
-    TraceIoError, TraceMeta,
+    replay_events_governed, replay_path_governed, rewrite_trace, EvalError, FaultPlan,
+    FaultyReader, FaultyWriter, Governor, ReplayError, Replayed, RewriteOptions, TraceIoError,
+    TraceMeta, TraceReader, TraceWriter,
 };
 use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 fn frame(id: u64) -> FrameInfo {
@@ -27,8 +29,8 @@ fn frame(id: u64) -> FrameInfo {
 /// A trace that allocates `allocs` objects and then writes references among
 /// them; handles are minted sequentially, so a fresh shadow heap replays it
 /// exactly.
-fn allocating_trace(allocs: u32, writes: u32) -> Trace {
-    let mut t = Trace::new("fault-matrix");
+fn allocating_trace(allocs: u32, writes: u32) -> Vec<GcEvent> {
+    let mut t = Vec::new();
     t.push(GcEvent::FramePush { frame: frame(1) });
     for i in 0..allocs {
         t.push(GcEvent::Allocate {
@@ -54,10 +56,39 @@ fn allocating_trace(allocs: u32, writes: u32) -> Trace {
     t
 }
 
+/// Writes `events` as a `.cgt` stream whose header declares their count.
+fn write_trace<W: Write>(w: W, events: &[GcEvent]) -> Result<W, TraceIoError> {
+    let meta = TraceMeta {
+        declared_events: Some(events.len() as u64),
+        ..TraceMeta::default()
+    };
+    let mut writer = TraceWriter::new(w, &meta)?;
+    for event in events {
+        writer.push(event)?;
+    }
+    Ok(writer.finish()?.0)
+}
+
+/// Reads a whole plain stream, to and including its footer.
+fn read_trace(r: impl Read) -> Result<Vec<GcEvent>, TraceIoError> {
+    let mut reader = TraceReader::new(r)?;
+    reader.events().collect()
+}
+
+/// Replays decoded events under the canonical collector.
+fn replay(events: &[GcEvent], heap: HeapConfig) -> Result<Replayed<ContaminatedGc>, EvalError> {
+    replay_events_governed(
+        events.iter().map(Ok),
+        heap,
+        canonical_collector(),
+        &Governor::unlimited(),
+    )
+}
+
 /// A multi-chunk serialized trace for the I/O fault matrix.
-fn matrix_bytes() -> (Trace, Vec<u8>) {
+fn matrix_bytes() -> (Vec<GcEvent>, Vec<u8>) {
     let trace = allocating_trace(512, 15_000);
-    let bytes = write_trace(Vec::new(), &trace, &TraceMeta::default()).expect("write");
+    let bytes = write_trace(Vec::new(), &trace).expect("write");
     (trace, bytes)
 }
 
@@ -76,7 +107,7 @@ fn short_reads_of_every_size_decode_identically() {
     let (trace, bytes) = matrix_bytes();
     for max_io in [1, 2, 3, 5, 7, 13, 64, 4096] {
         let reader = FaultyReader::new(&bytes[..], FaultPlan::short(max_io));
-        let (decoded, _, _) = read_trace(reader)
+        let decoded = read_trace(reader)
             .unwrap_or_else(|e| panic!("short reads of {max_io} must still decode: {e}"));
         assert_eq!(decoded, trace, "short reads of {max_io} changed the trace");
     }
@@ -115,7 +146,7 @@ fn bit_flips_never_silently_corrupt_a_decode() {
             let reader = FaultyReader::new(&bytes[..], FaultPlan::flip(offset, mask));
             match read_trace(reader) {
                 Err(_) => rejected += 1,
-                Ok((decoded, ..)) => assert_eq!(
+                Ok(decoded) => assert_eq!(
                     decoded, trace,
                     "flip at {offset} mask {mask:#x} silently corrupted the decode"
                 ),
@@ -135,7 +166,7 @@ fn short_writes_still_produce_a_valid_stream() {
     // write_all semantics.
     let (trace, bytes) = matrix_bytes();
     let writer = FaultyWriter::new(Vec::new(), FaultPlan::short(3));
-    let written = write_trace(writer, &trace, &TraceMeta::default())
+    let written = write_trace(writer, &trace)
         .expect("short writes must still succeed")
         .into_inner();
     assert_eq!(written, bytes, "short writes changed the serialized bytes");
@@ -147,7 +178,7 @@ fn torn_writes_error_cleanly_and_the_torn_prefix_never_parses() {
     let stride = (bytes.len() / 53).max(1);
     for offset in (0..bytes.len() as u64).step_by(stride) {
         let writer = FaultyWriter::new(Vec::new(), FaultPlan::error(offset));
-        let err = write_trace(writer, &trace, &TraceMeta::default())
+        let err = write_trace(writer, &trace)
             .err()
             .unwrap_or_else(|| panic!("write must fail at torn offset {offset}"));
         assert!(
@@ -171,14 +202,14 @@ fn flips_injected_at_write_time_are_caught_at_read_time() {
     let (trace, clean) = matrix_bytes();
     for offset in [40u64, 200, 2_000, 20_000] {
         let writer = FaultyWriter::new(Vec::new(), FaultPlan::flip(offset, 0x10));
-        let written = write_trace(writer, &trace, &TraceMeta::default())
+        let written = write_trace(writer, &trace)
             .expect("flips do not fail the write itself")
             .into_inner();
         if (offset as usize) < clean.len() {
             assert_ne!(written, clean, "flip at {offset} must land");
             match read_trace(&written[..]) {
                 Err(_) => {}
-                Ok((decoded, ..)) => assert_eq!(
+                Ok(decoded) => assert_eq!(
                     decoded, trace,
                     "write-side flip at {offset} silently corrupted the decode"
                 ),
@@ -239,7 +270,7 @@ fn interrupted_writes_through_the_streaming_writer_error_cleanly() {
     let full_len = {
         let mut writer =
             cg_trace::TraceWriter::new(Vec::new(), &TraceMeta::default()).expect("clean writer");
-        for event in trace.events() {
+        for event in &trace {
             writer.push(event).expect("clean push");
         }
         let (bytes, _) = writer.finish().expect("clean finish");
@@ -253,7 +284,7 @@ fn interrupted_writes_through_the_streaming_writer_error_cleanly() {
         let sink = FaultyWriter::new(Vec::new(), FaultPlan::error(offset));
         let result = (|| {
             let mut writer = cg_trace::TraceWriter::new(sink, &TraceMeta::default())?;
-            for event in trace.events() {
+            for event in &trace {
                 writer.push(event)?;
             }
             writer.finish().map(|_| ())
@@ -268,7 +299,6 @@ fn interrupted_writes_through_the_streaming_writer_error_cleanly() {
 
 #[test]
 fn allocation_failure_at_every_attempt_propagates_cleanly() {
-    let unlimited = Governor::unlimited();
     // Sweep the injected heap failure across every allocation the trace
     // performs: each must come back as ReplayError::Heap — no panic, no
     // partial-state corruption — and the first attempt past the end must
@@ -276,12 +306,11 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
     const ALLOCS: u32 = 64;
     let trace = allocating_trace(ALLOCS, 500);
     let heap = HeapConfig::small();
-    let baseline =
-        replay_governed(&trace, heap, canonical_collector(), &unlimited).expect("baseline replays");
+    let baseline = replay(&trace, heap).expect("baseline replays");
 
     for k in 0..u64::from(ALLOCS) {
         let failing = heap.with_alloc_failure_at(k);
-        let err = replay_governed(&trace, failing, canonical_collector(), &unlimited)
+        let err = replay(&trace, failing)
             .err()
             .unwrap_or_else(|| panic!("attempt {k} must fail"));
         assert!(
@@ -293,8 +322,8 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
     // One past the last allocation: the sweep is exhaustive, so this must
     // succeed — and identically to the baseline.
     let past_end = heap.with_alloc_failure_at(u64::from(ALLOCS));
-    let replayed = replay_governed(&trace, past_end, canonical_collector(), &unlimited)
-        .expect("an injection past the last allocation never fires");
+    let replayed =
+        replay(&trace, past_end).expect("an injection past the last allocation never fires");
     assert_eq!(
         replayed.outcome.events_replayed,
         baseline.outcome.events_replayed
@@ -305,14 +334,12 @@ fn allocation_failure_at_every_attempt_propagates_cleanly() {
 
 #[test]
 fn governed_replay_reports_allocation_failure_as_a_replay_error() {
-    let unlimited = Governor::unlimited();
     // The same sweep through the governed entry point: the structured
     // taxonomy wraps the heap failure, it does not panic or misclassify
     // it as a limit trip.
     let trace = allocating_trace(16, 100);
     let failing = HeapConfig::small().with_alloc_failure_at(7);
-    let err = replay_governed(&trace, failing, canonical_collector(), &unlimited)
-        .expect_err("the injected failure must fail the replay");
+    let err = replay(&trace, failing).expect_err("the injected failure must fail the replay");
     assert!(
         matches!(err, EvalError::Replay(ReplayError::Heap(_))),
         "unexpected error {err}"

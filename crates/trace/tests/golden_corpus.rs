@@ -13,12 +13,25 @@ use std::path::PathBuf;
 use cg_trace::footer::{
     canonical_collector, canonical_heap, cg_section, vm_stats_from_section, CG_SECTION, VM_SECTION,
 };
-use cg_trace::{read_trace_from_path, replay_governed, replay_path_governed, Governor, StreamKind};
-use cg_vm::NoopCollector;
+use cg_trace::{
+    open_trace, record_streaming, replay_events_governed, replay_path_governed, Governor,
+    StreamKind, TraceFooter, TraceMeta, TraceReader,
+};
+use cg_vm::{GcEvent, NoopCollector};
 use cg_workloads::{Size, Workload};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
+}
+
+/// Decodes a whole `.cgt` stream: its events, header and footer.
+fn read_all(mut reader: TraceReader<impl std::io::Read>) -> (Vec<GcEvent>, TraceMeta, TraceFooter) {
+    let events = reader
+        .events()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("trace decodes");
+    let footer = reader.footer().cloned().expect("the footer was read");
+    (events, reader.meta().clone(), footer)
 }
 
 fn golden_files() -> Vec<PathBuf> {
@@ -37,7 +50,7 @@ fn corpus_covers_all_eight_workloads() {
     assert_eq!(files.len(), 8, "one golden trace per workload: {files:?}");
     let mut covered: Vec<String> = Vec::new();
     for file in &files {
-        let (_, meta, _) = read_trace_from_path(file).expect("golden trace reads");
+        let (_, meta, _) = read_all(open_trace(file).expect("golden trace opens"));
         let workload = meta.workload.expect("golden traces name their workload");
         assert_eq!(workload.size, 1, "golden corpus records size 1");
         covered.push(workload.name);
@@ -101,10 +114,15 @@ fn streaming_and_in_memory_replay_agree_on_golden_traces() {
     // One smaller file keeps this cheap in debug builds; the full sweep
     // happens in the bench crate's streaming-equivalence test.
     let file = golden_dir().join("javac-s1.cgt");
-    let (trace, meta, _) = read_trace_from_path(&file).expect("javac golden trace reads");
+    let (events, meta, _) = read_all(open_trace(&file).expect("javac golden trace opens"));
     let heap = meta.heap.expect("golden traces embed their heap");
-    let in_memory =
-        replay_governed(&trace, heap, canonical_collector(), &unlimited).expect("in-memory replay");
+    let in_memory = replay_events_governed(
+        events.iter().map(Ok),
+        heap,
+        canonical_collector(),
+        &unlimited,
+    )
+    .expect("in-memory replay");
     let streamed = replay_path_governed(&file, None, canonical_collector(), &unlimited)
         .expect("streaming replay");
     let mut a = in_memory.collector;
@@ -130,7 +148,7 @@ fn recording_db_live_matches_its_golden_trace() {
     // fresh live interpretation of db/1 must reproduce the committed
     // trace's event census and canonical statistics exactly.
     let file = golden_dir().join("db-s1.cgt");
-    let (golden, meta, footer) = read_trace_from_path(&file).expect("db golden trace reads");
+    let (golden, meta, footer) = read_all(open_trace(&file).expect("db golden trace opens"));
     let workload = Workload::by_name("db").expect("db exists");
     let config = cg_vm::VmConfig {
         heap: meta.heap.expect("golden traces embed their heap"),
@@ -138,16 +156,23 @@ fn recording_db_live_matches_its_golden_trace() {
         ..cg_vm::VmConfig::default()
     };
     assert_eq!(config.heap, canonical_heap());
-    let (fresh, ..) = cg_trace::record(
-        golden.name().to_string(),
+    let (.., bytes) = record_streaming(
+        &meta,
         workload.program(Size::S1),
         config,
         NoopCollector::new(),
+        Vec::new(),
     )
     .expect("re-recording db/1 succeeds");
+    let (fresh, ..) = read_all(TraceReader::new(&bytes[..]).expect("fresh recording opens"));
     assert_eq!(fresh, golden, "event streams must be identical");
-    let replayed =
-        replay_governed(&fresh, config.heap, canonical_collector(), &unlimited).expect("replay");
+    let replayed = replay_events_governed(
+        fresh.iter().map(Ok),
+        config.heap,
+        canonical_collector(),
+        &unlimited,
+    )
+    .expect("replay");
     let mut collector = replayed.collector;
     let breakdown = collector.breakdown();
     assert_eq!(

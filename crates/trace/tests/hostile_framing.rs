@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use cg_heap::HeapConfig;
 use cg_trace::footer::canonical_collector;
 use cg_trace::{
-    partition_streaming, replay_path_governed, EvalError, Governor, Trace, TraceIoError, TraceMeta,
+    partition_streaming, replay_path_governed, EvalError, Governor, TraceIoError, TraceMeta,
     TraceWriter,
 };
 use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId};
@@ -73,8 +73,8 @@ fn frame(id: u64) -> FrameInfo {
 
 /// A small replayable trace: `allocs` objects, reference writes among them,
 /// a frame pop that lets the collector free them, and the program end.
-fn small_trace(allocs: u32, writes: u32) -> Trace {
-    let mut t = Trace::new("hostile");
+fn small_trace(allocs: u32, writes: u32) -> Vec<GcEvent> {
+    let mut t = Vec::new();
     t.push(GcEvent::FramePush { frame: frame(1) });
     for i in 0..allocs {
         t.push(GcEvent::Allocate {
@@ -109,25 +109,21 @@ fn meta() -> TraceMeta {
 }
 
 /// `trace` as `.cgt` bytes, `chunk_events` events to a chunk.
-fn plain_bytes(trace: &Trace, chunk_events: usize) -> Vec<u8> {
+fn plain_bytes(trace: &[GcEvent], chunk_events: usize) -> Vec<u8> {
     let mut writer =
         TraceWriter::with_chunk_events(Vec::new(), &meta(), chunk_events).expect("writer");
-    for event in trace.events() {
+    for event in trace {
         writer.push(event).expect("push");
     }
     writer.finish().expect("finish").0
 }
 
 /// Shard 0 of `trace` partitioned in two, as `.cgt` bytes.
-fn shard_bytes(trace: &Trace, dir: &Path) -> Vec<u8> {
-    let placed = partition_streaming(
-        trace.events().iter().cloned().map(Ok),
-        &meta(),
-        2,
-        dir.join("shards"),
-    )
-    .expect("partition");
-    std::fs::read(&placed.paths[0]).expect("read shard 0")
+fn shard_bytes(trace: &[GcEvent]) -> Vec<u8> {
+    let (mut shards, _) =
+        partition_streaming(trace.iter().cloned().map(Ok), &meta(), vec![Vec::new(); 2])
+            .expect("partition");
+    shards.swap_remove(0)
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -258,7 +254,7 @@ fn rewritten_event_count_is_malformed_not_an_abort() {
     assert_eq!(trace.len(), 5);
     for (kind, bytes) in [
         ("plain", plain_bytes(&trace, 4096)),
-        ("shard", shard_bytes(&trace, &dir)),
+        ("shard", shard_bytes(&trace)),
     ] {
         let count = framing_varints(&bytes)
             .into_iter()
@@ -332,7 +328,7 @@ fn every_framing_varint_rewritten_to_every_hostile_value_fails_cleanly() {
     let trace = small_trace(24, 200);
     for (kind, bytes) in [
         ("plain", plain_bytes(&trace, 64)),
-        ("shard", shard_bytes(&trace, &dir)),
+        ("shard", shard_bytes(&trace)),
     ] {
         let varints = framing_varints(&bytes);
         // The header length, then three lengths per chunk: at least one
@@ -356,7 +352,7 @@ fn every_single_byte_flip_fails_cleanly() {
     let trace = small_trace(24, 200);
     for (kind, bytes) in [
         ("plain", plain_bytes(&trace, 64)),
-        ("shard", shard_bytes(&trace, &dir)),
+        ("shard", shard_bytes(&trace)),
     ] {
         // The undamaged file is the control.
         assert!(drain(&bytes).expect("clean file reads") > 0, "{kind}");

@@ -1,7 +1,8 @@
 //! The acceptance bar for the streaming path: a javac-style trace of over
 //! a million events must record straight to disk, replay chunk-by-chunk
 //! with O(chunk) resident trace memory, and produce `CgStats` /
-//! `ObjectBreakdown` byte-identical to the classic in-memory replay.
+//! `ObjectBreakdown` byte-identical to a replay of the same events decoded
+//! into memory first.
 //!
 //! javac at SPEC size 100 yields ~8.5M events.  The test is ignored in
 //! debug builds (interpreting size 100 unoptimized takes minutes); CI runs
@@ -10,7 +11,7 @@
 use cg_heap::{HandleRepr, HeapConfig};
 use cg_trace::footer::{canonical_collector, cg_section, CG_SECTION};
 use cg_trace::{
-    read_trace_from_path, record_streaming, replay_governed, replay_path_governed, rewrite_trace,
+    open_trace, record_streaming, replay_events_governed, replay_path_governed, rewrite_trace,
     Governor, RewriteOptions, TraceMeta, WorkloadRef, DEFAULT_CHUNK_EVENTS,
 };
 use cg_vm::{NoopCollector, VmConfig};
@@ -73,12 +74,17 @@ fn million_event_javac_trace_streams_with_bounded_memory() {
         DEFAULT_CHUNK_EVENTS
     );
 
-    // Classic in-memory replay of the same file.
-    let (trace, file_meta, _) = read_trace_from_path(&path).expect("whole-trace read");
-    assert_eq!(trace.len() as u64, stats.total());
-    let in_memory = replay_governed(
-        &trace,
-        file_meta.heap.expect("header embeds the heap"),
+    // Replay of the same file decoded into memory first.
+    let mut reader = open_trace(&path).expect("open the recording");
+    let heap = reader.meta().heap.expect("header embeds the heap");
+    let events = reader
+        .events()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("whole-trace read");
+    assert_eq!(events.len() as u64, stats.total());
+    let in_memory = replay_events_governed(
+        events.iter().map(Ok),
+        heap,
         canonical_collector(),
         &Governor::unlimited(),
     )
@@ -111,7 +117,15 @@ fn million_event_javac_trace_streams_with_bounded_memory() {
         },
     )
     .expect("rewrite with footer");
-    let (_, _, footer) = read_trace_from_path(&rewritten).expect("rewritten trace reads");
+    let mut reader = open_trace(&rewritten).expect("open the rewritten trace");
+    reader
+        .events()
+        .try_for_each(|event| event.map(drop))
+        .expect("rewritten trace reads");
+    assert_eq!(reader.events_read(), stats.total());
+    let footer = reader
+        .footer()
+        .expect("rewritten trace reads to its footer");
     assert_eq!(
         footer.section(CG_SECTION).expect("stats footer").entries,
         section.entries

@@ -236,7 +236,8 @@ impl GcEvent {
 /// [`Vm`](crate::Vm) with [`Vm::set_event_sink`](crate::Vm::set_event_sink).
 ///
 /// The sink observes every event *before* the corresponding collector hook
-/// runs, in interpreter order.  `cg-trace`'s `TraceRecorder` is the canonical
+/// runs, in interpreter order.  `cg-trace`'s `StreamingRecorder`, which
+/// encodes each event into a `.cgt` stream as it arrives, is the canonical
 /// implementation.
 pub trait EventSink: std::fmt::Debug {
     /// Called once per event, in emission order.

@@ -4,15 +4,33 @@
 //!
 //! Each test records a `cg_workloads` program once under the passive
 //! [`NoopCollector`] (so the trace's allocation decisions are
-//! collector-independent), runs the same program live under the collector
-//! being checked, replays the recording against a fresh instance of that
-//! collector, and compares the full statistics structures with `==` — every
-//! counter and both histograms must match exactly.
+//! collector-independent) as `.cgt` bytes, checks that they decode to the
+//! event stream a plain vector sink captures from a live run, runs the same
+//! program live under the collector being checked, replays the recording
+//! against a fresh instance of that collector, and compares the full
+//! statistics structures with `==` — every counter and both histograms must
+//! match exactly.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cg_core::{CgConfig, ContaminatedGc, HybridCollector, HybridConfig};
-use cg_trace::{record, replay_governed, Governor, Trace};
-use cg_vm::{NoopCollector, Vm, VmConfig};
+use cg_trace::{
+    record_streaming, replay_events_governed, Governor, Replayed, TraceMeta, TraceReader,
+};
+use cg_vm::{Collector, EventSink, GcEvent, NoopCollector, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
+
+/// Keeps a copy of every event the VM emits: the codec-independent
+/// reference a decoded recording must equal.
+#[derive(Debug, Default, Clone)]
+struct Capture(Rc<RefCell<Vec<GcEvent>>>);
+
+impl EventSink for Capture {
+    fn record(&mut self, event: &GcEvent) {
+        self.0.borrow_mut().push(event.clone());
+    }
+}
 
 /// The VM configuration both the recording and the live runs use.  The heap
 /// is the default (ample) size: allocation-failure collections are collector
@@ -22,20 +40,50 @@ fn config() -> VmConfig {
     VmConfig::default()
 }
 
-fn record_workload(name: &str, config: VmConfig) -> Trace {
+/// Records `name` at size 1 as `.cgt` bytes and decodes them, checking
+/// the decoded stream against the one a live run emits.
+fn record_workload(name: &str, config: VmConfig) -> Vec<GcEvent> {
     let workload = Workload::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let (trace, ..) = record(
-        format!("{name}/1"),
+    let meta = TraceMeta {
+        name: format!("{name}/1"),
+        ..TraceMeta::default()
+    };
+    let (.., bytes) = record_streaming(
+        &meta,
         workload.program(Size::S1),
         config,
         NoopCollector::new(),
+        Vec::new(),
     )
     .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
+    let trace = TraceReader::new(&bytes[..])
+        .and_then(|mut reader| reader.events().collect::<Result<Vec<_>, _>>())
+        .unwrap_or_else(|e| panic!("{name}: decoding failed: {e}"));
+
+    let capture = Capture::default();
+    let mut live = Vm::new(workload.program(Size::S1), config, NoopCollector::new());
+    live.set_event_sink(Box::new(capture.clone()));
+    live.run()
+        .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
     assert!(
-        trace.is_complete(),
+        trace == *capture.0.borrow(),
+        "{name}: the decoded recording must be the live event stream"
+    );
+    assert!(
+        matches!(trace.last(), Some(GcEvent::ProgramEnd { .. })),
         "{name}: trace must end with ProgramEnd"
     );
     trace
+}
+
+/// Replays decoded events against `collector`.
+fn replay<C: Collector>(
+    trace: &[GcEvent],
+    heap: cg_heap::HeapConfig,
+    collector: C,
+    governor: &Governor,
+) -> Result<Replayed<C>, cg_trace::EvalError> {
+    replay_events_governed(trace.iter().map(Ok), heap, collector, governor)
 }
 
 #[test]
@@ -52,7 +100,7 @@ fn replaying_a_trace_reproduces_live_contaminated_gc_stats_exactly() {
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
         // Replay: drive a fresh CG from the recording, no interpretation.
-        let replayed = replay_governed(&trace, config().heap, ContaminatedGc::new(), &unlimited)
+        let replayed = replay(&trace, config().heap, ContaminatedGc::new(), &unlimited)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
 
         // Byte-identical statistics: every counter, both histograms.
@@ -96,7 +144,7 @@ fn replaying_a_trace_reproduces_live_hybrid_collector_stats_exactly() {
             .run()
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
-        let replayed = replay_governed(&trace, periodic.heap, hybrid(), &Governor::unlimited())
+        let replayed = replay(&trace, periodic.heap, hybrid(), &Governor::unlimited())
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
 
         assert_eq!(
@@ -146,14 +194,14 @@ fn allocation_policy_never_affects_collector_statistics() {
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
 
         for cg_config in [CgConfig::preferred(), CgConfig::without_static_opt()] {
-            let first_fit = replay_governed(
+            let first_fit = replay(
                 &trace,
                 config().heap.with_alloc_policy(AllocPolicy::FirstFitRover),
                 ContaminatedGc::with_config(cg_config),
                 &unlimited,
             )
             .unwrap_or_else(|e| panic!("{name}: first-fit replay failed: {e}"));
-            let segregated = replay_governed(
+            let segregated = replay(
                 &trace,
                 config().heap.with_alloc_policy(AllocPolicy::SegregatedFit),
                 ContaminatedGc::with_config(cg_config),
@@ -226,16 +274,15 @@ fn one_recording_serves_many_collectors() {
     // The architectural payoff: one interpretation, N collector evaluations.
     let trace = record_workload("db", config());
 
-    let cg = replay_governed(&trace, config().heap, ContaminatedGc::new(), &unlimited)
-        .expect("cg replay");
-    let no_opt = replay_governed(
+    let cg = replay(&trace, config().heap, ContaminatedGc::new(), &unlimited).expect("cg replay");
+    let no_opt = replay(
         &trace,
         config().heap,
         ContaminatedGc::with_config(CgConfig::without_static_opt()),
         &unlimited,
     )
     .expect("no-opt replay");
-    let msa = replay_governed(
+    let msa = replay(
         &trace,
         config().heap,
         cg_baseline::MarkSweep::new(),
