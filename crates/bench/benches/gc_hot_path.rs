@@ -9,7 +9,8 @@
 //! Each label is timed into `BENCH_gc_hot_path.json` and counted once,
 //! untimed: the collector's work counters (`cg_bench::cg_counts`), the
 //! allocator's free-block `search_steps` and the heap allocations of one
-//! iteration must equal its line in `EXPECTED`.
+//! iteration — for the `replay/*` labels also the most heap bytes it held
+//! at once (`peak_bytes`) — must equal its line in `EXPECTED`.
 //!
 //! The suite also proves the optimisations are behaviour-preserving: before
 //! timing anything it records a workload trace and asserts that replaying it
@@ -43,8 +44,8 @@ const EXPECTED: &[&str] = &[
     "recycle/segregated/miss_scan_1024",
     "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=380",
     "recycle/segregated/churn_hit_64 objects_collected=256 recycle_probes=280 objects_recycled=191 search_steps=65 allocations=384",
-    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 allocations=4385",
-    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 allocations=4390",
+    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=409529 allocations=4385",
+    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=410329 allocations=4390",
 ];
 
 /// What `cg` and its heap have done so far.
@@ -289,6 +290,7 @@ fn bench_trace_replay(h: &mut BenchHarness, trace: &[GcEvent], policy: AllocPoli
     let events = trace.len() as f64;
     let label = format!("replay/cg/{}/db_s1", policy.label());
     let ns = h.bench_counted(&label, 3, || {
+        common::reset_peak();
         let replayed = replay_events_governed(
             trace.iter().map(Ok),
             heap_config,
@@ -298,7 +300,10 @@ fn bench_trace_replay(h: &mut BenchHarness, trace: &[GcEvent], policy: AllocPoli
         .expect("replay succeeds");
         let events = replayed.outcome.events_replayed as u64;
         let work = work(&replayed.collector, &replayed.heap);
-        [("events_replayed", events)].into_iter().chain(work)
+        [("events_replayed", events)]
+            .into_iter()
+            .chain(work)
+            .chain([("peak_bytes", common::peak_bytes())])
     });
     println!(
         "{label}: {:.1} ns per replayed event ({events} events)",

@@ -1,35 +1,43 @@
 //! The `cgtd` serving path, single-shard vs sharded: a recorded `.cgt`
 //! spool evaluated whole-file (`replay_path_governed`, exactly what the
-//! daemon's single-shard route runs) against the sharded route
-//! (`partition_path_streaming` + `parallel_eval_streaming_governed` with
-//! 4 shards, exactly what a `shards=4` budget buys).
+//! daemon's single-shard route runs) against the sharded routes with 4
+//! shards.  `routed_4` is exactly what a `shards=4` budget buys today: the
+//! spool decoded once on the calling thread and its events routed in
+//! memory to the shard threads (`parallel_eval_routed_governed`).
+//! `partition_4` + `sharded_4` is the offline form of the same evaluation,
+//! which writes one `.cgt` file per shard and evaluates each on its own
+//! thread (`partition_path_streaming` + `parallel_eval_streaming_governed`).
 //!
 //! Before timing anything the suite proves the serving invariant: the
-//! canonical `cg` footer section aggregated from 4 shards is
-//! byte-identical to the whole-file replay — the daemon may answer from
-//! either route.  The timings then document what the budget is worth:
-//! on a ≥ 4-core runner the sharded evaluation (the timed region; the
+//! canonical `cg` footer section aggregated from 4 shards, by either route,
+//! is byte-identical to the whole-file replay — the daemon may answer from
+//! any of them.  The timings then document what the budget is worth: on a
+//! ≥ 4-core runner the file-fed sharded evaluation (the timed region; the
 //! one-pass partition is reported separately) must be **at least 1.5x**
-//! faster than single-shard, and the bench asserts exactly that.  On
-//! fewer cores the assertion disarms and the numbers instead track the
+//! faster than single-shard, and the bench asserts exactly that.  On fewer
+//! cores the assertion disarms and the numbers instead track the
 //! coordination overhead.
 //!
 //! Results land in `BENCH_serving_shards.json`.  Each label is also
 //! counted once, untimed: events and bytes partitioned, events replayed,
 //! the collector's work counters and the calling thread's heap allocations
 //! must equal the label's line in `EXPECTED` (see `cg_bench::microbench`).
+//! `routed_4`'s allocations pin that the router allocates per batch, never
+//! per event.
 
 mod common;
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use cg_bench::runner::javac_style;
 use cg_bench::{cg_counts, record_events, BenchHarness};
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::{
-    parallel_eval_streaming_governed, partition_path_streaming, replay_path_governed, Governor,
-    ResourceLimits, TraceMeta, TraceWriter,
+    open_trace, parallel_eval_routed_governed, parallel_eval_streaming_governed,
+    partition_path_streaming, replay_path_governed, Governor, ParallelOutcome, ResourceLimits,
+    TraceMeta, TraceWriter,
 };
 use cg_vm::VmConfig;
 use cg_workloads::{synthesize, Profile};
@@ -41,6 +49,7 @@ const EXPECTED: &[&str] = &[
     "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30724",
     "serving_shards/javac_style/single events_replayed=598129 allocations=271543",
     "serving_shards/javac_style/sharded_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
+    "serving_shards/javac_style/routed_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=152",
 ];
 
 /// Records the profile and spools it to a `.cgt` exactly as `cgtd` would
@@ -83,6 +92,65 @@ fn eval_single(spool: &Path, governor: &Governor) -> (u64, cg_trace::FooterSecti
     )
 }
 
+/// Median wall time of `f` in milliseconds, over enough runs to fill about
+/// a third of a second.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    let once = start.elapsed().as_secs_f64();
+    let runs = ((0.3 / once.max(1e-6)) as usize).clamp(5, 501);
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[runs / 2]
+}
+
+/// Where a 2-shard grant starts to pay on the committed golden traces: each
+/// golden's single-shard replay against its routed 2-shard evaluation,
+/// both from the file the daemon would spool.  Printed, not gated — the
+/// figure behind the default of `cgtd --shard-min-kib`.
+fn golden_crossover(governor: &Governor) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../trace/golden");
+    let mut goldens: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("golden corpus")
+        .map(|entry| entry.expect("golden entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "cgt"))
+        .collect();
+    goldens.sort_by_key(|path| std::fs::metadata(path).expect("golden size").len());
+    println!("golden corpus: single-shard vs routed 2-shard, median ms");
+    for path in goldens {
+        let kib = std::fs::metadata(&path).expect("golden size").len() as f64 / 1024.0;
+        let single = median_ms(|| {
+            black_box(eval_single(&path, governor));
+        });
+        let routed = median_ms(|| {
+            black_box(eval_routed(&path, 2, governor));
+        });
+        let name = path.file_stem().expect("golden name").to_string_lossy();
+        println!(
+            "  {name:<16} {kib:>8.1} KiB  single {single:>8.3}  routed_2 {routed:>8.3}  {:.2}x",
+            single / routed
+        );
+    }
+}
+
+/// The daemon's sharded route on the spool: decoded on this thread and
+/// routed in memory to `shards` shard threads.
+fn eval_routed(spool: &Path, shards: usize, governor: &Governor) -> ParallelOutcome {
+    let mut reader = open_trace(spool).expect("open spool");
+    let heap = reader
+        .meta()
+        .heap
+        .expect("the spool header carries the heap");
+    parallel_eval_routed_governed(reader.events(), shards, heap, canonical_config(), governor)
+        .expect("routed eval succeeds")
+}
+
 fn main() {
     let vm_config = VmConfig::default().with_heap(cg_bench::runner::experiment_heap());
     let governor = Governor::new(ResourceLimits::unlimited());
@@ -119,8 +187,16 @@ fn main() {
         single_section,
         "sharded cg section diverged from the whole-file replay"
     );
+    let routed = eval_routed(&spool, SERVING_SHARDS, &governor);
+    assert_eq!(routed.shard_count, SERVING_SHARDS);
+    assert_eq!(routed.events_replayed as u64, single_events);
+    assert_eq!(
+        cg_section(&routed.stats, &routed.breakdown),
+        single_section,
+        "routed cg section diverged from the whole-file replay"
+    );
     println!(
-        "{}: {SERVING_SHARDS}-shard cg section byte-identical to single-shard",
+        "{}: {SERVING_SHARDS}-shard cg sections (files, routed) byte-identical to single-shard",
         profile.name
     );
 
@@ -161,8 +237,19 @@ fn main() {
             .into_iter()
             .chain(cg_counts(&outcome.stats))
     });
+    let routed_ns = harness.bench_counted(format!("serving_shards/{name}/routed_4"), 3, || {
+        let outcome = eval_routed(black_box(&spool), SERVING_SHARDS, &governor);
+        [("events_replayed", outcome.events_replayed as u64)]
+            .into_iter()
+            .chain(cg_counts(&outcome.stats))
+    });
+    println!(
+        "  {name}: {SERVING_SHARDS} shards -> {:.2}x (files, after the partition) and {:.2}x \
+         (routed) the speed of single-shard",
+        single_ns / sharded_ns,
+        single_ns / routed_ns
+    );
     let speedup = single_ns / sharded_ns;
-    println!("  {name}: {SERVING_SHARDS} shards -> {speedup:.2}x speedup over single-shard");
     if cores >= 4 {
         assert!(
             speedup >= 1.5,
@@ -173,5 +260,6 @@ fn main() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+    golden_crossover(&governor);
     harness.finish([("cores", cg_stats::Json::Num(cores as f64))]);
 }

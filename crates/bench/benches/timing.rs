@@ -15,7 +15,9 @@
 //! evaluating another collector costs a replay, not a re-interpretation.
 //!
 //! Each label is also counted once, untimed: the counts of one run must
-//! equal its line in `EXPECTED` (see `cg_bench::microbench`).
+//! equal its line in `EXPECTED` (see `cg_bench::microbench`); the
+//! recording label also counts the most heap bytes it held at once
+//! (`peak_bytes`).
 
 mod common;
 
@@ -35,7 +37,7 @@ const EXPECTED: &[&str] = &[
     "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1416",
     "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=3009",
     "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2876",
-    "trace/db_record_once events=12167 allocations=2140",
+    "trace/db_record_once events=12167 peak_bytes=1193761 allocations=2140",
     "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4392",
 ];
 
@@ -73,8 +75,12 @@ fn bench_collectors(h: &mut BenchHarness) {
 fn bench_trace_runner(h: &mut BenchHarness) {
     let workload = Workload::by_name("db").expect("known benchmark");
     h.bench_counted("trace/db_record_once", 3, || {
+        common::reset_peak();
         let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
-        [("events", recorded.events.len() as u64)]
+        [
+            ("events", recorded.events.len() as u64),
+            ("peak_bytes", common::peak_bytes()),
+        ]
     });
     let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
     let replay = h.bench_counted("trace/db_replay_cg", 3, || {

@@ -1,6 +1,7 @@
-//! The benches' counting global allocator (`benches/common`) gates exact
-//! `allocations` counts, so it must count exactly what a closure allocates
-//! and nothing else, the same way every time.
+//! The benches' counting global allocator (`benches/common`, the
+//! workspace's one `crates/testutil/counting_alloc.rs`) gates exact
+//! `allocations` and `peak_bytes` counts, so it must count exactly what a
+//! closure allocates and nothing else, the same way every time.
 
 #[path = "../benches/common/mod.rs"]
 mod common;
@@ -53,4 +54,29 @@ fn the_same_closure_reports_the_same_count_every_run() {
     for _ in 0..4 {
         assert_eq!(allocations_of(pop_64_singletons), first);
     }
+}
+
+#[test]
+fn peak_bytes_is_the_high_water_mark_since_the_reset() {
+    let live = common::live_bytes();
+    common::reset_peak();
+    assert_eq!(common::peak_bytes(), 0);
+    let first = Vec::<u8>::with_capacity(1000);
+    let second = Vec::<u8>::with_capacity(500);
+    drop(first);
+    drop(second);
+    drop(Vec::<u8>::with_capacity(200));
+    assert_eq!(common::peak_bytes(), 1500, "both were live at once");
+    assert_eq!(common::live_bytes(), live, "everything was freed");
+    common::reset_peak();
+    assert_eq!(common::peak_bytes(), 0);
+}
+
+#[test]
+fn bytes_allocated_counts_every_request_a_realloc_its_new_size() {
+    let before = common::bytes_allocated();
+    let mut v = Vec::<u8>::with_capacity(64);
+    v.reserve_exact(128);
+    drop(v);
+    assert_eq!(common::bytes_allocated() - before, 64 + 128);
 }

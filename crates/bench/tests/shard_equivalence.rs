@@ -4,17 +4,40 @@
 //! {1, 2, 4, 8}, the parallel sharded evaluation's aggregated `CgStats` and
 //! `ObjectBreakdown` are byte-identical to a single-threaded replay of the
 //! same trace — and putting the shard streams' events back at their
-//! sequence numbers reproduces the original event order exactly.
+//! sequence numbers reproduces the original event order exactly.  The
+//! routed evaluation `cgtd` runs (one decoded stream, routed in memory to
+//! the shard threads) answers the same at 2 and 4 shards.
 
 use cg_bench::{partition_events, record_events};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_trace::{
-    parallel_eval_governed, replay_events_governed, EvalError, Governor, ParallelError, TraceReader,
+    parallel_eval_governed, parallel_eval_routed_governed, replay_events_governed, EvalError,
+    Governor, ParallelError, ParallelOutcome, TraceReader,
 };
 use cg_vm::{GcEvent, VmConfig};
 use cg_workloads::{Size, Workload};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Shard counts the routed evaluation is checked at.
+const ROUTED_SHARD_COUNTS: [usize; 2] = [2, 4];
+
+/// The routed evaluation of `trace` on `shards` shard threads.
+fn routed(
+    trace: &[GcEvent],
+    shards: usize,
+    heap: cg_heap::HeapConfig,
+    config: CgConfig,
+) -> ParallelOutcome {
+    parallel_eval_routed_governed(
+        trace.iter().cloned().map(Ok),
+        shards,
+        heap,
+        config,
+        &Governor::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("routed ({shards} shards): {e}"))
+}
 
 /// Decodes every shard stream and puts each event back at its sequence
 /// number.
@@ -105,6 +128,26 @@ fn sharded_evaluation_is_byte_identical_for_every_workload_and_shard_count() {
                 single.outcome.collector_freed_bytes
             );
             assert_eq!(outcome.live_at_exit, single.outcome.live_at_exit);
+        }
+
+        for shards in ROUTED_SHARD_COUNTS {
+            let outcome = routed(&trace, shards, vm_config.heap, cg_config());
+            let name = workload.name();
+            assert_eq!(
+                outcome.stats,
+                *single_collector.stats(),
+                "{name}: routed CgStats diverged at {shards} shards"
+            );
+            assert_eq!(
+                outcome.breakdown, single_breakdown,
+                "{name}: routed ObjectBreakdown diverged at {shards} shards"
+            );
+            assert_eq!(outcome.events_replayed, trace.len(), "{name}");
+            assert_eq!(
+                outcome.collector_freed_objects, single.outcome.collector_freed_objects,
+                "{name}"
+            );
+            assert_eq!(outcome.live_at_exit, single.outcome.live_at_exit, "{name}");
         }
     }
 }
@@ -206,7 +249,9 @@ fn shard_panic_reports_instead_of_hanging() {
                 other => panic!("expected ShardPanicked, got {other}"),
             }
         }
-        ParallelError::Rejected(other) => panic!("expected shard failures, got {other}"),
+        ParallelError::Rejected(other) | ParallelError::Stream(other) => {
+            panic!("expected shard failures, got {other}")
+        }
     }
 }
 
@@ -239,5 +284,13 @@ fn parallel_eval_matches_single_threaded_replay_on_mtrt() {
             single.outcome.collector_freed_objects
         );
         assert_eq!(outcome.live_at_exit, single.outcome.live_at_exit);
+    }
+    for shards in ROUTED_SHARD_COUNTS {
+        let outcome = routed(&trace, shards, config.heap, cg_config());
+        let case = format!("routed, {shards} shards");
+        assert_eq!(outcome.stats, *single_collector.stats(), "{case}");
+        assert_eq!(outcome.breakdown, single_breakdown, "{case}");
+        assert_eq!(outcome.events_replayed, trace.len(), "{case}");
+        assert_eq!(outcome.live_at_exit, single.outcome.live_at_exit, "{case}");
     }
 }

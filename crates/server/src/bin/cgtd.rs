@@ -14,7 +14,10 @@
 //! picks an ephemeral port; `--addr-file` writes the bound address to a
 //! file so scripts can find it.  `--shard-min-kib` sets the smallest
 //! upload routed through the sharded evaluator when the tenant's `shards`
-//! budget allows it (default 4096 KiB; `0` shards everything).
+//! budget allows it (default 4096 KiB; `0` shards everything).  Below
+//! about a mebibyte a 2-shard grant wins on some traces and loses on
+//! others (the `serving_shards` bench prints the golden corpus), so the
+//! default leaves small uploads single-shard.
 
 use std::process::ExitCode;
 use std::time::Duration;

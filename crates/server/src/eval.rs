@@ -18,14 +18,17 @@
 //! that differs anywhere cannot collide into a wrong answer short of a
 //! simultaneous 96-bit hash collision.  Entries publish atomically (see
 //! [`crate::spool`]).  The **sharded** route (a `shards` budget ≥ 2 and an
-//! upload over [`EvalConfig::shard_min_bytes`]) splits the spool per
-//! thread with [`partition_path_streaming`] and evaluates one OS thread per
-//! shard via [`parallel_eval_streaming_governed`] — sound because
-//! contaminated GC's per-thread frame/block locality (§3.3) keeps shard
-//! state independent up to explicit cross-shard waits, and byte-identical
-//! to the single-shard replay.  Shard failures surface as
-//! [`SessionError::Shards`] with the completed shards' partial statistics
-//! in the error message.
+//! upload over [`EvalConfig::shard_min_bytes`]) decodes the spool once, on
+//! the worker thread, and routes each event by recording thread to one OS
+//! thread per shard through bounded in-memory queues
+//! ([`parallel_eval_routed_governed`]); nothing but the spool touches the
+//! disk.  It is sound because contaminated GC's per-thread frame/block
+//! locality (§3.3) keeps shard state independent up to explicit
+//! cross-shard waits, and byte-identical to the single-shard replay.  A
+//! stream that is corrupt, over its event budget, past its deadline or
+//! cancelled fails with the single-shard route's error class; shard
+//! failures surface as [`SessionError::Shards`] with the completed shards'
+//! partial statistics in the error message.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -37,8 +40,8 @@ use crate::spool::{sweep_stale_tmps, unique_tmp_path, TMP_SWEEP_TTL};
 use cg_trace::footer::{canonical_collector, canonical_config, cg_section};
 use cg_trace::proto::{session_error, ErrorClass, ProtoError, SessionReader};
 use cg_trace::{
-    open_trace, parallel_eval_streaming_governed, partition_path_streaming, replay_events_governed,
-    EvalError, FooterSection, Governor, ParallelError, ResourceLimits, TraceIoError, TraceReader,
+    open_trace, parallel_eval_routed_governed, replay_events_governed, EvalError, FooterSection,
+    Governor, ParallelError, ResourceLimits, TraceIoError, TraceReader,
 };
 
 /// Most shard threads one session may occupy, regardless of the tenant's
@@ -59,8 +62,12 @@ pub struct EvalConfig {
     pub memoize: bool,
     /// Hard cap on the uploaded byte stream.
     pub max_upload_bytes: u64,
-    /// Smallest upload worth sharding: below this the partition cost
-    /// outweighs the parallel win and the single-shard path runs instead.
+    /// Smallest upload a sharding grant applies to; below it the
+    /// single-shard path runs.  Routing to 2 shards on a 2-core machine
+    /// (the `serving_shards` bench's golden-corpus table) lost to
+    /// single-shard on 4 of the 8 goldens, the largest (1.2 MiB) among
+    /// them, and won by at most 1.17x on the others: no golden is large
+    /// enough to pay reliably, so the default stays 4 MiB.
     pub shard_min_bytes: u64,
 }
 
@@ -406,6 +413,23 @@ fn answer(events: u64, section: &FooterSection, shards: usize) -> SessionResult 
     }
 }
 
+/// Checks `reader`'s header before any event is evaluated: it must carry
+/// a heap configuration, and its declared event count (if any) must fit
+/// the budget.
+fn check_header<R: Read>(reader: &TraceReader<R>, governor: &Governor) -> Result<(), EvalError> {
+    if reader.meta().heap.is_none() {
+        return Err(TraceIoError::Malformed {
+            chunk: None,
+            detail: "trace header carries no heap configuration".to_string(),
+        }
+        .into());
+    }
+    if let Some(declared) = reader.meta().declared_events {
+        governor.validate_declared_events(declared)?;
+    }
+    Ok(())
+}
+
 /// The single-shard evaluator every route but the sharded one runs, and
 /// the byte-identity reference for that one: decodes `source` event by
 /// event into the library's replay loop.  `progress` is called with the
@@ -418,13 +442,8 @@ fn eval_single<S: Read>(
     mut progress: impl FnMut(u64) -> io::Result<()>,
 ) -> Result<SessionResult, EvalError> {
     let mut reader = TraceReader::new(source)?;
-    let heap = reader.meta().heap.ok_or_else(|| TraceIoError::Malformed {
-        chunk: None,
-        detail: "trace header carries no heap configuration".to_string(),
-    })?;
-    if let Some(declared) = reader.meta().declared_events {
-        governor.validate_declared_events(declared)?;
-    }
+    check_header(&reader, governor)?;
+    let heap = reader.meta().heap.expect("checked");
     let mut yielded = 0u64;
     let events = std::iter::from_fn(|| {
         if yielded.is_multiple_of(PROGRESS_EVERY_EVENTS) {
@@ -442,54 +461,28 @@ fn eval_single<S: Read>(
     Ok(answer(replayed.outcome.events_replayed as u64, &section, 1))
 }
 
-/// The sharded path: partition the spool per recording thread, evaluate
-/// one OS thread per shard, aggregate.  Identical output to
-/// [`eval_single`] by the shard-equivalence invariant.
+/// The sharded path: this thread decodes the spool and routes its events
+/// in memory to one OS thread per shard
+/// ([`parallel_eval_routed_governed`]), which aggregate.  Identical output
+/// to [`eval_single`] by the shard-equivalence invariant, and the same
+/// error class for a stream that is corrupt, over budget, past its
+/// deadline or cancelled.
 fn eval_sharded(
     spool_path: &Path,
     shards: usize,
     governor: &Governor,
 ) -> Result<SessionResult, SessionError> {
-    let reader = open_trace(spool_path).map_err(|e| SessionError::Eval(EvalError::Trace(e)))?;
-    let heap = reader.meta().heap.ok_or_else(|| {
-        SessionError::Eval(EvalError::Trace(TraceIoError::Malformed {
-            chunk: None,
-            detail: "trace header carries no heap configuration".to_string(),
-        }))
-    })?;
-    if let Some(declared) = reader.meta().declared_events {
-        governor
-            .validate_declared_events(declared)
-            .map_err(SessionError::Eval)?;
-    }
-    drop(reader);
-
-    // Append to the full spool name (which carries the per-session unique
-    // tmp suffix) — `with_extension` would replace that suffix and make
-    // every concurrent session partition into the same directory.
-    let mut shard_dir = spool_path.as_os_str().to_owned();
-    shard_dir.push(".shards");
-    let shard_dir = std::path::PathBuf::from(shard_dir);
-    std::fs::create_dir_all(&shard_dir).map_err(SessionError::Io)?;
-    let result = (|| {
-        let parts = partition_path_streaming(spool_path, shards, &shard_dir)
-            .map_err(|e| SessionError::Eval(EvalError::Trace(e)))?;
-        // The partition pass counted every event, so the budget check here
-        // is exact even when the header declared nothing.
-        governor
-            .validate_declared_events(parts.total_events)
-            .map_err(SessionError::Eval)?;
-        let outcome =
-            parallel_eval_streaming_governed(&parts.paths, heap, canonical_config(), governor)
-                .map_err(|e| match e {
-                    ParallelError::Rejected(e) => SessionError::Eval(e),
-                    failed @ ParallelError::Shards { .. } => SessionError::Shards(failed),
-                })?;
-        let section = cg_section(&outcome.stats, &outcome.breakdown);
-        Ok(answer(outcome.events_replayed as u64, &section, shards))
-    })();
-    let _ = std::fs::remove_dir_all(&shard_dir);
-    result
+    let mut reader = open_trace(spool_path).map_err(|e| SessionError::Eval(e.into()))?;
+    check_header(&reader, governor).map_err(SessionError::Eval)?;
+    let heap = reader.meta().heap.expect("checked");
+    let outcome =
+        parallel_eval_routed_governed(reader.events(), shards, heap, canonical_config(), governor)
+            .map_err(|e| match e {
+                ParallelError::Rejected(e) | ParallelError::Stream(e) => SessionError::Eval(e),
+                failed @ ParallelError::Shards { .. } => SessionError::Shards(failed),
+            })?;
+    let section = cg_section(&outcome.stats, &outcome.breakdown);
+    Ok(answer(outcome.events_replayed as u64, &section, shards))
 }
 
 /// Loads a memoized result; `None` on absence or any damage (a damaged
@@ -601,27 +594,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
-    /// Evaluates `framed` as an upload under `spec` plus a single-shard
-    /// grant, on both upload routes: spooled (memoizing) and direct (no
-    /// memoization, evaluated as it arrives).
+    /// Evaluates `framed` as an upload under `spec` plus a serving-shard
+    /// grant, on every upload route: spooled (single-shard, memoizing),
+    /// direct (single-shard, no memoization, evaluated as it arrives) and
+    /// sharded (a 2-shard grant, routed from the spool).
     fn upload_routes(
         config: &EvalConfig,
         spec: &str,
         framed: &[u8],
-    ) -> [(&'static str, Result<SessionResult, SessionError>); 2] {
-        let spec = if spec.is_empty() {
-            "shards=1".to_string()
-        } else {
-            format!("{spec},shards=1")
-        };
-        let governor = Governor::new(ResourceLimits::parse(&spec).expect("spec"));
-        ["spooled", "direct"].map(|route| {
+    ) -> [(&'static str, Result<SessionResult, SessionError>); 3] {
+        [
+            ("spooled", 1, true),
+            ("direct", 1, false),
+            ("sharded", 2, false),
+        ]
+        .map(|(route, shards, memoize)| {
+            let spec = if spec.is_empty() {
+                format!("shards={shards}")
+            } else {
+                format!("{spec},shards={shards}")
+            };
+            let governor = Governor::new(ResourceLimits::parse(&spec).expect("spec"));
             let config = EvalConfig {
-                memoize: route == "spooled",
+                memoize,
+                shard_min_bytes: 0,
                 ..config.clone()
             };
             let mut body = SessionReader::new(io::Cursor::new(framed));
-            (route, evaluate_session(&mut body, &governor, &config))
+            let result = evaluate_session(&mut body, &governor, &config);
+            if let Ok(answer) = &result {
+                assert_eq!(answer.shards, shards, "{route}");
+            }
+            (route, result)
         })
     }
 
@@ -758,6 +762,13 @@ mod tests {
         let mut body = SessionReader::new(io::Cursor::new(frame_body(&bytes)));
         let sharded = evaluate_session(&mut body, &governor, &sharded_config).expect("sharded");
         assert_eq!(sharded.shards, 4, "the sharded route honors the budget");
+        let uploads = std::fs::read_dir(config.cache_dir.join("uploads"))
+            .expect("uploads dir")
+            .count();
+        assert_eq!(
+            uploads, 0,
+            "the sharded route leaves no spool or shard file"
+        );
 
         // Streamed: same bytes through the live evaluator.
         let governor = Governor::new(ResourceLimits::untrusted());
@@ -793,8 +804,8 @@ mod tests {
 
     /// A single-shard upload with memoization off is evaluated from the
     /// socket: with `uploads/` replaced by a regular file no spool can be
-    /// created, yet it answers, while a memoizing config (which must
-    /// spool) fails with `Io`.
+    /// created, yet it answers, while a memoizing config or a sharded grant
+    /// (which must spool) fails with `Io`.
     #[test]
     fn direct_uploads_never_touch_the_disk() {
         let config = test_config("no-disk");
@@ -803,7 +814,7 @@ mod tests {
         std::fs::write(&uploads, b"not a directory").expect("plant a file");
         let framed = frame_body(&small_trace_bytes());
 
-        let [(_, spooled), (_, direct)] = upload_routes(&config, "", &framed);
+        let [(_, spooled), (_, direct), (_, sharded)] = upload_routes(&config, "", &framed);
         let direct = direct.expect("the direct route needs no spool");
         assert!(direct.events > 0);
         assert!(
@@ -811,8 +822,10 @@ mod tests {
             "{}",
             direct.text
         );
-        let err = spooled.expect_err("the spool cannot be created");
-        assert_eq!(err.class(), ErrorClass::Io, "{err}");
+        for spooling in [spooled, sharded] {
+            let err = spooling.expect_err("the spool cannot be created");
+            assert_eq!(err.class(), ErrorClass::Io, "{err}");
+        }
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 

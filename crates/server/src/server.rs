@@ -53,7 +53,9 @@ pub struct ServerConfig {
     /// Hard cap on one session's uploaded bytes.
     pub max_upload_bytes: u64,
     /// Smallest upload routed through the sharded evaluator (when the
-    /// tenant's `shards` budget allows ≥ 2).
+    /// tenant's `shards` budget allows ≥ 2); see
+    /// [`EvalConfig::shard_min_bytes`](crate::EvalConfig::shard_min_bytes)
+    /// for why the default is 4 MiB.
     pub shard_min_bytes: u64,
     /// Socket read/write timeout — a silent peer is cut off after this.
     pub idle_timeout: Duration,

@@ -1,16 +1,24 @@
 //! Parallel trace evaluation: N collector shards on N OS threads.
 //!
-//! [`parallel_eval_governed`] takes the `.cgt` shard sub-streams of one
-//! partition ([`partition_streaming`](crate::partition_streaming)) as one
-//! [`Read`] per shard — [`parallel_eval_streaming_governed`] the per-shard
-//! files of one — and replays each sub-stream against its own
-//! [`CollectorShard`] — with its own shadow [`Heap`] region — on its own
-//! OS thread (`std::thread::scope`), decoding it there one chunk at a
-//! time, sharing only the [`StaticDomain`] and a per-shard progress
-//! counter:
+//! Two entry points feed the same shard threads:
+//!
+//! * [`parallel_eval_governed`] takes the `.cgt` shard sub-streams of one
+//!   partition ([`partition_streaming`](crate::partition_streaming)) as one
+//!   [`Read`] per shard — [`parallel_eval_streaming_governed`] the per-shard
+//!   files of one — and each shard thread decodes its own sub-stream one
+//!   chunk at a time;
+//! * [`parallel_eval_routed_governed`] takes one plain event stream: the
+//!   calling thread decodes it, routes each event with the partitioner's
+//!   router and hands the shard threads batches of routed events through
+//!   bounded in-memory queues, so no shard stream is ever encoded.
+//!
+//! Either way every shard thread runs one loop (`run_shard`) that replays
+//! its events against its own [`CollectorShard`] — with its own shadow
+//! [`Heap`] region — sharing only the [`StaticDomain`] and a per-shard
+//! progress counter:
 //!
 //! * a shard's own objects, blocks, frame index and heap slice are touched
-//!   by exactly one thread (the partitioner routes every event to the shard
+//!   by exactly one thread (the router sends every event to the shard
 //!   whose state it mutates), so the per-event hot path takes no locks;
 //! * a `ReferenceStore` with a foreign operand carries a wait edge: the
 //!   thread parks until the owning shard's progress counter passes the
@@ -26,9 +34,9 @@
 //! [`replay_events_governed`](crate::replay_events_governed) of the same
 //! trace, for every shard count.
 //!
-//! Every source must declare itself shard `i` of an `n`-shard partition,
-//! where `i` is its position and `n` the number of sources.  Trusted input
-//! passes [`Governor::unlimited`].
+//! Every partitioned source must declare itself shard `i` of an `n`-shard
+//! partition, where `i` is its position and `n` the number of sources.
+//! Trusted input passes [`Governor::unlimited`].
 //!
 //! Scope: the engine evaluates the plain contaminated collector.  Recycling
 //! traces are collector-dependent (they cannot be replayed at all) and the
@@ -40,6 +48,7 @@ use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
@@ -47,9 +56,10 @@ use std::time::Instant;
 use cg_core::{aggregate_shards, CgConfig, CgStats, CollectorShard, ObjectBreakdown, StaticDomain};
 use cg_heap::{Heap, HeapConfig, Value};
 
+use crate::partition::EventRouter;
 use crate::{
-    EvalError, GcEvent, Governor, ReplayError, ShardWait, StreamKind, TraceIoError, TraceReader,
-    GOVERNOR_CHECK_EVENTS,
+    EvalError, GcEvent, Governor, LimitKind, ReplayError, ShardEvent, ShardWait, StreamKind,
+    TraceIoError, TraceReader, GOVERNOR_CHECK_EVENTS,
 };
 
 /// What a parallel sharded evaluation produced, aggregated across shards.
@@ -120,6 +130,10 @@ pub enum ParallelError {
     /// The evaluation was rejected before any shard thread spawned
     /// (budget validation of the heap configuration or shard count).
     Rejected(EvalError),
+    /// A routed evaluation's input stream failed on the calling thread —
+    /// unreadable or corrupt bytes, the event budget, the deadline or a
+    /// cancellation — and every shard was stopped.
+    Stream(EvalError),
     /// One or more shards failed.
     Shards {
         /// Every shard's failure as `(shard index, error)`, in shard
@@ -135,7 +149,7 @@ impl ParallelError {
     /// The primary failure: the rejection, or the first failing shard.
     pub fn primary(&self) -> &EvalError {
         match self {
-            ParallelError::Rejected(e) => e,
+            ParallelError::Rejected(e) | ParallelError::Stream(e) => e,
             ParallelError::Shards { shard_errors, .. } => &shard_errors[0].1,
         }
     }
@@ -143,7 +157,7 @@ impl ParallelError {
     /// The completed shards' aggregated outcome, if any shard completed.
     pub fn partial(&self) -> Option<&ParallelOutcome> {
         match self {
-            ParallelError::Rejected(_) => None,
+            ParallelError::Rejected(_) | ParallelError::Stream(_) => None,
             ParallelError::Shards { partial, .. } => partial.as_deref(),
         }
     }
@@ -153,6 +167,7 @@ impl std::fmt::Display for ParallelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParallelError::Rejected(e) => write!(f, "evaluation rejected: {e}"),
+            ParallelError::Stream(e) => write!(f, "event stream failed: {e}"),
             ParallelError::Shards {
                 shard_errors,
                 partial,
@@ -244,8 +259,9 @@ impl WaitCell {
     }
 
     /// Publishes this shard's new event count and wakes any waiter it
-    /// satisfies.  Called once per replayed event — the no-waiter fast path
-    /// is a store, a fence and a relaxed load.
+    /// satisfies.  The no-waiter fast path is a store, a fence and a relaxed
+    /// load; a file-fed shard calls it after every event, a queue-fed one
+    /// after every batch (see [`QueueFeed`]).
     fn publish(&self, value: u64) {
         self.progress.store(value, Ordering::Release);
         fence(Ordering::SeqCst);
@@ -495,13 +511,23 @@ fn malformed(detail: String) -> ShardError {
     .into()
 }
 
-/// Replays shard `me` from `source`, which must declare itself shard `me`
-/// of this topology, decoding it one chunk at a time: honours each event's
-/// wait edges, applies it, and publishes progress after every event,
-/// polling the governor every [`GOVERNOR_CHECK_EVENTS`].
-fn run_shard<R: Read>(
+/// Where a shard's events come from.  Each call hands out the next event
+/// and its wait edges, borrowed from the feed until the next call, so a
+/// feed that owns its events keeps them: a queue-fed shard returns its
+/// batches to the router, and nothing the router allocated is freed on a
+/// shard thread.
+trait ShardFeed {
+    /// The next event and its wait edges; `None` after the last one.
+    fn next_event(&mut self) -> Option<Result<(&[ShardWait], &GcEvent), ShardError>>;
+}
+
+/// Replays shard `me` from `feed`: honours each event's wait edges,
+/// applies it, and polls the governor every [`GOVERNOR_CHECK_EVENTS`].
+/// The one shard loop both entry points run; the feed publishes the
+/// shard's progress.
+fn run_shard(
     me: usize,
-    source: R,
+    mut feed: impl ShardFeed,
     ctx: &ShardContext<'_>,
 ) -> Result<ShardRun, ShardError> {
     let mut run = ShardRun {
@@ -512,16 +538,65 @@ fn run_shard<R: Read>(
         freed_bytes: 0,
         gc_cycles: 0,
     };
-    // Any exit other than a clean completion — error return *or* panic —
-    // must raise the abort flag and unpark every sibling waiting on this
-    // shard (the guard is defused just before `Ok`).
-    let mut guard = AbortOnDrop {
-        abort: ctx.abort,
-        cells: ctx.progress,
-        armed: true,
-    };
     let shards = ctx.progress.len();
-    let mut reader = TraceReader::new(BufReader::new(source))?;
+    let deadline = ctx.governor.deadline_at();
+    while let Some(next) = feed.next_event() {
+        let (waits, event) = next?;
+        if !waits.is_empty() {
+            // A corrupt or foreign stream may name a shard outside the
+            // topology; fail cleanly instead of indexing out of bounds.
+            if let Some(bad) = waits.iter().find(|w| w.shard as usize >= shards) {
+                return Err(malformed(format!(
+                    "shard {me}: wait edge names shard {} of a {shards}-shard partition",
+                    bad.shard
+                )));
+            }
+            honour_waits(waits, ctx.progress, ctx.abort, me as u32, deadline)?;
+        }
+        apply_shard_event(&mut run, event, ctx.domain)?;
+        run.events += 1;
+        if (run.events as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
+            ctx.governor
+                .checkpoint(run.events as u64, &run.heap)
+                .map_err(ShardError::Eval)?;
+        }
+    }
+    Ok(run)
+}
+
+/// A shard fed by its own `.cgt` sub-stream, decoded one chunk at a time,
+/// publishing progress after every event (a wait edge may name any count).
+struct SourceFeed<'a, R: Read> {
+    reader: TraceReader<BufReader<R>>,
+    current: Option<ShardEvent>,
+    /// Events handed out so far; when the next is asked for, all are
+    /// applied.
+    taken: u64,
+    cell: &'a WaitCell,
+}
+
+impl<R: Read> ShardFeed for SourceFeed<'_, R> {
+    fn next_event(&mut self) -> Option<Result<(&[ShardWait], &GcEvent), ShardError>> {
+        self.cell.publish(self.taken);
+        self.current = match self.reader.next_shard_event() {
+            Ok(ev) => ev,
+            Err(e) => return Some(Err(e.into())),
+        };
+        self.taken += 1;
+        let ev = self.current.as_ref()?;
+        Some(Ok((&ev.waits, &ev.event)))
+    }
+}
+
+/// Replays shard `me` from `source`, which must declare itself shard `me`
+/// of this topology.
+fn run_shard_source<R: Read>(
+    me: usize,
+    source: R,
+    ctx: &ShardContext<'_>,
+) -> Result<ShardRun, ShardError> {
+    let shards = ctx.progress.len();
+    let reader = TraceReader::new(BufReader::new(source))?;
     match reader.meta().stream {
         StreamKind::Shard { shard, shard_count }
             if shard as usize == me && shard_count as usize == shards => {}
@@ -531,29 +606,13 @@ fn run_shard<R: Read>(
             )));
         }
     }
-    let deadline = ctx.governor.deadline_at();
-    for ev in reader.shard_events() {
-        let ev = ev?;
-        // A corrupt or foreign stream may name a shard outside the topology;
-        // fail cleanly instead of indexing out of bounds.
-        if let Some(bad) = ev.waits.iter().find(|w| w.shard as usize >= shards) {
-            return Err(malformed(format!(
-                "shard {me}: wait edge names shard {} of a {shards}-shard partition",
-                bad.shard
-            )));
-        }
-        honour_waits(&ev.waits, ctx.progress, ctx.abort, me as u32, deadline)?;
-        apply_shard_event(&mut run, &ev.event, ctx.domain)?;
-        run.events += 1;
-        ctx.progress[me].publish(run.events as u64);
-        if (run.events as u64).is_multiple_of(GOVERNOR_CHECK_EVENTS) {
-            ctx.governor
-                .checkpoint(run.events as u64, &run.heap)
-                .map_err(ShardError::Eval)?;
-        }
-    }
-    guard.armed = false;
-    Ok(run)
+    let feed = SourceFeed {
+        reader,
+        current: None,
+        taken: 0,
+        cell: &ctx.progress[me],
+    };
+    run_shard(me, feed, ctx)
 }
 
 /// Renders a caught panic payload for an [`EvalError::ShardPanicked`]
@@ -568,21 +627,63 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one shard body with a panic boundary: a panic first triggers the
-/// body's own abort guard during unwinding (releasing parked siblings),
-/// then is caught here and converted into a structured
+/// Runs one shard body with a panic boundary.  Any exit other than a
+/// clean completion — an error return *or* a panic — raises the abort flag
+/// and unparks every sibling waiting on this shard (during unwinding, for a
+/// panic); the panic is then caught here and converted into a structured
 /// [`EvalError::ShardPanicked`] report instead of being re-raised.
-fn catch_shard_panic(
-    me: u32,
+fn shard_thread(
+    me: usize,
+    ctx: &ShardContext<'_>,
     body: impl FnOnce() -> Result<ShardRun, ShardError>,
 ) -> Result<ShardRun, ShardError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+    let run = || {
+        let mut guard = AbortOnDrop {
+            abort: ctx.abort,
+            cells: ctx.progress,
+            armed: true,
+        };
+        let result = body();
+        guard.armed = result.is_err();
+        result
+    };
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         Ok(result) => result,
         Err(payload) => Err(ShardError::Eval(EvalError::ShardPanicked {
-            shard: me,
+            shard: me as u32,
             message: panic_message(payload.as_ref()),
         })),
     }
+}
+
+/// Validates the shard count and heap configuration against `governor`,
+/// then runs `run` with a fresh static domain and one progress cell per
+/// shard, and aggregates the shard results it returns.
+fn evaluate_shards(
+    shard_count: usize,
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+    run: impl FnOnce(&ShardContext<'_>) -> (ShardResults, Option<EvalError>),
+) -> Result<ParallelOutcome, ParallelError> {
+    let start = Instant::now();
+    governor
+        .validate_shards(shard_count)
+        .and_then(|()| governor.validate_heap(&heap_config))
+        .map_err(ParallelError::Rejected)?;
+    let domain = StaticDomain::with_impl(config.domain_impl);
+    let progress: Vec<WaitCell> = (0..shard_count).map(|_| WaitCell::new()).collect();
+    let abort = AtomicBool::new(false);
+    let ctx = ShardContext {
+        config,
+        heap_config,
+        domain: &domain,
+        progress: &progress,
+        abort: &abort,
+        governor,
+    };
+    let (results, stream) = run(&ctx);
+    aggregate_results(results, stream, shard_count, &domain, start)
 }
 
 /// Replays the shard sub-streams of one partition on one OS thread per
@@ -620,29 +721,14 @@ pub fn parallel_eval_governed<R: Read + Send>(
 ) -> Result<ParallelOutcome, ParallelError> {
     let sources: Vec<R> = sources.into_iter().collect();
     assert!(!sources.is_empty(), "need at least one shard stream");
-    let start = Instant::now();
-    let shard_count = sources.len();
-    governor
-        .validate_shards(shard_count)
-        .and_then(|()| governor.validate_heap(&heap_config))
-        .map_err(ParallelError::Rejected)?;
-    let domain = StaticDomain::with_impl(config.domain_impl);
-    let progress: Vec<WaitCell> = (0..shard_count).map(|_| WaitCell::new()).collect();
-    let abort = AtomicBool::new(false);
-    let ctx = ShardContext {
-        config,
-        heap_config,
-        domain: &domain,
-        progress: &progress,
-        abort: &abort,
-        governor,
-    };
-
-    let results = std::thread::scope(|scope| {
-        spawn_shards_from(scope, 0, sources.into_iter(), &ctx).map_or_else(Vec::new, join_shards)
-    });
-
-    aggregate_results(results, shard_count, &domain, start)
+    evaluate_shards(sources.len(), heap_config, config, governor, |ctx| {
+        let body = |me, source| run_shard_source(me, source, ctx);
+        let results = std::thread::scope(|scope| {
+            spawn_shards_from(scope, 0, sources.into_iter(), ctx, &body)
+                .map_or_else(Vec::new, join_shards)
+        });
+        (results, None)
+    })
 }
 
 /// [`parallel_eval_governed`] over per-shard `.cgt` files (written by
@@ -668,6 +754,318 @@ pub fn parallel_eval_streaming_governed(
     parallel_eval_governed(files, heap_config, config, governor)
 }
 
+/// Routed events the calling thread gathers for one shard before it hands
+/// them over: one queue operation per this many events.
+const ROUTE_BATCH_EVENTS: usize = 1024;
+/// Batches that may wait in one shard's queue before the router blocks.
+const ROUTE_QUEUE_BATCHES: usize = 8;
+
+/// Routed events on their way to one shard.  The shard reads them in
+/// place and sends the batch back to the router's pool, where it is
+/// cleared: the events and their wait edges are allocated and freed on the
+/// router's thread alone.
+#[derive(Default)]
+struct Batch {
+    /// Each event with the end of its wait edges in `waits`.
+    events: Vec<(usize, GcEvent)>,
+    /// Every event's wait edges, back to back.
+    waits: Vec<ShardWait>,
+}
+
+impl Batch {
+    /// Room for `events` events and as many wait edges — more than a
+    /// recorded trace needs, so a batch never grows and the router's
+    /// allocations are a fixed count per batch.
+    fn with_capacity(events: usize) -> Self {
+        Self {
+            events: Vec::with_capacity(events),
+            waits: Vec::with_capacity(events),
+        }
+    }
+}
+
+/// One shard's end of a routed evaluation: the batches its bounded queue
+/// delivers.
+///
+/// Progress is published once per batch, when it is spent, instead of
+/// after every event.  That releases every waiter: the count a wait edge
+/// on this shard names lies in a batch the router sent before it queued
+/// the waiting event, and this shard finishes a sent batch without
+/// waiting on anything later in the global order, so the count is
+/// published when that batch is spent.
+struct QueueFeed<'a> {
+    queue: Receiver<Batch>,
+    spent: SyncSender<Batch>,
+    batch: Batch,
+    /// The next event of `batch` to hand out, and where its waits start.
+    next: usize,
+    waits_from: usize,
+    /// Events handed out so far; when the next is asked for, all are
+    /// applied.
+    taken: u64,
+    cell: &'a WaitCell,
+    abort: &'a AtomicBool,
+}
+
+impl QueueFeed<'_> {
+    /// Publishes progress, returns the spent batch to the pool and waits
+    /// for the next one: `false` when the stream has ended.
+    fn refill(&mut self) -> Result<bool, ShardError> {
+        self.cell.publish(self.taken);
+        let spent = std::mem::take(&mut self.batch);
+        if spent.events.capacity() > 0 {
+            // The pool has room for every batch; a batch the router
+            // allocated past it is simply dropped.
+            let _ = self.spent.try_send(spent);
+        }
+        // The router stopped on a failure, or a sibling failed: the stream
+        // is incomplete, so this shard has no result to give.
+        let stopped = || self.abort.load(Ordering::Relaxed);
+        if stopped() {
+            return Err(ShardError::Aborted);
+        }
+        match self.queue.recv() {
+            Ok(batch) => {
+                self.batch = batch;
+                self.next = 0;
+                self.waits_from = 0;
+                Ok(true)
+            }
+            Err(_) if stopped() => Err(ShardError::Aborted),
+            Err(_) => Ok(false),
+        }
+    }
+}
+
+impl ShardFeed for QueueFeed<'_> {
+    fn next_event(&mut self) -> Option<Result<(&[ShardWait], &GcEvent), ShardError>> {
+        while self.next == self.batch.events.len() {
+            match self.refill() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        let (waits_to, event) = &self.batch.events[self.next];
+        let waits = &self.batch.waits[self.waits_from..*waits_to];
+        self.next += 1;
+        self.waits_from = *waits_to;
+        self.taken += 1;
+        Some(Ok((waits, event)))
+    }
+}
+
+/// Why the router stopped short of the end of the stream.
+enum RouteStop {
+    /// The stream failed: unreadable bytes, a budget, the deadline or a
+    /// cancellation.
+    Failed(EvalError),
+    /// A shard's queue is gone: that shard stopped, and reports why.
+    ShardGone,
+}
+
+/// The calling thread's half of a routed evaluation: decodes `events`,
+/// routes each with `router` and queues it for its shard in batches of
+/// `batch_events`, drawing empty batches from `pool`.  Routing allocates
+/// nothing per event: the wait edges land in reused buffers.
+///
+/// Before an event that waits on shard *s* is queued, *s*'s pending batch
+/// is sent: every wait points backwards in the global order, so whatever
+/// it awaits is then already queued, and the globally earliest queued
+/// event can always run — the bounded queues cannot deadlock.
+///
+/// The event budget is exact (the `limit + 1`-th event trips it); the
+/// deadline and cancellation are polled every [`GOVERNOR_CHECK_EVENTS`]
+/// and after the last event, as the single-threaded replay polls them.
+fn route_events<I>(
+    events: I,
+    router: &mut EventRouter,
+    queues: &[SyncSender<Batch>],
+    pool: &Receiver<Batch>,
+    batch_events: usize,
+    governor: &Governor,
+) -> Result<(), RouteStop>
+where
+    I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
+{
+    let fresh = || match pool.try_recv() {
+        Ok(mut batch) => {
+            batch.events.clear();
+            batch.waits.clear();
+            batch
+        }
+        Err(_) => Batch::with_capacity(batch_events),
+    };
+    let mut pending: Vec<Batch> = queues.iter().map(|_| fresh()).collect();
+    let flush = |pending: &mut Vec<Batch>, shard: usize| {
+        if pending[shard].events.is_empty() {
+            return Ok(());
+        }
+        let full = std::mem::replace(&mut pending[shard], fresh());
+        queues[shard].send(full).map_err(|_| RouteStop::ShardGone)
+    };
+    let poll = || {
+        governor
+            .check_cancelled()
+            .and_then(|()| governor.check_deadline())
+            .map_err(RouteStop::Failed)
+    };
+    let max_events = governor.limits().max_events;
+    let (mut scratch, mut waits) = (Vec::new(), Vec::new());
+    let mut routed = 0u64;
+    for event in events {
+        let event = event.map_err(|e| RouteStop::Failed(e.into()))?;
+        if let Some(limit) = max_events.filter(|&limit| routed >= limit) {
+            return Err(RouteStop::Failed(EvalError::LimitExceeded {
+                kind: LimitKind::Events,
+                limit,
+                observed: routed + 1,
+            }));
+        }
+        routed += 1;
+        if routed.is_multiple_of(GOVERNOR_CHECK_EVENTS) {
+            poll()?;
+        }
+        let shard = router.route(&event, &mut scratch, &mut waits);
+        for wait in &waits {
+            flush(&mut pending, wait.shard as usize)?;
+        }
+        let batch = &mut pending[shard];
+        batch.waits.append(&mut waits);
+        batch.events.push((batch.waits.len(), event));
+        if batch.events.len() >= batch_events {
+            flush(&mut pending, shard)?;
+        }
+    }
+    poll()?;
+    (0..queues.len()).try_for_each(|shard| flush(&mut pending, shard))
+}
+
+/// Evaluates one plain event stream — a [`TraceReader`]'s
+/// [`events`](TraceReader::events) — on `shard_count` OS threads, with
+/// nothing but memory between the decoder and the shards: the calling
+/// thread decodes and routes every event exactly as
+/// [`partition_streaming`](crate::partition_streaming) would, and hands each
+/// shard thread batches of its routed events through a bounded queue.  The
+/// shard threads run the loop [`parallel_eval_governed`] runs.  The answer
+/// is byte-identical to it and to a single-threaded
+/// [`replay_events_governed`](crate::replay_events_governed) of the stream.
+///
+/// Memory beyond the shards' own state is a fixed pool of batches,
+/// allocated before any shard thread starts and recycled through a return
+/// queue.  Every shard gets the full `heap_config` as its private region.
+///
+/// The heap configuration and shard count are validated against the
+/// [`Governor`] before any thread spawns; the calling thread enforces the
+/// event budget exactly and polls the deadline and cancellation, and every
+/// shard polls the whole budget as in [`parallel_eval_governed`].  The
+/// header's declared event count is the caller's to validate.
+///
+/// # Errors
+///
+/// A [`ParallelError`]: the up-front rejection; a failing shard's
+/// [`EvalError`]s with the completed shards' partial statistics; or, when
+/// no shard failed, the stream's own failure as [`ParallelError::Stream`].
+///
+/// # Panics
+///
+/// Panics if `shard_count` is zero.
+pub fn parallel_eval_routed_governed<I>(
+    events: I,
+    shard_count: usize,
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+) -> Result<ParallelOutcome, ParallelError>
+where
+    I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
+{
+    routed_eval(
+        events,
+        shard_count,
+        heap_config,
+        config,
+        governor,
+        (ROUTE_BATCH_EVENTS, ROUTE_QUEUE_BATCHES),
+    )
+}
+
+/// [`parallel_eval_routed_governed`] with the batch size and queue depth
+/// as parameters, so the tests can run the smallest ones.
+pub(crate) fn routed_eval<I>(
+    events: I,
+    shard_count: usize,
+    heap_config: HeapConfig,
+    config: CgConfig,
+    governor: &Governor,
+    (batch_events, queue_batches): (usize, usize),
+) -> Result<ParallelOutcome, ParallelError>
+where
+    I: IntoIterator<Item = Result<GcEvent, TraceIoError>>,
+{
+    assert!(shard_count > 0, "cannot route into zero shards");
+    evaluate_shards(shard_count, heap_config, config, governor, |ctx| {
+        // Every batch there can be at once: one filling per shard, one
+        // being read per shard, and a full queue per shard.  Allocated
+        // before any shard thread starts.
+        let pool_size = shard_count * (queue_batches + 2);
+        let (spent, pool) = sync_channel(pool_size);
+        for _ in 0..pool_size {
+            let _ = spent.try_send(Batch::with_capacity(batch_events));
+        }
+        let (queues, feeds): (Vec<_>, Vec<_>) = (0..shard_count)
+            .map(|_| {
+                let (queue, feed) = sync_channel(queue_batches);
+                (queue, (feed, spent.clone()))
+            })
+            .unzip();
+        let body = |me: usize, (queue, spent): (Receiver<Batch>, SyncSender<Batch>)| {
+            let feed = QueueFeed {
+                queue,
+                spent,
+                batch: Batch::default(),
+                next: 0,
+                waits_from: 0,
+                taken: 0,
+                cell: &ctx.progress[me],
+                abort: ctx.abort,
+            };
+            run_shard(me, feed, ctx)
+        };
+        // Like every buffer the router holds, its owner map is allocated
+        // and freed on this thread, outside the shard threads' lifetime.
+        let mut router = EventRouter::new(shard_count);
+        std::thread::scope(|scope| {
+            let shards = spawn_shards_from(scope, 0, feeds.into_iter(), ctx, &body);
+            // Declared after the queues, so it drops first: a router that
+            // stops for any reason (or unwinds) raises the abort flag
+            // before the shards see their queues close.
+            let mut guard = AbortOnDrop {
+                abort: ctx.abort,
+                cells: ctx.progress,
+                armed: true,
+            };
+            let routed = route_events(
+                events,
+                &mut router,
+                &queues,
+                &pool,
+                batch_events,
+                ctx.governor,
+            );
+            guard.armed = routed.is_err();
+            drop(guard);
+            drop(queues);
+            let results = shards.map_or_else(Vec::new, join_shards);
+            let stream = match routed {
+                Err(RouteStop::Failed(e)) => Some(e),
+                Ok(()) | Err(RouteStop::ShardGone) => None,
+            };
+            (results, stream)
+        })
+    })
+}
+
 type ShardResults = Vec<Result<ShardRun, ShardError>>;
 
 fn join_shards(handle: ScopedJoinHandle<'_, ShardResults>) -> ShardResults {
@@ -677,8 +1075,9 @@ fn join_shards(handle: ScopedJoinHandle<'_, ShardResults>) -> ShardResults {
 }
 
 /// Starts the thread of shard `me`, which starts the thread of shard
-/// `me + 1` before it runs its own shard and joins it after, and so returns
-/// the results of shards `me..` in order.
+/// `me + 1` before it runs its own shard — `body` on its source, inside
+/// [`shard_thread`] — and joins it after, and so returns the results of
+/// shards `me..` in order.
 ///
 /// The shards finish within microseconds of each other (the last event is a
 /// barrier), and an allocator that keeps a freed thread's arena for the next
@@ -687,25 +1086,34 @@ fn join_shards(handle: ScopedJoinHandle<'_, ShardResults>) -> ShardResults {
 /// every evaluation of a long-lived process finds the arena its
 /// predecessor's same shard grew; started side by side, a coin decides per
 /// evaluation whether the largest shard grows a second arena to its size.
-fn spawn_shards_from<'scope, 'env, R: Read + Send + 'scope>(
+fn spawn_shards_from<'scope, 'env, S, F>(
     scope: &'scope Scope<'scope, 'env>,
     me: usize,
-    mut sources: std::vec::IntoIter<R>,
+    mut sources: std::vec::IntoIter<S>,
     ctx: &'env ShardContext<'env>,
-) -> Option<ScopedJoinHandle<'scope, ShardResults>> {
+    body: &'env F,
+) -> Option<ScopedJoinHandle<'scope, ShardResults>>
+where
+    S: Send + 'scope,
+    F: Fn(usize, S) -> Result<ShardRun, ShardError> + Sync,
+{
     let source = sources.next()?;
     Some(scope.spawn(move || {
-        let rest = spawn_shards_from(scope, me + 1, sources, ctx);
-        let mut results = vec![catch_shard_panic(me as u32, || run_shard(me, source, ctx))];
+        let rest = spawn_shards_from(scope, me + 1, sources, ctx, body);
+        let mut results = vec![shard_thread(me, ctx, || body(me, source))];
         results.extend(rest.map_or_else(Vec::new, join_shards));
         results
     }))
 }
 
-/// Joins per-shard results into the aggregated outcome; on failure,
-/// aggregates whatever completed into the error's partial outcome.
+/// Joins per-shard results into the aggregated outcome.  A failing shard
+/// fails the evaluation with the completed shards' aggregate as its
+/// partial outcome; failing that, a failed input `stream` does.  A shard
+/// failure is reported first: it met an event the stream delivered before
+/// it broke, which a single-threaded replay would have met first too.
 fn aggregate_results(
-    results: Vec<Result<ShardRun, ShardError>>,
+    results: ShardResults,
+    stream: Option<EvalError>,
     shard_count: usize,
     domain: &StaticDomain,
     start: Instant,
@@ -721,6 +1129,9 @@ fn aggregate_results(
     }
 
     if shard_errors.is_empty() {
+        if let Some(e) = stream {
+            return Err(ParallelError::Stream(e));
+        }
         debug_assert_eq!(runs.len(), shard_count);
         return Ok(aggregate_runs(&mut runs, shard_count, domain, start));
     }
@@ -767,16 +1178,29 @@ fn aggregate_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ShardEvent, TraceMeta, TraceWriter};
+    use crate::partition::tests::random_stream;
+    use crate::{replay_events_governed, ResourceLimits, TraceMeta, TraceWriter};
+    use cg_core::ContaminatedGc;
     use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, Handle, MethodId, RootSet, ThreadId};
+    use std::time::Duration;
 
-    /// A wait edge naming a shard outside the topology (a corrupt shard
-    /// stream whose framing is intact) is a malformed stream, not an
-    /// out-of-bounds panic caught at the shard boundary.
-    #[test]
-    fn wait_edge_outside_the_topology_is_malformed_not_a_panic() {
-        let alloc = |thread: u32| GcEvent::Allocate {
-            handle: Handle::from_index(thread),
+    /// A governor whose deadline turns a deadlock into a failure: every
+    /// blocking point of a routed evaluation ends at a wait edge, and a
+    /// wait edge gives up at the deadline.
+    fn bounded() -> Governor {
+        Governor::new(ResourceLimits {
+            deadline: Some(Duration::from_secs(30)),
+            ..ResourceLimits::unlimited()
+        })
+    }
+
+    /// The smallest batch and queue: every event is its own batch and a
+    /// shard's queue holds one, so the router blocks as often as it can.
+    const TIGHTEST: (usize, usize) = (1, 1);
+
+    fn alloc(handle: u32, thread: u32) -> GcEvent {
+        GcEvent::Allocate {
+            handle: Handle::from_index(handle),
             class: ClassId::new(0),
             kind: AllocKind::Instance { field_count: 1 },
             frame: FrameInfo {
@@ -786,7 +1210,215 @@ mod tests {
                 method: MethodId::new(0),
             },
             recycled: false,
+        }
+    }
+
+    /// Random multi-thread streams answer through the routed evaluator at
+    /// 1–4 shards exactly as the single-threaded replay does: with a
+    /// one-event batch and a one-batch queue, where the router blocks as
+    /// often as it can, and with batches of a few events, where an event
+    /// that waits on a shard whose events are still being gathered
+    /// deadlocks unless that shard's batch is sent first.
+    #[test]
+    fn routed_evaluation_matches_the_single_threaded_replay_without_deadlock() {
+        let heap = HeapConfig::small();
+        let config = CgConfig::default();
+        for seed in 0..64u64 {
+            let trace = random_stream(seed, true);
+            let single = replay_events_governed(
+                trace.iter().map(Ok),
+                heap,
+                ContaminatedGc::with_config(config),
+                &Governor::unlimited(),
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: single replay: {e}"));
+            let mut single_collector = single.collector;
+            let breakdown = single_collector.breakdown();
+            for (shards, sizes) in (1..=4).flat_map(|n| [(n, TIGHTEST), (n, (4, 1))]) {
+                let events = trace.iter().cloned().map(Ok);
+                let case = format!("seed {seed}, {shards} shards, {sizes:?}");
+                let outcome = routed_eval(events, shards, heap, config, &bounded(), sizes)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_eq!(outcome.stats, *single_collector.stats(), "{case}");
+                assert_eq!(outcome.breakdown, breakdown, "{case}");
+                assert_eq!(outcome.events_replayed, trace.len(), "{case}");
+                assert_eq!(outcome.shard_count, shards, "{case}");
+            }
+        }
+    }
+
+    /// A stream that breaks mid-way fails as the stream, with the error it
+    /// broke with, and every shard stops.
+    #[test]
+    fn a_failed_stream_stops_every_shard() {
+        let trace = random_stream(7, true);
+        let cut = trace.len() / 2;
+        let events =
+            trace
+                .iter()
+                .take(cut)
+                .cloned()
+                .map(Ok)
+                .chain([Err(TraceIoError::Malformed {
+                    chunk: Some(3),
+                    detail: "bad CRC".to_string(),
+                })]);
+        let err = routed_eval(
+            events,
+            3,
+            HeapConfig::small(),
+            CgConfig::default(),
+            &bounded(),
+            TIGHTEST,
+        )
+        .expect_err("the stream broke");
+        assert!(
+            matches!(
+                err,
+                ParallelError::Stream(EvalError::Trace(TraceIoError::Malformed { .. }))
+            ),
+            "{err}"
+        );
+    }
+
+    /// The event budget trips on the router at exactly `limit + 1` events.
+    #[test]
+    fn the_event_budget_trips_at_the_first_event_past_it() {
+        let trace = random_stream(11, true);
+        let run = |limit: u64| {
+            let governor = Governor::new(ResourceLimits {
+                max_events: Some(limit),
+                ..ResourceLimits::unlimited()
+            });
+            let events = trace.iter().cloned().map(Ok);
+            routed_eval(
+                events,
+                2,
+                HeapConfig::small(),
+                CgConfig::default(),
+                &governor,
+                TIGHTEST,
+            )
         };
+        let exact = trace.len() as u64;
+        assert!(run(exact).is_ok(), "{exact} events fit a budget of {exact}");
+        match run(exact - 1).expect_err("one event over") {
+            ParallelError::Stream(EvalError::LimitExceeded {
+                kind: LimitKind::Events,
+                limit,
+                observed,
+            }) => assert_eq!((limit, observed), (exact - 1, exact)),
+            other => panic!("expected an event-budget trip, got {other}"),
+        }
+    }
+
+    /// A cancelled or expired governor fails the stream with the class the
+    /// single-threaded replay reports, however short the stream.
+    #[test]
+    fn cancel_and_deadline_fail_the_stream_as_they_fail_a_replay() {
+        // One recording thread: shard 1 gets nothing, so no wait edge can
+        // meet the expired deadline first.
+        let trace: Vec<GcEvent> = (0..8)
+            .map(|handle| alloc(handle, 0))
+            .chain([GcEvent::ProgramEnd {
+                roots: Box::new(RootSet::default()),
+            }])
+            .collect();
+        let cancelled = Governor::unlimited();
+        cancelled.cancel_token().cancel();
+        let expired = Governor::new(ResourceLimits {
+            deadline: Some(Duration::ZERO),
+            ..ResourceLimits::unlimited()
+        });
+        std::thread::sleep(Duration::from_millis(2));
+        for governor in [cancelled, expired] {
+            let single = replay_events_governed(
+                trace.iter().map(Ok),
+                HeapConfig::small(),
+                ContaminatedGc::new(),
+                &governor,
+            )
+            .map(|_| ())
+            .expect_err("the single-threaded replay fails");
+            let routed = routed_eval(
+                trace.iter().cloned().map(Ok),
+                2,
+                HeapConfig::small(),
+                CgConfig::default(),
+                &governor,
+                TIGHTEST,
+            )
+            .expect_err("the routed evaluation fails");
+            let ParallelError::Stream(routed) = routed else {
+                panic!("expected a stream failure, got {routed}");
+            };
+            assert_eq!(
+                std::mem::discriminant(&routed),
+                std::mem::discriminant(&single),
+                "{routed} vs {single}"
+            );
+        }
+    }
+
+    /// A shard that panics while the router is blocked on its full queue
+    /// unblocks the router and fails the evaluation with the panic; the
+    /// call returns, so no thread is left parked.
+    #[test]
+    fn a_shard_panic_unblocks_a_router_waiting_on_its_queue() {
+        // Thread 1 stores thread 0's object without the §3.3 access first,
+        // so shard 1 panics on the pre-escalation invariant — and then the
+        // router keeps queueing shard 1 events behind it.
+        let mut trace = vec![
+            alloc(0, 0),
+            alloc(1, 1),
+            GcEvent::ReferenceStore {
+                source: Handle::from_index(1),
+                target: Handle::from_index(0),
+                frame: FrameInfo {
+                    id: FrameId::new(2),
+                    depth: 1,
+                    thread: ThreadId::new(1),
+                    method: MethodId::new(0),
+                },
+            },
+        ];
+        trace.extend((2..200).map(|handle| alloc(handle, 1)));
+        trace.push(GcEvent::ProgramEnd {
+            roots: Box::new(RootSet::default()),
+        });
+        let quiet = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = routed_eval(
+            trace.into_iter().map(Ok),
+            2,
+            HeapConfig::small(),
+            CgConfig::default(),
+            &bounded(),
+            TIGHTEST,
+        );
+        std::panic::set_hook(quiet);
+        match result.expect_err("shard 1 panics") {
+            ParallelError::Shards { shard_errors, .. } => {
+                assert_eq!(shard_errors.len(), 1, "only shard 1 fails");
+                assert!(
+                    matches!(
+                        shard_errors[0],
+                        (1, EvalError::ShardPanicked { shard: 1, .. })
+                    ),
+                    "{:?}",
+                    shard_errors[0]
+                );
+            }
+            other => panic!("expected a shard failure, got {other}"),
+        }
+    }
+
+    /// A wait edge naming a shard outside the topology (a corrupt shard
+    /// stream whose framing is intact) is a malformed stream, not an
+    /// out-of-bounds panic caught at the shard boundary.
+    #[test]
+    fn wait_edge_outside_the_topology_is_malformed_not_a_panic() {
+        let alloc = |thread: u32| alloc(thread, thread);
         let end = GcEvent::ProgramEnd {
             roots: Box::new(RootSet::default()),
         };

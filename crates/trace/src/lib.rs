@@ -23,7 +23,9 @@
 //! * [`partition_streaming`] / [`partition_path_streaming`] — split a
 //!   stream into per-thread shard sub-streams ([`mod@partition`]), and
 //!   [`parallel_eval_governed`] / [`parallel_eval_streaming_governed`] — the
-//!   same evaluation on N OS threads over them ([`eval`]).
+//!   same evaluation on N OS threads over them ([`eval`]);
+//!   [`parallel_eval_routed_governed`] runs those threads from one plain
+//!   stream, routed in memory, with no shard sub-stream written at all.
 //!
 //! Every evaluation entry point takes a [`Governor`]; trusted input passes
 //! [`Governor::unlimited`].
@@ -75,7 +77,8 @@ mod wire;
 
 pub use cg_vm::{AllocKind, EventKind, EventSink, GcEvent};
 pub use eval::{
-    parallel_eval_governed, parallel_eval_streaming_governed, ParallelError, ParallelOutcome,
+    parallel_eval_governed, parallel_eval_routed_governed, parallel_eval_streaming_governed,
+    ParallelError, ParallelOutcome,
 };
 pub use fault::{FaultPlan, FaultyReader, FaultyWriter};
 pub use format::{

@@ -114,10 +114,11 @@ fn add_wait(waits: &mut Vec<ShardWait>, shard: usize, processed: u64) {
     }
 }
 
-/// The stateful routing core of [`partition_streaming`]: applies the
-/// module's routing and wait rules one event at a time, holding only the
-/// owner map and per-shard counters — never the events themselves.
-struct EventRouter {
+/// The stateful routing core of [`partition_streaming`] and of the routed
+/// evaluation ([`parallel_eval_routed_governed`](crate::parallel_eval_routed_governed)):
+/// applies the module's routing and wait rules one event at a time, holding
+/// only the owner map and per-shard counters — never the events themselves.
+pub(crate) struct EventRouter {
     shard_count: usize,
     /// Events already routed to each shard (= "processed" count a wait on
     /// that shard can require at this point in the global order).
@@ -128,14 +129,8 @@ struct EventRouter {
     cross_thread_syncs: u64,
 }
 
-/// Where [`EventRouter::route`] sent one event.
-struct Routed {
-    shard: usize,
-    waits: Vec<ShardWait>,
-}
-
 impl EventRouter {
-    fn new(shard_count: usize) -> Self {
+    pub(crate) fn new(shard_count: usize) -> Self {
         assert!(shard_count > 0, "cannot partition into zero shards");
         Self {
             shard_count,
@@ -150,9 +145,16 @@ impl EventRouter {
         thread.raw() as usize % self.shard_count
     }
 
-    /// Routes the next event in global order.
-    fn route(&mut self, event: &GcEvent) -> Routed {
-        let mut waits: Vec<ShardWait> = Vec::new();
+    /// Routes the next event in global order: returns its shard and leaves
+    /// its wait edges in `waits`, with `scratch` as working space.  Both
+    /// must be empty on entry; `scratch` is empty again on return.  A
+    /// caller that keeps the two buffers routes without allocating.
+    pub(crate) fn route(
+        &mut self,
+        event: &GcEvent,
+        scratch: &mut Vec<ShardWait>,
+        waits: &mut Vec<ShardWait>,
+    ) -> usize {
         let mut barrier = false;
         let shard = match event {
             GcEvent::Allocate { handle, frame, .. } => {
@@ -190,7 +192,7 @@ impl EventRouter {
                             // The owner must have processed everything that
                             // globally precedes this store — in particular
                             // the §3.3 escalation of this operand.
-                            add_wait(&mut waits, o, self.counts[o]);
+                            add_wait(scratch, o, self.counts[o]);
                             self.cross_thread_syncs += 1;
                         }
                     }
@@ -212,7 +214,7 @@ impl EventRouter {
                 // finish it before continuing.
                 for (s, &count) in self.counts.iter().enumerate() {
                     if s != 0 {
-                        add_wait(&mut waits, s, count);
+                        add_wait(scratch, s, count);
                     }
                 }
                 self.cross_thread_syncs += 1;
@@ -221,9 +223,15 @@ impl EventRouter {
             }
         };
 
-        let mut event_waits = std::mem::take(&mut self.pending[shard]);
-        for wait in waits {
-            add_wait(&mut event_waits, wait.shard as usize, wait.processed);
+        // The barrier-release waits first: taken over whole into an empty
+        // buffer, copied into one that keeps its capacity.
+        if waits.capacity() == 0 {
+            std::mem::swap(waits, &mut self.pending[shard]);
+        } else {
+            waits.append(&mut self.pending[shard]);
+        }
+        for wait in scratch.drain(..) {
+            add_wait(waits, wait.shard as usize, wait.processed);
         }
         self.counts[shard] += 1;
 
@@ -238,10 +246,7 @@ impl EventRouter {
             }
         }
 
-        Routed {
-            shard,
-            waits: event_waits,
-        }
+        shard
     }
 }
 
@@ -309,12 +314,9 @@ where
     let mut seq = 0u64;
     for event in events {
         let event = event?;
-        let routed = router.route(&event);
-        writers[routed.shard].push_shard(&ShardEvent {
-            seq,
-            waits: routed.waits,
-            event,
-        })?;
+        let mut waits = Vec::new();
+        let shard = router.route(&event, &mut Vec::new(), &mut waits);
+        writers[shard].push_shard(&ShardEvent { seq, waits, event })?;
         seq += 1;
     }
 
@@ -372,7 +374,7 @@ pub fn partition_path_streaming(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::io::TraceReader;
     use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, MethodId, RootSet};
@@ -618,52 +620,71 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A random event soup over 1–4 threads, valid enough for the
+    /// partitioner: handles are allocated before use.  With `escalate`,
+    /// every reference store with an operand another thread allocated is
+    /// preceded by the storing thread's access to it — the §3.3 escalation
+    /// a sharded evaluation relies on — so the stream also replays.
+    pub(crate) fn random_stream(seed: u64, escalate: bool) -> Vec<GcEvent> {
+        use cg_testutil::TestRng;
+        let mut rng = TestRng::new(seed);
+        let threads = rng.gen_range(1, 5) as u32;
+        let mut trace = Vec::new();
+        let mut allocated: Vec<(Handle, u32)> = Vec::new();
+        let mut next_handle = 0u32;
+        for t in 0..threads {
+            trace.push(GcEvent::FramePush {
+                frame: frame(1 + t as u64, 1, t),
+            });
+        }
+        for _ in 0..rng.gen_range(5, 120) {
+            let t = rng.gen_range(0, threads as usize) as u32;
+            if allocated.len() < 2 || rng.gen_bool(0.4) {
+                let handle = h(next_handle);
+                next_handle += 1;
+                trace.push(alloc(handle, t));
+                allocated.push((handle, t));
+            } else if rng.gen_bool(0.5) {
+                let (handle, _) = allocated[rng.gen_range(0, allocated.len())];
+                trace.push(GcEvent::ObjectAccess {
+                    handle,
+                    thread: ThreadId::new(t),
+                });
+            } else {
+                let a = allocated[rng.gen_range(0, allocated.len())];
+                let b = allocated[rng.gen_range(0, allocated.len())];
+                if escalate {
+                    for (handle, owner) in [a, b] {
+                        if owner != t {
+                            trace.push(GcEvent::ObjectAccess {
+                                handle,
+                                thread: ThreadId::new(t),
+                            });
+                        }
+                    }
+                }
+                trace.push(GcEvent::ReferenceStore {
+                    source: a.0,
+                    target: b.0,
+                    frame: frame(1 + t as u64, 1, t),
+                });
+            }
+        }
+        trace.push(GcEvent::ProgramEnd {
+            roots: Box::new(RootSet::default()),
+        });
+        trace
+    }
+
     mod properties {
         use super::*;
-        use cg_testutil::TestRng;
 
-        /// Random event soups (valid enough for the partitioner: handles
-        /// are allocated before use) partition into streams that merge back
-        /// to the original, for every shard count, with backward waits only.
+        /// Random event soups partition into streams that merge back to the
+        /// original, for every shard count, with backward waits only.
         #[test]
         fn random_streams_round_trip() {
             for seed in 0..64u64 {
-                let mut rng = TestRng::new(seed);
-                let threads = rng.gen_range(1, 5) as u32;
-                let mut trace = Vec::new();
-                let mut allocated: Vec<(Handle, u32)> = Vec::new();
-                let mut next_handle = 0u32;
-                for t in 0..threads {
-                    trace.push(GcEvent::FramePush {
-                        frame: frame(1 + t as u64, 1, t),
-                    });
-                }
-                for _ in 0..rng.gen_range(5, 120) {
-                    let t = rng.gen_range(0, threads as usize) as u32;
-                    if allocated.len() < 2 || rng.gen_bool(0.4) {
-                        let handle = h(next_handle);
-                        next_handle += 1;
-                        trace.push(alloc(handle, t));
-                        allocated.push((handle, t));
-                    } else if rng.gen_bool(0.5) {
-                        let (handle, _) = allocated[rng.gen_range(0, allocated.len())];
-                        trace.push(GcEvent::ObjectAccess {
-                            handle,
-                            thread: ThreadId::new(t),
-                        });
-                    } else {
-                        let (a, _) = allocated[rng.gen_range(0, allocated.len())];
-                        let (b, _) = allocated[rng.gen_range(0, allocated.len())];
-                        trace.push(GcEvent::ReferenceStore {
-                            source: a,
-                            target: b,
-                            frame: frame(1 + t as u64, 1, t),
-                        });
-                    }
-                }
-                trace.push(GcEvent::ProgramEnd {
-                    roots: Box::new(RootSet::default()),
-                });
+                let trace = random_stream(seed, false);
                 for shards in [1, 2, 3, 5, 8] {
                     let (streams, _) = split(&trace, shards);
                     assert_eq!(merge(&streams), trace, "seed {seed}, {shards} shards");

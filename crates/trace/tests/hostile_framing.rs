@@ -6,8 +6,6 @@
 //! clean result: never a panic, never an abort, never an allocation sized by
 //! a number the stream has not paid for, and promptly.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -19,48 +17,10 @@ use cg_trace::{
 };
 use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, RootSet, ThreadId};
 
-thread_local! {
-    /// Bytes this thread has asked the allocator for.  Const-initialised and
-    /// without a destructor, so touching it from inside the allocator never
-    /// allocates or runs after thread teardown.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting the bytes each thread requests, so a test
-/// can bound what one call allocated whatever its neighbours are doing.
-struct CountingAllocator;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter update that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|n| n.set(n.get() + layout.size()));
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|n| n.set(n.get() + layout.size()));
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.with(|n| n.set(n.get() + new_size));
-        // SAFETY: `ptr` and `layout` describe a live `System` block because
-        // every block this allocator hands out came from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+/// Counts the bytes each thread requests, so a test can bound what one
+/// call allocated whatever its neighbours are doing.
+#[path = "../../testutil/counting_alloc.rs"]
+mod counting_alloc;
 
 fn frame(id: u64) -> FrameInfo {
     FrameInfo {
@@ -265,11 +225,11 @@ fn rewritten_event_count_is_malformed_not_an_abort() {
         // read as a slow reader.
         let mut best = Duration::MAX;
         for _ in 0..5 {
-            let before = REQUESTED.with(Cell::get);
+            let before = counting_alloc::bytes_allocated();
             let started = Instant::now();
             let err = drain(&hostile).expect_err("a 2^50-event chunk must not read");
             best = best.min(started.elapsed());
-            let requested = REQUESTED.with(Cell::get) - before;
+            let requested = counting_alloc::bytes_allocated() - before;
             assert!(
                 matches!(err, TraceIoError::Malformed { chunk: Some(0), .. }),
                 "{kind}: {err}"
@@ -311,9 +271,9 @@ fn impossible_expansion_is_refused_before_the_buffer_is_sized() {
         .find(|v| v.what == "raw_len")
         .expect("a first chunk");
     let hostile = with_varint(&bytes, &raw_len, 1 << 30);
-    let before = REQUESTED.with(Cell::get);
+    let before = counting_alloc::bytes_allocated();
     let err = drain(&hostile).expect_err("must not read");
-    let requested = REQUESTED.with(Cell::get) - before;
+    let requested = counting_alloc::bytes_allocated() - before;
     assert!(
         matches!(&err, TraceIoError::Malformed { chunk: Some(0), detail } if detail.contains("expands")),
         "{err}"
