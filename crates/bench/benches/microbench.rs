@@ -15,10 +15,10 @@
 
 mod common;
 
-use cg_baseline::MarkSweep;
 use cg_bench::BenchHarness;
+use cg_core::marksweep::MarkSweep;
 use cg_heap::{ClassId, Heap, HeapConfig, Value};
-use cg_unionfind::DisjointSets;
+use cg_testutil::DisjointSets;
 use cg_vm::{Collector, NoopCollector, RootSet, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
 use std::hint::black_box;

@@ -74,7 +74,7 @@ fn cg_run(workload: Workload, size: Size, choice: CollectorChoice) -> RunResult 
 
 /// Figure 4.1: percentage of objects collectable by CG, without and with the
 /// static optimisation, at SPEC size 1.
-pub fn fig4_1() -> ExperimentReport {
+fn fig4_1() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.1",
         "Percentage of objects collectable by CG, without and with the §3.4 optimisation (size 1)",
@@ -126,7 +126,7 @@ pub fn fig4_1() -> ExperimentReport {
 
 /// Figures 4.2–4.4: per benchmark and problem size, the percentage of
 /// objects that end up collectable, static, and thread-shared.
-pub fn fig4_2_4(options: ExperimentOptions) -> ExperimentReport {
+fn fig4_2_4(options: ExperimentOptions) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.2-4.4",
         "Share of objects collectable vs static vs thread-shared, by problem size",
@@ -183,7 +183,7 @@ pub fn fig4_2_4(options: ExperimentOptions) -> ExperimentReport {
 
 /// Figure 4.5: distribution of collected block sizes and the percentage of
 /// collectable objects in singleton (exact) blocks, at size 1.
-pub fn fig4_5() -> ExperimentReport {
+fn fig4_5() -> ExperimentReport {
     let mut report =
         ExperimentReport::new("Fig 4.5", "Distribution of equilive block sizes (size 1)");
     let mut table = Table::new(
@@ -240,7 +240,7 @@ pub fn fig4_5() -> ExperimentReport {
 
 /// Figure 4.6: frame distance between an object's birth and the frame whose
 /// pop collects it, at size 1.
-pub fn fig4_6() -> ExperimentReport {
+fn fig4_6() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.6",
         "Age at death of collected objects, in frames (size 1)",
@@ -368,7 +368,7 @@ fn timing_report(
 }
 
 /// Figure 4.7: CG vs base-system timing at size 1.
-pub fn fig4_7(options: ExperimentOptions) -> ExperimentReport {
+fn fig4_7(options: ExperimentOptions) -> ExperimentReport {
     timing_report(
         "Fig 4.7",
         "Timing of CG vs the traditional collector, size 1",
@@ -379,7 +379,7 @@ pub fn fig4_7(options: ExperimentOptions) -> ExperimentReport {
 }
 
 /// Figure 4.8: CG vs base-system timing at size 10.
-pub fn fig4_8(options: ExperimentOptions) -> ExperimentReport {
+fn fig4_8(options: ExperimentOptions) -> ExperimentReport {
     timing_report(
         "Fig 4.8",
         "Timing of CG vs the traditional collector, size 10",
@@ -390,7 +390,7 @@ pub fn fig4_8(options: ExperimentOptions) -> ExperimentReport {
 }
 
 /// Figure 4.10: speedup of CG over the base system across all problem sizes.
-pub fn fig4_10(options: ExperimentOptions) -> ExperimentReport {
+fn fig4_10(options: ExperimentOptions) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.10",
         "Speedup of CG over the traditional collector across problem sizes",
@@ -453,7 +453,7 @@ pub fn fig4_10(options: ExperimentOptions) -> ExperimentReport {
 
 /// Appendix A.5–A.7: the raw per-repetition timings behind the timing
 /// figures.
-pub fn fig_a5_7(options: ExperimentOptions) -> ExperimentReport {
+fn fig_a5_7(options: ExperimentOptions) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig A.5-A.7",
         "Raw per-repetition timings for CG and the traditional collector",
@@ -484,7 +484,7 @@ pub fn fig_a5_7(options: ExperimentOptions) -> ExperimentReport {
 
 /// Figure 4.9: object counts and collectable percentages on the large
 /// (size 100) runs.
-pub fn fig4_9() -> ExperimentReport {
+fn fig4_9() -> ExperimentReport {
     let mut report = ExperimentReport::new("Fig 4.9", "SPEC benchmarks, large runs (size 100)");
     let mut table = Table::new(
         "Figure 4.9 — large runs",
@@ -527,7 +527,7 @@ pub fn fig4_9() -> ExperimentReport {
 
 /// Figure 4.11: the resetting experiment — run the traditional collector
 /// every 100 000 instructions, resetting CG structures during its mark phase.
-pub fn fig4_11() -> ExperimentReport {
+fn fig4_11() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.11",
         "Resetting CG structures during traditional collection (periodic forced MSA, size 1)",
@@ -561,7 +561,7 @@ pub fn fig4_11() -> ExperimentReport {
 // ----------------------------------------------------------------------
 
 /// Figure 4.12: timing of CG with object recycling vs plain CG, at size 1.
-pub fn fig4_12(options: ExperimentOptions) -> ExperimentReport {
+fn fig4_12(options: ExperimentOptions) -> ExperimentReport {
     let mut report = ExperimentReport::new("Fig 4.12", "Recycle timing, small runs (size 1)");
     let mut table = Table::new(
         "Figure 4.12 — recycling timing (size 1)",
@@ -603,7 +603,7 @@ pub fn fig4_12(options: ExperimentOptions) -> ExperimentReport {
 }
 
 /// Figure 4.13: how many objects the recycling allocator reused, at size 1.
-pub fn fig4_13() -> ExperimentReport {
+fn fig4_13() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig 4.13",
         "Number of objects recycled, small runs (size 1)",
@@ -642,7 +642,7 @@ pub fn fig4_13() -> ExperimentReport {
 
 /// Appendix A.1: share of static objects that are static only because of
 /// thread sharing, at size 1.
-pub fn fig_a1() -> ExperimentReport {
+fn fig_a1() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig A.1",
         "Percentage of static objects that are static because of thread sharing (size 1)",
@@ -675,7 +675,7 @@ pub fn fig_a1() -> ExperimentReport {
 }
 
 /// Appendix A.2–A.4: the popped / static / thread-shared breakdown per size.
-pub fn fig_a2_4(options: ExperimentOptions) -> ExperimentReport {
+fn fig_a2_4(options: ExperimentOptions) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Fig A.2-A.4",
         "Object breakdown (popped / static / thread-shared) by problem size",

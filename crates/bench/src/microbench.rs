@@ -49,15 +49,15 @@ pub struct BenchResult {
 
 /// A counter whose value differs from the committed table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMismatch {
+struct CountMismatch {
     /// The bench label.
-    pub label: String,
+    label: String,
     /// The counter (`*` when the label was never counted at all).
-    pub counter: &'static str,
+    counter: &'static str,
     /// The table's value; `None` when the table has no line for the label.
-    pub expected: Option<u64>,
+    expected: Option<u64>,
     /// The measured value; `None` when the label did not report it.
-    pub got: Option<u64>,
+    got: Option<u64>,
 }
 
 impl fmt::Display for CountMismatch {
@@ -199,7 +199,7 @@ impl BenchHarness {
     /// # Panics
     ///
     /// Panics on a malformed table line.
-    pub fn count_mismatches(&self) -> Vec<CountMismatch> {
+    fn count_mismatches(&self) -> Vec<CountMismatch> {
         let table: Vec<(&str, Vec<(&str, u64)>)> =
             self.expected.iter().map(|line| parse_line(line)).collect();
         let mismatch = |label: &str, counter, expected, got| CountMismatch {

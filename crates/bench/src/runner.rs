@@ -6,14 +6,14 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cg_baseline::{MarkSweep, MarkSweepStats, NoopCollector};
+use cg_core::marksweep::{MarkSweep, MarkSweepStats};
 use cg_core::{CgConfig, CgStats, HybridCollector, HybridConfig, ObjectBreakdown};
 use cg_heap::{HeapConfig, HeapStats};
 use cg_trace::{
     partition_streaming, record_streaming, replay_events_governed, EvalError, Governor,
     RecordError, ReplayOutcome, TraceMeta, TraceReader,
 };
-use cg_vm::{GcEvent, Program, RunOutcome, Vm, VmConfig, VmError, VmStats};
+use cg_vm::{GcEvent, NoopCollector, Program, RunOutcome, Vm, VmConfig, VmError, VmStats};
 use cg_workloads::{Profile, Size, Workload};
 
 /// Which collector configuration to run a workload under.
@@ -84,11 +84,11 @@ impl CollectorChoice {
 
 /// Contaminated-GC measurements extracted from a run, when the run used CG.
 #[derive(Debug, Clone)]
-pub struct CgSummary {
+pub(crate) struct CgSummary {
     /// The collector's raw statistics.
-    pub stats: CgStats,
+    pub(crate) stats: CgStats,
     /// Final object disposition (popped / static / thread-shared).
-    pub breakdown: ObjectBreakdown,
+    pub(crate) breakdown: ObjectBreakdown,
 }
 
 /// The uniform result of one workload run.
@@ -109,7 +109,7 @@ pub struct RunResult {
     /// Objects still live when the program ended.
     pub live_at_exit: usize,
     /// CG measurements (None for the baseline and no-op runs).
-    pub cg: Option<CgSummary>,
+    pub(crate) cg: Option<CgSummary>,
     /// Mark-sweep statistics (the baseline's own, or the hybrid's backstop).
     pub msa: Option<MarkSweepStats>,
 }
@@ -194,7 +194,7 @@ pub fn mtrt_style(iterations: u64) -> Profile {
 }
 
 /// The VM configuration used by experiment runs.
-pub fn experiment_vm_config(choice: CollectorChoice) -> VmConfig {
+fn experiment_vm_config(choice: CollectorChoice) -> VmConfig {
     let mut config = VmConfig::default().with_heap(experiment_heap());
     if let Some(every) = choice.gc_every() {
         config = config.with_gc_every(every);

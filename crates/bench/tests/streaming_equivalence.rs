@@ -8,8 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
-use cg_baseline::MarkSweep;
 use cg_bench::{record_workload_trace, WorkloadTrace};
+use cg_core::marksweep::MarkSweep;
 use cg_core::{CgConfig, HybridCollector, HybridConfig};
 use cg_trace::footer::{vm_stats_from_section, VM_SECTION};
 use cg_trace::{

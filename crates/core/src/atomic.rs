@@ -1,13 +1,13 @@
 //! A lock-free, concurrently-usable variant of the packed forest of §3.5.
 //!
-//! [`AtomicForest`] keeps exactly the [`PackedForest`](crate::PackedForest)
-//! word layout — one `u32` per element, `ROOT_BIT | rank` for roots and the
-//! parent id for interior nodes — but stores each word in an [`AtomicU32`]
-//! so that many threads can run finds and unions against the same forest
-//! without a lock.  The shared static domain of the contaminated collector
-//! (`cg_core::StaticDomain`) is the intended client: the §3.3 static set is
-//! the only cross-shard coupling, and this forest removes the last global
-//! lock from it.
+//! [`AtomicForest`] keeps exactly the `PackedForest` word layout — one
+//! `u32` per element, `ROOT_BIT | rank` for roots and the parent id for
+//! interior nodes — but stores each word in an [`AtomicU32`] so that many
+//! threads can run finds and unions against the same forest without a lock.
+//! The shared static domain of the contaminated collector
+//! ([`StaticDomain`](crate::StaticDomain)) is the intended client: the §3.3
+//! static set is the only cross-shard coupling, and this forest removes the
+//! last global lock from it.
 //!
 //! # Protocol
 //!
@@ -46,14 +46,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-use crate::forest::ElementId;
-
-/// Top bit of a word: set for roots (low bits = rank), clear for interior
-/// nodes (low bits = parent id).  Identical to the [`PackedForest`]
-/// encoding.
-///
-/// [`PackedForest`]: crate::PackedForest
-const ROOT_BIT: u32 = 1 << 31;
+use crate::packed::{ElementId, ROOT_BIT};
 
 /// Number of storage segments: segment `k` covers ids
 /// `[2^k - 1, 2^(k+1) - 2]`, so 32 segments cover every id below
@@ -73,25 +66,9 @@ fn offset_in_segment(id: u32, segment: usize) -> usize {
 }
 
 /// A lock-free disjoint-set forest sharing the §3.5 packed word layout with
-/// [`PackedForest`](crate::PackedForest): union by rank via CAS, best-effort
-/// path compression, wait-free finds.  All operations take `&self`.
-///
-/// # Example
-///
-/// ```
-/// use cg_unionfind::AtomicForest;
-///
-/// let forest = AtomicForest::new();
-/// let a = forest.make_set();
-/// let b = forest.make_set();
-/// let c = forest.make_set();
-/// assert!(forest.try_union(a, b).is_some());
-/// assert!(forest.try_union(a, b).is_none(), "already merged");
-/// assert!(forest.same_set(a, b));
-/// assert!(!forest.same_set(a, c));
-/// assert_eq!(forest.set_count(), 2);
-/// ```
-pub struct AtomicForest {
+/// `PackedForest`: union by rank via CAS, best-effort path compression,
+/// wait-free finds.  All operations take `&self`.
+pub(crate) struct AtomicForest {
     /// Lazily-allocated word storage; a segment is created filled with
     /// `ROOT_BIT` (root, rank 0) so `make_set` never writes a word.
     segments: [OnceLock<Box<[AtomicU32]>>; SEGMENTS],
@@ -122,7 +99,7 @@ impl std::fmt::Debug for AtomicForest {
 
 impl AtomicForest {
     /// Creates an empty forest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             segments: [const { OnceLock::new() }; SEGMENTS],
             len: AtomicU32::new(0),
@@ -132,30 +109,25 @@ impl AtomicForest {
     }
 
     /// Number of elements ever created.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Acquire) as usize
-    }
-
-    /// Whether no elements have been created.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of distinct sets.  Exact when the forest is quiescent; during
     /// concurrent unions the counter can transiently run ahead of what a
     /// racing reader infers from the words themselves.
-    pub fn set_count(&self) -> usize {
+    pub(crate) fn set_count(&self) -> usize {
         self.set_count.load(Ordering::Acquire) as usize
     }
 
     /// The largest rank any root has ever reached (monotone high-water
     /// mark).
-    pub fn max_rank(&self) -> u8 {
+    pub(crate) fn max_rank(&self) -> u8 {
         self.max_rank.load(Ordering::Acquire) as u8
     }
 
     /// Whether `id` names an element of this forest.
-    pub fn contains(&self, id: ElementId) -> bool {
+    pub(crate) fn contains(&self, id: ElementId) -> bool {
         (id as usize) < self.len()
     }
 
@@ -188,7 +160,7 @@ impl AtomicForest {
     ///
     /// Panics if the forest already holds `2^31 - 1` elements (the packed
     /// word reserves one bit for the root discriminator).
-    pub fn make_set(&self) -> ElementId {
+    pub(crate) fn make_set(&self) -> ElementId {
         let id = self.len.fetch_add(1, Ordering::AcqRel);
         assert!(id < ROOT_BIT, "packed forest is limited to 2^31-1 elements");
         // Touch the segment so it exists before the id can be published;
@@ -200,7 +172,7 @@ impl AtomicForest {
 
     /// Whether `id` is currently a set representative.
     #[inline]
-    pub fn is_root(&self, id: ElementId) -> bool {
+    pub(crate) fn is_root(&self, id: ElementId) -> bool {
         Self::is_root_word(self.word(id).load(Ordering::SeqCst))
     }
 
@@ -225,7 +197,7 @@ impl AtomicForest {
     /// the walk past the pass-1 root, and re-installing that — by then
     /// possibly absorbed — root as a parent of a node above it creates a
     /// cycle.)  A failed CAS is simply skipped; the walk still advances.
-    pub fn find(&self, id: ElementId) -> ElementId {
+    pub(crate) fn find(&self, id: ElementId) -> ElementId {
         debug_assert!(self.contains(id), "element {id} does not exist");
         // Parent edges strictly increase the total order `(rank at link
         // time, id)`, and every step moves `cur` strictly up that order, so
@@ -258,7 +230,7 @@ impl AtomicForest {
 
     /// Whether two elements are currently in the same set (linearisable:
     /// the answer was true at some instant during the call).
-    pub fn same_set(&self, a: ElementId, b: ElementId) -> bool {
+    pub(crate) fn same_set(&self, a: ElementId, b: ElementId) -> bool {
         loop {
             let ra = self.find(a);
             let rb = self.find(b);
@@ -288,7 +260,7 @@ impl AtomicForest {
     /// is the linearisation point and is `SeqCst`: the static domain's
     /// reason protocol relies on a single total order of link CASes and
     /// reason-cell updates (see `cg_core::static_domain`).
-    pub fn try_union(&self, a: ElementId, b: ElementId) -> Option<(ElementId, ElementId)> {
+    pub(crate) fn try_union(&self, a: ElementId, b: ElementId) -> Option<(ElementId, ElementId)> {
         loop {
             let ra = self.find(a);
             let rb = self.find(b);
@@ -344,19 +316,6 @@ impl AtomicForest {
         }
     }
 
-    /// Groups all elements by representative as `(root, members)` pairs.
-    ///
-    /// Cold path only (tests and statistics).  Call while the forest is
-    /// quiescent for an exact answer.
-    pub fn partitions(&self) -> Vec<(ElementId, Vec<ElementId>)> {
-        use std::collections::BTreeMap;
-        let mut map: BTreeMap<ElementId, Vec<ElementId>> = BTreeMap::new();
-        for id in 0..self.len() as ElementId {
-            map.entry(self.find(id)).or_default().push(id);
-        }
-        map.into_iter().collect()
-    }
-
     /// A point-in-time copy of the forest.
     ///
     /// Every word is read atomically, but the words are read one by one: if
@@ -371,7 +330,7 @@ impl AtomicForest {
     /// copied as a fresh root instead, so every `find` inside the copy
     /// stays within `0..len` and never walks into the copy's own
     /// lazily-created (all-root) storage.
-    pub fn snapshot(&self) -> AtomicForest {
+    pub(crate) fn snapshot(&self) -> AtomicForest {
         let len = self.len.load(Ordering::Acquire);
         let copy = AtomicForest::new();
         copy.len.store(len, Ordering::Release);
@@ -424,7 +383,6 @@ mod tests {
     #[test]
     fn new_forest_is_empty() {
         let forest = AtomicForest::new();
-        assert!(forest.is_empty());
         assert_eq!(forest.len(), 0);
         assert_eq!(forest.set_count(), 0);
         assert_eq!(forest.max_rank(), 0);
@@ -528,7 +486,7 @@ mod tests {
                     let po = packed.union(a, b);
                     assert_eq!(
                         ao.is_some(),
-                        po.merged(),
+                        po.absorbed.is_some(),
                         "seed {seed}: union({a}, {b}) effectiveness"
                     );
                     assert_eq!(atomic.set_count(), packed.set_count(), "seed {seed}");

@@ -6,10 +6,11 @@
 //! that can still reach any of its members.  When that frame pops, every
 //! member is dead (§2.2).
 
-use cg_unionfind::{ElementId, MergePayload, TaggedSets};
 use cg_vm::{FrameId, FrameInfo, Handle, ThreadId};
 
+use crate::packed::ElementId;
 use crate::static_domain::StaticNodeId;
+use crate::tagged::{MergePayload, TaggedSets};
 
 /// The frame a block depends on.
 ///
@@ -299,11 +300,6 @@ impl EquiliveSets {
             .expect("root carries a block")
     }
 
-    /// Mutable access to the block containing `elem`.
-    pub fn block_mut(&mut self, elem: ElementId) -> &mut BlockInfo {
-        self.sets.payload_mut(elem).expect("element exists")
-    }
-
     /// Mutable access to the block whose representative is `root`, without
     /// a find.
     ///
@@ -314,12 +310,6 @@ impl EquiliveSets {
         self.sets
             .payload_mut_of_root(root)
             .expect("root carries a block")
-    }
-
-    /// Iterates over `(root, block)` pairs for every current block, including
-    /// blocks whose members are already dead.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (ElementId, &BlockInfo)> + '_ {
-        self.sets.iter_sets()
     }
 
     /// The maximum union-by-rank rank in the underlying forest (the paper
@@ -489,20 +479,20 @@ mod tests {
     fn iter_blocks_covers_all_members() {
         let mut eq = EquiliveSets::new();
         let a = eq.insert(handle(0), frame_key(1, 1));
-        let _b = eq.insert(handle(1), frame_key(2, 2));
+        let b = eq.insert(handle(1), frame_key(2, 2));
         let c = eq.insert(handle(2), frame_key(3, 3));
         eq.union(a, c);
-        let total: usize = eq.iter_blocks().map(|(_, b)| b.len()).sum();
-        assert_eq!(total, 3);
-        assert_eq!(eq.iter_blocks().count(), 2);
+        assert!(!eq.same_block(a, b));
+        assert_eq!(eq.block(a).len() + eq.block(b).len(), 3);
     }
 
     #[test]
     fn block_mut_allows_retargeting() {
         let mut eq = EquiliveSets::new();
         let a = eq.insert(handle(0), frame_key(4, 4));
-        eq.block_mut(a).key = FrameKey::Static;
-        eq.block_mut(a).static_node = Some(0);
+        let root = eq.find(a);
+        eq.block_mut_of_root(root).key = FrameKey::Static;
+        eq.block_mut_of_root(root).static_node = Some(0);
         assert!(eq.block(a).is_static());
         assert_eq!(eq.block(a).static_node, Some(0));
     }

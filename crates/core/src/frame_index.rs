@@ -14,10 +14,10 @@
 //! Everything on the hot path is an index into a `Vec`; buckets keep their
 //! capacity across push/pop cycles, so the steady state allocates nothing.
 
-use cg_unionfind::ElementId;
 use cg_vm::ThreadId;
 
 use crate::equilive::FrameKey;
+use crate::packed::ElementId;
 
 /// Where a block root is currently attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,13 +70,8 @@ impl FrameBlockIndex {
     }
 
     /// Whether `root` is currently attached to any bucket.
-    pub fn is_attached(&self, root: ElementId) -> bool {
+    fn is_attached(&self, root: ElementId) -> bool {
         self.slot(root).thread != AttachSlot::NONE
-    }
-
-    /// Number of blocks currently attached to the static pseudo-frame.
-    pub fn static_block_count(&self) -> usize {
-        self.statics.len()
     }
 
     /// Attaches `root` to the bucket of `key`.
@@ -214,10 +209,10 @@ mod tests {
         let mut index = FrameBlockIndex::new();
         index.detach(99);
         index.attach(5, FrameKey::Static);
-        assert_eq!(index.static_block_count(), 1);
+        assert_eq!(index.statics.len(), 1);
         index.detach(5);
         index.detach(5);
-        assert_eq!(index.static_block_count(), 0);
+        assert_eq!(index.statics.len(), 0);
     }
 
     #[test]
@@ -225,10 +220,10 @@ mod tests {
         let mut index = FrameBlockIndex::new();
         index.attach(1, FrameKey::Static);
         index.attach(2, key(0, 1));
-        assert_eq!(index.static_block_count(), 1);
+        assert_eq!(index.statics.len(), 1);
         assert_eq!(index.pop_frame_block(ThreadId::MAIN, 1), Some(2));
         // The static bucket never drains through frame pops.
-        assert_eq!(index.static_block_count(), 1);
+        assert_eq!(index.statics.len(), 1);
     }
 
     #[test]
@@ -251,7 +246,7 @@ mod tests {
         index.clear();
         assert!(!index.is_attached(1));
         assert!(!index.is_attached(2));
-        assert_eq!(index.static_block_count(), 0);
+        assert_eq!(index.statics.len(), 0);
         assert_eq!(index.pop_frame_block(ThreadId::MAIN, 1), None);
         // Reattach after clear works (slot table was reset, not truncated).
         index.attach(1, key(0, 2));

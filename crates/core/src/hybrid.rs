@@ -8,10 +8,10 @@
 //! evaluates this by forcing a traditional collection every 100 000 VM
 //! instructions and counting how much the reset improves things.
 
-use cg_baseline::{trace_live, MarkSweepStats};
 use cg_vm::{ClassId, CollectOutcome, Collector, FrameInfo, Handle, Heap, RootSet, ThreadId};
 
 use crate::collector::{CgConfig, ContaminatedGc};
+use crate::marksweep::{trace_live, MarkSweepStats};
 
 /// Configuration of the [`HybridCollector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,7 +356,7 @@ mod tests {
             vm.heap().live_count()
         );
         // And of those, only the final pair is actually reachable.
-        let live = cg_baseline::trace_live(&vm.build_roots(), vm.heap());
+        let live = trace_live(&vm.build_roots(), vm.heap());
         assert_eq!(live.iter().filter(|&&m| m).count(), 2);
     }
 
@@ -427,7 +427,7 @@ mod tests {
             "live = {}",
             vm.heap().live_count()
         );
-        let live = cg_baseline::trace_live(&vm.build_roots(), vm.heap());
+        let live = trace_live(&vm.build_roots(), vm.heap());
         assert_eq!(live.iter().filter(|&&m| m).count(), 1);
     }
 }

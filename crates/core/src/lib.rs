@@ -8,7 +8,8 @@
 //! > X is collectable when M pops.
 //!
 //! Objects are grouped into **equilive blocks** — an equivalence relation
-//! maintained with union/find (union by rank, path compression).  The rules:
+//! maintained with union/find (union by rank, path compression, parent and
+//! rank packed into one word per handle as in §3.5).  The rules:
 //!
 //! * A new object forms a singleton block dependent on the allocating frame.
 //! * When object `a` is made to reference object `b` (a `putfield` or array
@@ -44,6 +45,9 @@
 //!   (`verify_tainted` defaults on only under `debug_assertions`).
 //! * [`HybridCollector`] — contaminated GC plus a mark-sweep backstop with
 //!   optional structure resetting.
+//! * [`marksweep`] — the traditional mark-sweep ("MSA") baseline the paper
+//!   compares against, and the marking pass resetting and the soundness
+//!   checks share.
 //! * [`EquiliveSets`], [`FrameKey`], [`BlockInfo`] — the underlying relation.
 //! * [`CgStats`], [`ObjectBreakdown`] — the measurements every experiment in
 //!   Chapter 4 reads off.
@@ -82,16 +86,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod atomic;
 pub mod bitset;
 pub mod collector;
 pub mod equilive;
 pub mod frame_index;
 pub mod hybrid;
+pub mod marksweep;
+mod packed;
 pub mod recycle;
 pub mod shard;
 pub mod sharded;
 pub mod static_domain;
 pub mod stats;
+mod tagged;
 
 pub use bitset::HandleBitSet;
 pub use collector::{CgConfig, ContaminatedGc, FaultInjection};
@@ -100,6 +108,6 @@ pub use frame_index::FrameBlockIndex;
 pub use hybrid::{HybridCollector, HybridConfig};
 pub use recycle::{RecycleBins, RecyclePolicy};
 pub use shard::{aggregate_shards, aggregate_stats, CollectorShard, StoreOperand};
-pub use sharded::{ShardConfigError, ShardedGc};
+pub use sharded::ShardedGc;
 pub use static_domain::{merge_reasons, DomainImpl, StaticDomain, StaticNodeId};
 pub use stats::{CgStats, ObjectBreakdown};

@@ -1,4 +1,39 @@
 //! The mark-sweep (MSA) baseline collector.
+//!
+//! The paper compares the contaminated collector against Sun's JDK 1.1.8
+//! system, whose traditional collector is a non-generational mark-sweep
+//! ("MSA" in the thesis).  This module provides:
+//!
+//! * [`MarkSweep`] — the MSA baseline: mark from the roots, sweep everything
+//!   unmarked back to the object-space free list, no compaction (the paper's
+//!   timing runs avoid heap compaction, §4.5).
+//! * [`trace_live`] — the reusable marking pass, also used by the hybrid
+//!   contaminated collector when it resets its structures during a
+//!   traditional collection (§3.6) and by tests that check the contaminated
+//!   collector never frees a reachable object.
+//!
+//! The "GC disabled, plenty of storage" configuration §4.5 uses to isolate
+//! CG's bookkeeping overhead is [`cg_vm::NoopCollector`].
+//!
+//! # Example
+//!
+//! ```
+//! use cg_vm::{Program, ClassDef, MethodDef, Insn, Vm, VmConfig};
+//! use cg_core::marksweep::MarkSweep;
+//!
+//! let mut program = Program::new();
+//! let class = program.add_class(ClassDef::new("Node", 1));
+//! let main = program.add_method(MethodDef::new("main", 0, 2, vec![
+//!     Insn::New { class, dst: 0 },
+//!     Insn::New { class, dst: 1 },
+//!     Insn::Return { value: None },
+//! ]));
+//! program.set_entry(main);
+//!
+//! let mut vm = Vm::new(program, VmConfig::default(), MarkSweep::new());
+//! vm.run()?;
+//! # Ok::<(), cg_vm::VmError>(())
+//! ```
 
 use cg_vm::{CollectOutcome, Collector, Handle, Heap, RootSet};
 
@@ -30,7 +65,7 @@ pub struct MarkSweepStats {
 /// ```
 /// use cg_heap::{Heap, HeapConfig, ClassId, Value};
 /// use cg_vm::RootSet;
-/// use cg_baseline::trace_live;
+/// use cg_core::marksweep::trace_live;
 ///
 /// let mut heap = Heap::new(HeapConfig::small());
 /// let a = heap.allocate(ClassId::new(0), 1)?;

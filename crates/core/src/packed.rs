@@ -1,8 +1,9 @@
 //! The packed disjoint-set forest of §3.5: parent pointer and rank share one
 //! machine word per element.
 //!
-//! The straightforward representation (see [`DisjointSets`](crate::DisjointSets))
-//! keeps a parent array and a separate rank array.  The paper observes that
+//! The straightforward representation (`cg_testutil::DisjointSets`, the
+//! reference model this forest is property-tested against) keeps a parent
+//! array and a separate rank array.  The paper observes that
 //! union by rank bounds the rank by `log2(n)` — it never exceeded ten on
 //! SPECjvm98 — so the production implementation stores the rank in the bits
 //! of the parent word itself, halving the per-handle space cost (§3.5,
@@ -25,85 +26,75 @@
 //! `max_rank` and `set_count` are maintained incrementally instead of by the
 //! O(n) root scans the plain forest originally used.
 
-use crate::forest::{ElementId, UnionOutcome};
+/// Identifier of an element in a forest.
+///
+/// Elements are allocated densely starting at zero by
+/// [`PackedForest::make_set`]; the contaminated collector uses the heap
+/// handle index as the element id so no extra mapping is needed.
+pub(crate) type ElementId = u32;
+
+/// Result of a [`PackedForest::union`] operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct UnionOutcome {
+    /// The representative (root) of the combined set after the union.
+    pub(crate) root: ElementId,
+    /// The previous root that was absorbed, if the two elements were in
+    /// different sets; `None` if they were already in the same set.
+    pub(crate) absorbed: Option<ElementId>,
+}
 
 /// Top bit of a word: set for roots (low bits = rank), clear for interior
-/// nodes (low bits = parent id).
-const ROOT_BIT: u32 = 1 << 31;
+/// nodes (low bits = parent id).  The lock-free forest shares the encoding.
+pub(crate) const ROOT_BIT: u32 = 1 << 31;
 
 /// A disjoint-set forest storing parent and rank in a single `u32` word per
 /// element (§3.5), with union by rank and iterative path compression.
 ///
-/// Drop-in behavioural equivalent of [`DisjointSets`](crate::DisjointSets)
-/// — the property tests in this module drive both against random operation
+/// Behavioural equivalent of the plain `cg_testutil::DisjointSets` — the
+/// property tests in this module drive both against random operation
 /// sequences and require identical partitions, set counts and outcomes.
-///
-/// # Example
-///
-/// ```
-/// use cg_unionfind::PackedForest;
-///
-/// let mut sets = PackedForest::with_capacity(8);
-/// let ids: Vec<_> = (0..8).map(|_| sets.make_set()).collect();
-/// for pair in ids.chunks(2) {
-///     sets.union(pair[0], pair[1]);
-/// }
-/// assert_eq!(sets.set_count(), 4);
-/// assert!(sets.max_rank() <= 1);
-/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedForest {
+pub(crate) struct PackedForest {
     /// One packed word per element: `ROOT_BIT | rank` or a parent id.
     words: Vec<u32>,
     /// Maintained incrementally: one new set per `make_set`, one fewer per
-    /// merging `union`, one more per `detach_into_singleton` of a non-root.
+    /// merging `union`.
     set_count: usize,
     /// High-water mark of any root's rank, maintained on `union` (rank only
-    /// ever grows there).  `reset_all` clears it; detaching an element never
-    /// lowers it, so this is the bound §3.5's packing argument relies on,
-    /// not an exact current maximum.
+    /// ever grows there): the bound §3.5's packing argument relies on.
     max_rank: u8,
 }
 
 impl PackedForest {
     /// Creates an empty forest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty forest with room for `capacity` elements.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(capacity),
-            set_count: 0,
-            max_rank: 0,
-        }
-    }
-
     /// Number of elements ever created.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len()
     }
 
     /// Whether no elements have been created.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 
     /// Number of distinct sets currently in the forest (maintained
     /// incrementally; O(1)).
-    pub fn set_count(&self) -> usize {
+    pub(crate) fn set_count(&self) -> usize {
         self.set_count
     }
 
     /// The largest rank any root has ever reached (O(1); see the field
     /// documentation for the high-water-mark semantics).
-    pub fn max_rank(&self) -> u8 {
+    pub(crate) fn max_rank(&self) -> u8 {
         self.max_rank
     }
 
     /// Whether `id` names an element of this forest.
-    pub fn contains(&self, id: ElementId) -> bool {
+    pub(crate) fn contains(&self, id: ElementId) -> bool {
         (id as usize) < self.words.len()
     }
 
@@ -120,7 +111,7 @@ impl PackedForest {
     ///
     /// Panics if the forest already holds `2^31 - 1` elements (the packed
     /// word reserves one bit for the root discriminator).
-    pub fn make_set(&mut self) -> ElementId {
+    pub(crate) fn make_set(&mut self) -> ElementId {
         let id = self.words.len() as u32;
         assert!(id < ROOT_BIT, "packed forest is limited to 2^31-1 elements");
         self.words.push(ROOT_BIT); // root, rank 0
@@ -128,17 +119,10 @@ impl PackedForest {
         id
     }
 
-    /// Ensures elements `0..=id` all exist, creating singletons as needed.
-    pub fn ensure(&mut self, id: ElementId) {
-        while self.words.len() <= id as usize {
-            self.make_set();
-        }
-    }
-
     /// Finds the representative of the set containing `id`, compressing the
     /// path along the way.
     #[inline]
-    pub fn find(&mut self, id: ElementId) -> ElementId {
+    pub(crate) fn find(&mut self, id: ElementId) -> ElementId {
         debug_assert!(self.contains(id), "element {id} does not exist");
         // First pass: locate the root.
         let mut root = id;
@@ -159,7 +143,7 @@ impl PackedForest {
     }
 
     /// Finds the representative without compressing paths (read-only).
-    pub fn find_immutable(&self, id: ElementId) -> ElementId {
+    pub(crate) fn find_immutable(&self, id: ElementId) -> ElementId {
         debug_assert!(self.contains(id), "element {id} does not exist");
         let mut root = id;
         let mut word = self.words[root as usize];
@@ -171,15 +155,14 @@ impl PackedForest {
     }
 
     /// Whether two elements are currently in the same set.
-    pub fn same_set(&mut self, a: ElementId, b: ElementId) -> bool {
+    pub(crate) fn same_set(&mut self, a: ElementId, b: ElementId) -> bool {
         self.find(a) == self.find(b)
     }
 
     /// Unions the sets containing `a` and `b` using union by rank,
     /// returning the surviving root and the absorbed root (if a merge
-    /// happened) exactly like
-    /// [`DisjointSets::union`](crate::DisjointSets::union).
-    pub fn union(&mut self, a: ElementId, b: ElementId) -> UnionOutcome {
+    /// happened).
+    pub(crate) fn union(&mut self, a: ElementId, b: ElementId) -> UnionOutcome {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
@@ -198,7 +181,7 @@ impl PackedForest {
     /// # Panics
     ///
     /// Debug-asserts that `ra` and `rb` are distinct current roots.
-    pub fn union_roots(&mut self, ra: ElementId, rb: ElementId) -> UnionOutcome {
+    pub(crate) fn union_roots(&mut self, ra: ElementId, rb: ElementId) -> UnionOutcome {
         debug_assert!(ra != rb, "union_roots of the same root");
         let wa = self.words[ra as usize];
         let wb = self.words[rb as usize];
@@ -223,16 +206,17 @@ impl PackedForest {
     }
 
     /// The current rank of the set rooted at `id`'s representative.
-    pub fn rank_of(&mut self, id: ElementId) -> u8 {
+    #[cfg(test)]
+    fn rank_of(&mut self, id: ElementId) -> u8 {
         let root = self.find(id);
         (self.words[root as usize] & !ROOT_BIT) as u8
     }
 
-    /// Iterates over the current set representatives.
-    ///
-    /// Cold path only: this scans every element.  The hot path never
-    /// enumerates roots — the collector keeps its own per-frame root lists.
-    pub fn roots(&self) -> impl Iterator<Item = ElementId> + '_ {
+    /// Iterates over the current set representatives, scanning every
+    /// element.  The collector never enumerates roots — it keeps its own
+    /// per-frame root lists.
+    #[cfg(test)]
+    fn roots(&self) -> impl Iterator<Item = ElementId> + '_ {
         self.words
             .iter()
             .enumerate()
@@ -240,44 +224,12 @@ impl PackedForest {
             .map(|(i, _)| i as ElementId)
     }
 
-    /// Detaches `id` into a fresh singleton set of rank zero (the §3.6
-    /// resetting pass).
-    ///
-    /// The seed implementation verified on every call — with an O(n) scan —
-    /// that no other element still points at `id`; that scan is now a debug
-    /// assertion, so release builds pay nothing and debug builds (and the
-    /// test suite) still catch misuse.
-    pub fn detach_into_singleton(&mut self, id: ElementId) {
-        debug_assert!(self.contains(id), "element {id} does not exist");
-        debug_assert!(
-            !self
-                .words
-                .iter()
-                .enumerate()
-                .any(|(i, &w)| !Self::is_root_word(w) && w == id && i as ElementId != id),
-            "cannot detach element {id}: other elements still point at it"
-        );
-        let was_root = Self::is_root_word(self.words[id as usize]);
-        self.words[id as usize] = ROOT_BIT;
-        if !was_root {
-            self.set_count += 1;
-        }
-    }
-
-    /// Resets every element into its own singleton set.
-    pub fn reset_all(&mut self) {
-        for word in &mut self.words {
-            *word = ROOT_BIT;
-        }
-        self.set_count = self.words.len();
-        self.max_rank = 0;
-    }
-
     /// Groups all elements by representative as `(root, members)` pairs.
     ///
-    /// Cold path only (tests and statistics): allocates and walks the whole
-    /// forest.
-    pub fn partitions(&mut self) -> Vec<(ElementId, Vec<ElementId>)> {
+    /// Allocates and walks the whole forest; the property tests compare it
+    /// with the reference model's.
+    #[cfg(test)]
+    fn partitions(&mut self) -> Vec<(ElementId, Vec<ElementId>)> {
         use std::collections::BTreeMap;
         let mut map: BTreeMap<ElementId, Vec<ElementId>> = BTreeMap::new();
         for id in 0..self.words.len() as ElementId {
@@ -291,7 +243,7 @@ impl PackedForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::DisjointSets;
+    use cg_testutil::DisjointSets;
 
     #[test]
     fn new_forest_is_empty() {
@@ -320,14 +272,14 @@ mod tests {
         let a = sets.make_set();
         let b = sets.make_set();
         let out = sets.union(a, b);
-        assert!(out.merged());
+        assert!(out.absorbed.is_some());
         assert_eq!(out.absorbed, Some(if out.root == a { b } else { a }));
         assert!(sets.same_set(a, b));
         assert_eq!(sets.set_count(), 1);
         assert_eq!(sets.max_rank(), 1);
         // Re-union is a no-op.
         let out = sets.union(a, b);
-        assert!(!out.merged());
+        assert!(out.absorbed.is_none());
         assert_eq!(sets.set_count(), 1);
     }
 
@@ -345,14 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_materialises_elements() {
-        let mut sets = PackedForest::new();
-        sets.ensure(4);
-        assert_eq!(sets.len(), 5);
-        assert_eq!(sets.set_count(), 5);
-    }
-
-    #[test]
     fn path_compression_flattens() {
         let mut sets = PackedForest::new();
         let ids: Vec<_> = (0..16).map(|_| sets.make_set()).collect();
@@ -366,46 +310,6 @@ mod tests {
             if id != root {
                 assert_eq!(sets.words[id as usize], root);
             }
-        }
-    }
-
-    #[test]
-    fn detach_leaf_into_singleton() {
-        let mut sets = PackedForest::new();
-        let a = sets.make_set();
-        let b = sets.make_set();
-        let out = sets.union(a, b);
-        let leaf = out.absorbed.unwrap();
-        sets.detach_into_singleton(leaf);
-        assert!(!sets.same_set(a, b));
-        assert_eq!(sets.set_count(), 2);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "still point at it")]
-    fn detach_root_with_children_panics_in_debug() {
-        let mut sets = PackedForest::new();
-        let a = sets.make_set();
-        let b = sets.make_set();
-        let out = sets.union(a, b);
-        sets.detach_into_singleton(out.root);
-    }
-
-    #[test]
-    fn reset_all_restores_singletons() {
-        let mut sets = PackedForest::new();
-        for _ in 0..8 {
-            sets.make_set();
-        }
-        sets.union(0, 1);
-        sets.union(2, 3);
-        sets.union(0, 2);
-        sets.reset_all();
-        assert_eq!(sets.set_count(), 8);
-        assert_eq!(sets.max_rank(), 0);
-        for i in 0..8 {
-            assert_eq!(sets.find(i), i);
         }
     }
 
@@ -477,7 +381,7 @@ mod tests {
                     assert_eq!(packed.find(a), plain.find(a), "seed {seed}");
                     let po = packed.union(a, b);
                     let fo = plain.union(a, b);
-                    assert_eq!(po, fo, "seed {seed}: union({a}, {b})");
+                    assert_eq!((po.root, po.absorbed), fo, "seed {seed}: union({a}, {b})");
                     assert_eq!(packed.set_count(), plain.set_count(), "seed {seed}");
                 }
                 assert_eq!(packed.max_rank(), plain.max_rank(), "seed {seed}");
@@ -489,50 +393,6 @@ mod tests {
                         plain.find_immutable(id),
                         "seed {seed}"
                     );
-                }
-            }
-        }
-
-        /// Detaching absorbed leaves keeps the two representations in
-        /// agreement (both grow their set count the same way).
-        #[test]
-        fn detach_agrees_with_plain_forest() {
-            for seed in 0..64u64 {
-                let mut rng = TestRng::new(seed);
-                let n = rng.gen_range(2, 48);
-                let mut packed = PackedForest::new();
-                let mut plain = DisjointSets::new();
-                // Set sizes, tracked so the test only detaches absorbed
-                // roots that were singletons (roots of larger sets still
-                // have children pointing at them and must not be detached).
-                let mut sizes = vec![1usize; n];
-                for _ in 0..n {
-                    packed.make_set();
-                    plain.make_set();
-                }
-                for (a, b) in random_ops(&mut rng, n, 100) {
-                    let out = packed.union(a, b);
-                    plain.union(a, b);
-                    if let Some(leaf) = out.absorbed {
-                        let leaf_size = sizes[leaf as usize];
-                        sizes[out.root as usize] += leaf_size;
-                        if leaf_size == 1 && rng.gen_bool(0.3) {
-                            packed.detach_into_singleton(leaf);
-                            plain.detach_into_singleton(leaf);
-                            sizes[out.root as usize] -= 1;
-                            sizes[leaf as usize] = 1;
-                        }
-                    }
-                    assert_eq!(packed.set_count(), plain.set_count(), "seed {seed}");
-                }
-                for a in 0..n as u32 {
-                    for b in 0..n as u32 {
-                        assert_eq!(
-                            packed.find_immutable(a) == packed.find_immutable(b),
-                            plain.find_immutable(a) == plain.find_immutable(b),
-                            "seed {seed}: {a} vs {b}"
-                        );
-                    }
                 }
             }
         }

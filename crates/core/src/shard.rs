@@ -24,12 +24,12 @@
 //! makes the sharded evaluation's aggregated statistics byte-identical to a
 //! single-threaded replay.
 
-use cg_unionfind::ElementId;
 use cg_vm::{ClassId, CollectOutcome, FrameInfo, Handle, Heap, RootSet, ThreadId};
 
 use crate::bitset::HandleBitSet;
 use crate::collector::CgConfig;
 use crate::equilive::{EquiliveSets, FrameKey, StaticReason};
+use crate::packed::ElementId;
 use crate::recycle::RecycleBins;
 use crate::static_domain::{StaticDomain, StaticNodeId};
 use crate::stats::{CgStats, ObjectBreakdown};

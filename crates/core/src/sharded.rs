@@ -35,9 +35,8 @@
 //! is why recycling traces cannot be replayed at all; see `cg-trace`).
 //! Rather than silently produce stats outside the guarantee, construction
 //! **rejects** recycling configs with more than one shard:
-//! [`ShardedGc::try_new`] returns [`ShardConfigError::RecyclingMultiShard`]
-//! and [`ShardedGc::new`] panics.  A 1-shard recycling collector is exactly
-//! the global-list collector and remains allowed.
+//! [`ShardedGc::new`] panics.  A 1-shard recycling collector is exactly the
+//! global-list collector and remains allowed.
 //!
 //! The parallel evaluation in `cg-trace` (`parallel_eval_governed`) uses the
 //! same [`CollectorShard`] code on real OS threads, with each shard driven from its partitioned
@@ -50,38 +49,6 @@ use crate::collector::CgConfig;
 use crate::shard::{aggregate_stats, CollectorShard, StoreOperand};
 use crate::static_domain::StaticDomain;
 use crate::stats::{CgStats, ObjectBreakdown};
-
-/// Why a [`ShardedGc`] configuration was rejected at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardConfigError {
-    /// Zero shards were requested.
-    ZeroShards,
-    /// §3.7 recycling with more than one shard: per-shard recycle bins make
-    /// the aggregated stats diverge from the single-shard collector, which
-    /// would silently break the byte-identical stats guarantee.
-    RecyclingMultiShard {
-        /// The rejected shard count.
-        shard_count: usize,
-    },
-}
-
-impl core::fmt::Display for ShardConfigError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ShardConfigError::ZeroShards => {
-                write!(f, "a sharded collector needs at least one shard")
-            }
-            ShardConfigError::RecyclingMultiShard { shard_count } => write!(
-                f,
-                "recycling configs are limited to one shard (got {shard_count}): \
-                 per-shard recycle bins fall outside the byte-identical stats \
-                 guarantee; use shard_count=1 or disable recycling"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardConfigError {}
 
 /// A contaminated collector whose mutable state is split into per-thread
 /// shards plus one shared static domain.
@@ -102,26 +69,23 @@ impl ShardedGc {
     /// # Panics
     ///
     /// Panics if the configuration is invalid — zero shards, or a §3.7
-    /// recycling config with more than one shard (see [`ShardedGc::try_new`]
-    /// for the non-panicking form and the module docs for why multi-shard
-    /// recycling is rejected).
+    /// recycling config with more than one shard (see the module docs for
+    /// why multi-shard recycling is rejected).
     pub fn new(shard_count: usize, config: CgConfig) -> Self {
-        match Self::try_new(shard_count, config) {
-            Ok(gc) => gc,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`ShardedGc::new`]: returns a [`ShardConfigError`]
-    /// instead of panicking on an invalid shard count / config combination.
-    pub fn try_new(shard_count: usize, config: CgConfig) -> Result<Self, ShardConfigError> {
-        if shard_count == 0 {
-            return Err(ShardConfigError::ZeroShards);
-        }
-        if config.recycling && shard_count > 1 {
-            return Err(ShardConfigError::RecyclingMultiShard { shard_count });
-        }
-        Ok(Self {
+        assert!(
+            shard_count > 0,
+            "a sharded collector needs at least one shard"
+        );
+        // Per-shard recycle bins make the aggregated stats diverge from the
+        // single-shard collector, which would silently break the
+        // byte-identical stats guarantee.
+        assert!(
+            !config.recycling || shard_count == 1,
+            "recycling configs are limited to one shard (got {shard_count}): \
+             per-shard recycle bins fall outside the byte-identical stats \
+             guarantee; use shard_count=1 or disable recycling"
+        );
+        Self {
             shards: (0..shard_count)
                 .map(|_| CollectorShard::new(config))
                 .collect(),
@@ -129,7 +93,7 @@ impl ShardedGc {
             owner: Vec::new(),
             breakdown: None,
             name: format!("cg-sharded-{shard_count}"),
-        })
+        }
     }
 
     /// Number of shards.
@@ -470,23 +434,25 @@ mod tests {
         // Pin the contract: per-shard recycle bins fall outside the
         // byte-identical stats guarantee, so the combination must be an
         // explicit construction error — not a silently-divergent collector.
+        let rejection = |shard_count, config| {
+            let payload = std::panic::catch_unwind(|| ShardedGc::new(shard_count, config))
+                .expect_err("construction must be rejected");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("a message payload")
+        };
         for config in [
             CgConfig::with_recycling(),
             CgConfig::with_segregated_recycling(),
         ] {
-            match ShardedGc::try_new(4, config) {
-                Err(ShardConfigError::RecyclingMultiShard { shard_count: 4 }) => {}
-                other => panic!("expected RecyclingMultiShard, got {other:?}"),
-            }
-            // The error names both the cause and the remedies.
-            let message = ShardedGc::try_new(2, config).unwrap_err().to_string();
+            // The message names both the cause and the remedies.
+            let message = rejection(4, config);
             assert!(message.contains("recycling"), "{message}");
-            assert!(message.contains("one shard"), "{message}");
+            assert!(message.contains("one shard (got 4)"), "{message}");
         }
-        assert_eq!(
-            ShardedGc::try_new(0, CgConfig::default()).unwrap_err(),
-            ShardConfigError::ZeroShards
-        );
+        assert!(rejection(0, CgConfig::default()).contains("at least one shard"));
     }
 
     #[test]
@@ -499,8 +465,7 @@ mod tests {
     fn single_shard_recycling_still_allowed() {
         // One shard is exactly the global-recycle-list collector, so the
         // guarantee holds and construction must keep working.
-        let sharded = ShardedGc::try_new(1, CgConfig::with_segregated_recycling())
-            .expect("1-shard recycling is inside the guarantee");
+        let sharded = ShardedGc::new(1, CgConfig::with_segregated_recycling());
         assert_eq!(sharded.shard_count(), 1);
     }
 }

@@ -23,8 +23,8 @@
 //! The domain is a [`DomainImpl`] switch over two behaviourally-equivalent
 //! representations, selected by [`CgConfig::domain_impl`](crate::CgConfig):
 //!
-//! * [`DomainImpl::Atomic`] (the default) — a lock-free
-//!   [`AtomicForest`] for block identity, one
+//! * [`DomainImpl::Atomic`] (the default) — a lock-free union/find
+//!   forest (§3.5's packed words held in atomics) for block identity, one
 //!   atomic reason word per node, and a striped-lock members map.  Unions
 //!   are CAS-linearised, finds are wait-free, and no operation takes a
 //!   global lock, so shards on many cores no longer serialise on the
@@ -60,7 +60,7 @@
 //! Reason updates follow a *flow-join* protocol: every writer updates the
 //! cell of the root it resolved, then re-checks that the node is still a
 //! root (`SeqCst`, forming a single total order with the link CAS inside
-//! [`AtomicForest::try_union`](cg_unionfind::AtomicForest::try_union)); if
+//! the lock-free forest's `try_union`); if
 //! a union absorbed that root in the meantime, the writer re-joins the
 //! cell's accumulated value into the new root.  The union path symmetrically
 //! re-reads the loser's cell *after* the link.  Between the two, no upgrade
@@ -94,10 +94,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
-use cg_unionfind::{AtomicForest, PackedForest};
 use cg_vm::Handle;
 
+use crate::atomic::AtomicForest;
 use crate::equilive::StaticReason;
+use crate::packed::PackedForest;
 
 /// Identity of one escalated (static) block inside the domain.
 pub type StaticNodeId = u32;
@@ -517,14 +518,6 @@ impl StaticDomain {
         StaticDomain { repr }
     }
 
-    /// Which implementation this domain runs on.
-    pub fn impl_kind(&self) -> DomainImpl {
-        match &self.repr {
-            Repr::Mutex(_) => DomainImpl::Mutex,
-            Repr::Atomic(_) => DomainImpl::Atomic,
-        }
-    }
-
     /// Escalates a new block into the domain, returning its node.
     pub fn insert(&self, reason: StaticReason) -> StaticNodeId {
         match &self.repr {
@@ -638,11 +631,19 @@ mod tests {
 
     const BOTH: [DomainImpl; 2] = [DomainImpl::Atomic, DomainImpl::Mutex];
 
+    /// Which implementation `domain` runs on.
+    fn impl_kind(domain: &StaticDomain) -> DomainImpl {
+        match &domain.repr {
+            Repr::Mutex(_) => DomainImpl::Mutex,
+            Repr::Atomic(_) => DomainImpl::Atomic,
+        }
+    }
+
     #[test]
     fn default_domain_is_atomic() {
-        assert_eq!(StaticDomain::new().impl_kind(), DomainImpl::Atomic);
+        assert_eq!(impl_kind(&StaticDomain::new()), DomainImpl::Atomic);
         assert_eq!(
-            StaticDomain::with_impl(DomainImpl::Mutex).impl_kind(),
+            impl_kind(&StaticDomain::with_impl(DomainImpl::Mutex)),
             DomainImpl::Mutex
         );
     }
@@ -743,7 +744,7 @@ mod tests {
             let a = domain.insert(StaticReason::StaticReference);
             domain.register_members(&[h(4)], a);
             let copy = domain.clone();
-            assert_eq!(copy.impl_kind(), which);
+            assert_eq!(impl_kind(&copy), which);
             let b = domain.insert(StaticReason::ThreadShared);
             domain.union(a, b);
             assert_eq!(copy.block_count(), 1, "{which:?}");

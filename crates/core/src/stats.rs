@@ -114,16 +114,6 @@ impl CgStats {
         cg_stats::percent(self.objects_collected_exactly, self.objects_created)
     }
 
-    /// Percentage of freed blocks that were singletons (Figure 4.5,
-    /// "percent exact").
-    pub fn exact_block_percent(&self) -> f64 {
-        if self.block_sizes.total() == 0 {
-            0.0
-        } else {
-            self.block_sizes.bucket_percent(0)
-        }
-    }
-
     /// Percentage of created objects recycled (Figure 4.13).
     pub fn recycled_percent(&self) -> f64 {
         cg_stats::percent(self.objects_recycled, self.objects_created)
@@ -188,18 +178,7 @@ mod tests {
         let s = CgStats::new();
         assert_eq!(s.collectable_percent(), 0.0);
         assert_eq!(s.exactly_collectable_percent(), 0.0);
-        assert_eq!(s.exact_block_percent(), 0.0);
         assert_eq!(s.recycled_percent(), 0.0);
-    }
-
-    #[test]
-    fn exact_block_percent_uses_histogram() {
-        let mut s = CgStats::new();
-        s.block_sizes.record(1);
-        s.block_sizes.record(1);
-        s.block_sizes.record(3);
-        s.block_sizes.record(12);
-        assert!((s.exact_block_percent() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Disjoint sets whose roots carry a mergeable payload.
 
-use crate::forest::{ElementId, UnionOutcome};
-use crate::packed::PackedForest;
+use crate::packed::{ElementId, PackedForest, UnionOutcome};
 
 /// A per-set payload that knows how to merge with another payload when two
 /// sets are unioned.
@@ -11,7 +10,7 @@ use crate::packed::PackedForest;
 /// When block `P` and block `Q` merge, the paper specifies the merged block
 /// depends on the *older* of the two dependent frames — that policy lives in
 /// the payload's `merge`.
-pub trait MergePayload: Sized {
+pub(crate) trait MergePayload: Sized {
     /// Merges `absorbed` into `self`.
     ///
     /// `self` is the payload of the surviving root; after the call the
@@ -23,34 +22,9 @@ pub trait MergePayload: Sized {
 ///
 /// The forest underneath is the packed single-word-per-element
 /// representation of §3.5 ([`PackedForest`]); the behavioural model it is
-/// verified against is the plain [`DisjointSets`](crate::DisjointSets).
-///
-/// # Example
-///
-/// ```
-/// use cg_unionfind::{MergePayload, TaggedSets};
-///
-/// /// Equilive-style payload: smallest frame number wins, sizes add.
-/// #[derive(Debug, PartialEq)]
-/// struct Block { dependent_frame: u64, size: u64 }
-///
-/// impl MergePayload for Block {
-///     fn merge(&mut self, other: Self) {
-///         self.dependent_frame = self.dependent_frame.min(other.dependent_frame);
-///         self.size += other.size;
-///     }
-/// }
-///
-/// let mut sets = TaggedSets::new();
-/// let a = sets.insert(Block { dependent_frame: 3, size: 1 });
-/// let b = sets.insert(Block { dependent_frame: 5, size: 1 });
-/// sets.union(a, b);
-/// let merged = sets.payload(a).unwrap();
-/// assert_eq!(merged.dependent_frame, 3);
-/// assert_eq!(merged.size, 2);
-/// ```
+/// verified against is the plain `cg_testutil::DisjointSets`.
 #[derive(Debug, Clone, Default)]
-pub struct TaggedSets<T> {
+pub(crate) struct TaggedSets<T> {
     forest: PackedForest,
     /// Indexed by element id; `Some` only at set roots.
     payloads: Vec<Option<T>>,
@@ -58,43 +32,30 @@ pub struct TaggedSets<T> {
 
 impl<T: MergePayload> TaggedSets<T> {
     /// Creates an empty tagged forest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             forest: PackedForest::new(),
             payloads: Vec::new(),
         }
     }
 
-    /// Creates an empty tagged forest with room for `capacity` elements.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            forest: PackedForest::with_capacity(capacity),
-            payloads: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Number of elements ever inserted.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.forest.len()
     }
 
     /// Whether no elements have been inserted.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.forest.is_empty()
     }
 
     /// Number of distinct sets.
-    pub fn set_count(&self) -> usize {
+    pub(crate) fn set_count(&self) -> usize {
         self.forest.set_count()
     }
 
-    /// Whether `id` names an element.
-    pub fn contains(&self, id: ElementId) -> bool {
-        self.forest.contains(id)
-    }
-
     /// Inserts a new singleton set carrying `payload`, returning its id.
-    pub fn insert(&mut self, payload: T) -> ElementId {
+    pub(crate) fn insert(&mut self, payload: T) -> ElementId {
         let id = self.forest.make_set();
         debug_assert_eq!(id as usize, self.payloads.len());
         self.payloads.push(Some(payload));
@@ -106,7 +67,7 @@ impl<T: MergePayload> TaggedSets<T> {
     /// # Panics
     ///
     /// Panics if `id` was never inserted.
-    pub fn find(&mut self, id: ElementId) -> ElementId {
+    pub(crate) fn find(&mut self, id: ElementId) -> ElementId {
         self.forest.find(id)
     }
 
@@ -115,7 +76,7 @@ impl<T: MergePayload> TaggedSets<T> {
     /// # Panics
     ///
     /// Panics if either element was never inserted.
-    pub fn same_set(&mut self, a: ElementId, b: ElementId) -> bool {
+    pub(crate) fn same_set(&mut self, a: ElementId, b: ElementId) -> bool {
         self.forest.same_set(a, b)
     }
 
@@ -125,7 +86,7 @@ impl<T: MergePayload> TaggedSets<T> {
     /// # Panics
     ///
     /// Panics if either element was never inserted.
-    pub fn union(&mut self, a: ElementId, b: ElementId) -> UnionOutcome {
+    pub(crate) fn union(&mut self, a: ElementId, b: ElementId) -> UnionOutcome {
         let outcome = self.forest.union(a, b);
         self.merge_payloads(outcome);
         outcome
@@ -139,7 +100,7 @@ impl<T: MergePayload> TaggedSets<T> {
     ///
     /// Debug-asserts (via the forest) that `ra` and `rb` are distinct
     /// roots; panics if either carries no payload.
-    pub fn union_roots(&mut self, ra: ElementId, rb: ElementId) -> UnionOutcome {
+    pub(crate) fn union_roots(&mut self, ra: ElementId, rb: ElementId) -> UnionOutcome {
         let outcome = self.forest.union_roots(ra, rb);
         self.merge_payloads(outcome);
         outcome
@@ -160,7 +121,7 @@ impl<T: MergePayload> TaggedSets<T> {
     /// Shared access to the payload of `id`'s set.
     ///
     /// Returns `None` only if `id` was never inserted.
-    pub fn payload(&mut self, id: ElementId) -> Option<&T> {
+    pub(crate) fn payload(&mut self, id: ElementId) -> Option<&T> {
         if !self.forest.contains(id) {
             return None;
         }
@@ -168,46 +129,23 @@ impl<T: MergePayload> TaggedSets<T> {
         self.payloads[root as usize].as_ref()
     }
 
-    /// Mutable access to the payload of `id`'s set.
-    ///
-    /// Returns `None` only if `id` was never inserted.
-    pub fn payload_mut(&mut self, id: ElementId) -> Option<&mut T> {
-        if !self.forest.contains(id) {
-            return None;
-        }
-        let root = self.forest.find(id);
-        self.payloads[root as usize].as_mut()
-    }
-
     /// Read-only payload access without path compression; `id` must be a
     /// current root for this to return `Some`.
-    pub fn payload_of_root(&self, root: ElementId) -> Option<&T> {
+    pub(crate) fn payload_of_root(&self, root: ElementId) -> Option<&T> {
         self.payloads.get(root as usize).and_then(|p| p.as_ref())
     }
 
     /// Mutable payload access without a find; `root` must be a current root
     /// for this to return `Some`.
-    pub fn payload_mut_of_root(&mut self, root: ElementId) -> Option<&mut T> {
+    pub(crate) fn payload_mut_of_root(&mut self, root: ElementId) -> Option<&mut T> {
         self.payloads
             .get_mut(root as usize)
             .and_then(|p| p.as_mut())
     }
 
-    /// Replaces the payload of the set containing `id`, returning the old
-    /// payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never inserted.
-    pub fn replace_payload(&mut self, id: ElementId, payload: T) -> T {
-        let root = self.forest.find(id);
-        self.payloads[root as usize]
-            .replace(payload)
-            .expect("root must carry a payload")
-    }
-
     /// Iterates over `(root, payload)` pairs for every current set.
-    pub fn iter_sets(&self) -> impl Iterator<Item = (ElementId, &T)> + '_ {
+    #[cfg(test)]
+    fn iter_sets(&self) -> impl Iterator<Item = (ElementId, &T)> + '_ {
         self.payloads
             .iter()
             .enumerate()
@@ -215,20 +153,8 @@ impl<T: MergePayload> TaggedSets<T> {
     }
 
     /// Access to the underlying packed forest (e.g. for rank statistics).
-    pub fn forest(&self) -> &PackedForest {
+    pub(crate) fn forest(&self) -> &PackedForest {
         &self.forest
-    }
-
-    /// Dissolves every set: each element becomes a singleton again, with a
-    /// payload produced by `fresh` from its element id.
-    ///
-    /// This is the wholesale-reset entry point used by §3.6: the traditional
-    /// collector's mark phase rebuilds the equilive relation from scratch.
-    pub fn reset_all_with(&mut self, mut fresh: impl FnMut(ElementId) -> T) {
-        self.forest.reset_all();
-        for (i, slot) in self.payloads.iter_mut().enumerate() {
-            *slot = Some(fresh(i as ElementId));
-        }
     }
 }
 
@@ -285,7 +211,7 @@ mod tests {
         sets.union(a, b);
         let before = sets.payload(a).cloned();
         let out = sets.union(a, b);
-        assert!(!out.merged());
+        assert!(out.absorbed.is_none());
         assert_eq!(sets.payload(a).cloned(), before);
     }
 
@@ -295,7 +221,8 @@ mod tests {
         let a = sets.insert(block(9));
         let b = sets.insert(block(8));
         sets.union(a, b);
-        sets.payload_mut(a).unwrap().frame = 0;
+        let root = sets.find(a);
+        sets.payload_mut_of_root(root).unwrap().frame = 0;
         assert_eq!(sets.payload(b).unwrap().frame, 0);
     }
 
@@ -303,16 +230,7 @@ mod tests {
     fn payload_of_unknown_element_is_none() {
         let mut sets: TaggedSets<Block> = TaggedSets::new();
         assert!(sets.payload(0).is_none());
-        assert!(sets.payload_mut(3).is_none());
-    }
-
-    #[test]
-    fn replace_payload_returns_old() {
-        let mut sets: TaggedSets<Block> = TaggedSets::new();
-        let a = sets.insert(block(5));
-        let old = sets.replace_payload(a, block(1));
-        assert_eq!(old, block(5));
-        assert_eq!(sets.payload(a).unwrap().frame, 1);
+        assert!(sets.payload_mut_of_root(3).is_none());
     }
 
     #[test]
@@ -329,25 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_all_with_restores_singletons() {
-        let mut sets: TaggedSets<Block> = TaggedSets::new();
-        for i in 0..4 {
-            sets.insert(block(i));
-        }
-        sets.union(0, 1);
-        sets.union(2, 3);
-        sets.reset_all_with(|id| Block {
-            frame: 100 + id as u64,
-            size: 1,
-        });
-        assert_eq!(sets.set_count(), 4);
-        for i in 0..4u32 {
-            assert_eq!(sets.payload(i).unwrap().frame, 100 + i as u64);
-            assert_eq!(sets.payload(i).unwrap().size, 1);
-        }
-    }
-
-    #[test]
     fn payload_of_root_is_read_only_view() {
         let mut sets: TaggedSets<Block> = TaggedSets::new();
         let a = sets.insert(block(1));
@@ -360,10 +259,12 @@ mod tests {
 
     mod properties {
         use super::*;
-        use cg_testutil::TestRng;
+        use cg_testutil::{DisjointSets, TestRng};
 
         /// The sum of set sizes always equals the number of elements, and
-        /// each set's frame is the minimum frame of its members.
+        /// each set's frame is the minimum frame of its members, with the
+        /// partition taken from the plain `DisjointSets` model driven by the
+        /// same unions.
         #[test]
         fn sizes_and_min_frames_are_preserved() {
             for seed in 0..64u64 {
@@ -374,33 +275,28 @@ mod tests {
                     .map(|_| (rng.gen_range(0, n), rng.gen_range(0, n)))
                     .collect();
                 let mut sets: TaggedSets<Block> = TaggedSets::new();
+                let mut plain = DisjointSets::new();
                 for &f in &frames {
                     sets.insert(Block { frame: f, size: 1 });
+                    plain.make_set();
                 }
                 for (a, b) in ops {
                     sets.union(a as ElementId, b as ElementId);
+                    plain.union(a as u32, b as u32);
                 }
                 let total: u64 = sets.iter_sets().map(|(_, p)| p.size).sum();
                 assert_eq!(total, n as u64, "seed {seed}");
                 // Recompute expected min frame per partition and compare.
-                let mut forest = sets.clone_forest_for_test();
                 for id in 0..n as ElementId {
-                    let root = forest.find(id);
+                    let root = plain.find(id);
                     let expected_min = (0..n as ElementId)
-                        .filter(|&j| forest.find(j) == root)
+                        .filter(|&j| plain.find(j) == root)
                         .map(|j| frames[j as usize])
                         .min()
                         .unwrap();
                     assert_eq!(sets.payload(id).unwrap().frame, expected_min, "seed {seed}");
                 }
             }
-        }
-    }
-
-    impl<T: MergePayload + Clone> TaggedSets<T> {
-        /// Test helper: clone of the underlying forest for independent finds.
-        fn clone_forest_for_test(&self) -> PackedForest {
-            self.forest.clone()
         }
     }
 }

@@ -244,7 +244,7 @@ pub static THREADS: GenProfile = GenProfile {
 };
 
 /// Frame-local churn that a recycling collector can feed on.
-pub static RECYCLE_CHURN: GenProfile = GenProfile {
+static RECYCLE_CHURN: GenProfile = GenProfile {
     name: "recycle-churn",
     description: "frame-local churn: repeated helper calls feeding the recycle list",
     classes: (2, 4),
@@ -263,7 +263,7 @@ pub static RECYCLE_CHURN: GenProfile = GenProfile {
 };
 
 /// Array graphs: element stores contaminate whole arrays.
-pub static ARRAY_HEAVY: GenProfile = GenProfile {
+static ARRAY_HEAVY: GenProfile = GenProfile {
     name: "array-heavy",
     description: "array-heavy: aastore contamination and array element graphs",
     classes: (2, 3),

@@ -37,7 +37,7 @@
 //! fault) are caught and reported as failures rather than aborting the
 //! fuzzing run.
 
-use cg_baseline::{trace_live, MarkSweep};
+use cg_core::marksweep::{trace_live, MarkSweep};
 use cg_core::{CgConfig, CgStats, ContaminatedGc, DomainImpl, ObjectBreakdown, ShardedGc};
 use cg_heap::{HandleRepr, Heap, HeapConfig};
 use cg_trace::{

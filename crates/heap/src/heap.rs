@@ -346,12 +346,7 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`HeapError::DeadHandle`] or [`HeapError::BadField`].
-    pub fn set_slot(
-        &mut self,
-        handle: Handle,
-        index: usize,
-        value: Value,
-    ) -> Result<Value, HeapError> {
+    fn set_slot(&mut self, handle: Handle, index: usize, value: Value) -> Result<Value, HeapError> {
         let object = self.get_mut(handle)?;
         let len = object.slot_count();
         let slot = object
@@ -381,8 +376,8 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::KindMismatch`] for arrays, otherwise as
-    /// [`Heap::set_slot`].
+    /// Returns [`HeapError::KindMismatch`] for arrays, otherwise
+    /// [`HeapError::DeadHandle`] or [`HeapError::BadField`].
     pub fn set_field(
         &mut self,
         handle: Handle,
@@ -418,8 +413,8 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::KindMismatch`] for non-arrays, otherwise as
-    /// [`Heap::set_slot`].
+    /// Returns [`HeapError::KindMismatch`] for non-arrays, otherwise
+    /// [`HeapError::DeadHandle`] or [`HeapError::BadField`].
     pub fn set_element(
         &mut self,
         handle: Handle,

@@ -51,7 +51,7 @@ impl HandleRepr {
 
     /// The factor by which the handle space must grow relative to the stock
     /// JDK handle to hold the same number of handles.
-    pub fn expansion_factor(self) -> usize {
+    fn expansion_factor(self) -> usize {
         self.words() / HandleRepr::Jdk.words()
     }
 }

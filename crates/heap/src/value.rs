@@ -90,11 +90,6 @@ impl Value {
     /// The canonical `null` reference.
     pub const NULL: Value = Value::Ref(None);
 
-    /// Whether this value is a reference (null or not).
-    pub fn is_ref(&self) -> bool {
-        matches!(self, Value::Ref(_))
-    }
-
     /// Whether this value is the null reference.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Ref(None))
@@ -112,14 +107,6 @@ impl Value {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The float payload, if this is a `Float`.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
             _ => None,
         }
     }
@@ -191,7 +178,7 @@ mod tests {
     fn default_value_is_null() {
         let v = Value::default();
         assert!(v.is_null());
-        assert!(v.is_ref());
+        assert_eq!(v, Value::NULL);
         assert_eq!(v.as_handle(), None);
     }
 
@@ -199,18 +186,16 @@ mod tests {
     fn ref_value_accessors() {
         let h = Handle::from_index(3);
         let v = Value::from(h);
-        assert!(v.is_ref());
         assert!(!v.is_null());
         assert_eq!(v.as_handle(), Some(h));
         assert_eq!(v.as_int(), None);
-        assert_eq!(v.as_float(), None);
     }
 
     #[test]
     fn primitive_value_accessors() {
         assert_eq!(Value::from(5i64).as_int(), Some(5));
-        assert!(!Value::from(5i64).is_ref());
-        assert_eq!(Value::from(2.5f64).as_float(), Some(2.5));
+        assert!(!Value::from(5i64).is_null());
+        assert_eq!(Value::from(2.5f64), Value::Float(2.5));
         assert_eq!(Value::from(2.5f64).as_handle(), None);
     }
 

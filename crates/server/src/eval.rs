@@ -47,11 +47,11 @@ use cg_trace::{
 /// Most shard threads one session may occupy, regardless of the tenant's
 /// `shards` budget — the serving-side sanity clamp (the bench harness has
 /// no such clamp; a daemon sharing a machine does).
-pub const MAX_SERVING_SHARDS: usize = 16;
+const MAX_SERVING_SHARDS: usize = 16;
 
 /// A live stream reports `PROGRESS` every this many events (plus once
 /// right after the header parses, so every watcher sees at least one).
-pub const PROGRESS_EVERY_EVENTS: u64 = 4096;
+const PROGRESS_EVERY_EVENTS: u64 = 4096;
 
 /// How a session's evaluation is configured (shared by all workers).
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ pub struct EvalConfig {
 }
 
 /// Shard threads one session may use under `limits`: the tenant's
-/// `shards` budget clamped by [`MAX_SERVING_SHARDS`], never zero.  The
+/// `shards` budget clamped to 16 (`MAX_SERVING_SHARDS`), never zero.  The
 /// budget is honored even on machines with fewer cores — byte-identity
 /// holds at any shard count and an explicit grant should behave the same
 /// everywhere; the speedup (not the answer) is what scales with cores.
@@ -323,7 +323,7 @@ pub fn evaluate_session<R: Read>(
 /// Runs one live `STREAM` session: the body is evaluated as it arrives,
 /// like an upload that needs no spool, except that a failure is answered at
 /// once.  `progress` is called with `(events, bytes)` once after the
-/// header parses and then every [`PROGRESS_EVERY_EVENTS`] events — the
+/// header parses and then every 4096 events (`PROGRESS_EVERY_EVENTS`) — the
 /// worker turns each call into a `PROGRESS` frame; a callback error means
 /// the client stopped draining and ends the session.  Live streams bypass
 /// the memoized result cache, whose key is known only at the last byte.
@@ -434,7 +434,7 @@ fn check_header<R: Read>(reader: &TraceReader<R>, governor: &Governor) -> Result
 /// the byte-identity reference for that one: decodes `source` event by
 /// event into the library's replay loop.  `progress` is called with the
 /// events replayed so far once after the header, then after every
-/// [`PROGRESS_EVERY_EVENTS`] events, each time after that event's governor
+/// `PROGRESS_EVERY_EVENTS` events, each time after that event's governor
 /// checkpoint.
 fn eval_single<S: Read>(
     source: S,

@@ -39,7 +39,7 @@ pub struct TenantMetrics {
 
 impl TenantMetrics {
     /// Events per second of evaluation wall-clock, zero before any work.
-    pub fn events_per_sec(&self) -> u64 {
+    fn events_per_sec(&self) -> u64 {
         let secs = self.busy.as_secs_f64();
         if secs <= 0.0 {
             return 0;

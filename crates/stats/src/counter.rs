@@ -11,7 +11,7 @@
 /// use cg_stats::Counter;
 ///
 /// let mut allocations = Counter::new("allocations");
-/// allocations.incr();
+/// allocations.add(1);
 /// allocations.add(4);
 /// assert_eq!(allocations.value(), 5);
 /// ```
@@ -38,11 +38,6 @@ impl Counter {
     /// The current count.
     pub fn value(&self) -> u64 {
         self.value
-    }
-
-    /// Increments the counter by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
     }
 
     /// Adds `n` to the counter.
@@ -162,8 +157,8 @@ mod tests {
     #[test]
     fn counter_increments_and_adds() {
         let mut c = Counter::new("x");
-        c.incr();
-        c.incr();
+        c.add(1);
+        c.add(1);
         c.add(10);
         assert_eq!(c.value(), 12);
     }

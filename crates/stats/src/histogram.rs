@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples at once.
-    pub fn record_n(&mut self, sample: u64, n: u64) {
+    fn record_n(&mut self, sample: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -150,21 +150,6 @@ impl Histogram {
         (self.total > 0).then_some(self.max)
     }
 
-    /// Fraction (0–100) of samples falling in the `i`-th bucket.
-    ///
-    /// Returns 0 for an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.bounds().len()`.
-    pub fn bucket_percent(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.bucket_count(i) as f64 * 100.0 / self.total as f64
-        }
-    }
-
     /// All bucket counts including the overflow bucket, in order.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -214,7 +199,7 @@ impl Histogram {
     }
 
     /// Human-readable bucket labels, e.g. `["1", "2", "3-5", ">5"]`.
-    pub fn bucket_labels(&self) -> Vec<String> {
+    fn bucket_labels(&self) -> Vec<String> {
         let mut labels = Vec::with_capacity(self.counts.len());
         let mut low = 0u64;
         for &b in &self.bounds {
@@ -289,17 +274,6 @@ mod tests {
         assert_eq!(h.max(), Some(12));
         assert_eq!(h.sum(), 18);
         assert!((h.mean().unwrap() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bucket_percent_sums_to_hundred() {
-        let mut h = block_size_histogram();
-        for s in 1..=20 {
-            h.record(s);
-        }
-        let mut sum: f64 = (0..h.bounds().len()).map(|i| h.bucket_percent(i)).sum();
-        sum += h.overflow() as f64 * 100.0 / h.total() as f64;
-        assert!((sum - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`Stopwatch`] and [`RunTimings`] — wall-clock timing with repetition
 //!   support, mirroring the paper's five-repetition timing methodology
 //!   (Appendix A.5–A.7).
-//! * [`Table`] / [`Cell`] — paper-style fixed-width text tables with CSV and
-//!   JSON output.
+//! * [`Table`] / [`Cell`] — paper-style fixed-width text tables with JSON
+//!   output.
 //! * [`Json`] — a dependency-free JSON tree with rendering and parsing, used
 //!   for all machine-readable output (the build environment has no crates.io
 //!   access, so `serde_json` is not available).

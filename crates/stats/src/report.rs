@@ -61,22 +61,6 @@ impl ExperimentRecord {
         self
     }
 
-    /// Absolute difference between measured and paper value, if the paper
-    /// reports one.
-    pub fn abs_error(&self) -> Option<f64> {
-        self.paper.map(|p| (self.measured - p).abs())
-    }
-
-    /// Whether measured and paper agree in *direction* relative to a
-    /// threshold: both above it or both below it.
-    ///
-    /// This is the paper-shape criterion used for speedups (threshold 1.0)
-    /// and "majority collectable" style statements (threshold 50.0).
-    pub fn same_side_of(&self, threshold: f64) -> Option<bool> {
-        self.paper
-            .map(|p| (p >= threshold) == (self.measured >= threshold))
-    }
-
     /// The record as a JSON object.
     pub fn to_json_value(&self) -> Json {
         Json::obj([
@@ -128,7 +112,7 @@ impl ExperimentRecord {
 /// report.add_table(t);
 /// report.add_record(ExperimentRecord::with_paper("Fig 4.1", "raytrace collectable %", 98.0, 97.5));
 /// assert_eq!(report.tables().len(), 1);
-/// assert!(report.records()[0].abs_error().unwrap() < 1.0);
+/// assert_eq!(report.records()[0].paper, Some(98.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
@@ -261,24 +245,6 @@ impl ExperimentReport {
 mod tests {
     use super::*;
     use crate::table::Cell;
-
-    #[test]
-    fn record_abs_error() {
-        let r = ExperimentRecord::with_paper("Fig 4.1", "x", 98.0, 95.0);
-        assert_eq!(r.abs_error(), Some(3.0));
-        let r2 = ExperimentRecord::measured_only("Fig 4.1", "y", 12.0);
-        assert_eq!(r2.abs_error(), None);
-    }
-
-    #[test]
-    fn record_same_side() {
-        let faster = ExperimentRecord::with_paper("Fig 4.10", "javac speedup", 1.14, 1.3);
-        assert_eq!(faster.same_side_of(1.0), Some(true));
-        let disagree = ExperimentRecord::with_paper("Fig 4.10", "jess speedup", 0.93, 1.2);
-        assert_eq!(disagree.same_side_of(1.0), Some(false));
-        let unknown = ExperimentRecord::measured_only("x", "y", 2.0);
-        assert_eq!(unknown.same_side_of(1.0), None);
-    }
 
     #[test]
     fn record_note_chaining() {

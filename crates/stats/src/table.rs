@@ -107,18 +107,6 @@ impl Cell {
             other => return Err(JsonError::msg(format!("unknown cell kind '{other}'"))),
         })
     }
-
-    /// Renders the cell for CSV output (no `%` suffix, full precision).
-    pub fn render_csv(&self) -> String {
-        match self {
-            Cell::Text(s) => s.clone(),
-            Cell::Count(n) => n.to_string(),
-            Cell::Percent(p) => format!("{p}"),
-            Cell::Seconds(s) => format!("{s}"),
-            Cell::Ratio(r) => format!("{r}"),
-            Cell::Missing => String::new(),
-        }
-    }
 }
 
 impl std::fmt::Display for Cell {
@@ -162,8 +150,6 @@ impl From<u64> for Cell {
 /// let text = t.render_text();
 /// assert!(text.contains("Figure 4.7"));
 /// assert!(text.contains("1.11"));
-/// let csv = t.render_csv();
-/// assert!(csv.starts_with("benchmark,CG,JDK,speedup"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -277,37 +263,6 @@ impl Table {
                     out.push_str(&format!("{cell:>width$}", width = widths[i]));
                 }
             }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as CSV (header row first, no title).
-    pub fn render_csv(&self) -> String {
-        let escape = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter()
-                    .map(|c| escape(&c.render_csv()))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
             out.push('\n');
         }
         out
@@ -443,12 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_csv_has_no_percent_sign() {
-        assert_eq!(Cell::percent(61.0).render_csv(), "61");
-        assert_eq!(Cell::Missing.render_csv(), "");
-    }
-
-    #[test]
     fn cell_from_conversions() {
         assert_eq!(Cell::from("x"), Cell::text("x"));
         assert_eq!(Cell::from(3u64), Cell::count(3));
@@ -464,24 +413,6 @@ mod tests {
         assert!(text.contains("45867"));
         assert!(text.contains("98.0%"));
         assert!(text.contains("0.79"));
-    }
-
-    #[test]
-    fn csv_render_has_header_and_rows() {
-        let t = sample_table();
-        let csv = t.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "benchmark,objects,collectable,time,speedup");
-        assert!(lines[1].starts_with("jess,45867,61,"));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("t", &["a"]);
-        t.push_row(vec![Cell::text("hello, \"world\"")]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"hello, \"\"world\"\"\""));
     }
 
     #[test]

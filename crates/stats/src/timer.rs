@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::summary::{mean, std_dev};
+use crate::summary::mean;
 
 /// A simple start/stop stopwatch accumulating total elapsed time.
 ///
@@ -19,13 +19,12 @@ use crate::summary::{mean, std_dev};
 /// sw.start();
 /// // ... work ...
 /// sw.stop();
-/// assert_eq!(sw.laps(), 1);
+/// assert!(sw.total() < std::time::Duration::from_secs(60));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stopwatch {
     name: String,
     total: Duration,
-    laps: u64,
     started: Option<Instant>,
 }
 
@@ -35,7 +34,6 @@ impl Stopwatch {
         Self {
             name: name.into(),
             total: Duration::ZERO,
-            laps: 0,
             started: None,
         }
     }
@@ -57,7 +55,6 @@ impl Stopwatch {
     pub fn stop(&mut self) {
         if let Some(start) = self.started.take() {
             self.total += start.elapsed();
-            self.laps += 1;
         }
     }
 
@@ -69,25 +66,14 @@ impl Stopwatch {
         out
     }
 
-    /// Whether the stopwatch is currently running.
-    pub fn is_running(&self) -> bool {
-        self.started.is_some()
-    }
-
     /// Total accumulated time over all completed laps.
     pub fn total(&self) -> Duration {
         self.total
     }
 
-    /// Number of completed laps.
-    pub fn laps(&self) -> u64 {
-        self.laps
-    }
-
-    /// Resets accumulated time and laps; a running lap is discarded.
+    /// Resets accumulated time; a running lap is discarded.
     pub fn reset(&mut self) {
         self.total = Duration::ZERO;
-        self.laps = 0;
         self.started = None;
     }
 }
@@ -152,37 +138,6 @@ impl RunTimings {
     pub fn mean_seconds(&self) -> f64 {
         mean(&self.seconds).unwrap_or(0.0)
     }
-
-    /// Sample standard deviation in seconds, when at least two repetitions
-    /// were recorded.
-    pub fn std_dev_seconds(&self) -> Option<f64> {
-        std_dev(&self.seconds)
-    }
-
-    /// Fastest repetition in seconds, if any.
-    pub fn min_seconds(&self) -> Option<f64> {
-        self.seconds.iter().copied().reduce(f64::min)
-    }
-
-    /// Slowest repetition in seconds, if any.
-    pub fn max_seconds(&self) -> Option<f64> {
-        self.seconds.iter().copied().reduce(f64::max)
-    }
-}
-
-/// Times `f` once and returns its result along with the elapsed time.
-///
-/// # Example
-///
-/// ```
-/// let (value, elapsed) = cg_stats::timer::time_once(|| 21 * 2);
-/// assert_eq!(value, 42);
-/// assert!(elapsed.as_nanos() > 0 || elapsed.is_zero());
-/// ```
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 #[cfg(test)]
@@ -194,16 +149,13 @@ mod tests {
         let mut sw = Stopwatch::new("t");
         sw.time(|| std::thread::sleep(Duration::from_millis(1)));
         sw.time(|| ());
-        assert_eq!(sw.laps(), 2);
         assert!(sw.total() >= Duration::from_millis(1));
-        assert!(!sw.is_running());
     }
 
     #[test]
     fn stop_without_start_is_noop() {
         let mut sw = Stopwatch::new("t");
         sw.stop();
-        assert_eq!(sw.laps(), 0);
         assert_eq!(sw.total(), Duration::ZERO);
     }
 
@@ -213,8 +165,8 @@ mod tests {
         sw.time(|| ());
         sw.start();
         sw.reset();
-        assert_eq!(sw.laps(), 0);
-        assert!(!sw.is_running());
+        // The running lap was discarded too: stopping adds nothing.
+        sw.stop();
         assert_eq!(sw.total(), Duration::ZERO);
     }
 
@@ -226,23 +178,13 @@ mod tests {
         }
         assert_eq!(t.repetitions(), 3);
         assert_eq!(t.mean_seconds(), 2.0);
-        assert_eq!(t.min_seconds(), Some(1.0));
-        assert_eq!(t.max_seconds(), Some(3.0));
-        assert!(t.std_dev_seconds().unwrap() > 0.0);
+        assert_eq!(t.seconds(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn run_timings_empty() {
         let t = RunTimings::new("x");
         assert_eq!(t.mean_seconds(), 0.0);
-        assert_eq!(t.min_seconds(), None);
-        assert_eq!(t.std_dev_seconds(), None);
-    }
-
-    #[test]
-    fn time_once_returns_value() {
-        let (v, d) = time_once(|| "hello");
-        assert_eq!(v, "hello");
-        let _ = d;
+        assert_eq!(t.repetitions(), 0);
     }
 }

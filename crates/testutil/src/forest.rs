@@ -1,28 +1,25 @@
 //! The plain disjoint-set forest: union by rank, iterative path compression.
-
-/// Identifier of an element in a [`DisjointSets`] forest.
-///
-/// Elements are allocated densely starting at zero by
-/// [`DisjointSets::make_set`]; the contaminated collector uses the heap
-/// handle index as the element id so no extra mapping is needed.
-pub type ElementId = u32;
-
-/// Result of a [`DisjointSets::union`] operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UnionOutcome {
-    /// The representative (root) of the combined set after the union.
-    pub root: ElementId,
-    /// The previous root that was absorbed, if the two elements were in
-    /// different sets; `None` if they were already in the same set.
-    pub absorbed: Option<ElementId>,
-}
-
-impl UnionOutcome {
-    /// Whether the union actually merged two distinct sets.
-    pub fn merged(&self) -> bool {
-        self.absorbed.is_some()
-    }
-}
+//!
+//! This is the readable reference model for the contaminated collector's
+//! equilive relation (thesis §2.2 and §3.1.1): parent and rank stored in
+//! separate arrays, every existence check a hard `assert!`.  The collector's
+//! own packed forests are property-tested against it, and the micro-benches
+//! time it.
+//!
+//! # Example
+//!
+//! ```
+//! use cg_testutil::DisjointSets;
+//!
+//! let mut sets = DisjointSets::new();
+//! let a = sets.make_set();
+//! let b = sets.make_set();
+//! let c = sets.make_set();
+//! sets.union(a, b);
+//! assert!(sets.same_set(a, b));
+//! assert!(!sets.same_set(a, c));
+//! assert_eq!(sets.set_count(), 2);
+//! ```
 
 /// A disjoint-set forest with union by rank and path compression.
 ///
@@ -36,7 +33,7 @@ impl UnionOutcome {
 /// # Example
 ///
 /// ```
-/// use cg_unionfind::DisjointSets;
+/// use cg_testutil::DisjointSets;
 ///
 /// let mut sets = DisjointSets::with_capacity(8);
 /// let ids: Vec<_> = (0..8).map(|_| sets.make_set()).collect();
@@ -48,7 +45,7 @@ impl UnionOutcome {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DisjointSets {
-    parent: Vec<ElementId>,
+    parent: Vec<u32>,
     rank: Vec<u8>,
     set_count: usize,
     /// High-water mark of any root's rank, maintained incrementally on
@@ -88,7 +85,7 @@ impl DisjointSets {
     }
 
     /// Whether `id` names an element of this forest.
-    pub fn contains(&self, id: ElementId) -> bool {
+    pub fn contains(&self, id: u32) -> bool {
         (id as usize) < self.parent.len()
     }
 
@@ -96,8 +93,8 @@ impl DisjointSets {
     ///
     /// Ids are assigned densely: the first call returns 0, the next 1, and
     /// so on.
-    pub fn make_set(&mut self) -> ElementId {
-        let id = self.parent.len() as ElementId;
+    pub fn make_set(&mut self) -> u32 {
+        let id = self.parent.len() as u32;
         self.parent.push(id);
         self.rank.push(0);
         self.set_count += 1;
@@ -110,7 +107,7 @@ impl DisjointSets {
     /// handles may be minted by the heap without the collector seeing an
     /// allocation event (e.g. VM-internal objects), so it must be able to
     /// materialise an element lazily.
-    pub fn ensure(&mut self, id: ElementId) {
+    pub fn ensure(&mut self, id: u32) {
         while self.parent.len() <= id as usize {
             self.make_set();
         }
@@ -122,7 +119,7 @@ impl DisjointSets {
     /// # Panics
     ///
     /// Panics if `id` was never created.
-    pub fn find(&mut self, id: ElementId) -> ElementId {
+    pub fn find(&mut self, id: u32) -> u32 {
         assert!(self.contains(id), "element {id} does not exist");
         // First pass: locate the root.
         let mut root = id;
@@ -144,7 +141,7 @@ impl DisjointSets {
     /// # Panics
     ///
     /// Panics if `id` was never created.
-    pub fn find_immutable(&self, id: ElementId) -> ElementId {
+    pub fn find_immutable(&self, id: u32) -> u32 {
         assert!(self.contains(id), "element {id} does not exist");
         let mut root = id;
         while self.parent[root as usize] != root {
@@ -158,27 +155,24 @@ impl DisjointSets {
     /// # Panics
     ///
     /// Panics if either element was never created.
-    pub fn same_set(&mut self, a: ElementId, b: ElementId) -> bool {
+    pub fn same_set(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
     }
 
     /// Unions the sets containing `a` and `b` using union by rank.
     ///
-    /// Returns the surviving root and, when a merge happened, the root that
-    /// was absorbed — callers carrying per-set payloads use the absorbed root
-    /// to move its payload onto the winner.
+    /// Returns `(root, absorbed)`: the surviving root and, when a merge
+    /// happened, the root that was absorbed (`None` if `a` and `b` were
+    /// already in the same set).
     ///
     /// # Panics
     ///
     /// Panics if either element was never created.
-    pub fn union(&mut self, a: ElementId, b: ElementId) -> UnionOutcome {
+    pub fn union(&mut self, a: u32, b: u32) -> (u32, Option<u32>) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
-            return UnionOutcome {
-                root: ra,
-                absorbed: None,
-            };
+            return (ra, None);
         }
         let (winner, loser) = match self.rank[ra as usize].cmp(&self.rank[rb as usize]) {
             std::cmp::Ordering::Greater => (ra, rb),
@@ -191,10 +185,7 @@ impl DisjointSets {
         };
         self.parent[loser as usize] = winner;
         self.set_count -= 1;
-        UnionOutcome {
-            root: winner,
-            absorbed: Some(loser),
-        }
+        (winner, Some(loser))
     }
 
     /// The current rank of the set rooted at `id`'s representative.
@@ -202,7 +193,7 @@ impl DisjointSets {
     /// # Panics
     ///
     /// Panics if `id` was never created.
-    pub fn rank_of(&mut self, id: ElementId) -> u8 {
+    pub fn rank_of(&mut self, id: u32) -> u8 {
         let root = self.find(id);
         self.rank[root as usize]
     }
@@ -210,8 +201,7 @@ impl DisjointSets {
     /// The largest rank any root has ever reached (O(1)).
     ///
     /// The paper observes this stays small (≤ 10 on SPECjvm98), justifying
-    /// the packed-handle representation of §3.5 (see
-    /// [`PackedForest`](crate::PackedForest)).  Maintained incrementally as
+    /// the packed-handle representation of §3.5.  Maintained incrementally as
     /// a high-water mark: unions can only grow it, `reset_all` clears it,
     /// and [`DisjointSets::detach_into_singleton`] never lowers it.
     pub fn max_rank(&self) -> u8 {
@@ -222,12 +212,12 @@ impl DisjointSets {
     ///
     /// Cold path only: this scans every element.  Nothing on the
     /// per-event hot path enumerates roots.
-    pub fn roots(&self) -> impl Iterator<Item = ElementId> + '_ {
+    pub fn roots(&self) -> impl Iterator<Item = u32> + '_ {
         self.parent
             .iter()
             .enumerate()
             .filter(|(i, &p)| p as usize == *i)
-            .map(|(i, _)| i as ElementId)
+            .map(|(i, _)| i as u32)
     }
 
     /// Detaches `id` into a fresh singleton set of rank zero.
@@ -243,13 +233,13 @@ impl DisjointSets {
     /// `id` as their parent (i.e. `id` is a non-singleton root); callers must
     /// reset whole partitions via [`DisjointSets::reset_all`] or only detach
     /// leaves they know are safe.
-    pub fn detach_into_singleton(&mut self, id: ElementId) {
+    pub fn detach_into_singleton(&mut self, id: u32) {
         assert!(self.contains(id), "element {id} does not exist");
         let has_children = self
             .parent
             .iter()
             .enumerate()
-            .any(|(i, &p)| p == id && i as ElementId != id);
+            .any(|(i, &p)| p == id && i as u32 != id);
         assert!(
             !has_children,
             "cannot detach element {id}: other elements still point at it"
@@ -265,7 +255,7 @@ impl DisjointSets {
     /// Resets every element into its own singleton set.
     pub fn reset_all(&mut self) {
         for i in 0..self.parent.len() {
-            self.parent[i] = i as ElementId;
+            self.parent[i] = i as u32;
             self.rank[i] = 0;
         }
         self.set_count = self.parent.len();
@@ -275,10 +265,10 @@ impl DisjointSets {
     /// Groups all elements by their representative, returning
     /// `(root, members)` pairs.  Cold path only (tests and statistics):
     /// allocates and walks the whole forest; never call this per event.
-    pub fn partitions(&mut self) -> Vec<(ElementId, Vec<ElementId>)> {
+    pub fn partitions(&mut self) -> Vec<(u32, Vec<u32>)> {
         use std::collections::BTreeMap;
-        let mut map: BTreeMap<ElementId, Vec<ElementId>> = BTreeMap::new();
-        for id in 0..self.parent.len() as ElementId {
+        let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for id in 0..self.parent.len() as u32 {
             let root = self.find(id);
             map.entry(root).or_default().push(id);
         }
@@ -322,10 +312,9 @@ mod tests {
         let mut sets = DisjointSets::new();
         let a = sets.make_set();
         let b = sets.make_set();
-        let out = sets.union(a, b);
-        assert!(out.merged());
-        assert!(out.root == a || out.root == b);
-        assert_eq!(out.absorbed, Some(if out.root == a { b } else { a }));
+        let (root, absorbed) = sets.union(a, b);
+        assert!(root == a || root == b);
+        assert_eq!(absorbed, Some(if root == a { b } else { a }));
         assert!(sets.same_set(a, b));
         assert_eq!(sets.set_count(), 1);
     }
@@ -336,9 +325,7 @@ mod tests {
         let a = sets.make_set();
         let b = sets.make_set();
         sets.union(a, b);
-        let out = sets.union(a, b);
-        assert!(!out.merged());
-        assert_eq!(out.absorbed, None);
+        assert_eq!(sets.union(a, b).1, None);
         assert_eq!(sets.set_count(), 1);
     }
 
@@ -351,9 +338,8 @@ mod tests {
         // a-b gives the winner rank 1.
         let first = sets.union(a, b);
         // Unioning with singleton c keeps the rank-1 root as winner.
-        let second = sets.union(c, first.root);
-        assert_eq!(second.root, first.root);
-        assert_eq!(second.absorbed, Some(c));
+        let second = sets.union(c, first.0);
+        assert_eq!(second, (first.0, Some(c)));
     }
 
     #[test]
@@ -400,7 +386,7 @@ mod tests {
             let mut next = Vec::new();
             for pair in layer.chunks(2) {
                 if pair.len() == 2 {
-                    next.push(sets.union(pair[0], pair[1]).root);
+                    next.push(sets.union(pair[0], pair[1]).0);
                 } else {
                     next.push(pair[0]);
                 }
@@ -432,8 +418,7 @@ mod tests {
         let mut sets = DisjointSets::new();
         let a = sets.make_set();
         let b = sets.make_set();
-        let out = sets.union(a, b);
-        let leaf = out.absorbed.unwrap();
+        let leaf = sets.union(a, b).1.unwrap();
         sets.detach_into_singleton(leaf);
         assert!(!sets.same_set(a, b));
         assert_eq!(sets.set_count(), 2);
@@ -445,8 +430,8 @@ mod tests {
         let mut sets = DisjointSets::new();
         let a = sets.make_set();
         let b = sets.make_set();
-        let out = sets.union(a, b);
-        sets.detach_into_singleton(out.root);
+        let (root, _) = sets.union(a, b);
+        sets.detach_into_singleton(root);
     }
 
     #[test]
@@ -485,7 +470,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use cg_testutil::TestRng;
+        use crate::TestRng;
         use std::collections::HashMap;
 
         /// A naive partition model to compare the forest against.
@@ -546,14 +531,14 @@ mod tests {
                     model.make();
                 }
                 for (a, b) in random_ops(&mut rng, n, 200) {
-                    sets.union(a as ElementId, b as ElementId);
+                    sets.union(a as u32, b as u32);
                     model.union(a, b);
                 }
                 assert_eq!(sets.set_count(), model.set_count(), "seed {seed}");
                 for a in 0..n {
                     for b in 0..n {
                         assert_eq!(
-                            sets.same_set(a as ElementId, b as ElementId),
+                            sets.same_set(a as u32, b as u32),
                             model.same(a, b),
                             "seed {seed}: elements {a}, {b}"
                         );
@@ -573,7 +558,7 @@ mod tests {
                     sets.make_set();
                 }
                 for (a, b) in random_ops(&mut rng, n, 400) {
-                    sets.union(a as ElementId, b as ElementId);
+                    sets.union(a as u32, b as u32);
                 }
                 let bound = (usize::BITS - n.leading_zeros()) as u8;
                 assert!(sets.max_rank() <= bound, "seed {seed}");
@@ -591,9 +576,9 @@ mod tests {
                     sets.make_set();
                 }
                 for (a, b) in random_ops(&mut rng, n, 100) {
-                    sets.union(a as ElementId, b as ElementId);
+                    sets.union(a as u32, b as u32);
                 }
-                for id in 0..n as ElementId {
+                for id in 0..n as u32 {
                     let r1 = sets.find(id);
                     let r2 = sets.find(id);
                     assert_eq!(r1, r2, "seed {seed}");
@@ -616,7 +601,7 @@ mod tests {
                 }
                 let mut merges = 0usize;
                 for (a, b) in random_ops(&mut rng, n, 200) {
-                    if sets.union(a as ElementId, b as ElementId).merged() {
+                    if sets.union(a as u32, b as u32).1.is_some() {
                         merges += 1;
                     }
                 }

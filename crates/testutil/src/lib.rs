@@ -1,13 +1,21 @@
-//! Dependency-free deterministic pseudo-randomness for tests.
+//! Dependency-free test support: deterministic pseudo-randomness and the
+//! reference union/find model.
 //!
 //! The container this workspace builds in has no network access, so the
 //! property-style tests cannot use `proptest`/`rand`.  [`TestRng`] is a small
 //! splitmix64 generator that gives those tests reproducible randomness: every
 //! test iterates over a fixed range of seeds, so a failure report ("seed 17")
 //! is enough to replay the exact case.
+//!
+//! [`DisjointSets`] is the plain union-by-rank, path-compression forest that
+//! the collector's packed forests are checked against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod forest;
+
+pub use forest::DisjointSets;
 
 /// A deterministic splitmix64 pseudo-random generator.
 ///

@@ -148,18 +148,6 @@ pub fn max_expansion(stored_len: usize) -> usize {
     stored_len.saturating_mul(MAX_MATCH) / 3
 }
 
-/// Decompresses a token stream produced by [`compress`] into exactly
-/// `expected_len` bytes.
-///
-/// # Errors
-///
-/// As [`decompress_into`].
-pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
-    let mut out = Vec::new();
-    decompress_into(src, expected_len, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses a token stream produced by [`compress`] into `out`, which
 /// is overwritten and ends up exactly `expected_len` bytes long (its
 /// capacity is reused from call to call).
@@ -241,6 +229,13 @@ pub fn decompress_into(src: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Re
 mod tests {
     use super::*;
     use cg_testutil::TestRng;
+
+    /// [`decompress_into`] a fresh buffer.
+    fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        decompress_into(src, expected_len, &mut out)?;
+        Ok(out)
+    }
 
     fn round_trip(data: &[u8]) {
         let packed = compress(data);

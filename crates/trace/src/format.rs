@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 4] = [0x89, b'C', b'G', b'T'];
 pub const FORMAT_VERSION: u16 = 1;
 
 /// Number of event kinds (and footer count slots).
-pub const EVENT_KIND_COUNT: usize = EventKind::ALL.len();
+const EVENT_KIND_COUNT: usize = EventKind::ALL.len();
 
 /// Default number of events per chunk.
 ///

@@ -62,7 +62,6 @@ pub struct TraceWriter<W: Write> {
     /// independently.
     codec: EventCodec,
     prev_seq: u64,
-    chunks_written: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -109,7 +108,6 @@ impl<W: Write> TraceWriter<W> {
             is_shard: matches!(meta.stream, StreamKind::Shard { .. }),
             codec: EventCodec::default(),
             prev_seq: 0,
-            chunks_written: 0,
         })
     }
 
@@ -165,11 +163,6 @@ impl<W: Write> TraceWriter<W> {
         &self.stats
     }
 
-    /// Chunks framed out so far (excluding the footer).
-    pub fn chunks_written(&self) -> u64 {
-        self.chunks_written
-    }
-
     /// Adds a named footer section (written by [`TraceWriter::finish`]).
     /// A section with the same name replaces the previous one.
     pub fn add_section(&mut self, section: FooterSection) {
@@ -188,7 +181,6 @@ impl<W: Write> TraceWriter<W> {
             &self.buf,
             self.compress,
         )?;
-        self.chunks_written += 1;
         self.buf.clear();
         self.buffered_events = 0;
         self.codec = EventCodec::default();

@@ -252,7 +252,7 @@ impl EventRouter {
 
 /// Name of the footer section carrying whole-partition totals in per-shard
 /// `.cgt` files.
-pub const SHARD_SECTION: &str = "shard";
+const SHARD_SECTION: &str = "shard";
 
 /// Where a streaming partition put its per-shard `.cgt` files, plus the
 /// whole-partition totals.
@@ -274,7 +274,7 @@ pub struct PartitionedPaths {
 ///
 /// `meta` supplies the headers of the shard streams (name, workload, heap,
 /// `gc_every`); its stream kind is overridden per shard and its declared
-/// event count dropped.  Every shard's footer carries a [`SHARD_SECTION`]
+/// event count dropped.  Every shard's footer carries a `"shard"` section
 /// with the whole partition's totals.
 ///
 /// Returns the finished sinks, in shard order, and the number of

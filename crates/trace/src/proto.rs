@@ -42,7 +42,7 @@
 //! ```
 //!
 //! The same IEEE CRC32 that guards `.cgt` chunks guards every frame
-//! payload, and `len` is validated against [`MAX_FRAME_PAYLOAD`] *before*
+//! payload, and `len` is validated against the 1 MiB payload cap *before*
 //! any allocation — an adversarial length prefix cannot balloon memory.
 //! The `.cgt` bytes inside [`Frame::Data`] payloads reuse the chunk wire
 //! format from [`crate::format`] unchanged: a session body is exactly the
@@ -56,18 +56,18 @@ use crate::limits::EvalError;
 use crate::wire::{self, SliceReader};
 
 /// Connection preamble magic (distinct from the `.cgt` file magic).
-pub const PROTO_MAGIC: [u8; 4] = *b"\x89CGP";
+const PROTO_MAGIC: [u8; 4] = *b"\x89CGP";
 
 /// Protocol version carried in the preamble.
-pub const PROTO_VERSION: u16 = 1;
+const PROTO_VERSION: u16 = 1;
 
 /// Hard cap on a frame payload; larger length prefixes are rejected before
 /// allocation.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
+const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
 /// Recommended [`Frame::Data`] payload size: matches the `.cgt` writer's
 /// chunk target so one frame ≈ one chunk.
-pub const DATA_CHUNK_BYTES: usize = 256 * 1024;
+const DATA_CHUNK_BYTES: usize = 256 * 1024;
 
 const KIND_SUBMIT: u8 = 0x01;
 const KIND_DATA: u8 = 0x02;
@@ -235,13 +235,13 @@ fn malformed(e: wire::WireError) -> ProtoError {
 pub enum ProtoError {
     /// The underlying stream failed (or timed out).
     Io(io::Error),
-    /// The connection preamble did not start with [`PROTO_MAGIC`].
+    /// The connection preamble did not start with the magic `\x89CGP`.
     BadMagic,
     /// The preamble carried a version this side does not speak.
     UnsupportedVersion(u16),
     /// The stream ended mid-frame (torn frame / mid-stream disconnect).
     Truncated(&'static str),
-    /// The length prefix exceeds [`MAX_FRAME_PAYLOAD`].
+    /// The length prefix exceeds the 1 MiB payload cap.
     Oversized {
         /// The declared payload length.
         len: u64,
@@ -443,8 +443,8 @@ pub fn read_preamble<R: Read>(r: &mut R) -> Result<(), ProtoError> {
 ///
 /// # Panics
 ///
-/// Panics if the encoded payload exceeds [`MAX_FRAME_PAYLOAD`] — callers
-/// split [`Frame::Data`] at [`DATA_CHUNK_BYTES`], far below the cap.
+/// Panics if the encoded payload exceeds the 1 MiB cap — callers split
+/// [`Frame::Data`] at 256 KiB, far below it.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let payload = frame.payload();
     assert!(
@@ -459,7 +459,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` means the stream ended cleanly *between*
-/// frames.  The length prefix is validated against [`MAX_FRAME_PAYLOAD`]
+/// frames.  The length prefix is validated against the 1 MiB payload cap
 /// before the payload buffer is allocated.
 ///
 /// # Errors
@@ -623,8 +623,8 @@ impl<R: Read> Read for SessionReader<R> {
     }
 }
 
-/// Streams a reader's bytes to `w` as `DATA` frames of at most
-/// [`DATA_CHUNK_BYTES`], followed by `END` (the client half of a session
+/// Streams a reader's bytes to `w` as `DATA` frames of at most 256 KiB
+/// (one `.cgt` chunk), followed by `END` (the client half of a session
 /// body).  Returns the byte count sent.
 ///
 /// # Errors

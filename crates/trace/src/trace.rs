@@ -71,15 +71,6 @@ impl TraceStats {
         EventKind::ALL.map(|kind| self.count(kind))
     }
 
-    /// Rebuilds stats from a tag-ordered census (the footer's form).
-    pub fn from_counts(counts: &[u64; EventKind::ALL.len()]) -> Self {
-        let mut stats = TraceStats::default();
-        for (kind, &count) in EventKind::ALL.iter().zip(counts.iter()) {
-            *stats.slot_mut(*kind) = count;
-        }
-        stats
-    }
-
     /// Total events across all kinds.
     pub fn total(&self) -> u64 {
         self.counts().iter().sum()
@@ -99,7 +90,6 @@ mod tests {
         let counts = stats.counts();
         assert_eq!(counts[EventKind::FramePush.tag() as usize], 2);
         assert_eq!(counts[EventKind::FramePop.tag() as usize], 1);
-        assert_eq!(TraceStats::from_counts(&counts), stats);
         assert_eq!(stats.total(), 3);
         assert_eq!(stats.count(EventKind::Collect), 0);
     }

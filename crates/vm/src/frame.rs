@@ -104,18 +104,6 @@ impl FrameInfo {
             method: MethodId::new(u32::MAX),
         }
     }
-
-    /// Whether `self` is at least as old as `other` (same thread, smaller or
-    /// equal depth).  The static pseudo-frame is older than everything.
-    pub fn is_at_least_as_old_as(&self, other: &FrameInfo) -> bool {
-        if self.id.is_static() {
-            return true;
-        }
-        if other.id.is_static() {
-            return false;
-        }
-        self.thread == other.thread && self.depth <= other.depth
-    }
 }
 
 /// One activation record.
@@ -229,48 +217,9 @@ mod tests {
             thread: ThreadId::MAIN,
             method: MethodId::new(0),
         };
-        assert!(static_frame.is_at_least_as_old_as(&young));
-        assert!(!young.is_at_least_as_old_as(&static_frame));
         assert!(static_frame.id.is_static());
         assert!(FrameId::STATIC.is_static());
         assert!(!young.id.is_static());
-    }
-
-    #[test]
-    fn depth_orders_frames_within_a_thread() {
-        let older = FrameInfo {
-            id: FrameId::new(1),
-            depth: 1,
-            thread: ThreadId::MAIN,
-            method: MethodId::new(0),
-        };
-        let younger = FrameInfo {
-            id: FrameId::new(2),
-            depth: 4,
-            thread: ThreadId::MAIN,
-            method: MethodId::new(0),
-        };
-        assert!(older.is_at_least_as_old_as(&younger));
-        assert!(!younger.is_at_least_as_old_as(&older));
-        assert!(older.is_at_least_as_old_as(&older));
-    }
-
-    #[test]
-    fn frames_of_different_threads_are_not_comparable() {
-        let a = FrameInfo {
-            id: FrameId::new(1),
-            depth: 1,
-            thread: ThreadId::new(0),
-            method: MethodId::new(0),
-        };
-        let b = FrameInfo {
-            id: FrameId::new(2),
-            depth: 5,
-            thread: ThreadId::new(1),
-            method: MethodId::new(0),
-        };
-        assert!(!a.is_at_least_as_old_as(&b));
-        assert!(!b.is_at_least_as_old_as(&a));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::collector::{CollectOutcome, Collector, FrameRoots, RootSet};
 use crate::event::{AllocKind, EventSink, GcEvent};
 use crate::frame::{Frame, FrameId, FrameInfo, ThreadId, ThreadState, ThreadStatus};
 use crate::insn::{ArithOp, Insn, LocalIdx, Operand, OPCODE_NAMES};
-use crate::program::{FuseReport, MethodId, Program, ProgramError, StaticId};
+use crate::program::{MethodId, Program, ProgramError, StaticId};
 use cg_heap::{ClassId, Handle, Heap, HeapConfig, HeapError, HeapStats, Value};
 
 /// Interpreter configuration.
@@ -779,7 +779,6 @@ impl<C: Collector> Exec<C> {
 pub struct Vm<C: Collector> {
     program: Program,
     ex: Exec<C>,
-    fuse_report: FuseReport,
 }
 
 impl<C: Collector> Vm<C> {
@@ -789,19 +788,14 @@ impl<C: Collector> Vm<C> {
     /// site through [`Program::fused`] first; execution semantics and the
     /// emitted event stream are identical either way.
     pub fn new(program: Program, config: VmConfig, collector: C) -> Self {
-        let (program, fuse_report) = if config.fusion {
-            program.fused()
+        let (program, call_sites) = if config.fusion {
+            let (program, report) = program.fused();
+            (program, report.call_sites)
         } else {
             // Even unfused, the program may carry cached calls (e.g. parsed
             // from corpus text); size the cache table to cover them.
             let call_sites = program.max_call_site().map_or(0, |s| s + 1);
-            (
-                program,
-                FuseReport {
-                    call_sites,
-                    ..FuseReport::default()
-                },
-            )
+            (program, call_sites)
         };
         let statics = vec![Value::NULL; program.static_count()];
         Self {
@@ -818,19 +812,11 @@ impl<C: Collector> Vm<C> {
                 next_frame_id: 1,
                 stats: VmStats::default(),
                 sink: None,
-                call_sites: vec![CallSite::EMPTY; fuse_report.call_sites as usize],
+                call_sites: vec![CallSite::EMPTY; call_sites as usize],
                 locals_pool: Vec::new(),
                 profile: DispatchProfile::default(),
             },
-            fuse_report,
         }
-    }
-
-    /// What the inline-cache pass rewrote when this VM was built.  With
-    /// fusion off `calls_cached` is zero, but `call_sites` still covers any
-    /// `CallCached` the program arrived with (e.g. parsed from corpus text).
-    pub fn fuse_report(&self) -> FuseReport {
-        self.fuse_report
     }
 
     /// Dispatch counters: per-opcode counts (only populated when built with
@@ -858,11 +844,6 @@ impl<C: Collector> Vm<C> {
     /// Mutable access to the collector (for post-run statistics extraction).
     pub fn collector_mut(&mut self) -> &mut C {
         &mut self.ex.collector
-    }
-
-    /// Consumes the VM, returning the collector.
-    pub fn into_collector(self) -> C {
-        self.ex.collector
     }
 
     /// The heap.
@@ -2106,14 +2087,7 @@ mod tests {
         // emit exactly what the uncached one does, in the same place.
         let p = call_loop_program();
         assert!(
-            Vm::new(
-                p.clone(),
-                VmConfig::small().with_fusion(true),
-                NoopCollector::new()
-            )
-            .fuse_report()
-            .calls_cached
-                > 0,
+            p.fused().1.calls_cached > 0,
             "the probe program must carry calls to cache"
         );
         for quantum in [1usize, 2, 3, 64] {

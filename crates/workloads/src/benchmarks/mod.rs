@@ -57,14 +57,6 @@ pub fn profile_of(name: &str, size: Size) -> Profile {
     }
 }
 
-/// Profiles of all eight benchmarks at the given size.
-pub fn all_profiles(size: Size) -> Vec<Profile> {
-    BENCHMARK_NAMES
-        .iter()
-        .map(|name| profile_of(name, size))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +71,7 @@ mod tests {
                 assert!(profile.expected_objects() > 0);
             }
         }
-        assert_eq!(all_profiles(Size::S1).len(), 8);
+        assert_eq!(BENCHMARK_NAMES.len(), 8);
     }
 
     #[test]

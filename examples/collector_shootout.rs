@@ -11,7 +11,7 @@
 //! cargo run --release --example collector_shootout
 //! ```
 
-use contaminated_gc::baseline::MarkSweep;
+use contaminated_gc::collector::marksweep::MarkSweep;
 use contaminated_gc::collector::ContaminatedGc;
 use contaminated_gc::stats::{percent, Cell, Table};
 use contaminated_gc::vm::{Vm, VmConfig};

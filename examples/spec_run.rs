@@ -9,7 +9,7 @@
 //!   collector: cg | cg-noopt | msa     (default cg)
 //! ```
 
-use contaminated_gc::baseline::MarkSweep;
+use contaminated_gc::collector::marksweep::MarkSweep;
 use contaminated_gc::collector::{CgConfig, ContaminatedGc};
 use contaminated_gc::stats::percent;
 use contaminated_gc::vm::{Vm, VmConfig};

@@ -1,7 +1,7 @@
 //! End-to-end integration of the collectors with the virtual machine:
 //! memory pressure, recycling, resetting, and the facade crate's public API.
 
-use contaminated_gc::baseline::MarkSweep;
+use contaminated_gc::collector::marksweep::{trace_live, MarkSweep};
 use contaminated_gc::collector::{CgConfig, ContaminatedGc, HybridCollector, HybridConfig};
 use contaminated_gc::heap::{HandleRepr, HeapConfig};
 use contaminated_gc::vm::{Insn, Operand, Vm, VmConfig, VmError};
@@ -138,7 +138,7 @@ fn hybrid_reset_and_baseline_agree_on_the_final_live_set() {
     baseline.run().expect("baseline run");
     let baseline_reachable = {
         let roots = baseline.build_roots();
-        cg_baseline::trace_live(&roots, baseline.heap())
+        trace_live(&roots, baseline.heap())
             .iter()
             .filter(|&&m| m)
             .count()
@@ -156,7 +156,7 @@ fn hybrid_reset_and_baseline_agree_on_the_final_live_set() {
     hybrid_vm.run().expect("hybrid run");
     let hybrid_reachable = {
         let roots = hybrid_vm.build_roots();
-        cg_baseline::trace_live(&roots, hybrid_vm.heap())
+        trace_live(&roots, hybrid_vm.heap())
             .iter()
             .filter(|&&m| m)
             .count()
@@ -183,8 +183,10 @@ fn facade_reexports_cover_the_whole_api_surface() {
         contaminated_gc::stats::Cell::percent(stats.collectable_percent()),
     ]);
     assert!(table.render_text().contains("compress"));
-    // Union-find and heap substrates are usable directly through the facade.
-    let mut sets = contaminated_gc::unionfind::DisjointSets::new();
+    // The collector's forests are private; the reference union-find model
+    // comes from cg-testutil.  The heap substrate is usable directly through
+    // the facade.
+    let mut sets = cg_testutil::DisjointSets::new();
     let a = sets.make_set();
     let b = sets.make_set();
     sets.union(a, b);

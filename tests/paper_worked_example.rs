@@ -253,7 +253,7 @@ fn step_5_pointing_away_does_not_undo_contamination() {
     // A traditional collector *would* reclaim A–D here, which is exactly
     // what the §3.6 resetting experiment exploits.
     let roots = vm.build_roots();
-    let reachable = cg_baseline::trace_live(&roots, vm.heap());
+    let reachable = cg_core::marksweep::trace_live(&roots, vm.heap());
     assert_eq!(reachable.iter().filter(|&&m| m).count(), 1); // only E
 }
 

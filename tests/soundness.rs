@@ -13,7 +13,7 @@
 //! environment has no crates.io access for `proptest`); each property runs
 //! over a fixed seed range, so a failure names the seed to replay.
 
-use cg_baseline::trace_live;
+use cg_core::marksweep::trace_live;
 use cg_core::{CgConfig, ContaminatedGc, HybridCollector, HybridConfig};
 use cg_testutil::TestRng;
 use cg_vm::{Vm, VmConfig};

@@ -285,7 +285,7 @@ fn one_recording_serves_many_collectors() {
     let msa = replay(
         &trace,
         config().heap,
-        cg_baseline::MarkSweep::new(),
+        cg_core::marksweep::MarkSweep::new(),
         &unlimited,
     )
     .expect("msa replay");
