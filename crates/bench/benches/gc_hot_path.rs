@@ -10,7 +10,14 @@
 //! untimed: the collector's work counters (`cg_bench::cg_counts`), the
 //! allocator's free-block `search_steps` and the heap allocations of one
 //! iteration — for the `replay/*` labels also the most heap bytes it held
-//! at once (`peak_bytes`) — must equal its line in `EXPECTED`.
+//! at once (`peak_bytes`) and the bytes it requested (`bytes_allocated`) —
+//! must equal its line in `EXPECTED`.  Each replay label also prints its
+//! `peak_bytes` per object created and per peak-live object.
+//!
+//! `capacity/cg/short_lived_5m` replays 5 M objects that die in frames of
+//! 500 and is counted only, not timed: the collector's memory must stay
+//! within four live records per peak-live object plus one page per table,
+//! however many objects the trace creates.
 //!
 //! The suite also proves the optimisations are behaviour-preserving: before
 //! timing anything it records a workload trace and asserts that replaying it
@@ -21,7 +28,9 @@ mod common;
 
 use std::hint::black_box;
 
-use cg_bench::{cg_counts, counts_since, record_events, BenchHarness};
+use cg_bench::{
+    cg_counts, counts_since, record_events, short_lived_stream, BenchHarness, PAGE_PER_TABLE_BYTES,
+};
 use cg_core::{CgConfig, ContaminatedGc};
 use cg_heap::{AllocPolicy, ClassId, Heap, HeapConfig, Value};
 use cg_trace::{replay_events_governed, Governor};
@@ -31,21 +40,24 @@ use cg_workloads::{Size, Workload};
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
     "stores/cg/same_block contaminations=1",
-    "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=575",
-    "stores/cg/union_storm_4096 unions=4095 contaminations=4095 allocations=4171",
+    "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=570",
+    "stores/cg/union_storm_4096 unions=4095 contaminations=4095 allocations=4179",
     "stores/cg/static_opt_skip contaminations=1 static_opt_skips=1",
-    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=173",
-    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2120",
+    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=176",
+    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2126",
     "allocs/first_fit/alloc_free_churn_256 search_steps=256 allocations=268",
     "allocs/segregated/alloc_free_churn_256 search_steps=256 allocations=301",
     "allocs/first_fit/churn_behind_16k_live search_steps=64 allocations=73",
     "allocs/segregated/churn_behind_16k_live search_steps=64 allocations=77",
     "recycle/first_fit/miss_scan_1024 recycle_probes=1024",
     "recycle/segregated/miss_scan_1024",
-    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=380",
-    "recycle/segregated/churn_hit_64 objects_collected=256 recycle_probes=280 objects_recycled=191 search_steps=65 allocations=384",
-    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=409529 allocations=4385",
-    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=410329 allocations=4390",
+    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=376",
+    "recycle/segregated/churn_hit_64 objects_collected=256 recycle_probes=280 objects_recycled=191 search_steps=65 allocations=380",
+    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=397445 bytes_allocated=648633 allocations=4387",
+    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=398245 bytes_allocated=649433 allocations=4392",
+    "replay/cg/first_fit/javac_s1 events_replayed=43658 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 search_steps=6434 peak_bytes=1472989 bytes_allocated=2437389 allocations=13744",
+    "replay/cg/first_fit/mtrt_s1 events_replayed=441678 unions=46299 contaminations=52224 static_opt_skips=5925 objects_collected=67800 search_steps=68903 peak_bytes=412333 bytes_allocated=3635401 allocations=160811",
+    "capacity/cg/short_lived_5m events_replayed=7520002 unions=2500000 contaminations=2500000 objects_collected=5000000 search_steps=5000000 peak_bytes=165378 bytes_allocated=315905754 allocations=12519150",
 ];
 
 /// What `cg` and its heap have done so far.
@@ -282,32 +294,113 @@ fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
     });
 }
 
+/// The memory a replay took.
+#[derive(Default)]
+struct ReplayMemory {
+    /// The most bytes held at once.
+    peak_bytes: u64,
+    /// Objects the collector registered.
+    created: u64,
+    /// The heap's peak live object count.
+    peak_live: u64,
+}
+
+impl ReplayMemory {
+    fn report(&self, label: &str) {
+        println!(
+            "{label}: {} peak bytes, {:.2} B per created object ({}), \
+             {:.1} B per peak-live object ({})",
+            self.peak_bytes,
+            self.peak_bytes as f64 / self.created as f64,
+            self.created,
+            self.peak_bytes as f64 / self.peak_live as f64,
+            self.peak_live
+        );
+    }
+}
+
+/// Replays `events` under a fresh `cg`: what it did (with its `peak_bytes`
+/// and `bytes_allocated`), and the memory it took.
+fn replay_counts<I, E>(
+    events: I,
+    heap_config: HeapConfig,
+) -> (Vec<(&'static str, u64)>, ReplayMemory)
+where
+    I: IntoIterator<Item = Result<E, cg_trace::TraceIoError>>,
+    E: std::borrow::Borrow<GcEvent>,
+{
+    let unlimited = Governor::unlimited();
+    common::reset_peak();
+    let bytes_before = common::bytes_allocated();
+    let replayed = replay_events_governed(events, heap_config, ContaminatedGc::new(), &unlimited)
+        .expect("replay succeeds");
+    let memory = ReplayMemory {
+        peak_bytes: common::peak_bytes(),
+        created: replayed.collector.stats().objects_created,
+        peak_live: replayed.heap.stats().peak_live_objects,
+    };
+    let counts = [("events_replayed", replayed.outcome.events_replayed as u64)]
+        .into_iter()
+        .chain(work(&replayed.collector, &replayed.heap))
+        .chain([
+            ("peak_bytes", memory.peak_bytes),
+            ("bytes_allocated", common::bytes_allocated() - bytes_before),
+        ])
+        .collect();
+    (counts, memory)
+}
+
 /// End-to-end replay throughput: events/sec driving the collector from a
 /// recorded workload stream (the trace-driven evaluation mode of PR 1).
-fn bench_trace_replay(h: &mut BenchHarness, trace: &[GcEvent], policy: AllocPolicy) {
-    let unlimited = Governor::unlimited();
+fn bench_trace_replay(h: &mut BenchHarness, name: &str, trace: &[GcEvent], policy: AllocPolicy) {
     let heap_config = VmConfig::default().heap.with_alloc_policy(policy);
     let events = trace.len() as f64;
-    let label = format!("replay/cg/{}/db_s1", policy.label());
-    let ns = h.bench_counted(&label, 3, || {
-        common::reset_peak();
-        let replayed = replay_events_governed(
-            trace.iter().map(Ok),
-            heap_config,
-            ContaminatedGc::new(),
-            &unlimited,
-        )
-        .expect("replay succeeds");
-        let events = replayed.outcome.events_replayed as u64;
-        let work = work(&replayed.collector, &replayed.heap);
-        [("events_replayed", events)]
-            .into_iter()
-            .chain(work)
-            .chain([("peak_bytes", common::peak_bytes())])
+    let label = format!("replay/cg/{}/{name}", policy.label());
+    let mut memory = ReplayMemory::default();
+    h.count(&label, || {
+        let (counts, taken) = replay_counts(trace.iter().map(Ok), heap_config);
+        memory = taken;
+        counts
+    });
+    memory.report(&label);
+    let ns = h.bench(&label, 3, || {
+        replay_counts(trace.iter().map(Ok), heap_config)
     });
     println!(
         "{label}: {:.1} ns per replayed event ({events} events)",
         ns / events
+    );
+}
+
+/// Objects per frame in the capacity stream: its peak live set.
+const CAPACITY_PER_FRAME: u64 = 500;
+
+/// What one live object costs at most across the heap's and the
+/// collector's tables: heap slot 56 B, object-space block entries ≈ 64 B,
+/// collector record 16 B, forest word 4 B, block record 56 B, attach slot
+/// 12 B and member list ≈ 16 B, rounded up.
+const LIVE_RECORD_BYTES: u64 = 256;
+
+/// The capacity bound on 5 M created objects with 500 live at a time:
+/// `peak_bytes ≤ 4 × peak_live × LIVE_RECORD_BYTES + one page per table`.
+fn count_capacity(h: &mut BenchHarness) {
+    const OBJECTS: u64 = 5_000_000;
+    let mut heap_config = HeapConfig::spacious();
+    heap_config.handle_space_bytes = OBJECTS as usize * heap_config.handle_repr.bytes();
+    let label = "capacity/cg/short_lived_5m";
+    let mut memory = ReplayMemory::default();
+    h.count(label, || {
+        let (counts, taken) =
+            replay_counts(short_lived_stream(OBJECTS, CAPACITY_PER_FRAME), heap_config);
+        memory = taken;
+        counts
+    });
+    memory.report(label);
+    let peak = memory.peak_bytes;
+    let bound = 4 * memory.peak_live * LIVE_RECORD_BYTES + PAGE_PER_TABLE_BYTES;
+    assert!(
+        peak <= bound,
+        "replaying {OBJECTS} short-lived objects held {peak} bytes at once, over the bound {bound}"
     );
 }
 
@@ -344,11 +437,18 @@ fn verify_replay_equivalence(trace: &[GcEvent], program: &cg_vm::Program) {
     println!("replay equivalence: CgStats byte-identical across 2 configs x 2 policies");
 }
 
+/// A size-1 workload's recorded event stream, and its program.
+fn record(name: &str) -> (Vec<GcEvent>, cg_vm::Program) {
+    let program = Workload::by_name(name)
+        .expect("known workload")
+        .program(Size::S1);
+    let (trace, _) = record_events(format!("{name}/1"), program.clone(), VmConfig::default())
+        .expect("recording succeeds");
+    (trace, program)
+}
+
 fn main() {
-    let workload = Workload::by_name("db").expect("known workload");
-    let program = workload.program(Size::S1);
-    let (trace, _) =
-        record_events("db/1", program.clone(), VmConfig::default()).expect("recording succeeds");
+    let (trace, program) = record("db");
     verify_replay_equivalence(&trace, &program);
 
     let mut harness = BenchHarness::new("gc_hot_path").with_counts(EXPECTED, common::allocations);
@@ -386,8 +486,18 @@ fn main() {
     bench_recycle_churn(&mut harness, "first_fit", recycle);
     bench_recycle_churn(&mut harness, "segregated", recycle_seg);
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
-        bench_trace_replay(&mut harness, &trace, policy);
+        bench_trace_replay(&mut harness, "db_s1", &trace, policy);
     }
+    for name in ["javac", "mtrt"] {
+        let (trace, _) = record(name);
+        bench_trace_replay(
+            &mut harness,
+            &format!("{name}_s1"),
+            &trace,
+            AllocPolicy::FirstFitRover,
+        );
+    }
+    count_capacity(&mut harness);
 
     harness.finish([]);
 }

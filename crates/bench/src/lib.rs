@@ -39,7 +39,9 @@ pub mod runner;
 
 pub use cli::{parse_options, parse_trace_eval, TraceEvalOptions};
 pub use experiments::{all_reports, report_by_id, ExperimentOptions, REPORT_IDS};
-pub use microbench::{cg_counts, counts_since, BenchHarness, BenchResult};
+pub use microbench::{
+    cg_counts, counts_since, short_lived_stream, BenchHarness, BenchResult, PAGE_PER_TABLE_BYTES,
+};
 pub use runner::{
     partition_events, record_events, record_workload_trace, replay_run, run_once, CollectorChoice,
     RunResult, TraceCache, WorkloadTrace,

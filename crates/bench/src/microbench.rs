@@ -35,6 +35,8 @@ use std::time::Instant;
 
 use cg_core::CgStats;
 use cg_stats::Json;
+use cg_trace::TraceIoError;
+use cg_vm::{AllocKind, ClassId, FrameId, FrameInfo, GcEvent, Handle, MethodId, ThreadId};
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,6 +316,54 @@ pub fn cg_counts(stats: &CgStats) -> [(&'static str, u64); 6] {
         ("recycle_probes", stats.recycle_probes),
         ("objects_recycled", stats.objects_recycled),
     ]
+}
+
+/// One page each of the heap's handle table (256 slots of 56 B), the
+/// collector's record table (256 of 16 B) and the tainted bitset (512 B):
+/// the slack a capacity check allows each table indexed by handle.
+pub const PAGE_PER_TABLE_BYTES: u64 = 256 * 56 + 256 * 16 + 512;
+
+/// A synthetic single-thread stream of `objects` short-lived objects:
+/// `per_frame` are allocated in a depth-2 frame, each pair is unioned by a
+/// store, and the frame pops before the next is pushed, so at most
+/// `per_frame` objects are ever live.  Built lazily, so the stream holds no
+/// memory of its own: what replaying it holds is the heap's and the
+/// collector's.
+pub fn short_lived_stream(
+    objects: u64,
+    per_frame: u64,
+) -> impl Iterator<Item = Result<GcEvent, TraceIoError>> {
+    let frame = |id: u64, depth: usize| FrameInfo {
+        id: FrameId::new(id),
+        depth,
+        thread: ThreadId::MAIN,
+        method: MethodId::new(0),
+    };
+    let handle = |index: u64| Handle::from_index(index as u32);
+    let main = frame(1, 1);
+    std::iter::once(GcEvent::FramePush { frame: main })
+        .chain((0..objects / per_frame).flat_map(move |f| {
+            let inner = frame(f + 2, 2);
+            let members = f * per_frame..(f + 1) * per_frame;
+            let allocs = members.clone().map(move |h| GcEvent::Allocate {
+                handle: handle(h),
+                class: ClassId::new(0),
+                kind: AllocKind::Instance { field_count: 1 },
+                frame: inner,
+                recycled: false,
+            });
+            let stores = members.step_by(2).map(move |h| GcEvent::ReferenceStore {
+                source: handle(h),
+                target: handle(h + 1),
+                frame: inner,
+            });
+            std::iter::once(GcEvent::FramePush { frame: inner })
+                .chain(allocs)
+                .chain(stores)
+                .chain(std::iter::once(GcEvent::FramePop { frame: inner }))
+        }))
+        .chain(std::iter::once(GcEvent::FramePop { frame: main }))
+        .map(Ok)
 }
 
 /// `after - before`, counter by counter: the work done between two reads

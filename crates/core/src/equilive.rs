@@ -220,7 +220,9 @@ impl MergePayload for BlockInfo {
 
 /// The equilive relation itself: a tagged union/find forest over the
 /// program's objects, keyed by an element id per *object incarnation* (a
-/// recycled object gets a fresh element).
+/// recycled object gets a fresh element).  A dead block's elements are
+/// released and reused, so the forest is sized by the peak number of live
+/// objects, not by the objects ever created.
 #[derive(Debug, Clone)]
 pub struct EquiliveSets {
     sets: TaggedSets<BlockInfo>,
@@ -240,7 +242,8 @@ impl EquiliveSets {
         Self::default()
     }
 
-    /// Number of elements (object incarnations) ever inserted.
+    /// Size of the element table: the most elements (object incarnations)
+    /// live at once.
     pub fn len(&self) -> usize {
         self.sets.len()
     }
@@ -263,6 +266,13 @@ impl EquiliveSets {
     /// The representative element of `elem`'s block.
     pub fn find(&mut self, elem: ElementId) -> ElementId {
         self.sets.find(elem)
+    }
+
+    /// Releases `elem` for reuse by a later [`insert`](Self::insert),
+    /// dropping the block record if `elem` is its root.  A dying block
+    /// releases every element it owns, its root included.
+    pub fn release(&mut self, elem: ElementId) {
+        self.sets.release(elem);
     }
 
     /// Whether two elements are in the same block.

@@ -52,7 +52,9 @@ pub struct FrameBlockIndex {
     threads: Vec<Vec<Vec<ElementId>>>,
     /// Roots dependent on the static pseudo-frame ("frame 0").
     statics: Vec<ElementId>,
-    /// Current attachment of every element id ever attached.
+    /// Current attachment of every element id ever attached (ids are
+    /// reused once their block dies, so this is sized by the peak number of
+    /// live elements).
     slots: Vec<AttachSlot>,
 }
 

@@ -28,9 +28,13 @@
 
 /// Identifier of an element in a forest.
 ///
-/// Elements are allocated densely starting at zero by
-/// [`PackedForest::make_set`]; the contaminated collector uses the heap
-/// handle index as the element id so no extra mapping is needed.
+/// [`PackedForest::make_set`] hands out the most recently
+/// [released](PackedForest::release) id first and otherwise the next unused
+/// one, so the ids in use stay dense below the peak number of live
+/// elements.  The contaminated collector gives every object *incarnation*
+/// its own element and releases the elements of a block when the block
+/// dies; an id is therefore not a heap handle, and nothing the collector
+/// reports depends on which id an object got.
 pub(crate) type ElementId = u32;
 
 /// Result of a [`PackedForest::union`] operation.
@@ -57,6 +61,8 @@ pub(crate) const ROOT_BIT: u32 = 1 << 31;
 pub(crate) struct PackedForest {
     /// One packed word per element: `ROOT_BIT | rank` or a parent id.
     words: Vec<u32>,
+    /// Released ids, handed out again last-in first-out by `make_set`.
+    free: Vec<ElementId>,
     /// Maintained incrementally: one new set per `make_set`, one fewer per
     /// merging `union`.
     set_count: usize,
@@ -71,7 +77,7 @@ impl PackedForest {
         Self::default()
     }
 
-    /// Number of elements ever created.
+    /// Size of the element table: the most elements ever live at once.
     pub(crate) fn len(&self) -> usize {
         self.words.len()
     }
@@ -103,20 +109,35 @@ impl PackedForest {
         word & ROOT_BIT != 0
     }
 
-    /// Creates a new singleton set and returns its element id.
-    ///
-    /// Ids are assigned densely starting at zero.
+    /// Creates a new singleton set and returns its element id: the most
+    /// recently released id, or else the next unused one.
     ///
     /// # Panics
     ///
     /// Panics if the forest already holds `2^31 - 1` elements (the packed
     /// word reserves one bit for the root discriminator).
     pub(crate) fn make_set(&mut self) -> ElementId {
+        self.set_count += 1;
+        if let Some(id) = self.free.pop() {
+            self.words[id as usize] = ROOT_BIT; // root, rank 0
+            return id;
+        }
         let id = self.words.len() as u32;
         assert!(id < ROOT_BIT, "packed forest is limited to 2^31-1 elements");
-        self.words.push(ROOT_BIT); // root, rank 0
-        self.set_count += 1;
+        self.words.push(ROOT_BIT);
         id
+    }
+
+    /// Returns `id` to the free list; its set is one fewer if `id` is its
+    /// root.  A set is released whole — every element of it, and no find
+    /// through any of them afterwards — because a surviving element could
+    /// otherwise reach a reused id on its parent path.
+    pub(crate) fn release(&mut self, id: ElementId) {
+        debug_assert!(self.contains(id), "element {id} does not exist");
+        if Self::is_root_word(self.words[id as usize]) {
+            self.set_count -= 1;
+        }
+        self.free.push(id);
     }
 
     /// Finds the representative of the set containing `id`, compressing the
@@ -330,6 +351,29 @@ mod tests {
     }
 
     #[test]
+    fn released_ids_are_reused_last_in_first_out() {
+        let mut sets = PackedForest::new();
+        let a = sets.make_set();
+        let b = sets.make_set();
+        let c = sets.make_set();
+        let root = sets.union(a, b).root;
+        // The set {a, b} dies whole; c lives on.
+        sets.release(if root == a { b } else { a });
+        sets.release(root);
+        assert_eq!(sets.set_count(), 1);
+        assert_eq!(sets.make_set(), root);
+        assert_eq!(sets.make_set(), if root == a { b } else { a });
+        assert_eq!(sets.len(), 3);
+        assert_eq!(sets.set_count(), 3);
+        // Reused ids are fresh rank-0 singletons.
+        assert_eq!(sets.find(a), a);
+        assert_eq!(sets.find(b), b);
+        assert_eq!(sets.rank_of(root), 0);
+        assert!(!sets.same_set(a, c));
+        assert_eq!(sets.make_set(), 3);
+    }
+
+    #[test]
     fn rank_bound_is_logarithmic() {
         let mut sets = PackedForest::new();
         let ids: Vec<_> = (0..1024).map(|_| sets.make_set()).collect();
@@ -394,6 +438,85 @@ mod tests {
                         "seed {seed}"
                     );
                 }
+            }
+        }
+
+        /// A forest that releases whole sets and reuses their ids behaves
+        /// like the plain forest that gives every element a fresh id: the
+        /// same union outcomes, partitions, set counts and max rank, with an
+        /// element table no larger than the peak number of live elements.
+        #[test]
+        fn reusing_released_ids_matches_a_forest_that_never_reuses() {
+            use std::collections::HashMap;
+            for seed in 0..64u64 {
+                let mut rng = TestRng::new(seed);
+                let mut packed = PackedForest::new();
+                let mut plain = DisjointSets::new();
+                // The plain element standing for each live packed id.
+                let mut model: Vec<Option<u32>> = Vec::new();
+                let mut peak_live = 0;
+                for step in 0..300 {
+                    let live: Vec<u32> = (0..model.len() as u32)
+                        .filter(|&id| model[id as usize].is_some())
+                        .collect();
+                    let pick = |rng: &mut TestRng| live[rng.gen_range(0, live.len())];
+                    match rng.gen_range(0, 5) {
+                        0 | 1 if live.len() >= 2 => {
+                            let (a, b) = (pick(&mut rng), pick(&mut rng));
+                            let (ma, mb) = (model[a as usize].unwrap(), model[b as usize].unwrap());
+                            let po = packed.union(a, b);
+                            let (root, absorbed) = plain.union(ma, mb);
+                            assert_eq!(
+                                model[po.root as usize],
+                                Some(root),
+                                "seed {seed} step {step}"
+                            );
+                            assert_eq!(
+                                po.absorbed.map(|x| model[x as usize].unwrap()),
+                                absorbed,
+                                "seed {seed} step {step}"
+                            );
+                        }
+                        2 if !live.is_empty() => {
+                            let doomed = plain.find(model[pick(&mut rng) as usize].unwrap());
+                            for &id in &live {
+                                if plain.find(model[id as usize].unwrap()) == doomed {
+                                    packed.release(id);
+                                    model[id as usize] = None;
+                                }
+                            }
+                        }
+                        _ => {
+                            let id = packed.make_set() as usize;
+                            if model.len() <= id {
+                                model.resize(id + 1, None);
+                            }
+                            assert!(model[id].is_none(), "seed {seed}: live id {id} reissued");
+                            model[id] = Some(plain.make_set());
+                        }
+                    }
+                    // Packed roots and plain roots pair up one to one.
+                    let mut pairs: HashMap<u32, u32> = HashMap::new();
+                    let mut back: HashMap<u32, u32> = HashMap::new();
+                    let mut live_count = 0;
+                    for id in 0..model.len() as u32 {
+                        let Some(m) = model[id as usize] else {
+                            continue;
+                        };
+                        live_count += 1;
+                        let (pr, mr) = (packed.find(id), plain.find(m));
+                        assert_eq!(
+                            *pairs.entry(pr).or_insert(mr),
+                            mr,
+                            "seed {seed} step {step}"
+                        );
+                        assert_eq!(*back.entry(mr).or_insert(pr), pr, "seed {seed} step {step}");
+                    }
+                    assert_eq!(packed.set_count(), pairs.len(), "seed {seed} step {step}");
+                    peak_live = peak_live.max(live_count);
+                    assert!(packed.len() <= peak_live, "seed {seed} step {step}");
+                }
+                assert_eq!(packed.max_rank(), plain.max_rank(), "seed {seed}");
             }
         }
     }

@@ -2,9 +2,23 @@
 //!
 //! A [`CollectorShard`] owns everything the collector keeps per thread: the
 //! equilive forest ([`EquiliveSets`]), the dense per-frame block index, the
-//! tainted bitset, the recycle bins and the statistics.  The only state a
-//! shard shares with other shards is the [`StaticDomain`] — the §3.3 static
-//! set — which every event handler receives by reference.
+//! per-object records, the tainted bitset, the recycle bins and the
+//! statistics.  The only state a shard shares with other shards is the
+//! [`StaticDomain`] — the §3.3 static set — which every event handler
+//! receives by reference.
+//!
+//! # Sized by live objects
+//!
+//! A block's members die together, so when a frame pop kills a block the
+//! shard gives back everything it kept for them: each member's record
+//! leaves the paged handle table ([`SlotTable`]), and each member's forest
+//! element returns to the forest's free list for the next allocation.  The
+//! forest, the block records and the frame index are therefore sized by the
+//! peak number of live objects.  Only the tainted bitset covers every handle
+//! ever seen, and a page of it whose handles have all died shrinks to a
+//! marker.  An object that a traditional collection purged (§3.6) while its
+//! block lives keeps its record, tainted, until the block dies, so its
+//! element is released with the rest.
 //!
 //! The single-threaded [`ContaminatedGc`](crate::ContaminatedGc) is the
 //! 1-shard instantiation of exactly this code path: it owns one shard plus a
@@ -24,27 +38,28 @@
 //! makes the sharded evaluation's aggregated statistics byte-identical to a
 //! single-threaded replay.
 
+use cg_heap::SlotTable;
 use cg_vm::{ClassId, CollectOutcome, FrameInfo, Handle, Heap, RootSet, ThreadId};
 
 use crate::bitset::HandleBitSet;
 use crate::collector::CgConfig;
 use crate::equilive::{EquiliveSets, FrameKey, StaticReason};
+use crate::frame_index::FrameBlockIndex;
 use crate::packed::ElementId;
 use crate::recycle::RecycleBins;
 use crate::static_domain::{StaticDomain, StaticNodeId};
 use crate::stats::{CgStats, ObjectBreakdown};
 
-/// Per-object bookkeeping (one entry per live object incarnation).
+/// Per-object bookkeeping (one entry per live object incarnation; whether
+/// the collector has declared it dead is the tainted bitset's to say).
 #[derive(Debug, Clone, Copy)]
 struct ObjData {
     /// The object's element in the shard's equilive forest.
     elem: ElementId,
     /// Stack depth of the frame the object was allocated in (Figure 4.6).
-    birth_depth: usize,
+    birth_depth: u32,
     /// The thread that allocated the object (§3.3).
     alloc_thread: ThreadId,
-    /// Whether the collector has declared the object dead.
-    dead: bool,
 }
 
 /// A store operand as seen by the processing shard: either an object this
@@ -71,9 +86,10 @@ enum Resolved {
 pub struct CollectorShard {
     config: CgConfig,
     sets: EquiliveSets,
-    /// Indexed by handle index; `Some` only for objects this shard owns.
-    objects: Vec<Option<ObjData>>,
-    frame_index: crate::frame_index::FrameBlockIndex,
+    /// Indexed by handle index: the objects this shard owns whose block is
+    /// alive.
+    objects: SlotTable<ObjData>,
+    frame_index: FrameBlockIndex,
     recycle: RecycleBins,
     tainted: HandleBitSet,
     stats: CgStats,
@@ -100,8 +116,8 @@ impl CollectorShard {
         Self {
             config,
             sets: EquiliveSets::new(),
-            objects: Vec::new(),
-            frame_index: crate::frame_index::FrameBlockIndex::new(),
+            objects: SlotTable::new(),
+            frame_index: FrameBlockIndex::new(),
             recycle: RecycleBins::new(config.recycle_policy),
             tainted: HandleBitSet::new(),
             stats: CgStats::new(),
@@ -140,9 +156,7 @@ impl CollectorShard {
     /// handle later allocated by a different thread).  Mirrors the 1-shard
     /// collector, where the re-registration simply overwrites the slot.
     pub fn forget(&mut self, handle: Handle) {
-        if let Some(slot) = self.objects.get_mut(handle.index_usize()) {
-            *slot = None;
-        }
+        self.objects.take(handle.index_usize());
     }
 
     /// Number of dead objects awaiting reuse on this shard's recycle list.
@@ -159,12 +173,6 @@ impl CollectorShard {
     // internal helpers
     // ------------------------------------------------------------------
 
-    fn ensure_slot(&mut self, handle: Handle) {
-        if self.objects.len() <= handle.index_usize() {
-            self.objects.resize(handle.index_usize() + 1, None);
-        }
-    }
-
     fn attach(&mut self, root: ElementId, key: FrameKey) {
         self.frame_index.attach(root, key);
     }
@@ -172,7 +180,6 @@ impl CollectorShard {
     /// Registers a (possibly recycled) object as a fresh singleton block
     /// dependent on the allocating frame.
     fn register(&mut self, handle: Handle, frame: &FrameInfo, domain: &StaticDomain) -> ElementId {
-        self.ensure_slot(handle);
         let key = FrameKey::frame(frame);
         let elem = self.sets.insert(handle, key);
         if key.is_static() {
@@ -184,36 +191,52 @@ impl CollectorShard {
             domain.register_members(&[handle], node);
         }
         self.attach(elem, key);
-        self.objects[handle.index_usize()] = Some(ObjData {
+        let data = ObjData {
             elem,
-            birth_depth: frame.depth,
+            birth_depth: u32::try_from(frame.depth).unwrap_or(u32::MAX),
             alloc_thread: frame.thread,
-            dead: false,
-        });
+        };
+        match self.objects.get_mut(handle.index_usize()) {
+            // A new incarnation over one whose block still lives (a
+            // conservative registration, or reuse of a purged object): the
+            // old element stays listed in its block, and that block's pop
+            // finds the handle's record no longer its own.
+            Some(slot) => *slot = data,
+            None => self.objects.insert(handle.index_usize(), data),
+        }
+        // The new incarnation is live, whatever became of the last one.
+        self.tainted.remove(handle);
         self.stats.objects_created += 1;
         elem
     }
 
     fn data(&self, handle: Handle) -> Option<&ObjData> {
-        self.objects
-            .get(handle.index_usize())
-            .and_then(Option::as_ref)
+        self.objects.get(handle.index_usize())
+    }
+
+    /// The records of the objects not declared dead, by ascending handle.
+    fn live_objects(&self) -> impl Iterator<Item = (Handle, &ObjData)> + '_ {
+        self.objects.occupied().filter_map(|index| {
+            let handle = Handle::from_index(index as u32);
+            let data = self.objects.get(index)?;
+            (!self.tainted.contains(handle)).then_some((handle, data))
+        })
     }
 
     /// The element of a live object, registering it conservatively against
     /// the given frame if the collector has somehow never seen it.
     fn elem_of(&mut self, handle: Handle, frame: &FrameInfo, domain: &StaticDomain) -> ElementId {
+        let tainted = self.tainted.contains(handle);
         match self.data(handle) {
-            Some(data) if !data.dead => data.elem,
-            Some(_) => {
-                // A dead object is being used again: this can only happen if
-                // the collector's deadness conclusion was wrong.
-                if self.config.verify_tainted {
+            Some(data) if !tainted => data.elem,
+            _ => {
+                // A dead object being used again can only mean the
+                // collector's deadness conclusion was wrong.
+                if tainted && self.config.verify_tainted {
                     panic!("contaminated GC soundness violation: {handle} was declared dead but is still in use");
                 }
                 self.register(handle, frame, domain)
             }
-            None => self.register(handle, frame, domain),
         }
     }
 
@@ -539,26 +562,35 @@ impl CollectorShard {
         while let Some(root) = self.frame_index.pop_frame_block(frame.thread, frame.depth) {
             debug_assert_eq!(self.sets.block_of_root(root).key.frame_id(), Some(frame.id));
             // The block is dying with its frame: move the member list out
-            // instead of cloning it.  A recycled member re-registers as a
-            // fresh incarnation with a fresh element, so the emptied list is
-            // never observed again.
+            // instead of cloning it, and release the block's elements and
+            // records as its members go.
             let members = std::mem::take(&mut self.sets.block_mut_of_root(root).members);
             let block_size = members.len();
             self.stats.block_sizes.record(block_size as u64);
             for handle in members {
-                let data = self.objects[handle.index_usize()]
-                    .as_mut()
-                    .expect("block members are registered objects");
-                if data.dead {
+                let index = handle.index_usize();
+                // No record: the handle is listed twice, or a later
+                // incarnation of it already died in another block.
+                let Some(&data) = self.objects.get(index) else {
+                    continue;
+                };
+                // The record is this block's unless the handle was
+                // registered again while this block lived.
+                if self.sets.find(data.elem) == root {
+                    self.objects.take(index);
+                    if data.elem != root {
+                        self.sets.release(data.elem);
+                    }
+                }
+                if !self.tainted.insert(handle) {
+                    // Already dead: purged by a traditional collection.
                     continue;
                 }
-                data.dead = true;
-                self.tainted.insert(handle);
                 self.stats.objects_collected += 1;
                 if block_size == 1 {
                     self.stats.objects_collected_exactly += 1;
                 }
-                let age = data.birth_depth.saturating_sub(frame.depth);
+                let age = (data.birth_depth as usize).saturating_sub(frame.depth);
                 self.stats.age_at_death.record(age as u64);
 
                 let slot_count = match heap.get(handle) {
@@ -581,6 +613,7 @@ impl CollectorShard {
                     }
                 }
             }
+            self.sets.release(root);
         }
         CollectOutcome {
             freed_objects,
@@ -592,15 +625,15 @@ impl CollectorShard {
     /// `thread` touched `handle` (§3.3 cross-thread detection).  Routed to
     /// the shard that owns `handle`.
     pub fn on_object_access(&mut self, handle: Handle, thread: ThreadId, domain: &StaticDomain) {
-        let Some(data) = self.data(handle).copied() else {
-            return;
-        };
-        if data.dead {
+        if self.tainted.contains(handle) {
             if self.config.verify_tainted {
                 panic!("contaminated GC soundness violation: dead object {handle} accessed by {thread}");
             }
             return;
         }
+        let Some(data) = self.data(handle).copied() else {
+            return;
+        };
         if data.alloc_thread != thread {
             // The object is shared between threads; its whole block must be
             // treated as live for the program's duration (§3.3).
@@ -646,11 +679,7 @@ impl CollectorShard {
     /// counts as static-by-default (mirroring the single-shard collector's
     /// accounting of objects still live at exit).
     pub fn accumulate_breakdown(&mut self, domain: &StaticDomain, out: &mut ObjectBreakdown) {
-        let entries: Vec<ElementId> = self
-            .objects
-            .iter()
-            .filter_map(|d| d.as_ref().filter(|d| !d.dead).map(|d| d.elem))
-            .collect();
+        let entries: Vec<ElementId> = self.live_objects().map(|(_, data)| data.elem).collect();
         for elem in entries {
             let block = self.sets.block(elem);
             match block.static_node {
@@ -672,13 +701,12 @@ impl CollectorShard {
     /// as "collected by MSA" (Figure 4.11).  Also purges them from the
     /// recycle list.
     pub fn purge_unreachable(&mut self, live: &[bool]) {
-        for (index, slot) in self.objects.iter_mut().enumerate() {
-            if let Some(data) = slot {
-                if !data.dead && !live.get(index).copied().unwrap_or(false) {
-                    data.dead = true;
-                    self.tainted.insert(Handle::from_index(index as u32));
-                    self.stats.reset_collected_by_msa += 1;
-                }
+        // The records stay until their blocks die (see the module docs).
+        for index in self.objects.occupied() {
+            if !live.get(index).copied().unwrap_or(false)
+                && self.tainted.insert(Handle::from_index(index as u32))
+            {
+                self.stats.reset_collected_by_msa += 1;
             }
         }
         self.recycle
@@ -695,9 +723,11 @@ impl CollectorShard {
     /// frame becomes *younger* than before are counted as "less live"
     /// (Figure 4.11).
     ///
-    /// Resetting is a single-shard operation (it reads the whole root set);
-    /// stale domain nodes from before the reset are simply abandoned — the
-    /// member map entries are overwritten as blocks re-escalate.
+    /// Resetting is a single-shard operation (it reads the whole root set).
+    /// The forest and the frame index are rebuilt from scratch, so the
+    /// elements of the old blocks do not outlive it; stale domain nodes from
+    /// before the reset are simply abandoned — the member map entries are
+    /// overwritten as blocks re-escalate.
     pub fn reset_from_roots(
         &mut self,
         roots: &RootSet,
@@ -711,14 +741,8 @@ impl CollectorShard {
         // Remember each live object's old dependent frame for the
         // less-live accounting.
         let live_entries: Vec<(Handle, ElementId)> = self
-            .objects
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| {
-                slot.as_ref()
-                    .filter(|d| !d.dead)
-                    .map(|d| (Handle::from_index(index as u32), d.elem))
-            })
+            .live_objects()
+            .map(|(handle, data)| (handle, data.elem))
             .collect();
         let mut old_keys: HashMap<Handle, FrameKey> = HashMap::new();
         for (handle, elem) in live_entries {
@@ -726,11 +750,19 @@ impl CollectorShard {
             old_keys.insert(handle, key);
         }
 
-        // Objects the mark phase could not reach drop out of our structures.
+        // Objects the mark phase could not reach drop out of our structures,
+        // and so does every dead object's record: its block goes with the
+        // old forest.  Every live object gets a fresh element below.
         self.purge_unreachable(live);
-
-        // Dissolve all per-frame lists; every live object gets a fresh
-        // element below.
+        let dead: Vec<usize> = self
+            .objects
+            .occupied()
+            .filter(|&index| self.tainted.contains(Handle::from_index(index as u32)))
+            .collect();
+        for index in dead {
+            self.objects.take(index);
+        }
+        self.sets = EquiliveSets::new();
         self.frame_index.clear();
 
         // Breadth of reassignment: handle -> new element.
@@ -752,7 +784,7 @@ impl CollectorShard {
             }
             cg.attach(elem, key);
             new_elem.insert(handle, elem);
-            if let Some(Some(data)) = cg.objects.get_mut(handle.index_usize()) {
+            if let Some(data) = cg.objects.get_mut(handle.index_usize()) {
                 data.elem = elem;
             }
             elem
@@ -800,6 +832,13 @@ impl CollectorShard {
                 traverse(self, &mut new_elem, root, key);
             }
         }
+
+        // The mark phase and this traversal start from the same roots, so
+        // every surviving record now names an element of the new forest.
+        debug_assert!(self
+            .objects
+            .occupied()
+            .all(|index| new_elem.contains_key(&Handle::from_index(index as u32))));
 
         // Count objects whose liveness estimate improved (moved to a younger
         // frame than before).
@@ -857,7 +896,7 @@ pub fn aggregate_shards<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_vm::{FrameId, MethodId};
+    use cg_vm::{FrameId, HeapConfig, MethodId};
 
     fn frame(id: u64, depth: usize, thread: u32) -> FrameInfo {
         FrameInfo {
@@ -942,6 +981,89 @@ mod tests {
         let mut breakdown = ObjectBreakdown::default();
         shard.accumulate_breakdown(&domain, &mut breakdown);
         assert_eq!(breakdown.static_objects, 2);
+    }
+
+    #[test]
+    fn frame_pops_give_back_the_elements_and_records_of_dead_blocks() {
+        let domain = StaticDomain::new();
+        let mut heap = Heap::new(HeapConfig::spacious());
+        let mut shard = CollectorShard::new(CgConfig::default());
+        for round in 0..100 {
+            let f = frame(round + 1, 1, 0);
+            let a = heap.allocate(ClassId::new(0), 1).unwrap();
+            let b = heap.allocate(ClassId::new(0), 1).unwrap();
+            shard.on_allocate(a, &f, &domain);
+            shard.on_allocate(b, &f, &domain);
+            shard.on_reference_store(a, b, &f, &domain);
+            shard.on_frame_pop(&f, &mut heap);
+            assert!(!shard.owns(a) && shard.is_tainted(a));
+        }
+        assert_eq!(shard.stats().objects_created, 200);
+        assert_eq!(shard.stats().objects_collected, 200);
+        // Two elements served all 200 objects.
+        assert_eq!(shard.sets().len(), 2);
+        assert_eq!(shard.sets().block_count(), 0);
+    }
+
+    #[test]
+    fn a_handle_registered_again_while_its_block_lives_dies_once() {
+        let domain = StaticDomain::new();
+        let mut heap = Heap::new(HeapConfig::spacious());
+        let mut shard = CollectorShard::new(CgConfig::default());
+        let (outer, inner) = (frame(1, 1, 0), frame(2, 2, 0));
+        let a = heap.allocate(ClassId::new(0), 1).unwrap();
+        let b = heap.allocate(ClassId::new(0), 1).unwrap();
+        shard.on_allocate(a, &outer, &domain);
+        shard.on_allocate(b, &outer, &domain);
+        shard.on_reference_store(a, b, &outer, &domain);
+        // `b` is registered again in the inner frame: the outer block still
+        // lists it, but its record now belongs to the inner block.
+        shard.on_allocate(b, &inner, &domain);
+        assert_eq!(shard.on_frame_pop(&inner, &mut heap).freed_objects, 1);
+        assert!(shard.is_tainted(b) && !shard.owns(b));
+        // The outer block frees `a` and skips its stale listing of `b`.
+        assert_eq!(shard.on_frame_pop(&outer, &mut heap).freed_objects, 1);
+        assert_eq!(shard.stats().objects_collected, 2);
+        assert_eq!(heap.live_count(), 0);
+        assert_eq!(shard.sets().block_count(), 0);
+    }
+
+    #[test]
+    fn reset_rebuilds_the_forest_from_the_live_objects_only() {
+        let domain = StaticDomain::new();
+        let mut heap = Heap::new(HeapConfig::spacious());
+        let mut shard = CollectorShard::new(CgConfig::default());
+        let f = frame(1, 1, 0);
+        let handles: Vec<Handle> = (0..50)
+            .map(|_| {
+                let handle = heap.allocate(ClassId::new(0), 1).unwrap();
+                shard.on_allocate(handle, &f, &domain);
+                handle
+            })
+            .collect();
+        for pair in handles.chunks(2) {
+            shard.on_reference_store(pair[0], pair[1], &f, &domain);
+        }
+        // Three objects survive: a frame root, what it references, and a
+        // static.
+        heap.set_field(handles[0], 0, handles[1].into()).unwrap();
+        let roots = RootSet {
+            frames: vec![cg_vm::FrameRoots {
+                frame: f,
+                refs: vec![handles[0]],
+            }],
+            statics: vec![handles[7]],
+            interpreter: Vec::new(),
+        };
+        let live = crate::marksweep::trace_live(&roots, &heap);
+        shard.reset_from_roots(&roots, &heap, &live, &domain);
+        assert_eq!(shard.stats().reset_collected_by_msa, 47);
+        assert!(shard.sets().len() <= 3, "{} elements", shard.sets().len());
+        // The rebuilt blocks still die with their frame; the purged objects
+        // are not counted twice and the static one stays.
+        shard.on_frame_pop(&f, &mut heap);
+        assert_eq!(shard.stats().objects_collected, 2);
+        assert!(shard.owns(handles[7]) && !shard.owns(handles[0]));
     }
 
     #[test]

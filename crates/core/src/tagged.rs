@@ -5,11 +5,12 @@ use crate::packed::{ElementId, PackedForest, UnionOutcome};
 /// A per-set payload that knows how to merge with another payload when two
 /// sets are unioned.
 ///
-/// For the contaminated collector the payload is the equilive-set record:
-/// dependent frame, member-list head/tail, element count and staticness.
-/// When block `P` and block `Q` merge, the paper specifies the merged block
-/// depends on the *older* of the two dependent frames — that policy lives in
-/// the payload's `merge`.
+/// For the contaminated collector the payload is the equilive block record
+/// ([`BlockInfo`](crate::equilive::BlockInfo)): the dependent frame, the
+/// block's static-domain node, and its member handles.  When block `P` and
+/// block `Q` merge, the paper specifies the merged block depends on the
+/// *older* of the two dependent frames — that policy lives in the payload's
+/// `merge`, which also appends `Q`'s members after `P`'s.
 pub(crate) trait MergePayload: Sized {
     /// Merges `absorbed` into `self`.
     ///
@@ -26,7 +27,7 @@ pub(crate) trait MergePayload: Sized {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TaggedSets<T> {
     forest: PackedForest,
-    /// Indexed by element id; `Some` only at set roots.
+    /// Indexed by element id; `Some` only at the roots of live sets.
     payloads: Vec<Option<T>>,
 }
 
@@ -39,7 +40,7 @@ impl<T: MergePayload> TaggedSets<T> {
         }
     }
 
-    /// Number of elements ever inserted.
+    /// Size of the element table: the most elements ever live at once.
     pub(crate) fn len(&self) -> usize {
         self.forest.len()
     }
@@ -54,12 +55,26 @@ impl<T: MergePayload> TaggedSets<T> {
         self.forest.set_count()
     }
 
-    /// Inserts a new singleton set carrying `payload`, returning its id.
+    /// Inserts a new singleton set carrying `payload`, returning its id
+    /// (a released id if there is one).
     pub(crate) fn insert(&mut self, payload: T) -> ElementId {
         let id = self.forest.make_set();
-        debug_assert_eq!(id as usize, self.payloads.len());
-        self.payloads.push(Some(payload));
+        match self.payloads.get_mut(id as usize) {
+            Some(slot) => {
+                debug_assert!(slot.is_none(), "released element {id} kept a payload");
+                *slot = Some(payload);
+            }
+            None => self.payloads.push(Some(payload)),
+        }
         id
+    }
+
+    /// Releases `id` for reuse by [`insert`](Self::insert), dropping its
+    /// payload if it is a root.  The rule of [`PackedForest::release`]
+    /// applies: a set is released whole.
+    pub(crate) fn release(&mut self, id: ElementId) {
+        self.payloads[id as usize] = None;
+        self.forest.release(id);
     }
 
     /// Finds the representative of `id`'s set.
@@ -244,6 +259,27 @@ mod tests {
         assert_eq!(roots.len(), 2);
         let total: u64 = roots.iter().map(|(_, p)| p.size).sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn released_set_drops_its_payload_and_gives_its_ids_back() {
+        let mut sets: TaggedSets<Block> = TaggedSets::new();
+        let a = sets.insert(block(1));
+        let b = sets.insert(block(2));
+        let c = sets.insert(block(3));
+        let root = sets.union(a, b).root;
+        let other = if root == a { b } else { a };
+        sets.release(other);
+        sets.release(root);
+        assert_eq!(sets.set_count(), 1);
+        assert!(sets.payload_of_root(root).is_none());
+        // The ids come back, carrying the new payloads.
+        assert_eq!(sets.insert(block(7)), root);
+        assert_eq!(sets.insert(block(8)), other);
+        assert_eq!(sets.len(), 3);
+        assert_eq!(sets.payload(root), Some(&block(7)));
+        assert_eq!(sets.payload(other), Some(&block(8)));
+        assert_eq!(sets.payload(c), Some(&block(3)));
     }
 
     #[test]

@@ -58,4 +58,5 @@ pub use freelist::{AllocPolicy, BlockAddr, ObjectSpace, SpaceStats};
 pub use heap::{Heap, HeapStats};
 pub use layout::{HandleRepr, HeapConfig, WORD_BYTES};
 pub use object::{Object, ObjectKind};
+pub use slots::SlotTable;
 pub use value::{ClassId, Handle, Value};

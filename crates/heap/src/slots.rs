@@ -8,7 +8,13 @@
 //! can land in it any more; a placed insertion into a dropped page simply
 //! brings the page back.  A lookup is two indexings (page, then slot) with
 //! the slot index masked into range, so it costs one dependent load more
-//! than a flat vector and never moves an existing slot.
+//! than a flat vector and never moves an existing slot.  The page directory
+//! starts at the first page still held: once the low indices have all died,
+//! it does not keep an entry for each of their pages either.
+//!
+//! The heap keeps its handle table here, and `cg-core` keeps its
+//! per-object collector records in the same table, so both are sized by
+//! the objects live rather than by the handles ever minted.
 
 /// Slots per page.  At 56 bytes a slot this is a 14 KiB page: small enough
 /// that a sparse table wastes little, large enough that the page directory
@@ -22,51 +28,68 @@ struct Page<T> {
     slots: Box<[Option<T>; PAGE_SLOTS]>,
 }
 
-impl<T> Page<T> {
-    fn empty() -> Self {
-        Page {
-            live: 0,
-            slots: Box::new(std::array::from_fn(|_| None)),
-        }
-    }
-}
-
 /// A sparse array of `T` indexed by handle index, behaving like a
 /// `Vec<Option<T>>` that only ever grows — minus the memory of the pages
 /// whose slots have all been vacated.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotTable<T> {
+pub struct SlotTable<T> {
+    /// Pages from `first_page` on, `None` where a page was dropped; the
+    /// first entry is always held.
     pages: Vec<Option<Page<T>>>,
+    /// The page number of `pages[0]`.
+    first_page: usize,
+    /// The slots of the last page dropped, all vacant, kept for the next
+    /// page created: a table whose live window crosses a page boundary back
+    /// and forth does not allocate a page each time.
+    spare: Option<Box<[Option<T>; PAGE_SLOTS]>>,
     /// One past the highest index ever minted: the flat vector's `len()`.
     len: usize,
 }
 
+impl<T> Default for SlotTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> SlotTable<T> {
-    pub(crate) fn new() -> Self {
+    /// An empty table.
+    pub fn new() -> Self {
         SlotTable {
             pages: Vec::new(),
+            first_page: 0,
+            spare: None,
             len: 0,
         }
     }
 
     /// One past the highest index ever minted.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    #[inline]
-    pub(crate) fn get(&self, index: usize) -> Option<&T> {
-        self.pages.get(index / PAGE_SLOTS)?.as_ref()?.slots[index % PAGE_SLOTS].as_ref()
+    /// Whether no index has been minted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
+    /// The value at `index`, if its slot is occupied.
     #[inline]
-    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
-        self.pages.get_mut(index / PAGE_SLOTS)?.as_mut()?.slots[index % PAGE_SLOTS].as_mut()
+    pub fn get(&self, index: usize) -> Option<&T> {
+        let page = (index / PAGE_SLOTS).wrapping_sub(self.first_page);
+        self.pages.get(page)?.as_ref()?.slots[index % PAGE_SLOTS].as_ref()
+    }
+
+    /// Mutable access to the value at `index`, if its slot is occupied.
+    #[inline]
+    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+        let page = (index / PAGE_SLOTS).wrapping_sub(self.first_page);
+        self.pages.get_mut(page)?.as_mut()?.slots[index % PAGE_SLOTS].as_mut()
     }
 
     /// Grows the table so that `index` is minted (vacant unless already
     /// occupied) — `Vec::resize(index + 1, None)` when that grows.
-    pub(crate) fn mint_through(&mut self, index: usize) {
+    pub fn mint_through(&mut self, index: usize) {
         self.len = self.len.max(index + 1);
     }
 
@@ -76,13 +99,29 @@ impl<T> SlotTable<T> {
     ///
     /// Panics if the slot is occupied: the heap checks before it reserves
     /// object space for the value.
-    pub(crate) fn insert(&mut self, index: usize, value: T) {
+    pub fn insert(&mut self, index: usize, value: T) {
         self.mint_through(index);
         let page = index / PAGE_SLOTS;
-        if self.pages.len() <= page {
-            self.pages.resize_with(page + 1, || None);
+        if self.pages.is_empty() {
+            self.first_page = page;
+        } else if page < self.first_page {
+            // Below the directory's start: extend it downwards.
+            let gap = self.first_page - page;
+            self.pages
+                .splice(0..0, std::iter::repeat_with(|| None).take(gap));
+            self.first_page = page;
         }
-        let page = self.pages[page].get_or_insert_with(Page::empty);
+        let offset = page - self.first_page;
+        if self.pages.len() <= offset {
+            self.pages.resize_with(offset + 1, || None);
+        }
+        let spare = &mut self.spare;
+        let page = self.pages[offset].get_or_insert_with(|| Page {
+            live: 0,
+            slots: spare
+                .take()
+                .unwrap_or_else(|| Box::new(std::array::from_fn(|_| None))),
+        });
         let slot = &mut page.slots[index % PAGE_SLOTS];
         assert!(slot.is_none(), "slot {index} is already occupied");
         *slot = Some(value);
@@ -90,7 +129,7 @@ impl<T> SlotTable<T> {
     }
 
     /// Occupies the next never-minted slot and returns its index.
-    pub(crate) fn push(&mut self, value: T) -> usize {
+    pub fn push(&mut self, value: T) -> usize {
         let index = self.len;
         self.insert(index, value);
         index
@@ -98,25 +137,32 @@ impl<T> SlotTable<T> {
 
     /// Vacates slot `index`, returning what it held.  The slot's page is
     /// dropped if that leaves it empty with every index in it minted —
-    /// [`SlotTable::push`] will never come back to it.
-    pub(crate) fn take(&mut self, index: usize) -> Option<T> {
+    /// [`SlotTable::push`] will never come back to it — and the directory
+    /// then sheds its leading dropped pages.
+    pub fn take(&mut self, index: usize) -> Option<T> {
         let page_index = index / PAGE_SLOTS;
-        let entry = self.pages.get_mut(page_index)?;
+        let offset = page_index.wrapping_sub(self.first_page);
+        let entry = self.pages.get_mut(offset)?;
         let page = entry.as_mut()?;
         let value = page.slots[index % PAGE_SLOTS].take()?;
         page.live -= 1;
         if page.live == 0 && (page_index + 1) * PAGE_SLOTS <= self.len {
-            *entry = None;
+            self.spare = entry.take().map(|page| page.slots);
+            if offset == 0 {
+                let dropped = self.pages.iter().take_while(|p| p.is_none()).count();
+                self.pages.drain(..dropped);
+                self.first_page += dropped;
+            }
         }
         Some(value)
     }
 
     /// The occupied indices, ascending.
-    pub(crate) fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
         self.pages
             .iter()
             .enumerate()
-            .filter_map(|(p, page)| Some((p, page.as_ref()?)))
+            .filter_map(|(p, page)| Some((self.first_page + p, page.as_ref()?)))
             .flat_map(|(p, page)| {
                 page.slots
                     .iter()
@@ -197,6 +243,11 @@ mod tests {
             let pages_needed = occupied.iter().map(|i| i / PAGE_SLOTS).max();
             assert!(self.table.pages_held() <= self.model.len().div_ceil(PAGE_SLOTS));
             assert!(self.table.pages_held() >= usize::from(pages_needed.is_some()));
+            // The directory starts at a held page and covers every slot.
+            assert!(self.table.pages.first().is_none_or(Option::is_some));
+            if let Some(&lowest) = occupied.first() {
+                assert!(self.table.first_page <= lowest / PAGE_SLOTS);
+            }
         }
     }
 
@@ -257,6 +308,29 @@ mod tests {
         assert_eq!(t.table.get(4), None);
         t.take(3);
         assert_eq!(t.table.pages_held(), 1);
+        t.check_all();
+    }
+
+    #[test]
+    fn a_window_of_live_slots_keeps_the_directory_small() {
+        let mut t = Lockstep::new();
+        for i in 0..100 * PAGE_SLOTS {
+            t.push(i as u64);
+            if i >= 10 {
+                t.take(i - 10);
+            }
+        }
+        assert_eq!(t.table.pages_held(), 1);
+        assert_eq!(t.table.pages.len(), 1);
+        assert_eq!(t.table.first_page, 99);
+        t.check_all();
+        // Placing far below the window extends the directory downwards.
+        t.place(3, 7);
+        assert_eq!(t.table.first_page, 0);
+        assert_eq!(t.table.pages_held(), 2);
+        t.check_all();
+        t.take(3);
+        assert_eq!(t.table.first_page, 99);
         t.check_all();
     }
 
