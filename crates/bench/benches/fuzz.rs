@@ -45,22 +45,22 @@ use cg_vm::NoopCollector;
 const EXPECTED: &[&str] = &[
     "gen/alloc-heavy methods=4 allocations=327",
     "record/alloc-heavy events=730 instructions=1079 allocations=797",
-    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=10263",
+    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=9594",
     "gen/store-heavy methods=4 allocations=240",
     "record/store-heavy events=49 instructions=31 allocations=390",
-    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2884",
+    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2698",
     "gen/deep-calls methods=21 allocations=603",
     "record/deep-calls events=891 instructions=565 allocations=1036",
-    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8949",
+    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8350",
     "gen/threads methods=6 allocations=370",
     "record/threads events=96 instructions=80 allocations=586",
-    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=4199",
+    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=3901",
     "gen/recycle-churn methods=5 allocations=337",
     "record/recycle-churn events=1711 instructions=2161 allocations=1302",
-    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=23410",
+    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=21936",
     "gen/array-heavy methods=5 allocations=256",
     "record/array-heavy events=24 instructions=17 allocations=409",
-    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2909",
+    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2741",
 ];
 
 fn main() {

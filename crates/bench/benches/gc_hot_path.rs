@@ -43,21 +43,19 @@ const EXPECTED: &[&str] = &[
     "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=570",
     "stores/cg/union_storm_4096 unions=4095 contaminations=4095 allocations=4179",
     "stores/cg/static_opt_skip contaminations=1 static_opt_skips=1",
-    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=176",
-    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2126",
+    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=174",
+    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2124",
     "allocs/first_fit/alloc_free_churn_256 search_steps=256 allocations=268",
     "allocs/segregated/alloc_free_churn_256 search_steps=256 allocations=301",
     "allocs/first_fit/churn_behind_16k_live search_steps=64 allocations=73",
     "allocs/segregated/churn_behind_16k_live search_steps=64 allocations=77",
     "recycle/first_fit/miss_scan_1024 recycle_probes=1024",
-    "recycle/segregated/miss_scan_1024",
-    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=376",
-    "recycle/segregated/churn_hit_64 objects_collected=256 recycle_probes=280 objects_recycled=191 search_steps=65 allocations=380",
-    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=397445 bytes_allocated=648633 allocations=4387",
-    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=398245 bytes_allocated=649433 allocations=4392",
-    "replay/cg/first_fit/javac_s1 events_replayed=43658 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 search_steps=6434 peak_bytes=1472989 bytes_allocated=2437389 allocations=13744",
-    "replay/cg/first_fit/mtrt_s1 events_replayed=441678 unions=46299 contaminations=52224 static_opt_skips=5925 objects_collected=67800 search_steps=68903 peak_bytes=412333 bytes_allocated=3635401 allocations=160811",
-    "capacity/cg/short_lived_5m events_replayed=7520002 unions=2500000 contaminations=2500000 objects_collected=5000000 search_steps=5000000 peak_bytes=165378 bytes_allocated=315905754 allocations=12519150",
+    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=374",
+    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=396869 bytes_allocated=648057 allocations=4385",
+    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=397669 bytes_allocated=648857 allocations=4390",
+    "replay/cg/first_fit/javac_s1 events_replayed=43658 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 search_steps=6434 peak_bytes=1472413 bytes_allocated=2436813 allocations=13742",
+    "replay/cg/first_fit/mtrt_s1 events_replayed=441678 unions=46299 contaminations=52224 static_opt_skips=5925 objects_collected=67800 search_steps=68903 peak_bytes=410285 bytes_allocated=3632393 allocations=160803",
+    "capacity/cg/short_lived_5m events_replayed=7520002 unions=2500000 contaminations=2500000 objects_collected=5000000 search_steps=5000000 peak_bytes=131586 bytes_allocated=315834650 allocations=12519129",
 ];
 
 /// What `cg` and its heap have done so far.
@@ -253,7 +251,7 @@ fn bench_alloc_churn_behind_live(h: &mut BenchHarness, policy: AllocPolicy) {
 
 /// Recycle-list miss: every probe scans the whole list and finds nothing
 /// that fits (1024 one-field corpses, four-field requests).
-fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
+fn bench_recycle_miss(h: &mut BenchHarness, config: CgConfig) {
     let f = frame(2, 2);
     let mut heap = Heap::new(HeapConfig::spacious());
     let mut cg = ContaminatedGc::with_config(config);
@@ -263,8 +261,8 @@ fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
     }
     cg.on_frame_pop(&f, &mut heap);
     assert_eq!(cg.recycle_list_len(), 1024);
-    let label = format!("recycle/{label}/miss_scan_1024");
-    h.count(&label, || {
+    let label = "recycle/first_fit/miss_scan_1024";
+    h.count(label, || {
         let before = work(&cg, &heap);
         cg.try_recycled_alloc(class(), 4, &f, &mut heap);
         counts_since(work(&cg, &heap), before)
@@ -276,8 +274,8 @@ fn bench_recycle_miss(h: &mut BenchHarness, label: &str, config: CgConfig) {
 
 /// Recycle churn: a frame's worth of corpses is reused by the next frame,
 /// over and over (the §3.7 steady state).
-fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
-    h.bench_counted(format!("recycle/{label}/churn_hit_64"), 2_000, || {
+fn bench_recycle_churn(h: &mut BenchHarness, config: CgConfig) {
+    h.bench_counted("recycle/first_fit/churn_hit_64", 2_000, || {
         let mut heap = Heap::new(HeapConfig::spacious());
         let mut cg = ContaminatedGc::with_config(config);
         for round in 0..4u64 {
@@ -460,10 +458,6 @@ fn main() {
         verify_tainted: false,
         ..CgConfig::with_recycling()
     };
-    let recycle_seg = CgConfig {
-        verify_tainted: false,
-        ..CgConfig::with_segregated_recycling()
-    };
 
     bench_store_same_block(&mut harness, "cg", cg);
     bench_store_union_heavy(&mut harness, "cg", cg);
@@ -481,10 +475,8 @@ fn main() {
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
         bench_alloc_churn_behind_live(&mut harness, policy);
     }
-    bench_recycle_miss(&mut harness, "first_fit", recycle);
-    bench_recycle_miss(&mut harness, "segregated", recycle_seg);
-    bench_recycle_churn(&mut harness, "first_fit", recycle);
-    bench_recycle_churn(&mut harness, "segregated", recycle_seg);
+    bench_recycle_miss(&mut harness, recycle);
+    bench_recycle_churn(&mut harness, recycle);
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
         bench_trace_replay(&mut harness, "db_s1", &trace, policy);
     }

@@ -13,6 +13,13 @@
 //! recording — no re-interpretation.  The table reports each collector's
 //! headline statistics plus the recording and replay times, and the raw
 //! numbers are written to `BENCH_trace_eval.json`.
+//!
+//! The recording frees nothing, so it must fit the whole allocation history
+//! in the 12 MiB experiment heap.  At `--size 100` raytrace, javac, mtrt
+//! and jack do not (`trace_eval javac --size 100` fails with "recording
+//! failed: out of memory allocating 16 bytes for class c0"); their size-100
+//! rows can only come from live runs.  Every workload records at sizes 1
+//! and 10.
 
 use cg_bench::{replay_run, TraceCache};
 use cg_stats::{Cell, Json, Table};

@@ -319,9 +319,16 @@ pub struct WorkloadTrace {
 /// experiment heap.  `gc_every` adds the periodic §4.7 collection events
 /// (required to replay [`CollectorChoice::CgReset`]).
 ///
+/// The passive collector frees nothing, so the recording must hold every
+/// object the workload allocates in [`experiment_heap`]'s 12 MiB.  All
+/// eight workloads fit at sizes 1 and 10; at size 100 raytrace, javac,
+/// mtrt and jack run out of memory, so replay cannot stand in for a live
+/// run there (Figs 4.9 and 4.10 among them).
+///
 /// # Errors
 ///
-/// Returns the underlying [`VmError`] if the recording run fails.
+/// Returns the underlying [`VmError`] if the recording run fails — at size
+/// 100 for the four workloads above, an out-of-memory error.
 pub fn record_workload_trace(
     workload: Workload,
     size: Size,

@@ -3,7 +3,6 @@
 use cg_vm::{ClassId, CollectOutcome, Collector, FrameInfo, Handle, Heap, RootSet, ThreadId};
 
 use crate::equilive::EquiliveSets;
-use crate::recycle::RecyclePolicy;
 use crate::shard::CollectorShard;
 use crate::static_domain::{DomainImpl, StaticDomain};
 use crate::stats::{CgStats, ObjectBreakdown};
@@ -34,16 +33,13 @@ pub struct CgConfig {
     /// already-static object does not contaminate the storing object.
     pub static_opt: bool,
     /// Enable §3.7 object recycling: dead equilive blocks are kept on a
-    /// recycle list and reused to satisfy later allocations instead of being
-    /// freed immediately.
+    /// recycle list, first-fit-scanned in collection order, and reused to
+    /// satisfy later allocations instead of being freed immediately.
     pub recycling: bool,
-    /// How the recycle list is searched when `recycling` is on: the paper's
-    /// first-fit scan in collection order (the default, backing the §4.8
-    /// cost accounting) or size-segregated bins.
-    pub recycle_policy: RecyclePolicy,
     /// Verify that the program never touches an object the collector
-    /// considers dead (the "tainted" list of §3.1.4).  Violations indicate a
-    /// soundness bug and panic.
+    /// considers dead (the "tainted" list of §3.1.4, read off the
+    /// collector's records, the heap and the recycle list).  Violations
+    /// indicate a soundness bug and panic.
     pub verify_tainted: bool,
     /// Test-only deliberate defect (see [`FaultInjection`]); always
     /// [`FaultInjection::None`] outside the fuzzer's self-check.
@@ -59,7 +55,6 @@ impl Default for CgConfig {
         Self {
             static_opt: true,
             recycling: false,
-            recycle_policy: RecyclePolicy::FirstFit,
             verify_tainted: cfg!(debug_assertions),
             fault: FaultInjection::None,
             domain_impl: DomainImpl::default(),
@@ -92,16 +87,6 @@ impl CgConfig {
         }
     }
 
-    /// Recycling with size-segregated bins instead of the paper's first-fit
-    /// list scan.
-    pub fn with_segregated_recycling() -> Self {
-        Self {
-            recycling: true,
-            recycle_policy: RecyclePolicy::SegregatedBins,
-            ..Self::default()
-        }
-    }
-
     /// The same configuration with a deliberate defect injected (test-only;
     /// see [`FaultInjection`]).
     pub fn with_fault(mut self, fault: FaultInjection) -> Self {
@@ -126,7 +111,7 @@ impl CgConfig {
 ///
 /// Internally this is the **1-shard instantiation** of the sharded collector
 /// code path: one [`CollectorShard`] holding all per-thread state (equilive
-/// forest, frame index, tainted set, recycle bins) plus a private
+/// forest, frame index, per-object records, recycle list) plus a private
 /// [`StaticDomain`] holding the §3.3 static set.  A multi-shard evaluation
 /// (see [`ShardedGc`](crate::ShardedGc) and `cg-trace`'s
 /// `parallel_eval_governed`) runs exactly the same per-event code over N
@@ -216,11 +201,6 @@ impl ContaminatedGc {
         self.shard.recycle_list_len()
     }
 
-    /// Whether the collector believes `handle` is dead.
-    pub fn is_tainted(&self, handle: Handle) -> bool {
-        self.shard.is_tainted(handle)
-    }
-
     /// Final disposition of every created object (popped / static /
     /// thread-shared).  Available after the program ends; computed on demand
     /// otherwise.
@@ -263,10 +243,10 @@ impl ContaminatedGc {
 
 impl Collector for ContaminatedGc {
     fn name(&self) -> &str {
-        match (self.config.recycling, self.config.recycle_policy) {
-            (false, _) => "cg",
-            (true, RecyclePolicy::FirstFit) => "cg+recycle",
-            (true, RecyclePolicy::SegregatedBins) => "cg+recycle-seg",
+        if self.config.recycling {
+            "cg+recycle"
+        } else {
+            "cg"
         }
     }
 
@@ -279,14 +259,14 @@ impl Collector for ContaminatedGc {
         source: Handle,
         target: Handle,
         frame: &FrameInfo,
-        _heap: &Heap,
+        heap: &Heap,
     ) {
         self.shard
-            .on_reference_store(source, target, frame, &self.domain);
+            .on_reference_store(source, target, frame, heap, &self.domain);
     }
 
-    fn on_static_store(&mut self, target: Handle, _heap: &Heap) {
-        self.shard.on_static_store(target, &self.domain);
+    fn on_static_store(&mut self, target: Handle, heap: &Heap) {
+        self.shard.on_static_store(target, heap, &self.domain);
     }
 
     fn on_return_value(&mut self, value: Handle, caller: &FrameInfo, callee: &FrameInfo) {
@@ -298,8 +278,9 @@ impl Collector for ContaminatedGc {
         self.shard.on_frame_pop(frame, heap)
     }
 
-    fn on_object_access(&mut self, handle: Handle, thread: ThreadId, _heap: &Heap) {
-        self.shard.on_object_access(handle, thread, &self.domain);
+    fn on_object_access(&mut self, handle: Handle, thread: ThreadId, heap: &Heap) {
+        self.shard
+            .on_object_access(handle, thread, heap, &self.domain);
     }
 
     fn try_recycled_alloc(
@@ -825,7 +806,7 @@ mod tests {
         assert_eq!(stats.contaminations, 1);
         // The temp was freed at the helper's pop even though the container
         // still referenced it.
-        assert!(faulty.collector().is_tainted(Handle::from_index(1)));
+        assert!(!faulty.heap().is_live(Handle::from_index(1)));
     }
 
     #[test]
@@ -835,86 +816,8 @@ mod tests {
             ContaminatedGc::with_config(CgConfig::with_recycling()).name(),
             "cg+recycle"
         );
-        assert_eq!(
-            ContaminatedGc::with_config(CgConfig::with_segregated_recycling()).name(),
-            "cg+recycle-seg"
-        );
         assert!(CgConfig::preferred().static_opt);
         assert!(!CgConfig::without_static_opt().static_opt);
-        assert!(CgConfig::with_segregated_recycling().recycling);
-    }
-
-    /// A program whose helpers churn through mixed-size temporaries: many
-    /// small objects and a few large ones, each batch dying on return.
-    fn mixed_size_churn() -> Program {
-        let mut p = Program::new();
-        let small = p.add_class(ClassDef::new("Small", 1));
-        let big = p.add_class(ClassDef::new("Big", 6));
-        let small_helper = p.add_method(MethodDef::new(
-            "smalls",
-            0,
-            8,
-            (0..8u16)
-                .map(|i| Insn::New {
-                    class: small,
-                    dst: i,
-                })
-                .chain([Insn::Return { value: None }])
-                .collect(),
-        ));
-        let big_helper = p.add_method(MethodDef::new(
-            "big",
-            0,
-            1,
-            vec![
-                Insn::New { class: big, dst: 0 },
-                Insn::Return { value: None },
-            ],
-        ));
-        let mut code = Vec::new();
-        for _ in 0..4 {
-            code.push(Insn::Call {
-                method: small_helper,
-                args: vec![],
-                dst: None,
-            });
-            code.push(Insn::Call {
-                method: big_helper,
-                args: vec![],
-                dst: None,
-            });
-        }
-        code.push(Insn::Return { value: None });
-        let main = p.add_method(MethodDef::new("main", 0, 1, code));
-        p.set_entry(main);
-        p
-    }
-
-    #[test]
-    fn segregated_recycling_reuses_as_much_with_fewer_probes() {
-        let first_fit = run_with(mixed_size_churn(), CgConfig::with_recycling());
-        let segregated = run_with(mixed_size_churn(), CgConfig::with_segregated_recycling());
-        let ff = first_fit.collector().stats();
-        let seg = segregated.collector().stats();
-        // Both policies find a reusable corpse whenever one exists, so the
-        // recycle counts agree...
-        assert_eq!(ff.objects_created, seg.objects_created);
-        assert_eq!(ff.objects_recycled, seg.objects_recycled);
-        assert!(seg.objects_recycled > 0);
-        // ...but first fit pays a scan over the (mostly too-small) list for
-        // every big request, while the bins jump straight to the right
-        // class.
-        assert!(
-            seg.recycle_probes < ff.recycle_probes,
-            "segregated probes {} vs first-fit {}",
-            seg.recycle_probes,
-            ff.recycle_probes
-        );
-        // The recycled heap footprint is identical either way.
-        assert_eq!(
-            first_fit.heap().stats().objects_allocated,
-            segregated.heap().stats().objects_allocated
-        );
     }
 
     #[test]

@@ -87,26 +87,23 @@
 #![warn(missing_docs)]
 
 mod atomic;
-pub mod bitset;
 pub mod collector;
 pub mod equilive;
 pub mod frame_index;
 pub mod hybrid;
 pub mod marksweep;
 mod packed;
-pub mod recycle;
+mod recycle;
 pub mod shard;
 pub mod sharded;
 pub mod static_domain;
 pub mod stats;
 mod tagged;
 
-pub use bitset::HandleBitSet;
 pub use collector::{CgConfig, ContaminatedGc, FaultInjection};
 pub use equilive::{BlockInfo, EquiliveSets, FrameKey, StaticReason};
 pub use frame_index::FrameBlockIndex;
 pub use hybrid::{HybridCollector, HybridConfig};
-pub use recycle::{RecycleBins, RecyclePolicy};
 pub use shard::{aggregate_shards, aggregate_stats, CollectorShard, StoreOperand};
 pub use sharded::ShardedGc;
 pub use static_domain::{merge_reasons, DomainImpl, StaticDomain, StaticNodeId};

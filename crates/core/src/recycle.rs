@@ -1,152 +1,62 @@
-//! The §3.7 recycle list, with a pluggable search policy.
+//! The §3.7 recycle list.
 //!
 //! When recycling is enabled, dead (but still allocated) objects wait to be
 //! handed back to the allocator instead of being freed.  The paper's
 //! implementation keeps them in collection order and first-fit-scans the
-//! whole list on every allocation — that behaviour is preserved as
-//! [`RecyclePolicy::FirstFit`], because the §4.8 experiment measures exactly
+//! whole list on every allocation; the §4.8 experiment measures exactly
 //! that scan (`CgStats::recycle_probes`) against the heap allocator's
-//! search.  [`RecyclePolicy::SegregatedBins`] is the optimised alternative:
-//! corpses are binned by the power-of-two size class of their slot count, so
-//! a request probes only bins whose objects could possibly fit.
+//! search, so the list here does the same.
 
 use cg_vm::Handle;
 
-/// How [`RecycleBins::take`] searches for a reusable dead object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RecyclePolicy {
-    /// The paper-faithful search: scan the whole list in collection order,
-    /// reuse the first corpse that fits (§3.7).  O(list) probes per miss.
-    #[default]
-    FirstFit,
-    /// Size-segregated bins keyed by slot-count class.  O(classes) bin
-    /// probes; within the starting class a corpse may still be too small
-    /// and is skipped, every higher class is guaranteed large enough.
-    SegregatedBins,
-}
-
-/// Size class of a slot count: its bit length, so class `c` holds counts in
-/// `[2^(c-1), 2^c)` (and class 0 holds exactly zero-slot objects).
-fn class_of(slot_count: usize) -> usize {
-    (usize::BITS - slot_count.leading_zeros()) as usize
-}
-
-/// Dead objects awaiting reuse, searchable under either [`RecyclePolicy`].
+/// Dead objects awaiting reuse, in collection order.
 #[derive(Debug, Clone, Default)]
-pub struct RecycleBins {
-    policy: RecyclePolicy,
-    /// FirstFit: every corpse in collection order.
-    list: Vec<Handle>,
-    /// SegregatedBins: corpses by slot-count class.
-    bins: Vec<Vec<Handle>>,
-    len: usize,
+pub(crate) struct RecycleList {
+    corpses: Vec<Handle>,
 }
 
-impl RecycleBins {
-    /// Creates an empty recycle structure for `policy`.
-    pub fn new(policy: RecyclePolicy) -> Self {
-        Self {
-            policy,
-            list: Vec::new(),
-            bins: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// The search policy.
-    pub fn policy(&self) -> RecyclePolicy {
-        self.policy
-    }
-
+impl RecycleList {
     /// Number of corpses currently waiting.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn len(&self) -> usize {
+        self.corpses.len()
     }
 
-    /// Whether nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Whether `handle` is waiting (a linear scan: only the soundness
+    /// verifier asks).
+    pub(crate) fn contains(&self, handle: Handle) -> bool {
+        self.corpses.contains(&handle)
     }
 
-    /// Adds a corpse with `slot_count` reusable slots.
-    pub fn push(&mut self, handle: Handle, slot_count: usize) {
-        match self.policy {
-            RecyclePolicy::FirstFit => self.list.push(handle),
-            RecyclePolicy::SegregatedBins => {
-                let class = class_of(slot_count);
-                if self.bins.len() <= class {
-                    self.bins.resize_with(class + 1, Vec::new);
-                }
-                self.bins[class].push(handle);
-            }
-        }
-        self.len += 1;
+    /// Adds a corpse at the end of the list.
+    pub(crate) fn push(&mut self, handle: Handle) {
+        self.corpses.push(handle);
     }
 
-    /// Searches for a corpse that `try_claim` accepts (the closure checks
+    /// Claims the first corpse that `try_claim` accepts (the closure checks
     /// the fit against the heap and reinitialises the object; returning
     /// `true` claims it).  Each examined corpse increments `probes` — that
     /// counter is the §4.8 cost accounting.
-    pub fn take(
+    pub(crate) fn take(
         &mut self,
-        field_count: usize,
         probes: &mut u64,
         mut try_claim: impl FnMut(Handle) -> bool,
     ) -> Option<Handle> {
-        match self.policy {
-            RecyclePolicy::FirstFit => {
-                for i in 0..self.list.len() {
-                    *probes += 1;
-                    let handle = self.list[i];
-                    if try_claim(handle) {
-                        // Preserve collection order, exactly like the
-                        // paper's list (§3.7).
-                        self.list.remove(i);
-                        self.len -= 1;
-                        return Some(handle);
-                    }
-                }
-                None
-            }
-            RecyclePolicy::SegregatedBins => {
-                for class in class_of(field_count)..self.bins.len() {
-                    let mut i = 0;
-                    while i < self.bins[class].len() {
-                        *probes += 1;
-                        let handle = self.bins[class][i];
-                        if try_claim(handle) {
-                            self.bins[class].swap_remove(i);
-                            self.len -= 1;
-                            return Some(handle);
-                        }
-                        // Too small (possible only in the starting class)
-                        // or rejected by the heap: keep it for other
-                        // requests.
-                        i += 1;
-                    }
-                }
-                None
+        for i in 0..self.corpses.len() {
+            *probes += 1;
+            let handle = self.corpses[i];
+            if try_claim(handle) {
+                // Preserve collection order, exactly like the paper's list.
+                self.corpses.remove(i);
+                return Some(handle);
             }
         }
+        None
     }
 
     /// Keeps only the corpses `keep` accepts (used when a traditional
     /// collection sweeps objects out from under the recycle list).
-    pub fn retain(&mut self, mut keep: impl FnMut(Handle) -> bool) {
-        match self.policy {
-            RecyclePolicy::FirstFit => {
-                self.list.retain(|&h| keep(h));
-                self.len = self.list.len();
-            }
-            RecyclePolicy::SegregatedBins => {
-                let mut len = 0;
-                for bin in &mut self.bins {
-                    bin.retain(|&h| keep(h));
-                    len += bin.len();
-                }
-                self.len = len;
-            }
-        }
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(Handle) -> bool) {
+        self.corpses.retain(|&h| keep(h));
     }
 }
 
@@ -160,77 +70,43 @@ mod tests {
 
     #[test]
     fn first_fit_scans_in_collection_order() {
-        let mut bins = RecycleBins::new(RecyclePolicy::FirstFit);
-        bins.push(h(1), 1);
-        bins.push(h(2), 4);
-        bins.push(h(3), 4);
-        assert_eq!(bins.len(), 3);
+        let mut list = RecycleList::default();
+        list.push(h(1));
+        list.push(h(2));
+        list.push(h(3));
+        assert_eq!(list.len(), 3);
         let mut probes = 0;
         // Claim the first corpse with at least 4 slots: h(2), after probing
         // h(1) first.
         let sizes = [0usize, 1, 4, 4];
-        let taken = bins.take(4, &mut probes, |handle| sizes[handle.index_usize()] >= 4);
+        let taken = list.take(&mut probes, |handle| sizes[handle.index_usize()] >= 4);
         assert_eq!(taken, Some(h(2)));
         assert_eq!(probes, 2);
-        assert_eq!(bins.len(), 2);
+        assert_eq!(list.len(), 2);
+        assert!(list.contains(h(3)) && !list.contains(h(2)));
         // Order is preserved for the remaining corpses.
-        let taken = bins.take(0, &mut probes, |_| true);
+        let taken = list.take(&mut probes, |_| true);
         assert_eq!(taken, Some(h(1)));
-    }
-
-    #[test]
-    fn segregated_skips_too_small_classes() {
-        let mut bins = RecycleBins::new(RecyclePolicy::SegregatedBins);
-        for i in 0..100 {
-            bins.push(h(i), 1);
-        }
-        bins.push(h(100), 8);
-        let mut probes = 0;
-        let taken = bins.take(8, &mut probes, |_| true);
-        assert_eq!(taken, Some(h(100)));
-        // The hundred one-slot corpses live in a class below the request's
-        // and are never probed.
-        assert_eq!(probes, 1);
-        assert_eq!(bins.len(), 100);
-    }
-
-    #[test]
-    fn segregated_checks_fit_within_starting_class() {
-        let mut bins = RecycleBins::new(RecyclePolicy::SegregatedBins);
-        // Slot counts 4 and 7 share a class; a request for 6 must skip the
-        // 4-slot corpse.
-        bins.push(h(0), 4);
-        bins.push(h(1), 7);
-        let sizes = [4usize, 7];
-        let mut probes = 0;
-        let taken = bins.take(6, &mut probes, |handle| sizes[handle.index_usize()] >= 6);
-        assert_eq!(taken, Some(h(1)));
-        assert_eq!(bins.len(), 1);
     }
 
     #[test]
     fn take_from_empty_returns_none() {
-        for policy in [RecyclePolicy::FirstFit, RecyclePolicy::SegregatedBins] {
-            let mut bins = RecycleBins::new(policy);
-            assert!(bins.is_empty());
-            let mut probes = 0;
-            assert_eq!(bins.take(2, &mut probes, |_| true), None);
-            assert_eq!(probes, 0);
-        }
+        let mut list = RecycleList::default();
+        let mut probes = 0;
+        assert_eq!(list.take(&mut probes, |_| true), None);
+        assert_eq!(probes, 0);
     }
 
     #[test]
     fn retain_drops_swept_corpses() {
-        for policy in [RecyclePolicy::FirstFit, RecyclePolicy::SegregatedBins] {
-            let mut bins = RecycleBins::new(policy);
-            for i in 0..10 {
-                bins.push(h(i), (i as usize) % 5);
-            }
-            bins.retain(|handle| handle.index_usize() % 2 == 0);
-            assert_eq!(bins.len(), 5, "{policy:?}");
-            let mut probes = 0;
-            while bins.take(0, &mut probes, |_| true).is_some() {}
-            assert!(bins.is_empty());
+        let mut list = RecycleList::default();
+        for i in 0..10 {
+            list.push(h(i));
         }
+        list.retain(|handle| handle.index_usize() % 2 == 0);
+        assert_eq!(list.len(), 5);
+        let mut probes = 0;
+        while list.take(&mut probes, |_| true).is_some() {}
+        assert_eq!(list.len(), 0);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! A [`CollectorShard`] owns everything the collector keeps per thread: the
 //! equilive forest ([`EquiliveSets`]), the dense per-frame block index, the
-//! per-object records, the tainted bitset, the recycle bins and the
-//! statistics.  The only state a shard shares with other shards is the
-//! [`StaticDomain`] — the §3.3 static set — which every event handler
-//! receives by reference.
+//! per-object records, the recycle list and the statistics.  The only state
+//! a shard shares with other shards is the [`StaticDomain`] — the §3.3
+//! static set — which every event handler receives by reference.
 //!
 //! # Sized by live objects
 //!
@@ -13,12 +12,24 @@
 //! shard gives back everything it kept for them: each member's record
 //! leaves the paged handle table ([`SlotTable`]), and each member's forest
 //! element returns to the forest's free list for the next allocation.  The
-//! forest, the block records and the frame index are therefore sized by the
-//! peak number of live objects.  Only the tainted bitset covers every handle
-//! ever seen, and a page of it whose handles have all died shrinks to a
-//! marker.  An object that a traditional collection purged (§3.6) while its
-//! block lives keeps its record, tainted, until the block dies, so its
-//! element is released with the rest.
+//! forest, the block records, the frame index and the record table are
+//! therefore all sized by the peak number of live objects.
+//!
+//! # Which handles are dead
+//!
+//! The paper's "tainted" list (§3.1.4) names the objects the collector has
+//! declared dead, so that a use of one can be caught.  The heap never
+//! re-mints a handle, and it frees what a frame pop or a traditional sweep
+//! kills, so the list needs no table of its own:
+//!
+//! * a handle with a record is dead when the record says so — an object
+//!   that a traditional collection purged (§3.6) while its block lives keeps
+//!   its record, flagged dead, until the block dies, so its element is
+//!   released with the rest;
+//! * a handle without one is dead when the heap no longer holds it, or when
+//!   it waits on the recycle list (§3.7), and never seen otherwise.
+//!
+//! Only the `verify_tainted` checks ask the heap and the recycle list.
 //!
 //! The single-threaded [`ContaminatedGc`](crate::ContaminatedGc) is the
 //! 1-shard instantiation of exactly this code path: it owns one shard plus a
@@ -41,17 +52,16 @@
 use cg_heap::SlotTable;
 use cg_vm::{ClassId, CollectOutcome, FrameInfo, Handle, Heap, RootSet, ThreadId};
 
-use crate::bitset::HandleBitSet;
 use crate::collector::CgConfig;
 use crate::equilive::{EquiliveSets, FrameKey, StaticReason};
 use crate::frame_index::FrameBlockIndex;
 use crate::packed::ElementId;
-use crate::recycle::RecycleBins;
+use crate::recycle::RecycleList;
 use crate::static_domain::{StaticDomain, StaticNodeId};
 use crate::stats::{CgStats, ObjectBreakdown};
 
-/// Per-object bookkeeping (one entry per live object incarnation; whether
-/// the collector has declared it dead is the tainted bitset's to say).
+/// Per-object bookkeeping: one entry per object incarnation whose block is
+/// alive.
 #[derive(Debug, Clone, Copy)]
 struct ObjData {
     /// The object's element in the shard's equilive forest.
@@ -60,7 +70,13 @@ struct ObjData {
     birth_depth: u32,
     /// The thread that allocated the object (§3.3).
     alloc_thread: ThreadId,
+    /// Declared dead while its block lives: purged by a traditional
+    /// collection, or killed through an older block's stale listing.
+    dead: bool,
 }
+
+// The flag sits in the record's padding: a slot stays 16 bytes.
+const _: () = assert!(std::mem::size_of::<Option<ObjData>>() == 16);
 
 /// A store operand as seen by the processing shard: either an object this
 /// shard owns, or a block that already lives in the shared static domain
@@ -90,13 +106,16 @@ pub struct CollectorShard {
     /// alive.
     objects: SlotTable<ObjData>,
     frame_index: FrameBlockIndex,
-    recycle: RecycleBins,
-    tainted: HandleBitSet,
+    recycle: RecycleList,
     stats: CgStats,
     /// How to treat a handle with no local bookkeeping: register it
     /// conservatively (the single-shard collector's behaviour) or treat it
     /// as foreign and resolve it through the static domain (sharded replay).
     strict_foreign: bool,
+    /// Values `on_return_value` registered without a record, under
+    /// `verify_tainted`.  That hook carries no heap, so the callee's pop,
+    /// which follows its return, checks that the heap still holds them.
+    returned_unchecked: Vec<Handle>,
 }
 
 impl CollectorShard {
@@ -118,10 +137,10 @@ impl CollectorShard {
             sets: EquiliveSets::new(),
             objects: SlotTable::new(),
             frame_index: FrameBlockIndex::new(),
-            recycle: RecycleBins::new(config.recycle_policy),
-            tainted: HandleBitSet::new(),
+            recycle: RecycleList::default(),
             stats: CgStats::new(),
             strict_foreign,
+            returned_unchecked: Vec::new(),
         }
     }
 
@@ -164,11 +183,6 @@ impl CollectorShard {
         self.recycle.len()
     }
 
-    /// Whether the shard believes `handle` is dead.
-    pub fn is_tainted(&self, handle: Handle) -> bool {
-        self.tainted.contains(handle)
-    }
-
     // ------------------------------------------------------------------
     // internal helpers
     // ------------------------------------------------------------------
@@ -195,6 +209,7 @@ impl CollectorShard {
             elem,
             birth_depth: u32::try_from(frame.depth).unwrap_or(u32::MAX),
             alloc_thread: frame.thread,
+            dead: false,
         };
         match self.objects.get_mut(handle.index_usize()) {
             // A new incarnation over one whose block still lives (a
@@ -204,8 +219,6 @@ impl CollectorShard {
             Some(slot) => *slot = data,
             None => self.objects.insert(handle.index_usize(), data),
         }
-        // The new incarnation is live, whatever became of the last one.
-        self.tainted.remove(handle);
         self.stats.objects_created += 1;
         elem
     }
@@ -217,27 +230,38 @@ impl CollectorShard {
     /// The records of the objects not declared dead, by ascending handle.
     fn live_objects(&self) -> impl Iterator<Item = (Handle, &ObjData)> + '_ {
         self.objects.occupied().filter_map(|index| {
-            let handle = Handle::from_index(index as u32);
             let data = self.objects.get(index)?;
-            (!self.tainted.contains(handle)).then_some((handle, data))
+            (!data.dead).then_some((Handle::from_index(index as u32), data))
         })
+    }
+
+    /// Whether the collector declared `handle` dead, given that it holds no
+    /// record of it (see the module docs).  The return hook carries no heap
+    /// and passes `None`; the callee's pop checks the heap for it.
+    fn dead_without_record(&self, handle: Handle, heap: Option<&Heap>) -> bool {
+        heap.is_some_and(|heap| !heap.is_live(handle)) || self.recycle.contains(handle)
     }
 
     /// The element of a live object, registering it conservatively against
     /// the given frame if the collector has somehow never seen it.
-    fn elem_of(&mut self, handle: Handle, frame: &FrameInfo, domain: &StaticDomain) -> ElementId {
-        let tainted = self.tainted.contains(handle);
-        match self.data(handle) {
-            Some(data) if !tainted => data.elem,
-            _ => {
-                // A dead object being used again can only mean the
-                // collector's deadness conclusion was wrong.
-                if tainted && self.config.verify_tainted {
-                    panic!("contaminated GC soundness violation: {handle} was declared dead but is still in use");
-                }
-                self.register(handle, frame, domain)
-            }
+    fn elem_of(
+        &mut self,
+        handle: Handle,
+        frame: &FrameInfo,
+        heap: Option<&Heap>,
+        domain: &StaticDomain,
+    ) -> ElementId {
+        let declared_dead = match self.data(handle) {
+            Some(data) if !data.dead => return data.elem,
+            Some(_) => true,
+            None => false,
+        };
+        // A dead object being used again can only mean the collector's
+        // deadness conclusion was wrong.
+        if self.config.verify_tainted && (declared_dead || self.dead_without_record(handle, heap)) {
+            panic!("contaminated GC soundness violation: {handle} was declared dead but is still in use");
         }
+        self.register(handle, frame, domain)
     }
 
     /// Resolves a store operand: a root in this shard's forest, or — for a
@@ -247,6 +271,7 @@ impl CollectorShard {
         &mut self,
         handle: Handle,
         frame: &FrameInfo,
+        heap: &Heap,
         domain: &StaticDomain,
     ) -> Resolved {
         if self.strict_foreign && !self.owns(handle) {
@@ -259,7 +284,7 @@ impl CollectorShard {
             });
             return Resolved::Foreign(node);
         }
-        let elem = self.elem_of(handle, frame, domain);
+        let elem = self.elem_of(handle, frame, Some(heap), domain);
         Resolved::Local(self.sets.find(elem))
     }
 
@@ -295,9 +320,10 @@ impl CollectorShard {
         &mut self,
         handle: Handle,
         frame: &FrameInfo,
+        heap: &Heap,
         domain: &StaticDomain,
     ) -> StaticNodeId {
-        let elem = self.elem_of(handle, frame, domain);
+        let elem = self.elem_of(handle, frame, Some(heap), domain);
         let root = self.sets.find(elem);
         self.escalate_root(root, StaticReason::ThreadShared, domain)
     }
@@ -390,6 +416,7 @@ impl CollectorShard {
         source: Handle,
         target: Handle,
         frame: &FrameInfo,
+        heap: &Heap,
         domain: &StaticDomain,
     ) {
         self.stats.contaminations += 1;
@@ -401,15 +428,15 @@ impl CollectorShard {
             // construction.  Resolve each operand's root exactly once and
             // compare before touching any block payload — stores within an
             // already-merged block read nothing else.
-            let source_elem = self.elem_of(source, frame, domain);
-            let target_elem = self.elem_of(target, frame, domain);
+            let source_elem = self.elem_of(source, frame, Some(heap), domain);
+            let target_elem = self.elem_of(target, frame, Some(heap), domain);
             let source_root = self.sets.find(source_elem);
             let target_root = self.sets.find(target_elem);
             self.store_local_roots(source_root, target_root, domain);
             return;
         }
-        let s = self.resolve_operand(source, frame, domain);
-        let t = self.resolve_operand(target, frame, domain);
+        let s = self.resolve_operand(source, frame, heap, domain);
+        let t = self.resolve_operand(target, frame, heap, domain);
         self.store_resolved(s, t, domain);
     }
 
@@ -421,6 +448,7 @@ impl CollectorShard {
         source: StoreOperand,
         target: StoreOperand,
         frame: &FrameInfo,
+        heap: &Heap,
         domain: &StaticDomain,
     ) {
         self.stats.contaminations += 1;
@@ -428,11 +456,11 @@ impl CollectorShard {
             return;
         }
         let s = match source {
-            StoreOperand::Owned(h) => self.resolve_operand(h, frame, domain),
+            StoreOperand::Owned(h) => self.resolve_operand(h, frame, heap, domain),
             StoreOperand::Static(n) => Resolved::Foreign(n),
         };
         let t = match target {
-            StoreOperand::Owned(h) => self.resolve_operand(h, frame, domain),
+            StoreOperand::Owned(h) => self.resolve_operand(h, frame, heap, domain),
             StoreOperand::Static(n) => Resolved::Foreign(n),
         };
         self.store_resolved(s, t, domain);
@@ -509,8 +537,8 @@ impl CollectorShard {
 
     /// A static variable (or interpreter-internal static reference) now
     /// references `target`.
-    pub fn on_static_store(&mut self, target: Handle, domain: &StaticDomain) {
-        let elem = self.elem_of(target, &FrameInfo::static_frame(), domain);
+    pub fn on_static_store(&mut self, target: Handle, heap: &Heap, domain: &StaticDomain) {
+        let elem = self.elem_of(target, &FrameInfo::static_frame(), Some(heap), domain);
         let root = self.sets.find(elem);
         self.escalate_root(root, StaticReason::StaticReference, domain);
     }
@@ -521,6 +549,11 @@ impl CollectorShard {
     /// frame belongs to a different thread (or is static), and frames of
     /// different threads are never comparable, so the retarget condition
     /// cannot hold.  In strict mode the shard therefore skips it outright.
+    ///
+    /// The hook carries no heap (`Collector::on_return_value` has none), so
+    /// the verifier cannot tell a freed value from one never seen here: it
+    /// registers it, and the callee's pop, which follows the return, panics
+    /// if the heap no longer holds it.
     pub fn on_return_value(
         &mut self,
         value: Handle,
@@ -531,7 +564,10 @@ impl CollectorShard {
         if self.strict_foreign && !self.owns(value) {
             return;
         }
-        let elem = self.elem_of(value, caller, domain);
+        if self.config.verify_tainted && !self.owns(value) {
+            self.returned_unchecked.push(value);
+        }
+        let elem = self.elem_of(value, caller, None, domain);
         let root = self.sets.find(elem);
         let current = self.sets.block_of_root(root).key;
         let caller_key = FrameKey::frame(caller);
@@ -554,6 +590,11 @@ impl CollectorShard {
 
     /// `frame` was popped: every block dependent on it is dead (§2.2).
     pub fn on_frame_pop(&mut self, frame: &FrameInfo, heap: &mut Heap) -> CollectOutcome {
+        for handle in self.returned_unchecked.drain(..) {
+            if !heap.is_live(handle) {
+                panic!("contaminated GC soundness violation: dead object {handle} was returned");
+            }
+        }
         let mut freed_objects = 0u64;
         let mut freed_bytes = 0u64;
         // Frames pop LIFO, so the bucket at this frame's depth holds exactly
@@ -575,15 +616,23 @@ impl CollectorShard {
                     continue;
                 };
                 // The record is this block's unless the handle was
-                // registered again while this block lived.
+                // registered again while this block lived; then the record
+                // stays with the later block, which releases it.
                 if self.sets.find(data.elem) == root {
                     self.objects.take(index);
                     if data.elem != root {
                         self.sets.release(data.elem);
                     }
+                } else if !data.dead {
+                    // The later incarnation dies with this block all the
+                    // same.
+                    if let Some(record) = self.objects.get_mut(index) {
+                        record.dead = true;
+                    }
                 }
-                if !self.tainted.insert(handle) {
-                    // Already dead: purged by a traditional collection.
+                if data.dead {
+                    // Already dead: purged by a traditional collection, or
+                    // killed through an older block's stale listing.
                     continue;
                 }
                 self.stats.objects_collected += 1;
@@ -593,24 +642,16 @@ impl CollectorShard {
                 let age = (data.birth_depth as usize).saturating_sub(frame.depth);
                 self.stats.age_at_death.record(age as u64);
 
-                let slot_count = match heap.get(handle) {
-                    Ok(object) if !object.is_array() => Some(object.slot_count()),
-                    _ => None,
-                };
-                match slot_count {
-                    Some(slots) if self.config.recycling => {
-                        // Defer the free: the object waits on the recycle
-                        // list and is handed back to the allocator later
-                        // (§3.7).
-                        self.recycle.push(handle, slots);
-                    }
-                    _ => {
-                        let bytes = heap
-                            .free(handle)
-                            .expect("collected object must still be live");
-                        freed_bytes += bytes as u64;
-                        freed_objects += 1;
-                    }
+                if self.config.recycling && heap.get(handle).is_ok_and(|o| !o.is_array()) {
+                    // Defer the free: the object waits on the recycle list
+                    // and is handed back to the allocator later (§3.7).
+                    self.recycle.push(handle);
+                } else {
+                    let bytes = heap
+                        .free(handle)
+                        .expect("collected object must still be live");
+                    freed_bytes += bytes as u64;
+                    freed_objects += 1;
                 }
             }
             self.sets.release(root);
@@ -624,15 +665,23 @@ impl CollectorShard {
 
     /// `thread` touched `handle` (§3.3 cross-thread detection).  Routed to
     /// the shard that owns `handle`.
-    pub fn on_object_access(&mut self, handle: Handle, thread: ThreadId, domain: &StaticDomain) {
-        if self.tainted.contains(handle) {
-            if self.config.verify_tainted {
-                panic!("contaminated GC soundness violation: dead object {handle} accessed by {thread}");
+    pub fn on_object_access(
+        &mut self,
+        handle: Handle,
+        thread: ThreadId,
+        heap: &Heap,
+        domain: &StaticDomain,
+    ) {
+        let data = match self.data(handle) {
+            Some(data) if !data.dead => *data,
+            record => {
+                if self.config.verify_tainted
+                    && (record.is_some() || self.dead_without_record(handle, Some(heap)))
+                {
+                    panic!("contaminated GC soundness violation: dead object {handle} accessed by {thread}");
+                }
+                return;
             }
-            return;
-        }
-        let Some(data) = self.data(handle).copied() else {
-            return;
         };
         if data.alloc_thread != thread {
             // The object is shared between threads; its whole block must be
@@ -643,7 +692,7 @@ impl CollectorShard {
     }
 
     /// Offers a recycled corpse for an allocation (§3.7), searching this
-    /// shard's bins only.
+    /// shard's list only.
     pub fn try_recycled_alloc(
         &mut self,
         class: ClassId,
@@ -653,19 +702,16 @@ impl CollectorShard {
         if !self.config.recycling {
             return None;
         }
-        // Search the recycle structure (§3.7) under the configured policy;
-        // every examined corpse is charged to `recycle_probes`.
-        let taken = self
-            .recycle
-            .take(field_count, &mut self.stats.recycle_probes, |handle| {
-                let fits = heap
-                    .get(handle)
-                    .map(|o| !o.is_array() && o.slot_count() >= field_count)
-                    .unwrap_or(false);
-                fits && heap.reinitialize(handle, class, field_count).is_ok()
-            });
+        // First-fit search of the recycle list (§3.7); every examined
+        // corpse is charged to `recycle_probes`.
+        let taken = self.recycle.take(&mut self.stats.recycle_probes, |handle| {
+            let fits = heap
+                .get(handle)
+                .map(|o| !o.is_array() && o.slot_count() >= field_count)
+                .unwrap_or(false);
+            fits && heap.reinitialize(handle, class, field_count).is_ok()
+        });
         if let Some(handle) = taken {
-            self.tainted.remove(handle);
             self.stats.objects_recycled += 1;
             // `on_allocate` follows and re-registers the handle as a new
             // object incarnation.
@@ -701,11 +747,11 @@ impl CollectorShard {
     /// as "collected by MSA" (Figure 4.11).  Also purges them from the
     /// recycle list.
     pub fn purge_unreachable(&mut self, live: &[bool]) {
-        // The records stay until their blocks die (see the module docs).
-        for index in self.objects.occupied() {
-            if !live.get(index).copied().unwrap_or(false)
-                && self.tainted.insert(Handle::from_index(index as u32))
-            {
+        // The records stay, flagged, until their blocks die (see the
+        // module docs).
+        for (index, data) in self.objects.occupied_mut() {
+            if !data.dead && !live.get(index).copied().unwrap_or(false) {
+                data.dead = true;
                 self.stats.reset_collected_by_msa += 1;
             }
         }
@@ -757,7 +803,7 @@ impl CollectorShard {
         let dead: Vec<usize> = self
             .objects
             .occupied()
-            .filter(|&index| self.tainted.contains(Handle::from_index(index as u32)))
+            .filter(|&index| self.objects.get(index).is_some_and(|data| data.dead))
             .collect();
         for index in dead {
             self.objects.take(index);
@@ -914,19 +960,20 @@ mod tests {
     #[test]
     fn static_static_stores_union_in_the_domain_not_the_forest() {
         let domain = StaticDomain::new();
+        let heap = Heap::new(HeapConfig::small());
         let mut shard = CollectorShard::new(CgConfig::default());
         let f = frame(1, 1, 0);
         shard.on_allocate(h(0), &f, &domain);
         shard.on_allocate(h(1), &f, &domain);
-        shard.on_static_store(h(0), &domain);
-        shard.on_static_store(h(1), &domain);
+        shard.on_static_store(h(0), &heap, &domain);
+        shard.on_static_store(h(1), &heap, &domain);
         assert_eq!(domain.block_count(), 2);
         // The store unions their domain nodes, once.
-        shard.on_reference_store(h(0), h(1), &f, &domain);
+        shard.on_reference_store(h(0), h(1), &f, &heap, &domain);
         assert_eq!(shard.stats().unions, 1);
         assert_eq!(domain.block_count(), 1);
         // Repeating it is a no-op for the union count.
-        shard.on_reference_store(h(0), h(1), &f, &domain);
+        shard.on_reference_store(h(0), h(1), &f, &heap, &domain);
         assert_eq!(shard.stats().unions, 1);
         assert_eq!(shard.stats().contaminations, 2);
     }
@@ -934,22 +981,23 @@ mod tests {
     #[test]
     fn strict_shard_resolves_foreign_operands_through_the_domain() {
         let domain = StaticDomain::new();
+        let heap = Heap::new(HeapConfig::small());
         // Owner shard escalates its object (the §3.3 hand-off).
         let mut owner = CollectorShard::for_shard(CgConfig::default());
         let f0 = frame(1, 1, 0);
         owner.on_allocate(h(0), &f0, &domain);
-        owner.on_object_access(h(0), ThreadId::new(1), &domain);
+        owner.on_object_access(h(0), ThreadId::new(1), &heap, &domain);
         assert!(domain.node_of(h(0)).is_some());
         // Foreign shard stores the (static) object into its own local one:
         // with the §3.4 optimisation the local object stays collectable.
         let mut other = CollectorShard::for_shard(CgConfig::default());
         let f1 = frame(2, 1, 1);
         other.on_allocate(h(1), &f1, &domain);
-        other.on_reference_store(h(1), h(0), &f1, &domain);
+        other.on_reference_store(h(1), h(0), &f1, &heap, &domain);
         assert_eq!(other.stats().static_opt_skips, 1);
         assert_eq!(other.stats().unions, 0);
         // The reverse store drags the local object into the static set.
-        other.on_reference_store(h(0), h(1), &f1, &domain);
+        other.on_reference_store(h(0), h(1), &f1, &heap, &domain);
         assert_eq!(other.stats().unions, 1);
         assert!(domain.node_of(h(1)).is_some());
     }
@@ -958,22 +1006,24 @@ mod tests {
     #[should_panic(expected = "pre-escalation invariant")]
     fn strict_shard_rejects_non_static_foreign_operands() {
         let domain = StaticDomain::new();
+        let heap = Heap::new(HeapConfig::small());
         let mut shard = CollectorShard::for_shard(CgConfig::default());
         let f = frame(1, 1, 0);
         shard.on_allocate(h(0), &f, &domain);
         // h(9) is unknown to the shard and not in the domain.
-        shard.on_reference_store(h(0), h(9), &f, &domain);
+        shard.on_reference_store(h(0), h(9), &f, &heap, &domain);
     }
 
     #[test]
     fn cross_thread_frame_merge_escalates_the_merged_block() {
         let domain = StaticDomain::new();
+        let heap = Heap::new(HeapConfig::small());
         // One shard hosting two threads (shard_count < thread count): a
         // store between their objects merges to the static pseudo-frame.
         let mut shard = CollectorShard::new(CgConfig::default());
         shard.on_allocate(h(0), &frame(1, 1, 0), &domain);
         shard.on_allocate(h(1), &frame(2, 1, 1), &domain);
-        shard.on_reference_store(h(0), h(1), &frame(1, 1, 0), &domain);
+        shard.on_reference_store(h(0), h(1), &frame(1, 1, 0), &heap, &domain);
         assert_eq!(shard.stats().unions, 1);
         assert_eq!(domain.block_count(), 1);
         assert!(domain.node_of(h(0)).is_some());
@@ -994,9 +1044,9 @@ mod tests {
             let b = heap.allocate(ClassId::new(0), 1).unwrap();
             shard.on_allocate(a, &f, &domain);
             shard.on_allocate(b, &f, &domain);
-            shard.on_reference_store(a, b, &f, &domain);
+            shard.on_reference_store(a, b, &f, &heap, &domain);
             shard.on_frame_pop(&f, &mut heap);
-            assert!(!shard.owns(a) && shard.is_tainted(a));
+            assert!(!shard.owns(a) && !heap.is_live(a));
         }
         assert_eq!(shard.stats().objects_created, 200);
         assert_eq!(shard.stats().objects_collected, 200);
@@ -1015,15 +1065,38 @@ mod tests {
         let b = heap.allocate(ClassId::new(0), 1).unwrap();
         shard.on_allocate(a, &outer, &domain);
         shard.on_allocate(b, &outer, &domain);
-        shard.on_reference_store(a, b, &outer, &domain);
+        shard.on_reference_store(a, b, &outer, &heap, &domain);
         // `b` is registered again in the inner frame: the outer block still
         // lists it, but its record now belongs to the inner block.
         shard.on_allocate(b, &inner, &domain);
         assert_eq!(shard.on_frame_pop(&inner, &mut heap).freed_objects, 1);
-        assert!(shard.is_tainted(b) && !shard.owns(b));
+        assert!(!heap.is_live(b) && !shard.owns(b));
         // The outer block frees `a` and skips its stale listing of `b`.
         assert_eq!(shard.on_frame_pop(&outer, &mut heap).freed_objects, 1);
         assert_eq!(shard.stats().objects_collected, 2);
+        assert_eq!(heap.live_count(), 0);
+        assert_eq!(shard.sets().block_count(), 0);
+    }
+
+    #[test]
+    fn a_handle_registered_again_in_an_older_frame_dies_with_its_first_block() {
+        let domain = StaticDomain::new();
+        let mut heap = Heap::new(HeapConfig::spacious());
+        let mut shard = CollectorShard::new(CgConfig::default());
+        let (outer, inner) = (frame(1, 1, 0), frame(2, 2, 0));
+        let a = heap.allocate(ClassId::new(0), 1).unwrap();
+        let b = heap.allocate(ClassId::new(0), 1).unwrap();
+        shard.on_allocate(a, &outer, &domain);
+        shard.on_allocate(b, &inner, &domain);
+        // `b` is registered again in the outer frame: the inner block still
+        // lists it, and its pop kills the outer incarnation too.
+        shard.on_allocate(b, &outer, &domain);
+        assert_eq!(shard.on_frame_pop(&inner, &mut heap).freed_objects, 1);
+        assert!(!heap.is_live(b) && shard.owns(b));
+        // The outer block releases `b`'s record without killing it twice.
+        assert_eq!(shard.on_frame_pop(&outer, &mut heap).freed_objects, 1);
+        assert_eq!(shard.stats().objects_collected, 2);
+        assert!(!shard.owns(b));
         assert_eq!(heap.live_count(), 0);
         assert_eq!(shard.sets().block_count(), 0);
     }
@@ -1042,7 +1115,7 @@ mod tests {
             })
             .collect();
         for pair in handles.chunks(2) {
-            shard.on_reference_store(pair[0], pair[1], &f, &domain);
+            shard.on_reference_store(pair[0], pair[1], &f, &heap, &domain);
         }
         // Three objects survive: a frame root, what it references, and a
         // static.

@@ -155,10 +155,16 @@ impl ShardedGc {
 
     /// Classifies a store operand for the processing shard `p`: owned
     /// locally, or escalated through its owner shard per §3.3.
-    fn store_operand(&mut self, handle: Handle, p: usize, frame: &FrameInfo) -> StoreOperand {
+    fn store_operand(
+        &mut self,
+        handle: Handle,
+        p: usize,
+        frame: &FrameInfo,
+        heap: &Heap,
+    ) -> StoreOperand {
         match self.owner_shard(handle) {
             Some(o) if o != p => {
-                let node = self.shards[o].escalate_for_sharing(handle, frame, &self.domain);
+                let node = self.shards[o].escalate_for_sharing(handle, frame, heap, &self.domain);
                 StoreOperand::Static(node)
             }
             Some(_) => StoreOperand::Owned(handle),
@@ -199,15 +205,15 @@ impl Collector for ShardedGc {
         source: Handle,
         target: Handle,
         frame: &FrameInfo,
-        _heap: &Heap,
+        heap: &Heap,
     ) {
         let p = self.shard_of(frame.thread);
-        let s = self.store_operand(source, p, frame);
-        let t = self.store_operand(target, p, frame);
-        self.shards[p].on_reference_store_between(s, t, frame, &self.domain);
+        let s = self.store_operand(source, p, frame, heap);
+        let t = self.store_operand(target, p, frame, heap);
+        self.shards[p].on_reference_store_between(s, t, frame, heap, &self.domain);
     }
 
-    fn on_static_store(&mut self, target: Handle, _heap: &Heap) {
+    fn on_static_store(&mut self, target: Handle, heap: &Heap) {
         let o = match self.owner_shard(target) {
             Some(o) => o,
             // Never seen: shard 0 registers it conservatively against the
@@ -217,7 +223,7 @@ impl Collector for ShardedGc {
                 0
             }
         };
-        self.shards[o].on_static_store(target, &self.domain);
+        self.shards[o].on_static_store(target, heap, &self.domain);
     }
 
     fn on_return_value(&mut self, value: Handle, caller: &FrameInfo, callee: &FrameInfo) {
@@ -242,11 +248,11 @@ impl Collector for ShardedGc {
         self.shards[p].on_frame_pop(frame, heap)
     }
 
-    fn on_object_access(&mut self, handle: Handle, thread: ThreadId, _heap: &Heap) {
+    fn on_object_access(&mut self, handle: Handle, thread: ThreadId, heap: &Heap) {
         let Some(o) = self.owner_shard(handle) else {
             return;
         };
-        self.shards[o].on_object_access(handle, thread, &self.domain);
+        self.shards[o].on_object_access(handle, thread, heap, &self.domain);
     }
 
     fn try_recycled_alloc(
@@ -443,15 +449,10 @@ mod tests {
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .expect("a message payload")
         };
-        for config in [
-            CgConfig::with_recycling(),
-            CgConfig::with_segregated_recycling(),
-        ] {
-            // The message names both the cause and the remedies.
-            let message = rejection(4, config);
-            assert!(message.contains("recycling"), "{message}");
-            assert!(message.contains("one shard (got 4)"), "{message}");
-        }
+        // The message names both the cause and the remedies.
+        let message = rejection(4, CgConfig::with_recycling());
+        assert!(message.contains("recycling"), "{message}");
+        assert!(message.contains("one shard (got 4)"), "{message}");
         assert!(rejection(0, CgConfig::default()).contains("at least one shard"));
     }
 
@@ -465,7 +466,7 @@ mod tests {
     fn single_shard_recycling_still_allowed() {
         // One shard is exactly the global-recycle-list collector, so the
         // guarantee holds and construction must keep working.
-        let sharded = ShardedGc::new(1, CgConfig::with_segregated_recycling());
+        let sharded = ShardedGc::new(1, CgConfig::with_recycling());
         assert_eq!(sharded.shard_count(), 1);
     }
 }

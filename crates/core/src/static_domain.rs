@@ -6,8 +6,8 @@
 //! variable, or touched by more than one thread, must be treated as live for
 //! the rest of the program.  The sharded collector makes that coupling
 //! explicit: every [`CollectorShard`](crate::CollectorShard) keeps its own
-//! union/find forest, frame index, tainted set and recycle bins, and the
-//! *static set* alone lives here, shared by every shard.
+//! union/find forest, frame index, per-object records and recycle list,
+//! and the *static set* alone lives here, shared by every shard.
 //!
 //! A shard never unions blocks across shard boundaries.  Instead, a block
 //! that becomes static is *escalated*: it gets a node in this domain's own

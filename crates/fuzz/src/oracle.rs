@@ -74,7 +74,7 @@ pub struct OracleOptions {
     /// Force a full collection every N instructions in the recording and
     /// live runs (adds `Collect` barriers to the stream).
     pub forced_gc: Option<u64>,
-    /// Also run the §3.7 recycling configurations (soundness only; recycled
+    /// Also run the §3.7 recycling configuration (soundness only; recycled
     /// traces are collector-dependent and excluded from replay equality).
     pub check_recycling: bool,
 }
@@ -586,36 +586,23 @@ pub fn check_program(
         )?;
     }
 
-    // Recycling configurations: soundness only (recycled traces are
+    // The recycling configuration: soundness only (recycled traces are
     // collector-dependent, so replay/shard equality does not apply — and
     // handle reuse invalidates the baseline's handle indexing, so the check
     // here is the §3.1.4 runtime verifier plus run completion: touching a
     // recycled-away-but-reachable object panics or heap-errors).
     if options.check_recycling {
-        for recycle in [
-            CgConfig {
-                verify_tainted: true,
-                fault: cg.fault,
-                ..CgConfig::with_recycling()
-            },
-            CgConfig {
-                verify_tainted: true,
-                fault: cg.fault,
-                ..CgConfig::with_segregated_recycling()
-            },
-        ] {
-            let context = if recycle.recycle_policy == cg_core::RecyclePolicy::FirstFit {
-                "cg+recycle"
-            } else {
-                "cg+recycle-seg"
-            };
-            let _ = run_live(
-                context,
-                program,
-                vm_config,
-                ContaminatedGc::with_config(recycle),
-            )?;
-        }
+        let recycle = CgConfig {
+            verify_tainted: true,
+            fault: cg.fault,
+            ..CgConfig::with_recycling()
+        };
+        let _ = run_live(
+            "cg+recycle",
+            program,
+            vm_config,
+            ContaminatedGc::with_config(recycle),
+        )?;
     }
 
     Ok(OracleReport {

@@ -171,6 +171,21 @@ impl<T> SlotTable<T> {
             })
     }
 
+    /// The occupied slots, ascending, with their values.
+    pub fn occupied_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> + '_ {
+        let first_page = self.first_page;
+        self.pages
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(p, page)| Some((first_page + p, page.as_mut()?)))
+            .flat_map(|(p, page)| {
+                page.slots
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(move |(i, slot)| Some((p * PAGE_SLOTS + i, slot.as_mut()?)))
+            })
+    }
+
     /// Pages currently held (for tests of the release rule).
     #[cfg(test)]
     fn pages_held(&self) -> usize {
@@ -232,11 +247,19 @@ mod tests {
             );
         }
 
-        fn check_all(&self) {
+        fn check_all(&mut self) {
             let occupied: Vec<usize> = (0..self.model.len())
                 .filter(|&i| self.model[i].is_some())
                 .collect();
             assert_eq!(self.table.occupied().collect::<Vec<_>>(), occupied);
+            let values: Vec<(usize, u64)> = self
+                .model
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| Some((i, (*v)?)))
+                .collect();
+            let held: Vec<(usize, u64)> = self.table.occupied_mut().map(|(i, v)| (i, *v)).collect();
+            assert_eq!(held, values);
             for (i, slot) in self.model.iter().enumerate() {
                 assert_eq!(self.table.get(i), slot.as_ref(), "slot {i}");
             }

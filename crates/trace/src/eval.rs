@@ -458,7 +458,8 @@ fn apply_shard_event(
             }
         }
         GcEvent::ObjectAccess { handle, thread } => {
-            run.shard.on_object_access(*handle, *thread, domain);
+            run.shard
+                .on_object_access(*handle, *thread, &run.heap, domain);
         }
         GcEvent::ReferenceStore {
             source,
@@ -466,10 +467,10 @@ fn apply_shard_event(
             frame,
         } => {
             run.shard
-                .on_reference_store(*source, *target, frame, domain);
+                .on_reference_store(*source, *target, frame, &run.heap, domain);
         }
         GcEvent::StaticStore { target } => {
-            run.shard.on_static_store(*target, domain);
+            run.shard.on_static_store(*target, &run.heap, domain);
         }
         GcEvent::ReturnValue {
             value,

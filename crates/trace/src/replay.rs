@@ -142,8 +142,8 @@ fn live(handle: Handle, heap: &Heap) -> Result<(), ReplayError> {
 /// Validates every handle `event` names against the heap's configured
 /// capacity.
 ///
-/// Collectors index per-object state by handle (union/find slots, taint
-/// bitsets), so a hostile stream naming an index near `u32::MAX` would
+/// Collectors index per-object state by handle (record tables, owner
+/// maps), so a hostile stream naming an index near `u32::MAX` would
 /// otherwise inflate those tables by hundreds of gigabytes in a single
 /// event — long before any cooperative budget checkpoint fires.  A valid
 /// recording can never exceed the capacity bound: the canonical

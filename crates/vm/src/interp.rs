@@ -368,7 +368,7 @@ impl AllocRequest {
 /// All mutable execution state: heap, collector, threads, statics and
 /// statistics.
 ///
-/// Keeping this separate from the [`Program`] is what lets [`Vm::step`]
+/// Keeping this separate from the [`Program`] is what lets [`Vm::step_slow`]
 /// borrow the current method's code (a `&[Insn]` into the program) while
 /// freely mutating execution state — the borrow checker sees disjoint
 /// fields, so instructions never need to be cloned out of the program.

@@ -185,26 +185,6 @@ fn recycle_list_hits_are_observable_in_cg_stats() {
 }
 
 #[test]
-fn segregated_recycle_bins_hit_like_the_first_fit_list() {
-    // The same churn under size-segregated recycle bins: hit counts and
-    // heap accounting are identical to the paper's first-fit list for a
-    // single-size workload; only the search differs.
-    let mut vm = Vm::new(
-        churn_program(10),
-        VmConfig::small(),
-        ContaminatedGc::with_config(CgConfig::with_segregated_recycling()),
-    );
-    vm.run().expect("program runs");
-
-    let stats = vm.collector().stats();
-    assert_eq!(stats.objects_created, 10);
-    assert_eq!(stats.objects_recycled, 9, "bin hits in CgStats");
-    assert_eq!(vm.stats().recycled_allocations, 9);
-    assert_eq!(vm.heap().stats().objects_allocated, 1);
-    assert_eq!(vm.collector().recycle_list_len(), 1);
-}
-
-#[test]
 fn recycling_is_off_by_default_and_stats_stay_zero() {
     let mut vm = Vm::new(churn_program(10), VmConfig::small(), ContaminatedGc::new());
     vm.run().expect("program runs");

@@ -103,10 +103,6 @@ fn all_configurations_are_sound() {
                 verify_tainted: true,
                 ..CgConfig::with_recycling()
             },
-            CgConfig {
-                verify_tainted: true,
-                ..CgConfig::with_segregated_recycling()
-            },
         ];
         for config in configs {
             let program = synthesize(&profile);
