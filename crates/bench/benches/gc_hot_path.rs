@@ -40,22 +40,22 @@ use cg_workloads::{Size, Workload};
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
     "stores/cg/same_block contaminations=1",
-    "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=570",
+    "stores/cg/union_chain_256 unions=255 contaminations=255 search_steps=256 allocations=562",
     "stores/cg/union_storm_4096 unions=4095 contaminations=4095 allocations=4179",
     "stores/cg/static_opt_skip contaminations=1 static_opt_skips=1",
-    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=174",
-    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2124",
-    "allocs/first_fit/alloc_free_churn_256 search_steps=256 allocations=268",
-    "allocs/segregated/alloc_free_churn_256 search_steps=256 allocations=301",
+    "pops/cg/pop_64_singletons objects_collected=64 search_steps=64 allocations=168",
+    "pops/cg/pop_1024_singletons objects_collected=1024 search_steps=1024 allocations=2114",
+    "allocs/first_fit/alloc_free_churn_256 search_steps=256 allocations=260",
+    "allocs/segregated/alloc_free_churn_256 search_steps=256 allocations=293",
     "allocs/first_fit/churn_behind_16k_live search_steps=64 allocations=73",
     "allocs/segregated/churn_behind_16k_live search_steps=64 allocations=77",
     "recycle/first_fit/miss_scan_1024 recycle_probes=1024",
-    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=374",
-    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=396869 bytes_allocated=648057 allocations=4385",
-    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=397669 bytes_allocated=648857 allocations=4390",
-    "replay/cg/first_fit/javac_s1 events_replayed=43658 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 search_steps=6434 peak_bytes=1472413 bytes_allocated=2436813 allocations=13742",
-    "replay/cg/first_fit/mtrt_s1 events_replayed=441678 unions=46299 contaminations=52224 static_opt_skips=5925 objects_collected=67800 search_steps=68903 peak_bytes=410285 bytes_allocated=3632393 allocations=160803",
-    "capacity/cg/short_lived_5m events_replayed=7520002 unions=2500000 contaminations=2500000 objects_collected=5000000 search_steps=5000000 peak_bytes=131586 bytes_allocated=315834650 allocations=12519129",
+    "recycle/first_fit/churn_hit_64 objects_collected=256 recycle_probes=519 objects_recycled=189 search_steps=67 allocations=368",
+    "replay/cg/first_fit/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=1897 peak_bytes=333365 bytes_allocated=549661 allocations=4375",
+    "replay/cg/segregated/db_s1 events_replayed=12167 unions=1659 contaminations=2304 static_opt_skips=645 objects_collected=690 search_steps=2581 peak_bytes=334165 bytes_allocated=550461 allocations=4380",
+    "replay/cg/first_fit/javac_s1 events_replayed=43658 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 search_steps=6434 peak_bytes=1247117 bytes_allocated=2068049 allocations=13730",
+    "replay/cg/first_fit/mtrt_s1 events_replayed=441678 unions=46299 contaminations=52224 static_opt_skips=5925 objects_collected=67800 search_steps=68903 peak_bytes=346781 bytes_allocated=3533997 allocations=160793",
+    "capacity/cg/short_lived_5m events_replayed=7520002 unions=2500000 contaminations=2500000 objects_collected=5000000 search_steps=5000000 peak_bytes=101874 bytes_allocated=276752590 allocations=12519120",
 ];
 
 /// What `cg` and its heap have done so far.

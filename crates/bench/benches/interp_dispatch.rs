@@ -37,9 +37,9 @@ use cg_workloads::{Size, Workload};
 const EXPECTED: &[&str] = &[
     "interp_dispatch/call_heavy/fused instructions=360002 method_calls=60001 call_site_hits=59999 call_site_misses=1 allocations=31",
     "interp_dispatch/call_heavy/unfused instructions=360002 method_calls=60001 allocations=120026",
-    "interp_dispatch/javac1/live_fused instructions=97297 method_calls=485 call_site_hits=477 call_site_misses=6 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13950",
-    "interp_dispatch/javac1/live_unfused instructions=97297 method_calls=485 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=14410",
-    "interp_dispatch/javac1/replay_cg events_replayed=43658 search_steps=6434 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13740",
+    "interp_dispatch/javac1/live_fused instructions=97297 method_calls=485 call_site_hits=477 call_site_misses=6 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13938",
+    "interp_dispatch/javac1/live_unfused instructions=97297 method_calls=485 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=14398",
+    "interp_dispatch/javac1/replay_cg events_replayed=43658 search_steps=6434 unions=5439 contaminations=6071 static_opt_skips=632 objects_collected=1600 allocations=13728",
 ];
 
 /// A tight loop of `iters` calls to a two-instruction leaf method; the call

@@ -27,8 +27,8 @@ use std::hint::black_box;
 const EXPECTED: &[&str] = &[
     "unionfind/union_find_1024_elements sets=1 max_rank=1 allocations=2",
     "unionfind/find_after_compression",
-    "msa/mark_sweep_4096_live_4096_dead marked_objects=4096 freed_objects=4096 search_steps=8192 allocations=8936",
-    "interp/jess_size1_noop_run instructions=186296 method_calls=2003 allocations=11688",
+    "msa/mark_sweep_4096_live_4096_dead marked_objects=4096 freed_objects=4096 search_steps=8192 allocations=8923",
+    "interp/jess_size1_noop_run instructions=186296 method_calls=2003 allocations=11675",
 ];
 
 fn bench_unionfind(h: &mut BenchHarness) {

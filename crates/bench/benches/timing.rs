@@ -28,17 +28,17 @@ use cg_workloads::{Size, Workload};
 
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
-    "timing_size1/db/jdk-msa instructions=49368 objects_created=1897 allocations=2050",
-    "timing_size1/db/cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4520",
-    "timing_size1/db/cg-recycle instructions=49368 objects_created=1897 allocations=3834",
-    "timing_size1/jess/jdk-msa instructions=186296 objects_created=11467 allocations=11719",
-    "timing_size1/jess/cg instructions=186296 objects_created=11467 objects_freed=7000 allocations=26166",
-    "timing_size1/jess/cg-recycle instructions=186296 objects_created=11467 allocations=19175",
-    "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1416",
-    "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=3005",
-    "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2873",
-    "trace/db_record_once events=12167 peak_bytes=1193761 allocations=2140",
-    "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4390",
+    "timing_size1/db/jdk-msa instructions=49368 objects_created=1897 allocations=2039",
+    "timing_size1/db/cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4510",
+    "timing_size1/db/cg-recycle instructions=49368 objects_created=1897 allocations=3824",
+    "timing_size1/jess/jdk-msa instructions=186296 objects_created=11467 allocations=11706",
+    "timing_size1/jess/cg instructions=186296 objects_created=11467 objects_freed=7000 allocations=26154",
+    "timing_size1/jess/cg-recycle instructions=186296 objects_created=11467 allocations=19163",
+    "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1406",
+    "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=2995",
+    "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2863",
+    "trace/db_record_once events=12167 peak_bytes=991644 allocations=2123",
+    "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4380",
 ];
 
 /// Representative subset: one record-heavy benchmark (db), one

@@ -318,10 +318,10 @@ pub fn cg_counts(stats: &CgStats) -> [(&'static str, u64); 6] {
     ]
 }
 
-/// One page each of the heap's handle table (256 slots of 56 B) and the
+/// One page each of the heap's handle table (256 slots of 40 B) and the
 /// collector's record table (256 of 16 B): the slack a capacity check
 /// allows each table indexed by handle.
-pub const PAGE_PER_TABLE_BYTES: u64 = 256 * 56 + 256 * 16;
+pub const PAGE_PER_TABLE_BYTES: u64 = 256 * 40 + 256 * 16;
 
 /// A synthetic single-thread stream of `objects` short-lived objects:
 /// `per_frame` are allocated in a depth-2 frame, each pair is unioned by a

@@ -31,9 +31,9 @@
 //! list, so under `CgConfig::with_recycling()` a multi-shard run can
 //! legitimately recycle fewer objects than the 1-shard run — the
 //! byte-identical guarantee covers the non-recycling configurations
-//! (recycling also makes the allocation stream collector-dependent, which
-//! is why recycling traces cannot be replayed at all; see `cg-trace`).
-//! Rather than silently produce stats outside the guarantee, construction
+//! (recycling also makes the allocation stream collector-dependent: a
+//! recycling recording replays exactly only under the 1-shard collector
+//! that recorded it; see `cg-trace`).  Rather than silently produce stats outside the guarantee, construction
 //! **rejects** recycling configs with more than one shard:
 //! [`ShardedGc::new`] panics.  A 1-shard recycling collector is exactly the
 //! global-list collector and remains allowed.

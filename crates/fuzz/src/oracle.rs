@@ -586,11 +586,12 @@ pub fn check_program(
         )?;
     }
 
-    // The recycling configuration: soundness only (recycled traces are
-    // collector-dependent, so replay/shard equality does not apply — and
-    // handle reuse invalidates the baseline's handle indexing, so the check
-    // here is the §3.1.4 runtime verifier plus run completion: touching a
-    // recycled-away-but-reachable object panics or heap-errors).
+    // The recycling configuration: soundness only.  Its recordings replay
+    // exactly, but only under the same recycling collector, so the
+    // passive recording above cannot check it; and handle reuse
+    // invalidates the baseline's handle indexing, so the check here is the
+    // §3.1.4 runtime verifier plus run completion: touching a
+    // recycled-away-but-reachable object panics or heap-errors.
     if options.check_recycling {
         let recycle = CgConfig {
             verify_tainted: true,

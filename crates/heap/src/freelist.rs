@@ -24,13 +24,13 @@
 //! binned); stale entries are dropped on discovery, so every free block is
 //! reachable through exactly its current size class.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Address of a block within the object space (byte offset from the start of
 /// the space).
 pub type BlockAddr = usize;
 
-/// How [`ObjectSpace::alloc`] searches for a free block.
+/// How an [`ObjectSpace`] searches for a free block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllocPolicy {
     /// The paper-faithful JDK 1.1.8 search: first fit starting at the rover
@@ -80,33 +80,32 @@ pub struct SpaceStats {
 
 /// A first-fit, coalescing free-list allocator over `capacity` bytes.
 ///
+/// The space indexes only its *free* blocks.  Its one client is the
+/// [`Heap`](crate::Heap), whose handle slot for each object already holds
+/// the object's block address and size, so an allocated block is known by
+/// that slot alone and is freed with the size the slot names.
+///
 /// # Example
 ///
 /// ```
-/// use cg_heap::ObjectSpace;
+/// use cg_heap::{ClassId, Heap, HeapConfig};
 ///
-/// let mut space = ObjectSpace::new(64);
-/// let a = space.alloc(16).unwrap();
-/// let b = space.alloc(16).unwrap();
-/// assert_ne!(a, b);
-/// space.free(a);
-/// // First-fit continues from the rover (past `b`), so the next allocation
-/// // lands after `b` rather than reusing `a` immediately.
-/// let c = space.alloc(16).unwrap();
-/// assert!(c > b);
-/// assert_eq!(space.stats().used, 32);
+/// let mut heap = Heap::new(HeapConfig::small());
+/// let a = heap.allocate(ClassId::new(0), 2)?;
+/// heap.allocate(ClassId::new(0), 2)?;
+/// heap.free(a)?;
+/// let space = heap.object_space().stats();
+/// assert_eq!((space.used, space.allocated_blocks), (16, 1));
+/// # Ok::<(), cg_heap::HeapError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ObjectSpace {
     capacity: usize,
     /// Free blocks, `addr → size`, in address order — the list the first-fit
     /// search walks.  Adjacent free blocks are always coalesced, so two
-    /// entries never touch.  Together with `allocated` it tiles the space.
+    /// entries never touch.  Together with the heap's allocated blocks it
+    /// tiles the space.
     free: BTreeMap<BlockAddr, usize>,
-    /// Allocated blocks, `addr → size`.  Unordered: only ever looked up by
-    /// address (`free`, `block_size`), never walked by a search, and O(blocks)
-    /// in memory whatever the capacity.
-    allocated: HashMap<BlockAddr, usize>,
     /// The rover: the address just past the most recent allocation, where the
     /// next first-fit search begins.
     rover: BlockAddr,
@@ -127,28 +126,17 @@ pub struct ObjectSpace {
 }
 
 impl ObjectSpace {
-    /// Creates an empty object space of `capacity` bytes with the default
-    /// (paper-faithful first-fit) policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, AllocPolicy::FirstFitRover)
-    }
-
     /// Creates an empty object space of `capacity` bytes using `policy` for
     /// free-block searches.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_policy(capacity: usize, policy: AllocPolicy) -> Self {
+    pub(crate) fn with_policy(capacity: usize, policy: AllocPolicy) -> Self {
         assert!(capacity > 0, "object space capacity must be positive");
         let mut space = Self {
             capacity,
             free: BTreeMap::from([(0, capacity)]),
-            allocated: HashMap::new(),
             rover: 0,
             used: 0,
             search_steps: 0,
@@ -221,7 +209,7 @@ impl ObjectSpace {
     /// # Panics
     ///
     /// Panics if `size` is zero.
-    pub fn alloc(&mut self, size: usize) -> Option<BlockAddr> {
+    pub(crate) fn alloc(&mut self, size: usize) -> Option<BlockAddr> {
         assert!(size > 0, "cannot allocate zero bytes");
         let found = match self.policy {
             AllocPolicy::FirstFitRover => self
@@ -239,30 +227,18 @@ impl ObjectSpace {
         Some(found)
     }
 
-    /// Frees the block starting at `addr`, coalescing it with any free
-    /// neighbours.
+    /// Frees the `size`-byte block at `addr` — an address
+    /// [`ObjectSpace::alloc`] returned for exactly `size` bytes — coalescing
+    /// it with any free neighbours.
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not the start of an allocated block (double frees
-    /// and wild frees are programming errors in the VM, not recoverable
-    /// conditions).
-    pub fn free(&mut self, addr: BlockAddr) {
-        let Some(size) = self.allocated.remove(&addr) else {
-            assert!(
-                !self.free.contains_key(&addr),
-                "double free of block at address {addr}"
-            );
-            panic!("free of unknown block address {addr}");
-        };
+    /// Panics if the block overlaps a free one: it was freed already.  A
+    /// double free is a programming error, not a recoverable condition.
+    pub(crate) fn free(&mut self, addr: BlockAddr, size: usize) {
+        self.coalesce_around(addr, size);
         self.used -= size;
         self.frees += 1;
-        self.coalesce_around(addr, size);
-    }
-
-    /// The size of the allocated block starting at `addr`, if there is one.
-    pub fn block_size(&self, addr: BlockAddr) -> Option<usize> {
-        self.allocated.get(&addr).copied()
     }
 
     /// Current space statistics.
@@ -273,61 +249,7 @@ impl ObjectSpace {
             free: self.free_bytes(),
             largest_free_block: self.free.values().copied().max().unwrap_or(0),
             free_blocks: self.free.len(),
-            allocated_blocks: self.allocated.len(),
-        }
-    }
-
-    /// Verifies internal invariants: the free index and the allocated table
-    /// together tile the space (contiguous, no block starting inside
-    /// another), no two free blocks are adjacent, the accounting holds and
-    /// every free block is reachable from its bin.  Used by tests and debug
-    /// assertions.
-    pub fn check_invariants(&self) {
-        let (mut cursor, mut used, mut free_seen, mut allocated_seen) = (0usize, 0, 0, 0);
-        let mut prev_free = false;
-        while cursor < self.capacity {
-            let size = if let Some(&size) = self.free.get(&cursor) {
-                assert!(
-                    !self.allocated.contains_key(&cursor),
-                    "block at {cursor} is both free and allocated"
-                );
-                assert!(
-                    !prev_free,
-                    "adjacent free blocks were not coalesced at {cursor}"
-                );
-                free_seen += 1;
-                prev_free = true;
-                size
-            } else if let Some(&size) = self.allocated.get(&cursor) {
-                allocated_seen += 1;
-                used += size;
-                prev_free = false;
-                size
-            } else {
-                panic!("blocks must tile the space contiguously: none starts at {cursor}");
-            };
-            assert!(size > 0, "zero-sized block at {cursor}");
-            cursor += size;
-        }
-        assert_eq!(cursor, self.capacity, "blocks must cover the whole space");
-        // The walk reaches every block that starts where another ends, so an
-        // entry it never reached starts inside some other block.
-        assert_eq!(
-            (free_seen, allocated_seen),
-            (self.free.len(), self.allocated.len()),
-            "(free, allocated) entries reached vs held: one starts inside another block"
-        );
-        assert_eq!(used, self.used, "used-byte accounting drifted");
-        if self.policy == AllocPolicy::SegregatedFit {
-            // Every free block must be reachable through its current size
-            // class — lazy deletion may leave stale entries behind, but a
-            // live entry must exist or the block is lost to the allocator.
-            for (&addr, &size) in &self.free {
-                assert!(
-                    self.bins[class_of(size)].contains(&addr),
-                    "free block at {addr} missing from its size-class bin"
-                );
-            }
+            allocated_blocks: (self.allocations - self.frees) as usize,
         }
     }
 
@@ -361,7 +283,6 @@ impl ObjectSpace {
     fn carve(&mut self, addr: BlockAddr, size: usize) {
         let block_size = self.free.remove(&addr).expect("the search found it free");
         debug_assert!(block_size >= size);
-        self.allocated.insert(addr, size);
         let remainder = block_size - size;
         if remainder > 0 {
             self.free.insert(addr + size, remainder);
@@ -372,13 +293,20 @@ impl ObjectSpace {
     /// Returns the just-freed `size` bytes at `addr` to the free index,
     /// coalesced with free neighbours on both sides.
     fn coalesce_around(&mut self, addr: BlockAddr, mut size: usize) {
+        let end = addr + size;
         // Merge with the following block if it is free.
-        if let Some(next_size) = self.free.remove(&(addr + size)) {
+        if let Some(next_size) = self.free.remove(&end) {
             size += next_size;
         }
-        // Merge into the preceding free block if it ends where this starts.
-        let start = match self.free.range_mut(..addr).next_back() {
-            Some((&prev_addr, prev_size)) if prev_addr + *prev_size == addr => {
+        // The last free block starting before `end` either ends where this
+        // one starts, and this one merges into it, or it overlaps this one:
+        // then some of these bytes are free already.
+        let start = match self.free.range_mut(..end).next_back() {
+            Some((&prev_addr, prev_size)) if prev_addr + *prev_size >= addr => {
+                assert!(
+                    prev_addr + *prev_size == addr,
+                    "double free of block at address {addr}"
+                );
                 *prev_size += size;
                 size = *prev_size;
                 prev_addr
@@ -434,6 +362,83 @@ fn probe_bins(
 mod tests {
     use super::*;
 
+    impl ObjectSpace {
+        /// An empty object space of `capacity` bytes under the default
+        /// (paper-faithful first-fit) policy.
+        fn new(capacity: usize) -> Self {
+            Self::with_policy(capacity, AllocPolicy::FirstFitRover)
+        }
+
+        /// Verifies internal invariants against `allocated`, the `(address,
+        /// size)` of every block the caller holds: the free index and those
+        /// blocks together tile the space (contiguous, no block starting inside
+        /// another), no two free blocks are adjacent, the accounting holds and
+        /// every free block is reachable from its bin.
+        pub(crate) fn check_invariants(
+            &self,
+            allocated: impl IntoIterator<Item = (BlockAddr, usize)>,
+        ) {
+            let mut held = BTreeMap::new();
+            for (addr, size) in allocated {
+                assert!(
+                    held.insert(addr, size).is_none(),
+                    "block at {addr} is held twice"
+                );
+            }
+            assert_eq!(
+                held.len(),
+                self.stats().allocated_blocks,
+                "blocks held vs allocations not freed"
+            );
+            let (mut cursor, mut used, mut free_seen, mut allocated_seen) = (0usize, 0, 0, 0);
+            let mut prev_free = false;
+            while cursor < self.capacity {
+                let size = if let Some(&size) = self.free.get(&cursor) {
+                    assert!(
+                        !held.contains_key(&cursor),
+                        "block at {cursor} is both free and allocated"
+                    );
+                    assert!(
+                        !prev_free,
+                        "adjacent free blocks were not coalesced at {cursor}"
+                    );
+                    free_seen += 1;
+                    prev_free = true;
+                    size
+                } else if let Some(&size) = held.get(&cursor) {
+                    allocated_seen += 1;
+                    used += size;
+                    prev_free = false;
+                    size
+                } else {
+                    panic!("blocks must tile the space contiguously: none starts at {cursor}");
+                };
+                assert!(size > 0, "zero-sized block at {cursor}");
+                cursor += size;
+            }
+            assert_eq!(cursor, self.capacity, "blocks must cover the whole space");
+            // The walk reaches every block that starts where another ends, so an
+            // entry it never reached starts inside some other block.
+            assert_eq!(
+                (free_seen, allocated_seen),
+                (self.free.len(), held.len()),
+                "(free, allocated) entries reached vs held: one starts inside another block"
+            );
+            assert_eq!(used, self.used, "used-byte accounting drifted");
+            if self.policy == AllocPolicy::SegregatedFit {
+                // Every free block must be reachable through its current size
+                // class — lazy deletion may leave stale entries behind, but a
+                // live entry must exist or the block is lost to the allocator.
+                for (&addr, &size) in &self.free {
+                    assert!(
+                        self.bins[class_of(size)].contains(&addr),
+                        "free block at {addr} missing from its size-class bin"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_capacity_panics() {
@@ -462,19 +467,19 @@ mod tests {
         addrs.dedup();
         assert_eq!(addrs.len(), 4);
         assert!(addrs.iter().all(|&a| a < 64));
-        s.check_invariants();
+        s.check_invariants(addrs.iter().map(|&a| (a, 16)));
     }
 
     #[test]
     fn free_makes_space_reusable() {
         let mut s = ObjectSpace::new(64);
         let a = s.alloc(32).unwrap();
-        let _b = s.alloc(32).unwrap();
+        let b = s.alloc(32).unwrap();
         assert!(s.alloc(8).is_none());
-        s.free(a);
+        s.free(a, 32);
         let c = s.alloc(32).unwrap();
         assert_eq!(c, a);
-        s.check_invariants();
+        s.check_invariants([(b, 32), (c, 32)]);
     }
 
     #[test]
@@ -484,15 +489,15 @@ mod tests {
         let b = s.alloc(32).unwrap();
         let c = s.alloc(32).unwrap();
         // Free middle then left: they must coalesce so a 64-byte block fits.
-        s.free(b);
-        s.free(a);
-        s.check_invariants();
+        s.free(b, 32);
+        s.free(a, 32);
+        s.check_invariants([(c, 32)]);
         assert_eq!(s.stats().largest_free_block, 64);
         let d = s.alloc(64).unwrap();
         assert_eq!(d, a);
-        s.free(c);
-        s.free(d);
-        s.check_invariants();
+        s.free(c, 32);
+        s.free(d, 64);
+        s.check_invariants([]);
         assert_eq!(s.stats().free_blocks, 1);
         assert_eq!(s.stats().largest_free_block, 96);
     }
@@ -502,7 +507,7 @@ mod tests {
         let mut s = ObjectSpace::new(64);
         let a = s.alloc(16).unwrap();
         let b = s.alloc(16).unwrap();
-        s.free(a);
+        s.free(a, 16);
         // First-fit from the rover prefers the block after b even though a is
         // free, matching the JDK allocator's behaviour of continuing from the
         // last allocation point.
@@ -512,7 +517,7 @@ mod tests {
         let d = s.alloc(16).unwrap();
         let e = s.alloc(16).unwrap();
         assert_eq!([d, e].iter().filter(|&&x| x == a).count(), 1);
-        s.check_invariants();
+        s.check_invariants([b, c, d, e].map(|x| (x, 16)));
     }
 
     #[test]
@@ -520,26 +525,40 @@ mod tests {
     fn double_free_panics() {
         let mut s = ObjectSpace::new(32);
         let a = s.alloc(16).unwrap();
-        s.free(a);
-        s.free(a);
+        s.free(a, 16);
+        s.free(a, 16);
     }
 
     #[test]
-    #[should_panic(expected = "unknown block")]
-    fn wild_free_panics() {
-        let mut s = ObjectSpace::new(32);
-        let _a = s.alloc(16).unwrap();
-        s.free(3);
-    }
-
-    #[test]
-    fn block_size_reports_allocated_blocks_only() {
-        let mut s = ObjectSpace::new(64);
-        let a = s.alloc(24).unwrap();
-        assert_eq!(s.block_size(a), Some(24));
-        s.free(a);
-        assert_eq!(s.block_size(a), None);
-        assert_eq!(s.block_size(999), None);
+    fn a_double_free_panics_whatever_happened_to_the_block_since() {
+        // The freed block coalesced into a larger free one, or was split
+        // again by a smaller allocation: either way it overlaps a free
+        // block, which the neighbour lookup sees.
+        let build = || {
+            let mut s = ObjectSpace::new(96);
+            let blocks: Vec<_> = (0..3).map(|_| s.alloc(32).unwrap()).collect();
+            (s, blocks)
+        };
+        let panics = |f: fn(ObjectSpace, Vec<BlockAddr>)| {
+            let (s, b) = build();
+            std::panic::catch_unwind(|| f(s, b)).is_err()
+        };
+        assert!(panics(|mut s, b| {
+            s.free(b[0], 32);
+            s.free(b[1], 32);
+            s.free(b[0], 32);
+        }));
+        assert!(panics(|mut s, b| {
+            s.free(b[1], 32);
+            s.free(b[2], 32);
+            s.free(b[2], 32);
+        }));
+        assert!(panics(|mut s, b| {
+            s.free(b[0], 32);
+            s.rover = 0;
+            assert_eq!(s.alloc(8), Some(b[0]));
+            s.free(b[0], 32);
+        }));
     }
 
     #[test]
@@ -547,7 +566,7 @@ mod tests {
         let mut s = ObjectSpace::new(128);
         let a = s.alloc(16).unwrap();
         let _b = s.alloc(16).unwrap();
-        s.free(a);
+        s.free(a, 16);
         let st = s.stats();
         assert_eq!(st.capacity, 128);
         assert_eq!(st.used, 16);
@@ -563,15 +582,15 @@ mod tests {
     fn fragmentation_can_cause_failure_despite_total_space() {
         let mut s = ObjectSpace::new(64);
         let a = s.alloc(16).unwrap();
-        let _b = s.alloc(16).unwrap();
+        let b = s.alloc(16).unwrap();
         let c = s.alloc(16).unwrap();
-        let _d = s.alloc(16).unwrap();
-        s.free(a);
-        s.free(c);
+        let d = s.alloc(16).unwrap();
+        s.free(a, 16);
+        s.free(c, 16);
         // 32 bytes free, but split into two 16-byte holes.
         assert_eq!(s.free_bytes(), 32);
         assert!(s.alloc(32).is_none());
-        s.check_invariants();
+        s.check_invariants([(b, 16), (d, 16)]);
     }
 
     #[test]
@@ -598,12 +617,12 @@ mod tests {
         assert_eq!(s.policy(), AllocPolicy::SegregatedFit);
         assert_eq!(s.policy().label(), "segregated");
         let a = s.alloc(32).unwrap();
-        let _b = s.alloc(32).unwrap();
+        let b = s.alloc(32).unwrap();
         assert!(s.alloc(8).is_none());
-        s.free(a);
+        s.free(a, 32);
         let c = s.alloc(32).unwrap();
         assert_eq!(c, a);
-        s.check_invariants();
+        s.check_invariants([(b, 32), (c, 32)]);
     }
 
     #[test]
@@ -612,15 +631,15 @@ mod tests {
         let a = s.alloc(32).unwrap();
         let b = s.alloc(32).unwrap();
         let c = s.alloc(32).unwrap();
-        s.free(b);
-        s.free(a);
-        s.check_invariants();
+        s.free(b, 32);
+        s.free(a, 32);
+        s.check_invariants([(c, 32)]);
         assert_eq!(s.stats().largest_free_block, 64);
         let d = s.alloc(64).unwrap();
         assert_eq!(d, a);
-        s.free(c);
-        s.free(d);
-        s.check_invariants();
+        s.free(c, 32);
+        s.free(d, 64);
+        s.check_invariants([]);
         assert_eq!(s.stats().free_blocks, 1);
         assert_eq!(s.stats().largest_free_block, 96);
     }
@@ -633,31 +652,32 @@ mod tests {
         let build = |policy: AllocPolicy| {
             let mut s = ObjectSpace::with_policy(1 << 16, policy);
             let mut small = Vec::new();
+            let mut spacers = Vec::new();
             for _ in 0..256 {
                 small.push(s.alloc(8).unwrap());
-                s.alloc(8).unwrap(); // spacers prevent coalescing
+                spacers.push((s.alloc(8).unwrap(), 8)); // prevent coalescing
             }
             for addr in small {
-                s.free(addr);
+                s.free(addr, 8);
             }
-            s
+            (s, spacers)
         };
-        let mut first_fit = build(AllocPolicy::FirstFitRover);
-        let mut segregated = build(AllocPolicy::SegregatedFit);
+        let (mut first_fit, ff_live) = build(AllocPolicy::FirstFitRover);
+        let (mut segregated, seg_live) = build(AllocPolicy::SegregatedFit);
         // Reset the rover to the start so first fit has to walk the holes.
         first_fit.rover = 0;
         let before_ff = first_fit.search_steps();
         let before_seg = segregated.search_steps();
-        assert!(first_fit.alloc(1024).is_some());
-        assert!(segregated.alloc(1024).is_some());
+        let ff_big = first_fit.alloc(1024).unwrap();
+        let seg_big = segregated.alloc(1024).unwrap();
         let ff_steps = first_fit.search_steps() - before_ff;
         let seg_steps = segregated.search_steps() - before_seg;
         assert!(
             seg_steps * 8 <= ff_steps,
             "segregated fit should probe far fewer blocks ({seg_steps} vs {ff_steps})"
         );
-        first_fit.check_invariants();
-        segregated.check_invariants();
+        first_fit.check_invariants(ff_live.into_iter().chain([(ff_big, 1024)]));
+        segregated.check_invariants(seg_live.into_iter().chain([(seg_big, 1024)]));
     }
 
     /// The reference model: the representation this allocator had before
@@ -726,7 +746,8 @@ mod tests {
     struct Lockstep {
         space: ObjectSpace,
         model: WholeMapModel,
-        live: Vec<BlockAddr>,
+        /// The allocated blocks, `(address, size)`.
+        live: Vec<(BlockAddr, usize)>,
         ops: usize,
     }
 
@@ -752,17 +773,21 @@ mod tests {
         fn alloc(&mut self, size: usize) -> Option<BlockAddr> {
             let got = self.space.alloc(size);
             assert_eq!(got, self.model.alloc(size), "placement of {size} bytes");
-            self.live.extend(got);
+            self.live.extend(got.map(|addr| (addr, size)));
             self.check();
             got
         }
 
         fn free(&mut self, addr: BlockAddr) {
-            self.space.free(addr);
+            let at = self.live.iter().position(|&(a, _)| a == addr).unwrap();
+            let (_, size) = self.live.swap_remove(at);
+            self.space.free(addr, size);
             self.model.free(addr);
-            self.live.retain(|&a| a != addr);
-            assert_eq!(self.space.block_size(addr), None);
             self.check();
+        }
+
+        fn check_invariants(&self) {
+            self.space.check_invariants(self.live.iter().copied());
         }
 
         fn check(&mut self) {
@@ -782,13 +807,12 @@ mod tests {
                 }
             }
             assert_eq!(self.space.stats(), expected);
-            for addr in &self.live {
-                let size = self.model.blocks[addr].0;
-                assert_eq!(self.space.block_size(*addr), Some(size));
+            for &(addr, size) in &self.live {
+                assert_eq!(self.model.blocks[&addr], (size, false));
             }
             self.ops += 1;
             if self.ops.is_multiple_of(64) {
-                self.space.check_invariants();
+                self.check_invariants();
             }
         }
     }
@@ -827,7 +851,7 @@ mod tests {
             assert_eq!(s.alloc(32), None);
             s.free(d);
             s.free(b);
-            s.space.check_invariants();
+            s.check_invariants();
         }
     }
 
@@ -854,12 +878,12 @@ mod tests {
                                 let size = rng.gen_range(1, max_size + 1);
                                 refused += usize::from(s.alloc(size).is_none());
                             } else {
-                                let addr = s.live[rng.gen_range(0, s.live.len())];
+                                let (addr, _) = s.live[rng.gen_range(0, s.live.len())];
                                 s.free(addr);
                             }
                         }
                         assert!(refused > 0, "seed {seed}: the space never filled up");
-                        s.space.check_invariants();
+                        s.check_invariants();
                     }
                 }
             }
@@ -898,10 +922,10 @@ mod tests {
                         }
                     } else {
                         let idx = rng.gen_range(0, live.len());
-                        let (addr, _) = live.swap_remove(idx);
-                        space.free(addr);
+                        let (addr, size) = live.swap_remove(idx);
+                        space.free(addr, size);
                     }
-                    space.check_invariants();
+                    space.check_invariants(live.iter().copied());
                 }
                 let live_total: usize = live.iter().map(|&(_, s)| s).sum();
                 assert_eq!(space.used(), live_total, "seed {seed}");
@@ -929,9 +953,9 @@ mod tests {
                         live.push((fa, sa, size));
                     } else {
                         let idx = rng.gen_range(0, live.len());
-                        let (fa, sa, _) = live.swap_remove(idx);
-                        first_fit.free(fa);
-                        segregated.free(sa);
+                        let (fa, sa, size) = live.swap_remove(idx);
+                        first_fit.free(fa, size);
+                        segregated.free(sa, size);
                     }
                     assert_eq!(first_fit.used(), segregated.used(), "seed {seed}");
                     assert_eq!(
@@ -944,8 +968,8 @@ mod tests {
                         segregated.stats().allocated_blocks,
                         "seed {seed}"
                     );
-                    first_fit.check_invariants();
-                    segregated.check_invariants();
+                    first_fit.check_invariants(live.iter().map(|&(fa, _, size)| (fa, size)));
+                    segregated.check_invariants(live.iter().map(|&(_, sa, size)| (sa, size)));
                 }
                 let live_total: usize = live.iter().map(|&(_, _, s)| s).sum();
                 assert_eq!(first_fit.used(), live_total, "seed {seed}");
@@ -967,17 +991,19 @@ mod tests {
                 let mut rng = TestRng::new(seed);
                 let mut space = ObjectSpace::with_policy(2048, policy);
                 let mut live = Vec::new();
-                while let Some(addr) = space.alloc(rng.gen_range(1, 65)) {
-                    live.push(addr);
+                loop {
+                    let size = rng.gen_range(1, 65);
+                    let Some(addr) = space.alloc(size) else { break };
+                    live.push((addr, size));
                     if live.len() > 200 {
                         break;
                     }
                 }
                 rng.shuffle(&mut live);
-                for addr in live {
-                    space.free(addr);
+                for (addr, size) in live {
+                    space.free(addr, size);
                 }
-                space.check_invariants();
+                space.check_invariants([]);
                 let st = space.stats();
                 assert_eq!(st.used, 0, "seed {seed}");
                 assert_eq!(st.free_blocks, 1, "seed {seed}");

@@ -27,11 +27,17 @@ pub struct HeapStats {
     pub peak_live_objects: u64,
 }
 
+/// A handle-table entry: the object and where its block starts.  The
+/// block's size is the object's `size_bytes`, so the object space keeps no
+/// table of its own for allocated blocks.
 #[derive(Debug, Clone)]
 struct Slot {
     object: Object,
     addr: BlockAddr,
 }
+
+// One slot per live object: keep it at five words.
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 40);
 
 /// The handle-indirected heap: a handle table in front of a first-fit object
 /// space, mirroring the JDK 1.1.8 storage manager the paper modifies.
@@ -257,7 +263,7 @@ impl Heap {
             .slots
             .take(handle.index_usize())
             .ok_or(HeapError::DeadHandle(handle))?;
-        self.space.free(slot.addr);
+        self.space.free(slot.addr, slot.object.size_bytes());
         self.live -= 1;
         self.stats.objects_freed += 1;
         Ok(slot.object.size_bytes())
@@ -460,6 +466,23 @@ mod tests {
     use super::*;
     use crate::layout::HandleRepr;
 
+    impl Heap {
+        /// Checks the object space against the blocks the live slots name, and
+        /// the live count against the slots.
+        fn check_invariants(&self) {
+            let blocks: Vec<(BlockAddr, usize)> = self
+                .slots
+                .occupied()
+                .map(|i| {
+                    let slot = self.slots.get(i).expect("occupied");
+                    (slot.addr, slot.object.size_bytes())
+                })
+                .collect();
+            assert_eq!(blocks.len(), self.live, "live count drifted");
+            self.space.check_invariants(blocks);
+        }
+    }
+
     fn heap() -> Heap {
         Heap::new(HeapConfig::small())
     }
@@ -541,6 +564,24 @@ mod tests {
         // Handle indices are not reused.
         let b = h.allocate(class(), 0).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn freeing_a_dead_or_unminted_handle_is_an_error_that_changes_nothing() {
+        let mut h = heap();
+        let a = h.allocate(class(), 2).unwrap();
+        let b = h.allocate(class(), 1).unwrap();
+        let c = h.allocate(class(), 3).unwrap();
+        // Both dead; their blocks coalesced into one free block.
+        h.free(b).unwrap();
+        h.free(a).unwrap();
+        let (used, stats) = (h.bytes_in_use(), *h.stats());
+        for handle in [a, b, Handle::from_index(99), Handle::from_index(u32::MAX)] {
+            assert_eq!(h.free(handle), Err(HeapError::DeadHandle(handle)));
+            assert_eq!((h.bytes_in_use(), *h.stats()), (used, stats));
+            h.check_invariants();
+        }
+        assert_eq!(h.live_handles().collect::<Vec<_>>(), vec![c]);
     }
 
     #[test]
@@ -825,7 +866,7 @@ mod tests {
                                 .unwrap();
                         }
                     }
-                    h.object_space().check_invariants();
+                    h.check_invariants();
                     let probe = Handle::from_index(rng.gen_range(0, flat.len() + 300) as u32);
                     let expected = flat.get(probe.index_usize()).copied().flatten();
                     assert_eq!(h.is_live(probe), expected.is_some(), "seed {seed}");

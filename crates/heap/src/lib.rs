@@ -20,9 +20,10 @@
 //! * [`Handle`] / [`ClassId`] — dense identifiers.
 //! * [`Value`] — field/array-element values (references and primitives).
 //! * [`Object`] — instances and arrays, with their field storage.
-//! * [`ObjectSpace`] — the byte-accounted free-list allocator with a
-//!   pluggable search policy ([`AllocPolicy`]): the paper-faithful
-//!   first-fit rover, or segregated size-class bins.
+//! * [`ObjectSpace`] — the heap's byte-accounted free-list allocator, with
+//!   a pluggable search policy ([`AllocPolicy`]): the paper-faithful
+//!   first-fit rover, or segregated size-class bins.  It indexes free
+//!   blocks only; the heap's handle slot is the record of an allocated one.
 //! * [`Heap`] — the handle table plus object space, allocation, freeing,
 //!   reinitialisation (for recycling) and reference traversal.
 //! * [`HeapConfig`] / [`HandleRepr`] — sizing knobs reproducing the paper's
@@ -57,6 +58,6 @@ pub use error::HeapError;
 pub use freelist::{AllocPolicy, BlockAddr, ObjectSpace, SpaceStats};
 pub use heap::{Heap, HeapStats};
 pub use layout::{HandleRepr, HeapConfig, WORD_BYTES};
-pub use object::{Object, ObjectKind};
+pub use object::Object;
 pub use slots::SlotTable;
 pub use value::{ClassId, Handle, Value};

@@ -2,52 +2,42 @@
 
 use crate::value::{ClassId, Handle, Value};
 
-/// The shape of a heap object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObjectKind {
-    /// A class instance with a fixed number of fields.
-    Instance {
-        /// The instance's field values, indexed by field slot.
-        fields: Vec<Value>,
-    },
-    /// An array.  The paper treats an array as just another object — storing
-    /// into any element contaminates the whole array (§3.1.1, "Arrays").
-    Array {
-        /// The array elements.
-        elements: Vec<Value>,
-    },
-}
-
 /// A live heap object: its class, its storage, and its accounted size.
+///
+/// Instances and arrays share one shape — the paper treats an array as just
+/// another object, and storing into any element contaminates the whole
+/// array (§3.1.1, "Arrays") — so the only difference kept is the flag that
+/// tells the field accessors from the element accessors.  The slots are
+/// sized exactly: a heap slot holding an object is 40 bytes, plus one
+/// allocation of the object's slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Object {
-    class: ClassId,
-    kind: ObjectKind,
+    /// The instance's fields or the array's elements, by index.
+    slots: Box<[Value]>,
     /// Bytes charged to the object space for this object.
     size_bytes: usize,
+    class: ClassId,
+    is_array: bool,
 }
 
 impl Object {
+    fn new(class: ClassId, slot_count: usize, size_bytes: usize, is_array: bool) -> Self {
+        Self {
+            slots: vec![Value::NULL; slot_count].into_boxed_slice(),
+            size_bytes,
+            class,
+            is_array,
+        }
+    }
+
     /// Creates an instance with `field_count` null/zero-initialised fields.
     pub fn instance(class: ClassId, field_count: usize, size_bytes: usize) -> Self {
-        Self {
-            class,
-            kind: ObjectKind::Instance {
-                fields: vec![Value::NULL; field_count],
-            },
-            size_bytes,
-        }
+        Self::new(class, field_count, size_bytes, false)
     }
 
     /// Creates an array with `length` null-initialised elements.
     pub fn array(class: ClassId, length: usize, size_bytes: usize) -> Self {
-        Self {
-            class,
-            kind: ObjectKind::Array {
-                elements: vec![Value::NULL; length],
-            },
-            size_bytes,
-        }
+        Self::new(class, length, size_bytes, true)
     }
 
     /// The object's class.
@@ -55,14 +45,9 @@ impl Object {
         self.class
     }
 
-    /// The object's kind (instance or array).
-    pub fn kind(&self) -> &ObjectKind {
-        &self.kind
-    }
-
     /// Whether the object is an array.
     pub fn is_array(&self) -> bool {
-        matches!(self.kind, ObjectKind::Array { .. })
+        self.is_array
     }
 
     /// Bytes charged to the object space for this object.
@@ -72,26 +57,17 @@ impl Object {
 
     /// Number of fields (instance) or elements (array).
     pub fn slot_count(&self) -> usize {
-        match &self.kind {
-            ObjectKind::Instance { fields } => fields.len(),
-            ObjectKind::Array { elements } => elements.len(),
-        }
+        self.slots.len()
     }
 
     /// Shared access to the object's slots (fields or elements).
     pub fn slots(&self) -> &[Value] {
-        match &self.kind {
-            ObjectKind::Instance { fields } => fields,
-            ObjectKind::Array { elements } => elements,
-        }
+        &self.slots
     }
 
     /// Mutable access to the object's slots (fields or elements).
     pub fn slots_mut(&mut self) -> &mut [Value] {
-        match &mut self.kind {
-            ObjectKind::Instance { fields } => fields,
-            ObjectKind::Array { elements } => elements,
-        }
+        &mut self.slots
     }
 
     /// The handles this object references, in slot order, skipping nulls and
@@ -114,9 +90,7 @@ impl Object {
     /// of the right size is handed back to the allocator as a fresh object.
     pub fn reinitialize(&mut self, class: ClassId) {
         self.class = class;
-        for slot in self.slots_mut() {
-            *slot = Value::NULL;
-        }
+        self.slots.fill(Value::NULL);
     }
 }
 
@@ -143,7 +117,7 @@ mod tests {
         let a = Object::array(class(), 4, 28);
         assert_eq!(a.slot_count(), 4);
         assert!(a.is_array());
-        assert!(matches!(a.kind(), ObjectKind::Array { .. }));
+        assert!(a.slots().iter().all(Value::is_null));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! per-object collector records in the same table, so both are sized by
 //! the objects live rather than by the handles ever minted.
 
-/// Slots per page.  At 56 bytes a slot this is a 14 KiB page: small enough
+/// Slots per page.  At 40 bytes a heap slot this is a 10 KiB page: small enough
 /// that a sparse table wastes little, large enough that the page directory
 /// stays three orders of magnitude smaller than the table.
 const PAGE_SLOTS: usize = 256;

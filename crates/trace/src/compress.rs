@@ -14,13 +14,17 @@
 //!
 //! The encoder is greedy with a 64 KiB window: it hashes the next four
 //! bytes and walks that slot's chain of earlier positions, up to
-//! `MAX_CHAIN` candidates deep, keeping the longest match.  The decoder
+//! `MAX_CHAIN` candidates deep, keeping the longest match, and compares
+//! candidates eight bytes at a time.  Its hash tables live in a
+//! [`Compressor`] that a writer keeps from chunk to chunk, so they are
+//! allocated and cleared once rather than once per chunk.  The decoder
 //! expands into a caller-owned buffer with block copies — eight literals at
 //! a time under an all-literal control byte, one `copy_within` for a match
 //! that does not overlap itself — and replicates the period of an
 //! overlapping match (distance < length), as every LZ77 family codec must.
-//! Compression is deterministic, which the golden-trace CI gate relies on
-//! (byte-identical re-encodes).
+//! Compression is deterministic, which the golden corpus relies on: each
+//! committed trace re-encodes to its own bytes (a tier-1 test and a CI
+//! step check it).
 //!
 //! Chunks store the codec id, so `.cgt` readers stay compatible if a chunk
 //! was written raw (the writer falls back to raw whenever compression does
@@ -37,6 +41,9 @@ const MAX_MATCH: usize = MIN_MATCH + 255;
 /// is a non-zero `u16`).
 const MAX_DISTANCE: usize = u16::MAX as usize;
 
+/// Entries of the chain table, one per window position.
+const WINDOW: usize = MAX_DISTANCE + 1;
+
 /// Hash-table size for the four-byte prefix hash.
 const HASH_BITS: u32 = 15;
 
@@ -51,89 +58,139 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B9) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compresses `src`, returning the token stream.
+/// The encoder's hash tables, kept from one chunk to the next.
 ///
-/// The output may be larger than the input for incompressible data; the
-/// caller ([`io`](crate::io)) compares sizes and stores whichever encoding
-/// is smaller.
-pub fn compress(src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() / 2 + 16);
-    // Hash-chain matcher: `head` holds the most recent position per hash
-    // slot, `prev[p % window]` the position before `p` in the same chain.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; MAX_DISTANCE + 1];
+/// `head` holds the most recent position per hash slot and `prev[p %
+/// WINDOW]` the position before `p` in the same chain.  A position is
+/// stored as `base + p`, where `base` grows by each chunk's length, so an
+/// entry below the current chunk's `base` was written for an earlier chunk
+/// and counts as empty: the tables are never cleared between chunks, only
+/// when `base` would wrap.  The output is exactly what a fresh, empty pair
+/// of tables per chunk would give.  The tables are allocated by the first
+/// chunk.
+#[derive(Debug, Clone, Default)]
+pub struct Compressor {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    base: u32,
+}
 
-    let mut control_at = usize::MAX;
-    let mut control_bit = 8u8;
-    let mut emit_flag = |out: &mut Vec<u8>, is_match: bool| {
-        if control_bit == 8 {
-            control_at = out.len();
-            out.push(0);
-            control_bit = 0;
+impl Compressor {
+    /// Compresses `src`, returning the token stream.
+    ///
+    /// The output may be larger than the input for incompressible data; the
+    /// caller ([`io`](crate::io)) compares sizes and stores whichever
+    /// encoding is smaller.  It depends on `src` alone, not on what was
+    /// compressed before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is 4 GiB or longer.
+    pub fn compress(&mut self, src: &[u8]) -> Vec<u8> {
+        let n = u32::try_from(src.len())
+            .ok()
+            .filter(|&n| n < u32::MAX)
+            .expect("a chunk is shorter than 4 GiB");
+        if self.head.is_empty() || self.base.checked_add(n).is_none() {
+            // First use, or the positions would wrap: start over empty.
+            self.head = vec![0; 1 << HASH_BITS];
+            self.prev = vec![0; WINDOW];
+            self.base = 1;
         }
-        if is_match {
-            out[control_at] |= 1 << control_bit;
-        }
-        control_bit += 1;
-    };
+        let base = self.base;
+        self.base += n;
+        let (head, prev) = (&mut self.head[..], &mut self.prev[..]);
+        let insert = |head: &mut [u32], prev: &mut [u32], p: usize| {
+            if p + MIN_MATCH <= src.len() {
+                let slot = hash4(&src[p..]);
+                prev[p % WINDOW] = head[slot];
+                head[slot] = base + p as u32;
+            }
+        };
 
-    let insert = |head: &mut [usize], prev: &mut [usize], src: &[u8], p: usize| {
-        if p + MIN_MATCH <= src.len() {
-            let slot = hash4(&src[p..]);
-            prev[p % (MAX_DISTANCE + 1)] = head[slot];
-            head[slot] = p;
-        }
-    };
+        let mut out = Vec::with_capacity(src.len() / 2 + 16);
+        let mut control_at = usize::MAX;
+        let mut control_bit = 8u8;
+        let mut emit_flag = |out: &mut Vec<u8>, is_match: bool| {
+            if control_bit == 8 {
+                control_at = out.len();
+                out.push(0);
+                control_bit = 0;
+            }
+            if is_match {
+                out[control_at] |= 1 << control_bit;
+            }
+            control_bit += 1;
+        };
 
-    let mut pos = 0;
-    while pos < src.len() {
-        let mut best_len = 0;
-        let mut best_dist = 0;
-        if pos + MIN_MATCH <= src.len() {
-            let limit = (src.len() - pos).min(MAX_MATCH);
-            let mut candidate = head[hash4(&src[pos..])];
-            let mut probes = 0;
-            while candidate != usize::MAX && probes < MAX_CHAIN {
-                let dist = pos - candidate;
-                if dist > MAX_DISTANCE {
-                    break; // chain only gets older from here
-                }
-                // Cheap rejection: a longer match must agree at best_len.
-                if best_len == 0 || src.get(candidate + best_len) == src.get(pos + best_len) {
-                    let mut len = 0;
-                    while len < limit && src[candidate + len] == src[pos + len] {
-                        len += 1;
+        let mut pos = 0;
+        while pos < src.len() {
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if pos + MIN_MATCH <= src.len() {
+                let limit = (src.len() - pos).min(MAX_MATCH);
+                let mut entry = head[hash4(&src[pos..])];
+                let mut probes = 0;
+                while entry >= base && probes < MAX_CHAIN {
+                    let candidate = (entry - base) as usize;
+                    let dist = pos - candidate;
+                    if dist > MAX_DISTANCE {
+                        break; // chain only gets older from here
                     }
-                    if len > best_len {
-                        best_len = len;
-                        best_dist = dist;
-                        if len == limit {
-                            break;
+                    // Cheap rejection: a longer match must agree at best_len
+                    // (which is below `limit`, so both bytes exist).
+                    if best_len == 0 || src[candidate + best_len] == src[pos + best_len] {
+                        let len = match_len(src, candidate, pos, limit);
+                        if len > best_len {
+                            best_len = len;
+                            best_dist = dist;
+                            if len == limit {
+                                break;
+                            }
                         }
                     }
+                    entry = prev[candidate % WINDOW];
+                    probes += 1;
                 }
-                candidate = prev[candidate % (MAX_DISTANCE + 1)];
-                probes += 1;
+            }
+            if best_len >= MIN_MATCH {
+                emit_flag(&mut out, true);
+                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                out.push((best_len - MIN_MATCH) as u8);
+                // Index the covered positions so later matches can reach
+                // into this run.
+                for p in pos..pos + best_len {
+                    insert(head, prev, p);
+                }
+                pos += best_len;
+            } else {
+                emit_flag(&mut out, false);
+                out.push(src[pos]);
+                insert(head, prev, pos);
+                pos += 1;
             }
         }
-        if best_len >= MIN_MATCH {
-            emit_flag(&mut out, true);
-            out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            // Index the covered positions so later matches can reach into
-            // this run.
-            for p in pos..pos + best_len {
-                insert(&mut head, &mut prev, src, p);
-            }
-            pos += best_len;
-        } else {
-            emit_flag(&mut out, false);
-            out.push(src[pos]);
-            insert(&mut head, &mut prev, src, pos);
-            pos += 1;
-        }
+        out
     }
-    out
+}
+
+/// How many bytes from `at` repeat those from `earlier`, up to `limit`
+/// (`at + limit` must not pass the end of `src`), compared eight at a time.
+#[inline(always)]
+fn match_len(src: &[u8], earlier: usize, at: usize, limit: usize) -> usize {
+    let word = |i: usize| u64::from_le_bytes(src[i..i + 8].try_into().expect("eight bytes"));
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = word(earlier + len) ^ word(at + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && src[earlier + len] == src[at + len] {
+        len += 1;
+    }
+    len
 }
 
 /// An upper bound on what a token stream of `stored_len` bytes can expand
@@ -148,9 +205,9 @@ pub fn max_expansion(stored_len: usize) -> usize {
     stored_len.saturating_mul(MAX_MATCH) / 3
 }
 
-/// Decompresses a token stream produced by [`compress`] into `out`, which
-/// is overwritten and ends up exactly `expected_len` bytes long (its
-/// capacity is reused from call to call).
+/// Decompresses a token stream produced by [`Compressor::compress`] into
+/// `out`, which is overwritten and ends up exactly `expected_len` bytes
+/// long (its capacity is reused from call to call).
 ///
 /// `out` is sized to `expected_len` up front: a caller holding a length it
 /// has not produced itself bounds it by [`max_expansion`] first.
@@ -229,6 +286,95 @@ pub fn decompress_into(src: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Re
 mod tests {
     use super::*;
     use cg_testutil::TestRng;
+
+    /// [`Compressor::compress`] with fresh tables.
+    fn compress(src: &[u8]) -> Vec<u8> {
+        Compressor::default().compress(src)
+    }
+
+    /// The encoder this module shipped before [`Compressor`] kept its
+    /// tables: fresh `usize` tables per call and a byte-at-a-time match loop.
+    /// Kept as the reference model the table-keeping encoder must match byte
+    /// for byte.
+    fn compress_reference(src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len() / 2 + 16);
+        // Hash-chain matcher: `head` holds the most recent position per hash
+        // slot, `prev[p % window]` the position before `p` in the same chain.
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; MAX_DISTANCE + 1];
+
+        let mut control_at = usize::MAX;
+        let mut control_bit = 8u8;
+        let mut emit_flag = |out: &mut Vec<u8>, is_match: bool| {
+            if control_bit == 8 {
+                control_at = out.len();
+                out.push(0);
+                control_bit = 0;
+            }
+            if is_match {
+                out[control_at] |= 1 << control_bit;
+            }
+            control_bit += 1;
+        };
+
+        let insert = |head: &mut [usize], prev: &mut [usize], src: &[u8], p: usize| {
+            if p + MIN_MATCH <= src.len() {
+                let slot = hash4(&src[p..]);
+                prev[p % (MAX_DISTANCE + 1)] = head[slot];
+                head[slot] = p;
+            }
+        };
+
+        let mut pos = 0;
+        while pos < src.len() {
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if pos + MIN_MATCH <= src.len() {
+                let limit = (src.len() - pos).min(MAX_MATCH);
+                let mut candidate = head[hash4(&src[pos..])];
+                let mut probes = 0;
+                while candidate != usize::MAX && probes < MAX_CHAIN {
+                    let dist = pos - candidate;
+                    if dist > MAX_DISTANCE {
+                        break; // chain only gets older from here
+                    }
+                    // Cheap rejection: a longer match must agree at best_len.
+                    if best_len == 0 || src.get(candidate + best_len) == src.get(pos + best_len) {
+                        let mut len = 0;
+                        while len < limit && src[candidate + len] == src[pos + len] {
+                            len += 1;
+                        }
+                        if len > best_len {
+                            best_len = len;
+                            best_dist = dist;
+                            if len == limit {
+                                break;
+                            }
+                        }
+                    }
+                    candidate = prev[candidate % (MAX_DISTANCE + 1)];
+                    probes += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                emit_flag(&mut out, true);
+                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                out.push((best_len - MIN_MATCH) as u8);
+                // Index the covered positions so later matches can reach into
+                // this run.
+                for p in pos..pos + best_len {
+                    insert(&mut head, &mut prev, src, p);
+                }
+                pos += best_len;
+            } else {
+                emit_flag(&mut out, false);
+                out.push(src[pos]);
+                insert(&mut head, &mut prev, src, pos);
+                pos += 1;
+            }
+        }
+        out
+    }
 
     /// [`decompress_into`] a fresh buffer.
     fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
@@ -475,5 +621,37 @@ mod tests {
     fn compression_is_deterministic() {
         let data: Vec<u8> = (0..50_000u32).flat_map(|i| i.to_le_bytes()).collect();
         assert_eq!(compress(&data), compress(&data));
+    }
+
+    #[test]
+    fn kept_tables_encode_exactly_like_fresh_ones() {
+        // One encoder over the whole corpus, each input twice in a row: an
+        // entry left by the previous chunk must never be taken for a match
+        // candidate, even when that chunk was the very same bytes.
+        let mut rng = TestRng::new(57);
+        let mut kept = Compressor::default();
+        for data in corpus(&mut rng) {
+            let reference = compress_reference(&data);
+            assert_eq!(kept.compress(&data), reference);
+            assert_eq!(kept.compress(&data), reference);
+        }
+    }
+
+    #[test]
+    fn kept_tables_start_over_when_positions_would_wrap() {
+        let data: Vec<u8> = (0..70_000u32)
+            .map(|i| (i % 251) as u8 ^ (i / 997) as u8)
+            .collect();
+        let reference = compress_reference(&data);
+        let n = data.len() as u32;
+        // Just fits below the wrap, then does not fit, then starts over.
+        let mut kept = Compressor::default();
+        kept.compress(b"warm the tables up with a few bytes");
+        kept.base = u32::MAX - n;
+        assert_eq!(kept.compress(&data), reference);
+        assert_eq!(kept.base, u32::MAX);
+        assert_eq!(kept.compress(&data), reference);
+        assert_eq!(kept.base, 1 + n);
+        assert_eq!(kept.compress(&data), reference);
     }
 }

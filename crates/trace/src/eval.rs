@@ -39,8 +39,8 @@
 //! Trusted input passes [`Governor::unlimited`].
 //!
 //! Scope: the engine evaluates the plain contaminated collector.  Recycling
-//! traces are collector-dependent (they cannot be replayed at all) and the
-//! hybrid's mark-sweep/reset needs a global heap view, so `Collect` events
+//! traces replay only under the single-heap recycling collector that
+//! recorded them (multi-shard recycling is rejected) and the hybrid's mark-sweep/reset needs a global heap view, so `Collect` events
 //! are barriers but collect nothing — exactly like `ContaminatedGc`'s no-op
 //! `collect` hook.
 
@@ -430,8 +430,8 @@ fn apply_shard_event(
             recycled,
         } => {
             if *recycled {
-                // Recycling traces are collector-dependent; they cannot
-                // be replayed (sharded or not).
+                // Recycling traces replay only on one heap under the
+                // recycling collector that recorded them, never sharded.
                 return Err(ReplayError::RecycleDiverged { handle: *handle });
             }
             match kind {

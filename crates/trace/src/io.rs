@@ -54,7 +54,9 @@ pub struct TraceWriter<W: Write> {
     buf: Vec<u8>,
     buffered_events: usize,
     chunk_events: usize,
-    compress: bool,
+    /// The LZ encoder, its tables reused by every chunk; `None` when
+    /// compression is off.
+    lz: Option<compress::Compressor>,
     stats: TraceStats,
     sections: Vec<FooterSection>,
     is_shard: bool,
@@ -102,7 +104,7 @@ impl<W: Write> TraceWriter<W> {
             buf: Vec::with_capacity(CHUNK_BYTES_TARGET / 2),
             buffered_events: 0,
             chunk_events,
-            compress: true,
+            lz: Some(compress::Compressor::default()),
             stats: TraceStats::default(),
             sections: Vec::new(),
             is_shard: matches!(meta.stream, StreamKind::Shard { .. }),
@@ -113,7 +115,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Disables per-chunk compression (chunks are stored raw).
     pub fn set_compression(&mut self, enabled: bool) {
-        self.compress = enabled;
+        self.lz = enabled.then(compress::Compressor::default);
     }
 
     /// Appends one event to a plain stream.
@@ -179,7 +181,7 @@ impl<W: Write> TraceWriter<W> {
             CHUNK_EVENTS_KIND,
             self.buffered_events as u64,
             &self.buf,
-            self.compress,
+            self.lz.as_mut(),
         )?;
         self.buf.clear();
         self.buffered_events = 0;
@@ -200,31 +202,33 @@ impl<W: Write> TraceWriter<W> {
             sections: std::mem::take(&mut self.sections),
         };
         let body = format::encode_footer(&footer);
-        write_chunk(&mut self.w, CHUNK_FOOTER_KIND, 0, &body, self.compress)?;
+        write_chunk(&mut self.w, CHUNK_FOOTER_KIND, 0, &body, self.lz.as_mut())?;
         self.w.flush()?;
         Ok((self.w, self.stats))
     }
 }
 
 /// Frames one chunk: kind, event count, raw length, stored length, codec,
-/// payload, CRC32 of the stored payload.
+/// payload, CRC32 of the stored payload.  The payload is offered to `lz`,
+/// if given, and stored compressed when that is smaller.
 fn write_chunk<W: Write>(
     w: &mut W,
     kind: u8,
     event_count: u64,
     raw: &[u8],
-    try_compress: bool,
+    lz: Option<&mut compress::Compressor>,
 ) -> Result<(), TraceIoError> {
     let packed;
-    let (codec, stored): (u8, &[u8]) = if try_compress && raw.len() >= MIN_COMPRESS_BYTES {
-        packed = compress::compress(raw);
-        if packed.len() < raw.len() {
-            (CODEC_LZ, &packed)
-        } else {
-            (CODEC_RAW, raw)
+    let (codec, stored): (u8, &[u8]) = match lz.filter(|_| raw.len() >= MIN_COMPRESS_BYTES) {
+        Some(lz) => {
+            packed = lz.compress(raw);
+            if packed.len() < raw.len() {
+                (CODEC_LZ, &packed)
+            } else {
+                (CODEC_RAW, raw)
+            }
         }
-    } else {
-        (CODEC_RAW, raw)
+        None => (CODEC_RAW, raw),
     };
     let mut head = Vec::with_capacity(24);
     head.push(kind);
@@ -925,13 +929,13 @@ mod tests {
     fn framed_chunks(meta: &TraceMeta, chunks: &[(u64, &[u8])], counts: TraceStats) -> Vec<u8> {
         let mut bytes = TraceWriter::new(Vec::new(), meta).expect("header").w;
         for (declared, body) in chunks {
-            write_chunk(&mut bytes, CHUNK_EVENTS_KIND, *declared, body, false).expect("chunk");
+            write_chunk(&mut bytes, CHUNK_EVENTS_KIND, *declared, body, None).expect("chunk");
         }
         let footer = format::encode_footer(&TraceFooter {
             counts: counts.counts(),
             sections: Vec::new(),
         });
-        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, false).expect("footer");
+        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, None).expect("footer");
         bytes
     }
 

@@ -36,10 +36,14 @@
 //! the live run's (see the `trace_equivalence` integration test).
 //!
 //! One caveat: the *allocation decisions* of the recording run are part of
-//! the trace.  Record with a non-recycling configuration (the §3.7 recycle
-//! list reuses handles, which ties the stream to that collector's reuse
-//! choices); [`record_streaming`] with [`cg_vm::NoopCollector`] is the
-//! canonical way to capture a workload.
+//! the trace.  The §3.7 recycle list reuses handles, which ties a stream
+//! recorded under a recycling collector to that collector's reuse choices:
+//! replay offers every instance allocation to the collector's recycle list,
+//! as the VM does, and fails with [`ReplayError::RecycleDiverged`] unless
+//! the offer matches the recording, so such a stream replays exactly under
+//! the configuration that recorded it and under no other.
+//! [`record_streaming`] with [`cg_vm::NoopCollector`] is the canonical,
+//! collector-independent way to capture a workload.
 //!
 //! # Persistence: the `.cgt` format
 //!

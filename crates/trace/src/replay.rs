@@ -55,11 +55,14 @@ pub enum ReplayError {
         /// The handle the shadow heap produced.
         got: Handle,
     },
-    /// A recorded recycled allocation could not reinitialise its handle
-    /// (the trace was recorded under a recycling configuration; see the
-    /// crate docs for why such traces are collector-dependent).
+    /// The collector's recycle list (§3.7) did not reproduce a recorded
+    /// allocation: it offered a dead object where the recording allocated
+    /// afresh, or not the recorded one where the recording recycled.  A
+    /// recycling recording replays only under the configuration that
+    /// recorded it, and a non-recycling one only under a collector that
+    /// does not recycle.
     RecycleDiverged {
-        /// The handle that could not be reused.
+        /// The recorded allocation's handle.
         handle: Handle,
     },
     /// An event named a handle index no valid recording on this heap
@@ -86,7 +89,7 @@ impl std::fmt::Display for ReplayError {
             ReplayError::RecycleDiverged { handle } => {
                 write!(
                     f,
-                    "recorded recycled allocation of {handle} could not be replayed"
+                    "recycling diverged from the recorded allocation of {handle}"
                 )
             }
             ReplayError::HandleOutOfRange { handle, capacity } => {
@@ -253,27 +256,33 @@ pub fn apply_event<C: Collector>(
             recycled,
         } => {
             in_range(*handle, capacity)?;
-            if *recycled {
-                let field_count = match kind {
-                    AllocKind::Instance { field_count } => *field_count,
-                    // The collector never recycles arrays (§3.7).
-                    AllocKind::Array { .. } => {
-                        return Err(ReplayError::RecycleDiverged { handle: *handle })
-                    }
-                };
-                heap.reinitialize(*handle, *class, field_count)
-                    .map_err(|_| ReplayError::RecycleDiverged { handle: *handle })?;
-            } else {
-                let minted = match kind {
-                    AllocKind::Instance { field_count } => heap.allocate(*class, *field_count)?,
-                    AllocKind::Array { length } => heap.allocate_array(*class, *length)?,
-                };
-                if minted != *handle {
-                    return Err(ReplayError::HandleMismatch {
-                        expected: *handle,
-                        got: minted,
-                    });
+            // The VM offers every instance allocation to the collector's
+            // recycle list first (§3.7); the offer must reproduce the
+            // recording: the recorded handle if it was recycled, none if
+            // it was not.
+            let offered = match kind {
+                AllocKind::Instance { field_count } => {
+                    collector.try_recycled_alloc(*class, *field_count, frame, heap)
                 }
+                AllocKind::Array { .. } => None,
+            };
+            match (offered, *recycled) {
+                (None, false) => {
+                    let minted = match kind {
+                        AllocKind::Instance { field_count } => {
+                            heap.allocate(*class, *field_count)?
+                        }
+                        AllocKind::Array { length } => heap.allocate_array(*class, *length)?,
+                    };
+                    if minted != *handle {
+                        return Err(ReplayError::HandleMismatch {
+                            expected: *handle,
+                            got: minted,
+                        });
+                    }
+                }
+                (Some(reused), true) if reused == *handle => {}
+                _ => return Err(ReplayError::RecycleDiverged { handle: *handle }),
             }
             collector.on_allocate(*handle, frame, heap);
         }

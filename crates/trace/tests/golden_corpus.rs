@@ -6,7 +6,9 @@
 //! The CI golden-trace job runs the stronger form (`cgt verify
 //! --re-record`: a live re-interpretation of each workload must also be
 //! byte-identical); [`recording_db_live_matches_its_golden_trace`] keeps a
-//! cheap one-workload version of that in the ordinary test suite.
+//! cheap one-workload version of that in the ordinary test suite.  The
+//! encoder is deterministic, so re-encoding a golden's events must give
+//! back its committed bytes exactly.
 
 use std::path::PathBuf;
 
@@ -15,7 +17,7 @@ use cg_trace::footer::{
 };
 use cg_trace::{
     open_trace, record_streaming, replay_events_governed, replay_path_governed, Governor,
-    StreamKind, TraceFooter, TraceMeta, TraceReader,
+    StreamKind, TraceFooter, TraceMeta, TraceReader, TraceWriter,
 };
 use cg_vm::{GcEvent, NoopCollector};
 use cg_workloads::{Size, Workload};
@@ -180,4 +182,28 @@ fn recording_db_live_matches_its_golden_trace() {
         cg_section(collector.stats(), &breakdown).entries,
         "live re-record must replay to byte-identical statistics"
     );
+}
+
+#[test]
+fn every_golden_trace_re_encodes_to_its_committed_bytes() {
+    for file in golden_files() {
+        let committed = std::fs::read(&file).expect("golden trace reads");
+        let reader = TraceReader::new(&committed[..]).expect("golden trace opens");
+        let (events, meta, footer) = read_all(reader);
+        let mut writer = TraceWriter::new(Vec::new(), &meta).expect("header");
+        for event in &events {
+            writer.push(event).expect("in-memory write");
+        }
+        for section in &footer.sections {
+            writer.add_section(section.clone());
+        }
+        let (bytes, _) = writer.finish().expect("in-memory write");
+        assert!(
+            bytes == committed,
+            "{}: re-encoding its events changed the file ({} bytes, was {})",
+            file.display(),
+            bytes.len(),
+            committed.len()
+        );
+    }
 }

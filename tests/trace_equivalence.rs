@@ -16,7 +16,8 @@ use std::rc::Rc;
 
 use cg_core::{CgConfig, ContaminatedGc, HybridCollector, HybridConfig};
 use cg_trace::{
-    record_streaming, replay_events_governed, Governor, Replayed, TraceMeta, TraceReader,
+    record_streaming, replay_events_governed, Governor, ReplayError, Replayed, TraceMeta,
+    TraceReader,
 };
 use cg_vm::{Collector, EventSink, GcEvent, NoopCollector, Vm, VmConfig};
 use cg_workloads::{Size, Workload};
@@ -266,6 +267,70 @@ fn live_runs_agree_across_allocation_policies() {
         first_fit.heap().bytes_in_use(),
         segregated.heap().bytes_in_use()
     );
+}
+
+#[test]
+fn a_recycling_recording_replays_exactly_under_the_recycling_collector() {
+    // §3.7: a recording made under the (first-fit) recycling collector
+    // carries its reuse decisions.  Replay offers every instance
+    // allocation to the recycle list, as the VM does, so the same
+    // configuration must reuse exactly the recorded objects and end with
+    // the live run's statistics.
+    let unlimited = Governor::unlimited();
+    let recycling = || ContaminatedGc::with_config(CgConfig::with_recycling());
+    let mut diverged = Vec::new();
+    let mut recycled = Vec::new();
+    for workload in Workload::all() {
+        let name = workload.name();
+        let meta = TraceMeta {
+            name: format!("{name}/1"),
+            ..TraceMeta::default()
+        };
+        let (outcome, _, live, bytes) = record_streaming(
+            &meta,
+            workload.program(Size::S1),
+            config(),
+            recycling(),
+            Vec::new(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
+        let trace = TraceReader::new(&bytes[..])
+            .and_then(|mut reader| reader.events().collect::<Result<Vec<_>, _>>())
+            .unwrap_or_else(|e| panic!("{name}: decoding failed: {e}"));
+        let live_stats = live.collector().stats();
+        if live_stats.objects_recycled > 0 {
+            recycled.push(name);
+        }
+        let same = match replay(&trace, config().heap, recycling(), &unlimited) {
+            Ok(replayed) => {
+                replayed.collector.stats() == live_stats
+                    && replayed.collector.recycle_list_len() == live.collector().recycle_list_len()
+                    && replayed.heap.live_count() == live.heap().live_count()
+                    && replayed.outcome.collector_freed_objects
+                        == outcome.stats.collector_freed_objects
+            }
+            Err(_) => false,
+        };
+        if !same {
+            diverged.push(name);
+        }
+    }
+    assert_eq!(
+        diverged,
+        Vec::<&str>::new(),
+        "replay differs from the live run"
+    );
+    for name in ["raytrace", "jack", "jess"] {
+        assert!(recycled.contains(&name), "{name} recycles at size 1");
+    }
+
+    // A passive recording under a recycling collector fails at the first
+    // dead object the collector offers, instead of reusing it silently.
+    let trace = record_workload("raytrace", config());
+    match replay(&trace, config().heap, recycling(), &unlimited) {
+        Err(cg_trace::EvalError::Replay(ReplayError::RecycleDiverged { .. })) => {}
+        other => panic!("expected a recycling divergence, got {:?}", other.err()),
+    }
 }
 
 #[test]
