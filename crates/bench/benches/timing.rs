@@ -76,13 +76,15 @@ fn bench_trace_runner(h: &mut BenchHarness) {
     let workload = Workload::by_name("db").expect("known benchmark");
     h.bench_counted("trace/db_record_once", 3, || {
         common::reset_peak();
-        let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
+        let recorded = record_workload_trace(workload, Size::S1, CollectorChoice::Cg)
+            .expect("recording succeeds");
         [
             ("events", recorded.events.len() as u64),
             ("peak_bytes", common::peak_bytes()),
         ]
     });
-    let recorded = record_workload_trace(workload, Size::S1, None).expect("recording succeeds");
+    let recorded =
+        record_workload_trace(workload, Size::S1, CollectorChoice::Cg).expect("recording succeeds");
     let replay = h.bench_counted("trace/db_replay_cg", 3, || {
         run_counts(&replay_run(&recorded, CollectorChoice::Cg).expect("replay succeeds"))
     });

@@ -10,16 +10,19 @@
 //! With no workloads, all eight SPEC-like benchmarks run.  For each workload
 //! the event stream is recorded under a passive collector (one
 //! interpretation), then each requested collector is driven from the
-//! recording — no re-interpretation.  The table reports each collector's
-//! headline statistics plus the recording and replay times, and the raw
-//! numbers are written to `BENCH_trace_eval.json`.
+//! recording — no re-interpretation.  `cg-recycle` (not in the default
+//! set) and `cg-reset` each record once more: recycling under the
+//! recycling collector itself, whose recycled allocations the stream then
+//! carries, and resetting with its periodic collections.  The table reports
+//! each collector's headline statistics plus the recording and replay
+//! times, and the raw numbers are written to `BENCH_trace_eval.json`.
 //!
-//! The recording frees nothing, so it must fit the whole allocation history
-//! in the 12 MiB experiment heap.  At `--size 100` raytrace, javac, mtrt
-//! and jack do not (`trace_eval javac --size 100` fails with "recording
-//! failed: out of memory allocating 16 bytes for class c0"); their size-100
-//! rows can only come from live runs.  Every workload records at sizes 1
-//! and 10.
+//! The passive recording frees nothing, so it must fit the whole allocation
+//! history in the 12 MiB experiment heap.  At `--size 100` raytrace, javac,
+//! mtrt and jack do not (`trace_eval javac --size 100` fails with
+//! "recording failed: out of memory allocating 16 bytes for class c0");
+//! their size-100 rows can only come from live runs.  Every workload
+//! records at sizes 1 and 10.
 
 use cg_bench::{replay_run, TraceCache};
 use cg_stats::{Cell, Json, Table};
@@ -56,10 +59,6 @@ fn main() {
 
     for workload in &workloads {
         for &choice in &options.collectors {
-            if !choice.supports_replay() {
-                eprintln!("skipping {}: recycling runs must be live", choice.label());
-                continue;
-            }
             let recorded = cache
                 .for_choice(*workload, options.size, choice)
                 .unwrap_or_else(|e| panic!("{}: recording failed: {e}", workload.name()));

@@ -13,7 +13,9 @@ use cg_trace::{
     partition_streaming, record_streaming, replay_events_governed, EvalError, Governor,
     RecordError, ReplayOutcome, TraceMeta, TraceReader,
 };
-use cg_vm::{GcEvent, NoopCollector, Program, RunOutcome, Vm, VmConfig, VmError, VmStats};
+use cg_vm::{
+    Collector, GcEvent, NoopCollector, Program, RunOutcome, Vm, VmConfig, VmError, VmStats,
+};
 use cg_workloads::{Profile, Size, Workload};
 
 /// Which collector configuration to run a workload under.
@@ -62,14 +64,6 @@ impl CollectorChoice {
     /// Parses a [`CollectorChoice::label`] back into the choice.
     pub fn parse(label: &str) -> Option<CollectorChoice> {
         Self::ALL.into_iter().find(|c| c.label() == label)
-    }
-
-    /// Whether the choice can be evaluated by trace replay.
-    ///
-    /// Recycling reuses handles, which makes the allocation stream
-    /// collector-dependent; it must run live (see the `cg-trace` docs).
-    pub fn supports_replay(self) -> bool {
-        self != CollectorChoice::CgRecycle
     }
 
     /// The periodic forced-collection interval the experiment configuration
@@ -295,7 +289,8 @@ fn hybrid_for(choice: CollectorChoice) -> HybridCollector {
 }
 
 /// A workload's event stream recorded once, ready to be replayed against any
-/// collector (the trace-driven runner mode).
+/// collector whose choice records it the same way (the trace-driven runner
+/// mode; see [`record_workload_trace`]).
 #[derive(Debug, Clone)]
 pub struct WorkloadTrace {
     /// Benchmark name.
@@ -315,11 +310,14 @@ pub struct WorkloadTrace {
     pub gc_every: Option<u64>,
 }
 
-/// Records `workload` at `size` once, under a passive collector, with the
-/// experiment heap.  `gc_every` adds the periodic §4.7 collection events
-/// (required to replay [`CollectorChoice::CgReset`]).
+/// Records `workload` at `size` once, with the experiment heap, the way
+/// `choice` replays it: with the choice's periodic §4.7 collection events
+/// ([`CollectorChoice::CgReset`]), and for [`CollectorChoice::CgRecycle`]
+/// under the recycling collector itself, so that the stream carries which
+/// allocations its recycle list satisfied (§3.7).  Every other choice
+/// shares one recording made under a passive collector.
 ///
-/// The passive collector frees nothing, so the recording must hold every
+/// The passive collector frees nothing, so that recording must hold every
 /// object the workload allocates in [`experiment_heap`]'s 12 MiB.  All
 /// eight workloads fit at sizes 1 and 10; at size 100 raytrace, javac,
 /// mtrt and jack run out of memory, so replay cannot stand in for a live
@@ -332,21 +330,23 @@ pub struct WorkloadTrace {
 pub fn record_workload_trace(
     workload: Workload,
     size: Size,
-    gc_every: Option<u64>,
+    choice: CollectorChoice,
 ) -> Result<WorkloadTrace, VmError> {
-    let mut config = VmConfig::default().with_heap(experiment_heap());
-    if let Some(every) = gc_every {
-        config = config.with_gc_every(every);
-    }
+    let config = experiment_vm_config(choice);
     let name = format!("{}/{size}", workload.name());
-    let (events, outcome) = record_events(name, workload.program(size), config)?;
+    let program = workload.program(size);
+    let (events, outcome) = if choice == CollectorChoice::CgRecycle {
+        record_under(name, program, config, hybrid_for(choice))?
+    } else {
+        record_events(name, program, config)?
+    };
     Ok(WorkloadTrace {
         workload: workload.name(),
         size,
         events,
         vm: outcome.stats,
         heap: config.heap,
-        gc_every,
+        gc_every: choice.gc_every(),
     })
 }
 
@@ -363,18 +363,26 @@ pub fn record_events(
     program: Program,
     config: VmConfig,
 ) -> Result<(Vec<GcEvent>, RunOutcome), VmError> {
+    record_under(name, program, config, NoopCollector::new())
+}
+
+/// [`record_events`] under `collector` instead of a passive one.
+fn record_under<C: Collector>(
+    name: impl Into<String>,
+    program: Program,
+    config: VmConfig,
+    collector: C,
+) -> Result<(Vec<GcEvent>, RunOutcome), VmError> {
     let meta = TraceMeta {
         name: name.into(),
         ..TraceMeta::default()
     };
     let in_memory = "an in-memory recording always encodes and decodes";
-    let (outcome, _, _, bytes) =
-        record_streaming(&meta, program, config, NoopCollector::new(), Vec::new()).map_err(
-            |e| match e {
-                RecordError::Vm(e) => e,
-                RecordError::Trace(e) => panic!("{in_memory}: {e}"),
-            },
-        )?;
+    let (outcome, _, _, bytes) = record_streaming(&meta, program, config, collector, Vec::new())
+        .map_err(|e| match e {
+            RecordError::Vm(e) => e,
+            RecordError::Trace(e) => panic!("{in_memory}: {e}"),
+        })?;
     let events = TraceReader::new(&bytes[..])
         .and_then(|mut reader| reader.events().collect())
         .expect(in_memory);
@@ -394,25 +402,24 @@ pub fn partition_events(events: &[GcEvent], shards: usize) -> Vec<Vec<u8>> {
 /// same uniform [`RunResult`] a live run would (interpreter statistics come
 /// from the recording; collector statistics and timing from the replay).
 ///
+/// `recorded` must come from [`record_workload_trace`] for a choice that
+/// records the same way as `choice` ([`TraceCache`] keys them so).
+///
 /// # Errors
 ///
 /// Returns [`EvalError::Replay`] if the collector diverges from the
-/// recorded heap history.
+/// recorded heap history — among others when a recycling recording is
+/// replayed without recycling or a passive one with it
+/// (`RecycleDiverged`).
 ///
 /// # Panics
 ///
-/// Panics on choices where [`CollectorChoice::supports_replay`] is false,
-/// and when the trace's recorded periodic-collection interval does not match
-/// the one the choice's experiment configuration uses.
+/// Panics when the trace's recorded periodic-collection interval does not
+/// match the one the choice's experiment configuration uses.
 pub fn replay_run(
     recorded: &WorkloadTrace,
     choice: CollectorChoice,
 ) -> Result<RunResult, EvalError> {
-    assert!(
-        choice.supports_replay(),
-        "{} cannot be evaluated by replay; run it live",
-        choice.label()
-    );
     // Replaying a trace whose periodic-collection interval differs from the
     // choice's experiment configuration would silently produce statistics no
     // live run could (e.g. a CgReset evaluation with zero resets).
@@ -496,12 +503,12 @@ pub fn replay_run(
     }
 }
 
-/// Caches recorded workload traces keyed by `(workload, size, gc_every)`, so
-/// a batch evaluation (many collectors × one workload) interprets each
-/// workload once.
+/// Caches recorded workload traces keyed by `(workload, size, gc_every,
+/// recycles)`, so a batch evaluation (many collectors × one workload)
+/// interprets each workload once per way of recording it.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    traces: HashMap<(&'static str, Size, Option<u64>), Rc<WorkloadTrace>>,
+    traces: HashMap<(&'static str, Size, Option<u64>, bool), Rc<WorkloadTrace>>,
 }
 
 impl TraceCache {
@@ -522,12 +529,12 @@ impl TraceCache {
         size: Size,
         choice: CollectorChoice,
     ) -> Result<Rc<WorkloadTrace>, VmError> {
-        let gc_every = choice.gc_every();
-        let key = (workload.name(), size, gc_every);
+        let recycles = choice == CollectorChoice::CgRecycle;
+        let key = (workload.name(), size, choice.gc_every(), recycles);
         if let Some(trace) = self.traces.get(&key) {
             return Ok(Rc::clone(trace));
         }
-        let recorded = Rc::new(record_workload_trace(workload, size, gc_every)?);
+        let recorded = Rc::new(record_workload_trace(workload, size, choice)?);
         self.traces.insert(key, Rc::clone(&recorded));
         Ok(recorded)
     }
@@ -635,32 +642,39 @@ mod tests {
 
     /// `replay_run` reports what `run_once` does: `tests/trace_equivalence.rs`
     /// pins the collector statistics, this pins the `RunResult` built around
-    /// them.
+    /// them, for a passive recording and for a recycling one.
     #[test]
     fn replay_mode_reproduces_live_cg_statistics_exactly() {
-        let live = run_once(db(), Size::S1, CollectorChoice::Cg).unwrap();
-        let recorded = record_workload_trace(db(), Size::S1, None).unwrap();
-        let replayed = replay_run(&recorded, CollectorChoice::Cg).unwrap();
-        assert_eq!(
-            live.cg.as_ref().unwrap().stats,
-            replayed.cg.as_ref().unwrap().stats
-        );
-        assert_eq!(
-            live.cg.as_ref().unwrap().breakdown,
-            replayed.cg.as_ref().unwrap().breakdown
-        );
-        assert_eq!(live.objects_created(), replayed.objects_created());
-        assert_eq!(live.live_at_exit, replayed.live_at_exit);
-        // The whole VmStats must match — including the collector-accounting
-        // fields, which come from the replay rather than the recording.
-        assert_eq!(live.vm, replayed.vm);
-        assert!(replayed.vm.collector_freed_objects > 0);
+        for choice in [CollectorChoice::Cg, CollectorChoice::CgRecycle] {
+            let live = run_once(db(), Size::S1, choice).unwrap();
+            let recorded = record_workload_trace(db(), Size::S1, choice).unwrap();
+            let replayed = replay_run(&recorded, choice).unwrap();
+            let (live_cg, replayed_cg) = (live.cg.as_ref().unwrap(), replayed.cg.as_ref().unwrap());
+            assert_eq!(live_cg.stats, replayed_cg.stats, "{}", choice.label());
+            assert_eq!(
+                live_cg.breakdown,
+                replayed_cg.breakdown,
+                "{}",
+                choice.label()
+            );
+            assert_eq!(live.objects_created(), replayed.objects_created());
+            assert_eq!(live.live_at_exit, replayed.live_at_exit);
+            // The whole VmStats must match — including the collector-accounting
+            // fields, which come from the replay rather than the recording.
+            assert_eq!(live.vm, replayed.vm, "{}", choice.label());
+            if choice == CollectorChoice::CgRecycle {
+                // Popped frames' objects wait on the recycle list for reuse.
+                assert!(replayed_cg.stats.objects_recycled > 0);
+            } else {
+                assert!(replayed.vm.collector_freed_objects > 0);
+            }
+        }
     }
 
     #[test]
     fn replay_mode_covers_the_baseline_collector() {
         let live = run_once(db(), Size::S1, CollectorChoice::Baseline).unwrap();
-        let recorded = record_workload_trace(db(), Size::S1, None).unwrap();
+        let recorded = record_workload_trace(db(), Size::S1, CollectorChoice::Baseline).unwrap();
         let replayed = replay_run(&recorded, CollectorChoice::Baseline).unwrap();
         // Without memory pressure neither run collects, so both see the full
         // allocated population live.
@@ -680,7 +694,7 @@ mod tests {
             .unwrap();
         assert!(
             Rc::ptr_eq(&a, &b),
-            "same (workload, size, gc_every) key must share"
+            "same (workload, size, gc_every, recycles) key must share"
         );
         assert_eq!(cache.len(), 1);
         // CgReset needs periodic Collect events, so it records separately.
@@ -697,5 +711,19 @@ mod tests {
         };
         assert!(collects(&c) > 0);
         assert_eq!(collects(&a), 0);
+        // CgRecycle records under the recycling collector, so separately too.
+        let d = cache
+            .for_choice(db(), Size::S1, CollectorChoice::CgRecycle)
+            .unwrap();
+        assert!(!Rc::ptr_eq(&a, &d));
+        assert_eq!(cache.len(), 3);
+        let recycled = |t: &WorkloadTrace| {
+            t.events
+                .iter()
+                .filter(|e| matches!(e, GcEvent::Allocate { recycled: true, .. }))
+                .count()
+        };
+        assert!(recycled(&d) > 0);
+        assert_eq!(recycled(&a), 0);
     }
 }

@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use cg_bench::{record_workload_trace, WorkloadTrace};
+use cg_bench::{record_workload_trace, CollectorChoice, WorkloadTrace};
 use cg_core::marksweep::MarkSweep;
 use cg_core::{CgConfig, HybridCollector, HybridConfig};
 use cg_trace::footer::{vm_stats_from_section, VM_SECTION};
@@ -95,7 +95,7 @@ fn streaming_replay_matches_in_memory_replay_for_all_workloads() {
     for workload in Workload::all() {
         let path = dir.join(format!("{}.cgt", workload.name()));
         record_to_path(workload, &path);
-        let recorded = record_workload_trace(workload, Size::S1, None)
+        let recorded = record_workload_trace(workload, Size::S1, CollectorChoice::Cg)
             .unwrap_or_else(|e| panic!("{}: record failed: {e}", workload.name()));
         let cg_summary = |mut c: HybridCollector| {
             let breakdown = c.cg_mut().breakdown();
@@ -146,7 +146,7 @@ fn parallel_eval_from_disk_matches_in_memory_partition() {
     let workload = Workload::by_name("mtrt").expect("mtrt exists");
     let src = dir.join("mtrt.cgt");
     record_to_path(workload, &src);
-    let recorded = record_workload_trace(workload, Size::S1, None).expect("record");
+    let recorded = record_workload_trace(workload, Size::S1, CollectorChoice::Cg).expect("record");
     let cg_config = cg_config(CgConfig::preferred());
     let heap = cg_bench::runner::experiment_heap();
     let unlimited = Governor::unlimited();

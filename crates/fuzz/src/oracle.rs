@@ -15,7 +15,9 @@
 //!    program end is a counterexample.
 //! 3. **Trace fidelity** — replaying the recorded stream (`.cgt` bytes,
 //!    decoded once) against the same collector must reproduce the live
-//!    run's [`CgStats`] and [`ObjectBreakdown`] byte-for-byte.
+//!    run's [`CgStats`] and [`ObjectBreakdown`] byte-for-byte.  The
+//!    recycling configuration's live run is itself recorded, and its
+//!    recording must replay the same way under that configuration.
 //! 4. **Shard invariance** — a live [`ShardedGc`] at every configured shard
 //!    count must match the single-shard collector byte-for-byte, and
 //!    [`partition_streaming`]`+`[`parallel_eval_governed`] must match a
@@ -42,7 +44,7 @@ use cg_core::{CgConfig, CgStats, ContaminatedGc, DomainImpl, ObjectBreakdown, Sh
 use cg_heap::{HandleRepr, Heap, HeapConfig};
 use cg_trace::{
     parallel_eval_governed, partition_streaming, record_streaming, replay_events_governed,
-    Governor, TraceMeta, TraceReader,
+    Governor, RecordError, TraceMeta, TraceReader,
 };
 use cg_vm::{Collector, GcEvent, NoopCollector, Program, Vm, VmConfig};
 
@@ -586,23 +588,64 @@ pub fn check_program(
         )?;
     }
 
-    // The recycling configuration: soundness only.  Its recordings replay
-    // exactly, but only under the same recycling collector, so the
-    // passive recording above cannot check it; and handle reuse
-    // invalidates the baseline's handle indexing, so the check here is the
-    // §3.1.4 runtime verifier plus run completion: touching a
-    // recycled-away-but-reachable object panics or heap-errors.
+    // The recycling configuration.  Handle reuse invalidates the baseline's
+    // handle indexing, so its soundness check is the §3.1.4 runtime verifier
+    // plus run completion: touching a recycled-away-but-reachable object
+    // panics or heap-errors.  A recycling recording replays exactly only
+    // under the same recycling collector, so the passive recording above
+    // cannot check its fidelity: its own live run is recorded instead, and
+    // the replay of that recording must reproduce the live statistics.
     if options.check_recycling {
         let recycle = CgConfig {
             verify_tainted: true,
             fault: cg.fault,
             ..CgConfig::with_recycling()
         };
-        let _ = run_live(
-            "cg+recycle",
-            program,
-            vm_config,
-            ContaminatedGc::with_config(recycle),
+        let meta = TraceMeta {
+            name: program.name().to_string(),
+            ..TraceMeta::default()
+        };
+        let (_, _, mut live_vm, bytes) = guard("cg+recycle", || {
+            let collector = ContaminatedGc::with_config(recycle);
+            record_streaming(&meta, program.clone(), vm_config, collector, Vec::new()).map_err(
+                |e| match e {
+                    RecordError::Vm(e) => CheckFailure::CollectorRun {
+                        context: "cg+recycle".to_string(),
+                        error: e.to_string(),
+                    },
+                    RecordError::Trace(e) => CheckFailure::Replay {
+                        context: "cg+recycle-record".to_string(),
+                        error: e.to_string(),
+                    },
+                },
+            )
+        })?;
+        let events = decode(&bytes).map_err(|error| CheckFailure::Replay {
+            context: "cg+recycle-decode".to_string(),
+            error,
+        })?;
+        let replayed = guard("cg+recycle-replay", || {
+            let collector = ContaminatedGc::with_config(recycle);
+            replay_events_governed(
+                events.iter().map(Ok),
+                vm_config.heap,
+                collector,
+                &Governor::unlimited(),
+            )
+            .map_err(|e| CheckFailure::Replay {
+                context: "cg+recycle-replay".to_string(),
+                error: e.to_string(),
+            })
+        })?;
+        let live_breakdown = live_vm.collector_mut().breakdown();
+        let mut replay_collector = replayed.collector;
+        let replay_breakdown = replay_collector.breakdown();
+        check_equal(
+            "cg+recycle-live-vs-replay",
+            live_vm.collector().stats(),
+            &live_breakdown,
+            replay_collector.stats(),
+            &replay_breakdown,
         )?;
     }
 

@@ -269,10 +269,21 @@ impl Flags {
     fn get_usize(&self, name: &str) -> Option<usize> {
         self.get(name).map(|v| {
             v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} must be a positive integer, got '{v}'");
+                eprintln!("{name} must be a non-negative integer, got '{v}'");
                 usage();
             })
         })
+    }
+
+    /// [`Flags::get_usize`] for a flag whose 0 would mean nothing (a chunk
+    /// of no events, a collection every 0 instructions): 0 is a usage error.
+    fn get_positive(&self, name: &str) -> Option<usize> {
+        let value = self.get_usize(name)?;
+        if value == 0 {
+            eprintln!("{name} must be a positive integer, got '0'");
+            usage();
+        }
+        Some(value)
     }
 }
 
@@ -373,9 +384,9 @@ fn cmd_record(args: &[String]) -> Result<(), CgtError> {
     let (workload, size) = Workload::parse_spec(spec).ok_or_else(|| {
         CgtError::Other(format!("unknown workload spec '{spec}' (try e.g. javac/1)"))
     })?;
-    let gc_every = flags.get_usize("--gc-every").map(|v| v as u64);
+    let gc_every = flags.get_positive("--gc-every").map(|v| v as u64);
     let chunk_events = flags
-        .get_usize("--chunk-events")
+        .get_positive("--chunk-events")
         .unwrap_or(DEFAULT_CHUNK_EVENTS);
     // The canonical 12 MiB object space fits every size-1 workload; larger
     // problem sizes need a heap the passive recording collector (which
@@ -626,7 +637,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CgtError> {
     };
     let opts = RewriteOptions {
         chunk_events: flags
-            .get_usize("--chunk-events")
+            .get_positive("--chunk-events")
             .unwrap_or(DEFAULT_CHUNK_EVENTS),
         compress: !flags.has("--no-compress"),
         keep_sections: !flags.has("--strip-sections"),

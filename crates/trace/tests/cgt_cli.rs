@@ -108,6 +108,52 @@ fn a_failed_convert_leaves_the_destination_untouched() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Zero is refused where it means nothing — a chunk of no events, a
+/// collection every 0 instructions — with the usage error, before any
+/// output or temporary file exists.  `--timeout-ms 0` ("no timeout") is
+/// still accepted.
+#[test]
+fn zero_chunk_events_or_gc_every_is_a_usage_error_that_leaves_no_file() {
+    let dir = scratch_dir("zero");
+    let out = dir.join("db.cgt");
+    let zero = Path::new("0");
+    for flag in ["--chunk-events", "--gc-every"] {
+        let run = cgt(&[
+            Path::new("record"),
+            Path::new("db/1"),
+            Path::new("--out"),
+            &out,
+            Path::new(flag),
+            zero,
+        ]);
+        assert_eq!(run.status.code(), Some(2), "{flag}: {run:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(&format!("{flag} must be a positive integer")));
+    }
+    let copy = dir.join("copy.cgt");
+    let run = cgt(&[
+        Path::new("convert"),
+        &golden("db-s1.cgt"),
+        &copy,
+        Path::new("--chunk-events"),
+        zero,
+    ]);
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    assert!(listing(&dir).is_empty(), "left behind: {:?}", listing(&dir));
+
+    // Nothing listens on port 1: the timeout is accepted and the connection
+    // fails, which is not a usage error.
+    let run = cgt(&[
+        Path::new("metrics"),
+        Path::new("--addr"),
+        Path::new("127.0.0.1:1"),
+        Path::new("--timeout-ms"),
+        zero,
+    ]);
+    assert_ne!(run.status.code(), Some(2), "{run:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A stream with its last event chunk cut out — every CRC still valid —
 /// is corrupt: the footer's census counts events the stream no longer
 /// holds.

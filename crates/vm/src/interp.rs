@@ -7,6 +7,12 @@
 //! seed interpreter cloned every executed instruction, `args` vectors
 //! included).
 //!
+//! The interpreter is one dispatch: one `match` in `Exec::fast_loop`
+//! fetches each instruction once, runs the collector-invisible ones in
+//! place and the rest against `Exec`.  Every frame enters through
+//! `Exec::push_frame`; the allocation retry, the periodic collection,
+//! inline-cache misses, thread spawn and error construction are cold.
+//!
 //! Every collector-visible action is emitted through a single seam,
 //! `Exec::dispatch`, as a typed [`GcEvent`]: the event is offered to an
 //! optional [`EventSink`] (the record side of `cg-trace`) and then routed to
@@ -19,7 +25,7 @@ use crate::collector::{CollectOutcome, Collector, FrameRoots, RootSet};
 use crate::event::{AllocKind, EventSink, GcEvent};
 use crate::frame::{Frame, FrameId, FrameInfo, ThreadId, ThreadState, ThreadStatus};
 use crate::insn::{ArithOp, Insn, LocalIdx, Operand, OPCODE_NAMES};
-use crate::program::{MethodId, Program, ProgramError, StaticId};
+use crate::program::{MethodId, Program, ProgramError};
 use cg_heap::{ClassId, Handle, Heap, HeapConfig, HeapError, HeapStats, Value};
 
 /// Interpreter configuration.
@@ -324,54 +330,97 @@ impl From<ProgramError> for VmError {
 /// Evaluates a binary arithmetic op; `None` signals division by zero.
 fn arith_eval(op: ArithOp, a: i64, b: i64) -> Option<i64> {
     Some(match op {
+        ArithOp::Div | ArithOp::Rem if b == 0 => return None,
         ArithOp::Add => a.wrapping_add(b),
         ArithOp::Sub => a.wrapping_sub(b),
         ArithOp::Mul => a.wrapping_mul(b),
-        ArithOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        ArithOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
+        ArithOp::Div => a.wrapping_div(b),
+        ArithOp::Rem => a.wrapping_rem(b),
         ArithOp::Xor => a ^ b,
     })
 }
 
-/// What [`Exec::allocate`] is being asked for.
-#[derive(Debug, Clone, Copy)]
-enum AllocRequest {
-    Instance { class: ClassId, field_count: usize },
-    Array { class: ClassId, length: usize },
+/// An `int` operand: an immediate, or a local that holds an int.
+#[inline(always)]
+fn int_operand(op: Operand, locals: &[Value], method: MethodId, pc: usize) -> Result<i64, VmError> {
+    match op {
+        Operand::Imm(i) => Ok(i),
+        Operand::Local(l) => locals[l as usize]
+            .as_int()
+            .ok_or_else(|| type_error(method, pc, "int")),
+    }
 }
 
-impl AllocRequest {
-    fn class(self) -> ClassId {
-        match self {
-            AllocRequest::Instance { class, .. } | AllocRequest::Array { class, .. } => class,
-        }
-    }
+/// A non-negative `int` operand: an array length or index.
+fn index_operand(
+    op: Operand,
+    locals: &[Value],
+    method: MethodId,
+    pc: usize,
+    expected: &'static str,
+) -> Result<usize, VmError> {
+    let value = int_operand(op, locals, method, pc)?;
+    usize::try_from(value).map_err(|_| type_error(method, pc, expected))
+}
 
-    fn kind(self) -> AllocKind {
-        match self {
-            AllocRequest::Instance { field_count, .. } => AllocKind::Instance { field_count },
-            AllocRequest::Array { length, .. } => AllocKind::Array { length },
-        }
+/// The object a reference-typed operand names.
+fn reference(value: Value, method: MethodId, pc: usize) -> Result<Handle, VmError> {
+    match value {
+        Value::Ref(Some(handle)) => Ok(handle),
+        Value::Ref(None) => Err(null_reference(method, pc)),
+        _ => Err(type_error(method, pc, "reference")),
     }
+}
+
+#[cold]
+#[inline(never)]
+fn type_error(method: MethodId, pc: usize, expected: &'static str) -> VmError {
+    VmError::TypeError {
+        method,
+        pc,
+        expected,
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn null_reference(method: MethodId, pc: usize) -> VmError {
+    VmError::NullReference { method, pc }
+}
+
+#[cold]
+#[inline(never)]
+fn divide_by_zero(method: MethodId, pc: usize) -> VmError {
+    VmError::DivideByZero { method, pc }
+}
+
+/// One attempt at a fresh heap allocation.
+fn fresh_allocation(heap: &mut Heap, class: ClassId, kind: AllocKind) -> Result<Handle, HeapError> {
+    match kind {
+        AllocKind::Instance { field_count } => heap.allocate(class, field_count),
+        AllocKind::Array { length } => heap.allocate_array(class, length),
+    }
+}
+
+/// Where a new frame's arguments come from.
+enum FrameArgs<'a> {
+    /// Collected values, copied into fresh locals sized by the method table.
+    Values(&'a [Value]),
+    /// The caller's locals, copied into a pooled vector of the cached size.
+    Cached {
+        args: &'a [LocalIdx],
+        max_locals: usize,
+    },
 }
 
 /// All mutable execution state: heap, collector, threads, statics and
 /// statistics.
 ///
-/// Keeping this separate from the [`Program`] is what lets [`Vm::step_slow`]
-/// borrow the current method's code (a `&[Insn]` into the program) while
-/// freely mutating execution state — the borrow checker sees disjoint
-/// fields, so instructions never need to be cloned out of the program.
+/// Keeping this separate from the [`Program`] is what lets
+/// [`Exec::fast_loop`] borrow the current method's code (a `&[Insn]` into
+/// the program) while freely mutating execution state — the borrow checker
+/// sees disjoint values, so instructions never need to be cloned out of the
+/// program.
 #[derive(Debug)]
 struct Exec<C: Collector> {
     config: VmConfig,
@@ -482,6 +531,10 @@ impl<C: Collector> Exec<C> {
         }
     }
 
+    /// A full collection: the periodic GC point, and the retry of an
+    /// allocation that ran out of space.
+    #[cold]
+    #[inline(never)]
     fn run_collection(&mut self) {
         let roots = Box::new(self.build_roots());
         self.dispatch(GcEvent::Collect { roots });
@@ -501,64 +554,75 @@ impl<C: Collector> Exec<C> {
             .locals[idx as usize] = value;
     }
 
-    fn operand_index(
-        &self,
-        thread_idx: usize,
-        op: Operand,
-        info: FrameInfo,
-        pc: usize,
-        expected: &'static str,
-    ) -> Result<usize, VmError> {
-        let value = match op {
-            Operand::Imm(i) => i,
-            Operand::Local(l) => self
-                .local(thread_idx, l)
-                .as_int()
-                .ok_or(VmError::TypeError {
-                    method: info.method,
-                    pc,
-                    expected: "int",
-                })?,
+    /// `thread` touched `handle` (§3.3).
+    fn access(&mut self, handle: Handle, thread: ThreadId) {
+        self.dispatch(GcEvent::ObjectAccess { handle, thread });
+    }
+
+    /// Reads field or element `slot` of `object` and emits its accesses.
+    fn load(
+        &mut self,
+        object: Handle,
+        slot: usize,
+        element: bool,
+        thread: ThreadId,
+    ) -> Result<Value, VmError> {
+        let value = if element {
+            self.heap.element(object, slot)?
+        } else {
+            self.heap.field(object, slot)?
         };
-        usize::try_from(value).map_err(|_| VmError::TypeError {
-            method: info.method,
-            pc,
-            expected,
-        })
-    }
-
-    fn local_handle(
-        &self,
-        thread_idx: usize,
-        idx: LocalIdx,
-        info: FrameInfo,
-        pc: usize,
-    ) -> Result<Handle, VmError> {
-        match self.local(thread_idx, idx) {
-            Value::Ref(Some(h)) => Ok(h),
-            Value::Ref(None) => Err(VmError::NullReference {
-                method: info.method,
-                pc,
-            }),
-            _ => Err(VmError::TypeError {
-                method: info.method,
-                pc,
-                expected: "reference",
-            }),
+        self.access(object, thread);
+        if let Some(target) = value.as_handle() {
+            self.access(target, thread);
         }
+        Ok(value)
     }
 
+    /// Writes field or element `slot` of `object` and emits the write, its
+    /// accesses and, for a reference, the contamination barrier's
+    /// `ReferenceStore` (putfield / aastore).
+    fn store(
+        &mut self,
+        object: Handle,
+        slot: usize,
+        element: bool,
+        value: Value,
+        info: FrameInfo,
+    ) -> Result<(), VmError> {
+        if element {
+            self.heap.set_element(object, slot, value)?;
+        } else {
+            self.heap.set_field(object, slot, value)?;
+        }
+        self.dispatch(GcEvent::SlotWrite {
+            object,
+            slot,
+            value: value.as_handle(),
+            element,
+        });
+        self.access(object, info.thread);
+        if let Some(target) = value.as_handle() {
+            self.access(target, info.thread);
+            self.dispatch(GcEvent::ReferenceStore {
+                source: object,
+                target,
+                frame: info,
+            });
+        }
+        Ok(())
+    }
+
+    /// The one frame entry: the entry method, calls, cached calls and
+    /// spawned threads all push their frame here.
     fn push_frame(
         &mut self,
         program: &Program,
         thread_idx: usize,
         method: MethodId,
-        args: &[Value],
+        args: FrameArgs<'_>,
         return_dst: Option<LocalIdx>,
     ) -> Result<(), VmError> {
-        let def = program
-            .method(method)
-            .expect("method ids are validated before execution");
         let depth = self.threads[thread_idx].depth() + 1;
         if depth > self.config.max_stack_depth {
             return Err(VmError::StackOverflow(self.config.max_stack_depth));
@@ -570,7 +634,27 @@ impl<C: Collector> Exec<C> {
             method,
         };
         self.next_frame_id += 1;
-        let frame = Frame::new(info, def.max_locals(), args, return_dst);
+        let frame = match args {
+            FrameArgs::Values(args) => {
+                let def = program
+                    .method(method)
+                    .expect("method ids are validated before execution");
+                Frame::new(info, def.max_locals(), args, return_dst)
+            }
+            // No argument vector, no fresh allocation.
+            FrameArgs::Cached { args, max_locals } => {
+                let mut locals = self.locals_pool.pop().unwrap_or_default();
+                locals.clear();
+                locals.resize(max_locals, Value::NULL);
+                let caller = self.threads[thread_idx]
+                    .current_frame()
+                    .expect("calling thread has a frame");
+                for (i, &arg) in args.iter().enumerate() {
+                    locals[i] = caller.locals[arg as usize];
+                }
+                Frame::with_locals(info, locals, return_dst)
+            }
+        };
         self.threads[thread_idx].stack.push(frame);
         self.dispatch(GcEvent::FramePush { frame: info });
         self.stats.method_calls += 1;
@@ -578,153 +662,125 @@ impl<C: Collector> Exec<C> {
         Ok(())
     }
 
-    /// The cached-call counterpart of [`Exec::push_frame`]: resolves the
-    /// callee's frame shape through the inline cache and builds the callee
-    /// frame from a pooled locals vector, copying arguments straight out of
-    /// the caller's frame — no argument vector, no fresh allocation, and at
-    /// most one method-table lookup (none on a cache hit).
-    ///
-    /// Emits exactly the events and statistics `push_frame` would.
-    fn push_frame_cached(
+    /// An inline-cache miss at `site`: resolves `method`'s frame shape
+    /// through the method table and caches it.
+    #[cold]
+    #[inline(never)]
+    fn call_site_miss(&mut self, program: &Program, method: MethodId, site: u32) -> usize {
+        let max_locals = program
+            .method(method)
+            .expect("method ids are validated before execution")
+            .max_locals();
+        let slot = &mut self.call_sites[site as usize];
+        slot.misses += 1;
+        // A hand-crafted method whose max_locals exceeds u32 simply stays
+        // uncached rather than storing a truncated shape.
+        if let Ok(cached) = u32::try_from(max_locals) {
+            slot.cached_method = method.index() as u32;
+            slot.max_locals = cached;
+        }
+        max_locals
+    }
+
+    /// Starts a thread that runs `method` on `args`.
+    #[cold]
+    #[inline(never)]
+    fn spawn_thread(
         &mut self,
         program: &Program,
         thread_idx: usize,
         method: MethodId,
         args: &[LocalIdx],
-        return_dst: Option<LocalIdx>,
-        site: u32,
     ) -> Result<(), VmError> {
-        let slot = &mut self.call_sites[site as usize];
-        let max_locals = if slot.cached_method == method.index() as u32 {
-            slot.hits += 1;
-            slot.max_locals as usize
-        } else {
-            let def = program
-                .method(method)
-                .expect("method ids are validated before execution");
-            slot.misses += 1;
-            // A hand-crafted method whose max_locals exceeds u32 simply
-            // stays uncached rather than storing a truncated shape.
-            if let Ok(max_locals) = u32::try_from(def.max_locals()) {
-                slot.cached_method = method.index() as u32;
-                slot.max_locals = max_locals;
-            }
-            def.max_locals()
-        };
-        let depth = self.threads[thread_idx].depth() + 1;
-        if depth > self.config.max_stack_depth {
-            return Err(VmError::StackOverflow(self.config.max_stack_depth));
+        let args: Vec<Value> = args.iter().map(|&a| self.local(thread_idx, a)).collect();
+        // Thread ids are 32-bit; the configured cap (defaulting to the id
+        // space) turns exhaustion into an error instead of silently wrapping
+        // onto an existing thread's identity.
+        if self.threads.len() >= self.config.max_threads {
+            return Err(VmError::TooManyThreads {
+                limit: self.config.max_threads as u64,
+            });
         }
-        let info = FrameInfo {
-            id: FrameId::new(self.next_frame_id),
-            depth,
-            thread: self.threads[thread_idx].id,
-            method,
-        };
-        self.next_frame_id += 1;
-        let mut locals = self.locals_pool.pop().unwrap_or_default();
-        locals.clear();
-        locals.resize(max_locals, Value::NULL);
-        {
-            let caller = self.threads[thread_idx]
-                .current_frame()
-                .expect("calling thread has a frame");
-            for (i, &arg) in args.iter().enumerate() {
-                locals[i] = caller.locals[arg as usize];
-            }
+        let new_id = u32::try_from(self.threads.len())
+            .map(ThreadId::new)
+            .map_err(|_| VmError::TooManyThreads {
+                limit: u64::from(u32::MAX) + 1,
+            })?;
+        self.threads.push(ThreadState::new(new_id));
+        let new_idx = self.threads.len() - 1;
+        self.stats.threads_spawned += 1;
+        // Handing an object to another thread makes it thread-shared from
+        // the collector's point of view (§3.3).
+        for handle in args.iter().filter_map(Value::as_handle) {
+            self.access(handle, new_id);
         }
-        self.threads[thread_idx]
-            .stack
-            .push(Frame::with_locals(info, locals, return_dst));
-        self.dispatch(GcEvent::FramePush { frame: info });
-        self.stats.method_calls += 1;
-        self.stats.max_stack_depth = self.stats.max_stack_depth.max(depth);
-        Ok(())
+        self.push_frame(program, new_idx, method, FrameArgs::Values(&args), None)
     }
 
     /// Allocates an instance or array: the collector's recycle list is
     /// offered first (instances only, §3.7), then the heap, then — after a
     /// full collection — the heap once more.  This is the single place the
     /// collection-retry policy lives.
-    fn allocate(&mut self, request: AllocRequest, info: FrameInfo) -> Result<Handle, VmError> {
-        if let AllocRequest::Instance { class, field_count } = request {
-            if let Some(handle) =
+    fn allocate(
+        &mut self,
+        class: ClassId,
+        kind: AllocKind,
+        info: FrameInfo,
+    ) -> Result<Handle, VmError> {
+        let recycled = match kind {
+            AllocKind::Instance { field_count } => {
                 self.collector
                     .try_recycled_alloc(class, field_count, &info, &mut self.heap)
-            {
-                self.stats.recycled_allocations += 1;
-                self.stats.objects_allocated += 1;
-                self.dispatch(GcEvent::Allocate {
-                    handle,
-                    class: request.class(),
-                    kind: request.kind(),
-                    frame: info,
-                    recycled: true,
-                });
-                return Ok(handle);
             }
-        }
-        let handle = match self.heap_alloc(request) {
-            Ok(handle) => handle,
-            Err(HeapError::OutOfObjectSpace { requested, .. })
-            | Err(HeapError::OutOfHandleSpace {
-                capacity: requested,
-            }) => {
-                self.stats.allocation_retries += 1;
-                self.run_collection();
-                self.heap_alloc(request).map_err(|_| VmError::OutOfMemory {
-                    class: request.class(),
-                    requested,
-                })?
-            }
-            Err(e) => return Err(e.into()),
+            AllocKind::Array { .. } => None,
         };
+        let handle = match recycled {
+            Some(handle) => handle,
+            None => match fresh_allocation(&mut self.heap, class, kind) {
+                Ok(handle) => handle,
+                Err(error) => self.allocate_after_collection(class, kind, error)?,
+            },
+        };
+        match kind {
+            AllocKind::Instance { .. } => self.stats.objects_allocated += 1,
+            AllocKind::Array { .. } => self.stats.arrays_allocated += 1,
+        }
+        let recycled = recycled.is_some();
+        self.stats.recycled_allocations += u64::from(recycled);
         self.dispatch(GcEvent::Allocate {
             handle,
-            class: request.class(),
-            kind: request.kind(),
+            class,
+            kind,
             frame: info,
-            recycled: false,
+            recycled,
         });
         Ok(handle)
     }
 
-    /// One attempt at a fresh heap allocation, with stats accounting.
-    /// Dispatching the `Allocate` event (and thereby `on_allocate`) is the
-    /// caller's responsibility — [`Exec::allocate`] is the only caller and
-    /// emits it once per successful allocation, retried or not.
-    fn heap_alloc(&mut self, request: AllocRequest) -> Result<Handle, HeapError> {
-        let handle = match request {
-            AllocRequest::Instance { class, field_count } => {
-                let handle = self.heap.allocate(class, field_count)?;
-                self.stats.objects_allocated += 1;
-                handle
-            }
-            AllocRequest::Array { class, length } => {
-                let handle = self.heap.allocate_array(class, length)?;
-                self.stats.arrays_allocated += 1;
-                handle
-            }
-        };
-        Ok(handle)
-    }
-
-    fn write_static(&mut self, static_id: StaticId, value: Value, thread_id: ThreadId) {
-        self.statics[static_id.index()] = value;
-        if let Some(target) = value.as_handle() {
-            self.dispatch(GcEvent::ObjectAccess {
-                handle: target,
-                thread: thread_id,
-            });
-            self.dispatch(GcEvent::StaticStore { target });
-        }
-    }
-
-    fn return_from_frame(
+    /// The retry of a heap allocation that ran out of space: one full
+    /// collection, then one more attempt.
+    #[cold]
+    #[inline(never)]
+    fn allocate_after_collection(
         &mut self,
-        thread_idx: usize,
-        value: Option<LocalIdx>,
-    ) -> Result<(), VmError> {
+        class: ClassId,
+        kind: AllocKind,
+        error: HeapError,
+    ) -> Result<Handle, VmError> {
+        let requested = match error {
+            HeapError::OutOfObjectSpace { requested, .. }
+            | HeapError::OutOfHandleSpace {
+                capacity: requested,
+            } => requested,
+            error => return Err(error.into()),
+        };
+        self.stats.allocation_retries += 1;
+        self.run_collection();
+        fresh_allocation(&mut self.heap, class, kind)
+            .map_err(|_| VmError::OutOfMemory { class, requested })
+    }
+
+    fn return_from_frame(&mut self, thread_idx: usize, value: Option<LocalIdx>) {
         let callee = self.threads[thread_idx]
             .stack
             .pop()
@@ -768,7 +824,215 @@ impl<C: Collector> Exec<C> {
         if self.threads[thread_idx].stack.is_empty() {
             self.threads[thread_idx].status = ThreadStatus::Finished;
         }
+    }
+
+    /// Runs up to `thread_quantum` instructions on one thread.
+    fn run_quantum(&mut self, program: &Program, thread_idx: usize) -> Result<(), VmError> {
+        let mut budget = self.config.thread_quantum;
+        while budget > 0 && self.threads[thread_idx].status == ThreadStatus::Runnable {
+            if self.fast_loop(program, thread_idx, &mut budget)? == Some(Boundary::GcDue) {
+                self.run_collection();
+            }
+        }
         Ok(())
+    }
+
+    /// The dispatch: fetches each instruction of the current frame once and
+    /// runs it against frame and bytecode borrows held across instructions
+    /// (the som-rs `current_bytecodes` pattern).
+    ///
+    /// Constants, moves, arithmetic, jumps and branches run in place and
+    /// loop.  Every other instruction touches the heap, the collector or the
+    /// frame stack: it writes the resume pc back into the frame, releases
+    /// the frame borrow, runs, and returns, so the next call re-derives the
+    /// frame.  Each instruction is retired through [`retire`]; returns the
+    /// boundary retirement reached.
+    fn fast_loop(
+        &mut self,
+        program: &Program,
+        thread_idx: usize,
+        budget: &mut usize,
+    ) -> Result<Option<Boundary>, VmError> {
+        let frame = self.threads[thread_idx]
+            .stack
+            .last_mut()
+            .expect("runnable thread has a frame");
+        let info = frame.info;
+        let method = info.method;
+        let code = program.method(method).expect("validated method").code();
+        let mut pc = frame.pc;
+
+        // Calls and spawns push their frame only after the pc write.
+        macro_rules! slow {
+            ($run:expr) => {{
+                frame.pc = pc + 1;
+                $run;
+                break;
+            }};
+        }
+
+        loop {
+            let Some(insn) = code.get(pc) else {
+                // Falling off the end of a method behaves like a bare return.
+                slow!(self.return_from_frame(thread_idx, None))
+            };
+            if cfg!(feature = "profile") {
+                self.profile.opcode_counts[insn.opcode_index()] += 1;
+            }
+            pc = match insn {
+                Insn::Nop => pc + 1,
+                Insn::Const { dst, value } => {
+                    frame.locals[*dst as usize] = Value::Int(*value);
+                    pc + 1
+                }
+                Insn::LoadNull { dst } => {
+                    frame.locals[*dst as usize] = Value::NULL;
+                    pc + 1
+                }
+                Insn::Move { dst, src } => {
+                    frame.locals[*dst as usize] = frame.locals[*src as usize];
+                    pc + 1
+                }
+                Insn::Arith { op, dst, a, b } => {
+                    let a = int_operand(*a, &frame.locals, method, pc)?;
+                    let b = int_operand(*b, &frame.locals, method, pc)?;
+                    let result = arith_eval(*op, a, b).ok_or_else(|| divide_by_zero(method, pc))?;
+                    frame.locals[*dst as usize] = Value::Int(result);
+                    pc + 1
+                }
+                Insn::Jump { target } => *target,
+                Insn::Branch { cond, a, b, target } => {
+                    let a = int_operand(*a, &frame.locals, method, pc)?;
+                    let b = int_operand(*b, &frame.locals, method, pc)?;
+                    if cond.eval(a, b) {
+                        *target
+                    } else {
+                        pc + 1
+                    }
+                }
+                Insn::Return { value } => slow!(self.return_from_frame(thread_idx, *value)),
+                Insn::New { class, dst } => slow!({
+                    let field_count = program
+                        .class(*class)
+                        .expect("class ids are validated before execution")
+                        .field_count();
+                    let handle =
+                        self.allocate(*class, AllocKind::Instance { field_count }, info)?;
+                    self.set_local(thread_idx, *dst, Value::from(handle));
+                }),
+                Insn::NewArray { class, length, dst } => slow!({
+                    let expected = "non-negative array length";
+                    let length = index_operand(*length, &frame.locals, method, pc, expected)?;
+                    let handle = self.allocate(*class, AllocKind::Array { length }, info)?;
+                    self.set_local(thread_idx, *dst, Value::from(handle));
+                }),
+                Insn::PutField {
+                    object,
+                    field,
+                    value,
+                } => slow!({
+                    let object = reference(frame.locals[*object as usize], method, pc)?;
+                    let value = frame.locals[*value as usize];
+                    self.store(object, *field, false, value, info)?;
+                }),
+                Insn::GetField { object, field, dst } => slow!({
+                    let object = reference(frame.locals[*object as usize], method, pc)?;
+                    let value = self.load(object, *field, false, info.thread)?;
+                    self.set_local(thread_idx, *dst, value);
+                }),
+                Insn::ArrayStore {
+                    array,
+                    index,
+                    value,
+                } => slow!({
+                    let array = reference(frame.locals[*array as usize], method, pc)?;
+                    let expected = "non-negative array index";
+                    let index = index_operand(*index, &frame.locals, method, pc, expected)?;
+                    let value = frame.locals[*value as usize];
+                    self.store(array, index, true, value, info)?;
+                }),
+                Insn::ArrayLoad { array, index, dst } => slow!({
+                    let array = reference(frame.locals[*array as usize], method, pc)?;
+                    let expected = "non-negative array index";
+                    let index = index_operand(*index, &frame.locals, method, pc, expected)?;
+                    let value = self.load(array, index, true, info.thread)?;
+                    self.set_local(thread_idx, *dst, value);
+                }),
+                Insn::PutStatic { static_id, value } => slow!({
+                    let value = frame.locals[*value as usize];
+                    self.statics[static_id.index()] = value;
+                    if let Some(target) = value.as_handle() {
+                        self.access(target, info.thread);
+                        self.dispatch(GcEvent::StaticStore { target });
+                    }
+                }),
+                Insn::GetStatic { static_id, dst } => slow!({
+                    let value = self.statics[static_id.index()];
+                    if let Some(target) = value.as_handle() {
+                        self.access(target, info.thread);
+                    }
+                    self.set_local(thread_idx, *dst, value);
+                }),
+                Insn::Intern { key, src, dst } => slow!({
+                    let src = frame.locals[*src as usize];
+                    let handle = match self.intern_table.get(key) {
+                        Some(&existing) => {
+                            self.access(existing, info.thread);
+                            existing
+                        }
+                        None => {
+                            let handle = reference(src, method, pc)?;
+                            self.intern_table.insert(*key, handle);
+                            // Interned objects are reachable from the
+                            // interpreter's hash table for the rest of the
+                            // program (§3.2).
+                            self.dispatch(GcEvent::StaticStore { target: handle });
+                            handle
+                        }
+                    };
+                    self.set_local(thread_idx, *dst, Value::from(handle));
+                }),
+                Insn::NativeStaticRef { src } => slow!({
+                    let handle = reference(frame.locals[*src as usize], method, pc)?;
+                    self.native_refs.push(handle);
+                    self.dispatch(GcEvent::StaticStore { target: handle });
+                }),
+                Insn::Call {
+                    method: callee,
+                    args,
+                    dst,
+                } => slow!({
+                    let args: Vec<Value> =
+                        args.iter().map(|&a| self.local(thread_idx, a)).collect();
+                    self.push_frame(program, thread_idx, *callee, FrameArgs::Values(&args), *dst)?;
+                }),
+                Insn::CallCached {
+                    method: callee,
+                    args,
+                    dst,
+                    site,
+                } => slow!({
+                    let slot = &mut self.call_sites[*site as usize];
+                    let max_locals = if slot.cached_method == callee.index() as u32 {
+                        slot.hits += 1;
+                        slot.max_locals as usize
+                    } else {
+                        self.call_site_miss(program, *callee, *site)
+                    };
+                    let args = FrameArgs::Cached { args, max_locals };
+                    self.push_frame(program, thread_idx, *callee, args, *dst)?;
+                }),
+                Insn::SpawnThread {
+                    method: entry,
+                    args,
+                } => slow!(self.spawn_thread(program, thread_idx, *entry, args)?),
+            };
+            if let Some(boundary) = retire(&mut self.stats, &self.config, budget)? {
+                frame.pc = pc;
+                return Ok(Some(boundary));
+            }
+        }
+        retire(&mut self.stats, &self.config, budget)
     }
 }
 
@@ -886,23 +1150,19 @@ impl<C: Collector> Vm<C> {
         let start = std::time::Instant::now();
 
         self.ex.threads.push(ThreadState::new(ThreadId::MAIN));
-        self.ex.push_frame(&self.program, 0, entry, &[], None)?;
+        self.ex
+            .push_frame(&self.program, 0, entry, FrameArgs::Values(&[]), None)?;
 
         let mut current = 0usize;
-        loop {
-            if self
-                .ex
-                .threads
-                .iter()
-                .all(|t| t.status == ThreadStatus::Finished)
-            {
-                break;
+        while self
+            .ex
+            .threads
+            .iter()
+            .any(|t| t.status != ThreadStatus::Finished)
+        {
+            if self.ex.threads[current].status == ThreadStatus::Runnable {
+                self.ex.run_quantum(&self.program, current)?;
             }
-            if self.ex.threads[current].status != ThreadStatus::Runnable {
-                current = (current + 1) % self.ex.threads.len();
-                continue;
-            }
-            self.run_quantum(current)?;
             current = (current + 1) % self.ex.threads.len();
         }
 
@@ -921,388 +1181,6 @@ impl<C: Collector> Vm<C> {
     /// statics, the intern table and native static references.
     pub fn build_roots(&self) -> RootSet {
         self.ex.build_roots()
-    }
-
-    /// Runs up to `thread_quantum` instructions on one thread.
-    ///
-    /// [`Vm::fast_loop`] executes the collector-invisible instructions
-    /// (constants, moves, arithmetic, jumps, branches) against cached frame
-    /// and bytecode borrows; anything that touches the heap, the collector
-    /// or the frame stack goes to [`Vm::step_slow`], one instruction at a
-    /// time.  Both retire every instruction through [`retire`].
-    fn run_quantum(&mut self, thread_idx: usize) -> Result<(), VmError> {
-        let mut budget = self.ex.config.thread_quantum;
-        while budget > 0 && self.ex.threads[thread_idx].status == ThreadStatus::Runnable {
-            let boundary = match self.fast_loop(thread_idx, &mut budget)? {
-                None => {
-                    self.step_slow(thread_idx)?;
-                    retire(&mut self.ex.stats, &self.ex.config, &mut budget)?
-                }
-                boundary => boundary,
-            };
-            if boundary == Some(Boundary::GcDue) {
-                self.ex.run_collection();
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes consecutive collector-invisible instructions without
-    /// re-borrowing the frame or the bytecode between dispatches (the som-rs
-    /// `current_bytecodes` pattern).  Returns the boundary it stopped at, or
-    /// `None` when the instruction at the written-back pc needs
-    /// [`Vm::step_slow`].
-    fn fast_loop(
-        &mut self,
-        thread_idx: usize,
-        budget: &mut usize,
-    ) -> Result<Option<Boundary>, VmError> {
-        let Exec {
-            threads,
-            stats,
-            config,
-            profile,
-            ..
-        } = &mut self.ex;
-        let frame = threads[thread_idx]
-            .stack
-            .last_mut()
-            .expect("runnable thread has a frame");
-        let method = frame.info.method;
-        let code = self
-            .program
-            .method(method)
-            .expect("validated method")
-            .code();
-        let mut pc = frame.pc;
-
-        macro_rules! op_int {
-            ($op:expr) => {
-                match $op {
-                    Operand::Imm(i) => *i,
-                    Operand::Local(l) => match frame.locals[*l as usize].as_int() {
-                        Some(v) => v,
-                        None => {
-                            return Err(VmError::TypeError {
-                                method,
-                                pc,
-                                expected: "int",
-                            })
-                        }
-                    },
-                }
-            };
-        }
-
-        let exit = loop {
-            // Falling off the end of the method is a return: slow path.
-            let Some(insn) = code.get(pc) else {
-                break None;
-            };
-            // Every executed instruction is fetched here exactly once, slow
-            // ones included.
-            if cfg!(feature = "profile") {
-                profile.opcode_counts[insn.opcode_index()] += 1;
-            }
-            pc = match insn {
-                Insn::Nop => pc + 1,
-                Insn::Const { dst, value } => {
-                    frame.locals[*dst as usize] = Value::Int(*value);
-                    pc + 1
-                }
-                Insn::LoadNull { dst } => {
-                    frame.locals[*dst as usize] = Value::NULL;
-                    pc + 1
-                }
-                Insn::Move { dst, src } => {
-                    frame.locals[*dst as usize] = frame.locals[*src as usize];
-                    pc + 1
-                }
-                Insn::Arith { op, dst, a, b } => {
-                    let a = op_int!(a);
-                    let b = op_int!(b);
-                    match arith_eval(*op, a, b) {
-                        Some(result) => frame.locals[*dst as usize] = Value::Int(result),
-                        None => return Err(VmError::DivideByZero { method, pc }),
-                    }
-                    pc + 1
-                }
-                Insn::Jump { target } => *target,
-                Insn::Branch { cond, a, b, target } => {
-                    let a = op_int!(a);
-                    let b = op_int!(b);
-                    if cond.eval(a, b) {
-                        *target
-                    } else {
-                        pc + 1
-                    }
-                }
-                _ => break None,
-            };
-            if let Some(boundary) = retire(stats, config, budget)? {
-                break Some(boundary);
-            }
-        };
-        frame.pc = pc;
-        Ok(exit)
-    }
-
-    /// Executes the one instruction at the current pc that
-    /// [`Vm::fast_loop`] left for it: allocation, field, array and static
-    /// traffic, calls, returns and spawns.  The caller retires it.
-    fn step_slow(&mut self, thread_idx: usize) -> Result<(), VmError> {
-        // One frame lookup yields everything the dispatch needs; the frame's
-        // identity, depth and method are cached in the frame itself.
-        let (info, pc, thread_id) = {
-            let thread = &mut self.ex.threads[thread_idx];
-            let thread_id = thread.id;
-            let frame = thread
-                .current_frame_mut()
-                .expect("runnable thread has a frame");
-            let pc = frame.pc;
-            // Resume after this instruction: calls and spawns push their
-            // frame only after this write.
-            frame.pc = pc + 1;
-            (frame.info, pc, thread_id)
-        };
-        // `insn` borrows the program's code; execution below mutates only
-        // `self.ex`, so nothing is cloned.
-        let insn = self
-            .program
-            .method(info.method)
-            .expect("validated method")
-            .code()
-            .get(pc);
-
-        match insn {
-            // Falling off the end of a method behaves like a bare return.
-            None => self.ex.return_from_frame(thread_idx, None)?,
-            Some(Insn::Return { value }) => self.ex.return_from_frame(thread_idx, *value)?,
-            Some(Insn::New { class, dst }) => {
-                let field_count = self
-                    .program
-                    .class(*class)
-                    .expect("class ids are validated before execution")
-                    .field_count();
-                let request = AllocRequest::Instance {
-                    class: *class,
-                    field_count,
-                };
-                let handle = self.ex.allocate(request, info)?;
-                self.ex.set_local(thread_idx, *dst, Value::from(handle));
-            }
-            Some(Insn::NewArray { class, length, dst }) => {
-                let length = self.ex.operand_index(
-                    thread_idx,
-                    *length,
-                    info,
-                    pc,
-                    "non-negative array length",
-                )?;
-                let request = AllocRequest::Array {
-                    class: *class,
-                    length,
-                };
-                let handle = self.ex.allocate(request, info)?;
-                self.ex.set_local(thread_idx, *dst, Value::from(handle));
-            }
-            Some(Insn::PutField {
-                object,
-                field,
-                value,
-            }) => {
-                let object = self.ex.local_handle(thread_idx, *object, info, pc)?;
-                let value = self.ex.local(thread_idx, *value);
-                self.ex.heap.set_field(object, *field, value)?;
-                self.ex.dispatch(GcEvent::SlotWrite {
-                    object,
-                    slot: *field,
-                    value: value.as_handle(),
-                    element: false,
-                });
-                self.ex.dispatch(GcEvent::ObjectAccess {
-                    handle: object,
-                    thread: thread_id,
-                });
-                if let Some(target) = value.as_handle() {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: target,
-                        thread: thread_id,
-                    });
-                    self.ex.dispatch(GcEvent::ReferenceStore {
-                        source: object,
-                        target,
-                        frame: info,
-                    });
-                }
-            }
-            Some(Insn::GetField { object, field, dst }) => {
-                let object = self.ex.local_handle(thread_idx, *object, info, pc)?;
-                let value = self.ex.heap.field(object, *field)?;
-                self.ex.dispatch(GcEvent::ObjectAccess {
-                    handle: object,
-                    thread: thread_id,
-                });
-                if let Some(target) = value.as_handle() {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: target,
-                        thread: thread_id,
-                    });
-                }
-                self.ex.set_local(thread_idx, *dst, value);
-            }
-            Some(Insn::ArrayStore {
-                array,
-                index,
-                value,
-            }) => {
-                let array = self.ex.local_handle(thread_idx, *array, info, pc)?;
-                let index = self.ex.operand_index(
-                    thread_idx,
-                    *index,
-                    info,
-                    pc,
-                    "non-negative array index",
-                )?;
-                let value = self.ex.local(thread_idx, *value);
-                self.ex.heap.set_element(array, index, value)?;
-                self.ex.dispatch(GcEvent::SlotWrite {
-                    object: array,
-                    slot: index,
-                    value: value.as_handle(),
-                    element: true,
-                });
-                self.ex.dispatch(GcEvent::ObjectAccess {
-                    handle: array,
-                    thread: thread_id,
-                });
-                if let Some(target) = value.as_handle() {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: target,
-                        thread: thread_id,
-                    });
-                    self.ex.dispatch(GcEvent::ReferenceStore {
-                        source: array,
-                        target,
-                        frame: info,
-                    });
-                }
-            }
-            Some(Insn::ArrayLoad { array, index, dst }) => {
-                let array = self.ex.local_handle(thread_idx, *array, info, pc)?;
-                let index = self.ex.operand_index(
-                    thread_idx,
-                    *index,
-                    info,
-                    pc,
-                    "non-negative array index",
-                )?;
-                let value = self.ex.heap.element(array, index)?;
-                self.ex.dispatch(GcEvent::ObjectAccess {
-                    handle: array,
-                    thread: thread_id,
-                });
-                if let Some(target) = value.as_handle() {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: target,
-                        thread: thread_id,
-                    });
-                }
-                self.ex.set_local(thread_idx, *dst, value);
-            }
-            Some(Insn::PutStatic { static_id, value }) => {
-                let value = self.ex.local(thread_idx, *value);
-                self.ex.write_static(*static_id, value, thread_id);
-            }
-            Some(Insn::GetStatic { static_id, dst }) => {
-                let value = self.ex.statics[static_id.index()];
-                if let Some(target) = value.as_handle() {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: target,
-                        thread: thread_id,
-                    });
-                }
-                self.ex.set_local(thread_idx, *dst, value);
-            }
-            Some(Insn::Intern { key, src, dst }) => {
-                if let Some(&existing) = self.ex.intern_table.get(key) {
-                    self.ex.dispatch(GcEvent::ObjectAccess {
-                        handle: existing,
-                        thread: thread_id,
-                    });
-                    self.ex.set_local(thread_idx, *dst, Value::from(existing));
-                } else {
-                    let handle = self.ex.local_handle(thread_idx, *src, info, pc)?;
-                    self.ex.intern_table.insert(*key, handle);
-                    // Interned objects are reachable from the interpreter's
-                    // hash table for the rest of the program (§3.2).
-                    self.ex.dispatch(GcEvent::StaticStore { target: handle });
-                    self.ex.set_local(thread_idx, *dst, Value::from(handle));
-                }
-            }
-            Some(Insn::NativeStaticRef { src }) => {
-                let handle = self.ex.local_handle(thread_idx, *src, info, pc)?;
-                self.ex.native_refs.push(handle);
-                self.ex.dispatch(GcEvent::StaticStore { target: handle });
-            }
-            Some(Insn::Call { method, args, dst }) => {
-                let arg_values: Vec<Value> =
-                    args.iter().map(|&a| self.ex.local(thread_idx, a)).collect();
-                self.ex
-                    .push_frame(&self.program, thread_idx, *method, &arg_values, *dst)?;
-            }
-            Some(Insn::CallCached {
-                method,
-                args,
-                dst,
-                site,
-            }) => {
-                self.ex
-                    .push_frame_cached(&self.program, thread_idx, *method, args, *dst, *site)?;
-            }
-            Some(Insn::SpawnThread { method, args }) => {
-                let arg_values: Vec<Value> =
-                    args.iter().map(|&a| self.ex.local(thread_idx, a)).collect();
-                // Thread ids are 32-bit; the configured cap (defaulting to
-                // the id space) turns exhaustion into an error instead of
-                // silently wrapping onto an existing thread's identity.
-                if self.ex.threads.len() >= self.ex.config.max_threads {
-                    return Err(VmError::TooManyThreads {
-                        limit: self.ex.config.max_threads as u64,
-                    });
-                }
-                let new_id = u32::try_from(self.ex.threads.len())
-                    .map(ThreadId::new)
-                    .map_err(|_| VmError::TooManyThreads {
-                        limit: u64::from(u32::MAX) + 1,
-                    })?;
-                self.ex.threads.push(ThreadState::new(new_id));
-                let new_idx = self.ex.threads.len() - 1;
-                self.ex.stats.threads_spawned += 1;
-                // Handing an object to another thread makes it thread-shared
-                // from the collector's point of view (§3.3).
-                for value in &arg_values {
-                    if let Some(handle) = value.as_handle() {
-                        self.ex.dispatch(GcEvent::ObjectAccess {
-                            handle,
-                            thread: new_id,
-                        });
-                    }
-                }
-                self.ex
-                    .push_frame(&self.program, new_idx, *method, &arg_values, None)?;
-            }
-            Some(
-                fast @ (Insn::Nop
-                | Insn::Const { .. }
-                | Insn::LoadNull { .. }
-                | Insn::Move { .. }
-                | Insn::Arith { .. }
-                | Insn::Jump { .. }
-                | Insn::Branch { .. }),
-            ) => unreachable!("{fast:?} runs in the fast loop"),
-        }
-        Ok(())
     }
 }
 
@@ -2078,6 +1956,27 @@ mod tests {
         ));
         p.set_entry(main);
         p
+    }
+
+    /// Every executed instruction is counted once, at its one fetch, slow
+    /// ones included.  A method that falls off its end retires an
+    /// instruction no opcode names, so every method here returns explicitly.
+    #[cfg(feature = "profile")]
+    #[test]
+    fn profile_counts_every_executed_instruction_once() {
+        for fusion in [true, false] {
+            let config = VmConfig::small().with_fusion(fusion);
+            let mut vm = Vm::new(call_loop_program(), config, NoopCollector::new());
+            let stats = vm.run().expect("program runs").stats;
+            assert_eq!(stats.threads_spawned, 1);
+            assert_eq!(stats.method_calls, 5 + 1 + 1, "fusion {fusion}");
+            let counts = vm.dispatch_profile().opcode_counts;
+            assert_eq!(
+                counts.iter().sum::<u64>(),
+                stats.instructions,
+                "fusion {fusion}"
+            );
+        }
     }
 
     #[test]
