@@ -44,23 +44,23 @@ use cg_vm::NoopCollector;
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
     "gen/alloc-heavy methods=4 allocations=327",
-    "record/alloc-heavy events=730 instructions=1079 allocations=787",
-    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=10057",
+    "record/alloc-heavy events=730 instructions=1079 allocations=784",
+    "oracle/alloc-heavy trace_events=731 instructions=1079 objects_created=313 allocations=10025",
     "gen/store-heavy methods=4 allocations=240",
-    "record/store-heavy events=49 instructions=31 allocations=386",
-    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2776",
+    "record/store-heavy events=49 instructions=31 allocations=382",
+    "oracle/store-heavy trace_events=49 instructions=31 objects_created=6 allocations=2744",
     "gen/deep-calls methods=21 allocations=603",
-    "record/deep-calls events=891 instructions=565 allocations=1027",
-    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8628",
+    "record/deep-calls events=891 instructions=565 allocations=1024",
+    "oracle/deep-calls trace_events=891 instructions=565 objects_created=154 allocations=8596",
     "gen/threads methods=6 allocations=370",
-    "record/threads events=96 instructions=80 allocations=580",
-    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=4007",
+    "record/threads events=96 instructions=80 allocations=577",
+    "oracle/threads trace_events=96 instructions=80 objects_created=21 allocations=3975",
     "gen/recycle-churn methods=5 allocations=337",
-    "record/recycle-churn events=1711 instructions=2161 allocations=1291",
-    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=23171",
+    "record/recycle-churn events=1711 instructions=2161 allocations=1288",
+    "oracle/recycle-churn trace_events=1713 instructions=2161 objects_created=761 allocations=23139",
     "gen/array-heavy methods=5 allocations=256",
-    "record/array-heavy events=24 instructions=17 allocations=405",
-    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2818",
+    "record/array-heavy events=24 instructions=17 allocations=402",
+    "oracle/array-heavy trace_events=24 instructions=17 objects_created=5 allocations=2789",
 ];
 
 fn main() {

@@ -46,7 +46,7 @@ const SERVING_SHARDS: usize = 4;
 
 /// One line per label: its counts, zero counters omitted.
 const EXPECTED: &[&str] = &[
-    "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30430",
+    "serving_shards/javac_style/partition_4 events=598129 bytes=1880085 allocations=30166",
     "serving_shards/javac_style/single events_replayed=598129 allocations=271055",
     "serving_shards/javac_style/sharded_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=25",
     "serving_shards/javac_style/routed_4 events_replayed=598129 unions=50999 contaminations=75249 static_opt_skips=24250 objects_collected=120000 allocations=152",

@@ -37,7 +37,7 @@ const EXPECTED: &[&str] = &[
     "timing_size1/compress/jdk-msa instructions=3409194 objects_created=1245 allocations=1406",
     "timing_size1/compress/cg instructions=3409194 objects_created=1245 objects_freed=136 allocations=2995",
     "timing_size1/compress/cg-recycle instructions=3409194 objects_created=1245 allocations=2863",
-    "trace/db_record_once events=12167 peak_bytes=991644 allocations=2123",
+    "trace/db_record_once events=12167 peak_bytes=995154 allocations=2124",
     "trace/db_replay_cg instructions=49368 objects_created=1897 objects_freed=690 allocations=4380",
 ];
 

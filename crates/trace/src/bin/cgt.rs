@@ -287,9 +287,11 @@ impl Flags {
     }
 }
 
-/// Records `workload` to `path` with O(chunk) memory and embeds the
-/// canonical stats footer: record to a sibling temp file, stream-replay it
-/// to compute the statistics, then stream-rewrite with the `"cg"` section.
+/// Records `workload` to `path` with O(chunk) memory (each writer holds two
+/// chunk buffers and one framed chunk, and runs one compressor thread) and
+/// embeds the canonical stats footer: record to a sibling temp file,
+/// stream-replay it to compute the statistics, then stream-rewrite with the
+/// `"cg"` section.
 fn record_workload(
     workload: Workload,
     size: cg_workloads::Size,

@@ -76,17 +76,19 @@ pub struct Compressor {
 }
 
 impl Compressor {
-    /// Compresses `src`, returning the token stream.
+    /// Compresses `src`, appending the token stream to `out` (whose
+    /// earlier bytes are left as they are, so a caller can frame the
+    /// tokens in place).
     ///
-    /// The output may be larger than the input for incompressible data; the
-    /// caller ([`io`](crate::io)) compares sizes and stores whichever
-    /// encoding is smaller.  It depends on `src` alone, not on what was
+    /// The tokens may outnumber the input bytes for incompressible data;
+    /// the caller ([`io`](crate::io)) compares sizes and stores whichever
+    /// encoding is smaller.  They depend on `src` alone, not on what was
     /// compressed before.
     ///
     /// # Panics
     ///
     /// Panics if `src` is 4 GiB or longer.
-    pub fn compress(&mut self, src: &[u8]) -> Vec<u8> {
+    pub fn compress_into(&mut self, src: &[u8], out: &mut Vec<u8>) {
         let n = u32::try_from(src.len())
             .ok()
             .filter(|&n| n < u32::MAX)
@@ -108,7 +110,7 @@ impl Compressor {
             }
         };
 
-        let mut out = Vec::with_capacity(src.len() / 2 + 16);
+        out.reserve(src.len() / 2 + 16);
         let mut control_at = usize::MAX;
         let mut control_bit = 8u8;
         let mut emit_flag = |out: &mut Vec<u8>, is_match: bool| {
@@ -154,7 +156,7 @@ impl Compressor {
                 }
             }
             if best_len >= MIN_MATCH {
-                emit_flag(&mut out, true);
+                emit_flag(out, true);
                 out.extend_from_slice(&(best_dist as u16).to_le_bytes());
                 out.push((best_len - MIN_MATCH) as u8);
                 // Index the covered positions so later matches can reach
@@ -164,13 +166,12 @@ impl Compressor {
                 }
                 pos += best_len;
             } else {
-                emit_flag(&mut out, false);
+                emit_flag(out, false);
                 out.push(src[pos]);
                 insert(head, prev, pos);
                 pos += 1;
             }
         }
-        out
     }
 }
 
@@ -205,7 +206,7 @@ pub fn max_expansion(stored_len: usize) -> usize {
     stored_len.saturating_mul(MAX_MATCH) / 3
 }
 
-/// Decompresses a token stream produced by [`Compressor::compress`] into
+/// Decompresses a token stream produced by [`Compressor::compress_into`] into
 /// `out`, which is overwritten and ends up exactly `expected_len` bytes
 /// long (its capacity is reused from call to call).
 ///
@@ -287,9 +288,16 @@ mod tests {
     use super::*;
     use cg_testutil::TestRng;
 
-    /// [`Compressor::compress`] with fresh tables.
+    /// [`Compressor::compress_into`] a fresh buffer.
+    fn compress_with(lz: &mut Compressor, src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        lz.compress_into(src, &mut out);
+        out
+    }
+
+    /// [`compress_with`] fresh tables.
     fn compress(src: &[u8]) -> Vec<u8> {
-        Compressor::default().compress(src)
+        compress_with(&mut Compressor::default(), src)
     }
 
     /// The encoder this module shipped before [`Compressor`] kept its
@@ -632,9 +640,18 @@ mod tests {
         let mut kept = Compressor::default();
         for data in corpus(&mut rng) {
             let reference = compress_reference(&data);
-            assert_eq!(kept.compress(&data), reference);
-            assert_eq!(kept.compress(&data), reference);
+            assert_eq!(compress_with(&mut kept, &data), reference);
+            assert_eq!(compress_with(&mut kept, &data), reference);
         }
+    }
+
+    #[test]
+    fn compress_into_appends_after_what_out_holds() {
+        let data: Vec<u8> = (0..5_000u32).flat_map(|i| [1, (i % 9) as u8, 2]).collect();
+        let mut out = b"head".to_vec();
+        Compressor::default().compress_into(&data, &mut out);
+        assert_eq!(&out[..4], b"head");
+        assert_eq!(out[4..], compress_reference(&data));
     }
 
     #[test]
@@ -646,12 +663,12 @@ mod tests {
         let n = data.len() as u32;
         // Just fits below the wrap, then does not fit, then starts over.
         let mut kept = Compressor::default();
-        kept.compress(b"warm the tables up with a few bytes");
+        compress_with(&mut kept, b"warm the tables up with a few bytes");
         kept.base = u32::MAX - n;
-        assert_eq!(kept.compress(&data), reference);
+        assert_eq!(compress_with(&mut kept, &data), reference);
         assert_eq!(kept.base, u32::MAX);
-        assert_eq!(kept.compress(&data), reference);
+        assert_eq!(compress_with(&mut kept, &data), reference);
         assert_eq!(kept.base, 1 + n);
-        assert_eq!(kept.compress(&data), reference);
+        assert_eq!(compress_with(&mut kept, &data), reference);
     }
 }

@@ -1,12 +1,15 @@
 //! Streaming `.cgt` readers and writers.
 //!
 //! [`TraceWriter`] and [`TraceReader`] move events through `std::io` one
-//! chunk at a time: the writer buffers at most one chunk's worth of encoded
-//! events before framing (CRC32, optional LZ compression) and flushing; the
-//! reader holds at most one chunk's bytes, in two buffers it reuses for the
-//! whole stream, and decodes each event out of them when it is asked for.
-//! Neither ever materializes the full event vector, so recording or
-//! replaying a multi-gigabyte trace holds O(chunk) memory — see
+//! chunk at a time.  The writer encodes events into one chunk buffer while
+//! its compressor thread frames the chunk before (LZ compression, CRC32),
+//! so it holds two chunk buffers and one framed chunk, plus one thread; a
+//! stream shorter than two full chunks, or written uncompressed, frames
+//! inline and never starts the thread.  The reader holds at most
+//! one chunk's bytes, in two buffers it reuses for the whole stream, and
+//! decodes each event out of them when it is asked for.  Neither ever
+//! materializes the full event vector, so recording or replaying a
+//! multi-gigabyte trace holds O(chunk) memory — see
 //! [`TraceReader::max_buffered_events`], which the streaming-equivalence
 //! tests assert on.  A recording kept in memory is the same bytes in a
 //! `Vec<u8>`: write it through a `TraceWriter<Vec<u8>>` and read it back
@@ -20,6 +23,9 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use cg_vm::{EventKind, GcEvent};
 
@@ -43,20 +49,30 @@ const MIN_COMPRESS_BYTES: usize = 64;
 
 /// A streaming `.cgt` writer over any [`Write`].
 ///
-/// Events are encoded into an internal chunk buffer and framed out every
-/// [`DEFAULT_CHUNK_EVENTS`] events (configurable); [`TraceWriter::finish`]
-/// flushes the final partial chunk and appends the footer.  Dropping a
-/// writer without calling `finish` leaves a truncated stream — readers
-/// detect that (no footer) and report [`TraceIoError::Truncated`].
+/// Events are encoded into a chunk buffer and framed out every
+/// [`DEFAULT_CHUNK_EVENTS`] events (configurable).  From the second full
+/// chunk of a compressed stream on, the framing (LZ compression, CRC32)
+/// runs on a compressor thread the writer owns, one chunk behind the
+/// encoding: at each chunk boundary the caller hands the thread the
+/// finished chunk, takes back the chunk before it framed, and writes that
+/// to `W` — which never leaves the caller's thread.  The two chunk buffers
+/// and the framed one change hands rather than being allocated per chunk,
+/// and the bytes are exactly those of framing every chunk inline.
+///
+/// [`TraceWriter::finish`] flushes the final partial chunk, appends the
+/// footer and joins the thread.  Dropping a writer without calling
+/// `finish` joins the thread too, and leaves a truncated stream (the
+/// chunk the thread held is never written) — readers detect that (no
+/// footer) and report [`TraceIoError::Truncated`].  A panic on the
+/// compressor thread is raised again on the caller's.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     w: W,
     buf: Vec<u8>,
     buffered_events: usize,
     chunk_events: usize,
-    /// The LZ encoder, its tables reused by every chunk; `None` when
-    /// compression is off.
-    lz: Option<compress::Compressor>,
+    compress: bool,
+    framer: Framer,
     stats: TraceStats,
     sections: Vec<FooterSection>,
     is_shard: bool,
@@ -104,7 +120,8 @@ impl<W: Write> TraceWriter<W> {
             buf: Vec::with_capacity(CHUNK_BYTES_TARGET / 2),
             buffered_events: 0,
             chunk_events,
-            lz: Some(compress::Compressor::default()),
+            compress: true,
+            framer: Framer::inline(),
             stats: TraceStats::default(),
             sections: Vec::new(),
             is_shard: matches!(meta.stream, StreamKind::Shard { .. }),
@@ -115,14 +132,15 @@ impl<W: Write> TraceWriter<W> {
 
     /// Disables per-chunk compression (chunks are stored raw).
     pub fn set_compression(&mut self, enabled: bool) {
-        self.lz = enabled.then(compress::Compressor::default);
+        self.compress = enabled;
     }
 
     /// Appends one event to a plain stream.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if a full chunk fails to flush.
+    /// Returns the underlying I/O error if a chunk fails to write, or the
+    /// spawn error if the compressor thread cannot start.
     ///
     /// # Panics
     ///
@@ -139,7 +157,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if a full chunk fails to flush.
+    /// As [`TraceWriter::push`].
     ///
     /// # Panics
     ///
@@ -155,6 +173,11 @@ impl<W: Write> TraceWriter<W> {
     fn after_event(&mut self) -> Result<(), TraceIoError> {
         self.buffered_events += 1;
         if self.buffered_events >= self.chunk_events || self.buf.len() >= CHUNK_BYTES_TARGET {
+            if let (true, Framer::Inline { frame, .. }) = (self.compress, &self.framer) {
+                if !frame.bytes().is_empty() {
+                    self.framer.start_thread()?;
+                }
+            }
             self.flush_chunk()?;
         }
         Ok(())
@@ -176,17 +199,44 @@ impl<W: Write> TraceWriter<W> {
         if self.buffered_events == 0 {
             return Ok(());
         }
-        write_chunk(
-            &mut self.w,
-            CHUNK_EVENTS_KIND,
-            self.buffered_events as u64,
-            &self.buf,
-            self.lz.as_mut(),
-        )?;
-        self.buf.clear();
-        self.buffered_events = 0;
+        let events = std::mem::take(&mut self.buffered_events) as u64;
         self.codec = EventCodec::default();
+        let raw = std::mem::take(&mut self.buf);
+        self.buf = self.put_chunk(CHUNK_EVENTS_KIND, events, raw)?;
         Ok(())
+    }
+
+    /// Frames `raw`, a finished chunk of `kind`, and writes it — or, with
+    /// the compressor thread running, hands it over and writes the chunk
+    /// the thread framed before.  Returns an empty buffer for the next
+    /// chunk.
+    fn put_chunk(
+        &mut self,
+        kind: u8,
+        events: u64,
+        mut raw: Vec<u8>,
+    ) -> Result<Vec<u8>, TraceIoError> {
+        let compress = self.compress;
+        let thread = match &mut self.framer {
+            Framer::Inline { lz, frame } => {
+                frame_chunk(frame, kind, events, &raw, compress.then_some(lz));
+                self.w.write_all(frame.bytes())?;
+                raw.clear();
+                return Ok(raw);
+            }
+            Framer::Thread(thread) => thread,
+        };
+        let mut job = thread.take();
+        if let Err(e) = self.w.write_all(job.frame.bytes()) {
+            // Nothing is in flight now: close the thread rather than leave
+            // a later call waiting on it.
+            self.framer = Framer::inline();
+            return Err(e.into());
+        }
+        let next = std::mem::replace(&mut job.raw, raw);
+        (job.kind, job.events, job.compress) = (kind, events, compress);
+        thread.give(job);
+        Ok(next)
     }
 
     /// Flushes the final partial chunk, writes the footer and returns the
@@ -201,45 +251,278 @@ impl<W: Write> TraceWriter<W> {
             counts: self.stats.counts(),
             sections: std::mem::take(&mut self.sections),
         };
-        let body = format::encode_footer(&footer);
-        write_chunk(&mut self.w, CHUNK_FOOTER_KIND, 0, &body, self.lz.as_mut())?;
+        self.put_chunk(CHUNK_FOOTER_KIND, 0, format::encode_footer(&footer))?;
+        if let Framer::Thread(mut thread) = std::mem::replace(&mut self.framer, Framer::inline()) {
+            self.w.write_all(thread.take().frame.bytes())?;
+            // Dropping `thread` closes its queue and joins it.
+        }
         self.w.flush()?;
         Ok((self.w, self.stats))
     }
 }
 
-/// Frames one chunk: kind, event count, raw length, stored length, codec,
-/// payload, CRC32 of the stored payload.  The payload is offered to `lz`,
-/// if given, and stored compressed when that is smaller.
-fn write_chunk<W: Write>(
-    w: &mut W,
+/// Where a [`TraceWriter`] frames its chunks.
+#[derive(Debug)]
+enum Framer {
+    /// On the caller's thread, with the writer's encoder and frame buffer:
+    /// every chunk of a stream that is uncompressed or shorter than two
+    /// full chunks, and the first chunk of any other.
+    Inline {
+        lz: compress::Compressor,
+        frame: Frame,
+    },
+    /// On the compressor thread, which holds the encoder and is one chunk
+    /// behind the caller.
+    Thread(CompressorThread),
+}
+
+impl Framer {
+    /// An inline framer that has framed nothing yet (and allocated nothing).
+    fn inline() -> Self {
+        Self::Inline {
+            lz: compress::Compressor::default(),
+            frame: Frame::default(),
+        }
+    }
+
+    /// Moves the framing of an inline framer onto a new compressor thread.
+    /// The writer calls this at the second full chunk of a compressed
+    /// stream: the first, framed inline, has sized the encoder's tables
+    /// and the frame buffer (which the thread takes over), and a stream
+    /// that ends before its second full chunk never pays for a thread.
+    #[cold]
+    #[inline(never)]
+    fn start_thread(&mut self) -> Result<(), TraceIoError> {
+        let Self::Inline { lz, frame } = self else {
+            return Ok(());
+        };
+        let (lz, mut frame) = (std::mem::take(lz), std::mem::take(frame));
+        frame.clear(); // it holds the chunk framed inline
+        let spare = Vec::with_capacity(CHUNK_BYTES_TARGET / 2);
+        *self = Self::Thread(CompressorThread::spawn(spare, frame, lz, frame_job)?);
+        Ok(())
+    }
+}
+
+/// One framed chunk, ready to write: `bytes()`.  The buffer is reused for
+/// chunk after chunk.
+#[derive(Debug, Default)]
+struct Frame {
+    buf: Vec<u8>,
+    /// Where the chunk starts in `buf`: the head is placed right before the
+    /// payload, in the [`MAX_HEAD`] bytes reserved for it.
+    start: usize,
+}
+
+impl Frame {
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.start = 0;
+    }
+}
+
+/// The most bytes a chunk head takes: kind, three varints, codec.
+const MAX_HEAD: usize = 1 + 3 * 10 + 1;
+
+/// Frames one chunk into `frame`: kind, event count, raw length, stored
+/// length, codec, payload, CRC32 of the stored payload.  The payload is
+/// offered to `lz`, if given, and stored compressed when that is smaller.
+fn frame_chunk(
+    frame: &mut Frame,
     kind: u8,
     event_count: u64,
     raw: &[u8],
     lz: Option<&mut compress::Compressor>,
-) -> Result<(), TraceIoError> {
-    let packed;
-    let (codec, stored): (u8, &[u8]) = match lz.filter(|_| raw.len() >= MIN_COMPRESS_BYTES) {
-        Some(lz) => {
-            packed = lz.compress(raw);
-            if packed.len() < raw.len() {
-                (CODEC_LZ, &packed)
-            } else {
-                (CODEC_RAW, raw)
+) {
+    frame.clear();
+    let out = &mut frame.buf;
+    out.resize(MAX_HEAD, 0);
+    let mut codec = CODEC_RAW;
+    if let Some(lz) = lz.filter(|_| raw.len() >= MIN_COMPRESS_BYTES) {
+        lz.compress_into(raw, out);
+        if out.len() - MAX_HEAD < raw.len() {
+            codec = CODEC_LZ;
+        } else {
+            out.truncate(MAX_HEAD);
+        }
+    }
+    if codec == CODEC_RAW {
+        out.extend_from_slice(raw);
+    }
+    let payload_end = out.len();
+    let crc = wire::crc32(&out[MAX_HEAD..]);
+    // The head goes after the payload first, where `put_varint` can append
+    // it, then moves into the reserved bytes just before the payload.
+    out.push(kind);
+    wire::put_varint(out, event_count);
+    wire::put_varint_usize(out, raw.len());
+    wire::put_varint_usize(out, payload_end - MAX_HEAD);
+    out.push(codec);
+    frame.start = MAX_HEAD - (out.len() - payload_end);
+    out.copy_within(payload_end.., frame.start);
+    out.truncate(payload_end);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The compressor thread's work: frames `job`, offering it to `lz` if the
+/// job is to be compressed.
+fn frame_job(job: &mut Job, lz: &mut compress::Compressor) {
+    let lz = job.compress.then_some(lz);
+    frame_chunk(&mut job.frame, job.kind, job.events, &job.raw, lz);
+}
+
+/// A chunk on its way through the compressor thread: there, raw with
+/// the frame buffer to frame it into; back, framed, with its raw buffer
+/// emptied for a later chunk.
+#[derive(Debug)]
+struct Job {
+    kind: u8,
+    events: u64,
+    raw: Vec<u8>,
+    frame: Frame,
+    compress: bool,
+}
+
+/// A [`TraceWriter`]'s compressor thread: a bounded queue of chunks to
+/// it, and a [`Framed`] slot back.  Exactly one chunk is in flight between
+/// [`CompressorThread::give`] and the next [`CompressorThread::take`], so
+/// the queue never blocks the writer.  Dropping it closes the queue and
+/// joins the thread.
+#[derive(Debug)]
+struct CompressorThread {
+    jobs: Option<SyncSender<Job>>,
+    framed: Arc<Framed>,
+    /// Returns the encoder when it ends, so that its tables are freed on
+    /// the writer's thread, which allocated them.
+    thread: Option<JoinHandle<compress::Compressor>>,
+}
+
+impl CompressorThread {
+    /// Starts a thread that runs `frame` with `lz` on each job.  The first
+    /// [`CompressorThread::take`] returns `spare` and the `empty` frame
+    /// buffer, as though a chunk had gone before.
+    fn spawn(
+        spare: Vec<u8>,
+        empty: Frame,
+        mut lz: compress::Compressor,
+        frame: fn(&mut Job, &mut compress::Compressor),
+    ) -> Result<Self, TraceIoError> {
+        let (jobs, queued) = mpsc::sync_channel::<Job>(1);
+        let before = Job {
+            kind: 0,
+            events: 0,
+            raw: spare,
+            frame: empty,
+            compress: false,
+        };
+        let framed = Arc::new(Framed {
+            state: Mutex::new((Some(before), false)),
+            ready: Condvar::new(),
+        });
+        let done = StopsFramed(Arc::clone(&framed));
+        let thread = std::thread::Builder::new()
+            .name("cgt-compress".to_string())
+            .spawn(move || {
+                for mut job in queued {
+                    frame(&mut job, &mut lz);
+                    job.raw.clear();
+                    done.0.lock().0 = Some(job);
+                    done.0.ready.notify_one();
+                }
+                lz
+            })?;
+        Ok(Self {
+            jobs: Some(jobs),
+            framed,
+            thread: Some(thread),
+        })
+    }
+
+    /// Hands the thread the next chunk to frame.
+    fn give(&mut self, job: Job) {
+        let jobs = self.jobs.as_ref().expect("the queue is open until drop");
+        if jobs.send(job).is_err() {
+            self.rethrow();
+        }
+    }
+
+    /// Waits for the chunk in flight, framed.
+    fn take(&mut self) -> Job {
+        let mut state = self.framed.lock();
+        loop {
+            if let Some(job) = state.0.take() {
+                return job;
+            }
+            if state.1 {
+                drop(state);
+                self.rethrow();
+            }
+            state = self
+                .framed
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The thread stopped while its queue was open, which only a panic
+    /// makes it do: joins it and raises that panic on this thread.
+    fn rethrow(&mut self) -> ! {
+        self.jobs = None;
+        let thread = self.thread.take().expect("a thread is joined once");
+        match thread.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("the compressor thread returned with its queue open"),
+        }
+    }
+}
+
+impl Drop for CompressorThread {
+    fn drop(&mut self) {
+        // Closing the job queue ends the thread's loop once it has framed
+        // the chunk it holds, if any.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            if let Err(panic) = thread.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         }
-        None => (CODEC_RAW, raw),
-    };
-    let mut head = Vec::with_capacity(24);
-    head.push(kind);
-    wire::put_varint(&mut head, event_count);
-    wire::put_varint_usize(&mut head, raw.len());
-    wire::put_varint_usize(&mut head, stored.len());
-    head.push(codec);
-    w.write_all(&head)?;
-    w.write_all(stored)?;
-    wire::write_u32(w, wire::crc32(stored))?;
-    Ok(())
+    }
+}
+
+/// Where the compressor thread leaves each framed chunk: the chunk, and
+/// whether the thread has stopped.  The writer's thread waits on a
+/// condition variable here rather than in a second `mpsc` queue, where std
+/// allocates a per-thread context the first time a thread blocks: what the
+/// writer's thread allocates does not depend on whether its compressor
+/// thread was ahead.
+#[derive(Debug)]
+struct Framed {
+    state: Mutex<(Option<Job>, bool)>,
+    ready: Condvar,
+}
+
+impl Framed {
+    fn lock(&self) -> MutexGuard<'_, (Option<Job>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The compressor thread's hold on [`Framed`]: dropping it, when the thread
+/// ends or unwinds, marks the thread stopped and wakes the writer.
+struct StopsFramed(Arc<Framed>);
+
+impl Drop for StopsFramed {
+    fn drop(&mut self) {
+        self.0.lock().1 = true;
+        self.0.ready.notify_one();
+    }
 }
 
 /// Reads a varint byte-by-byte from a [`Read`].  Returns `Ok(None)` on
@@ -928,14 +1211,17 @@ mod tests {
     /// stream whose CRCs all hold whatever the chunks say.
     fn framed_chunks(meta: &TraceMeta, chunks: &[(u64, &[u8])], counts: TraceStats) -> Vec<u8> {
         let mut bytes = TraceWriter::new(Vec::new(), meta).expect("header").w;
+        let mut frame = Frame::default();
         for (declared, body) in chunks {
-            write_chunk(&mut bytes, CHUNK_EVENTS_KIND, *declared, body, None).expect("chunk");
+            frame_chunk(&mut frame, CHUNK_EVENTS_KIND, *declared, body, None);
+            bytes.extend_from_slice(frame.bytes());
         }
         let footer = format::encode_footer(&TraceFooter {
             counts: counts.counts(),
             sections: Vec::new(),
         });
-        write_chunk(&mut bytes, CHUNK_FOOTER_KIND, 0, &footer, None).expect("footer");
+        frame_chunk(&mut frame, CHUNK_FOOTER_KIND, 0, &footer, None);
+        bytes.extend_from_slice(frame.bytes());
         bytes
     }
 
@@ -1169,6 +1455,234 @@ mod tests {
         assert_eq!(
             footer.section("vm").unwrap().entries,
             vec![("instructions".to_string(), 456)]
+        );
+    }
+
+    /// The writer this module shipped before the compressor thread: every
+    /// chunk framed inline as it fills, its head, payload and CRC written
+    /// one after another.  Kept as the reference model the pipelined
+    /// writer must match byte for byte.  `events` go to a shard stream
+    /// whole, to a plain stream as their bare events; `compress(i)` says
+    /// whether compression is on from event `i` (and for the footer, from
+    /// the last).
+    fn write_reference(
+        meta: &TraceMeta,
+        events: &[ShardEvent],
+        chunk_events: usize,
+        compress: impl Fn(usize) -> bool,
+        sections: &[FooterSection],
+    ) -> Vec<u8> {
+        let shard = matches!(meta.stream, StreamKind::Shard { .. });
+        let mut out = TraceWriter::new(Vec::new(), meta).expect("header").w;
+        let mut lz = compress::Compressor::default();
+        let mut write_chunk = |out: &mut Vec<u8>, kind: u8, count: u64, raw: &[u8], compress| {
+            let mut packed = Vec::new();
+            let (codec, stored) = if compress && raw.len() >= MIN_COMPRESS_BYTES {
+                lz.compress_into(raw, &mut packed);
+                if packed.len() < raw.len() {
+                    (CODEC_LZ, &packed[..])
+                } else {
+                    (CODEC_RAW, raw)
+                }
+            } else {
+                (CODEC_RAW, raw)
+            };
+            out.push(kind);
+            wire::put_varint(out, count);
+            wire::put_varint_usize(out, raw.len());
+            wire::put_varint_usize(out, stored.len());
+            out.push(codec);
+            out.extend_from_slice(stored);
+            out.extend_from_slice(&wire::crc32(stored).to_le_bytes());
+        };
+        let (mut codec, mut buf, mut prev_seq, mut pending) =
+            (EventCodec::default(), Vec::new(), 0, 0u64);
+        let mut stats = TraceStats::default();
+        for (i, ev) in events.iter().enumerate() {
+            stats.record(ev.event.kind());
+            if shard {
+                format::encode_shard_event(&mut codec, &mut buf, &mut prev_seq, ev);
+            } else {
+                format::encode_event(&mut codec, &mut buf, &ev.event);
+            }
+            pending += 1;
+            if pending >= chunk_events as u64 || buf.len() >= CHUNK_BYTES_TARGET {
+                write_chunk(&mut out, CHUNK_EVENTS_KIND, pending, &buf, compress(i));
+                (codec, pending) = (EventCodec::default(), 0);
+                buf.clear();
+            }
+        }
+        let last = compress(events.len().saturating_sub(1));
+        if pending > 0 {
+            write_chunk(&mut out, CHUNK_EVENTS_KIND, pending, &buf, last);
+        }
+        let footer = format::encode_footer(&TraceFooter {
+            counts: stats.counts(),
+            sections: sections.to_vec(),
+        });
+        write_chunk(&mut out, CHUNK_FOOTER_KIND, 0, &footer, last);
+        out
+    }
+
+    /// [`write_reference`]'s arguments through the pipelined writer.
+    fn write_pipelined(
+        meta: &TraceMeta,
+        events: &[ShardEvent],
+        chunk_events: usize,
+        compress: impl Fn(usize) -> bool,
+        sections: &[FooterSection],
+    ) -> Vec<u8> {
+        let mut writer =
+            TraceWriter::with_chunk_events(Vec::new(), meta, chunk_events).expect("writer");
+        writer.set_compression(compress(0));
+        for (i, ev) in events.iter().enumerate() {
+            writer.set_compression(compress(i));
+            if writer.is_shard {
+                writer.push_shard(ev).expect("push");
+            } else {
+                writer.push(&ev.event).expect("push");
+            }
+        }
+        for section in sections {
+            writer.add_section(section.clone());
+        }
+        writer.finish().expect("finish").0
+    }
+
+    /// Slot writes and frame events with a root set too large for one
+    /// chunk in the middle, numbered as a shard stream's events with a wait
+    /// now and then.
+    fn pipeline_events() -> Vec<ShardEvent> {
+        let mut rng = cg_testutil::TestRng::new(45);
+        let mut events = synthetic_events(9_000);
+        let roots = RootSet {
+            statics: (0..120_000)
+                .map(|_| cg_vm::Handle::from_index(rng.gen_range(0, 1 << 24) as u32))
+                .collect(),
+            ..RootSet::default()
+        };
+        events.insert(
+            4_500,
+            GcEvent::ProgramEnd {
+                roots: Box::new(roots),
+            },
+        );
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, event)| ShardEvent {
+                seq: seq as u64 * 2,
+                waits: if seq.is_multiple_of(97) {
+                    vec![crate::partition::ShardWait {
+                        shard: 1,
+                        processed: seq as u64,
+                    }]
+                } else {
+                    Vec::new()
+                },
+                event,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_pipelined_writer_writes_the_inline_writers_bytes() {
+        let events = pipeline_events();
+        let sections = [
+            FooterSection {
+                name: "vm".into(),
+                entries: vec![("instructions".into(), 123)],
+            },
+            FooterSection {
+                name: "cg".into(),
+                entries: vec![("freed".into(), 7), ("unions".into(), 9)],
+            },
+        ];
+        let metas = [
+            TraceMeta::default(),
+            TraceMeta {
+                stream: SHARD_0_OF_2,
+                ..TraceMeta::default()
+            },
+        ];
+        for meta in &metas {
+            for chunk_events in [1, 16, DEFAULT_CHUNK_EVENTS] {
+                for compress in [true, false] {
+                    // Chunk caps of 1 and 16 take the whole stream; the
+                    // default cap runs over a few lengths: inside the
+                    // first chunk, exactly one and one event past it (all
+                    // inline), and the whole stream, whose oversized
+                    // root-set chunk is the second full one and starts the
+                    // thread.
+                    let lengths: &[usize] = if chunk_events == DEFAULT_CHUNK_EVENTS {
+                        &[
+                            0,
+                            10,
+                            DEFAULT_CHUNK_EVENTS,
+                            DEFAULT_CHUNK_EVENTS + 1,
+                            events.len(),
+                        ]
+                    } else {
+                        &[events.len()]
+                    };
+                    for &n in lengths {
+                        let (events, on) = (&events[..n], |_| compress);
+                        assert!(
+                            write_pipelined(meta, events, chunk_events, on, &sections)
+                                == write_reference(meta, events, chunk_events, on, &sections),
+                            "{:?}, {n} events, cap {chunk_events}, compress {compress}",
+                            meta.stream
+                        );
+                    }
+                }
+            }
+        }
+        // The bytes also read back: the oversized root set in its own chunk.
+        let bytes = write_pipelined(&metas[0], &events, 16, |_| true, &sections);
+        let (decoded, _, footer) = read_all(&bytes).expect("read");
+        assert_eq!(decoded.len(), events.len());
+        assert!(decoded.iter().zip(&events).all(|(d, e)| *d == e.event));
+        assert_eq!(footer.sections, sections);
+    }
+
+    #[test]
+    fn switching_compression_midway_matches_the_inline_writer() {
+        let events = &pipeline_events()[..3_000];
+        let compress = |i: usize| (i / 300).is_multiple_of(2);
+        for chunk_events in [64, 1_000] {
+            // Cap 1 000 frames its first chunk inline, raw, and starts the
+            // thread at the second.
+            assert!(
+                write_pipelined(&TraceMeta::default(), events, chunk_events, compress, &[])
+                    == write_reference(&TraceMeta::default(), events, chunk_events, compress, &[]),
+                "cap {chunk_events}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_compressor_thread_is_raised_on_the_callers() {
+        let mut writer =
+            TraceWriter::with_chunk_events(Vec::new(), &TraceMeta::default(), 4).expect("writer");
+        writer.framer = Framer::Thread(
+            CompressorThread::spawn(
+                Vec::new(),
+                Frame::default(),
+                compress::Compressor::default(),
+                |_, _| panic!("compressor thread failed on purpose"),
+            )
+            .expect("spawn"),
+        );
+        let events = synthetic_events(20);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for event in &events {
+                writer.push(event).expect("push");
+            }
+        }))
+        .expect_err("the thread's panic reaches the caller");
+        assert_eq!(
+            caught.downcast_ref::<&str>(),
+            Some(&"compressor thread failed on purpose")
         );
     }
 }

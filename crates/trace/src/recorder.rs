@@ -1,7 +1,10 @@
 //! Capturing a live run's event stream as `.cgt` bytes: every event is
 //! encoded into a chunked [`TraceWriter`] as it is emitted and flushed a
-//! chunk at a time ([`StreamingRecorder`]), so a recording holds O(chunk)
-//! memory beyond its sink, however long the run.  The sink is any
+//! chunk at a time ([`StreamingRecorder`]), so a recording holds two chunk
+//! buffers, one framed chunk and the writer's compressor thread beyond its
+//! sink, however long the run.  From the second full chunk on, the run's
+//! thread only encodes events and writes framed chunks; compression and
+//! CRCs happen on the compressor thread, one chunk behind.  The sink is any
 //! [`Write`]: a file, a socket, or a `Vec<u8>` for a recording kept in
 //! memory.
 
@@ -50,8 +53,9 @@ impl<W: Write> StreamingSink<W> {
 
 /// An [`EventSink`] that encodes every event straight into a chunked
 /// [`TraceWriter`], flushing full chunks as the run progresses: peak
-/// memory is one encoded chunk (plus whatever the sink keeps), however
-/// long the program runs.
+/// memory is two chunk buffers and one framed chunk, plus the writer's
+/// compressor thread (and whatever the sink keeps), however long the
+/// program runs.
 ///
 /// The sink and the caller share the writer through an `Rc` (the VM owns
 /// the sink during the run); after the run, [`finish_streaming`] retrieves

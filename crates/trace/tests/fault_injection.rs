@@ -263,37 +263,51 @@ fn corrupt_files_fail_structurally_through_rewrite_and_governed_replay() {
 fn interrupted_writes_through_the_streaming_writer_error_cleanly() {
     // Drive the chunked TraceWriter directly over a failing sink: the
     // failure may surface on push (chunk flush) or on finish (footer
-    // write), but always as a TraceIoError.
-    let trace = allocating_trace(64, 2_000);
-    // Baseline length through the very same streaming path (write_trace
-    // would declare the event count in the header and come out longer).
-    let full_len = {
-        let mut writer =
-            cg_trace::TraceWriter::new(Vec::new(), &TraceMeta::default()).expect("clean writer");
-        for event in &trace {
-            writer.push(event).expect("clean push");
-        }
-        let (bytes, _) = writer.finish().expect("clean finish");
-        bytes.len() as u64
-    };
-    for offset in [0, full_len / 7, full_len / 3, full_len / 2, full_len - 1] {
-        assert!(
-            offset < full_len,
-            "fault offset must land inside the stream"
-        );
-        let sink = FaultyWriter::new(Vec::new(), FaultPlan::error(offset));
-        let result = (|| {
-            let mut writer = cg_trace::TraceWriter::new(sink, &TraceMeta::default())?;
+    // write), but always as a TraceIoError.  The short trace fits in one
+    // chunk, framed inline; the long one spans five, so every offset past
+    // its first chunk fails a write of a chunk its compressor thread
+    // framed.
+    for trace in [allocating_trace(64, 2_000), allocating_trace(64, 20_000)] {
+        // Baseline length through the very same streaming path
+        // (write_trace would declare the event count in the header and
+        // come out longer).
+        let full_len = {
+            let mut writer = cg_trace::TraceWriter::new(Vec::new(), &TraceMeta::default())
+                .expect("clean writer");
             for event in &trace {
-                writer.push(event)?;
+                writer.push(event).expect("clean push");
             }
-            writer.finish().map(|_| ())
-        })();
-        let err = result.expect_err("a failing sink must fail the write");
-        assert!(
-            matches!(err, TraceIoError::Io(_)),
-            "offset {offset}: unexpected error {err}"
-        );
+            let (bytes, _) = writer.finish().expect("clean finish");
+            bytes.len() as u64
+        };
+        let offsets = [
+            0,
+            full_len / 7,
+            full_len / 3,
+            full_len / 2,
+            full_len * 4 / 5,
+            full_len - 1,
+        ];
+        for offset in offsets {
+            assert!(
+                offset < full_len,
+                "fault offset must land inside the stream"
+            );
+            let sink = FaultyWriter::new(Vec::new(), FaultPlan::error(offset));
+            let result = (|| {
+                let mut writer = cg_trace::TraceWriter::new(sink, &TraceMeta::default())?;
+                for event in &trace {
+                    writer.push(event)?;
+                }
+                writer.finish().map(|_| ())
+            })();
+            let err = result.expect_err("a failing sink must fail the write");
+            assert!(
+                matches!(err, TraceIoError::Io(_)),
+                "{} events, offset {offset}: unexpected error {err}",
+                trace.len()
+            );
+        }
     }
 }
 
